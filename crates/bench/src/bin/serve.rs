@@ -380,7 +380,7 @@ fn main() {
     let json = format!(
         r#"{{
   "bench": "serve",
-  "provenance": "Measured on a shared container by building this file and the real workspace sources directly with rustc against offline dependency shims (cargo cannot reach a registry there). N viewer threads replay phase-shifted keyframe flights over in-process transports against one server; sweep latencies are the steady interactive state (an untimed warm-up lap fills the shared pool, a barrier starts the measured lap, and each viewer paces itself to one frame per 33 ms budget with phase-staggered deadlines, as a real renderer would), the storm run is cold. Absolute times carry scheduler noise, but ratios (coalescing, shed, p99 scaling) are representative. Regenerate with `cargo run --release -p viz-bench --bin serve`.",
+  "provenance": "Measured on a shared container from a `cargo --release` build. N viewer threads replay phase-shifted keyframe flights over in-process transports against one server; sweep latencies are the steady interactive state (an untimed warm-up lap fills the shared pool, a barrier starts the measured lap, and each viewer paces itself to one frame per 33 ms budget with phase-staggered deadlines, as a real renderer would), the storm run is cold. Absolute times carry scheduler noise, but ratios (coalescing, shed, p99 scaling) are representative. Regenerate with `cargo run --release -p viz-bench --bin serve`.",
   "operating_point": {{
     "blocks": {blocks},
     "flight_steps": {steps},

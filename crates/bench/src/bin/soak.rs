@@ -458,7 +458,7 @@ fn main() {
     let json = format!(
         r#"{{
   "bench": "reactor_soak",
-  "provenance": "Measured on a shared container by building this file and the real workspace sources directly with rustc against offline dependency shims (cargo cannot reach a registry there). TCP stages run {tcp_n} sequential localhost clients against each front end (identical wire workload; per-request latency is a full round trip); soak stages run the deterministic in-process reactor with 10% session churn per round, individually-timed probe round-trips, and RSS/thread figures read from /proc/self/status. Absolute times carry scheduler noise; ratios (p99 scaling, threads, kB/session) are representative. Regenerate with `cargo run --release -p viz-bench --bin soak`.",
+  "provenance": "Measured on a shared container from a `cargo --release` build. TCP stages run {tcp_n} sequential localhost clients against each front end (identical wire workload; per-request latency is a full round trip); soak stages run the deterministic in-process reactor with 10% session churn per round, individually-timed probe round-trips, and RSS/thread figures read from /proc/self/status. Absolute times carry scheduler noise; ratios (p99 scaling, threads, kB/session) are representative. Regenerate with `cargo run --release -p viz-bench --bin soak`.",
   "operating_point": {{
     "store_keys": {keys},
     "block_len_f32": {bl},

@@ -245,7 +245,7 @@ fn main() {
     let json = format!(
         r#"{{
   "bench": "telemetry",
-  "provenance": "Measured on a shared container by building this file and the real workspace sources directly with rustc against minimal shims (cargo cannot reach a registry there); absolute ns/op values are noisy there, the on/off ratio is the signal. Regenerate in a normal environment with `cargo run --release -p viz-bench --bin telemetry`.",
+  "provenance": "Measured on a shared container from a `cargo --release` build; absolute ns/op values are noisy there, the on/off ratio is the signal. Regenerate with `cargo run --release -p viz-bench --bin telemetry`.",
   "storm_trace": {{
     "frames": {frames},
     "events": {events},

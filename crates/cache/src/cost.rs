@@ -7,10 +7,8 @@
 //! while preserving the orderings and crossovers the paper's figures show
 //! (see DESIGN.md §2).
 
-use serde::{Deserialize, Serialize};
-
 /// Latency/bandwidth description of one storage tier.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TierCost {
     /// Fixed per-read latency in seconds (seek/command overhead).
     pub latency_s: f64,
@@ -48,7 +46,7 @@ impl TierCost {
 }
 
 /// A simple simulated-seconds accumulator.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SimTime(pub f64);
 
 impl SimTime {

@@ -12,7 +12,6 @@ use crate::cache::{CacheLevel, Lookup};
 use crate::cost::TierCost;
 use crate::policy::PolicyKind;
 use crate::stats::{AccessClass, HierarchyStats};
-use serde::{Deserialize, Serialize};
 use std::hash::{Hash, Hasher};
 use viz_telemetry::EventKind as Ev;
 
@@ -25,7 +24,7 @@ fn tel_key<K: Hash>(k: &K) -> u64 {
 }
 
 /// Configuration of one cache tier.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TierSpec {
     /// Display name ("DRAM", "SSD", ...).
     pub name: String,

@@ -343,7 +343,7 @@ mod tests {
             }
             misses
         };
-        let lru = run(Box::new(crate::lru::LruPolicy::new()));
+        let lru = run(Box::<crate::lru::LruPolicy<_>>::default());
         let lirs = run(Box::new(LirsPolicy::new(cap)));
         assert_eq!(lru, 15 * keys.len(), "LRU must thrash on the loop");
         assert!(lirs < lru / 2, "LIRS should retain its LIR set: {lirs} vs {lru}");

@@ -134,8 +134,8 @@ mod tests {
             }
             misses
         };
-        let lru_misses = run(Box::new(crate::lru::LruPolicy::new()));
-        let mru_misses = run(Box::new(MruPolicy::new()));
+        let lru_misses = run(Box::<crate::lru::LruPolicy<_>>::default());
+        let mru_misses = run(Box::<MruPolicy<_>>::default());
         assert_eq!(lru_misses, 20 * keys.len(), "LRU must thrash completely");
         assert!(
             mru_misses < lru_misses / 3,

@@ -44,7 +44,7 @@ pub trait ReplacementPolicy<K: Copy + Eq + Hash>: Send {
 }
 
 /// Which built-in policy a cache level should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// First-In First-Out (paper baseline).
     Fifo,

@@ -1,10 +1,8 @@
 //! Access statistics for the hierarchy simulator.
 
-use serde::{Deserialize, Serialize};
-
 /// Whether an access was issued by the renderer (demand) or by the
 /// overlap prefetcher of the paper's Algorithm 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessClass {
     /// Blocking fetch required before rendering can proceed.
     Demand,
@@ -13,7 +11,7 @@ pub enum AccessClass {
 }
 
 /// Counters for one hierarchy level (or the backing store).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LevelStats {
     /// Demand accesses satisfied at this level.
     pub demand_hits: u64,
@@ -28,7 +26,7 @@ pub struct LevelStats {
 }
 
 /// Aggregate statistics of a hierarchy simulation.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HierarchyStats {
     /// One entry per cache tier (fastest first) plus one final entry for
     /// the backing store.

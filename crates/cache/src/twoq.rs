@@ -122,11 +122,17 @@ impl<K: Copy + Eq + Hash + Send> ReplacementPolicy<K> for TwoQPolicy<K> {
         };
         if prefer_a1 {
             take(&mut self.a1in, &mut self.index, is_evictable)
-                .inspect(|&v| self.ghost_push(v))
+                .map(|v| {
+                    self.ghost_push(v);
+                    v
+                })
                 .or_else(|| take(&mut self.am, &mut self.index, is_evictable))
         } else {
             take(&mut self.am, &mut self.index, is_evictable).or_else(|| {
-                take(&mut self.a1in, &mut self.index, is_evictable).inspect(|&v| self.ghost_push(v))
+                take(&mut self.a1in, &mut self.index, is_evictable).map(|v| {
+                    self.ghost_push(v);
+                    v
+                })
             })
         }
     }

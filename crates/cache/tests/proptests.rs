@@ -1,12 +1,16 @@
 //! Property-based tests for the cache substrate: every policy must uphold
 //! the residency bookkeeping invariants under arbitrary operation
 //! sequences, and the hierarchy must respect capacity and inclusion.
+//! 256 seeded cases per property; a failure names the seed and case that
+//! replay it.
 
-use proptest::prelude::*;
 use std::collections::HashSet;
 use viz_cache::{
     simulate_belady, AccessClass, CacheLevel, Hierarchy, Lookup, PolicyKind, ReplacementPolicy,
 };
+use viz_geom::rng::{for_cases, SplitMix64};
+
+const CASES: usize = 256;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -16,13 +20,14 @@ enum Op {
     Evict,
 }
 
-fn op_strategy(key_space: u32) -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0..key_space).prop_map(Op::Access),
-        (0..key_space).prop_map(Op::Insert),
-        (0..key_space).prop_map(Op::Remove),
-        Just(Op::Evict),
-    ]
+fn op_strategy(rng: &mut SplitMix64, key_space: u32) -> Op {
+    let key = rng.below(u64::from(key_space)) as u32;
+    match rng.below(4) {
+        0 => Op::Access(key),
+        1 => Op::Insert(key),
+        2 => Op::Remove(key),
+        _ => Op::Evict,
+    }
 }
 
 fn all_policies() -> Vec<PolicyKind> {
@@ -39,13 +44,12 @@ fn all_policies() -> Vec<PolicyKind> {
     ]
 }
 
-proptest! {
-    /// A reference-model check: the policy's resident set must always match
-    /// a plain HashSet driven by the same operations.
-    #[test]
-    fn policy_tracks_residency_exactly(
-        ops in prop::collection::vec(op_strategy(24), 1..300),
-    ) {
+/// A reference-model check: the policy's resident set must always match
+/// a plain HashSet driven by the same operations.
+#[test]
+fn policy_tracks_residency_exactly() {
+    for_cases(0xca01, CASES, |rng, _| {
+        let ops = (0..rng.index(1..300)).map(|_| op_strategy(rng, 24)).collect::<Vec<_>>();
         for kind in all_policies() {
             let mut policy: Box<dyn ReplacementPolicy<u32>> = kind.build(64);
             let mut model: HashSet<u32> = HashSet::new();
@@ -70,47 +74,52 @@ proptest! {
                     }
                     Op::Evict => {
                         if let Some(v) = policy.choose_victim(&mut |_| true) {
-                            prop_assert!(model.remove(&v),
-                                "{}: evicted non-resident {v}", kind.label());
+                            assert!(model.remove(&v), "{}: evicted non-resident {v}", kind.label());
                         } else {
-                            prop_assert!(model.is_empty(),
-                                "{}: refused eviction with {} resident", kind.label(), model.len());
+                            assert!(
+                                model.is_empty(),
+                                "{}: refused eviction with {} resident",
+                                kind.label(),
+                                model.len()
+                            );
                         }
                     }
                 }
-                prop_assert_eq!(policy.len(), model.len(), "{} len drift", kind.label());
+                assert_eq!(policy.len(), model.len(), "{} len drift", kind.label());
                 for k in &model {
-                    prop_assert!(policy.contains(k), "{} lost key {k}", kind.label());
+                    assert!(policy.contains(k), "{} lost key {k}", kind.label());
                 }
             }
         }
-    }
+    });
+}
 
-    /// Cache level never exceeds capacity (absent pinning) and never loses
-    /// the most recently inserted key.
-    #[test]
-    fn cache_level_respects_capacity(
-        keys in prop::collection::vec(0u32..64, 1..400),
-        cap in 1usize..32,
-    ) {
+/// Cache level never exceeds capacity (absent pinning) and never loses
+/// the most recently inserted key.
+#[test]
+fn cache_level_respects_capacity() {
+    for_cases(0xca02, CASES, |rng, _| {
+        let keys = (0..rng.index(1..400)).map(|_| rng.index(0..64) as u32).collect::<Vec<_>>();
+        let cap = rng.index(1..32);
         for kind in all_policies() {
             let mut c: CacheLevel<u32> = CacheLevel::new(kind, cap);
             for &k in &keys {
                 if c.access(k) == Lookup::Miss {
                     c.insert(k);
                 }
-                prop_assert!(c.len() <= cap, "{} over capacity", kind.label());
-                prop_assert!(c.contains(&k), "{} dropped fresh insert", kind.label());
+                assert!(c.len() <= cap, "{} over capacity", kind.label());
+                assert!(c.contains(&k), "{} dropped fresh insert", kind.label());
             }
         }
-    }
+    });
+}
 
-    /// Belady's MIN is a true lower bound for every online policy.
-    #[test]
-    fn belady_is_a_lower_bound(
-        trace in prop::collection::vec(0u32..32, 10..400),
-        cap in 1usize..16,
-    ) {
+/// Belady's MIN is a true lower bound for every online policy.
+#[test]
+fn belady_is_a_lower_bound() {
+    for_cases(0xca03, CASES, |rng, _| {
+        let trace = (0..rng.index(10..400)).map(|_| rng.index(0..32) as u32).collect::<Vec<_>>();
+        let cap = rng.index(1..16);
         let opt = simulate_belady(&trace, cap);
         for kind in all_policies() {
             let mut c: CacheLevel<u32> = CacheLevel::new(kind, cap);
@@ -121,57 +130,64 @@ proptest! {
                     c.insert(k);
                 }
             }
-            prop_assert!(opt.misses <= misses,
-                "MIN {} > {} {}", opt.misses, kind.label(), misses);
+            assert!(opt.misses <= misses, "MIN {} > {} {}", opt.misses, kind.label(), misses);
         }
-    }
+    });
+}
 
-    /// Belady accounting is self-consistent.
-    #[test]
-    fn belady_accounting(trace in prop::collection::vec(0u32..40, 0..300), cap in 1usize..20) {
+/// Belady accounting is self-consistent.
+#[test]
+fn belady_accounting() {
+    for_cases(0xca04, CASES, |rng, _| {
+        let trace = (0..rng.index(0..300)).map(|_| rng.index(0..40) as u32).collect::<Vec<_>>();
+        let cap = rng.index(1..20);
         let r = simulate_belady(&trace, cap);
-        prop_assert_eq!(r.hits + r.misses, r.accesses);
-        prop_assert_eq!(r.accesses, trace.len());
+        assert_eq!(r.hits + r.misses, r.accesses);
+        assert_eq!(r.accesses, trace.len());
         // Compulsory misses: at least one per distinct key.
         let distinct = trace.iter().collect::<HashSet<_>>().len();
-        prop_assert!(r.misses >= distinct.min(trace.len()));
-    }
+        assert!(r.misses >= distinct.min(trace.len()));
+    });
+}
 
-    /// Hierarchy: after any demand fetch the key is in the fastest tier,
-    /// and tiers never exceed their capacities.
-    #[test]
-    fn hierarchy_fetch_invariants(
-        keys in prop::collection::vec(0u32..128, 1..300),
-        ratio_pct in 20u32..80,
-    ) {
+/// Hierarchy: after any demand fetch the key is in the fastest tier,
+/// and tiers never exceed their capacities.
+#[test]
+fn hierarchy_fetch_invariants() {
+    for_cases(0xca05, CASES, |rng, _| {
+        let keys = (0..rng.index(1..300)).map(|_| rng.index(0..128) as u32).collect::<Vec<_>>();
+        let ratio_pct = rng.index(20..80) as u32;
         let ratio = ratio_pct as f64 / 100.0;
         let mut h: Hierarchy<u32> = Hierarchy::paper_default(128, ratio, PolicyKind::Lru, 4096);
         let cap0 = h.tier_capacity(0);
         for &k in &keys {
             h.fetch(k, AccessClass::Demand);
-            prop_assert!(h.in_fastest(&k));
-            prop_assert!(h.fastest_len() <= cap0);
+            assert!(h.in_fastest(&k));
+            assert!(h.fastest_len() <= cap0);
         }
         let s = h.stats();
-        prop_assert_eq!(s.demand_accesses as usize, keys.len());
-        prop_assert!(s.miss_rate() <= 1.0);
+        assert_eq!(s.demand_accesses as usize, keys.len());
+        assert!(s.miss_rate() <= 1.0);
         // Every byte read was accounted to some level.
-        prop_assert_eq!(s.total_bytes_read(), keys.len() as u64 * 4096);
-    }
+        assert_eq!(s.total_bytes_read(), keys.len() as u64 * 4096);
+    });
+}
 
-    /// Prefetching then demanding the same key yields a demand hit and the
-    /// demand miss counter stays untouched by prefetch traffic.
-    #[test]
-    fn prefetch_isolation(keys in prop::collection::vec(0u32..32, 1..60)) {
+/// Prefetching then demanding the same key yields a demand hit and the
+/// demand miss counter stays untouched by prefetch traffic.
+#[test]
+fn prefetch_isolation() {
+    for_cases(0xca06, CASES, |rng, _| {
+        let keys = (0..rng.index(1..60)).map(|_| rng.index(0..32) as u32).collect::<Vec<_>>();
         let mut h: Hierarchy<u32> = Hierarchy::paper_default(256, 0.5, PolicyKind::Lru, 1024);
         for &k in &keys {
             h.fetch(k, AccessClass::Prefetch);
         }
-        prop_assert_eq!(h.stats().demand_accesses, 0);
+        assert_eq!(h.stats().demand_accesses, 0);
         for &k in &keys {
             let o = h.fetch(k, AccessClass::Demand);
-            prop_assert!(o.fast_hit, "prefetched key {k} missed");
+            assert!(o.fast_hit, "prefetched key {k} missed");
         }
-        prop_assert_eq!(h.stats().demand_fast_misses, 0);
-    }
+        assert_eq!(h.stats().demand_fast_misses, 0);
+    });
 }

@@ -301,7 +301,7 @@ impl Router {
         let t0 = viz_telemetry::start();
         let demand_n = demand.len() as u64;
         if self.cfg.probe_every > 0
-            && self.frames.is_multiple_of(u64::from(self.cfg.probe_every))
+            && self.frames % u64::from(self.cfg.probe_every) == 0
             && self.conns.values().any(|c| c.down)
         {
             self.probe_down();

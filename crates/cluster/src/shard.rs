@@ -340,8 +340,7 @@ mod tests {
         BlockKey::scalar(BlockId(i))
     }
 
-    /// Seeded key sweep standing in for a proptest generator (no proptest
-    /// in the offline build): every key in a dense id range plus a salted
+    /// Seeded key sweep: every key in a dense id range plus a salted
     /// scatter of var/time combinations.
     fn key_corpus() -> Vec<BlockKey> {
         let mut v: Vec<BlockKey> = (0..4096).map(key).collect();

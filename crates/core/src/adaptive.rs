@@ -18,10 +18,8 @@
 //! over it; the `viz-adapt` control plane builds its ladder and radius
 //! tuners from the same primitive.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of a bounded log-ratio integral controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControllerConfig {
     /// Integral gain, in output units per unit of log-ratio error.
     pub gain: f64,
@@ -47,7 +45,7 @@ impl ControllerConfig {
 /// the clamped output is the *only* integrator state, saturation cannot
 /// wind up: at a bound the controller simply stays there, and the first
 /// error reversal moves it immediately.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IntegralController {
     cfg: ControllerConfig,
     output: f64,
@@ -115,7 +113,7 @@ impl IntegralController {
 /// choosing from the replacement zoo) need this, not a gain: a single
 /// noisy window must never flip a cache policy and throw away residency
 /// state that took thousands of accesses to build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hysteresis {
     patience: u32,
     streak: u32,
@@ -165,7 +163,7 @@ impl Hysteresis {
 }
 
 /// Configuration of the σ controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveSigma {
     /// Integral gain, in entropy bits per unit of (log) budget error.
     pub gain: f64,
@@ -196,7 +194,7 @@ impl AdaptiveSigma {
 /// per-step prefetch time ≈ render time. A facade over
 /// [`IntegralController`] — σ rises (prefetch less) when prefetch spills
 /// past the render window, falls (use the idle I/O) when under-used.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SigmaController {
     cfg: AdaptiveSigma,
     inner: IntegralController,

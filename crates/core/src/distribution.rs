@@ -11,16 +11,15 @@
 //! entropy (greedy LPT) flattens the hot set across all spindles.
 
 use crate::importance::ImportanceTable;
-use serde::{Deserialize, Serialize};
 use viz_cache::TierCost;
 use viz_volume::BlockId;
 
 /// Identifier of a storage device in a striped set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DeviceId(pub u16);
 
 /// A block→device placement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Distribution {
     /// `assignment[block.index()]` = owning device.
     assignment: Vec<DeviceId>,

@@ -4,10 +4,8 @@
 //! This module aggregates any per-run metric across seeds so the bench
 //! harness can report `mean ± std` and shape checks can bound variance.
 
-use serde::{Deserialize, Serialize};
-
 /// Streaming mean/variance accumulator (Welford's algorithm).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RunningStats {
     n: u64,
     mean: f64,

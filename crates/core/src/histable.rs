@@ -13,12 +13,11 @@
 //!   re-ranks blocks for *any* transfer function instantly.
 
 use crate::importance::ImportanceTable;
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use viz_geom::par;
 use viz_volume::{BlockId, BrickLayout, Histogram, VolumeField};
 
 /// Per-block histograms over a shared global value range.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockHistogramTable {
     /// One histogram per block (shared `lo`/`hi`/bin count).
     histograms: Vec<Histogram>,
@@ -36,14 +35,11 @@ impl BlockHistogramTable {
         assert_eq!(layout.volume, field.dims, "layout does not match field");
         let (lo, hi) = field.min_max();
         let ids: Vec<BlockId> = layout.block_ids().collect();
-        let histograms: Vec<Histogram> = ids
-            .par_iter()
-            .map(|&id| {
-                let mut h = Histogram::new(lo, hi, bins);
-                h.add_all(&field.extract_block(layout, id));
-                h
-            })
-            .collect();
+        let histograms = par::map(ids.len(), |i| {
+            let mut h = Histogram::new(lo, hi, bins);
+            h.add_all(&field.extract_block(layout, ids[i]));
+            h
+        });
         BlockHistogramTable { histograms, range: (lo, hi), bins }
     }
 
@@ -219,15 +215,5 @@ mod tests {
         odd.push(viz_volume::Histogram::new(0.0, 1.0, 7)); // wrong bin count
         assert!(BlockHistogramTable::from_parts(odd, table.range, table.bins).is_err());
         assert!(BlockHistogramTable::from_parts(Vec::new(), (0.0, 1.0), 0).is_err());
-    }
-
-    /// JSON snapshot of the same table (skipped by the offline harness,
-    /// which has no real serde_json).
-    #[test]
-    fn json_serde_roundtrip() {
-        let (_, _, table) = setup();
-        let json = serde_json::to_string(&table).unwrap();
-        let back: BlockHistogramTable = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, table);
     }
 }

@@ -6,12 +6,11 @@
 //! filter over-predicted visible sets down to the blocks most likely to
 //! matter.
 
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use viz_geom::par;
 use viz_volume::{BlockId, BlockStats, BrickLayout, ScalarFunction, VolumeField};
 
 /// One entry of the importance table.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImportanceEntry {
     /// The block this entry describes.
     pub block: BlockId,
@@ -20,7 +19,7 @@ pub struct ImportanceEntry {
 }
 
 /// The importance table: entropy per block, sorted descending.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ImportanceTable {
     /// Entries sorted by descending entropy (ties broken by block id for
     /// determinism).
@@ -55,13 +54,10 @@ impl ImportanceTable {
         assert_eq!(layout.volume, field.dims, "layout does not match field");
         let (lo, hi) = field.min_max();
         let ids: Vec<BlockId> = layout.block_ids().collect();
-        let by_block: Vec<f64> = ids
-            .par_iter()
-            .map(|&id| {
-                let data = field.extract_block(layout, id);
-                BlockStats::compute(&data, lo, hi, bins).entropy
-            })
-            .collect();
+        let by_block = par::map(ids.len(), |i| {
+            let data = field.extract_block(layout, ids[i]);
+            BlockStats::compute(&data, lo, hi, bins).entropy
+        });
         Self::from_entropies(by_block, bins)
     }
 
@@ -79,27 +75,24 @@ impl ImportanceTable {
         let ids: Vec<BlockId> = layout.block_ids().collect();
         let (vnx, vny, vnz) =
             (layout.volume.nx as f64, layout.volume.ny as f64, layout.volume.nz as f64);
-        let by_block: Vec<f64> = ids
-            .par_iter()
-            .map(|&id| {
-                let (s, e) = layout.voxel_range(id);
-                let mut hist = viz_volume::Histogram::new(range.0, range.1, bins);
-                for z in s.nz..e.nz {
-                    for y in s.ny..e.ny {
-                        for x in s.nx..e.nx {
-                            let v = f.eval(
-                                (x as f64 + 0.5) / vnx,
-                                (y as f64 + 0.5) / vny,
-                                (z as f64 + 0.5) / vnz,
-                                t,
-                            );
-                            hist.add(v);
-                        }
+        let by_block = par::map(ids.len(), |i| {
+            let (s, e) = layout.voxel_range(ids[i]);
+            let mut hist = viz_volume::Histogram::new(range.0, range.1, bins);
+            for z in s.nz..e.nz {
+                for y in s.ny..e.ny {
+                    for x in s.nx..e.nx {
+                        let v = f.eval(
+                            (x as f64 + 0.5) / vnx,
+                            (y as f64 + 0.5) / vny,
+                            (z as f64 + 0.5) / vnz,
+                            t,
+                        );
+                        hist.add(v);
                     }
                 }
-                hist.entropy()
-            })
-            .collect();
+            }
+            hist.entropy()
+        });
         Self::from_entropies(by_block, bins)
     }
 
@@ -290,16 +283,6 @@ mod tests {
         let t = table();
         let buf = crate::persist::encode_importance_table(&t);
         let back = crate::persist::decode_importance_table(&buf).unwrap();
-        assert_eq!(t, back);
-    }
-
-    /// JSON snapshot (skipped by the offline harness, which has no real
-    /// serde_json).
-    #[test]
-    fn json_serde_roundtrip() {
-        let t = table();
-        let json = serde_json::to_string(&t).unwrap();
-        let back: ImportanceTable = serde_json::from_str(&json).unwrap();
         assert_eq!(t, back);
     }
 }

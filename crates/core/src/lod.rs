@@ -12,14 +12,13 @@
 
 use crate::sampling::visible_blocks;
 use crate::session::{SessionConfig, StepMetrics};
-use serde::{Deserialize, Serialize};
 use viz_cache::{AccessClass, Hierarchy, PolicyKind};
 use viz_geom::CameraPose;
 use viz_volume::lod::LodLevel;
 use viz_volume::{BlockId, BrickLayout};
 
 /// How an LOD session picks a level for a block.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LodPolicy {
     /// Distance (in normalized world units, volume edge = 2) below which a
     /// block is fetched at full resolution.
@@ -54,7 +53,7 @@ impl LodPolicy {
 pub type LodKey = (BlockId, LodLevel);
 
 /// Report of an LOD baseline run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LodReport {
     /// Steps executed.
     pub steps: usize,

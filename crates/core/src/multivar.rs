@@ -15,14 +15,13 @@
 use crate::importance::ImportanceTable;
 use crate::sampling::{visible_blocks, VisibleTable};
 use crate::session::{SessionConfig, StepMetrics};
-use serde::{Deserialize, Serialize};
 use viz_cache::{AccessClass, Hierarchy, PolicyKind};
 use viz_geom::CameraPose;
 use viz_volume::{BlockKey, BrickLayout};
 
 /// One step of an exploration script: where the camera is, which variables
 /// the active analysis touches, and the current timestep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScriptStep {
     /// Camera pose for this step.
     pub pose: CameraPose,
@@ -34,7 +33,7 @@ pub struct ScriptStep {
 }
 
 /// A scripted exploration: camera path + variable/timestep schedule.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ExplorationScript {
     /// Ordered steps.
     pub steps: Vec<ScriptStep>,
@@ -102,7 +101,7 @@ impl ExplorationScript {
 }
 
 /// Strategy for multi-variable runs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum MultiVarStrategy {
     /// Conventional replacement over `(var, time, block)` keys.
     Baseline(PolicyKind),
@@ -116,7 +115,7 @@ pub enum MultiVarStrategy {
 
 /// Aggregate report of a multi-variable session (same metric semantics as
 /// [`crate::session::SessionReport`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiVarReport {
     /// Strategy label.
     pub strategy: String,

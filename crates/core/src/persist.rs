@@ -2,35 +2,33 @@
 //!
 //! Building `T_visible` over 10⁵ sampling positions is the paper's one-time
 //! pre-processing step (§IV-B); a production deployment computes it once
-//! per (layout, sampling config) and memoizes it on disk. Two formats are
-//! provided: a compact framed binary (fast, for the tables themselves) and
-//! JSON (for configs and reports, human-inspectable).
+//! per (layout, sampling config) and memoizes it on disk, in one format: a
+//! compact framed binary (magic, version, CRC-32 of the body, then
+//! fixed-width little-endian fields and LEB128 varints).
 
 use crate::histable::BlockHistogramTable;
 use crate::importance::ImportanceTable;
 use crate::radius::RadiusModel;
 use crate::sampling::{RadiusRule, SamplingConfig, VisibleTable};
-use bytes::{Buf, BufMut};
 use std::fs;
 use std::io::{self, Read, Write};
 use std::path::Path;
+use viz_volume::le::{get, put};
 use viz_volume::Histogram;
 
 const VIS_MAGIC: &[u8; 4] = b"TVIS";
 const IMP_MAGIC: &[u8; 4] = b"TIMP";
 const THB_MAGIC: &[u8; 4] = b"THBT";
-/// Current `T_visible` frame version: CSR payload, LEB128 varint
+/// The `T_visible` frame version: CSR payload, LEB128 varint
 /// delta-encoded per entry, with a CRC-32 of the body right after the
 /// version field so bit-rot on disk is rejected at load instead of
-/// skewing predictions, and a self-describing *binary* header (version 4)
-/// so encode/decode has no JSON dependency. Versions 1 (fixed u32 runs,
-/// JSON header), 2 (varint, JSON header, no checksum) and 3 (varint, JSON
-/// header, checksum) are still decoded.
+/// skewing predictions, and a self-describing binary header. (Versions
+/// 1–3 carried a JSON header; no such file exists, so they are rejected
+/// like any other unknown version.)
 const VIS_VERSION: u16 = 4;
 /// Current per-block histogram-table frame version.
 const THB_VERSION: u16 = 1;
-/// Current `T_important` frame version: entropies + CRC-32 of the body.
-/// The seed's unchecksummed version 1 is still decoded.
+/// The `T_important` frame version: entropies + CRC-32 of the body.
 const IMP_VERSION: u16 = 2;
 
 fn err(m: impl Into<String>) -> io::Error {
@@ -54,10 +52,10 @@ pub(crate) fn put_varint_u32(buf: &mut Vec<u8>, mut v: u32) {
 pub(crate) fn get_varint_u32(buf: &mut &[u8]) -> io::Result<u32> {
     let mut v: u32 = 0;
     for shift in [0u32, 7, 14, 21, 28] {
-        if !buf.has_remaining() {
+        if buf.is_empty() {
             return Err(err("truncated varint"));
         }
-        let byte = buf.get_u8();
+        let byte = get::<u8>(buf);
         let bits = (byte & 0x7F) as u32;
         if shift == 28 && bits > 0x0F {
             return Err(err("varint overflows u32"));
@@ -72,28 +70,27 @@ pub(crate) fn get_varint_u32(buf: &mut &[u8]) -> io::Result<u32> {
 
 /// Serialize the `T_visible` header (sampling config + radius rule) in
 /// the self-describing binary layout of frame version 4: fixed-width
-/// little-endian fields plus a one-byte radius-rule tag. No JSON involved,
-/// so tables encode/decode in environments without `serde_json`.
+/// little-endian fields plus a one-byte radius-rule tag.
 fn encode_sampling_header(config: &SamplingConfig, rule: &RadiusRule) -> Vec<u8> {
     let mut h = Vec::with_capacity(64);
-    h.put_u32_le(config.n_theta as u32);
-    h.put_u32_le(config.n_phi as u32);
-    h.put_u32_le(config.n_dist as u32);
-    h.put_u32_le(config.vicinal_points as u32);
-    h.put_f64_le(config.d_min);
-    h.put_f64_le(config.d_max);
-    h.put_f64_le(config.view_angle);
-    h.put_u64_le(config.seed);
+    put::<u32>(&mut h, config.n_theta as u32);
+    put::<u32>(&mut h, config.n_phi as u32);
+    put::<u32>(&mut h, config.n_dist as u32);
+    put::<u32>(&mut h, config.vicinal_points as u32);
+    put::<f64>(&mut h, config.d_min);
+    put::<f64>(&mut h, config.d_max);
+    put::<f64>(&mut h, config.view_angle);
+    put::<u64>(&mut h, config.seed);
     match rule {
         RadiusRule::Fixed(r) => {
-            h.put_u8(0);
-            h.put_f64_le(*r);
+            put::<u8>(&mut h, 0);
+            put::<f64>(&mut h, *r);
         }
         RadiusRule::Optimal(m) => {
-            h.put_u8(1);
-            h.put_f64_le(m.cache_ratio);
-            h.put_f64_le(m.view_angle);
-            h.put_f64_le(m.min_radius);
+            put::<u8>(&mut h, 1);
+            put::<f64>(&mut h, m.cache_ratio);
+            put::<f64>(&mut h, m.view_angle);
+            put::<f64>(&mut h, m.min_radius);
         }
     }
     h
@@ -101,39 +98,39 @@ fn encode_sampling_header(config: &SamplingConfig, rule: &RadiusRule) -> Vec<u8>
 
 /// Parse a header produced by [`encode_sampling_header`].
 fn decode_sampling_header(mut buf: &[u8]) -> io::Result<(SamplingConfig, RadiusRule)> {
-    if buf.remaining() < 4 * 4 + 8 * 4 + 1 {
+    if buf.len() < 4 * 4 + 8 * 4 + 1 {
         return Err(err("truncated T_visible binary header"));
     }
     let config = SamplingConfig {
-        n_theta: buf.get_u32_le() as usize,
-        n_phi: buf.get_u32_le() as usize,
-        n_dist: buf.get_u32_le() as usize,
-        vicinal_points: buf.get_u32_le() as usize,
-        d_min: buf.get_f64_le(),
-        d_max: buf.get_f64_le(),
-        view_angle: buf.get_f64_le(),
-        seed: buf.get_u64_le(),
+        n_theta: get::<u32>(&mut buf) as usize,
+        n_phi: get::<u32>(&mut buf) as usize,
+        n_dist: get::<u32>(&mut buf) as usize,
+        vicinal_points: get::<u32>(&mut buf) as usize,
+        d_min: get::<f64>(&mut buf),
+        d_max: get::<f64>(&mut buf),
+        view_angle: get::<f64>(&mut buf),
+        seed: get::<u64>(&mut buf),
     };
-    let rule = match buf.get_u8() {
+    let rule = match get::<u8>(&mut buf) {
         0 => {
-            if buf.remaining() < 8 {
+            if buf.len() < 8 {
                 return Err(err("truncated fixed-radius rule"));
             }
-            RadiusRule::Fixed(buf.get_f64_le())
+            RadiusRule::Fixed(get::<f64>(&mut buf))
         }
         1 => {
-            if buf.remaining() < 24 {
+            if buf.len() < 24 {
                 return Err(err("truncated radius model"));
             }
             RadiusRule::Optimal(RadiusModel {
-                cache_ratio: buf.get_f64_le(),
-                view_angle: buf.get_f64_le(),
-                min_radius: buf.get_f64_le(),
+                cache_ratio: get::<f64>(&mut buf),
+                view_angle: get::<f64>(&mut buf),
+                min_radius: get::<f64>(&mut buf),
             })
         }
         t => return Err(err(format!("unknown radius-rule tag {t}"))),
     };
-    if buf.has_remaining() {
+    if !buf.is_empty() {
         return Err(err("trailing bytes after T_visible binary header"));
     }
     Ok((config, rule))
@@ -142,18 +139,17 @@ fn decode_sampling_header(mut buf: &[u8]) -> io::Result<(SamplingConfig, RadiusR
 /// Serialize a `T_visible` table: a small binary header (config + radius
 /// rule) followed by the CSR payload — per entry a varint length, then the
 /// first block id and successive (wrapping) deltas as varints. Entries are
-/// sorted ascending, so deltas are small and most ids persist in 1–2 bytes
-/// instead of the 4 of the version-1 format.
+/// sorted ascending, so deltas are small and most ids persist in 1–2 bytes.
 pub fn encode_visible_table(t: &VisibleTable) -> io::Result<Vec<u8>> {
     let header = encode_sampling_header(&t.config, &t.radius_rule);
     let mut buf = Vec::with_capacity(header.len() + t.approx_bytes() / 2 + 64);
-    buf.put_slice(VIS_MAGIC);
-    buf.put_u16_le(VIS_VERSION);
+    buf.extend_from_slice(VIS_MAGIC);
+    put::<u16>(&mut buf, VIS_VERSION);
     let crc_at = buf.len();
-    buf.put_u32_le(0); // crc placeholder, patched below
-    buf.put_u32_le(header.len() as u32);
-    buf.put_slice(&header);
-    buf.put_u32_le(t.len() as u32);
+    put::<u32>(&mut buf, 0); // crc placeholder, patched below
+    put::<u32>(&mut buf, header.len() as u32);
+    buf.extend_from_slice(&header);
+    put::<u32>(&mut buf, t.len() as u32);
     for i in 0..t.len() {
         let entry = t.entry(i);
         put_varint_u32(&mut buf, entry.len() as u32);
@@ -169,85 +165,59 @@ pub fn encode_visible_table(t: &VisibleTable) -> io::Result<Vec<u8>> {
     Ok(buf)
 }
 
-/// Parse a buffer produced by [`encode_visible_table`] — the current
-/// binary-header version 4 or any of the earlier JSON-header layouts
-/// (versions 1–3).
+/// Parse a buffer produced by [`encode_visible_table`].
 pub fn decode_visible_table(mut buf: &[u8]) -> io::Result<VisibleTable> {
-    if buf.remaining() < 10 {
+    if buf.len() < 14 {
         return Err(err("T_visible frame too short"));
     }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != VIS_MAGIC {
+    let (magic, rest) = buf.split_at(4);
+    buf = rest;
+    if magic != VIS_MAGIC {
         return Err(err("bad T_visible magic"));
     }
-    let version = buf.get_u16_le();
-    if !(1..=VIS_VERSION).contains(&version) {
+    if get::<u16>(&mut buf) != VIS_VERSION {
         return Err(err("unsupported T_visible version"));
     }
-    if version >= 3 {
-        if buf.remaining() < 4 {
-            return Err(err("T_visible crc frame too short"));
-        }
-        let want = buf.get_u32_le();
-        let got = viz_volume::crc32(buf);
-        if got != want {
-            return Err(err(format!(
-                "T_visible checksum mismatch (stored {want:#010x}, computed {got:#010x})"
-            )));
-        }
+    let want = get::<u32>(&mut buf);
+    let got = viz_volume::crc32(buf);
+    if got != want {
+        return Err(err(format!(
+            "T_visible checksum mismatch (stored {want:#010x}, computed {got:#010x})"
+        )));
     }
-    if buf.remaining() < 4 {
-        return Err(err("T_visible frame too short"));
-    }
-    let hlen = buf.get_u32_le() as usize;
-    if buf.remaining() < hlen {
+    let hlen = get::<u32>(&mut buf) as usize;
+    if buf.len() < hlen {
         return Err(err("truncated T_visible header"));
     }
-    let (config, radius_rule) = if version >= 4 {
-        decode_sampling_header(&buf[..hlen])?
-    } else {
-        // Versions 1–3 carried the header as JSON.
-        serde_json::from_slice(&buf[..hlen]).map_err(|e| err(format!("bad header: {e}")))?
-    };
-    buf.advance(hlen);
-    if buf.remaining() < 4 {
+    let (header, rest) = buf.split_at(hlen);
+    buf = rest;
+    let (config, radius_rule) = decode_sampling_header(header)?;
+    if buf.len() < 4 {
         return Err(err("missing entry count"));
     }
-    let n = buf.get_u32_le() as usize;
+    let n = get::<u32>(&mut buf) as usize;
+    // Each entry costs at least its one-byte length varint: bound the
+    // allocation by what the frame can actually hold.
+    if n > buf.len() {
+        return Err(err("entry count exceeds T_visible payload"));
+    }
     let mut offsets = Vec::with_capacity(n + 1);
     let mut ids: Vec<viz_volume::BlockId> = Vec::new();
     offsets.push(0u32);
     for _ in 0..n {
-        let k = if version == 1 {
-            if buf.remaining() < 4 {
-                return Err(err("truncated entry length"));
-            }
-            buf.get_u32_le() as usize
-        } else {
-            get_varint_u32(&mut buf)? as usize
-        };
-        if version == 1 {
-            if buf.remaining() < k * 4 {
-                return Err(err("truncated entry payload"));
-            }
-            for _ in 0..k {
-                ids.push(viz_volume::BlockId(buf.get_u32_le()));
-            }
-        } else {
-            let mut prev = 0u32;
-            for j in 0..k {
-                let raw = get_varint_u32(&mut buf)?;
-                prev = if j == 0 { raw } else { prev.wrapping_add(raw) };
-                ids.push(viz_volume::BlockId(prev));
-            }
+        let k = get_varint_u32(&mut buf)? as usize;
+        let mut prev = 0u32;
+        for j in 0..k {
+            let raw = get_varint_u32(&mut buf)?;
+            prev = if j == 0 { raw } else { prev.wrapping_add(raw) };
+            ids.push(viz_volume::BlockId(prev));
         }
         if ids.len() > u32::MAX as usize {
             return Err(err("T_visible id count overflows u32 offsets"));
         }
         offsets.push(ids.len() as u32);
     }
-    if buf.has_remaining() {
+    if !buf.is_empty() {
         return Err(err("trailing bytes after T_visible payload"));
     }
     VisibleTable::from_csr(config, radius_rule, offsets, ids).map_err(err)
@@ -256,14 +226,14 @@ pub fn decode_visible_table(mut buf: &[u8]) -> io::Result<VisibleTable> {
 /// Serialize a `T_important` table (bin count + per-block entropies).
 pub fn encode_importance_table(t: &ImportanceTable) -> Vec<u8> {
     let mut buf = Vec::with_capacity(18 + t.len() * 8);
-    buf.put_slice(IMP_MAGIC);
-    buf.put_u16_le(IMP_VERSION);
+    buf.extend_from_slice(IMP_MAGIC);
+    put::<u16>(&mut buf, IMP_VERSION);
     let crc_at = buf.len();
-    buf.put_u32_le(0); // crc placeholder, patched below
-    buf.put_u32_le(t.bins as u32);
-    buf.put_u32_le(t.len() as u32);
+    put::<u32>(&mut buf, 0); // crc placeholder, patched below
+    put::<u32>(&mut buf, t.bins as u32);
+    put::<u32>(&mut buf, t.len() as u32);
     for i in 0..t.len() {
-        buf.put_f64_le(t.entropy(viz_volume::BlockId(i as u32)));
+        put::<f64>(&mut buf, t.entropy(viz_volume::BlockId(i as u32)));
     }
     let crc = viz_volume::crc32(&buf[crc_at + 4..]);
     buf[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
@@ -272,41 +242,32 @@ pub fn encode_importance_table(t: &ImportanceTable) -> Vec<u8> {
 
 /// Parse a buffer produced by [`encode_importance_table`].
 pub fn decode_importance_table(mut buf: &[u8]) -> io::Result<ImportanceTable> {
-    if buf.remaining() < 14 {
+    if buf.len() < 18 {
         return Err(err("T_important frame too short"));
     }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != IMP_MAGIC {
+    let (magic, rest) = buf.split_at(4);
+    buf = rest;
+    if magic != IMP_MAGIC {
         return Err(err("bad T_important magic"));
     }
-    let version = buf.get_u16_le();
-    if !(1..=IMP_VERSION).contains(&version) {
+    if get::<u16>(&mut buf) != IMP_VERSION {
         return Err(err("unsupported T_important version"));
     }
-    if version >= 2 {
-        if buf.remaining() < 4 {
-            return Err(err("T_important crc frame too short"));
-        }
-        let want = buf.get_u32_le();
-        let got = viz_volume::crc32(buf);
-        if got != want {
-            return Err(err(format!(
-                "T_important checksum mismatch (stored {want:#010x}, computed {got:#010x})"
-            )));
-        }
+    let want = get::<u32>(&mut buf);
+    let got = viz_volume::crc32(buf);
+    if got != want {
+        return Err(err(format!(
+            "T_important checksum mismatch (stored {want:#010x}, computed {got:#010x})"
+        )));
     }
-    if buf.remaining() < 8 {
-        return Err(err("T_important frame too short"));
-    }
-    let bins = buf.get_u32_le() as usize;
-    let n = buf.get_u32_le() as usize;
-    if buf.remaining() != n * 8 {
+    let bins = get::<u32>(&mut buf) as usize;
+    let n = get::<u32>(&mut buf) as usize;
+    if buf.len() != n * 8 {
         return Err(err("T_important payload length mismatch"));
     }
     let mut by_block = Vec::with_capacity(n);
     for _ in 0..n {
-        by_block.push(buf.get_f64_le());
+        by_block.push(get::<f64>(&mut buf));
     }
     Ok(ImportanceTable::from_entropies(by_block, bins))
 }
@@ -317,14 +278,14 @@ pub fn decode_importance_table(mut buf: &[u8]) -> io::Result<ImportanceTable> {
 /// table frames.
 pub fn encode_histogram_table(t: &BlockHistogramTable) -> Vec<u8> {
     let mut buf = Vec::with_capacity(22 + t.len() * t.bins);
-    buf.put_slice(THB_MAGIC);
-    buf.put_u16_le(THB_VERSION);
+    buf.extend_from_slice(THB_MAGIC);
+    put::<u16>(&mut buf, THB_VERSION);
     let crc_at = buf.len();
-    buf.put_u32_le(0); // crc placeholder, patched below
-    buf.put_f32_le(t.range.0);
-    buf.put_f32_le(t.range.1);
-    buf.put_u32_le(t.bins as u32);
-    buf.put_u32_le(t.len() as u32);
+    put::<u32>(&mut buf, 0); // crc placeholder, patched below
+    put::<f32>(&mut buf, t.range.0);
+    put::<f32>(&mut buf, t.range.1);
+    put::<u32>(&mut buf, t.bins as u32);
+    put::<u32>(&mut buf, t.len() as u32);
     for i in 0..t.len() {
         let h = t.histogram(viz_volume::BlockId(i as u32));
         for &c in &h.counts {
@@ -341,29 +302,29 @@ pub fn encode_histogram_table(t: &BlockHistogramTable) -> Vec<u8> {
 
 /// Parse a buffer produced by [`encode_histogram_table`].
 pub fn decode_histogram_table(mut buf: &[u8]) -> io::Result<BlockHistogramTable> {
-    if buf.remaining() < 26 {
+    if buf.len() < 26 {
         return Err(err("histogram-table frame too short"));
     }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != THB_MAGIC {
+    let (magic, rest) = buf.split_at(4);
+    buf = rest;
+    if magic != THB_MAGIC {
         return Err(err("bad histogram-table magic"));
     }
-    let version = buf.get_u16_le();
+    let version = get::<u16>(&mut buf);
     if version != THB_VERSION {
         return Err(err("unsupported histogram-table version"));
     }
-    let want = buf.get_u32_le();
+    let want = get::<u32>(&mut buf);
     let got = viz_volume::crc32(buf);
     if got != want {
         return Err(err(format!(
             "histogram-table checksum mismatch (stored {want:#010x}, computed {got:#010x})"
         )));
     }
-    let lo = buf.get_f32_le();
-    let hi = buf.get_f32_le();
-    let bins = buf.get_u32_le() as usize;
-    let n = buf.get_u32_le() as usize;
+    let lo = get::<f32>(&mut buf);
+    let hi = get::<f32>(&mut buf);
+    let bins = get::<u32>(&mut buf) as usize;
+    let n = get::<u32>(&mut buf) as usize;
     if bins == 0 {
         return Err(err("histogram-table with zero bins"));
     }
@@ -378,7 +339,7 @@ pub fn decode_histogram_table(mut buf: &[u8]) -> io::Result<BlockHistogramTable>
         h.total = total;
         histograms.push(h);
     }
-    if buf.has_remaining() {
+    if !buf.is_empty() {
         return Err(err("trailing bytes after histogram payload"));
     }
     BlockHistogramTable::from_parts(histograms, (lo, hi), bins).map_err(err)
@@ -537,38 +498,13 @@ mod tests {
         assert!(get_varint_u32(&mut s).is_err());
     }
 
-    /// A frame in the seed's version-1 layout (fixed u32 lengths and ids,
-    /// JSON header) must still decode to the same table. Named `json`: the
-    /// offline harness skips it (no real serde_json there).
-    #[test]
-    fn decodes_version_1_json_header_frames() {
-        let (tv, _) = sample_tables();
-        let header = serde_json::to_vec(&(&tv.config, &tv.radius_rule)).unwrap();
-        let mut buf = Vec::new();
-        buf.put_slice(VIS_MAGIC);
-        buf.put_u16_le(1);
-        buf.put_u32_le(header.len() as u32);
-        buf.put_slice(&header);
-        buf.put_u32_le(tv.len() as u32);
-        for i in 0..tv.len() {
-            let entry = tv.entry(i);
-            buf.put_u32_le(entry.len() as u32);
-            for b in entry {
-                buf.put_u32_le(b.0);
-            }
-        }
-        let back = decode_visible_table(&buf).unwrap();
-        assert_eq!(back.csr_offsets(), tv.csr_offsets());
-        assert_eq!(back.csr_ids(), tv.csr_ids());
-    }
-
     #[test]
     fn varint_payload_is_smaller_than_fixed_width() {
         let (tv, _) = sample_tables();
         let v4 = encode_visible_table(&tv).unwrap();
         // Strip the fixed prefix (magic + version + crc + hlen + header +
         // count) to isolate the varint-delta payload, then compare with
-        // the version-1 fixed-width cost of the same CSR data.
+        // the fixed-width (u32 length + u32 ids) cost of the same CSR data.
         let hlen = u32::from_le_bytes(v4[10..14].try_into().unwrap()) as usize;
         let varint_payload = v4.len() - (14 + hlen + 4);
         let fixed_payload = tv.len() * 4 + tv.csr_ids().len() * 4;
@@ -576,63 +512,6 @@ mod tests {
             varint_payload < fixed_payload,
             "varint {varint_payload} bytes >= fixed {fixed_payload} bytes"
         );
-    }
-
-    /// A frame in the version-2 layout (varints, JSON header, no checksum)
-    /// must still decode — pre-checksum tables on disk stay loadable.
-    /// Named `json`: the offline harness skips it.
-    #[test]
-    fn decodes_version_2_json_header_frames() {
-        let (tv, _) = sample_tables();
-        let header = serde_json::to_vec(&(&tv.config, &tv.radius_rule)).unwrap();
-        let mut buf = Vec::new();
-        buf.put_slice(VIS_MAGIC);
-        buf.put_u16_le(2);
-        buf.put_u32_le(header.len() as u32);
-        buf.put_slice(&header);
-        buf.put_u32_le(tv.len() as u32);
-        for i in 0..tv.len() {
-            let entry = tv.entry(i);
-            put_varint_u32(&mut buf, entry.len() as u32);
-            let mut prev = 0u32;
-            for (j, b) in entry.iter().enumerate() {
-                put_varint_u32(&mut buf, if j == 0 { b.0 } else { b.0.wrapping_sub(prev) });
-                prev = b.0;
-            }
-        }
-        let back = decode_visible_table(&buf).unwrap();
-        assert_eq!(back.csr_offsets(), tv.csr_offsets());
-        assert_eq!(back.csr_ids(), tv.csr_ids());
-    }
-
-    /// A frame in the version-3 layout (varints + checksum, JSON header)
-    /// must still decode. Named `json`: the offline harness skips it.
-    #[test]
-    fn decodes_version_3_json_header_frames() {
-        let (tv, _) = sample_tables();
-        let header = serde_json::to_vec(&(&tv.config, &tv.radius_rule)).unwrap();
-        let mut buf = Vec::new();
-        buf.put_slice(VIS_MAGIC);
-        buf.put_u16_le(3);
-        let crc_at = buf.len();
-        buf.put_u32_le(0);
-        buf.put_u32_le(header.len() as u32);
-        buf.put_slice(&header);
-        buf.put_u32_le(tv.len() as u32);
-        for i in 0..tv.len() {
-            let entry = tv.entry(i);
-            put_varint_u32(&mut buf, entry.len() as u32);
-            let mut prev = 0u32;
-            for (j, b) in entry.iter().enumerate() {
-                put_varint_u32(&mut buf, if j == 0 { b.0 } else { b.0.wrapping_sub(prev) });
-                prev = b.0;
-            }
-        }
-        let crc = viz_volume::crc32(&buf[crc_at + 4..]);
-        buf[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
-        let back = decode_visible_table(&buf).unwrap();
-        assert_eq!(back.csr_offsets(), tv.csr_offsets());
-        assert_eq!(back.csr_ids(), tv.csr_ids());
     }
 
     #[test]
@@ -722,28 +601,26 @@ mod tests {
         assert!(err.to_string().contains("checksum"), "got: {err}");
     }
 
-    /// A version-1 importance frame (no checksum) must still decode.
-    #[test]
-    fn decodes_version_1_importance_frames() {
-        let (_, imp) = sample_tables();
-        let mut buf = Vec::new();
-        buf.put_slice(IMP_MAGIC);
-        buf.put_u16_le(1);
-        buf.put_u32_le(imp.bins as u32);
-        buf.put_u32_le(imp.len() as u32);
-        for i in 0..imp.len() {
-            buf.put_f64_le(imp.entropy(viz_volume::BlockId(i as u32)));
-        }
-        let back = decode_importance_table(&buf).unwrap();
-        assert_eq!(back, imp);
-    }
-
+    /// Only the current frame versions decode: the retired JSON-header
+    /// `T_visible` layouts (1–3) and the unchecksummed `T_important`
+    /// version 1 are refused like any other unknown version.
     #[test]
     fn unknown_version_rejected() {
-        let (tv, _) = sample_tables();
-        let mut buf = encode_visible_table(&tv).unwrap();
-        buf[4] = 99; // version field low byte
-        assert!(decode_visible_table(&buf).is_err());
+        let (tv, imp) = sample_tables();
+        let vis = encode_visible_table(&tv).unwrap();
+        for version in [0u8, 1, 2, 3, 5, 99] {
+            let mut buf = vis.clone();
+            buf[4] = version; // version field low byte
+            let e = decode_visible_table(&buf).unwrap_err();
+            assert!(e.to_string().contains("unsupported"), "version {version}: {e}");
+        }
+        let imp = encode_importance_table(&imp);
+        for version in [0u8, 1, 3, 99] {
+            let mut buf = imp.clone();
+            buf[4] = version;
+            let e = decode_importance_table(&buf).unwrap_err();
+            assert!(e.to_string().contains("unsupported"), "version {version}: {e}");
+        }
     }
 
     #[test]

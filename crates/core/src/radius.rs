@@ -21,10 +21,8 @@
 //! r(d) = sqrt(4ρ/π − τ²/3) − d·τ
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the radius model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadiusModel {
     /// `ρ`: fast-memory cache size as a fraction of the slow store holding
     /// the full dataset (the paper's "ratio of cache size").

@@ -9,11 +9,9 @@ use crate::adaptive::AdaptiveSigma;
 use crate::session::{
     AppAwareConfig, PredictorKind, RenderModel, SessionConfig, SessionReport, StepMetrics, Strategy,
 };
-use bytes::{Buf, BufMut};
-use serde::{Deserialize, Serialize};
 use std::io;
-use std::path::Path;
 use viz_cache::{PolicyKind, TierCost};
+use viz_volume::le::{get, put};
 
 const JRN_MAGIC: &[u8; 4] = b"VJRN";
 const JRN_VERSION: u16 = 1;
@@ -23,49 +21,49 @@ fn jerr(m: impl Into<String>) -> io::Error {
 }
 
 fn put_str(buf: &mut Vec<u8>, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+    put::<u32>(buf, s.len() as u32);
+    buf.extend_from_slice(s.as_bytes());
 }
 
 fn get_str(buf: &mut &[u8]) -> io::Result<String> {
-    if buf.remaining() < 4 {
+    if buf.len() < 4 {
         return Err(jerr("truncated string length"));
     }
-    let n = buf.get_u32_le() as usize;
-    if buf.remaining() < n {
+    let n = get::<u32>(buf) as usize;
+    if buf.len() < n {
         return Err(jerr("truncated string payload"));
     }
     let s = std::str::from_utf8(&buf[..n]).map_err(|e| jerr(format!("bad utf8: {e}")))?.to_string();
-    buf.advance(n);
+    *buf = &buf[n..];
     Ok(s)
 }
 
 fn get_f64(buf: &mut &[u8]) -> io::Result<f64> {
-    if buf.remaining() < 8 {
+    if buf.len() < 8 {
         return Err(jerr("truncated f64"));
     }
-    Ok(buf.get_f64_le())
+    Ok(get::<f64>(buf))
 }
 
 fn get_u64(buf: &mut &[u8]) -> io::Result<u64> {
-    if buf.remaining() < 8 {
+    if buf.len() < 8 {
         return Err(jerr("truncated u64"));
     }
-    Ok(buf.get_u64_le())
+    Ok(get::<u64>(buf))
 }
 
 fn get_u32(buf: &mut &[u8]) -> io::Result<u32> {
-    if buf.remaining() < 4 {
+    if buf.len() < 4 {
         return Err(jerr("truncated u32"));
     }
-    Ok(buf.get_u32_le())
+    Ok(get::<u32>(buf))
 }
 
 fn get_u8(buf: &mut &[u8]) -> io::Result<u8> {
-    if !buf.has_remaining() {
+    if buf.is_empty() {
         return Err(jerr("truncated u8"));
     }
-    Ok(buf.get_u8())
+    Ok(get::<u8>(buf))
 }
 
 fn get_bool(buf: &mut &[u8]) -> io::Result<bool> {
@@ -77,7 +75,7 @@ fn get_bool(buf: &mut &[u8]) -> io::Result<bool> {
 }
 
 /// A frozen experiment run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JournalEntry {
     /// Free-form experiment label ("fig12a/5deg", ...).
     pub label: String,
@@ -106,86 +104,88 @@ impl JournalEntry {
     }
 
     /// Serialize to the framed binary journal format (magic `VJRN`,
-    /// version, CRC-32 of the body). Unlike [`JournalEntry::save`]'s JSON,
-    /// this round-trips bit-exactly (floats are stored as raw IEEE bits)
-    /// and has no JSON dependency.
+    /// version, CRC-32 of the body). Round-trips bit-exactly: floats are
+    /// stored as raw IEEE bits.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(256 + self.report.per_step.len() * 64);
-        buf.put_slice(JRN_MAGIC);
-        buf.put_u16_le(JRN_VERSION);
+        buf.extend_from_slice(JRN_MAGIC);
+        put::<u16>(&mut buf, JRN_VERSION);
         let crc_at = buf.len();
-        buf.put_u32_le(0); // crc placeholder, patched below
+        put::<u32>(&mut buf, 0); // crc placeholder, patched below
         put_str(&mut buf, &self.label);
         // SessionConfig.
         let c = &self.config;
-        buf.put_f64_le(c.cache_ratio);
-        buf.put_u64_le(c.block_bytes as u64);
-        buf.put_f64_le(c.render.base_s);
-        buf.put_f64_le(c.render.per_block_s);
-        buf.put_f64_le(c.lookup_s_per_entry);
+        put::<f64>(&mut buf, c.cache_ratio);
+        put::<u64>(&mut buf, c.block_bytes as u64);
+        put::<f64>(&mut buf, c.render.base_s);
+        put::<f64>(&mut buf, c.render.per_block_s);
+        put::<f64>(&mut buf, c.lookup_s_per_entry);
         for t in &c.tier_costs {
-            buf.put_f64_le(t.latency_s);
-            buf.put_f64_le(t.bandwidth_bps);
+            put::<f64>(&mut buf, t.latency_s);
+            put::<f64>(&mut buf, t.bandwidth_bps);
         }
         match c.frame_deadline_s {
             Some(d) => {
-                buf.put_u8(1);
-                buf.put_f64_le(d);
+                put::<u8>(&mut buf, 1);
+                put::<f64>(&mut buf, d);
             }
-            None => buf.put_u8(0),
+            None => put::<u8>(&mut buf, 0),
         }
         // Strategy.
         match &self.strategy {
             Strategy::Baseline(k) => {
-                buf.put_u8(0);
-                buf.put_u8(k.code());
+                put::<u8>(&mut buf, 0);
+                put::<u8>(&mut buf, k.code());
             }
             Strategy::AppAware(a) => {
-                buf.put_u8(1);
-                buf.put_f64_le(a.sigma);
-                buf.put_u8(u8::from(a.preload));
-                buf.put_u8(u8::from(a.prefetch));
-                buf.put_u8(u8::from(a.overlap));
+                put::<u8>(&mut buf, 1);
+                put::<f64>(&mut buf, a.sigma);
+                put::<u8>(&mut buf, u8::from(a.preload));
+                put::<u8>(&mut buf, u8::from(a.prefetch));
+                put::<u8>(&mut buf, u8::from(a.overlap));
                 match &a.adaptive {
                     Some(ad) => {
-                        buf.put_u8(1);
-                        buf.put_f64_le(ad.gain);
-                        buf.put_f64_le(ad.min_sigma);
-                        buf.put_f64_le(ad.max_sigma);
-                        buf.put_f64_le(ad.target_ratio);
+                        put::<u8>(&mut buf, 1);
+                        put::<f64>(&mut buf, ad.gain);
+                        put::<f64>(&mut buf, ad.min_sigma);
+                        put::<f64>(&mut buf, ad.max_sigma);
+                        put::<f64>(&mut buf, ad.target_ratio);
                     }
-                    None => buf.put_u8(0),
+                    None => put::<u8>(&mut buf, 0),
                 }
-                buf.put_u8(match a.predictor {
-                    PredictorKind::Table => 0,
-                    PredictorKind::DeadReckoning => 1,
-                });
+                put::<u8>(
+                    &mut buf,
+                    match a.predictor {
+                        PredictorKind::Table => 0,
+                        PredictorKind::DeadReckoning => 1,
+                    },
+                );
             }
         }
         // SessionReport.
         let r = &self.report;
         put_str(&mut buf, &r.strategy);
-        buf.put_u64_le(r.steps as u64);
-        buf.put_u64_le(r.accesses);
-        buf.put_u64_le(r.misses);
-        buf.put_f64_le(r.miss_rate);
-        buf.put_f64_le(r.io_s);
-        buf.put_f64_le(r.render_s);
-        buf.put_f64_le(r.prefetch_s);
-        buf.put_f64_le(r.lookup_s);
-        buf.put_f64_le(r.total_s);
-        buf.put_u64_le(r.degraded_steps as u64);
-        buf.put_u32_le(r.per_step.len() as u32);
+        put::<u64>(&mut buf, r.steps as u64);
+        put::<u64>(&mut buf, r.accesses);
+        put::<u64>(&mut buf, r.misses);
+        put::<f64>(&mut buf, r.miss_rate);
+        put::<f64>(&mut buf, r.io_s);
+        put::<f64>(&mut buf, r.render_s);
+        put::<f64>(&mut buf, r.prefetch_s);
+        put::<f64>(&mut buf, r.lookup_s);
+        put::<f64>(&mut buf, r.total_s);
+        put::<u64>(&mut buf, r.degraded_steps as u64);
+        put::<u32>(&mut buf, r.per_step.len() as u32);
         for s in &r.per_step {
-            buf.put_u32_le(s.visible as u32);
-            buf.put_u32_le(s.misses as u32);
-            buf.put_f64_le(s.io_s);
-            buf.put_f64_le(s.render_s);
-            buf.put_f64_le(s.prefetch_s);
-            buf.put_f64_le(s.lookup_s);
-            buf.put_f64_le(s.total_s);
-            buf.put_u32_le(s.skipped as u32);
-            buf.put_u8(u8::from(s.degraded));
+            put::<u32>(&mut buf, s.visible as u32);
+            put::<u32>(&mut buf, s.misses as u32);
+            put::<f64>(&mut buf, s.io_s);
+            put::<f64>(&mut buf, s.render_s);
+            put::<f64>(&mut buf, s.prefetch_s);
+            put::<f64>(&mut buf, s.lookup_s);
+            put::<f64>(&mut buf, s.total_s);
+            put::<u32>(&mut buf, s.skipped as u32);
+            put::<u8>(&mut buf, u8::from(s.degraded));
         }
         let crc = viz_volume::crc32(&buf[crc_at + 4..]);
         buf[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
@@ -194,19 +194,19 @@ impl JournalEntry {
 
     /// Parse a buffer produced by [`JournalEntry::to_bytes`].
     pub fn from_bytes(mut buf: &[u8]) -> io::Result<JournalEntry> {
-        if buf.remaining() < 10 {
+        if buf.len() < 10 {
             return Err(jerr("journal frame too short"));
         }
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != JRN_MAGIC {
+        let (magic, rest) = buf.split_at(4);
+        buf = rest;
+        if magic != JRN_MAGIC {
             return Err(jerr("bad journal magic"));
         }
-        let version = buf.get_u16_le();
+        let version = get::<u16>(&mut buf);
         if version != JRN_VERSION {
             return Err(jerr("unsupported journal version"));
         }
-        let want = buf.get_u32_le();
+        let want = get::<u32>(&mut buf);
         let got = viz_volume::crc32(buf);
         if got != want {
             return Err(jerr(format!(
@@ -297,7 +297,7 @@ impl JournalEntry {
                 degraded: get_bool(&mut buf)?,
             });
         }
-        if buf.has_remaining() {
+        if !buf.is_empty() {
             return Err(jerr("trailing bytes after journal payload"));
         }
         let report = SessionReport {
@@ -316,22 +316,10 @@ impl JournalEntry {
         };
         Ok(JournalEntry { label, config, strategy, report })
     }
-
-    /// Write as pretty JSON.
-    pub fn save(&self, path: &Path) -> io::Result<()> {
-        let json = serde_json::to_vec_pretty(self).map_err(io::Error::other)?;
-        std::fs::write(path, json)
-    }
-
-    /// Read back a saved entry.
-    pub fn load(path: &Path) -> io::Result<JournalEntry> {
-        let bytes = std::fs::read(path)?;
-        serde_json::from_slice(&bytes).map_err(io::Error::other)
-    }
 }
 
 /// One metric's delta between two runs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricDelta {
     /// Metric name.
     pub metric: String,
@@ -344,7 +332,7 @@ pub struct MetricDelta {
 }
 
 /// Result of comparing two journal entries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Comparison {
     /// Per-metric deltas (all headline metrics, regressed or not).
     pub deltas: Vec<MetricDelta>,
@@ -406,20 +394,6 @@ mod tests {
         let strategy = Strategy::Baseline(PolicyKind::Lru);
         let report = run_session(&cfg, &layout, &strategy, &poses, None);
         JournalEntry::new(&format!("test/{deg}deg"), &cfg, &strategy, report)
-    }
-
-    /// JSON file roundtrip (skipped by the offline harness, which has no
-    /// real serde_json).
-    #[test]
-    fn json_save_load_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("viz_journal_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let entry = run_once(5.0);
-        let path = dir.join("entry.json");
-        entry.save(&path).unwrap();
-        let back = JournalEntry::load(&path).unwrap();
-        assert_eq!(back, entry);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -528,10 +502,5 @@ mod tests {
         b.report.io_s *= 1.01;
         assert!(compare(&a, &b, 0.05).is_clean());
         assert!(!compare(&a, &b, 0.001).is_clean());
-    }
-
-    #[test]
-    fn missing_file_errors() {
-        assert!(JournalEntry::load(Path::new("/nonexistent/journal.json")).is_err());
     }
 }

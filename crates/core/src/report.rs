@@ -2,11 +2,10 @@
 //! mirroring the rows/series of the paper's figures.
 
 use crate::session::SessionReport;
-use serde::{Deserialize, Serialize};
 
 /// One row of a figure/table: an x-coordinate (sweep parameter) plus one
 /// value per strategy series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Row {
     /// Sweep coordinate label (e.g. "5deg", "1024 blocks").
     pub x: String,
@@ -15,7 +14,7 @@ pub struct Row {
 }
 
 /// A printable experiment table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Table {
     /// Experiment identifier ("fig12a", "table1", ...).
     pub id: String,
@@ -128,7 +127,7 @@ impl Table {
 }
 
 /// Pull the metric a figure plots out of a session report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Metric {
     /// Fast-memory miss rate (Figs. 9, 12, 7a).
     MissRate,

@@ -10,20 +10,17 @@
 
 use crate::importance::ImportanceTable;
 use crate::radius::RadiusModel;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::f64::consts::{PI, TAU};
+use std::ops::Range;
 use viz_geom::sphere::sample_in_ball;
-use viz_geom::{Aabb, CameraPose, ConeFrustum, SphericalCoord, Vec3};
+use viz_geom::{par, Aabb, CameraPose, ConeFrustum, SphericalCoord, SplitMix64, Vec3};
 use viz_volume::{BlockId, BrickLayout};
 
 /// Lattice configuration for camera-position sampling.
 ///
 /// Total sample count = `n_theta × n_phi × n_dist`; the paper sweeps this
 /// between 3,240 and 108,000 (Fig. 7) and settles on 25,920.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SamplingConfig {
     /// Polar rings (view-direction latitude).
     pub n_theta: usize,
@@ -120,7 +117,7 @@ impl SamplingConfig {
 }
 
 /// How the vicinal radius is chosen when building the table.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RadiusRule {
     /// The paper's Eq. 6 model, adapting to each shell's distance.
     Optimal(RadiusModel),
@@ -143,7 +140,7 @@ impl RadiusRule {
 /// Compared with the former `Vec<Vec<BlockId>>`, this is one allocation
 /// instead of one per sample, contiguous in memory for `predict`, and
 /// compact to persist.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VisibleTable {
     /// Lattice this table was built on.
     pub config: SamplingConfig,
@@ -154,6 +151,29 @@ pub struct VisibleTable {
     offsets: Vec<u32>,
     /// Concatenated per-sample block ids (each run sorted ascending).
     ids: Vec<BlockId>,
+}
+
+/// The Eq. 1 scan of one cone, marking what it sees in `visible`: a query
+/// of the layout's cached BVH (warmed here, so parallel callers never race
+/// to build it) or, for the brute-force reference, a linear pass over every
+/// block's bounds. The `Vec<u32>` is scratch space the caller reuses.
+fn eq1_scanner(
+    layout: &BrickLayout,
+    accelerated: bool,
+) -> impl Fn(&ConeFrustum, &mut [bool], &mut Vec<u32>) + Sync + '_ {
+    let bounds = (!accelerated).then(|| layout.all_block_bounds());
+    let bvh = accelerated.then(|| layout.block_bvh());
+    move |cone, visible, scratch| match (bvh, &bounds) {
+        (Some(bvh), _) => {
+            scratch.clear();
+            bvh.visible_into(cone, scratch);
+            for &b in scratch.iter() {
+                visible[b as usize] = true;
+            }
+        }
+        (None, Some(bounds)) => mark_visible_from(cone, bounds, visible),
+        (None, None) => unreachable!("one scan path is always prepared"),
+    }
 }
 
 impl VisibleTable {
@@ -173,8 +193,7 @@ impl VisibleTable {
     }
 
     /// The seed's brute-force build path (linear Eq. 1 scan over every block
-    /// per vicinal point), retained as the reference for equivalence tests
-    /// and the perf baseline recorded by the `visibility` bench bin.
+    /// per vicinal point), retained as the reference for equivalence tests.
     pub fn build_brute_force(
         config: SamplingConfig,
         layout: &BrickLayout,
@@ -192,78 +211,89 @@ impl VisibleTable {
         accelerated: bool,
     ) -> Self {
         config.validate();
-        let num_blocks = layout.num_blocks();
-        // Brute force scans this; the accelerated path queries the cached
-        // BVH (warmed here so the parallel loop never races to build it).
-        let bounds = (!accelerated).then(|| layout.all_block_bounds());
-        let bvh = accelerated.then(|| layout.block_bvh());
-        let n = config.total_samples();
-        let sets: Vec<Vec<BlockId>> = (0..n)
-            .into_par_iter()
-            .map(|i| {
-                let id_ = i % config.n_dist;
-                let ip = (i / config.n_dist) % config.n_phi;
-                let it = i / (config.n_dist * config.n_phi);
-                let v = config.position(it, ip, id_);
-                let d = config.shell_distance(id_);
-                let r = radius_rule.radius(d);
-                // Derive a per-sample seed so the build is order-independent.
-                let mut rng = StdRng::seed_from_u64(
-                    config.seed ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15),
-                );
-                let mut visible = vec![false; num_blocks];
-                let mut scratch: Vec<u32> = Vec::new();
-                let mark = |v_prime: Vec3, visible: &mut [bool], scratch: &mut Vec<u32>| {
-                    let cone = cone_at(v_prime, config.view_angle);
-                    match (bvh, &bounds) {
-                        (Some(bvh), _) => {
-                            scratch.clear();
-                            bvh.visible_into(&cone, scratch);
-                            for &b in scratch.iter() {
-                                visible[b as usize] = true;
-                            }
-                        }
-                        (None, Some(bounds)) => mark_visible_from(&cone, bounds, visible),
-                        (None, None) => unreachable!("one scan path is always prepared"),
-                    }
-                };
-                mark(v, &mut visible, &mut scratch);
-                for _ in 1..config.vicinal_points {
-                    let v_prime = sample_in_ball(&mut rng, v, r);
-                    mark(v_prime, &mut visible, &mut scratch);
-                }
-                let mut set: Vec<BlockId> = visible
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(b, &vis)| vis.then_some(BlockId(b as u32)))
-                    .collect();
-                if let Some((imp, max)) = importance {
-                    if set.len() > max {
-                        set = imp.filter_top(&set, max);
-                        set.sort_unstable();
-                    }
-                }
-                set
-            })
-            .collect();
-        Self::from_sets(config, radius_rule, sets)
+        let scan = eq1_scanner(layout, accelerated);
+        let chunk = |samples: Range<usize>| {
+            Self::csr_chunk(&config, radius_rule, importance, layout.num_blocks(), samples, &scan)
+        };
+        Self::from_chunks(config, radius_rule, par::map_ranges(config.total_samples(), chunk))
     }
 
-    /// Flatten per-sample sets into the CSR arrays.
-    fn from_sets(config: SamplingConfig, radius_rule: RadiusRule, sets: Vec<Vec<BlockId>>) -> Self {
-        let total: usize = sets.iter().map(|s| s.len()).sum();
-        let mut offsets = Vec::with_capacity(sets.len() + 1);
-        let mut ids = Vec::with_capacity(total);
+    /// `S_v` for every sample of `samples`, as one CSR piece: each entry's
+    /// end offset (relative to the piece) and the concatenated sorted ids.
+    /// A sample's entry depends only on its index, so any partition of the
+    /// lattice into ranges concatenates to the same table; one piece per
+    /// worker keeps a build to a few large buffers.
+    fn csr_chunk(
+        config: &SamplingConfig,
+        radius_rule: RadiusRule,
+        importance: Option<(&ImportanceTable, usize)>,
+        num_blocks: usize,
+        samples: Range<usize>,
+        scan: &impl Fn(&ConeFrustum, &mut [bool], &mut Vec<u32>),
+    ) -> (Vec<u32>, Vec<BlockId>) {
+        let n = samples.len();
+        let mut ends = Vec::with_capacity(n);
+        let mut ids: Vec<BlockId> = Vec::new();
+        let mut visible = vec![false; num_blocks];
+        let mut scratch: Vec<u32> = Vec::new();
+        for i in samples {
+            let id_ = i % config.n_dist;
+            let ip = (i / config.n_dist) % config.n_phi;
+            let it = i / (config.n_dist * config.n_phi);
+            let v = config.position(it, ip, id_);
+            let r = radius_rule.radius(config.shell_distance(id_));
+            // Derive a per-sample seed so the build is order-independent.
+            let mut rng =
+                SplitMix64::new(config.seed ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15));
+            visible.fill(false);
+            scan(&cone_at(v, config.view_angle), &mut visible, &mut scratch);
+            for _ in 1..config.vicinal_points {
+                let v_prime = sample_in_ball(&mut rng, v, r);
+                scan(&cone_at(v_prime, config.view_angle), &mut visible, &mut scratch);
+            }
+            let start = ids.len();
+            ids.extend(
+                visible.iter().enumerate().filter_map(|(b, &vis)| vis.then_some(BlockId(b as u32))),
+            );
+            if let Some((imp, max)) = importance {
+                if ids.len() - start > max {
+                    let mut top = imp.filter_top(&ids[start..], max);
+                    top.sort_unstable();
+                    ids.truncate(start);
+                    ids.extend_from_slice(&top);
+                }
+            }
+            ends.push(ids.len() as u32);
+            // One pass over the shells is a fair sample of entry sizes: size
+            // the buffer once from it, instead of doubling all the way up
+            // and leaving a trail of outgrown copies in this thread's heap.
+            if ends.len() == config.n_dist {
+                let mean_entry = ids.len() / config.n_dist;
+                ids.reserve(mean_entry * (n - config.n_dist) * 9 / 8);
+            }
+        }
+        (ends, ids)
+    }
+
+    /// Concatenate CSR pieces (in lattice order) into one table.
+    fn from_chunks(
+        config: SamplingConfig,
+        radius_rule: RadiusRule,
+        chunks: Vec<(Vec<u32>, Vec<BlockId>)>,
+    ) -> Self {
+        let mut offsets = Vec::with_capacity(config.total_samples() + 1);
+        let mut ids = Vec::with_capacity(chunks.iter().map(|(_, ids)| ids.len()).sum());
         offsets.push(0u32);
-        for s in &sets {
-            ids.extend_from_slice(s);
-            offsets.push(ids.len() as u32);
+        for (ends, chunk_ids) in chunks {
+            let base = ids.len() as u32;
+            offsets.extend(ends.iter().map(|end| base + end));
+            ids.extend_from_slice(&chunk_ids);
         }
         VisibleTable { config, radius_rule, offsets, ids }
     }
 
-    /// Reassemble a table from per-entry sets (legacy deserialization path).
-    /// Fails when the entry count does not match the config's lattice size.
+    /// Assemble a table from per-entry sets. Fails when the entry count
+    /// does not match the config's lattice size.
     pub fn from_parts(
         config: SamplingConfig,
         radius_rule: RadiusRule,
@@ -276,7 +306,8 @@ impl VisibleTable {
                 config.total_samples()
             ));
         }
-        Ok(Self::from_sets(config, radius_rule, sets))
+        let chunks = sets.into_iter().map(|set| (vec![set.len() as u32], set)).collect();
+        Ok(Self::from_chunks(config, radius_rule, chunks))
     }
 
     /// Reassemble a table directly from its CSR arrays (the compact binary
@@ -612,6 +643,37 @@ mod tests {
         assert!(VisibleTable::from_csr(c, rule, offs, vec![BlockId(0); 2]).is_err());
     }
 
+    /// One CSR piece (the 1-worker path), uneven pieces (any N-worker
+    /// split) and `build` on this machine's workers are the same table, bit
+    /// for bit, with and without the importance cap.
+    #[test]
+    fn build_is_identical_for_any_partition_of_the_lattice() {
+        let (cfg, layout, rule) = (small_config(), layout(), RadiusRule::Fixed(0.2));
+        let imp = ImportanceTable::from_entropies(
+            (0..layout.num_blocks()).map(|i| (i * 7 % 13) as f64).collect(),
+            32,
+        );
+        let n = cfg.total_samples();
+        for importance in [None, Some((&imp, 5))] {
+            let scan = eq1_scanner(&layout, true);
+            let piece = |samples| {
+                VisibleTable::csr_chunk(&cfg, rule, importance, layout.num_blocks(), samples, &scan)
+            };
+            let one = VisibleTable::from_chunks(cfg, rule, vec![piece(0..n)]);
+            let uneven = VisibleTable::from_chunks(
+                cfg,
+                rule,
+                vec![piece(0..1), piece(1..n / 3), piece(n / 3..n - 2), piece(n - 2..n)],
+            );
+            let built = VisibleTable::build(cfg, &layout, rule, importance);
+            for other in [&uneven, &built] {
+                assert_eq!(other.csr_offsets(), one.csr_offsets());
+                assert_eq!(other.csr_ids(), one.csr_ids());
+            }
+            assert!(one.csr_ids().len() > n, "fixture sees more than one block per sample");
+        }
+    }
+
     #[test]
     fn from_parts_roundtrips_entries() {
         let t = VisibleTable::build(small_config(), &layout(), RadiusRule::Fixed(0.2), None);
@@ -630,16 +692,5 @@ mod tests {
         assert_eq!(back.entry(7), t.entry(7));
         assert_eq!(back.config, t.config);
         assert_eq!(back.radius_rule, t.radius_rule);
-    }
-
-    /// JSON snapshot (skipped by the offline harness, which has no real
-    /// serde_json).
-    #[test]
-    fn json_serde_roundtrip() {
-        let t = VisibleTable::build(small_config(), &layout(), RadiusRule::Fixed(0.1), None);
-        let json = serde_json::to_string(&t).unwrap();
-        let back: VisibleTable = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.len(), t.len());
-        assert_eq!(back.entry(7), t.entry(7));
     }
 }

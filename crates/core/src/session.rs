@@ -20,7 +20,6 @@ use crate::adaptive::{AdaptiveSigma, SigmaController};
 use crate::importance::ImportanceTable;
 use crate::prediction::extrapolate_pose;
 use crate::sampling::{visible_blocks, VisibleTable};
-use serde::{Deserialize, Serialize};
 use viz_cache::{AccessClass, Hierarchy, PolicyKind};
 use viz_geom::CameraPose;
 use viz_telemetry::EventKind as Ev;
@@ -30,7 +29,7 @@ use viz_volume::{BlockId, BrickLayout};
 ///
 /// Substitutes for the paper's GPU volume renderer; only the duration that
 /// prefetching can hide matters to the policy (DESIGN.md §2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RenderModel {
     /// Fixed per-frame cost (s).
     pub base_s: f64,
@@ -52,7 +51,7 @@ impl RenderModel {
 }
 
 /// Strategy under evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Strategy {
     /// Conventional replacement with no prediction: the paper's FIFO and
     /// LRU comparison points (any [`PolicyKind`] works).
@@ -81,7 +80,7 @@ impl Strategy {
 }
 
 /// Knobs of the app-aware strategy; the ablation bench toggles these.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AppAwareConfig {
     /// Entropy threshold σ: only blocks with entropy > σ are pre-loaded and
     /// prefetched (Algorithm 1 lines 7 and 22).
@@ -101,7 +100,7 @@ pub struct AppAwareConfig {
 }
 
 /// Source of the next-view prediction driving prefetch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PredictorKind {
     /// The paper's `T_visible` nearest-sample lookup (§IV-B).
     #[default]
@@ -139,7 +138,7 @@ impl AppAwareConfig {
 }
 
 /// Per-step record of a session run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepMetrics {
     /// Blocks visible this step.
     pub visible: usize,
@@ -164,7 +163,7 @@ pub struct StepMetrics {
 }
 
 /// Aggregated result of a session run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionReport {
     /// Strategy label ("FIFO" / "LRU" / "OPT" / ...).
     pub strategy: String,
@@ -202,7 +201,7 @@ impl SessionReport {
 }
 
 /// Session configuration independent of the strategy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionConfig {
     /// Fast:slow cache-size ratio (0.5 or 0.7 in the paper).
     pub cache_ratio: f64,
@@ -279,11 +278,10 @@ pub fn run_session(
 /// computed in parallel. Sweeps that replay the same path under several
 /// strategies compute this once and call [`run_session_precomputed`].
 pub fn compute_visibility(layout: &BrickLayout, poses: &[CameraPose]) -> Vec<Vec<BlockId>> {
-    use rayon::prelude::*;
-    // Warm the cached BVH once up front so the rayon workers don't all
-    // stall on the same lazy build.
+    // Warm the cached BVH once up front so the workers don't all stall on
+    // the same lazy build.
     let _ = layout.block_bvh();
-    poses.par_iter().map(|p| visible_blocks(p, layout)).collect()
+    viz_geom::par::map(poses.len(), |i| visible_blocks(&poses[i], layout))
 }
 
 /// [`run_session`] with the per-step visible sets supplied by the caller

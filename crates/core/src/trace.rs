@@ -7,7 +7,6 @@
 //! size in one pass (the classic Mattson stack algorithm), which is how the
 //! cache-ratio choices of §V-A/Fig. 13 can be made from a trace alone.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::hash::Hash;
 
@@ -17,7 +16,7 @@ use std::hash::Hash;
 /// touched since the previous access to the same key (∞ for first
 /// accesses). An LRU cache of capacity `c` hits exactly the accesses with
 /// distance < `c` — so this histogram IS the LRU miss curve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReuseProfile {
     /// `counts[d]` = number of accesses with reuse distance exactly `d`.
     pub counts: Vec<u64>,

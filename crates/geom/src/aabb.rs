@@ -4,10 +4,9 @@
 //! test of the paper's Eq. 1 operates on their eight corner points.
 
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// An axis-aligned box given by its minimum and maximum corners.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Aabb {
     /// Minimum corner.
     pub min: Vec3,

@@ -30,11 +30,9 @@ const LEAF_SIZE: usize = 8;
 /// root is index 0 and can never be anyone's right child).
 #[derive(Debug, Clone, Copy)]
 struct BvhNode {
-    /// Bounds of everything below this node.
-    bounds: Aabb,
-    /// Center of the bounding sphere of `bounds`, cached for traversal.
+    /// Center of the sphere bounding everything below this node.
     center: Vec3,
-    /// Radius of the bounding sphere of `bounds`, cached for traversal.
+    /// Radius of that sphere.
     radius: f64,
     /// Arena index of the right child; 0 for leaves.
     right: u32,
@@ -160,7 +158,6 @@ fn build_node(
     }
     let count = end - start;
     nodes.push(BvhNode {
-        bounds: bb,
         center: bb.center(),
         radius: bb.bounding_radius(),
         right: 0,

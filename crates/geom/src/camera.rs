@@ -8,14 +8,13 @@
 use crate::angle::deg_to_rad;
 use crate::sphere::SphericalCoord;
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// A single camera configuration on (or off) a camera path.
 ///
 /// Cameras always look at the volume centroid `center` (the paper's `o`);
 /// interactive orbiting in the evaluated system never changes the look-at
 /// target, only position and distance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CameraPose {
     /// Camera position `v` in world coordinates.
     pub position: Vec3,

@@ -10,7 +10,6 @@
 use crate::aabb::Aabb;
 use crate::camera::CameraPose;
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// Three-way result of [`ConeFrustum::classify_sphere`]: where a bounding
 /// sphere sits relative to the cone. `Outside` is *conservative* (never
@@ -34,11 +33,8 @@ pub enum SphereClass {
 /// `cos(θ/2)` and `sin(θ/2)` are precomputed at construction so the Eq. 1
 /// inner loop is a dot-product compare, not a `cos()` per corner per block,
 /// and sphere classification is trig-free; the angle fields are therefore
-/// read-only behind accessors. The serialized form stays
-/// `{apex, axis, half_angle}` — the derived terms are recomputed on
-/// deserialization.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[serde(from = "ConeFrustumWire", into = "ConeFrustumWire")]
+/// read-only behind accessors.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConeFrustum {
     /// Camera position (apex of the cone), the paper's `v` or `v'`.
     pub apex: Vec3,
@@ -50,27 +46,6 @@ pub struct ConeFrustum {
     cos_half_angle: f64,
     /// `sin(θ/2)`, hoisted out of [`Self::classify_sphere`].
     sin_half_angle: f64,
-}
-
-/// Wire format of [`ConeFrustum`]: the derived cosine is not serialized.
-#[derive(Clone, Copy, Serialize, Deserialize)]
-#[serde(rename = "ConeFrustum")]
-struct ConeFrustumWire {
-    apex: Vec3,
-    axis: Vec3,
-    half_angle: f64,
-}
-
-impl From<ConeFrustumWire> for ConeFrustum {
-    fn from(w: ConeFrustumWire) -> Self {
-        ConeFrustum::new(w.apex, w.axis, w.half_angle)
-    }
-}
-
-impl From<ConeFrustum> for ConeFrustumWire {
-    fn from(c: ConeFrustum) -> Self {
-        ConeFrustumWire { apex: c.apex, axis: c.axis, half_angle: c.half_angle }
-    }
 }
 
 impl ConeFrustum {

@@ -11,10 +11,9 @@ use crate::path::CameraPath;
 use crate::quat::Quat;
 use crate::sphere::ExplorationDomain;
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// One waypoint of a keyframed flight.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Keyframe {
     /// Unit direction from the volume center towards the camera.
     pub direction: Vec3,
@@ -41,7 +40,7 @@ impl Keyframe {
 }
 
 /// A smooth flight through an ordered list of keyframes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KeyframePath {
     /// Exploration domain (distances clamp into it).
     pub domain: ExplorationDomain,

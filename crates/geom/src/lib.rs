@@ -15,6 +15,10 @@
 //!   (conservative sphere-cone pruning, exact corner test at leaves).
 //! - [`sphere`] — the exploration domain Omega and its sampling lattices.
 //! - [`path`] — spherical and random camera paths from Section V-A.
+//! - [`rng`] — the workspace's one seedable generator ([`SplitMix64`]) and
+//!   the seeded case runner the property tests use.
+//! - [`par`] — scoped-thread data parallelism for the pre-processing loops
+//!   and the ray-cast rows.
 //!
 //! # Example
 //!
@@ -40,9 +44,11 @@ pub mod bvh;
 pub mod camera;
 pub mod frustum;
 pub mod keyframe;
+pub mod par;
 pub mod path;
 pub mod quat;
 pub mod ray;
+pub mod rng;
 pub mod sphere;
 pub mod vec3;
 
@@ -54,5 +60,6 @@ pub use keyframe::{Keyframe, KeyframePath};
 pub use path::{CameraPath, CompositePath, RandomWalkPath, SphericalPath, ZoomPath};
 pub use quat::Quat;
 pub use ray::{Ray, RayGenerator};
+pub use rng::SplitMix64;
 pub use sphere::{ExplorationDomain, SphericalCoord};
 pub use vec3::Vec3;

@@ -8,11 +8,9 @@
 
 use crate::angle::deg_to_rad;
 use crate::camera::CameraPose;
+use crate::rng::SplitMix64;
 use crate::sphere::ExplorationDomain;
 use crate::vec3::Vec3;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A generator of camera poses along an exploration path.
 pub trait CameraPath {
@@ -27,7 +25,7 @@ pub trait CameraPath {
 /// direction by `step_deg` per camera position. With `precession_deg > 0`
 /// the orbit plane slowly tilts so long paths cover the sphere instead of
 /// retracing one circle.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SphericalPath {
     /// Exploration domain (the distance is clamped into it).
     pub domain: ExplorationDomain,
@@ -91,7 +89,7 @@ impl CameraPath for SphericalPath {
 ///
 /// This reproduces the paper's "random path with different degree changes
 /// for each camera position ... with randomly different d and l values".
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RandomWalkPath {
     /// Exploration domain (distances are clamped into it).
     pub domain: ExplorationDomain,
@@ -142,7 +140,7 @@ impl RandomWalkPath {
 
 impl CameraPath for RandomWalkPath {
     fn generate(&self, n: usize) -> Vec<CameraPose> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = SplitMix64::new(self.seed);
         let mut dir = crate::sphere::sample_on_sphere(&mut rng);
         let mut d = self.start_distance.clamp(self.domain.r_min, self.domain.r_max);
         let shell = self.domain.r_max - self.domain.r_min;
@@ -156,12 +154,12 @@ impl CameraPath for RandomWalkPath {
             // Rotate around a random axis orthogonal to `dir` so the full
             // step budget goes into direction change.
             let tangent = dir.any_orthonormal();
-            let spin: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
+            let spin = rng.range(0.0, std::f64::consts::TAU);
             let axis = tangent.rotate_around(dir, spin);
-            let step = deg_to_rad(rng.gen_range(self.step_min_deg..=self.step_max_deg));
+            let step = deg_to_rad(rng.range(self.step_min_deg, self.step_max_deg));
             dir = dir.rotate_around(axis, step).normalize();
             if self.distance_jitter > 0.0 && shell > 0.0 {
-                let dd = rng.gen_range(-1.0..=1.0) * self.distance_jitter * shell;
+                let dd = rng.range(-1.0, 1.0) * self.distance_jitter * shell;
                 d = (d + dd).clamp(self.domain.r_min, self.domain.r_max);
             }
         }
@@ -175,7 +173,7 @@ impl CameraPath for RandomWalkPath {
 
 /// Zoom in/out along a fixed direction: distance sweeps linearly from
 /// `d_start` to `d_end` and back (triangle wave over the path).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ZoomPath {
     /// Exploration domain (distances are clamped into it).
     pub domain: ExplorationDomain,

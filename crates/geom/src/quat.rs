@@ -6,10 +6,9 @@
 //! i.e. slerp on unit quaternions.
 
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// A unit quaternion `w + xi + yj + zk` representing a 3D rotation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quat {
     /// Scalar part.
     pub w: f64,
@@ -61,16 +60,6 @@ impl Quat {
         let n = self.norm();
         assert!(n > 1e-300, "cannot normalize a zero quaternion");
         Quat { w: self.w / n, x: self.x / n, y: self.y / n, z: self.z / n }
-    }
-
-    /// Hamilton product (composition: `self` applied after `rhs`).
-    pub fn mul(self, rhs: Quat) -> Quat {
-        Quat {
-            w: self.w * rhs.w - self.x * rhs.x - self.y * rhs.y - self.z * rhs.z,
-            x: self.w * rhs.x + self.x * rhs.w + self.y * rhs.z - self.z * rhs.y,
-            y: self.w * rhs.y - self.x * rhs.z + self.y * rhs.w + self.z * rhs.x,
-            z: self.w * rhs.z + self.x * rhs.y - self.y * rhs.x + self.z * rhs.w,
-        }
     }
 
     /// Conjugate (inverse for unit quaternions).
@@ -125,6 +114,20 @@ impl Quat {
     }
 }
 
+/// Hamilton product (composition: `self` applied after `rhs`).
+impl std::ops::Mul for Quat {
+    type Output = Quat;
+
+    fn mul(self, rhs: Quat) -> Quat {
+        Quat {
+            w: self.w * rhs.w - self.x * rhs.x - self.y * rhs.y - self.z * rhs.z,
+            x: self.w * rhs.x + self.x * rhs.w + self.y * rhs.z - self.z * rhs.y,
+            y: self.w * rhs.y - self.x * rhs.z + self.y * rhs.w + self.z * rhs.x,
+            z: self.w * rhs.z + self.x * rhs.y - self.y * rhs.x + self.z * rhs.w,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,7 +163,7 @@ mod tests {
         let q2 = Quat::from_axis_angle(Vec3::Y, 1.1);
         let v = Vec3::new(1.0, 2.0, 3.0);
         let seq = q2.rotate(q1.rotate(v));
-        let comp = q2.mul(q1).rotate(v);
+        let comp = (q2 * q1).rotate(v);
         assert!(close(seq, comp));
     }
 
@@ -202,12 +205,12 @@ mod tests {
         let a = Quat::IDENTITY;
         let b = Quat::from_axis_angle(Vec3::Y, 1.6);
         let mut prev = a;
-        let mut step0 = None;
+        let mut step0: Option<f64> = None;
         for i in 1..=10 {
             let q = a.slerp(b, i as f64 / 10.0);
-            let delta = q.mul(prev.conjugate()).angle();
+            let delta = (q * prev.conjugate()).angle();
             if let Some(s0) = step0 {
-                assert!((delta - s0 as f64).abs() < 1e-9, "wobble at step {i}");
+                assert!((delta - s0).abs() < 1e-9, "wobble at step {i}");
             } else {
                 step0 = Some(delta);
             }

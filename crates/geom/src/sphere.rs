@@ -4,15 +4,14 @@
 //! volume, stratified by view direction and distance (§IV-B), and samples
 //! *vicinal* points `v'` inside a small sphere φ around each position.
 
+use crate::rng::SplitMix64;
 use crate::vec3::Vec3;
-use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::f64::consts::{PI, TAU};
 
 /// Spherical coordinate relative to some center: `radius >= 0`,
 /// polar angle `theta` in `[0, pi]` measured from +Z, azimuth `phi`
 /// in `[0, 2*pi)` measured from +X in the XY plane.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SphericalCoord {
     /// Distance from the center.
     pub radius: f64,
@@ -48,7 +47,7 @@ impl SphericalCoord {
 /// The exploration domain Ω: a spherical shell around the volume centroid in
 /// which cameras move. `r_min` keeps cameras outside the data (the paper's
 /// cameras orbit outside the volume; zooming changes `d` within the shell).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExplorationDomain {
     /// The volume centroid `o` (common center of Ω and the data).
     pub center: Vec3,
@@ -123,17 +122,17 @@ pub fn lat_long_directions(n_theta: usize, n_phi: usize) -> Vec<Vec3> {
 
 /// Uniform random point inside a ball of radius `r` centered at `c`
 /// (rejection-free: cube-root radial inversion).
-pub fn sample_in_ball<R: Rng + ?Sized>(rng: &mut R, c: Vec3, r: f64) -> Vec3 {
+pub fn sample_in_ball(rng: &mut SplitMix64, c: Vec3, r: f64) -> Vec3 {
     let dir = sample_on_sphere(rng);
-    let u: f64 = rng.gen::<f64>();
+    let u = rng.next_f64();
     c + dir * (r * u.cbrt())
 }
 
 /// Uniform random direction on the unit sphere.
-pub fn sample_on_sphere<R: Rng + ?Sized>(rng: &mut R) -> Vec3 {
+pub fn sample_on_sphere(rng: &mut SplitMix64) -> Vec3 {
     // Marsaglia: z uniform in [-1,1], phi uniform.
-    let z: f64 = rng.gen_range(-1.0..=1.0);
-    let phi: f64 = rng.gen_range(0.0..TAU);
+    let z = rng.range(-1.0, 1.0);
+    let phi = rng.range(0.0, TAU);
     let r = (1.0 - z * z).max(0.0).sqrt();
     Vec3::new(r * phi.cos(), r * phi.sin(), z)
 }
@@ -141,8 +140,6 @@ pub fn sample_on_sphere<R: Rng + ?Sized>(rng: &mut R) -> Vec3 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn spherical_cartesian_roundtrip() {
@@ -192,7 +189,7 @@ mod tests {
 
     #[test]
     fn ball_samples_stay_inside() {
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = SplitMix64::new(7);
         let c = Vec3::new(1.0, 2.0, 3.0);
         for _ in 0..1000 {
             let p = sample_in_ball(&mut rng, c, 0.25);
@@ -203,7 +200,7 @@ mod tests {
     #[test]
     fn ball_samples_fill_the_interior() {
         // Radial CDF check: for uniform ball sampling, P(r < R/2) = 1/8.
-        let mut rng = StdRng::seed_from_u64(42);
+        let mut rng = SplitMix64::new(42);
         let n = 20_000;
         let inner =
             (0..n).filter(|_| sample_in_ball(&mut rng, Vec3::ZERO, 1.0).norm() < 0.5).count();
@@ -213,7 +210,7 @@ mod tests {
 
     #[test]
     fn sphere_samples_are_unit() {
-        let mut rng = StdRng::seed_from_u64(9);
+        let mut rng = SplitMix64::new(9);
         for _ in 0..100 {
             assert!((sample_on_sphere(&mut rng).norm() - 1.0).abs() < 1e-12);
         }

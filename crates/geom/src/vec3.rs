@@ -4,12 +4,11 @@
 //! only needs dot products, norms and angles, so we keep this deliberately
 //! small instead of pulling in a linear-algebra dependency.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
 /// A vector (or point) in `R^3`, `f64` throughout: the sampling tables are
 /// built once offline, so precision is worth more than SIMD width here.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3 {
     /// X component.
     pub x: f64,

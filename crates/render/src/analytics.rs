@@ -5,7 +5,7 @@
 //! visible block into memory (no multi-resolution shortcut), which is the
 //! paper's argument for an application-aware placement policy.
 
-use rayon::prelude::*;
+use viz_geom::par;
 use viz_volume::Histogram;
 
 /// Streaming accumulator for pairwise Pearson correlation of `n` variables.
@@ -117,26 +117,24 @@ impl CorrelationAccumulator {
 /// Histogram of one variable over a set of resident block payloads
 /// (the per-view distribution panels of Fig. 3). Parallel over blocks.
 pub fn region_histogram(blocks: &[&[f32]], range: (f32, f32), bins: usize) -> Histogram {
-    blocks
-        .par_iter()
-        .map(|b| {
-            let mut h = Histogram::new(range.0, range.1, bins);
-            h.add_all(b);
-            h
-        })
-        .reduce(
-            || Histogram::new(range.0, range.1, bins),
-            |mut a, b| {
-                a.merge(&b);
-                a
-            },
-        )
+    let empty = || Histogram::new(range.0, range.1, bins);
+    let partial = |r: std::ops::Range<usize>| {
+        let mut h = empty();
+        blocks[r].iter().for_each(|b| h.add_all(b));
+        h
+    };
+    let mut total = empty();
+    par::map_ranges(blocks.len(), partial).iter().for_each(|h| total.merge(h));
+    total
 }
 
 /// Count voxels satisfying a query predicate over resident blocks —
 /// query-based visualization (§III-A: "combination of numerous queries").
 pub fn query_count<F: Fn(f32) -> bool + Sync>(blocks: &[&[f32]], pred: F) -> u64 {
-    blocks.par_iter().map(|b| b.iter().filter(|&&v| pred(v)).count() as u64).sum()
+    let count = |blocks: &[&[f32]]| -> u64 {
+        blocks.iter().map(|b| b.iter().filter(|&&v| pred(v)).count() as u64).sum()
+    };
+    par::map_ranges(blocks.len(), |r| count(&blocks[r])).into_iter().sum()
 }
 
 #[cfg(test)]

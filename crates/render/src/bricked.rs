@@ -149,15 +149,15 @@ impl<L: BlockLookup> SampleSource for BrickedSource<'_, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::RwLock;
     use std::collections::HashMap;
+    use std::sync::RwLock;
     use viz_volume::{Dims3, VolumeField};
 
     struct MapLookup(RwLock<HashMap<BlockId, Arc<Vec<f32>>>>);
 
     impl BlockLookup for MapLookup {
         fn lookup(&self, id: BlockId) -> Option<Arc<Vec<f32>>> {
-            self.0.read().get(&id).cloned()
+            self.0.read().unwrap().get(&id).cloned()
         }
     }
 
@@ -175,7 +175,7 @@ mod tests {
 
     fn load_all(field: &VolumeField, layout: &BrickLayout, map: &MapLookup) {
         for id in layout.block_ids() {
-            map.0.write().insert(id, Arc::new(field.extract_block(layout, id)));
+            map.0.write().unwrap().insert(id, Arc::new(field.extract_block(layout, id)));
         }
     }
 
@@ -205,7 +205,7 @@ mod tests {
         for id in layout.block_ids() {
             let (bx, _, _) = layout.block_coords(id);
             if bx == 0 {
-                map.0.write().insert(id, Arc::new(field.extract_block(&layout, id)));
+                map.0.write().unwrap().insert(id, Arc::new(field.extract_block(&layout, id)));
             }
         }
         let src = BrickedSource::new(&layout, &map);
@@ -219,7 +219,7 @@ mod tests {
         for id in layout.block_ids() {
             let (bx, _, _) = layout.block_coords(id);
             if bx == 0 {
-                map.0.write().insert(id, Arc::new(field.extract_block(&layout, id)));
+                map.0.write().unwrap().insert(id, Arc::new(field.extract_block(&layout, id)));
             }
         }
         let src = BrickedSource::new(&layout, &map);
@@ -243,7 +243,7 @@ mod tests {
         for id in layout.block_ids() {
             let (bx, _, _) = layout.block_coords(id);
             if bx == 0 {
-                map.0.write().insert(id, Arc::new(field.extract_block(&layout, id)));
+                map.0.write().unwrap().insert(id, Arc::new(field.extract_block(&layout, id)));
             }
         }
         let counting = CountingLookup::new(map);

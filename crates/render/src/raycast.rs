@@ -9,8 +9,7 @@
 
 use crate::image::Image;
 use crate::tf::{Rgba, TransferFunction};
-use rayon::prelude::*;
-use viz_geom::{CameraPose, Ray, RayGenerator, Vec3};
+use viz_geom::{par, CameraPose, Ray, RayGenerator, Vec3};
 use viz_volume::{BrickLayout, VolumeField};
 
 /// Source of scalar samples in *voxel* coordinates.
@@ -107,12 +106,8 @@ pub fn render<S: SampleSource>(
     let gen = RayGenerator::new(pose, config.width, config.height);
     let mut img = Image::new(config.width, config.height);
     let bounds = source.layout().world_bounds();
-    img.rows_mut().enumerate().par_bridge().for_each(|(py, row)| {
-        for (px, out) in row.iter_mut().enumerate() {
-            let ray = gen.ray(px, py);
-            let c = trace(source, &ray, tf, config, &bounds);
-            *out = [c.r, c.g, c.b];
-        }
+    par::for_each(img.rows_mut().enumerate(), |(py, row)| {
+        render_row(source, &gen, tf, config, &bounds, py, row)
     });
     viz_telemetry::span(
         viz_telemetry::EventKind::RenderPass,
@@ -121,6 +116,23 @@ pub fn render<S: SampleSource>(
         pass_t0,
     );
     img
+}
+
+/// One image row: a pixel depends only on its own ray, so rows can be
+/// rendered in any order, on any thread, to the same bits.
+fn render_row<S: SampleSource>(
+    source: &S,
+    gen: &RayGenerator,
+    tf: &TransferFunction,
+    config: &RenderConfig,
+    bounds: &viz_geom::Aabb,
+    py: usize,
+    row: &mut [[f32; 3]],
+) {
+    for (px, out) in row.iter_mut().enumerate() {
+        let c = trace(source, &gen.ray(px, py), tf, config, bounds);
+        *out = [c.r, c.g, c.b];
+    }
 }
 
 /// Monotone pass counter: the telemetry span key for [`render`].
@@ -230,6 +242,27 @@ mod tests {
         let lum_k = 0.2126 * k[0] + 0.7152 * k[1] + 0.0722 * k[2];
         assert!(lum_c > 0.05, "center too dark: {lum_c}");
         assert!(lum_k < lum_c, "corner {lum_k} >= center {lum_c}");
+    }
+
+    /// Rows rendered one after another on this thread (what `par::for_each`
+    /// does with one worker) and `render` on this machine's workers give
+    /// the same image, bit for bit, in both render modes.
+    #[test]
+    fn render_matches_the_sequential_row_loop() {
+        let (field, layout) = ball_setup();
+        let src = FieldSource::new(&field, &layout);
+        let pose = orbit_pose(60.0, 20.0, 3.0, deg_to_rad(40.0));
+        let tf = TransferFunction::heat(field.min_max());
+        for cfg in [RenderConfig::preview(48, 33), RenderConfig::preview(48, 33).mip()] {
+            let gen = RayGenerator::new(&pose, cfg.width, cfg.height);
+            let bounds = layout.world_bounds();
+            let mut sequential = Image::new(cfg.width, cfg.height);
+            for (py, row) in sequential.rows_mut().enumerate() {
+                render_row(&src, &gen, &tf, &cfg, &bounds, py, row);
+            }
+            assert!(sequential.mean_luminance() > 0.0, "fixture renders something");
+            assert_eq!(render(&src, &pose, &tf, &cfg), sequential);
+        }
     }
 
     #[test]

@@ -4,10 +4,8 @@
 //! is the canonical data-dependent operation that changes which blocks
 //! matter without moving the camera.
 
-use serde::{Deserialize, Serialize};
-
 /// Linear RGBA color, components in `[0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rgba {
     /// Red component.
     pub r: f32,
@@ -46,7 +44,7 @@ impl Rgba {
 }
 
 /// A control point: scalar position (normalized to `[0, 1]`) plus color.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControlPoint {
     /// Normalized scalar position in `[0, 1]`.
     pub x: f32,
@@ -55,7 +53,7 @@ pub struct ControlPoint {
 }
 
 /// Piecewise-linear transfer function over the normalized scalar range.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransferFunction {
     points: Vec<ControlPoint>,
     /// Scalar range mapped onto `[0, 1]` before lookup.

@@ -207,9 +207,9 @@ pub fn prometheus_text(counters: &[(&str, u64)], hists: &[(&str, &LogHistogram)]
 }
 
 /// Minimal recursive-descent JSON *syntax* checker, so tests and bench
-/// bins can validate exporter output in environments where `serde_json`
-/// is stubbed out. Accepts exactly the RFC 8259 grammar; reports the byte
-/// offset of the first error.
+/// bins can validate exporter output without a JSON library. Accepts
+/// exactly the RFC 8259 grammar; reports the byte offset of the first
+/// error.
 pub mod json {
     /// Append `s` to `out` as the body of a JSON string (no surrounding
     /// quotes), escaping quotes, backslashes, and control characters per
@@ -519,8 +519,7 @@ mod tests {
         // Cumulative bucket counts end at the total.
         let last_bucket = p
             .lines()
-            .filter(|l| l.starts_with("viz_span_duration_ns_bucket{span=\"source_read\""))
-            .last()
+            .rfind(|l| l.starts_with("viz_span_duration_ns_bucket{span=\"source_read\""))
             .unwrap();
         assert!(last_bucket.ends_with(" 2"));
     }

@@ -10,10 +10,8 @@
 //! The paper's cost model charges I/O by bytes moved, so compressed blocks
 //! directly shrink simulated (and real) fetch times for ambient regions.
 
-use serde::{Deserialize, Serialize};
-
 /// Available block codecs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Codec {
     /// No compression: 4 bytes per voxel.
     #[default]
@@ -126,7 +124,7 @@ fn plane_rle_decompress(bytes: &[u8], count: usize) -> Result<Vec<f32>, String> 
         }
         let section = &bytes[cursor..cursor + len];
         cursor += len;
-        if !section.len().is_multiple_of(2) {
+        if section.len() % 2 != 0 {
             return Err(format!("odd RLE section in plane {plane_idx}"));
         }
         let mut plane = Vec::with_capacity(count);

@@ -17,10 +17,9 @@
 use crate::dims::Dims3;
 use crate::field::{ScalarFunction, VolumeField};
 use crate::noise::ValueNoise;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of one of the paper's four experimental datasets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetKind {
     /// Synthetic ball with continuous interior intensity changes.
     Ball3d,
@@ -90,7 +89,7 @@ impl DatasetKind {
 }
 
 /// A concrete dataset instance: a kind at some resolution scale.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DatasetSpec {
     /// Which Table I dataset.
     pub kind: DatasetKind,

@@ -1,9 +1,7 @@
 //! Grid dimensions and voxel index arithmetic.
 
-use serde::{Deserialize, Serialize};
-
 /// Dimensions of a 3D voxel grid (x fastest-varying in memory).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Dims3 {
     /// Voxels along x (fastest-varying).
     pub nx: usize,

@@ -2,7 +2,7 @@
 
 use crate::dims::Dims3;
 use crate::layout::{BlockId, BrickLayout};
-use rayon::prelude::*;
+use viz_geom::par;
 
 /// A procedural scalar field evaluated in normalized coordinates:
 /// `x, y, z` in `[0, 1]` over the volume, `t` in `[0, 1]` over the dataset's
@@ -43,7 +43,7 @@ impl VolumeField {
         let inv = (1.0 / nx.max(1) as f64, 1.0 / ny.max(1) as f64, 1.0 / nz.max(1) as f64);
         let mut data = vec![0.0f32; dims.count()];
         let slab = nx * ny;
-        data.par_chunks_mut(slab).enumerate().for_each(|(z, chunk)| {
+        par::for_each(data.chunks_mut(slab).enumerate(), |(z, chunk)| {
             let zc = (z as f64 + 0.5) * inv.2;
             for y in 0..ny {
                 let yc = (y as f64 + 0.5) * inv.1;
@@ -107,10 +107,11 @@ impl VolumeField {
     /// Global minimum and maximum (NaN-free fields assumed; NaNs are
     /// propagated into the result deterministically as "ignored").
     pub fn min_max(&self) -> (f32, f32) {
-        self.data
-            .par_iter()
-            .fold(|| (f32::INFINITY, f32::NEG_INFINITY), |(lo, hi), &v| (lo.min(v), hi.max(v)))
-            .reduce(|| (f32::INFINITY, f32::NEG_INFINITY), |a, b| (a.0.min(b.0), a.1.max(b.1)))
+        let fold = |(lo, hi): (f32, f32), v: &f32| (lo.min(*v), hi.max(*v));
+        let unit = (f32::INFINITY, f32::NEG_INFINITY);
+        par::map_ranges(self.data.len(), |range| self.data[range].iter().fold(unit, fold))
+            .into_iter()
+            .fold(unit, |a, b| (a.0.min(b.0), a.1.max(b.1)))
     }
 }
 
@@ -199,7 +200,7 @@ mod tests {
         // Second x-block is 1 voxel wide.
         let id = layout.block_at(1, 0, 0);
         let blk = vf.extract_block(&layout, id);
-        assert_eq!(blk.len(), 1 * 3 * 2);
+        assert_eq!(blk.len(), 3 * 2);
         assert_eq!(blk[0], vf.get(4, 0, 0));
     }
 

@@ -9,7 +9,7 @@
 
 use crate::dims::Dims3;
 use crate::field::VolumeField;
-use rayon::prelude::*;
+use viz_geom::par;
 
 /// Central-difference gradient magnitude of a scalar field, same grid.
 /// One-sided differences at the boundary; spacing = 1 voxel.
@@ -17,7 +17,7 @@ pub fn gradient_magnitude(field: &VolumeField) -> VolumeField {
     let d = field.dims;
     let mut out = vec![0.0f32; d.count()];
     let slab = d.nx * d.ny;
-    out.par_chunks_mut(slab).enumerate().for_each(|(z, chunk)| {
+    par::for_each(out.chunks_mut(slab).enumerate(), |(z, chunk)| {
         for y in 0..d.ny {
             for x in 0..d.nx {
                 let g = gradient_at(field, x, y, z);
@@ -53,16 +53,14 @@ pub fn block_mean_gradient(field: &VolumeField, layout: &crate::layout::BrickLay
     assert_eq!(field.dims, layout.volume, "layout does not match field");
     let gm = gradient_magnitude(field);
     let ids: Vec<crate::layout::BlockId> = layout.block_ids().collect();
-    ids.par_iter()
-        .map(|&id| {
-            let data = gm.extract_block(layout, id);
-            if data.is_empty() {
-                0.0
-            } else {
-                data.iter().map(|&v| v as f64).sum::<f64>() / data.len() as f64
-            }
-        })
-        .collect()
+    par::map(ids.len(), |i| {
+        let data = gm.extract_block(layout, ids[i]);
+        if data.is_empty() {
+            0.0
+        } else {
+            data.iter().map(|&v| v as f64).sum::<f64>() / data.len() as f64
+        }
+    })
 }
 
 /// Dimensions helper re-export used by downstream tests.

@@ -5,12 +5,11 @@
 
 use crate::bvh::BlockBvh;
 use crate::dims::Dims3;
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 use viz_geom::{Aabb, Vec3};
 
 /// Identifier of a block within a layout (dense, `0..layout.num_blocks()`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockId(/** Dense index within the layout. */ pub u32);
 
 impl BlockId {
@@ -31,7 +30,7 @@ impl std::fmt::Display for BlockId {
 /// transform. World coordinates normalize the *longest* volume edge to 2
 /// (so coordinates span `[-1, 1]` on that axis), exactly the normalization
 /// the paper's radius model assumes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BrickLayout {
     /// Voxel dimensions of the whole volume.
     pub volume: Dims3,
@@ -40,9 +39,7 @@ pub struct BrickLayout {
     /// Number of blocks along each axis.
     pub grid: Dims3,
     /// Lazily-built spatial index over the block AABBs (see
-    /// [`Self::block_bvh`]); derived data, excluded from comparison and
-    /// serialization.
-    #[serde(skip)]
+    /// [`Self::block_bvh`]); derived data, excluded from comparison.
     bvh: OnceLock<BlockBvh>,
 }
 

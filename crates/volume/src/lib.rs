@@ -12,6 +12,7 @@
 //! - [`datasets`] — the four Table I datasets as procedural stand-ins.
 //! - [`stats`] — histograms and block entropy.
 //! - [`store`] — framed on-disk and in-memory block stores.
+//! - [`le`] — little-endian field I/O shared by the framed binary codecs.
 //!
 //! # Example
 //!
@@ -43,6 +44,7 @@ pub mod dims;
 pub mod field;
 pub mod gradient;
 pub mod layout;
+pub mod le;
 pub mod lod;
 pub mod noise;
 pub mod stats;

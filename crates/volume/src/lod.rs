@@ -9,7 +9,6 @@
 
 use crate::dims::Dims3;
 use crate::field::VolumeField;
-use serde::{Deserialize, Serialize};
 
 /// A mip-style pyramid: level 0 is the native field, each further level
 /// halves every axis (rounding up) by box-filter averaging.
@@ -19,7 +18,7 @@ pub struct LodPyramid {
 }
 
 /// Identifier of a pyramid level (0 = full resolution).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LodLevel(pub u8);
 
 impl LodPyramid {

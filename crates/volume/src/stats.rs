@@ -1,10 +1,8 @@
 //! Per-block statistics: histograms and the Shannon-entropy importance
 //! measure of the paper's §IV-C (Eq. 2).
 
-use serde::{Deserialize, Serialize};
-
 /// A fixed-bin histogram over a value range.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     /// Inclusive lower edge of the first bin.
     pub lo: f32,
@@ -118,7 +116,7 @@ impl Histogram {
 }
 
 /// Summary statistics of one data block, used to build `T_important`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockStats {
     /// Minimum value in the block.
     pub min: f32,

@@ -11,17 +11,15 @@
 use crate::dims::Dims3;
 use crate::field::VolumeField;
 use crate::layout::{BlockId, BrickLayout};
-use bytes::{Buf, BufMut};
-use parking_lot::RwLock;
+use crate::le::{get, put};
 use std::collections::HashMap;
 use std::fs;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{PoisonError, RwLock};
 
 /// Addresses one cached unit: a block of one variable at one timestep.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockKey {
     /// Variable index.
     pub var: u16,
@@ -77,15 +75,15 @@ const VERSION_CODEC_CRC: u16 = 4;
 pub fn encode_block(dims: Dims3, data: &[f32]) -> Vec<u8> {
     assert_eq!(dims.count(), data.len(), "dims/payload mismatch");
     let mut buf = Vec::with_capacity(4 + 2 + 12 + 4 + data.len() * 4);
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(VERSION_CRC);
-    buf.put_u32_le(dims.nx as u32);
-    buf.put_u32_le(dims.ny as u32);
-    buf.put_u32_le(dims.nz as u32);
+    buf.extend_from_slice(MAGIC);
+    put::<u16>(&mut buf, VERSION_CRC);
+    put::<u32>(&mut buf, dims.nx as u32);
+    put::<u32>(&mut buf, dims.ny as u32);
+    put::<u32>(&mut buf, dims.nz as u32);
     let crc_at = buf.len();
-    buf.put_u32_le(0); // crc placeholder
+    put::<u32>(&mut buf, 0); // crc placeholder
     for &v in data {
-        buf.put_f32_le(v);
+        put::<f32>(&mut buf, v);
     }
     let crc = crate::checksum::crc32(&buf[crc_at + 4..]);
     buf[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
@@ -99,15 +97,15 @@ pub fn encode_block_with(codec: crate::codec::Codec, dims: Dims3, data: &[f32]) 
     assert_eq!(dims.count(), data.len(), "dims/payload mismatch");
     let payload = codec.compress(data);
     let mut buf = Vec::with_capacity(4 + 2 + 1 + 12 + 4 + 4 + payload.len());
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(VERSION_CODEC_CRC);
-    buf.put_u8(codec.tag());
-    buf.put_u32_le(dims.nx as u32);
-    buf.put_u32_le(dims.ny as u32);
-    buf.put_u32_le(dims.nz as u32);
-    buf.put_u32_le(payload.len() as u32);
-    buf.put_u32_le(crate::checksum::crc32(&payload));
-    buf.put_slice(&payload);
+    buf.extend_from_slice(MAGIC);
+    put::<u16>(&mut buf, VERSION_CODEC_CRC);
+    put::<u8>(&mut buf, codec.tag());
+    put::<u32>(&mut buf, dims.nx as u32);
+    put::<u32>(&mut buf, dims.ny as u32);
+    put::<u32>(&mut buf, dims.nz as u32);
+    put::<u32>(&mut buf, payload.len() as u32);
+    put::<u32>(&mut buf, crate::checksum::crc32(&payload));
+    buf.extend_from_slice(&payload);
     buf
 }
 
@@ -117,24 +115,24 @@ pub fn decode_block(mut buf: &[u8]) -> io::Result<(Dims3, Vec<f32>)> {
     if buf.len() < 18 {
         return Err(err("block frame too short".into()));
     }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    let (magic, rest) = buf.split_at(4);
+    buf = rest;
+    if magic != MAGIC {
         return Err(err("bad magic".into()));
     }
-    let version = buf.get_u16_le();
+    let version = get::<u16>(&mut buf);
     match version {
         VERSION | VERSION_CRC => {
             let dims = Dims3::new(
-                buf.get_u32_le() as usize,
-                buf.get_u32_le() as usize,
-                buf.get_u32_le() as usize,
+                get::<u32>(&mut buf) as usize,
+                get::<u32>(&mut buf) as usize,
+                get::<u32>(&mut buf) as usize,
             );
             if version == VERSION_CRC {
-                if buf.remaining() < 4 {
+                if buf.len() < 4 {
                     return Err(err("crc frame too short".into()));
                 }
-                let want = buf.get_u32_le();
+                let want = get::<u32>(&mut buf);
                 let got = crate::checksum::crc32(buf);
                 if got != want {
                     return Err(err(format!(
@@ -143,30 +141,30 @@ pub fn decode_block(mut buf: &[u8]) -> io::Result<(Dims3, Vec<f32>)> {
                 }
             }
             let n = dims.count();
-            if buf.remaining() != n * 4 {
+            if buf.len() != n * 4 {
                 return Err(err("payload length mismatch".into()));
             }
             let mut data = Vec::with_capacity(n);
             for _ in 0..n {
-                data.push(buf.get_f32_le());
+                data.push(get::<f32>(&mut buf));
             }
             Ok((dims, data))
         }
         VERSION_CODEC | VERSION_CODEC_CRC => {
             let crc_len = if version == VERSION_CODEC_CRC { 4 } else { 0 };
-            if buf.remaining() < 1 + 12 + 4 + crc_len {
+            if buf.len() < 1 + 12 + 4 + crc_len {
                 return Err(err("codec frame too short".into()));
             }
-            let codec = crate::codec::Codec::from_tag(buf.get_u8())
+            let codec = crate::codec::Codec::from_tag(get::<u8>(&mut buf))
                 .ok_or_else(|| err("unknown codec tag".into()))?;
             let dims = Dims3::new(
-                buf.get_u32_le() as usize,
-                buf.get_u32_le() as usize,
-                buf.get_u32_le() as usize,
+                get::<u32>(&mut buf) as usize,
+                get::<u32>(&mut buf) as usize,
+                get::<u32>(&mut buf) as usize,
             );
-            let len = buf.get_u32_le() as usize;
-            let want = (version == VERSION_CODEC_CRC).then(|| buf.get_u32_le());
-            if buf.remaining() != len {
+            let len = get::<u32>(&mut buf) as usize;
+            let want = (version == VERSION_CODEC_CRC).then(|| get::<u32>(&mut buf));
+            if buf.len() != len {
                 return Err(err("compressed payload length mismatch".into()));
             }
             if let Some(want) = want {
@@ -313,12 +311,12 @@ impl MemBlockStore {
 
     /// Insert (or replace) one block payload.
     pub fn insert(&self, key: BlockKey, data: Vec<f32>) {
-        self.blocks.write().insert(key, data);
+        self.blocks.write().unwrap_or_else(PoisonError::into_inner).insert(key, data);
     }
 
     /// Load every block of a field.
     pub fn insert_field(&self, layout: &BrickLayout, field: &VolumeField, var: u16, time: u16) {
-        let mut map = self.blocks.write();
+        let mut map = self.blocks.write().unwrap_or_else(PoisonError::into_inner);
         for id in layout.block_ids() {
             map.insert(BlockKey::new(var, time, id), field.extract_block(layout, id));
         }
@@ -326,12 +324,12 @@ impl MemBlockStore {
 
     /// Number of stored blocks.
     pub fn len(&self) -> usize {
-        self.blocks.read().len()
+        self.blocks.read().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     /// `true` when nothing is stored.
     pub fn is_empty(&self) -> bool {
-        self.blocks.read().is_empty()
+        self.blocks.read().unwrap_or_else(PoisonError::into_inner).is_empty()
     }
 }
 
@@ -339,6 +337,7 @@ impl BlockSource for MemBlockStore {
     fn read_block(&self, key: BlockKey) -> io::Result<Vec<f32>> {
         self.blocks
             .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .get(&key)
             .cloned()
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("{key:?} not in store")))
@@ -347,6 +346,7 @@ impl BlockSource for MemBlockStore {
     fn block_bytes(&self, key: BlockKey) -> io::Result<usize> {
         self.blocks
             .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .get(&key)
             .map(|d| d.len() * 4)
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("{key:?} not in store")))
@@ -354,7 +354,7 @@ impl BlockSource for MemBlockStore {
 
     fn read_blocks(&self, keys: &[BlockKey]) -> Vec<io::Result<Vec<f32>>> {
         // One lock acquisition for the whole batch.
-        let map = self.blocks.read();
+        let map = self.blocks.read().unwrap_or_else(PoisonError::into_inner);
         keys.iter()
             .map(|key| {
                 map.get(key).cloned().ok_or_else(|| {
@@ -491,7 +491,7 @@ mod tests {
             buf
         })
         .unwrap();
-        fs::write(dir.join("v0_t0_b3.9999.0.tmp"), &[0x56, 0x42, 0x4c]).unwrap();
+        fs::write(dir.join("v0_t0_b3.9999.0.tmp"), [0x56, 0x42, 0x4c]).unwrap();
         assert_eq!(store.read_block(key).unwrap(), data);
         assert_eq!(good.1, data);
 
@@ -503,7 +503,7 @@ mod tests {
 
         // A never-written key with only temp litter reports NotFound, not
         // InvalidData: litter is invisible to readers.
-        fs::write(dir.join("v0_t0_b4.1234.0.tmp"), &[0u8; 5]).unwrap();
+        fs::write(dir.join("v0_t0_b4.1234.0.tmp"), [0u8; 5]).unwrap();
         let err = store.read_block(BlockKey::scalar(BlockId(4))).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::NotFound);
         fs::remove_dir_all(&dir).unwrap();
@@ -652,13 +652,13 @@ mod tests {
         // Hand-build a v1 frame (no crc) the way old stores wrote it.
         let data = [1.5f32, -2.0, 3.25];
         let mut buf = Vec::new();
-        buf.put_slice(MAGIC);
-        buf.put_u16_le(VERSION);
-        buf.put_u32_le(3);
-        buf.put_u32_le(1);
-        buf.put_u32_le(1);
+        buf.extend_from_slice(MAGIC);
+        put::<u16>(&mut buf, VERSION);
+        put::<u32>(&mut buf, 3);
+        put::<u32>(&mut buf, 1);
+        put::<u32>(&mut buf, 1);
         for &v in &data {
-            buf.put_f32_le(v);
+            put::<f32>(&mut buf, v);
         }
         let (dims, got) = decode_block(&buf).unwrap();
         assert_eq!(dims, Dims3::new(3, 1, 1));

@@ -8,9 +8,8 @@
 
 use crate::datasets::DatasetSpec;
 use crate::field::VolumeField;
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Key of a materialized grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -61,7 +60,7 @@ impl FieldCache {
 
         // Fast path under the lock.
         {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
             inner.clock += 1;
             let clock = inner.clock;
             if let Some((field, stamp)) = inner.fields.get_mut(&key) {
@@ -77,7 +76,7 @@ impl FieldCache {
         let t = if steps <= 1 { 0.0 } else { time as f64 / (steps - 1) as f64 };
         let field = Arc::new(self.spec.materialize(var, t));
 
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.clock += 1;
         let clock = inner.clock;
         // Another thread may have raced us; keep whichever is present.
@@ -96,7 +95,7 @@ impl FieldCache {
 
     /// Number of resident grids.
     pub fn len(&self) -> usize {
-        self.inner.lock().fields.len()
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner).fields.len()
     }
 
     /// `true` when nothing is resident.
@@ -106,7 +105,7 @@ impl FieldCache {
 
     /// `(hits, misses)` counters.
     pub fn stats(&self) -> (u64, u64) {
-        let inner = self.inner.lock();
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         (inner.hits, inner.misses)
     }
 }

@@ -1,170 +1,224 @@
-//! Property-based tests for the volume substrate.
+//! Property-based tests for the volume substrate: 256 seeded cases per
+//! property; a failure names the seed and case that replay it.
 
-use proptest::prelude::*;
+use viz_geom::rng::{for_cases, SplitMix64};
 use viz_volume::store::{decode_block, encode_block, encode_block_with};
 use viz_volume::Codec;
 use viz_volume::{BlockStats, BrickLayout, Dims3, Histogram, VolumeField};
 
-fn dims_strategy(max: usize) -> impl Strategy<Value = Dims3> {
-    (1..=max, 1..=max, 1..=max).prop_map(|(x, y, z)| Dims3::new(x, y, z))
+const CASES: usize = 256;
+
+fn dims_strategy(rng: &mut SplitMix64, max: usize) -> Dims3 {
+    Dims3::new(rng.index(1..max + 1), rng.index(1..max + 1), rng.index(1..max + 1))
 }
 
-proptest! {
-    #[test]
-    fn dims_index_roundtrip(d in dims_strategy(12), idx_seed in 0usize..10_000) {
+#[test]
+fn dims_index_roundtrip() {
+    for_cases(0x7601, CASES, |rng, _| {
+        let d = dims_strategy(rng, 12);
+        let idx_seed = rng.index(0..10_000);
         let idx = idx_seed % d.count();
         let (x, y, z) = d.coords(idx);
-        prop_assert!(d.contains(x, y, z));
-        prop_assert_eq!(d.index(x, y, z), idx);
-    }
+        assert!(d.contains(x, y, z));
+        assert_eq!(d.index(x, y, z), idx);
+    });
+}
 
-    #[test]
-    fn layout_tiles_exactly(volume in dims_strategy(24), block in dims_strategy(9)) {
+#[test]
+fn layout_tiles_exactly() {
+    for_cases(0x7602, CASES, |rng, _| {
+        let volume = dims_strategy(rng, 24);
+        let block = dims_strategy(rng, 9);
         let layout = BrickLayout::new(volume, block);
         // Sum of block voxel counts equals the volume voxel count.
         let total: usize = layout.block_ids().map(|id| layout.block_dims(id).count()).sum();
-        prop_assert_eq!(total, volume.count());
+        assert_eq!(total, volume.count());
         // block_of_voxel agrees with voxel_range.
         let probe = [(0, 0, 0), (volume.nx - 1, volume.ny - 1, volume.nz - 1)];
         for (x, y, z) in probe {
             let id = layout.block_of_voxel(x, y, z);
             let (s, e) = layout.voxel_range(id);
-            prop_assert!(x >= s.nx && x < e.nx && y >= s.ny && y < e.ny && z >= s.nz && z < e.nz);
+            assert!(x >= s.nx && x < e.nx && y >= s.ny && y < e.ny && z >= s.nz && z < e.nz);
         }
-    }
+    });
+}
 
-    #[test]
-    fn world_roundtrip(volume in dims_strategy(32), px in 0.0f64..32.0, py in 0.0f64..32.0, pz in 0.0f64..32.0) {
+#[test]
+fn world_roundtrip() {
+    for_cases(0x7603, CASES, |rng, _| {
+        let volume = dims_strategy(rng, 32);
+        let px = rng.range(0.0, 32.0);
+        let py = rng.range(0.0, 32.0);
+        let pz = rng.range(0.0, 32.0);
         let layout = BrickLayout::new(volume, Dims3::cube(4));
         let p = viz_geom::Vec3::new(px, py, pz);
         let back = layout.world_to_voxel(layout.voxel_to_world(p));
-        prop_assert!(p.distance(back) < 1e-9 * (1.0 + p.norm()));
-    }
+        assert!(p.distance(back) < 1e-9 * (1.0 + p.norm()));
+    });
+}
 
-    #[test]
-    fn world_bounds_longest_edge_normalized(volume in dims_strategy(64)) {
+#[test]
+fn world_bounds_longest_edge_normalized() {
+    for_cases(0x7604, CASES, |rng, _| {
+        let volume = dims_strategy(rng, 64);
         let layout = BrickLayout::new(volume, Dims3::cube(8));
         let e = layout.world_bounds().extent();
         let longest = e.x.max(e.y).max(e.z);
-        prop_assert!((longest - 2.0).abs() < 1e-9);
-    }
+        assert!((longest - 2.0).abs() < 1e-9);
+    });
+}
 
-    #[test]
-    fn entropy_is_bounded(values in prop::collection::vec(-100.0f32..100.0, 1..500), bins in 1usize..128) {
+#[test]
+fn entropy_is_bounded() {
+    for_cases(0x7605, CASES, |rng, _| {
+        let values =
+            (0..rng.index(1..500)).map(|_| rng.range(-100.0, 100.0) as f32).collect::<Vec<_>>();
+        let bins = rng.index(1..128);
         let h = Histogram::from_data(&values, bins);
         let e = h.entropy();
-        prop_assert!(e >= 0.0);
-        prop_assert!(e <= (bins as f64).log2() + 1e-9);
-    }
+        assert!(e >= 0.0);
+        assert!(e <= (bins as f64).log2() + 1e-9);
+    });
+}
 
-    #[test]
-    fn entropy_invariant_under_permutation(mut values in prop::collection::vec(0.0f32..1.0, 2..200)) {
+#[test]
+fn entropy_invariant_under_permutation() {
+    for_cases(0x7606, CASES, |rng, _| {
+        let mut values =
+            (0..rng.index(2..200)).map(|_| rng.range(0.0, 1.0) as f32).collect::<Vec<_>>();
         let a = Histogram::from_data(&values, 32).entropy();
         values.reverse();
         let b = Histogram::from_data(&values, 32).entropy();
-        prop_assert!((a - b).abs() < 1e-12);
-    }
+        assert!((a - b).abs() < 1e-12);
+    });
+}
 
-    #[test]
-    fn histogram_total_counts_non_nan(values in prop::collection::vec(prop::num::f32::ANY, 0..200)) {
+#[test]
+fn histogram_total_counts_non_nan() {
+    for_cases(0x7607, CASES, |rng, _| {
+        let values = (0..rng.index(0..200))
+            .map(|_| f32::from_bits(rng.next_u64() as u32))
+            .collect::<Vec<_>>();
         let mut h = Histogram::new(-1e30, 1e30, 16);
         h.add_all(&values);
         let non_nan = values.iter().filter(|v| !v.is_nan()).count() as u64;
-        prop_assert_eq!(h.total, non_nan);
-        prop_assert_eq!(h.counts.iter().sum::<u64>(), non_nan);
-    }
+        assert_eq!(h.total, non_nan);
+        assert_eq!(h.counts.iter().sum::<u64>(), non_nan);
+    });
+}
 
-    #[test]
-    fn block_stats_min_max_bracket_mean(values in prop::collection::vec(-1000.0f32..1000.0, 1..300)) {
+#[test]
+fn block_stats_min_max_bracket_mean() {
+    for_cases(0x7608, CASES, |rng, _| {
+        let values =
+            (0..rng.index(1..300)).map(|_| rng.range(-1000.0, 1000.0) as f32).collect::<Vec<_>>();
         let s = BlockStats::compute(&values, -1000.0, 1000.0, 32);
-        prop_assert!(s.min <= s.max);
-        prop_assert!(s.mean >= s.min - 1e-3 && s.mean <= s.max + 1e-3);
-    }
+        assert!(s.min <= s.max);
+        assert!(s.mean >= s.min - 1e-3 && s.mean <= s.max + 1e-3);
+    });
+}
 
-    #[test]
-    fn encode_decode_roundtrip(
-        dims in dims_strategy(6),
-        seed in 0u64..1000,
-    ) {
+#[test]
+fn encode_decode_roundtrip() {
+    for_cases(0x7609, CASES, |rng, _| {
+        let dims = dims_strategy(rng, 6);
+        let seed = rng.index(0..1000) as u64;
         let n = dims.count();
         let data: Vec<f32> = (0..n)
             .map(|i| ((seed.wrapping_add(i as u64).wrapping_mul(2654435761)) % 1000) as f32 / 7.0)
             .collect();
         let buf = encode_block(dims, &data);
         let (d2, v2) = decode_block(&buf).unwrap();
-        prop_assert_eq!(d2, dims);
-        prop_assert_eq!(v2, data);
-    }
+        assert_eq!(d2, dims);
+        assert_eq!(v2, data);
+    });
+}
 
-    #[test]
-    fn truncated_frames_never_decode(
-        dims in dims_strategy(4),
-        cut in 1usize..8,
-    ) {
+#[test]
+fn truncated_frames_never_decode() {
+    for_cases(0x760a, CASES, |rng, _| {
+        let dims = dims_strategy(rng, 4);
+        let cut = rng.index(1..8);
         let data = vec![1.0f32; dims.count()];
         let buf = encode_block(dims, &data);
         let end = buf.len().saturating_sub(cut);
-        prop_assert!(decode_block(&buf[..end]).is_err());
-    }
+        assert!(decode_block(&buf[..end]).is_err());
+    });
+}
 
-    /// Both codecs roundtrip arbitrary bit patterns exactly (including
-    /// NaN payloads and infinities), through the full frame path.
-    #[test]
-    fn codec_frames_roundtrip_bitexact(
-        dims in dims_strategy(5),
-        seed in 0u64..5000,
-    ) {
+/// Both codecs roundtrip arbitrary bit patterns exactly (including
+/// NaN payloads and infinities), through the full frame path.
+#[test]
+fn codec_frames_roundtrip_bitexact() {
+    for_cases(0x760b, CASES, |rng, _| {
+        let dims = dims_strategy(rng, 5);
+        let seed = rng.index(0..5000) as u64;
         let n = dims.count();
         let data: Vec<f32> = (0..n)
-            .map(|i| f32::from_bits(((seed).wrapping_add(i as u64).wrapping_mul(0x9E3779B97F4A7C15) >> 32) as u32))
+            .map(|i| {
+                f32::from_bits(
+                    ((seed).wrapping_add(i as u64).wrapping_mul(0x9E3779B97F4A7C15) >> 32) as u32,
+                )
+            })
             .collect();
         for codec in [Codec::Raw, Codec::PlaneRle] {
             let frame = encode_block_with(codec, dims, &data);
             let (d2, v2) = decode_block(&frame).unwrap();
-            prop_assert_eq!(d2, dims);
-            prop_assert_eq!(v2.len(), data.len());
+            assert_eq!(d2, dims);
+            assert_eq!(v2.len(), data.len());
             for (a, b) in data.iter().zip(&v2) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
+                assert_eq!(a.to_bits(), b.to_bits());
             }
         }
-    }
+    });
+}
 
-    /// PlaneRle never expands beyond the 2x-per-plane RLE worst case.
-    #[test]
-    fn codec_expansion_is_bounded(
-        dims in dims_strategy(5),
-        seed in 0u64..1000,
-    ) {
+/// PlaneRle never expands beyond the 2x-per-plane RLE worst case.
+#[test]
+fn codec_expansion_is_bounded() {
+    for_cases(0x760c, CASES, |rng, _| {
+        let dims = dims_strategy(rng, 5);
+        let seed = rng.index(0..1000) as u64;
         let n = dims.count();
-        let data: Vec<f32> = (0..n)
-            .map(|i| ((seed.wrapping_add(i as u64 * 7919)) % 97) as f32 * 0.173)
-            .collect();
+        let data: Vec<f32> =
+            (0..n).map(|i| ((seed.wrapping_add(i as u64 * 7919)) % 97) as f32 * 0.173).collect();
         let encoded = Codec::PlaneRle.compress(&data).len();
-        prop_assert!(encoded <= n * 8 + 16, "expanded to {encoded} for {n} voxels");
-    }
+        assert!(encoded <= n * 8 + 16, "expanded to {encoded} for {n} voxels");
+    });
+}
 
-    #[test]
-    fn extract_block_lengths_match(volume in dims_strategy(16), block in dims_strategy(6)) {
+#[test]
+fn extract_block_lengths_match() {
+    for_cases(0x760d, CASES, |rng, _| {
+        let volume = dims_strategy(rng, 16);
+        let block = dims_strategy(rng, 6);
         let layout = BrickLayout::new(volume, block);
-        let field = VolumeField::from_function(volume, &|x: f64, y: f64, z: f64, _t: f64| {
-            (x * 31.0 + y * 7.0 + z) as f32
-        }, 0.0);
+        let field = VolumeField::from_function(
+            volume,
+            &|x: f64, y: f64, z: f64, _t: f64| (x * 31.0 + y * 7.0 + z) as f32,
+            0.0,
+        );
         for id in layout.block_ids() {
             let data = field.extract_block(&layout, id);
-            prop_assert_eq!(data.len(), layout.block_dims(id).count());
+            assert_eq!(data.len(), layout.block_dims(id).count());
         }
-    }
+    });
+}
 
-    #[test]
-    fn trilinear_within_data_range(
-        x in -5.0f64..20.0, y in -5.0f64..20.0, z in -5.0f64..20.0,
-    ) {
+#[test]
+fn trilinear_within_data_range() {
+    for_cases(0x760e, CASES, |rng, _| {
+        let x = rng.range(-5.0, 20.0);
+        let y = rng.range(-5.0, 20.0);
+        let z = rng.range(-5.0, 20.0);
         let dims = Dims3::cube(8);
-        let field = VolumeField::from_function(dims, &|x: f64, y: f64, z: f64, _t: f64| {
-            (x + y + z) as f32
-        }, 0.0);
+        let field = VolumeField::from_function(
+            dims,
+            &|x: f64, y: f64, z: f64, _t: f64| (x + y + z) as f32,
+            0.0,
+        );
         let (lo, hi) = field.min_max();
         let v = field.sample_trilinear(x, y, z);
-        prop_assert!(v >= lo - 1e-6 && v <= hi + 1e-6, "interpolation escaped range");
-    }
+        assert!(v >= lo - 1e-6 && v <= hi + 1e-6, "interpolation escaped range");
+    });
 }

@@ -104,8 +104,8 @@ fn policy_by_name(name: &str) -> Result<Option<PolicyKind>, String> {
     }))
 }
 
-/// Files written by `prep` beyond the tables themselves.
-#[derive(serde::Serialize, serde::Deserialize)]
+/// What `prep` records beyond the tables themselves, kept beside them as
+/// `manifest.txt`: one `key=value` line per field.
 struct PrepManifest {
     dataset: String,
     scale: usize,
@@ -113,8 +113,75 @@ struct PrepManifest {
     volume: [usize; 3],
     block: [usize; 3],
     num_blocks: usize,
-    value_range: (f32, f32),
+    value_range: [f32; 2],
     sigma: f64,
+}
+
+impl PrepManifest {
+    const KEYS: [&'static str; 8] =
+        ["dataset", "scale", "seed", "volume", "block", "num_blocks", "value_range", "sigma"];
+
+    fn to_text(&self) -> String {
+        let [vx, vy, vz] = self.volume;
+        let [bx, by, bz] = self.block;
+        let [lo, hi] = self.value_range;
+        format!(
+            "dataset={}\nscale={}\nseed={}\nvolume={vx} {vy} {vz}\nblock={bx} {by} {bz}\n\
+             num_blocks={}\nvalue_range={lo} {hi}\nsigma={}\n",
+            self.dataset, self.scale, self.seed, self.num_blocks, self.sigma
+        )
+    }
+
+    /// Parse what [`Self::to_text`] wrote. The file is input from outside the
+    /// program: a line that is not `key=value`, or an unknown, repeated,
+    /// missing or unparsable key, is an error that names the key.
+    fn parse(text: &str) -> Result<Self, String> {
+        let mut fields: HashMap<&str, &str> = HashMap::new();
+        for line in text.lines() {
+            let (key, value) = line
+                .split_once('=')
+                .ok_or_else(|| format!("manifest line {line:?} is not key=value"))?;
+            if !Self::KEYS.contains(&key) {
+                return Err(format!("unknown manifest key {key:?}"));
+            }
+            if fields.insert(key, value).is_some() {
+                return Err(format!("manifest key {key:?} is repeated"));
+            }
+        }
+        /// The `N` space-separated values of `key`.
+        fn values<T: std::str::FromStr, const N: usize>(
+            fields: &HashMap<&str, &str>,
+            key: &str,
+        ) -> Result<[T; N], String> {
+            let text = fields.get(key).ok_or_else(|| format!("manifest key {key:?} is missing"))?;
+            let garbled =
+                || format!("manifest key {key:?}: cannot read {N} value(s) from {text:?}");
+            let parsed: Vec<T> =
+                text.split(' ').map(str::parse).collect::<Result<_, _>>().map_err(|_| garbled())?;
+            parsed.try_into().map_err(|_| garbled())
+        }
+        let [dataset] = values::<String, 1>(&fields, "dataset")?;
+        let [scale] = values(&fields, "scale")?;
+        let [seed] = values(&fields, "seed")?;
+        let [num_blocks] = values(&fields, "num_blocks")?;
+        let [sigma] = values(&fields, "sigma")?;
+        let manifest = PrepManifest {
+            dataset,
+            scale,
+            seed,
+            volume: values(&fields, "volume")?,
+            block: values(&fields, "block")?,
+            num_blocks,
+            value_range: values(&fields, "value_range")?,
+            sigma,
+        };
+        for (key, dims) in [("volume", manifest.volume), ("block", manifest.block)] {
+            if dims.contains(&0) {
+                return Err(format!("manifest key {key:?}: dimensions must be positive"));
+            }
+        }
+        Ok(manifest)
+    }
 }
 
 fn cmd_info() -> Result<(), String> {
@@ -172,14 +239,10 @@ fn cmd_prep(flags: HashMap<String, String>) -> Result<(), String> {
         volume: [layout.volume.nx, layout.volume.ny, layout.volume.nz],
         block: [layout.block.nx, layout.block.ny, layout.block.nz],
         num_blocks: layout.num_blocks(),
-        value_range: field.min_max(),
+        value_range: field.min_max().into(),
         sigma,
     };
-    std::fs::write(
-        out.join("manifest.json"),
-        serde_json::to_vec_pretty(&manifest).map_err(|e| e.to_string())?,
-    )
-    .map_err(|e| e.to_string())?;
+    std::fs::write(out.join("manifest.txt"), manifest.to_text()).map_err(|e| e.to_string())?;
     println!(
         "prep complete: {} blocks, {} T_visible entries, sigma = {:.3} -> {}",
         layout.num_blocks(),
@@ -194,10 +257,10 @@ fn load_prep(
     dir: &str,
 ) -> Result<(PrepManifest, BrickLayout, VisibleTable, ImportanceTable), String> {
     let dir = PathBuf::from(dir);
-    let manifest: PrepManifest = serde_json::from_slice(
-        &std::fs::read(dir.join("manifest.json")).map_err(|e| format!("missing manifest: {e}"))?,
-    )
-    .map_err(|e| e.to_string())?;
+    let manifest = PrepManifest::parse(
+        &std::fs::read_to_string(dir.join("manifest.txt"))
+            .map_err(|e| format!("missing manifest: {e}"))?,
+    )?;
     let layout = BrickLayout::new(
         viz_appaware::volume::Dims3::new(
             manifest.volume[0],
@@ -283,7 +346,7 @@ fn cmd_render(flags: HashMap<String, String>) -> Result<(), String> {
     let view_angle = deg_to_rad(VIEW_ANGLE_DEG);
     let domain = ExplorationDomain::new(Vec3::ZERO, D_MIN, D_MAX);
     let poses = SphericalPath::new(domain, 2.4, 360.0 / frames as f64, view_angle).generate(frames);
-    let tf = TransferFunction::heat(manifest.value_range);
+    let tf = TransferFunction::heat(manifest.value_range.into());
     let rc = RenderConfig::preview(size, size);
 
     for (i, pose) in poses.iter().enumerate() {

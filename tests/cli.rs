@@ -62,7 +62,11 @@ fn full_pipeline_prep_run_analyze_render() {
         .output()
         .unwrap();
     assert!(out.status.success(), "prep failed: {}", String::from_utf8_lossy(&out.stderr));
-    assert!(prep_dir.join("manifest.json").exists());
+    let manifest = std::fs::read_to_string(prep_dir.join("manifest.txt")).unwrap();
+    for line in ["dataset=3d_ball", "scale=16", "seed=5", "volume=64 64 64"] {
+        assert!(manifest.lines().any(|l| l == line), "no {line:?} in:\n{manifest}");
+    }
+    assert_eq!(manifest.lines().count(), 8, "one line per field:\n{manifest}");
     assert!(prep_dir.join("t_visible.bin").exists());
     assert!(prep_dir.join("t_important.bin").exists());
     assert!(prep_dir.join("blocks").read_dir().unwrap().count() > 0);
@@ -90,6 +94,33 @@ fn full_pipeline_prep_run_analyze_render() {
         assert!(text.contains("miss rate"), "no miss rate in:\n{text}");
         assert!(text.contains("total time"));
     }
+
+    // The manifest is input from outside the program: a missing, garbled,
+    // unknown or repeated key is refused with a message naming the key.
+    let run = |text: &str| {
+        std::fs::write(prep_dir.join("manifest.txt"), text).unwrap();
+        let out = bin().args(["run", "--prep", prep_dir.to_str().unwrap()]).output().unwrap();
+        (out.status.success(), String::from_utf8_lossy(&out.stderr).into_owned())
+    };
+    let without_sigma: String =
+        manifest.lines().filter(|l| !l.starts_with("sigma=")).map(|l| format!("{l}\n")).collect();
+    for (text, complaint) in [
+        (without_sigma.clone(), "\"sigma\" is missing"),
+        (format!("{without_sigma}sigma=high\n"), "\"sigma\": cannot read"),
+        (manifest.replace("volume=64 64 64", "volume=64 64"), "\"volume\": cannot read"),
+        (manifest.replace("volume=64 64 64", "volume=64 0 64"), "\"volume\": dimensions"),
+        (format!("{manifest}colour=blue\n"), "unknown manifest key \"colour\""),
+        (format!("{manifest}seed=6\n"), "\"seed\" is repeated"),
+        (format!("{manifest}just some words\n"), "is not key=value"),
+    ] {
+        let (ok, stderr) = run(&text);
+        assert!(
+            !ok && stderr.contains(complaint),
+            "wanted {complaint:?} for:\n{text}\ngot: {stderr}"
+        );
+    }
+    let (ok, stderr) = run(&manifest);
+    assert!(ok, "restored manifest must load again: {stderr}");
 
     // analyze: reuse-distance profile.
     let out = bin()

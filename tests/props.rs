@@ -1,15 +1,19 @@
 //! Cross-crate property tests: invariants that span the geometry, volume,
-//! cache, and core layers together.
+//! cache, and core layers together. Each case builds tables and replays a
+//! session, so 12 seeded cases per property; a failure names the seed and
+//! case that replay it.
 
-use proptest::prelude::*;
 use viz_appaware::cache::PolicyKind;
 use viz_appaware::core::{
     demand_trace, run_session, ImportanceTable, RadiusRule, ReuseProfile, SamplingConfig,
     SessionConfig, Strategy, VisibleTable,
 };
 use viz_appaware::geom::angle::deg_to_rad;
+use viz_appaware::geom::rng::for_cases;
 use viz_appaware::geom::{CameraPath, CameraPose, ExplorationDomain, SphericalPath, Vec3};
 use viz_appaware::volume::{BrickLayout, Dims3};
+
+const CASES: usize = 12;
 
 fn small_layout(seed: usize) -> BrickLayout {
     // Vary the grid a little so the properties aren't layout-specific.
@@ -17,18 +21,15 @@ fn small_layout(seed: usize) -> BrickLayout {
     BrickLayout::new(Dims3::cube(n), Dims3::cube(8))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// The session's miss accounting always agrees with the reuse-distance
-    /// profile's cold-miss floor: no policy can miss less than the number
-    /// of distinct blocks touched.
-    #[test]
-    fn misses_never_undercut_compulsory(
-        step_deg in 2.0f64..30.0,
-        steps in 10usize..60,
-        lseed in 0usize..3,
-    ) {
+/// The session's miss accounting always agrees with the reuse-distance
+/// profile's cold-miss floor: no policy can miss less than the number
+/// of distinct blocks touched.
+#[test]
+fn misses_never_undercut_compulsory() {
+    for_cases(0xe2e1, CASES, |rng, _| {
+        let step_deg = rng.range(2.0, 30.0);
+        let steps = rng.index(10..60);
+        let lseed = rng.index(0..3);
         let layout = small_layout(lseed);
         let dom = ExplorationDomain::new(Vec3::ZERO, 2.0, 3.2);
         let poses = SphericalPath::new(dom, 2.5, step_deg, deg_to_rad(15.0)).generate(steps);
@@ -37,19 +38,25 @@ proptest! {
         let cfg = SessionConfig::paper(0.5, layout.nominal_block_bytes());
         for kind in [PolicyKind::Fifo, PolicyKind::Lru, PolicyKind::Arc] {
             let r = run_session(&cfg, &layout, &Strategy::Baseline(kind), &poses, None);
-            prop_assert!(r.misses >= profile.cold,
-                "{}: {} misses < {} compulsory", kind.label(), r.misses, profile.cold);
-            prop_assert_eq!(r.accesses, trace.len() as u64);
+            assert!(
+                r.misses >= profile.cold,
+                "{}: {} misses < {} compulsory",
+                kind.label(),
+                r.misses,
+                profile.cold
+            );
+            assert_eq!(r.accesses, trace.len() as u64);
         }
-    }
+    });
+}
 
-    /// LRU session misses match the trace profile exactly (two independent
-    /// implementations of the same semantics).
-    #[test]
-    fn lru_session_agrees_with_mattson_profile(
-        step_deg in 2.0f64..25.0,
-        steps in 10usize..50,
-    ) {
+/// LRU session misses match the trace profile exactly (two independent
+/// implementations of the same semantics).
+#[test]
+fn lru_session_agrees_with_mattson_profile() {
+    for_cases(0xe2e2, CASES, |rng, _| {
+        let step_deg = rng.range(2.0, 25.0);
+        let steps = rng.index(10..50);
         let layout = small_layout(0);
         let dom = ExplorationDomain::new(Vec3::ZERO, 2.0, 3.2);
         let poses = SphericalPath::new(dom, 2.5, step_deg, deg_to_rad(15.0)).generate(steps);
@@ -59,49 +66,51 @@ proptest! {
         let r = run_session(&cfg, &layout, &Strategy::Baseline(PolicyKind::Lru), &poses, None);
         // DRAM capacity = 25% of blocks (ratio 0.5 squared).
         let cap = ((layout.num_blocks() as f64 * 0.25).round() as usize).max(1);
-        prop_assert_eq!(r.misses, profile.lru_misses(cap));
-    }
+        assert_eq!(r.misses, profile.lru_misses(cap));
+    });
+}
 
-    /// T_visible predictions are always subsets of the block universe and
-    /// respect the importance cap.
-    #[test]
-    fn predictions_are_valid_and_capped(
-        samples in 32usize..256,
-        cap in 4usize..64,
-        theta in 0.0f64..180.0,
-        phi in 0.0f64..360.0,
-        d in 1.0f64..6.0,
-    ) {
+/// T_visible predictions are always subsets of the block universe and
+/// respect the importance cap.
+#[test]
+fn predictions_are_valid_and_capped() {
+    for_cases(0xe2e3, CASES, |rng, _| {
+        let samples = rng.index(32..256);
+        let cap = rng.index(4..64);
+        let theta = rng.range(0.0, 180.0);
+        let phi = rng.range(0.0, 360.0);
+        let d = rng.range(1.0, 6.0);
         let layout = small_layout(1);
         let imp = ImportanceTable::from_entropies(
             (0..layout.num_blocks()).map(|i| (i % 13) as f64).collect(),
             32,
         );
-        let cfg = SamplingConfig::paper_default(2.0, 3.2, deg_to_rad(15.0))
-            .with_target_samples(samples);
+        let cfg =
+            SamplingConfig::paper_default(2.0, 3.2, deg_to_rad(15.0)).with_target_samples(samples);
         let tv = VisibleTable::build(cfg, &layout, RadiusRule::Fixed(0.15), Some((&imp, cap)));
         let pose = CameraPose::orbit(theta, phi, d, 15.0);
         let pred = tv.predict(&pose);
-        prop_assert!(pred.len() <= cap);
+        assert!(pred.len() <= cap);
         for b in pred {
-            prop_assert!(b.index() < layout.num_blocks());
+            assert!(b.index() < layout.num_blocks());
         }
-    }
+    });
+}
 
-    /// Session wall-time decomposition: total >= io + render for the
-    /// app-aware overlap rule never undercounts components.
-    #[test]
-    fn wall_time_decomposition_is_sound(
-        step_deg in 2.0f64..20.0,
-        steps in 5usize..40,
-    ) {
+/// Session wall-time decomposition: total >= io + render for the
+/// app-aware overlap rule never undercounts components.
+#[test]
+fn wall_time_decomposition_is_sound() {
+    for_cases(0xe2e4, CASES, |rng, _| {
+        let step_deg = rng.range(2.0, 20.0);
+        let steps = rng.index(5..40);
         let layout = small_layout(2);
         let dom = ExplorationDomain::new(Vec3::ZERO, 2.0, 3.2);
         let poses = SphericalPath::new(dom, 2.5, step_deg, deg_to_rad(15.0)).generate(steps);
         let cfg = SessionConfig::paper(0.5, layout.nominal_block_bytes());
         let imp = ImportanceTable::from_entropies(vec![1.0; layout.num_blocks()], 32);
-        let scfg = SamplingConfig::paper_default(2.0, 3.2, deg_to_rad(15.0))
-            .with_target_samples(64);
+        let scfg =
+            SamplingConfig::paper_default(2.0, 3.2, deg_to_rad(15.0)).with_target_samples(64);
         let tv = VisibleTable::build(scfg, &layout, RadiusRule::Fixed(0.15), None);
         let r = run_session(
             &cfg,
@@ -111,10 +120,10 @@ proptest! {
             Some((&tv, &imp)),
         );
         // Overlap can hide prefetch but never render or I/O.
-        prop_assert!(r.total_s + 1e-9 >= r.io_s + r.render_s);
-        prop_assert!(r.total_s <= r.io_s + r.render_s + r.prefetch_s + r.lookup_s + 1e-9);
+        assert!(r.total_s + 1e-9 >= r.io_s + r.render_s);
+        assert!(r.total_s <= r.io_s + r.render_s + r.prefetch_s + r.lookup_s + 1e-9);
         for s in &r.per_step {
-            prop_assert!(s.total_s + 1e-12 >= s.io_s + s.render_s);
+            assert!(s.total_s + 1e-12 >= s.io_s + s.render_s);
         }
-    }
+    });
 }

@@ -1,8 +1,9 @@
-//! Integration of the real-data pipeline: disk block store → background
-//! prefetcher → partially resident bricked renderer → analytics.
+//! Integration of the real-data pipeline: disk block store → fetch engine
+//! → partially resident bricked renderer → analytics.
 
 use std::sync::Arc;
-use viz_appaware::core::{visible_blocks, BlockPool, ImportanceTable, Prefetcher};
+use viz_appaware::core::{visible_blocks, ImportanceTable};
+use viz_appaware::fetch::{BlockPool, FetchConfig, FetchEngine};
 use viz_appaware::geom::angle::deg_to_rad;
 use viz_appaware::geom::{CameraPose, SphericalCoord, Vec3};
 use viz_appaware::render::{
@@ -30,16 +31,20 @@ fn disk_store_prefetch_and_render_roundtrip() {
     let store = Arc::new(DiskBlockStore::open(&dir).unwrap());
     store.write_field(&layout, &field, 0, 0).unwrap();
 
-    // Prefetch the frame's working set through the background worker.
+    // Prefetch the frame's working set through one background worker.
     let pool = Arc::new(BlockPool::new());
-    let pf = Prefetcher::spawn(store.clone() as Arc<dyn BlockSource>, pool.clone(), 64);
+    let engine = FetchEngine::spawn(
+        store.clone() as Arc<dyn BlockSource>,
+        pool.clone(),
+        FetchConfig { workers: 1, ..FetchConfig::default() },
+    );
     let p = pose(2.5);
     let ws = frame_working_set(&p, &layout);
     assert!(!ws.is_empty());
     for &b in &ws {
-        pf.request(BlockKey::scalar(b));
+        assert!(engine.prefetch(BlockKey::scalar(b), 0.0), "prefetch of block {b} dropped");
     }
-    pf.sync();
+    engine.sync();
     for &b in &ws {
         assert!(pool.contains(BlockKey::scalar(b)), "block {b} not prefetched");
     }
@@ -49,11 +54,11 @@ fn disk_store_prefetch_and_render_roundtrip() {
     // only on the resident working set by loading everything.
     for b in layout.block_ids() {
         if !pool.contains(BlockKey::scalar(b)) {
-            pf.request(BlockKey::scalar(b));
+            assert!(engine.prefetch(BlockKey::scalar(b), 0.0), "prefetch of block {b} dropped");
         }
     }
-    pf.sync();
-    pf.shutdown();
+    engine.sync();
+    assert_eq!(engine.shutdown().completed, layout.num_blocks() as u64);
 
     let tf = TransferFunction::heat(field.min_max());
     let rc = RenderConfig::preview(48, 48);
