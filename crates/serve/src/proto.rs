@@ -20,6 +20,31 @@
 //! server answers with a [`Response::Error`] carrying [`ERR_VERSION`]
 //! instead of dropping the connection.
 //!
+//! ## What a block payload costs
+//!
+//! The frame CRC covers the whole body, payloads included, and both ends
+//! verify it on every frame. Almost all of a `FetchReply` is `f32`
+//! payload (5–6 MB a frame in the benchmark flights), so the codec is
+//! built around touching those bytes as few times as possible without
+//! `unsafe`:
+//!
+//! - **Encode** — one pass over the block list sizes the buffer exactly
+//!   (a reply that would exceed [`MAX_FRAME_BYTES`] is replaced by an
+//!   [`ERR_PROTO`] error frame *before* anything is allocated); each pool
+//!   `Arc<Vec<f32>>` is copied once into that buffer as little-endian
+//!   bytes ([`viz_volume::le::put_f32s`]); one CRC pass; the length and
+//!   CRC are patched into header bytes reserved at the front. One
+//!   allocation, one copy, one checksum.
+//! - **Transport** — [`crate::TcpTransport`] reads the body straight into
+//!   unfilled capacity (no zero-fill pass).
+//! - **Decode** — one CRC pass over the body, then each payload is one
+//!   bounds check, one slice and one bulk copy into its own `Vec<f32>`
+//!   ([`viz_volume::le::get_f32s`]). Every count and length is still
+//!   checked against the bytes left before anything is allocated.
+//!
+//! The two CRC passes are what remains: [`viz_volume::checksum`] has the
+//! numbers.
+//!
 //! ## Version 2 (additive)
 //!
 //! v2 appends distributed-tracing fields; every v1 frame still decodes
@@ -42,6 +67,7 @@ use std::fmt;
 use std::io;
 use std::sync::Arc;
 use viz_telemetry::{EventKind, TraceEvent};
+use viz_volume::le::{get_f32s, put_f32s};
 use viz_volume::{crc32, BlockId, BlockKey};
 
 /// Frame magic, first four body bytes.
@@ -498,10 +524,6 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn f32(&mut self) -> Result<f32, ProtoError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
     fn key(&mut self) -> Result<BlockKey, ProtoError> {
         Ok(BlockKey::new(self.u16()?, self.u16()?, BlockId(self.u32()?)))
     }
@@ -524,13 +546,16 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Wrap a body in the outer frame: `[len][crc][body]`.
-fn frame(body: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + body.len());
-    put_u32(&mut out, body.len() as u32);
-    put_u32(&mut out, crc32(&body));
-    out.extend_from_slice(&body);
-    out
+/// Bytes of the outer `[len][crc]` header in front of every body.
+const FRAME_HEADER_BYTES: usize = 8;
+
+/// Close a buffer opened by [`body_header`]: patch the length and CRC of
+/// the body it now holds into the header bytes reserved in front of it.
+fn frame(mut buf: Vec<u8>) -> Vec<u8> {
+    let (header, body) = buf.split_at_mut(FRAME_HEADER_BYTES);
+    header[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(body).to_le_bytes());
+    buf
 }
 
 /// Validate the outer frame of `buf` and return its body.
@@ -564,12 +589,37 @@ pub fn frame_body_len(header: &[u8; 8]) -> Result<usize, ProtoError> {
     Ok(len)
 }
 
+/// Bytes every body opens with: magic, version, tag.
+const BODY_PREFIX_BYTES: usize = 7;
+
+/// Open a frame: the outer header's bytes (zero until [`frame`] patches
+/// them), then the body's magic, version and tag.
 fn body_header(version: u16, tag: u8) -> Vec<u8> {
-    let mut b = Vec::with_capacity(64);
+    sized_body_header(version, tag, 64)
+}
+
+/// [`body_header`] for a body whose final length is known: the buffer
+/// never regrows.
+fn sized_body_header(version: u16, tag: u8, body_len: usize) -> Vec<u8> {
+    let mut b = Vec::with_capacity(FRAME_HEADER_BYTES + body_len);
+    b.extend_from_slice(&[0; FRAME_HEADER_BYTES]);
     b.extend_from_slice(&MAGIC);
     put_u16(&mut b, version);
     b.push(tag);
     b
+}
+
+/// Exact body length of a [`Response::FetchReply`] carrying `blocks`, from
+/// one pass over the list and before anything is allocated. Counted in
+/// `u64`: payloads can be `Arc`-shared, so the wire size is not bounded by
+/// the memory the reply occupies.
+fn fetch_reply_body_len(blocks: &[BlockReply]) -> u64 {
+    // Per block: key and status byte, then a counted payload or an error code.
+    let per_block = |br: &BlockReply| match &br.result {
+        Ok(data) => 8 + 1 + 4 + 4 * data.len() as u64,
+        Err(_) => 8 + 1 + 2,
+    };
+    (BODY_PREFIX_BYTES + 4 * 4) as u64 + blocks.iter().map(per_block).sum::<u64>()
 }
 
 fn open_body(buf: &[u8]) -> Result<(u8, u16, Reader<'_>), ProtoError> {
@@ -754,7 +804,21 @@ pub fn encode_response_versioned(resp: &Response, version: u16) -> Vec<u8> {
             put_u32(&mut b, *session);
         }
         Response::FetchReply { session, blocks, shed, downgraded } => {
-            b = body_header(version, TAG_FETCH_REPLY);
+            let body_len = fetch_reply_body_len(blocks);
+            if body_len > MAX_FRAME_BYTES as u64 {
+                // Every receiver refuses such a frame from its header and a
+                // stream transport is then out of step mid-body: answer
+                // with what the client can act on instead.
+                let message = format!(
+                    "fetch reply of {body_len} bytes exceeds the {MAX_FRAME_BYTES}-byte frame \
+                     limit; request fewer demand blocks per frame"
+                );
+                return encode_response_versioned(
+                    &Response::Error { code: ERR_PROTO, message },
+                    version,
+                );
+            }
+            b = sized_body_header(version, TAG_FETCH_REPLY, body_len as usize);
             put_u32(&mut b, *session);
             put_u32(&mut b, *shed);
             put_u32(&mut b, *downgraded);
@@ -765,9 +829,7 @@ pub fn encode_response_versioned(resp: &Response, version: u16) -> Vec<u8> {
                     Ok(data) => {
                         b.push(0);
                         put_u32(&mut b, data.len() as u32);
-                        for &v in data.iter() {
-                            b.extend_from_slice(&v.to_le_bytes());
-                        }
+                        put_f32s(&mut b, data);
                     }
                     Err(code) => {
                         b.push(1);
@@ -775,6 +837,7 @@ pub fn encode_response_versioned(resp: &Response, version: u16) -> Vec<u8> {
                     }
                 }
             }
+            debug_assert_eq!(b.len() as u64, FRAME_HEADER_BYTES as u64 + body_len);
         }
         Response::AdvanceAck { session, generation } => {
             b = body_header(version, TAG_ADVANCE_ACK);
@@ -869,11 +932,7 @@ pub fn decode_response(buf: &[u8]) -> Result<Response, ProtoError> {
                     0 => {
                         let len = r.u32()?;
                         let len = r.count(len, 4)?;
-                        let mut data = Vec::with_capacity(len);
-                        for _ in 0..len {
-                            data.push(r.f32()?);
-                        }
-                        Ok(Arc::new(data))
+                        Ok(Arc::new(get_f32s(r.take(len * 4)?)))
                     }
                     1 => Err(r.u16()?),
                     _ => return Err(ProtoError::Malformed("bad block status byte")),
@@ -1175,6 +1234,168 @@ mod tests {
         let mut crc_flip = frame.clone();
         crc_flip[5] ^= 0x10;
         assert!(matches!(decode_request(&crc_flip).unwrap_err(), ProtoError::BadCrc { .. }));
+    }
+
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len()).step_by(2).map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap()).collect()
+    }
+
+    /// `[len][crc][body]` assembled the long way round, independent of
+    /// `body_header`/`frame`.
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let mut f = (body.len() as u32).to_le_bytes().to_vec();
+        f.extend_from_slice(&crc32(body).to_le_bytes());
+        f.extend_from_slice(body);
+        f
+    }
+
+    /// Frames printed by the encoders as they stood before the payload fast
+    /// path (commit a1655a2): bulk copies and in-place framing must not move
+    /// a byte, and today's decoders must read what those encoders wrote.
+    #[test]
+    fn golden_frames_from_the_previous_encoders() {
+        let reply = Response::FetchReply {
+            session: 3,
+            blocks: vec![
+                BlockReply { key: key(0), result: Ok(Arc::new(vec![1.0, -2.5, 0.0])) },
+                BlockReply { key: key(5), result: Err(1) },
+                BlockReply {
+                    key: key(9),
+                    result: Ok(Arc::new(vec![f32::MIN_POSITIVE, 1e30, -0.0, 3.25, 7.0])),
+                },
+            ],
+            shed: 4,
+            downgraded: 2,
+        };
+        let golden = unhex(concat!(
+            "5c000000fd99d979565352560200830300000004000000020000000300000001",
+            "0002000000000000030000000000803f000020c0000000000100020005000000",
+            "0101000100020009000000000500000000008000caf249710000008000005040",
+            "0000e040",
+        ));
+        assert_eq!(encode_response(&reply), golden);
+        assert_eq!(decode_response(&golden).unwrap(), reply);
+
+        let fetch = sample_requests().swap_remove(2);
+        let golden = unhex(concat!(
+            "5b00000070c26bbf565352560200030700000029000000000000000200000001",
+            "0002000000000001000200050000000200000001000200090000000000000000",
+            "000240010002000a00000000000000000000008967452301efcdab4d00000000",
+            "000000",
+        ));
+        assert_eq!(encode_request(&fetch), golden);
+        assert_eq!(decode_request(&golden).unwrap(), fetch);
+    }
+
+    #[test]
+    fn every_frame_is_len_crc_body() {
+        for frame in sample_requests()
+            .iter()
+            .map(encode_request)
+            .chain(sample_responses().iter().map(encode_response))
+        {
+            assert_eq!(frame, framed(&frame[8..]));
+        }
+    }
+
+    #[test]
+    fn payload_bits_survive_the_wire() {
+        // -0.0, a subnormal, ±inf, a quiet and a signalling NaN.
+        let bits =
+            [0x8000_0000u32, 0x0000_0001, 0x7F80_0000, 0xFF80_0000, 0x7FC0_0000, 0x7FA0_0001];
+        let data: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
+        let reply = Response::FetchReply {
+            session: 1,
+            blocks: vec![BlockReply { key: key(0), result: Ok(Arc::new(data)) }],
+            shed: 0,
+            downgraded: 0,
+        };
+        match decode_response(&encode_response(&reply)).unwrap() {
+            Response::FetchReply { blocks, .. } => {
+                let got = blocks[0].result.as_ref().unwrap();
+                assert_eq!(got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), bits);
+            }
+            other => panic!("wrong variant {other:?}"),
+        }
+    }
+
+    fn shared_reply(payload: &Arc<Vec<f32>>, shares: u32, fillers: &[usize]) -> Response {
+        let shared = (0..shares).map(|i| BlockReply { key: key(i), result: Ok(payload.clone()) });
+        let fillers = fillers
+            .iter()
+            .map(|&n| BlockReply { key: key(99), result: Ok(Arc::new(vec![0.5; n])) });
+        Response::FetchReply {
+            session: 3,
+            blocks: shared.chain(fillers).collect(),
+            shed: 0,
+            downgraded: 0,
+        }
+    }
+
+    #[test]
+    fn oversize_fetch_reply_becomes_a_typed_error_frame() {
+        // 17 blocks sharing one 4 MiB payload: 68 MiB on the wire, 4 MiB
+        // here. The encoder must notice from the sizes alone.
+        let payload = Arc::new(vec![1.0f32; 1 << 20]);
+        let frame = encode_response(&shared_reply(&payload, 17, &[]));
+        assert!(frame.len() < 256, "an error frame, not {} bytes of payload", frame.len());
+        frame_body(&frame).expect("a valid frame");
+        match decode_response(&frame).unwrap() {
+            Response::Error { code, message } => {
+                assert_eq!(code, ERR_PROTO);
+                assert!(message.contains(&(MAX_FRAME_BYTES.to_string())), "{message}");
+                assert!(message.contains("71303412"), "names the size: {message}");
+            }
+            other => panic!("wanted an Error, got {other:?}"),
+        }
+        // v1 peers get the refusal at their version too.
+        assert!(matches!(
+            decode_response(&encode_response_versioned(&shared_reply(&payload, 17, &[]), 1)),
+            Ok(Response::Error { code: ERR_PROTO, .. })
+        ));
+
+        // The limit itself is still a legal frame; one byte more is not.
+        // Body = 23 + 16 × (13 + 4n) + fillers, n = 1_048_572.
+        let payload = Arc::new(vec![2.0f32; (1 << 20) - 4]);
+        let at_limit = shared_reply(&payload, 16, &[3]);
+        let frame = encode_response(&at_limit);
+        assert_eq!(frame.len(), 8 + MAX_FRAME_BYTES);
+        assert_eq!(decode_response(&frame).unwrap(), at_limit);
+        drop(frame);
+        let over_by_one = encode_response(&shared_reply(&payload, 16, &[0, 0]));
+        assert!(matches!(
+            decode_response(&over_by_one),
+            Ok(Response::Error { code: ERR_PROTO, .. })
+        ));
+    }
+
+    #[test]
+    fn response_decode_guards_are_typed() {
+        let good = encode_response(&sample_responses()[2]);
+        let body = &good[8..];
+        let with = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut b = body.to_vec();
+            edit(&mut b);
+            decode_response(&framed(&b)).unwrap_err()
+        };
+        assert_eq!(with(&|b| b[0] = b'X'), ProtoError::BadMagic(*b"XSRV"));
+        assert_eq!(with(&|b| b[6] = 0x7E), ProtoError::UnknownTag(0x7E));
+        assert_eq!(with(&|b| b.push(0)), ProtoError::Malformed("trailing bytes after payload"));
+        // Body layout: 7 prefix, session/shed/downgraded, then the block
+        // count at 19, the first block's status at 31 and length at 32.
+        assert_eq!(
+            with(&|b| b[19..23].copy_from_slice(&u32::MAX.to_le_bytes())),
+            ProtoError::Malformed("element count exceeds payload")
+        );
+        assert_eq!(with(&|b| b[31] = 2), ProtoError::Malformed("bad block status byte"));
+        assert_eq!(
+            with(&|b| b[32..36].copy_from_slice(&0x4000_0000u32.to_le_bytes())),
+            ProtoError::Malformed("element count exceeds payload"),
+            "a payload length the body cannot hold is refused before allocation"
+        );
+        // One byte short of the last block's error code: the counts hold, the
+        // field does not.
+        assert_eq!(with(&|b| b.truncate(54)), ProtoError::Truncated { need: 55, got: 54 });
     }
 
     #[test]

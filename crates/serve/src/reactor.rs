@@ -29,7 +29,7 @@ use crate::registry::SessionId;
 use crate::server::{DrainReport, Outcome, PendingFetch, Server};
 use crate::transport::{InProcTransport, Transport};
 use crate::{handle_request, inproc_pair};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -119,10 +119,51 @@ fn take_frame(rbuf: &mut Vec<u8>) -> Result<Option<Vec<u8>>, ()> {
 // TCP reactor
 // ---------------------------------------------------------------------
 
+/// Encoded replies owed to one peer, oldest first. A frame is written from
+/// the `Vec` it was encoded into and freed when its last byte is out, so
+/// the queue holds the unsent backlog plus at most the sent part of the
+/// frame in progress, however many replies are pipelined behind it.
+#[derive(Default)]
+struct WriteQueue {
+    frames: VecDeque<Vec<u8>>,
+    /// How much of the front frame the peer has already taken.
+    pos: usize,
+}
+
+impl WriteQueue {
+    fn is_empty(&self) -> bool {
+        self.frames.is_empty()
+    }
+
+    fn push(&mut self, frame: Vec<u8>) {
+        self.frames.push_back(frame);
+    }
+
+    /// Write as much as `out` takes right now. `Err` means the peer is
+    /// gone; a full socket (`WouldBlock`) is `Ok` with frames left queued.
+    fn flush(&mut self, out: &mut impl Write) -> io::Result<()> {
+        while let Some(front) = self.frames.front() {
+            if self.pos == front.len() {
+                self.frames.pop_front();
+                self.pos = 0;
+                continue;
+            }
+            match out.write(&front[self.pos..]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => self.pos += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+}
+
 struct TcpConn {
     stream: TcpStream,
     rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
+    wq: WriteQueue,
     st: ConnState,
 }
 
@@ -215,7 +256,7 @@ fn run_tcp_loop(server: &Arc<Server>, listener: &TcpListener, stop: &AtomicBool)
         for &t in &tokens {
             let c = &conns[&t];
             let mut ev = POLL_IN;
-            if !c.wbuf.is_empty() {
+            if !c.wq.is_empty() {
                 ev |= POLL_OUT;
             }
             any_parked |= c.st.parked.is_some();
@@ -256,7 +297,12 @@ fn run_tcp_loop(server: &Arc<Server>, listener: &TcpListener, stop: &AtomicBool)
                 next_token += 1;
                 conns.insert(
                     token,
-                    TcpConn { stream, rbuf: Vec::new(), wbuf: Vec::new(), st: ConnState::new() },
+                    TcpConn {
+                        stream,
+                        rbuf: Vec::new(),
+                        wq: WriteQueue::default(),
+                        st: ConnState::new(),
+                    },
                 );
             }
         }
@@ -269,7 +315,7 @@ fn run_tcp_loop(server: &Arc<Server>, listener: &TcpListener, stop: &AtomicBool)
             }
             process_buffered(server, &mut wheel, now_ns, token, c);
             if fd.writable() {
-                flush_wbuf(c);
+                flush_writes(c);
             }
         }
         // Move queued work into the engine; its workers resolve tickets.
@@ -293,8 +339,8 @@ fn run_tcp_loop(server: &Arc<Server>, listener: &TcpListener, stop: &AtomicBool)
         }
         // Opportunistic flush (most replies fit the socket buffer).
         for c in conns.values_mut() {
-            if !c.wbuf.is_empty() {
-                flush_wbuf(c);
+            if !c.wq.is_empty() {
+                flush_writes(c);
             }
         }
         // Reap dead connections: their sessions close, timers lapse as
@@ -401,29 +447,15 @@ fn unpark_ready(server: &Arc<Server>, wheel: &mut TimerWheel, c: &mut TcpConn) -
 }
 
 fn send_response(c: &mut TcpConn, resp: &Response) {
-    c.wbuf.extend_from_slice(&proto::encode_response_versioned(resp, c.st.ver));
-    flush_wbuf(c);
+    c.wq.push(proto::encode_response_versioned(resp, c.st.ver));
+    flush_writes(c);
 }
 
-/// Write as much of `wbuf` as the socket takes right now.
-fn flush_wbuf(c: &mut TcpConn) {
-    let mut written = 0;
-    while written < c.wbuf.len() {
-        match c.stream.write(&c.wbuf[written..]) {
-            Ok(0) => {
-                c.st.dead = true;
-                break;
-            }
-            Ok(n) => written += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                c.st.dead = true;
-                break;
-            }
-        }
+/// Write as much queued reply data as the socket takes right now.
+fn flush_writes(c: &mut TcpConn) {
+    if c.wq.flush(&mut c.stream).is_err() {
+        c.st.dead = true;
     }
-    c.wbuf.drain(..written);
 }
 
 // ---------------------------------------------------------------------
@@ -696,5 +728,96 @@ impl TcpFrontend {
             TcpFrontend::Threads(s) => s.shutdown(),
             TcpFrontend::Reactor(s) => s.shutdown(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A peer that takes `budget` more bytes, at most `chunk` per write,
+    /// then reports a full socket.
+    struct Throttled {
+        got: Vec<u8>,
+        budget: usize,
+        chunk: usize,
+    }
+
+    impl Write for Throttled {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.budget == 0 {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(self.budget).min(self.chunk);
+            self.got.extend_from_slice(&buf[..n]);
+            self.budget -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn held(q: &WriteQueue) -> usize {
+        q.frames.iter().map(Vec::len).sum()
+    }
+
+    /// A client that keeps two fetches in flight and reads one reply
+    /// behind: the queue is never empty when the next reply is pushed, yet
+    /// it never holds more than the two replies owed — sent bytes are not
+    /// carried along — and the peer sees every byte once, in order.
+    #[test]
+    fn write_queue_holds_only_what_is_owed_under_pipelining() {
+        const LEN: usize = 10_000;
+        let reply = |i: usize| -> Vec<u8> { (0..LEN).map(|j| (i * 31 + j) as u8).collect() };
+        let mut peer = Throttled { got: Vec::new(), budget: 0, chunk: 777 };
+        let mut q = WriteQueue::default();
+        let mut want = Vec::new();
+        q.push(reply(0));
+        want.extend(reply(0));
+        for i in 1..50 {
+            q.push(reply(i));
+            want.extend(reply(i));
+            assert!(!q.is_empty());
+            // The peer reads one reply's worth, off the frame boundary.
+            peer.budget = if i == 1 { LEN / 2 } else { LEN };
+            q.flush(&mut peer).unwrap();
+            assert!(held(&q) <= 2 * LEN, "reply {i}: {} bytes held", held(&q));
+            assert_eq!(held(&q) - q.pos, want.len() - peer.got.len());
+        }
+        peer.budget = usize::MAX;
+        q.flush(&mut peer).unwrap();
+        assert!(q.is_empty());
+        assert_eq!(q.pos, 0);
+        assert!(peer.got == want);
+    }
+
+    /// A peer that accepts nothing (`Ok(0)`) or fails hard is reported, so
+    /// the loop can reap the connection; a full socket is not an error.
+    #[test]
+    fn write_queue_reports_a_gone_peer() {
+        struct Gone(io::ErrorKind);
+        impl Write for Gone {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                if self.0 == io::ErrorKind::WriteZero {
+                    Ok(0)
+                } else {
+                    Err(self.0.into())
+                }
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        for kind in [io::ErrorKind::WriteZero, io::ErrorKind::BrokenPipe] {
+            let mut q = WriteQueue::default();
+            q.push(vec![1, 2, 3]);
+            assert_eq!(q.flush(&mut Gone(kind)).unwrap_err().kind(), kind);
+        }
+        let mut q = WriteQueue::default();
+        q.push(vec![1, 2, 3]);
+        q.flush(&mut Gone(io::ErrorKind::WouldBlock)).unwrap();
+        assert_eq!(held(&q), 3);
     }
 }

@@ -8,7 +8,7 @@
 //! block, receives can poll — which is what the `workers = 0` stepper
 //! tests need: every interleaving is chosen by the test, not the kernel.
 
-use crate::proto::{frame_body_len, ProtoError};
+use crate::proto::frame_body_len;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
@@ -90,7 +90,8 @@ impl Transport for InProcTransport {
 /// Frame transport over a TCP stream. Reads the 8-byte length + CRC
 /// header first, bounds-checks the declared body length, then reads
 /// exactly that many more bytes — a malicious length prefix is refused
-/// before any allocation.
+/// before any allocation, and a peer that goes away mid-body is
+/// `UnexpectedEof`.
 #[derive(Debug)]
 pub struct TcpTransport {
     stream: TcpStream,
@@ -123,9 +124,16 @@ impl Transport for TcpTransport {
         let mut header = [0u8; 8];
         self.stream.read_exact(&mut header)?;
         let body_len = frame_body_len(&header).map_err(io::Error::from)?;
-        let mut frame = vec![0u8; 8 + body_len];
-        frame[..8].copy_from_slice(&header);
-        self.stream.read_exact(&mut frame[8..])?;
+        // Read into spare capacity: the body is not zero-filled first.
+        let mut frame = Vec::with_capacity(8 + body_len);
+        frame.extend_from_slice(&header);
+        let got = (&mut self.stream).take(body_len as u64).read_to_end(&mut frame)?;
+        if got < body_len {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!("peer closed {got} bytes into a {body_len}-byte frame body"),
+            ));
+        }
         Ok(frame)
     }
 
@@ -134,12 +142,60 @@ impl Transport for TcpTransport {
     }
 }
 
-/// Re-exported for transports: decode failure of the length header.
-pub type FrameHeaderError = ProtoError;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::{encode_request, Request, MAX_FRAME_BYTES};
+    use std::net::TcpListener;
+
+    /// A connected localhost pair: the raw peer stream and a transport.
+    fn tcp_pair() -> (TcpStream, TcpTransport) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        (peer, TcpTransport::new(accepted))
+    }
+
+    #[test]
+    fn tcp_recv_returns_each_frame_whole_and_unchanged() {
+        let (mut peer, mut t) = tcp_pair();
+        let a = encode_request(&Request::Open { name: "viewer".into() });
+        let b = encode_request(&Request::Stats);
+        // Both frames in one write, the second's end withheld for a moment:
+        // recv must stop at the frame boundary and wait for the rest.
+        let (now, later) = b.split_at(b.len() - 3);
+        peer.write_all(&[&a[..], now].concat()).unwrap();
+        assert_eq!(t.recv().unwrap(), a);
+        peer.write_all(later).unwrap();
+        assert_eq!(t.recv().unwrap(), b);
+    }
+
+    #[test]
+    fn tcp_peer_closing_mid_body_is_unexpected_eof() {
+        let (mut peer, mut t) = tcp_pair();
+        let frame = encode_request(&Request::Open { name: "cut short".into() });
+        peer.write_all(&frame[..frame.len() - 5]).unwrap();
+        drop(peer);
+        assert_eq!(t.recv().unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
+        // And so is a close inside the header, as before.
+        let (mut peer, mut t) = tcp_pair();
+        peer.write_all(&frame[..3]).unwrap();
+        drop(peer);
+        assert_eq!(t.recv().unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn tcp_oversize_header_is_refused_before_the_body() {
+        let (mut peer, mut t) = tcp_pair();
+        let mut header = [0u8; 8];
+        header[..4].copy_from_slice(&(MAX_FRAME_BYTES as u32 + 1).to_le_bytes());
+        // Only the header is ever sent: a recv that tried to read (or
+        // allocate for) the announced body would block here, not return.
+        peer.write_all(&header).unwrap();
+        let err = t.recv().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("exceeds"), "{err}");
+    }
 
     #[test]
     fn inproc_pair_moves_frames_both_ways() {

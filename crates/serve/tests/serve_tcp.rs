@@ -229,3 +229,52 @@ fn reactor_preserves_per_connection_order_under_pipelining() {
     assert_eq!(m.demand_served, 7);
     tcp.shutdown();
 }
+
+/// Reactor-only: three pipelined replies of 8 MiB each, none read until
+/// all three are resolved — more than loopback socket buffers hold, so the
+/// loop has a partly written reply at the front of its write queue and the
+/// others behind it. Every payload must arrive whole and in order.
+#[test]
+fn reactor_delivers_large_pipelined_replies_intact() {
+    const WORDS: usize = 256 << 10;
+    let payload =
+        |i: u32| -> Vec<f32> { (0..WORDS).map(|j| (i * 1000) as f32 + (j % 977) as f32).collect() };
+    let store = MemBlockStore::new();
+    for i in 0..8 {
+        store.insert(key(i), payload(i));
+    }
+    let engine = FetchEngine::spawn(
+        Arc::new(store),
+        Arc::new(BlockPool::new()),
+        FetchConfig { workers: 1, ..FetchConfig::default() },
+    );
+    let server = Server::new(
+        Arc::new(engine),
+        ServeConfig { backend: IoBackend::Reactor, ..ServeConfig::default() },
+    );
+    let tcp = TcpFrontend::bind(server, "127.0.0.1:0").unwrap();
+
+    let mut client =
+        ServeClient::new(TcpTransport::connect(&tcp.local_addr().to_string()).unwrap());
+    client.open("bulk").unwrap();
+    let orders: [Vec<u32>; 3] =
+        [(0..8).collect(), (0..8).rev().collect(), vec![3, 1, 4, 1, 5, 2, 6, 5]];
+    for order in &orders {
+        client.send_fetch(0, order.iter().map(|&i| key(i)).collect(), vec![]).unwrap();
+    }
+    let t0 = std::time::Instant::now();
+    while tcp.server().metrics().demand_served < 24 {
+        assert!(t0.elapsed() < Duration::from_secs(30), "replies never resolved");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    for order in &orders {
+        let got = client.recv_fetch().unwrap();
+        assert_eq!(got.blocks.len(), order.len());
+        for (reply, &i) in got.blocks.iter().zip(order) {
+            assert_eq!(reply.key, key(i));
+            assert!(reply.result.as_ref().unwrap()[..] == payload(i)[..], "block {i} differs");
+        }
+    }
+    client.close().unwrap();
+    tcp.shutdown();
+}

@@ -10,6 +10,8 @@
 //! The paper's cost model charges I/O by bytes moved, so compressed blocks
 //! directly shrink simulated (and real) fetch times for ambient regions.
 
+use crate::le::{get_f32s, put_f32s};
+
 /// Available block codecs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Codec {
@@ -56,10 +58,8 @@ impl Codec {
 }
 
 fn raw_bytes(data: &[f32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() * 4);
-    for v in data {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+    let mut out = Vec::new();
+    put_f32s(&mut out, data);
     out
 }
 
@@ -67,7 +67,7 @@ fn raw_floats(bytes: &[u8], count: usize) -> Result<Vec<f32>, String> {
     if bytes.len() != count * 4 {
         return Err(format!("raw payload length {} != {}", bytes.len(), count * 4));
     }
-    Ok(bytes.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect())
+    Ok(get_f32s(bytes))
 }
 
 /// RLE of one byte plane: pairs `(run_len_u8, value)`, runs capped at 255.
@@ -176,6 +176,7 @@ mod tests {
     #[test]
     fn raw_roundtrip() {
         roundtrip(Codec::Raw, &[1.0, -2.5, 0.0, f32::MIN_POSITIVE, 1e30]);
+        roundtrip(Codec::Raw, &crate::le::AWKWARD_F32_BITS.map(f32::from_bits));
     }
 
     #[test]

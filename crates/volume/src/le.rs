@@ -1,6 +1,9 @@
 //! Little-endian field I/O for the framed binary codecs (`VBLK` here;
 //! `TVIS`, `TIMP`, `THBT` and `VJRN` in `viz-core`): append a field to a
-//! `Vec<u8>`, split one off the front of a `&[u8]`.
+//! `Vec<u8>`, split one off the front of a `&[u8]`. Voxel payloads — the
+//! only fields that run to megabytes — go through the bulk pair
+//! [`put_f32s`] / [`get_f32s`], shared by `VBLK` frames, the raw block
+//! codec and the `VSRV` wire.
 
 /// A fixed-width field with a little-endian byte form.
 pub trait Le: Sized {
@@ -40,9 +43,53 @@ pub fn get<T: Le>(buf: &mut &[u8]) -> T {
     T::get(buf)
 }
 
+/// Append every value of `data` to `buf`, little-endian: one `resize`, then
+/// a fixed-width chunk loop the compiler turns into a plain copy on
+/// little-endian targets.
+pub fn put_f32s(buf: &mut Vec<u8>, data: &[f32]) {
+    let at = buf.len();
+    buf.resize(at + data.len() * 4, 0);
+    for (dst, v) in buf[at..].chunks_exact_mut(4).zip(data) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// The values `bytes` holds, four little-endian bytes each; a tail shorter
+/// than one value is ignored, so callers check `bytes.len() % 4` (they all
+/// check the exact length against a count) first.
+pub fn get_f32s(bytes: &[u8]) -> Vec<f32> {
+    bytes.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect()
+}
+
+/// Payload bit patterns a codec could plausibly disturb: -0.0, a subnormal,
+/// ±inf, a quiet and a signalling NaN. Every `f32` path round-trips them by
+/// `to_bits()`.
+#[cfg(test)]
+pub(crate) const AWKWARD_F32_BITS: [u32; 6] =
+    [0x8000_0000, 0x0000_0001, 0x7F80_0000, 0xFF80_0000, 0x7FC0_0000, 0x7FA0_0001];
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn f32_slices_match_the_per_field_codec_bit_for_bit() {
+        let data: Vec<f32> =
+            AWKWARD_F32_BITS.iter().map(|&b| f32::from_bits(b)).chain([1.0, -2.5, 1e30]).collect();
+        let mut one_by_one = vec![0xEE];
+        for &v in &data {
+            put::<f32>(&mut one_by_one, v);
+        }
+        let mut bulk = vec![0xEE];
+        put_f32s(&mut bulk, &data);
+        assert_eq!(bulk, one_by_one, "appends after what the buffer already holds");
+        let back = get_f32s(&bulk[1..]);
+        assert_eq!(
+            back.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            data.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+        assert!(get_f32s(&[]).is_empty());
+    }
 
     #[test]
     fn fields_roundtrip_in_order_and_consume_exactly_their_width() {

@@ -11,7 +11,7 @@
 use crate::dims::Dims3;
 use crate::field::VolumeField;
 use crate::layout::{BlockId, BrickLayout};
-use crate::le::{get, put};
+use crate::le::{get, get_f32s, put, put_f32s};
 use std::collections::HashMap;
 use std::fs;
 use std::io::{self, Read, Write};
@@ -82,9 +82,7 @@ pub fn encode_block(dims: Dims3, data: &[f32]) -> Vec<u8> {
     put::<u32>(&mut buf, dims.nz as u32);
     let crc_at = buf.len();
     put::<u32>(&mut buf, 0); // crc placeholder
-    for &v in data {
-        put::<f32>(&mut buf, v);
-    }
+    put_f32s(&mut buf, data);
     let crc = crate::checksum::crc32(&buf[crc_at + 4..]);
     buf[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
     buf
@@ -140,15 +138,10 @@ pub fn decode_block(mut buf: &[u8]) -> io::Result<(Dims3, Vec<f32>)> {
                     )));
                 }
             }
-            let n = dims.count();
-            if buf.len() != n * 4 {
+            if buf.len() != dims.count() * 4 {
                 return Err(err("payload length mismatch".into()));
             }
-            let mut data = Vec::with_capacity(n);
-            for _ in 0..n {
-                data.push(get::<f32>(&mut buf));
-            }
-            Ok((dims, data))
+            Ok((dims, get_f32s(buf)))
         }
         VERSION_CODEC | VERSION_CODEC_CRC => {
             let crc_len = if version == VERSION_CODEC_CRC { 4 } else { 0 };
@@ -383,6 +376,33 @@ mod tests {
         let (d2, v2) = decode_block(&buf).unwrap();
         assert_eq!(d2, dims);
         assert_eq!(v2, data);
+    }
+
+    /// A frame printed by `encode_block` as it stood before the bulk payload
+    /// copy (commit a1655a2): the on-disk format did not move.
+    #[test]
+    fn golden_frame_from_the_previous_encoder() {
+        let hex = concat!(
+            "56424c4b0300030000000200000002000000cc22660b000080bf000000bf0000",
+            "00000000003f0000803f0000c03f000000400000204000004040000060400000",
+            "804000009040",
+        );
+        let golden: Vec<u8> = (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect();
+        let dims = Dims3::new(3, 2, 2);
+        let data: Vec<f32> = (0..12).map(|i| i as f32 * 0.5 - 1.0).collect();
+        assert_eq!(encode_block(dims, &data), golden);
+        assert_eq!(decode_block(&golden).unwrap(), (dims, data));
+    }
+
+    #[test]
+    fn payload_bits_survive_a_block_frame() {
+        let bits = crate::le::AWKWARD_F32_BITS;
+        let (_, back) =
+            decode_block(&encode_block(Dims3::new(6, 1, 1), &bits.map(f32::from_bits))).unwrap();
+        assert_eq!(back.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), bits);
     }
 
     #[test]
