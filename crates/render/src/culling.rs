@@ -8,22 +8,23 @@
 //! and it retunes instantly when the user edits the transfer function,
 //! because it needs only per-block min/max, not voxels.
 
-use crate::raycast::frame_working_set;
+use crate::raycast::{frame_working_set, RenderConfig};
 use crate::tf::TransferFunction;
 use viz_geom::CameraPose;
 use viz_volume::{BlockId, BlockStats, BrickLayout};
 
 /// Blocks of the frame working set that can actually contribute color:
-/// geometric visibility (Eq. 1) ∩ nonzero max opacity over the block's
-/// value range.
+/// geometric visibility ([`frame_working_set`] of a `config`-shaped image)
+/// ∩ nonzero max opacity over the block's value range.
 pub fn contributing_working_set(
     pose: &CameraPose,
     layout: &BrickLayout,
+    config: &RenderConfig,
     stats: &[BlockStats],
     tf: &TransferFunction,
 ) -> Vec<BlockId> {
     assert_eq!(stats.len(), layout.num_blocks(), "one BlockStats per block");
-    frame_working_set(pose, layout)
+    frame_working_set(pose, layout, config)
         .into_iter()
         .filter(|b| tf.max_opacity_in(stats[b.index()].min, stats[b.index()].max) > 0.0)
         .collect()
@@ -34,10 +35,11 @@ pub fn contributing_working_set(
 pub fn cull_fraction(
     pose: &CameraPose,
     layout: &BrickLayout,
+    config: &RenderConfig,
     stats: &[BlockStats],
     tf: &TransferFunction,
 ) -> f64 {
-    let geo = frame_working_set(pose, layout);
+    let geo = frame_working_set(pose, layout, config);
     if geo.is_empty() {
         return 0.0;
     }
@@ -85,7 +87,8 @@ mod tests {
             field.min_max(),
         );
         let pose = orbit_pose(90.0, 0.0, 2.5, deg_to_rad(15.0));
-        assert_eq!(cull_fraction(&pose, &layout, &stats, &tf), 0.0);
+        let rc = RenderConfig::preview(48, 48);
+        assert_eq!(cull_fraction(&pose, &layout, &rc, &stats, &tf), 0.0);
     }
 
     #[test]
@@ -107,7 +110,8 @@ mod tests {
         );
         // Wide view from afar so the frustum includes ambient corners.
         let pose = orbit_pose(90.0, 0.0, 3.0, deg_to_rad(50.0));
-        let frac = cull_fraction(&pose, &layout, &stats, &tf);
+        let rc = RenderConfig::preview(48, 48);
+        let frac = cull_fraction(&pose, &layout, &rc, &stats, &tf);
         assert!(frac > 0.05, "ball exterior should be culled ({frac})");
         assert!(frac < 0.95, "ball interior must survive ({frac})");
     }
@@ -129,7 +133,7 @@ mod tests {
         let full_src = FieldSource::new(&field, &layout);
         let img_full = render(&full_src, &pose, &tf, &rc);
 
-        let keep = contributing_working_set(&pose, &layout, &stats, &tf);
+        let keep = contributing_working_set(&pose, &layout, &rc, &stats, &tf);
         let map: HashMap<BlockId, Arc<Vec<f32>>> =
             keep.iter().map(|&b| (b, Arc::new(field.extract_block(&layout, b)))).collect();
         let lookup = move |id: BlockId| map.get(&id).cloned();
@@ -149,8 +153,9 @@ mod tests {
         // more (ambient zero blocks become visible).
         let high = TransferFunction::iso_peak(0.9, 0.05, Rgba::new(1.0, 0.0, 0.0, 1.0), (lo, hi));
         let low = TransferFunction::iso_peak(0.0, 0.05, Rgba::new(1.0, 0.0, 0.0, 1.0), (lo, hi));
-        let kept_high = contributing_working_set(&pose, &layout, &stats, &high).len();
-        let kept_low = contributing_working_set(&pose, &layout, &stats, &low).len();
+        let rc = RenderConfig::preview(48, 48);
+        let kept_high = contributing_working_set(&pose, &layout, &rc, &stats, &high).len();
+        let kept_low = contributing_working_set(&pose, &layout, &rc, &stats, &low).len();
         assert!(kept_high < kept_low, "high {kept_high} vs low {kept_low}");
     }
 

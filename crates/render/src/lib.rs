@@ -40,7 +40,7 @@ pub mod raycast;
 pub mod tf;
 
 pub use analytics::{query_count, region_histogram, CorrelationAccumulator};
-pub use bricked::{BlockLookup, BrickedSource, CountingLookup};
+pub use bricked::{BlockLookup, BrickCursor, BrickedSource, CountingLookup};
 pub use culling::{block_stats_for, contributing_working_set, cull_fraction};
 pub use image::Image;
 pub use metrics::{downsample, mse, psnr, ssim_global};

@@ -120,7 +120,7 @@ fn main() -> std::io::Result<()> {
         // frame renders without them — their reads stay in flight and land
         // for a later frame.
         let working: HashSet<BlockKey> =
-            frame_working_set(pose, &layout).into_iter().map(BlockKey::scalar).collect();
+            frame_working_set(pose, &layout, &rc).into_iter().map(BlockKey::scalar).collect();
         let missing: Vec<BlockKey> =
             working.iter().copied().filter(|&k| !pool.contains(k)).collect();
         let frame = fetch_frame(&engine, &missing, FRAME_BUDGET);
@@ -166,7 +166,7 @@ fn main() -> std::io::Result<()> {
             pool.bytes_resident() as f64 / (1024.0 * 1024.0),
             if frame.degraded {
                 format!(
-                    " [DEGRADED: {} blocks late, {render_misses} render misses]",
+                    " [DEGRADED: {} blocks late, {render_misses} bricks absent at render]",
                     frame.missed.len()
                 )
             } else {

@@ -353,7 +353,7 @@ fn cmd_render(flags: HashMap<String, String>) -> Result<(), String> {
         // The camera moved: cancel unstarted prefetches queued for the
         // previous frame's prediction before issuing this frame's work.
         engine.bump_generation();
-        for b in frame_working_set(pose, &layout) {
+        for b in frame_working_set(pose, &layout, &rc) {
             let key = BlockKey::scalar(b);
             if !pool.contains(key) {
                 // Demand read: outranks queued prefetches and coalesces

@@ -9,7 +9,9 @@ use viz_appaware::core::{
 };
 use viz_appaware::geom::angle::deg_to_rad;
 use viz_appaware::geom::{CameraPath, ExplorationDomain, SphericalPath, Vec3};
-use viz_appaware::render::{block_stats_for, contributing_working_set, Rgba, TransferFunction};
+use viz_appaware::render::{
+    block_stats_for, contributing_working_set, RenderConfig, Rgba, TransferFunction,
+};
 use viz_appaware::volume::{BrickLayout, DatasetKind, DatasetSpec, VolumeField};
 
 fn setup() -> (VolumeField, BrickLayout, BlockHistogramTable) {
@@ -47,8 +49,9 @@ fn tf_retune_redirects_the_whole_pipeline() {
     // 2. Opacity culling keeps different (overlapping) working sets.
     let stats = block_stats_for(&layout, &field, 64);
     let pose = viz_appaware::render::orbit_pose(80.0, 30.0, 2.5, deg_to_rad(20.0));
-    let ws_high = contributing_working_set(&pose, &layout, &stats, &tf_high);
-    let ws_low = contributing_working_set(&pose, &layout, &stats, &tf_low);
+    let rc = RenderConfig::preview(64, 64);
+    let ws_high = contributing_working_set(&pose, &layout, &rc, &stats, &tf_high);
+    let ws_low = contributing_working_set(&pose, &layout, &rc, &stats, &tf_low);
     assert!(!ws_high.is_empty() && !ws_low.is_empty());
     assert_ne!(ws_high, ws_low, "culling must follow the TF");
 

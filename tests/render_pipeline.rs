@@ -39,7 +39,7 @@ fn disk_store_prefetch_and_render_roundtrip() {
         FetchConfig { workers: 1, ..FetchConfig::default() },
     );
     let p = pose(2.5);
-    let ws = frame_working_set(&p, &layout);
+    let ws = frame_working_set(&p, &layout, &RenderConfig::preview(48, 48));
     assert!(!ws.is_empty());
     for &b in &ws {
         assert!(engine.prefetch(BlockKey::scalar(b), 0.0), "prefetch of block {b} dropped");
