@@ -1,36 +1,25 @@
 //! # viz-adapt — the closed-loop adaptive control plane
 //!
-//! Every knob that makes the paper's replacement policy *application-aware*
-//! — the cache policy itself, the vicinal radius `r` (Eq. 6), the entropy
-//! threshold σ, the serve layer's admission watermarks — is a startup
-//! constant in the layers below. Meanwhile the telemetry crate records hit
-//! rates, latencies, and sheds that nothing consumes online. This crate
-//! closes the loop: it periodically snapshots live signals (cheaply — the
-//! gauge/counter plane, never the consuming event rings) and drives three
-//! actuators through small, individually testable controllers:
+//! The serve layer's admission watermarks are startup constants, while
+//! the telemetry crate records hit rates, latencies and sheds that nothing
+//! consumes online. This crate closes that loop: it periodically snapshots
+//! live signals (cheaply — the gauge/counter plane, never the consuming
+//! event rings) and drives one actuator through a small, individually
+//! testable controller:
 //!
-//! - [`PolicySelector`] — per-cache policy selection from the replacement
-//!   zoo, scored by [`viz_cache::ShadowSet`] over the recent key trace and
-//!   debounced by [`viz_core::Hysteresis`]; actuated through
-//!   [`viz_cache::CacheLevel::set_policy`] /
-//!   [`viz_cache::Hierarchy::set_tier_policy`], which preserve residency.
 //! - [`LadderTuner`] — one scale factor over the serve shed ladder's
 //!   prefetch watermarks and per-client quotas, integrated against a
 //!   demand-p99 SLO. Demand is **never** shed — the ladder only ever
 //!   throttles speculation; tightening to zero stops prefetch, not frames.
-//! - [`RadiusTuner`] — the paper's Eq. 6 radius model with its
-//!   cache-ratio input as the control variable, so the vicinal sphere
-//!   grows when demand misses say prediction is too narrow and shrinks
-//!   when speculation is wasted. σ itself is driven by
-//!   [`viz_core::SigmaController`], wired server-side via
-//!   `Server::attach_adaptive_sigma`.
 //!
-//! All three are built on [`viz_core::IntegralController`] (log-ratio
-//! error, output clamping as anti-windup) or [`viz_core::Hysteresis`]
-//! (consecutive-win debouncing) — the shared controller vocabulary.
+//! The other live loop, the entropy threshold σ, is per-session: it is
+//! driven by [`viz_core::SigmaController`], wired server-side via
+//! `Server::attach_adaptive_sigma`. Both are built on
+//! [`viz_core::IntegralController`] (log-ratio error, output clamping as
+//! anti-windup).
 //!
-//! [`ControlPlane`] composes them over a live [`viz_serve::Server`]: one
-//! `tick()` per control period scrapes the wire-counter plane, consumes
+//! [`ControlPlane`] runs the ladder loop over a live [`viz_serve::Server`]:
+//! one `tick()` per control period scrapes the wire-counter plane, consumes
 //! the demand-RTT window, retunes the ladder, and publishes its own state
 //! as gauges (`adapt_*`) so the next `Stats` scrape shows the controller
 //! acting — observable by exactly the plane it observes with.
@@ -39,12 +28,8 @@
 
 pub mod ladder;
 pub mod plane;
-pub mod policy_select;
-pub mod radius;
 pub mod snapshot;
 
 pub use ladder::{LadderTuner, LadderTunerConfig};
 pub use plane::{ControlPlane, ControlPlaneConfig, TickReport};
-pub use policy_select::{PolicySelector, PolicySelectorConfig};
-pub use radius::{RadiusTuner, RadiusTunerConfig};
 pub use snapshot::{SignalTracker, Signals};

@@ -15,9 +15,8 @@
 //!    node-prefixed) so the next `Stats` scrape shows the loop acting.
 //!
 //! σ adaptation is per-session and stays where the session state lives
-//! (`Server::attach_adaptive_sigma`); policy selection is per-cache and
-//! runs where the keys flow ([`crate::PolicySelector`]). The plane
-//! deliberately handles only the signals the server itself owns.
+//! (`Server::attach_adaptive_sigma`). The plane deliberately handles only
+//! the signals the server itself owns.
 
 use crate::ladder::{LadderTuner, LadderTunerConfig};
 use crate::snapshot::{SignalTracker, Signals};

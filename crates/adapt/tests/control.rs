@@ -1,5 +1,5 @@
 //! Closed-loop integration: a [`ControlPlane`] over a real deterministic
-//! server, and a [`PolicySelector`] actuating a real cache.
+//! server.
 //!
 //! The ladder tests pin the loop's *direction* rather than wall-clock
 //! values: with a 1 ns SLO every measured demand RTT is an overload, with
@@ -9,8 +9,7 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use viz_adapt::{ControlPlane, ControlPlaneConfig, PolicySelector, PolicySelectorConfig};
-use viz_cache::{CacheLevel, Lookup, PolicyKind};
+use viz_adapt::{ControlPlane, ControlPlaneConfig};
 use viz_fetch::{BlockPool, FetchConfig, FetchEngine, InstrumentedSource};
 use viz_serve::{ServeConfig, Server};
 use viz_volume::{BlockId, BlockKey, MemBlockStore};
@@ -121,48 +120,4 @@ fn interval_sheds_are_attributed_by_reason() {
         vec![("serve_shed_entry_quota".to_string(), 3)],
         "the interval's sheds must be attributed to the quota rung"
     );
-}
-
-#[test]
-fn closed_loop_policy_switch_recovers_hit_rate() {
-    // A 5-key loop over 4 entries: LRU's worst case (0% hit). The
-    // selector watches the same trace through its shadows and switches
-    // the *real* cache; after the switch the loop starts hitting.
-    let mut cache: CacheLevel<u32> = CacheLevel::new(PolicyKind::Lru, 4);
-    let mut sel = PolicySelector::new(
-        PolicyKind::Lru,
-        &[PolicyKind::Lru, PolicyKind::Mru, PolicyKind::Lirs, PolicyKind::TwoQ],
-        4,
-        PolicySelectorConfig { window: 50, patience: 2, min_gain: 0.05 },
-    );
-
-    let mut hits_before = 0u32;
-    let mut hits_after = 0u32;
-    let mut accesses_after = 0u32;
-    let mut switched = false;
-    for _ in 0..200 {
-        for k in 0..5u32 {
-            if cache.access(k) == Lookup::Hit {
-                if switched {
-                    hits_after += 1;
-                } else {
-                    hits_before += 1;
-                }
-            } else {
-                cache.insert(k);
-            }
-            if switched {
-                accesses_after += 1;
-            }
-            if let Some(kind) = sel.observe_access(k) {
-                cache.set_policy(kind);
-                switched = true;
-            }
-        }
-    }
-    assert!(switched, "the selector never escaped LRU on its worst case");
-    assert_eq!(hits_before, 0, "LRU hits 0% on a loop one key over capacity");
-    let rate = f64::from(hits_after) / f64::from(accesses_after.max(1));
-    assert!(rate > 0.5, "post-switch hit rate {rate} should clear 50%");
-    assert_eq!(cache.len(), 4, "switching policies must not flush residency");
 }

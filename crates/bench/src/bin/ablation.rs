@@ -2,9 +2,8 @@
 //! policy buys what?
 //!
 //! Toggles pre-loading (Algorithm 1 line 7), prefetching (line 22) and the
-//! render/prefetch overlap independently; adds ARC as a stronger adaptive
-//! baseline (the paper cites it but does not run it) and the offline
-//! Belady/MIN bound on the same demand trace.
+//! render/prefetch overlap independently, beside the paper's FIFO and LRU
+//! baselines and the offline Belady/MIN bound on the same demand trace.
 
 use viz_bench::{Env, Opts};
 use viz_cache::{simulate_belady, PolicyKind};
@@ -41,13 +40,6 @@ fn main() {
     let variants: Vec<(&str, Strategy)> = vec![
         ("FIFO", Strategy::Baseline(PolicyKind::Fifo)),
         ("LRU", Strategy::Baseline(PolicyKind::Lru)),
-        ("ARC", Strategy::Baseline(PolicyKind::Arc)),
-        ("CLOCK", Strategy::Baseline(PolicyKind::Clock)),
-        ("LFU", Strategy::Baseline(PolicyKind::Lfu)),
-        ("2Q", Strategy::Baseline(PolicyKind::TwoQ)),
-        ("MRU", Strategy::Baseline(PolicyKind::Mru)),
-        ("LIRS", Strategy::Baseline(PolicyKind::Lirs)),
-        ("SLRU", Strategy::Baseline(PolicyKind::Slru)),
         ("OPT full", mk(true, true, true)),
         ("OPT -preload", mk(false, true, true)),
         ("OPT -prefetch", mk(true, false, true)),

@@ -13,4 +13,4 @@ pub mod replay;
 pub use env::{Env, D_MAX, D_MIN, PATH_STEPS, VIEW_ANGLE_DEG};
 pub use hostile::{ClientOp, ScenarioConfig, ScenarioKind, Schedule};
 pub use opts::Opts;
-pub use replay::{run_schedule, simulate_cache, ReplayOptions, ReplayReport, SimReport};
+pub use replay::{run_schedule, ReplayOptions, ReplayReport};

@@ -14,8 +14,7 @@ use crate::hostile::{ClientOp, Schedule};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use viz_adapt::{ControlPlane, ControlPlaneConfig, PolicySelector, PolicySelectorConfig};
-use viz_cache::{CacheLevel, Lookup, PolicyKind};
+use viz_adapt::{ControlPlane, ControlPlaneConfig};
 use viz_fetch::{
     BlockPool, FetchConfig, FetchEngine, InstrumentedSource, VirtualClock, VirtualClockSource,
 };
@@ -204,58 +203,4 @@ pub fn run_schedule(schedule: &Schedule, opts: &ReplayOptions) -> ReplayReport {
     report.source_reads = instrumented.map(|i| i.reads()).unwrap_or(0);
     viz_telemetry::stats::clear_gauges();
     report
-}
-
-/// Cache-policy simulation over a schedule's demand trace.
-#[derive(Debug, Clone, Default)]
-pub struct SimReport {
-    /// Steady-state (second-half) hit rate.
-    pub hit_rate: f64,
-    /// Policy switches the selector took (0 when fixed).
-    pub switches: u64,
-    /// The policy in force at the end.
-    pub final_policy: String,
-}
-
-/// Drive the schedule's demand keys (in issue order) through one
-/// [`CacheLevel`], optionally letting a [`PolicySelector`] retune it.
-pub fn simulate_cache(schedule: &Schedule, capacity: usize, adaptive: bool) -> SimReport {
-    let mut cache: CacheLevel<u32> = CacheLevel::new(PolicyKind::Lru, capacity);
-    let mut sel = adaptive.then(|| {
-        PolicySelector::new(
-            PolicyKind::Lru,
-            PolicyKind::ALL,
-            capacity,
-            PolicySelectorConfig::default(),
-        )
-    });
-    let total = schedule.demand_keys() as usize;
-    let mut seen = 0usize;
-    let (mut tail_hits, mut tail_accesses) = (0u64, 0u64);
-    for step in &schedule.steps {
-        for op in step {
-            let ClientOp::Frame { demand, .. } = op else { continue };
-            for &k in demand {
-                let hit = cache.access(k) == Lookup::Hit;
-                if !hit {
-                    cache.insert(k);
-                }
-                seen += 1;
-                if seen > total / 2 {
-                    tail_accesses += 1;
-                    tail_hits += u64::from(hit);
-                }
-                if let Some(sel) = &mut sel {
-                    if let Some(kind) = sel.observe_access(k) {
-                        cache.set_policy(kind);
-                    }
-                }
-            }
-        }
-    }
-    SimReport {
-        hit_rate: tail_hits as f64 / tail_accesses.max(1) as f64,
-        switches: sel.as_ref().map(|s| s.switches()).unwrap_or(0),
-        final_policy: cache.policy_name().to_string(),
-    }
 }

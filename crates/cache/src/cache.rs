@@ -24,42 +24,15 @@ pub struct CacheLevel<K: Copy + Eq + Hash> {
     pinned: HashSet<K>,
 }
 
-impl<K: Copy + Eq + Hash + Ord + Send + 'static> CacheLevel<K> {
+impl<K: Copy + Eq + Hash + Send + 'static> CacheLevel<K> {
     /// Create with a built-in policy.
     pub fn new(kind: PolicyKind, capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
-        CacheLevel { policy: kind.build(capacity), capacity, pinned: HashSet::new() }
-    }
-
-    /// Swap the replacement policy in place, keeping every resident key.
-    ///
-    /// The adaptive control plane's actuator: when shadow scoring says a
-    /// different policy would serve the live trace better, the switch must
-    /// not flush a cache that took thousands of misses to warm. The old
-    /// policy is drained in *eviction order* and replayed into the new one
-    /// in that order, so what the old policy valued most is what the new
-    /// policy sees as most recently inserted — the closest portable
-    /// approximation of "carry the residency state across".
-    pub fn set_policy(&mut self, kind: PolicyKind) {
-        let mut order = Vec::with_capacity(self.policy.len());
-        while let Some(victim) = self.policy.choose_victim(&mut |_| true) {
-            order.push(victim);
-        }
-        let mut fresh = kind.build(self.capacity);
-        for key in order {
-            fresh.on_insert(key);
-        }
-        self.policy = fresh;
+        CacheLevel { policy: kind.build(), capacity, pinned: HashSet::new() }
     }
 }
 
 impl<K: Copy + Eq + Hash> CacheLevel<K> {
-    /// Create with a custom policy instance.
-    pub fn with_policy(policy: Box<dyn ReplacementPolicy<K>>, capacity: usize) -> Self {
-        assert!(capacity > 0, "cache capacity must be positive");
-        CacheLevel { policy, capacity, pinned: HashSet::new() }
-    }
-
     /// Number of resident entries.
     pub fn len(&self) -> usize {
         self.policy.len()
@@ -134,11 +107,6 @@ impl<K: Copy + Eq + Hash> CacheLevel<K> {
     /// Number of currently pinned keys.
     pub fn pinned_len(&self) -> usize {
         self.pinned.len()
-    }
-
-    /// Policy name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
     }
 }
 
@@ -228,16 +196,7 @@ mod tests {
 
     #[test]
     fn works_with_every_builtin_policy() {
-        for kind in [
-            PolicyKind::Fifo,
-            PolicyKind::Lru,
-            PolicyKind::Clock,
-            PolicyKind::Lfu,
-            PolicyKind::Arc,
-            PolicyKind::TwoQ,
-            PolicyKind::Mru,
-            PolicyKind::Lirs,
-        ] {
+        for kind in [PolicyKind::Fifo, PolicyKind::Lru] {
             let mut c: CacheLevel<u32> = CacheLevel::new(kind, 4);
             for k in 0..16 {
                 c.access(k);
@@ -253,48 +212,5 @@ mod tests {
     #[should_panic]
     fn zero_capacity_panics() {
         lru(0);
-    }
-
-    #[test]
-    fn set_policy_preserves_residency_and_value_order() {
-        let mut c = lru(3);
-        c.insert(1);
-        c.insert(2);
-        c.insert(3);
-        c.access(1); // LRU value order, least first: 2, 3, 1
-        c.set_policy(PolicyKind::Fifo);
-        assert_eq!(c.policy_name(), "fifo");
-        assert_eq!(c.len(), 3);
-        for k in [1, 2, 3] {
-            assert!(c.contains(&k), "resident key {k} lost across policy swap");
-        }
-        // The replay preserved relative value: FIFO now evicts 2 first.
-        assert_eq!(c.insert(4), vec![2]);
-    }
-
-    #[test]
-    fn set_policy_roundtrips_across_the_zoo() {
-        let kinds = [
-            PolicyKind::Fifo,
-            PolicyKind::Lru,
-            PolicyKind::Clock,
-            PolicyKind::Lfu,
-            PolicyKind::Arc,
-            PolicyKind::TwoQ,
-            PolicyKind::Mru,
-            PolicyKind::Lirs,
-            PolicyKind::Slru,
-        ];
-        let mut c: CacheLevel<u32> = CacheLevel::new(PolicyKind::Lru, 4);
-        for k in 0..4 {
-            c.insert(k);
-        }
-        for kind in kinds {
-            c.set_policy(kind);
-            assert_eq!(c.len(), 4, "{} dropped entries", kind.label());
-            for k in 0..4 {
-                assert!(c.contains(&k), "{} lost key {k}", kind.label());
-            }
-        }
     }
 }

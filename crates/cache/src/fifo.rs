@@ -66,10 +66,6 @@ impl<K: Copy + Eq + Hash + Send> ReplacementPolicy<K> for FifoPolicy<K> {
     fn contains(&self, key: &K) -> bool {
         self.resident.contains(key)
     }
-
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
 }
 
 #[cfg(test)]

@@ -54,6 +54,15 @@ pub struct FetchOutcome {
     pub fast_hit: bool,
 }
 
+/// `(fastest, middle)` tier capacities for a cache ratio in `(0, 1]`:
+/// `ratio²` and `ratio` of the dataset, at least one block each.
+fn ratio_capacities(num_blocks: usize, ratio: f64) -> (usize, usize) {
+    assert!(ratio > 0.0 && ratio <= 1.0, "cache ratio must be in (0, 1]");
+    let mid = ((num_blocks as f64 * ratio).round() as usize).max(1);
+    let fast = ((num_blocks as f64 * ratio * ratio).round() as usize).max(1);
+    (fast, mid)
+}
+
 struct Tier<K: Copy + Eq + Hash> {
     spec: TierSpec,
     cache: CacheLevel<K>,
@@ -69,7 +78,7 @@ pub struct Hierarchy<K: Copy + Eq + Hash> {
     stats: HierarchyStats,
 }
 
-impl<K: Copy + Eq + Hash + Ord + Send + 'static> Hierarchy<K> {
+impl<K: Copy + Eq + Hash + Send + 'static> Hierarchy<K> {
     /// Build from tier specs (fastest first) over a backing store.
     /// `block_bytes` is the uniform block payload size used by the cost
     /// model.
@@ -106,9 +115,7 @@ impl<K: Copy + Eq + Hash + Ord + Send + 'static> Hierarchy<K> {
         policy: PolicyKind,
         block_bytes: usize,
     ) -> Self {
-        assert!((0.0..=1.0).contains(&ratio), "cache ratio must be in (0, 1]");
-        let ssd_cap = ((num_blocks as f64 * ratio).round() as usize).max(1);
-        let dram_cap = ((num_blocks as f64 * ratio * ratio).round() as usize).max(1);
+        let (dram_cap, ssd_cap) = ratio_capacities(num_blocks, ratio);
         Hierarchy::new(
             vec![
                 TierSpec::new("DRAM", dram_cap, TierCost::dram(), policy),
@@ -129,9 +136,7 @@ impl<K: Copy + Eq + Hash + Ord + Send + 'static> Hierarchy<K> {
         block_bytes: usize,
         costs: [TierCost; 3],
     ) -> Self {
-        assert!((0.0..=1.0).contains(&ratio), "cache ratio must be in (0, 1]");
-        let mid_cap = ((num_blocks as f64 * ratio).round() as usize).max(1);
-        let fast_cap = ((num_blocks as f64 * ratio * ratio).round() as usize).max(1);
+        let (fast_cap, mid_cap) = ratio_capacities(num_blocks, ratio);
         Hierarchy::new(
             vec![
                 TierSpec::new("fast", fast_cap, costs[0], policy),
@@ -140,15 +145,6 @@ impl<K: Copy + Eq + Hash + Ord + Send + 'static> Hierarchy<K> {
             costs[2],
             block_bytes,
         )
-    }
-
-    /// Swap tier `i`'s replacement policy in place, keeping its resident
-    /// blocks (see [`CacheLevel::set_policy`]) — the control plane's
-    /// actuator for live policy selection.
-    pub fn set_tier_policy(&mut self, i: usize, kind: PolicyKind) {
-        let tier = &mut self.tiers[i];
-        tier.cache.set_policy(kind);
-        tier.spec.policy = kind;
     }
 }
 
@@ -161,11 +157,6 @@ impl<K: Copy + Eq + Hash> Hierarchy<K> {
     /// Capacity of tier `i` in blocks.
     pub fn tier_capacity(&self, i: usize) -> usize {
         self.tiers[i].spec.capacity
-    }
-
-    /// Policy currently governing tier `i`.
-    pub fn tier_policy(&self, i: usize) -> PolicyKind {
-        self.tiers[i].spec.policy
     }
 
     /// Name of tier `i`.
@@ -436,6 +427,26 @@ mod tests {
     }
 
     #[test]
+    fn cache_ratio_outside_half_open_unit_interval_panics() {
+        for ratio in [0.0, -0.1, 1.5, f64::NAN] {
+            for two_level in [false, true] {
+                let err = std::panic::catch_unwind(|| -> Hierarchy<u32> {
+                    if two_level {
+                        let costs = [TierCost::dram(), TierCost::ssd(), TierCost::hdd()];
+                        Hierarchy::two_level(1024, ratio, PolicyKind::Lru, 4096, costs)
+                    } else {
+                        Hierarchy::paper_default(1024, ratio, PolicyKind::Lru, 4096)
+                    }
+                })
+                .err()
+                .unwrap_or_else(|| panic!("ratio {ratio} accepted (two_level: {two_level})"));
+                let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+                assert!(msg.contains("(0, 1]"), "ratio {ratio}: panicked with {msg:?}");
+            }
+        }
+    }
+
+    #[test]
     #[should_panic]
     fn decreasing_capacities_panic() {
         let _: Hierarchy<u32> = Hierarchy::new(
@@ -481,19 +492,6 @@ mod tests {
         assert!(dram_evicts >= 4, "got {dram_evicts} DRAM evictions");
         assert!(ssd_evicts >= 2, "got {ssd_evicts} SSD evictions");
         assert!(trace.count(Ev::CacheMiss) >= 6);
-    }
-
-    #[test]
-    fn set_tier_policy_keeps_residency() {
-        let mut h = small();
-        h.fetch(1, AccessClass::Demand);
-        h.fetch(2, AccessClass::Demand);
-        assert_eq!(h.tier_policy(0), PolicyKind::Lru);
-        h.set_tier_policy(0, PolicyKind::Lirs);
-        assert_eq!(h.tier_policy(0), PolicyKind::Lirs);
-        assert!(h.in_fastest(&1) && h.in_fastest(&2), "residency lost across swap");
-        let o = h.fetch(1, AccessClass::Demand);
-        assert!(o.fast_hit);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! # viz-cache — memory-hierarchy substrate
 //!
-//! Replacement policies (FIFO, LRU, CLOCK, LFU, ARC and an offline Belady
-//! oracle), a single-level cache with pinning, and the multi-tier
+//! The paper's two baseline replacement policies (FIFO and LRU), an offline
+//! Belady bound, a single-level cache with pinning, and the multi-tier
 //! DRAM/SSD/HDD hierarchy simulator used by every experiment in the paper's
 //! evaluation.
 //!
 //! - [`policy`] — the [`policy::ReplacementPolicy`] trait and [`policy::PolicyKind`].
-//! - [`fifo`], [`lru`], [`clock`], [`lfu`], [`arc`] — policy implementations.
+//! - [`fifo`], [`lru`] — policy implementations.
 //! - [`belady`] — offline-optimal (MIN) trace simulation.
 //! - [`cache`] — one bounded cache level with pin support.
 //! - [`cost`] — per-tier latency/bandwidth cost model.
@@ -27,27 +27,18 @@
 
 #![warn(missing_docs)]
 
-pub mod arc;
 pub mod belady;
 pub mod cache;
-pub mod clock;
 pub mod cost;
 pub mod fifo;
 pub mod hierarchy;
-pub mod lfu;
-pub mod lirs;
 pub mod lru;
-pub mod mru;
 pub mod policy;
-pub mod shadow;
-pub mod slru;
 pub mod stats;
-pub mod twoq;
 
 pub use belady::{simulate_belady, BeladyResult};
 pub use cache::{CacheLevel, Lookup};
 pub use cost::{SimTime, TierCost};
 pub use hierarchy::{FetchOutcome, Hierarchy, TierSpec};
 pub use policy::{PolicyKind, ReplacementPolicy};
-pub use shadow::{ShadowScore, ShadowSet};
 pub use stats::{AccessClass, HierarchyStats, LevelStats};

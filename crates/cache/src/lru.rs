@@ -141,10 +141,6 @@ impl<K: Copy + Eq + Hash + Send> ReplacementPolicy<K> for LruPolicy<K> {
     fn contains(&self, key: &K) -> bool {
         self.index.contains_key(key)
     }
-
-    fn name(&self) -> &'static str {
-        "lru"
-    }
 }
 
 #[cfg(test)]

@@ -2,8 +2,8 @@
 //!
 //! A policy tracks the set of resident keys of one cache level and answers
 //! "who should go?" when space is needed. The paper compares its
-//! application-aware scheme against FIFO and LRU (§V); ARC, CLOCK, LFU and
-//! an offline Belady oracle are provided as additional baselines.
+//! application-aware scheme against FIFO and LRU (§V), and those are the
+//! two policies here; the offline Belady bound lives in [`crate::belady`].
 
 use std::hash::Hash;
 
@@ -38,9 +38,6 @@ pub trait ReplacementPolicy<K: Copy + Eq + Hash>: Send {
 
     /// `true` when the key is tracked as resident.
     fn contains(&self, key: &K) -> bool;
-
-    /// Policy name for reports ("fifo", "lru", ...).
-    fn name(&self) -> &'static str;
 }
 
 /// Which built-in policy a cache level should use.
@@ -50,84 +47,34 @@ pub enum PolicyKind {
     Fifo,
     /// Least Recently Used (paper baseline).
     Lru,
-    /// Second-chance CLOCK approximation of LRU.
-    Clock,
-    /// Least Frequently Used with FIFO tie-break.
-    Lfu,
-    /// Adaptive Replacement Cache (Megiddo & Modha), cited in §II.
-    Arc,
-    /// 2Q (Johnson & Shasha): scan-resistant probation + protected LRU.
-    TwoQ,
-    /// Most-Recently-Used: the loop-pathology antidote.
-    Mru,
-    /// LIRS (Jiang & Zhang): inter-reference-recency based, loop/scan
-    /// resistant.
-    Lirs,
-    /// Segmented LRU (probation + protected segments).
-    Slru,
 }
 
 impl PolicyKind {
-    /// Every built-in policy, in stable code order — the candidate zoo the
-    /// shadow scorer and the adaptive policy selector draw from.
-    pub const ALL: &'static [PolicyKind] = &[
-        PolicyKind::Fifo,
-        PolicyKind::Lru,
-        PolicyKind::Clock,
-        PolicyKind::Lfu,
-        PolicyKind::Arc,
-        PolicyKind::TwoQ,
-        PolicyKind::Mru,
-        PolicyKind::Lirs,
-        PolicyKind::Slru,
-    ];
-
     /// Instantiate the policy for keys of type `K`.
-    pub fn build<K: Copy + Eq + Hash + Ord + Send + 'static>(
-        self,
-        capacity: usize,
-    ) -> Box<dyn ReplacementPolicy<K>> {
+    pub fn build<K: Copy + Eq + Hash + Send + 'static>(self) -> Box<dyn ReplacementPolicy<K>> {
         match self {
             PolicyKind::Fifo => Box::new(crate::fifo::FifoPolicy::new()),
             PolicyKind::Lru => Box::new(crate::lru::LruPolicy::new()),
-            PolicyKind::Clock => Box::new(crate::clock::ClockPolicy::new()),
-            PolicyKind::Lfu => Box::new(crate::lfu::LfuPolicy::new()),
-            PolicyKind::Arc => Box::new(crate::arc::ArcPolicy::new(capacity)),
-            PolicyKind::TwoQ => Box::new(crate::twoq::TwoQPolicy::new(capacity)),
-            PolicyKind::Mru => Box::new(crate::mru::MruPolicy::new()),
-            PolicyKind::Lirs => Box::new(crate::lirs::LirsPolicy::new(capacity)),
-            PolicyKind::Slru => Box::new(crate::slru::SlruPolicy::new(capacity)),
         }
     }
 
     /// Stable small numeric code, used for telemetry eviction attribution
-    /// (the `arg` of `cache_evict` events). Never reuse or renumber.
+    /// (the `arg` of `cache_evict` events) and in session journals. Codes
+    /// 2-8 belonged to policies that were removed and are retired: never
+    /// reuse or renumber.
     pub fn code(&self) -> u8 {
         match self {
             PolicyKind::Fifo => 0,
             PolicyKind::Lru => 1,
-            PolicyKind::Clock => 2,
-            PolicyKind::Lfu => 3,
-            PolicyKind::Arc => 4,
-            PolicyKind::TwoQ => 5,
-            PolicyKind::Mru => 6,
-            PolicyKind::Lirs => 7,
-            PolicyKind::Slru => 8,
         }
     }
 
-    /// Inverse of [`PolicyKind::code`]; `None` for unknown codes.
+    /// Inverse of [`PolicyKind::code`]; `None` for unknown (or retired)
+    /// codes.
     pub fn from_code(code: u8) -> Option<PolicyKind> {
         match code {
             0 => Some(PolicyKind::Fifo),
             1 => Some(PolicyKind::Lru),
-            2 => Some(PolicyKind::Clock),
-            3 => Some(PolicyKind::Lfu),
-            4 => Some(PolicyKind::Arc),
-            5 => Some(PolicyKind::TwoQ),
-            6 => Some(PolicyKind::Mru),
-            7 => Some(PolicyKind::Lirs),
-            8 => Some(PolicyKind::Slru),
             _ => None,
         }
     }
@@ -137,13 +84,6 @@ impl PolicyKind {
         match self {
             PolicyKind::Fifo => "FIFO",
             PolicyKind::Lru => "LRU",
-            PolicyKind::Clock => "CLOCK",
-            PolicyKind::Lfu => "LFU",
-            PolicyKind::Arc => "ARC",
-            PolicyKind::TwoQ => "2Q",
-            PolicyKind::Mru => "MRU",
-            PolicyKind::Lirs => "LIRS",
-            PolicyKind::Slru => "SLRU",
         }
     }
 }
@@ -154,30 +94,17 @@ mod kind_tests {
 
     #[test]
     fn codes_are_stable_and_unique() {
-        let all = [
-            PolicyKind::Fifo,
-            PolicyKind::Lru,
-            PolicyKind::Clock,
-            PolicyKind::Lfu,
-            PolicyKind::Arc,
-            PolicyKind::TwoQ,
-            PolicyKind::Mru,
-            PolicyKind::Lirs,
-            PolicyKind::Slru,
-        ];
-        let mut seen = std::collections::HashSet::new();
-        for k in all {
-            assert!(seen.insert(k.code()), "duplicate code for {:?}", k);
-        }
-        // Locked-in values: telemetry traces persist across versions.
+        // Locked-in values: telemetry traces and journals persist across
+        // versions.
         assert_eq!(PolicyKind::Fifo.code(), 0);
         assert_eq!(PolicyKind::Lru.code(), 1);
-        assert_eq!(PolicyKind::Slru.code(), 8);
-        // from_code is the exact inverse.
-        for k in all {
+        // from_code is the exact inverse, and the retired codes stay dead.
+        for k in [PolicyKind::Fifo, PolicyKind::Lru] {
             assert_eq!(PolicyKind::from_code(k.code()), Some(k));
         }
-        assert_eq!(PolicyKind::from_code(200), None);
+        for code in 2..=u8::MAX {
+            assert_eq!(PolicyKind::from_code(code), None);
+        }
     }
 }
 

@@ -31,17 +31,7 @@ fn op_strategy(rng: &mut SplitMix64, key_space: u32) -> Op {
 }
 
 fn all_policies() -> Vec<PolicyKind> {
-    vec![
-        PolicyKind::Fifo,
-        PolicyKind::Lru,
-        PolicyKind::Clock,
-        PolicyKind::Lfu,
-        PolicyKind::Arc,
-        PolicyKind::TwoQ,
-        PolicyKind::Mru,
-        PolicyKind::Lirs,
-        PolicyKind::Slru,
-    ]
+    vec![PolicyKind::Fifo, PolicyKind::Lru]
 }
 
 /// A reference-model check: the policy's resident set must always match
@@ -51,7 +41,7 @@ fn policy_tracks_residency_exactly() {
     for_cases(0xca01, CASES, |rng, _| {
         let ops = (0..rng.index(1..300)).map(|_| op_strategy(rng, 24)).collect::<Vec<_>>();
         for kind in all_policies() {
-            let mut policy: Box<dyn ReplacementPolicy<u32>> = kind.build(64);
+            let mut policy: Box<dyn ReplacementPolicy<u32>> = kind.build();
             let mut model: HashSet<u32> = HashSet::new();
             for op in &ops {
                 match *op {

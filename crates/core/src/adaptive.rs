@@ -1,12 +1,12 @@
 //! Closed-loop controllers: the shared integral-controller abstraction
 //! and the adaptive-σ policy built on it.
 //!
-//! The paper leaves its knobs — the entropy threshold σ, the vicinal
-//! radius `r`, and (one layer up) the serve admission watermarks — as
-//! free parameters. Each has the same operational shape: a scalar output
-//! bounded to a safe range, chasing a measurable target ("prefetch time ≈
-//! render time", "demand p99 ≤ SLO"), where over- and under-shoot by
-//! equal *factors* deserve equal corrections. [`IntegralController`] is
+//! The paper leaves the entropy threshold σ as a free parameter, and one
+//! layer up so are the serve admission watermarks. Both have the same
+//! operational shape: a scalar output bounded to a safe range, chasing a
+//! measurable target ("prefetch time ≈ render time", "demand p99 ≤ SLO"),
+//! where over- and under-shoot by equal *factors* deserve equal
+//! corrections. [`IntegralController`] is
 //! that shape, extracted once: a log-ratio integral controller whose
 //! integrator *is* the clamped output — the standard conditional
 //! anti-windup, so a controller that sat pinned at a bound for an hour
@@ -15,8 +15,8 @@
 //!
 //! [`SigmaController`] (the original in-process session tuner, and since
 //! the serve wiring also the server-side flight tuner) is a thin facade
-//! over it; the `viz-adapt` control plane builds its ladder and radius
-//! tuners from the same primitive.
+//! over it; the `viz-adapt` control plane builds its ladder tuner from
+//! the same primitive.
 
 /// Configuration of a bounded log-ratio integral controller.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,62 +103,6 @@ impl IntegralController {
         let error = (target / actual).ln();
         self.output = (self.output + self.cfg.gain * error).clamp(self.cfg.min, self.cfg.max);
         self.output
-    }
-}
-
-/// Debounced discrete switching: a challenger must beat the incumbent
-/// for `patience` *consecutive* evaluations before a switch is taken.
-///
-/// Controllers that pick among discrete arms (the policy selector
-/// choosing from the replacement zoo) need this, not a gain: a single
-/// noisy window must never flip a cache policy and throw away residency
-/// state that took thousands of accesses to build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Hysteresis {
-    patience: u32,
-    streak: u32,
-    candidate: Option<usize>,
-}
-
-impl Hysteresis {
-    /// Require `patience` consecutive wins (≥ 1) before switching.
-    pub fn new(patience: u32) -> Self {
-        assert!(patience >= 1, "patience must be at least 1");
-        Hysteresis { patience, streak: 0, candidate: None }
-    }
-
-    /// Report the winner of one evaluation window: `None` means the
-    /// incumbent held. Returns `Some(arm)` when `arm` has now won
-    /// `patience` consecutive windows and the switch should be taken
-    /// (the streak resets so the next switch needs a fresh run).
-    pub fn observe(&mut self, winner: Option<usize>) -> Option<usize> {
-        match winner {
-            None => {
-                self.streak = 0;
-                self.candidate = None;
-                None
-            }
-            Some(arm) => {
-                if self.candidate == Some(arm) {
-                    self.streak += 1;
-                } else {
-                    self.candidate = Some(arm);
-                    self.streak = 1;
-                }
-                if self.streak >= self.patience {
-                    self.streak = 0;
-                    self.candidate = None;
-                    Some(arm)
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
-    /// Consecutive wins the current candidate holds.
-    pub fn streak(&self) -> u32 {
-        self.streak
     }
 }
 
@@ -420,31 +364,5 @@ mod tests {
     fn initial_output_is_clamped() {
         let c = IntegralController::new(ControllerConfig::new(0.1, 1.0, 2.0), 99.0);
         assert_eq!(c.output(), 2.0);
-    }
-
-    #[test]
-    fn hysteresis_requires_consecutive_wins() {
-        let mut h = Hysteresis::new(3);
-        assert_eq!(h.observe(Some(1)), None);
-        assert_eq!(h.observe(Some(1)), None);
-        assert_eq!(h.streak(), 2);
-        // A different winner resets the streak.
-        assert_eq!(h.observe(Some(2)), None);
-        assert_eq!(h.streak(), 1);
-        // The incumbent holding resets everything.
-        assert_eq!(h.observe(None), None);
-        assert_eq!(h.streak(), 0);
-        // Three consecutive wins switch, then the state is fresh.
-        assert_eq!(h.observe(Some(2)), None);
-        assert_eq!(h.observe(Some(2)), None);
-        assert_eq!(h.observe(Some(2)), Some(2));
-        assert_eq!(h.streak(), 0);
-        assert_eq!(h.observe(Some(2)), None, "post-switch needs a fresh run");
-    }
-
-    #[test]
-    fn hysteresis_patience_one_switches_immediately() {
-        let mut h = Hysteresis::new(1);
-        assert_eq!(h.observe(Some(4)), Some(4));
     }
 }

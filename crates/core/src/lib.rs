@@ -84,9 +84,7 @@ pub mod sampling;
 pub mod session;
 pub mod trace;
 
-pub use adaptive::{
-    AdaptiveSigma, ControllerConfig, Hysteresis, IntegralController, SigmaController,
-};
+pub use adaptive::{AdaptiveSigma, ControllerConfig, IntegralController, SigmaController};
 pub use degraded::{fetch_frame, FrameFetchReport};
 pub use distribution::{parallel_fetch_time, serial_fetch_time, DeviceId, Distribution};
 pub use eval::{across_seeds, RunningStats};

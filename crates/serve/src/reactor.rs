@@ -21,7 +21,7 @@
 //! case unresolved keys report `TimedOut` and their reads stay in
 //! flight for a later frame — degraded, not dropped.
 //!
-//! Pick the backend with [`ServeConfig::backend`]; [`crate::TcpFrontend`]
+//! Pick the backend with [`crate::ServeConfig::backend`]; [`crate::TcpFrontend`]
 //! dispatches on it so callers and tests are backend-generic.
 
 use crate::proto::{self, frame_body_len, Request, Response};

@@ -1,4 +1,4 @@
-//! The multi-tenant server: one shared [`FetchEngine`] + [`BlockPool`]
+//! The multi-tenant server: one shared [`FetchEngine`] + [`viz_fetch::BlockPool`]
 //! behind a session registry, DRR fairness, admission control, and load
 //! shedding.
 //!
@@ -1097,7 +1097,7 @@ impl PendingFetch {
 
 /// Dispatch one decoded request against a server. Requests carrying a
 /// v2 trace context run with the thread's trace context set to it, so
-/// everything recorded during admission — and, via [`DemandEntry`], the
+/// everything recorded during admission — and, via `DemandEntry`, the
 /// engine work pumped later — is attributed to the originating client
 /// request.
 pub fn handle_request(server: &Server, req: Request) -> Outcome {

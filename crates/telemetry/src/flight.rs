@@ -2,7 +2,7 @@
 //!
 //! The per-thread rings are the first-stage pre-drain buffer; every
 //! batch that leaves them through [`crate::drain`] also flows through
-//! [`observe`], which (a) retains a bounded copy of the most recent
+//! `observe`, which (a) retains a bounded copy of the most recent
 //! events — so a triggered dump can reach *back in time* past the last
 //! scrape — (b) accumulates per-span-kind log-bucketed latency
 //! histograms, and (c) evaluates the fault triggers below. Nothing here

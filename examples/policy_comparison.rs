@@ -1,6 +1,6 @@
 //! Compare every replacement policy in the workspace — the paper's FIFO and
-//! LRU baselines, the extra CLOCK/LFU/ARC baselines, the app-aware policy,
-//! and the offline Belady/MIN bound — on one interactive exploration.
+//! LRU baselines, the app-aware policy, and the offline Belady/MIN bound —
+//! on one interactive exploration.
 //!
 //! Run with: `cargo run --release --example policy_comparison`
 
@@ -40,9 +40,6 @@ fn main() {
     for strategy in [
         Strategy::Baseline(PolicyKind::Fifo),
         Strategy::Baseline(PolicyKind::Lru),
-        Strategy::Baseline(PolicyKind::Clock),
-        Strategy::Baseline(PolicyKind::Lfu),
-        Strategy::Baseline(PolicyKind::Arc),
         Strategy::AppAware(AppAwareConfig::paper(sigma)),
     ] {
         let tables = matches!(strategy, Strategy::AppAware(_)).then_some((&t_visible, &importance));

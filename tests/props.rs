@@ -3,14 +3,17 @@
 //! session, so 12 seeded cases per property; a failure names the seed and
 //! case that replay it.
 
-use viz_appaware::cache::PolicyKind;
+use viz_appaware::cache::{simulate_belady, PolicyKind};
 use viz_appaware::core::{
-    demand_trace, run_session, ImportanceTable, RadiusRule, ReuseProfile, SamplingConfig,
-    SessionConfig, Strategy, VisibleTable,
+    compute_visibility, demand_trace, run_session, run_session_precomputed, AppAwareConfig,
+    ImportanceTable, RadiusRule, ReuseProfile, SamplingConfig, SessionConfig, Strategy,
+    VisibleTable,
 };
 use viz_appaware::geom::angle::deg_to_rad;
 use viz_appaware::geom::rng::for_cases;
-use viz_appaware::geom::{CameraPath, CameraPose, ExplorationDomain, SphericalPath, Vec3};
+use viz_appaware::geom::{
+    CameraPath, CameraPose, ExplorationDomain, RandomWalkPath, SphericalPath, Vec3,
+};
 use viz_appaware::volume::{BrickLayout, Dims3};
 
 const CASES: usize = 12;
@@ -36,7 +39,7 @@ fn misses_never_undercut_compulsory() {
         let trace = demand_trace(&layout, &poses);
         let profile = ReuseProfile::compute(&trace);
         let cfg = SessionConfig::paper(0.5, layout.nominal_block_bytes());
-        for kind in [PolicyKind::Fifo, PolicyKind::Lru, PolicyKind::Arc] {
+        for kind in [PolicyKind::Fifo, PolicyKind::Lru] {
             let r = run_session(&cfg, &layout, &Strategy::Baseline(kind), &poses, None);
             assert!(
                 r.misses >= profile.cold,
@@ -126,4 +129,44 @@ fn wall_time_decomposition_is_sound() {
             assert!(s.total_s + 1e-12 >= s.io_s + s.render_s);
         }
     });
+}
+
+/// Golden session: FIFO, LRU, the paper's policy and the Belady bound on
+/// one fixed scene (512 blocks, cache ratio 0.5, an 80-step 5-10 degree
+/// random walk). The literals were printed at 18e5184, the last commit
+/// that also carried CLOCK/LFU/ARC/2Q/MRU/LIRS/SLRU: removing those must
+/// not move the survivors by a bit.
+#[test]
+fn golden_session_reports_did_not_move() {
+    let layout = small_layout(2);
+    let dom = ExplorationDomain::new(Vec3::ZERO, 2.0, 3.2);
+    let view = deg_to_rad(15.0);
+    let poses = RandomWalkPath::new(dom, 2.5, 5.0, 10.0, view, 0x601d).generate(80);
+    let vis = compute_visibility(&layout, &poses);
+    let cfg = SessionConfig::paper(0.5, layout.nominal_block_bytes());
+    let imp = ImportanceTable::from_entropies(
+        (0..layout.num_blocks()).map(|i| (i % 13) as f64).collect(),
+        32,
+    );
+    let sigma = imp.sigma_for_fraction(0.5);
+    let scfg = SamplingConfig::paper_default(2.0, 3.2, view).with_target_samples(128);
+    let tv = VisibleTable::build(scfg, &layout, RadiusRule::Fixed(0.15), None);
+
+    let golden = [
+        (Strategy::Baseline(PolicyKind::Fifo), 2920, 0x40138279ab7bad5f_u64),
+        (Strategy::Baseline(PolicyKind::Lru), 5060, 0x4013ed18a5fd3e42),
+        (Strategy::AppAware(AppAwareConfig::paper(sigma)), 797, 0x4010ae1750037e3e),
+    ];
+    for (strategy, misses, total_bits) in golden {
+        let tables = matches!(strategy, Strategy::AppAware(_)).then_some((&tv, &imp));
+        let r = run_session_precomputed(&cfg, &layout, &strategy, &poses, &vis, tables);
+        assert_eq!(r.accesses, 9873, "{}", r.strategy);
+        assert_eq!(r.misses, misses, "{}", r.strategy);
+        assert_eq!(r.total_s.to_bits(), total_bits, "{}: total_s = {}", r.strategy, r.total_s);
+    }
+
+    // DRAM capacity = 25% of blocks (ratio 0.5 squared).
+    let belady = simulate_belady(&demand_trace(&layout, &poses), layout.num_blocks() / 4);
+    assert_eq!(belady.accesses, 9873);
+    assert_eq!(belady.misses, 841);
 }
