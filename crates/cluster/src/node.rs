@@ -512,6 +512,7 @@ impl ClusterNode {
             .map(|(key, r)| BlockReply {
                 key,
                 result: r.map(Arc::new).map_err(|e| errkind_code(e.kind())),
+                crc: None,
             })
             .collect();
         Outcome::Ready(Response::FetchReply { session, blocks, shed: 0, downgraded: 0 })

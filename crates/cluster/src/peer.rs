@@ -18,7 +18,7 @@ use std::net::TcpStream;
 use std::time::Instant;
 use viz_fetch::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
 use viz_serve::proto::{
-    decode_response, encode_request, ERR_DRAINING, ERR_NO_MAP, ERR_UNKNOWN_SESSION,
+    decode_response, try_encode_request, ERR_DRAINING, ERR_NO_MAP, ERR_UNKNOWN_SESSION,
 };
 use viz_serve::{BlockReply, Request, Response, TcpTransport, TraceCtx, Transport, WireTelemetry};
 use viz_telemetry::{instant, span, EventKind as Ev};
@@ -54,7 +54,7 @@ impl TcpPeerLink {
 
 impl PeerLink for TcpPeerLink {
     fn round_trip(&mut self, req: &Request) -> io::Result<Response> {
-        self.t.send(&encode_request(req))?;
+        self.t.send(&try_encode_request(req)?)?;
         let frame = self.t.recv()?;
         Ok(decode_response(&frame)?)
     }
@@ -311,4 +311,28 @@ impl PeerClient {
 /// Record a peer-fetch failure that fell back to the local path.
 pub(crate) fn note_fallback(peer: NodeId, kind: io::ErrorKind) {
     instant(Ev::PeerFallback, u64::from(peer.0), u64::from(viz_serve::proto::errkind_code(kind)));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+    use std::net::TcpListener;
+    use viz_serve::proto::MAX_FRAME_BYTES;
+    use viz_volume::BlockId;
+
+    #[test]
+    fn oversize_peer_fetch_is_invalid_input_and_nothing_is_sent() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut link = TcpPeerLink::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+        let demand = vec![BlockKey::scalar(BlockId(1)); MAX_FRAME_BYTES / 8];
+        let req = Request::PeerFetch { session: 1, hops: 0, demand, trace: TraceCtx::NONE };
+        assert_eq!(link.round_trip(&req).unwrap_err().kind(), io::ErrorKind::InvalidInput);
+        // Refused before the send: the peer sees the close and not one byte.
+        drop(link);
+        let mut rest = Vec::new();
+        peer.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty(), "{} bytes reached the peer", rest.len());
+    }
 }

@@ -466,7 +466,7 @@ impl Router {
         let blocks = demand
             .into_iter()
             .zip(results)
-            .map(|(key, r)| BlockReply { key, result: r.unwrap_or(Err(timed_out)) })
+            .map(|(key, r)| BlockReply { key, result: r.unwrap_or(Err(timed_out)), crc: None })
             .collect();
         // The frame's root span: key = the minted trace id, arg packs
         // demand size and the rounds the frame needed.

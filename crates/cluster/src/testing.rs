@@ -22,7 +22,7 @@ use std::io;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 use viz_fetch::{FetchConfig, InstrumentedSource, VirtualClock, VirtualClockSource};
-use viz_serve::proto::{decode_response, encode_request};
+use viz_serve::proto::{decode_response, try_encode_request};
 use viz_serve::{Request, Response, ServeClient, ServeConfig, Transport};
 use viz_volume::{BlockKey, MemBlockStore};
 
@@ -103,7 +103,7 @@ pub struct SyncLink {
 
 impl PeerLink for SyncLink {
     fn round_trip(&mut self, req: &Request) -> io::Result<Response> {
-        let reply = serve_sync(&self.registry, self.target, &encode_request(req))?;
+        let reply = serve_sync(&self.registry, self.target, &try_encode_request(req)?)?;
         Ok(decode_response(&reply)?)
     }
 }

@@ -28,7 +28,7 @@
 //!   [`Ticket::wait_timeout`] and render degraded instead of blocking.
 
 use crate::iopool::IoPool;
-use crate::pool::BlockPool;
+use crate::pool::{BlockPool, PoolEntry};
 use crate::retry::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
 use std::any::Any;
 use std::cmp::Ordering as CmpOrdering;
@@ -1213,8 +1213,9 @@ fn read_source(s: &Arc<Shared>, key: BlockKey) -> Result<Vec<f32>, FetchError> {
             // payload anyway: the next frame hits the pool instead of
             // re-reading a block we already paid for.
             if let Ok(data) = unsent.0 {
+                let entry = PoolEntry::new(Arc::new(data));
                 let _st = lock_state(&io_shared);
-                io_shared.pool.insert_arc(key, Arc::new(data));
+                io_shared.pool.insert_entry(key, entry);
                 io_shared.m.late_arrivals.inc();
                 viz_telemetry::instant(Ev::LateArrival, key_salt(key), 0);
             }
@@ -1311,13 +1312,15 @@ fn count_retry(s: &Shared, salt: u64, attempt: u32) {
 fn publish_one(s: &Arc<Shared>, job: &Job, res: Result<Vec<f32>, FetchError>, t0: Instant) {
     let salt = key_salt(job.key);
     let dt_ns = t0.elapsed().as_nanos() as u64;
+    // The payload's checksum is a pass over its bytes: take it before the lock.
+    let res = res.map(|data| PoolEntry::new(Arc::new(data)));
     let mut st = lock_state(s);
     let waiters = st.inflight.remove(&job.key).map(|i| i.waiters).unwrap_or_default();
     match res {
-        Ok(data) => {
+        Ok(entry) => {
             s.breaker.on_success();
-            let payload = Arc::new(data);
-            s.pool.insert_arc(job.key, payload.clone());
+            let payload = entry.data().clone();
+            s.pool.insert_entry(job.key, entry);
             s.m.completed.inc();
             if job.demand {
                 s.m.demand_completed.inc();
@@ -1419,13 +1422,16 @@ fn batched_read(s: &Arc<Shared>, keys: &[BlockKey]) -> Vec<Result<Vec<f32>, Fetc
         if let Err(unsent) = tx.send(out) {
             // The worker abandoned the batch at its deadline. Land every
             // payload that did complete — late, not lost.
+            let landed: Vec<_> = batch
+                .iter()
+                .zip(unsent.0)
+                .filter_map(|(k, r)| Some((*k, PoolEntry::new(Arc::new(r.ok()?)))))
+                .collect();
             let _st = lock_state(&io_shared);
-            for (k, r) in batch.iter().zip(unsent.0) {
-                if let Ok(data) = r {
-                    io_shared.pool.insert_arc(*k, Arc::new(data));
-                    io_shared.m.late_arrivals.inc();
-                    viz_telemetry::instant(Ev::LateArrival, key_salt(*k), 0);
-                }
+            for (k, entry) in landed {
+                io_shared.pool.insert_entry(k, entry);
+                io_shared.m.late_arrivals.inc();
+                viz_telemetry::instant(Ev::LateArrival, key_salt(k), 0);
             }
         }
     }));

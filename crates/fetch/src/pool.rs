@@ -8,15 +8,44 @@
 //! Eviction *policy* stays in `viz-cache`; the pool only stores what it is
 //! given. It does, however, account resident payload bytes so callers can
 //! enforce a byte cap (see [`BlockPool::bytes_resident`]).
+//!
+//! Beside each payload the pool keeps the CRC-32 of its little-endian
+//! bytes ([`viz_volume::checksum::crc32_f32s`], 4 bytes a block), computed
+//! once when the [`PoolEntry`] is made — before any lock is taken — so the
+//! wire encoder can checksum a reply of resident blocks without reading
+//! their bytes again ([`BlockPool::crc_of`]).
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use viz_volume::checksum::crc32_f32s;
 use viz_volume::BlockKey;
 
-type Map = HashMap<BlockKey, Arc<Vec<f32>>>;
+/// A payload and the CRC-32 of its little-endian bytes. Only
+/// [`PoolEntry::new`] makes one, so the two always agree; build it before
+/// taking a lock, the checksum is a pass over the payload.
+#[derive(Debug, Clone)]
+pub struct PoolEntry {
+    data: Arc<Vec<f32>>,
+    crc: u32,
+}
+
+impl PoolEntry {
+    /// Checksum `data` and pair the result with it.
+    pub fn new(data: Arc<Vec<f32>>) -> Self {
+        let crc = crc32_f32s(&data);
+        PoolEntry { data, crc }
+    }
+
+    /// The payload.
+    pub fn data(&self) -> &Arc<Vec<f32>> {
+        &self.data
+    }
+}
+
+type Map = HashMap<BlockKey, PoolEntry>;
 type Shard = RwLock<Map>;
 
 /// Poison-tolerant shard locks: a panicking fetch worker must never make
@@ -76,7 +105,7 @@ impl BlockPool {
 
     /// Look up a resident block, counting hit/miss statistics.
     pub fn get(&self, key: BlockKey) -> Option<Arc<Vec<f32>>> {
-        let got = rd(self.shard(&key)).get(&key).cloned();
+        let got = rd(self.shard(&key)).get(&key).map(|e| e.data.clone());
         match got {
             Some(b) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -99,21 +128,34 @@ impl BlockPool {
         self.insert_arc(key, Arc::new(data));
     }
 
-    /// Insert an already-shared payload (what the fetch engine hands to
-    /// coalesced waiters is the same `Arc` it parks here).
+    /// Insert an already-shared payload, checksumming it first.
     pub fn insert_arc(&self, key: BlockKey, data: Arc<Vec<f32>>) {
-        let added = data.len() * 4;
-        let old = wr(self.shard(&key)).insert(key, data);
+        self.insert_entry(key, PoolEntry::new(data));
+    }
+
+    /// Insert a payload whose checksum is already taken (the fetch engine
+    /// makes the entry before it takes its state lock, and hands coalesced
+    /// waiters the same `Arc` it parks here).
+    pub fn insert_entry(&self, key: BlockKey, entry: PoolEntry) {
+        let added = entry.data.len() * 4;
+        let old = wr(self.shard(&key)).insert(key, entry);
         if let Some(old) = old {
-            self.bytes.fetch_sub(old.len() * 4, Ordering::Relaxed);
+            self.bytes.fetch_sub(old.data.len() * 4, Ordering::Relaxed);
         }
         self.bytes.fetch_add(added, Ordering::Relaxed);
+    }
+
+    /// The cached CRC-32 of `data`'s little-endian bytes — `Some` only if
+    /// `data` is the very allocation the pool holds for `key` now, so a
+    /// replaced or removed entry never lends its checksum to other bytes.
+    pub fn crc_of(&self, key: BlockKey, data: &Arc<Vec<f32>>) -> Option<u32> {
+        rd(self.shard(&key)).get(&key).filter(|e| Arc::ptr_eq(&e.data, data)).map(|e| e.crc)
     }
 
     /// Drop a block (eviction decided by the cache layer).
     pub fn remove(&self, key: BlockKey) {
         if let Some(old) = wr(self.shard(&key)).remove(&key) {
-            self.bytes.fetch_sub(old.len() * 4, Ordering::Relaxed);
+            self.bytes.fetch_sub(old.data.len() * 4, Ordering::Relaxed);
         }
     }
 
@@ -121,7 +163,7 @@ impl BlockPool {
     pub fn clear(&self) {
         for shard in self.shards.iter() {
             let mut map = wr(shard);
-            let freed: usize = map.values().map(|v| v.len() * 4).sum();
+            let freed: usize = map.values().map(|e| e.data.len() * 4).sum();
             map.clear();
             self.bytes.fetch_sub(freed, Ordering::Relaxed);
         }
@@ -200,6 +242,31 @@ mod tests {
         pool.clear();
         assert_eq!(pool.bytes_resident(), 0);
         assert!(pool.is_empty());
+    }
+
+    #[test]
+    fn crc_of_answers_only_for_the_allocation_the_pool_holds() {
+        let pool = BlockPool::new();
+        let payload = vec![1.5, -0.0, f32::NAN, 7.0, 9.25];
+        pool.insert(key(1), payload.clone());
+        let held = pool.get(key(1)).unwrap();
+        assert_eq!(pool.crc_of(key(1), &held), Some(crc32_f32s(&payload)));
+        // Equal contents in another allocation, or the right one under
+        // another key, get nothing.
+        assert_eq!(pool.crc_of(key(1), &Arc::new(payload.clone())), None);
+        assert_eq!(pool.crc_of(key(2), &held), None);
+
+        // Re-inserting the key retires the old allocation's checksum.
+        let newer = Arc::new(vec![2.0; 5]);
+        pool.insert_arc(key(1), newer.clone());
+        assert_eq!(pool.crc_of(key(1), &held), None);
+        assert_eq!(pool.crc_of(key(1), &newer), Some(crc32_f32s(&newer)));
+
+        pool.remove(key(1));
+        assert_eq!(pool.crc_of(key(1), &newer), None);
+        pool.insert_arc(key(3), newer.clone());
+        pool.clear();
+        assert_eq!(pool.crc_of(key(3), &newer), None);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! [`crate::server::InProcServer`], and the reply is only read after.
 
 use crate::proto::{
-    decode_response, encode_request, BlockReply, ProtoError, Request, Response, TraceCtx,
+    decode_response, try_encode_request, BlockReply, ProtoError, Request, Response, TraceCtx,
     WireTelemetry,
 };
 use crate::transport::Transport;
@@ -297,6 +297,43 @@ impl<T: Transport> ServeClient<T> {
     }
 
     fn send(&mut self, req: &Request) -> Result<(), ClientError> {
-        Ok(self.t.send(&encode_request(req))?)
+        Ok(self.t.send(&try_encode_request(req)?)?)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::{decode_request, encode_request, encode_response, MAX_FRAME_BYTES};
+    use crate::TcpTransport;
+    use std::io::{Read, Write};
+    use std::net::{TcpListener, TcpStream};
+    use viz_volume::BlockId;
+
+    #[test]
+    fn oversize_fetch_is_invalid_input_and_nothing_is_sent() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+        let mut client = ServeClient::new(TcpTransport::new(stream));
+
+        client.send_open("big").unwrap();
+        let mut open = vec![0u8; encode_request(&Request::Open { name: "big".into() }).len()];
+        peer.read_exact(&mut open).unwrap();
+        peer.write_all(&encode_response(&Response::OpenAck { session: 4 })).unwrap();
+        assert_eq!(client.recv_open().unwrap(), 4);
+
+        // 8 wire bytes a demand key: the keys alone fill the limit.
+        let demand = vec![BlockKey::scalar(BlockId(1)); MAX_FRAME_BYTES / 8];
+        match client.send_fetch(0, demand, vec![]) {
+            Err(ClientError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::InvalidInput, "{e}"),
+            other => panic!("wanted InvalidInput, got {other:?}"),
+        }
+        // The connection is still in step: the next thing the peer reads is
+        // the next request, whole.
+        client.send_stats().unwrap();
+        let mut next = vec![0u8; encode_request(&Request::Stats).len()];
+        peer.read_exact(&mut next).unwrap();
+        assert_eq!(decode_request(&next).unwrap(), Request::Stats);
     }
 }

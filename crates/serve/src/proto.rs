@@ -22,19 +22,27 @@
 //!
 //! ## What a block payload costs
 //!
-//! The frame CRC covers the whole body, payloads included, and both ends
-//! verify it on every frame. Almost all of a `FetchReply` is `f32`
-//! payload (5–6 MB a frame in the benchmark flights), so the codec is
-//! built around touching those bytes as few times as possible without
-//! `unsafe`:
+//! The frame CRC covers the whole body, payloads included, and the
+//! receiver verifies it on every frame before parsing a byte. Almost all
+//! of a `FetchReply` is `f32` payload (5–6 MB a frame in the benchmark
+//! flights), so the codec is built around touching those bytes as few
+//! times as possible without `unsafe`:
 //!
 //! - **Encode** — one pass over the block list sizes the buffer exactly
 //!   (a reply that would exceed [`MAX_FRAME_BYTES`] is replaced by an
 //!   [`ERR_PROTO`] error frame *before* anything is allocated); each pool
 //!   `Arc<Vec<f32>>` is copied once into that buffer as little-endian
-//!   bytes ([`viz_volume::le::put_f32s`]); one CRC pass; the length and
-//!   CRC are patched into header bytes reserved at the front. One
-//!   allocation, one copy, one checksum.
+//!   bytes ([`viz_volume::le::put_f32s`]). The frame CRC is *joined*, not
+//!   recomputed: the few header and key bytes between payloads are
+//!   appended to a running CRC, and each payload is folded in from its own
+//!   CRC with one GF(2) multiplication
+//!   ([`viz_volume::checksum::crc32_combine_op`]). That per-payload CRC is
+//!   [`BlockReply::crc`] — what the pool cached when the block was
+//!   inserted — or, for a block that arrives without one, a single pass
+//!   over its values. The length and CRC are patched into header bytes
+//!   reserved at the front. One allocation, one copy, and for a reply of
+//!   resident blocks no checksum pass. Debug builds check every joined CRC
+//!   against a full pass over the body.
 //! - **Transport** — [`crate::TcpTransport`] reads the body straight into
 //!   unfilled capacity (no zero-fill pass).
 //! - **Decode** — one CRC pass over the body, then each payload is one
@@ -42,8 +50,16 @@
 //!   ([`viz_volume::le::get_f32s`]). Every count and length is still
 //!   checked against the bytes left before anything is allocated.
 //!
-//! The two CRC passes are what remains: [`viz_volume::checksum`] has the
-//! numbers.
+//! The receiver's CRC pass is the one that remains, and it is what makes
+//! the hint safe: a wrong or stale [`BlockReply::crc`] produces a frame
+//! the client refuses as [`ProtoError::BadCrc`]. [`viz_volume::checksum`]
+//! has the numbers.
+//!
+//! Every encoder closes its buffer through one routine, which refuses a
+//! body over [`MAX_FRAME_BYTES`]: an oversize response of any kind goes
+//! out as a typed [`ERR_PROTO`] error frame, an oversize request is
+//! refused by [`try_encode_request`] (what the client, peer-link and
+//! router senders use) before a byte is written.
 //!
 //! ## Version 2 (additive)
 //!
@@ -67,6 +83,7 @@ use std::fmt;
 use std::io;
 use std::sync::Arc;
 use viz_telemetry::{EventKind, TraceEvent};
+use viz_volume::checksum::{crc32_append, crc32_combine_op, crc32_f32s, crc32_shift_op};
 use viz_volume::le::{get_f32s, put_f32s};
 use viz_volume::{crc32, BlockId, BlockKey};
 
@@ -368,6 +385,13 @@ pub struct BlockReply {
     /// Payload on success, or a small error-kind code (see
     /// [`errkind_code`]) on failure.
     pub result: Result<Arc<Vec<f32>>, u16>,
+    /// Encoder hint, never on the wire: the CRC-32 of the payload's
+    /// little-endian bytes when the sender already has it (the server takes
+    /// it from [`viz_fetch::BlockPool::crc_of`]), so the frame checksum
+    /// needs no pass over the payload. `None` — what every decoder produces
+    /// — makes the encoder take that pass. A wrong value yields a frame the
+    /// receiver refuses as [`ProtoError::BadCrc`].
+    pub crc: Option<u32>,
 }
 
 /// Server → client messages.
@@ -551,11 +575,24 @@ const FRAME_HEADER_BYTES: usize = 8;
 
 /// Close a buffer opened by [`body_header`]: patch the length and CRC of
 /// the body it now holds into the header bytes reserved in front of it.
-fn frame(mut buf: Vec<u8>) -> Vec<u8> {
+/// `crc` is the body's CRC where the caller already has it. A body longer
+/// than [`MAX_FRAME_BYTES`] — every receiver would refuse it from its
+/// header — is not framed; its length comes back instead.
+fn frame(mut buf: Vec<u8>, crc: Option<u32>) -> Result<Vec<u8>, usize> {
     let (header, body) = buf.split_at_mut(FRAME_HEADER_BYTES);
+    if body.len() > MAX_FRAME_BYTES {
+        return Err(body.len());
+    }
+    let crc = match crc {
+        Some(joined) => {
+            debug_assert_eq!(joined, crc32(body), "a joined CRC equals one pass over the body");
+            joined
+        }
+        None => crc32(body),
+    };
     header[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
-    header[4..].copy_from_slice(&crc32(body).to_le_bytes());
-    buf
+    header[4..].copy_from_slice(&crc.to_le_bytes());
+    Ok(buf)
 }
 
 /// Validate the outer frame of `buf` and return its body.
@@ -653,13 +690,44 @@ fn read_trace(r: &mut Reader<'_>, version: u16) -> Result<TraceCtx, ProtoError> 
 }
 
 /// Encode a request at [`PROTO_VERSION`].
+///
+/// # Panics
+/// When the body would exceed [`MAX_FRAME_BYTES`] (a `Fetch` or `PeerFetch`
+/// with millions of keys). Senders of caller-sized requests use
+/// [`try_encode_request`].
 pub fn encode_request(req: &Request) -> Vec<u8> {
     encode_request_versioned(req, PROTO_VERSION)
 }
 
+/// Encode a request at [`PROTO_VERSION`] for sending: one whose body would
+/// exceed [`MAX_FRAME_BYTES`] is refused as `InvalidInput` here, before a
+/// byte is written, instead of by the receiver from the frame header with
+/// the stream left mid-body.
+pub fn try_encode_request(req: &Request) -> io::Result<Vec<u8>> {
+    request_frame(req, PROTO_VERSION).map_err(|body_len| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "request of {body_len} bytes exceeds the {MAX_FRAME_BYTES}-byte frame limit; \
+                 send fewer keys per request"
+            ),
+        )
+    })
+}
+
 /// Encode a request claiming `version` — how compatibility probes and the
 /// version-skew tests manufacture frames from a future client.
+///
+/// # Panics
+/// As [`encode_request`].
 pub fn encode_request_versioned(req: &Request, version: u16) -> Vec<u8> {
+    request_frame(req, version).unwrap_or_else(|body_len| {
+        panic!("request of {body_len} bytes exceeds the {MAX_FRAME_BYTES}-byte frame limit")
+    })
+}
+
+/// The frame of `req` at `version`, or its body length when over the limit.
+fn request_frame(req: &Request, version: u16) -> Result<Vec<u8>, usize> {
     let mut b;
     match req {
         Request::Open { name } => {
@@ -716,7 +784,7 @@ pub fn encode_request_versioned(req: &Request, version: u16) -> Vec<u8> {
             b = body_header(version, TAG_TELEMETRY_GET);
         }
     }
-    frame(b)
+    frame(b, None)
 }
 
 /// Decode a request frame.
@@ -794,6 +862,8 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 /// clients keep decoding replies.
 pub fn encode_response_versioned(resp: &Response, version: u16) -> Vec<u8> {
     let mut b;
+    // The body's CRC, where an arm has it by the time the body is written.
+    let mut crc = None;
     match resp {
         Response::OpenAck { session } => {
             b = body_header(version, TAG_OPEN_ACK);
@@ -806,30 +876,35 @@ pub fn encode_response_versioned(resp: &Response, version: u16) -> Vec<u8> {
         Response::FetchReply { session, blocks, shed, downgraded } => {
             let body_len = fetch_reply_body_len(blocks);
             if body_len > MAX_FRAME_BYTES as u64 {
-                // Every receiver refuses such a frame from its header and a
-                // stream transport is then out of step mid-body: answer
-                // with what the client can act on instead.
-                let message = format!(
-                    "fetch reply of {body_len} bytes exceeds the {MAX_FRAME_BYTES}-byte frame \
-                     limit; request fewer demand blocks per frame"
-                );
-                return encode_response_versioned(
-                    &Response::Error { code: ERR_PROTO, message },
-                    version,
-                );
+                // Refused from the sizes alone, before anything is allocated.
+                return oversize_response(body_len, version);
             }
             b = sized_body_header(version, TAG_FETCH_REPLY, body_len as usize);
             put_u32(&mut b, *session);
             put_u32(&mut b, *shed);
             put_u32(&mut b, *downgraded);
             put_u32(&mut b, blocks.len() as u32);
+            // The frame CRC is joined as the body is written: `joined`
+            // covers the body up to `mark`; the small fields since then
+            // are appended to it, a payload is folded in from its own CRC
+            // (the reply's hint, or one pass here) without being re-read.
+            let (mut joined, mut mark) = (0u32, FRAME_HEADER_BYTES);
+            // Consecutive payloads are nearly always the same length.
+            let (mut op_len, mut op) = (0usize, crc32_shift_op(0));
             for br in blocks {
                 put_key(&mut b, br.key);
                 match &br.result {
                     Ok(data) => {
                         b.push(0);
                         put_u32(&mut b, data.len() as u32);
+                        joined = crc32_append(joined, &b[mark..]);
                         put_f32s(&mut b, data);
+                        mark = b.len();
+                        if op_len != data.len() {
+                            (op_len, op) = (data.len(), crc32_shift_op(4 * data.len() as u64));
+                        }
+                        let payload = br.crc.unwrap_or_else(|| crc32_f32s(data));
+                        joined = crc32_combine_op(joined, payload, op);
                     }
                     Err(code) => {
                         b.push(1);
@@ -838,6 +913,7 @@ pub fn encode_response_versioned(resp: &Response, version: u16) -> Vec<u8> {
                 }
             }
             debug_assert_eq!(b.len() as u64, FRAME_HEADER_BYTES as u64 + body_len);
+            crc = Some(crc32_append(joined, &b[mark..]));
         }
         Response::AdvanceAck { session, generation } => {
             b = body_header(version, TAG_ADVANCE_ACK);
@@ -910,7 +986,19 @@ pub fn encode_response_versioned(resp: &Response, version: u16) -> Vec<u8> {
             b.extend_from_slice(message.as_bytes());
         }
     }
-    frame(b)
+    frame(b, crc).unwrap_or_else(|body_len| oversize_response(body_len as u64, version))
+}
+
+/// What is sent in place of a response whose body would exceed
+/// [`MAX_FRAME_BYTES`]: every receiver refuses such a frame from its header
+/// and a stream transport is then out of step mid-body, so answer with
+/// what the client can act on instead.
+fn oversize_response(body_len: u64, version: u16) -> Vec<u8> {
+    let message = format!(
+        "reply of {body_len} bytes exceeds the {MAX_FRAME_BYTES}-byte frame limit; ask for less \
+         per request"
+    );
+    encode_response_versioned(&Response::Error { code: ERR_PROTO, message }, version)
 }
 
 /// Decode a response frame.
@@ -937,7 +1025,7 @@ pub fn decode_response(buf: &[u8]) -> Result<Response, ProtoError> {
                     1 => Err(r.u16()?),
                     _ => return Err(ProtoError::Malformed("bad block status byte")),
                 };
-                blocks.push(BlockReply { key, result });
+                blocks.push(BlockReply { key, result, crc: None });
             }
             Response::FetchReply { session, blocks, shed, downgraded }
         }
@@ -1085,8 +1173,8 @@ mod tests {
             Response::FetchReply {
                 session: 3,
                 blocks: vec![
-                    BlockReply { key: key(0), result: Ok(Arc::new(vec![1.0, -2.5])) },
-                    BlockReply { key: key(5), result: Err(1) },
+                    BlockReply { key: key(0), result: Ok(Arc::new(vec![1.0, -2.5])), crc: None },
+                    BlockReply { key: key(5), result: Err(1), crc: None },
                 ],
                 shed: 4,
                 downgraded: 2,
@@ -1257,11 +1345,12 @@ mod tests {
         let reply = Response::FetchReply {
             session: 3,
             blocks: vec![
-                BlockReply { key: key(0), result: Ok(Arc::new(vec![1.0, -2.5, 0.0])) },
-                BlockReply { key: key(5), result: Err(1) },
+                BlockReply { key: key(0), result: Ok(Arc::new(vec![1.0, -2.5, 0.0])), crc: None },
+                BlockReply { key: key(5), result: Err(1), crc: None },
                 BlockReply {
                     key: key(9),
                     result: Ok(Arc::new(vec![f32::MIN_POSITIVE, 1e30, -0.0, 3.25, 7.0])),
+                    crc: None,
                 },
             ],
             shed: 4,
@@ -1306,7 +1395,7 @@ mod tests {
         let data: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
         let reply = Response::FetchReply {
             session: 1,
-            blocks: vec![BlockReply { key: key(0), result: Ok(Arc::new(data)) }],
+            blocks: vec![BlockReply { key: key(0), result: Ok(Arc::new(data)), crc: None }],
             shed: 0,
             downgraded: 0,
         };
@@ -1320,10 +1409,13 @@ mod tests {
     }
 
     fn shared_reply(payload: &Arc<Vec<f32>>, shares: u32, fillers: &[usize]) -> Response {
-        let shared = (0..shares).map(|i| BlockReply { key: key(i), result: Ok(payload.clone()) });
-        let fillers = fillers
-            .iter()
-            .map(|&n| BlockReply { key: key(99), result: Ok(Arc::new(vec![0.5; n])) });
+        let shared =
+            (0..shares).map(|i| BlockReply { key: key(i), result: Ok(payload.clone()), crc: None });
+        let fillers = fillers.iter().map(|&n| BlockReply {
+            key: key(99),
+            result: Ok(Arc::new(vec![0.5; n])),
+            crc: None,
+        });
         Response::FetchReply {
             session: 3,
             blocks: shared.chain(fillers).collect(),
@@ -1367,6 +1459,86 @@ mod tests {
             decode_response(&over_by_one),
             Ok(Response::Error { code: ERR_PROTO, .. })
         ));
+    }
+
+    #[test]
+    fn oversize_response_of_any_kind_becomes_a_typed_error_frame() {
+        let map = Response::MapReply { version: 5, map_bytes: vec![0xAB; MAX_FRAME_BYTES + 1] };
+        for version in [PROTO_VERSION, 1] {
+            let frame = encode_response_versioned(&map, version);
+            assert!(frame.len() < 256, "an error frame, not {} bytes of map", frame.len());
+            assert_eq!(frame, framed(&frame[8..]));
+            match decode_response(&frame).unwrap() {
+                Response::Error { code, message } => {
+                    assert_eq!(code, ERR_PROTO);
+                    assert!(message.contains(&MAX_FRAME_BYTES.to_string()), "{message}");
+                    // 7 prefix + version + count + the bytes.
+                    let body_len = 7 + 8 + 4 + MAX_FRAME_BYTES + 1;
+                    assert!(message.contains(&body_len.to_string()), "names the size: {message}");
+                }
+                other => panic!("wanted an Error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn oversize_request_is_refused_not_framed() {
+        // 8 bytes a key on the wire: one key past what the limit holds.
+        let demand = vec![key(1); MAX_FRAME_BYTES / 8];
+        let req = Request::PeerFetch { session: 1, hops: 0, demand, trace: TraceCtx::NONE };
+        let err = try_encode_request(&req).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains(&MAX_FRAME_BYTES.to_string()), "{err}");
+        // A request that fits is the frame `encode_request` builds.
+        let small = sample_requests().swap_remove(2);
+        assert_eq!(try_encode_request(&small).unwrap(), encode_request(&small));
+    }
+
+    #[test]
+    fn fetch_reply_header_crc_is_the_crc_of_the_body_with_or_without_hints() {
+        use viz_geom::rng::for_cases;
+        for_cases(0x4A01_2024, 192, |rng, case| {
+            let n = if case == 0 { 0 } else { rng.index(0..41) };
+            // Hints on every payload, on none, or on some.
+            let hints = case % 3;
+            let mut len = rng.index(0..40);
+            let blocks: Vec<BlockReply> = (0..n as u32)
+                .map(|i| {
+                    if rng.below(4) == 0 {
+                        return BlockReply {
+                            key: key(i),
+                            result: Err(rng.below(6) as u16),
+                            crc: None,
+                        };
+                    }
+                    // Mostly runs of one length, as a brick layout gives.
+                    match rng.below(4) {
+                        0 => len = rng.index(0..600),
+                        1 => len = 0,
+                        _ => {}
+                    }
+                    let data: Vec<f32> =
+                        (0..len).map(|_| f32::from_bits(rng.next_u64() as u32)).collect();
+                    let hinted = hints == 0 || (hints == 2 && rng.below(2) == 0);
+                    let crc = hinted.then(|| crc32_f32s(&data));
+                    BlockReply { key: key(i), result: Ok(Arc::new(data)), crc }
+                })
+                .collect();
+            let reply =
+                |blocks| Response::FetchReply { session: 9, blocks, shed: 1, downgraded: 2 };
+            let unhinted =
+                reply(blocks.iter().map(|b| BlockReply { crc: None, ..b.clone() }).collect());
+            let reply = reply(blocks);
+            for version in [PROTO_VERSION, 1] {
+                let frame = encode_response_versioned(&reply, version);
+                let stored = u32::from_le_bytes(frame[4..8].try_into().unwrap());
+                assert_eq!(stored, crc32(&frame[8..]), "header crc == crc32(body)");
+                assert_eq!(frame, encode_response_versioned(&unhinted, version));
+                // Payloads hold NaNs, so compare through the bytes.
+                let decoded = decode_response(&frame).expect("the receiver accepts the frame");
+                assert_eq!(encode_response_versioned(&decoded, version), frame);
+            }
+        });
     }
 
     #[test]

@@ -269,6 +269,11 @@ struct ServeStats {
     demand_served: Counter,
     demand_errors: Counter,
     bytes_served: Counter,
+    /// Served payloads whose CRC came with them from the pool.
+    crc_cached: Counter,
+    /// Served payloads the wire encoder has to checksum itself (no longer
+    /// resident, or replaced, by the time the reply is built).
+    crc_computed: Counter,
     peer_requests: Counter,
     peer_demand_keys: Counter,
     // Per-reason shed breakdown: the controller and the cluster router
@@ -296,6 +301,8 @@ impl ServeStats {
             demand_served: Counter::new("serve_demand_served"),
             demand_errors: Counter::new("serve_demand_errors"),
             bytes_served: Counter::new("serve_bytes_served"),
+            crc_cached: Counter::new("serve_crc_cached"),
+            crc_computed: Counter::new("serve_crc_computed"),
             peer_requests: Counter::new("serve_peer_requests"),
             peer_demand_keys: Counter::new("serve_peer_demand_keys"),
             shed_draining: Counter::new("serve_shed_draining"),
@@ -332,6 +339,8 @@ impl ServeStats {
             &self.demand_served,
             &self.demand_errors,
             &self.bytes_served,
+            &self.crc_cached,
+            &self.crc_computed,
             &self.peer_requests,
             &self.peer_demand_keys,
             &self.shed_draining,
@@ -874,10 +883,12 @@ impl Server {
         self.stats.peer_demand_keys.add(keys);
     }
 
-    fn record_served(&self, id: SessionId, served: u64, errors: u64, bytes: u64) {
+    fn record_served(&self, id: SessionId, served: u64, errors: u64, bytes: u64, crc_cached: u64) {
         self.stats.demand_served.add(served);
         self.stats.demand_errors.add(errors);
         self.stats.bytes_served.add(bytes);
+        self.stats.crc_cached.add(crc_cached);
+        self.stats.crc_computed.add(served - crc_cached);
         if let Some(s) = relock(&self.registry).get_mut(id) {
             s.demand_served += served;
         }
@@ -1002,23 +1013,27 @@ impl Submission {
         }
         let missing = errkind_code(missing);
         let got = self.got;
-        let (mut served, mut errors, mut bytes) = (0u64, 0u64, 0u64);
+        let pool = server.engine.pool();
+        let (mut served, mut errors, mut bytes, mut crc_cached) = (0u64, 0u64, 0u64, 0u64);
         let replies: Vec<BlockReply> = self
             .demand_keys
             .iter()
             .map(|&key| {
                 let result = got.get(&key).cloned().unwrap_or(Err(missing));
+                let mut crc = None;
                 match &result {
                     Ok(data) => {
                         served += 1;
                         bytes += (data.len() * std::mem::size_of::<f32>()) as u64;
+                        crc = pool.crc_of(key, data);
+                        crc_cached += u64::from(crc.is_some());
                     }
                     Err(_) => errors += 1,
                 }
-                BlockReply { key, result }
+                BlockReply { key, result, crc }
             })
             .collect();
-        server.record_served(self.session, served, errors, bytes);
+        server.record_served(self.session, served, errors, bytes, crc_cached);
         replies
     }
 }

@@ -1,0 +1,140 @@
+//! The reply checksum hint end to end: a resident block's CRC rides from
+//! the pool to the wire encoder, `Stats` says whether it did, and a hint
+//! that does not match the bytes never gets a payload past the client.
+
+use std::sync::Arc;
+use std::time::Duration;
+use viz_fetch::{BlockPool, FetchConfig, FetchEngine, InstrumentedSource};
+use viz_serve::proto::{decode_request, encode_response, ProtoError};
+use viz_serve::{
+    inproc_pair, BlockReply, ClientError, InProcServer, Request, Response, ServeClient,
+    ServeConfig, Server, Transport,
+};
+use viz_volume::checksum::crc32_f32s;
+use viz_volume::{BlockId, BlockKey, MemBlockStore};
+
+fn key(i: u32) -> BlockKey {
+    BlockKey::scalar(BlockId(i))
+}
+
+fn counter(stats: &[(String, u64)], name: &str) -> u64 {
+    stats.iter().find(|(n, _)| n == name).unwrap_or_else(|| panic!("no counter {name}")).1
+}
+
+fn stats(inproc: &mut InProcServer, c: &mut ServeClient<impl Transport>) -> Vec<(String, u64)> {
+    c.send_stats().unwrap();
+    inproc.tick();
+    match c.recv_response().unwrap() {
+        Response::StatsReply { counters } => counters,
+        other => panic!("wanted StatsReply, got {other:?}"),
+    }
+}
+
+/// The shape of the `warm-shared` benchmark workload: a resident timestep,
+/// two viewers half a lap apart, no prefetch — every served payload's CRC
+/// must come from the pool, none from a pass at encode.
+#[test]
+fn resident_blocks_are_served_without_a_checksum_pass() {
+    const BLOCKS: u32 = 32;
+    let store = MemBlockStore::new();
+    let pool = Arc::new(BlockPool::new());
+    for i in 0..BLOCKS {
+        store.insert(key(i), vec![i as f32; 64]);
+        pool.insert(key(i), vec![i as f32; 64]);
+    }
+    let src = Arc::new(InstrumentedSource::new(Arc::new(store), Duration::ZERO));
+    let engine = FetchEngine::spawn(
+        src.clone(),
+        pool.clone(),
+        FetchConfig { workers: 0, ..FetchConfig::default() },
+    );
+    let server = Server::new(Arc::new(engine), ServeConfig::default());
+    let mut inproc = InProcServer::new(server);
+    let mut a = ServeClient::new(inproc.connect());
+    let mut b = ServeClient::new(inproc.connect());
+    a.send_open("a").unwrap();
+    b.send_open("b").unwrap();
+    inproc.tick();
+    a.recv_open().unwrap();
+    b.recv_open().unwrap();
+
+    let window = |start: u32| (0..8).map(|i| key((start + i) % BLOCKS)).collect::<Vec<_>>();
+    for frame in 0..16 {
+        a.send_fetch(0, window(frame * 2), vec![]).unwrap();
+        b.send_fetch(0, window(frame * 2 + BLOCKS / 2), vec![]).unwrap();
+        inproc.tick();
+        for (c, start) in [(&mut a, frame * 2), (&mut b, frame * 2 + BLOCKS / 2)] {
+            let got = c.recv_fetch().unwrap();
+            assert_eq!(got.blocks.len(), 8);
+            for (i, reply) in got.blocks.iter().enumerate() {
+                let want = ((start + i as u32) % BLOCKS) as f32;
+                assert_eq!(reply.result.as_ref().unwrap().as_slice(), &[want; 64]);
+            }
+        }
+    }
+    assert_eq!(src.reads(), 0, "the timestep was resident");
+    let s = stats(&mut inproc, &mut a);
+    assert_eq!(counter(&s, "serve_demand_served"), 2 * 16 * 8);
+    assert_eq!(counter(&s, "serve_crc_cached"), counter(&s, "serve_demand_served"));
+    assert_eq!(counter(&s, "serve_crc_computed"), 0);
+
+    // A block evicted between its ticket resolving and the reply being
+    // built has no checksum to lend: the encoder takes the pass, the
+    // counter says so, and the client still gets the right bytes.
+    a.send_fetch(0, vec![key(5), key(6)], vec![]).unwrap();
+    assert_eq!(inproc.poll(), 1);
+    inproc.step();
+    pool.remove(key(5));
+    assert_eq!(inproc.flush(), 1);
+    let got = a.recv_fetch().unwrap();
+    assert_eq!(got.blocks[0].result.as_ref().unwrap().as_slice(), &[5.0; 64]);
+    assert_eq!(got.blocks[1].result.as_ref().unwrap().as_slice(), &[6.0; 64]);
+    let s = stats(&mut inproc, &mut a);
+    assert_eq!(counter(&s, "serve_crc_computed"), 1);
+    assert_eq!(counter(&s, "serve_crc_cached"), 2 * 16 * 8 + 1);
+}
+
+/// A server end played by hand, so the reply can carry a hint no pool
+/// would give: the CRC of other bytes.
+#[test]
+fn wrong_hint_fails_closed_at_the_client() {
+    let (client_end, mut server_end) = inproc_pair();
+    let mut client = ServeClient::new(client_end);
+    client.send_open("v").unwrap();
+    server_end.recv().unwrap();
+    server_end.send(&encode_response(&Response::OpenAck { session: 1 })).unwrap();
+    client.recv_open().unwrap();
+
+    let payload = Arc::new(vec![0.25f32, -8.0, 3.5, 1e-9, 42.0]);
+    let reply = |crc| Response::FetchReply {
+        session: 1,
+        blocks: vec![BlockReply { key: key(0), result: Ok(payload.clone()), crc }],
+        shed: 0,
+        downgraded: 0,
+    };
+    let mut serve_one = |frame: Vec<u8>| {
+        client.send_fetch(0, vec![key(0)], vec![]).unwrap();
+        let req = decode_request(&server_end.recv().unwrap()).unwrap();
+        assert!(matches!(req, Request::Fetch { .. }));
+        server_end.send(&frame).unwrap();
+        client.recv_fetch()
+    };
+
+    // The true hint and no hint are the same frame, and it is accepted.
+    let good = encode_response(&reply(Some(crc32_f32s(&payload))));
+    assert_eq!(good, encode_response(&reply(None)));
+    let got = serve_one(good).unwrap();
+    assert_eq!(got.blocks[0].result.as_ref().unwrap(), &payload);
+
+    let stale = Some(crc32_f32s(&[0.25f32, -8.0, 3.5, 1e-9, 43.0]));
+    if cfg!(debug_assertions) {
+        // Debug builds cross-check every joined CRC against a full pass.
+        let caught = std::panic::catch_unwind(|| encode_response(&reply(stale)));
+        assert!(caught.is_err(), "the encoder's cross-check must trip");
+    } else {
+        match serve_one(encode_response(&reply(stale))) {
+            Err(ClientError::Proto(ProtoError::BadCrc { .. })) => {}
+            other => panic!("wanted BadCrc and no payload, got {other:?}"),
+        }
+    }
+}

@@ -1,11 +1,14 @@
 //! Deterministic multi-client serving: `workers = 0`, every interleaving
 //! chosen by the test via the [`InProcServer`] stepper.
 
-use std::sync::Arc;
+use std::io;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use viz_fetch::{BlockPool, FetchConfig, FetchEngine, InstrumentedSource};
-use viz_serve::proto::ERR_UNKNOWN_SESSION;
-use viz_serve::{InProcServer, ServeClient, ServeConfig, Server, SessionId};
+use viz_serve::proto::{encode_response, ERR_UNKNOWN_SESSION};
+use viz_serve::{
+    BlockReply, InProcServer, Response, ServeClient, ServeConfig, Server, SessionId, Transport,
+};
 use viz_volume::{BlockId, BlockKey, MemBlockStore};
 
 fn key(i: u32) -> BlockKey {
@@ -28,12 +31,33 @@ fn det_server(cfg: ServeConfig, n: u32) -> (Arc<Server>, Arc<InstrumentedSource>
     (Server::new(Arc::new(engine), cfg), src)
 }
 
+/// A transport that keeps a copy of the last frame it received.
+struct Tap<T> {
+    inner: T,
+    last: Arc<Mutex<Vec<u8>>>,
+}
+
+impl<T: Transport> Transport for Tap<T> {
+    fn send(&mut self, frame: &[u8]) -> io::Result<()> {
+        self.inner.send(frame)
+    }
+    fn recv(&mut self) -> io::Result<Vec<u8>> {
+        let frame = self.inner.recv()?;
+        *self.last.lock().unwrap() = frame.clone();
+        Ok(frame)
+    }
+    fn try_recv(&mut self) -> io::Result<Option<Vec<u8>>> {
+        self.inner.try_recv()
+    }
+}
+
 #[test]
 fn two_clients_same_key_is_one_source_read() {
     let (server, src) = det_server(ServeConfig::default(), 8);
     let mut inproc = InProcServer::new(server.clone());
-    let mut a = ServeClient::new(inproc.connect());
-    let mut b = ServeClient::new(inproc.connect());
+    let (frame_a, frame_b) = (Arc::default(), Arc::default());
+    let mut a = ServeClient::new(Tap { inner: inproc.connect(), last: Arc::clone(&frame_a) });
+    let mut b = ServeClient::new(Tap { inner: inproc.connect(), last: Arc::clone(&frame_b) });
 
     a.send_open("a").unwrap();
     b.send_open("b").unwrap();
@@ -61,6 +85,21 @@ fn two_clients_same_key_is_one_source_read() {
     let m = server.engine().metrics();
     assert_eq!(m.cross_tag_coalesced, 1, "the join was across sessions");
     assert_eq!(server.metrics().demand_served, 2);
+
+    // Both payloads went out on the pool's cached checksum, in frames
+    // byte-identical to ones checksummed the long way.
+    for (session, frame) in [(sa, &frame_a), (sb, &frame_b)] {
+        let unhinted = Response::FetchReply {
+            session,
+            blocks: vec![BlockReply { key: key(3), result: Ok(pa.clone()), crc: None }],
+            shed: 0,
+            downgraded: 0,
+        };
+        assert_eq!(*frame.lock().unwrap(), encode_response(&unhinted));
+    }
+    let counters = server.wire_counters();
+    let count = |name: &str| counters.iter().find(|(n, _)| n == name).unwrap().1;
+    assert_eq!((count("serve_crc_cached"), count("serve_crc_computed")), (2, 0));
 }
 
 #[test]
