@@ -205,7 +205,7 @@ fn run_inproc(sessions: usize, rounds: usize) -> InprocRun {
     let engine = FetchEngine::spawn(
         filled_store(),
         Arc::new(BlockPool::new()),
-        FetchConfig { workers: 0, batch_max: 8, ..FetchConfig::deterministic() },
+        FetchConfig::deterministic(),
     );
     let server = Server::new(
         Arc::new(engine),
@@ -458,7 +458,7 @@ fn main() {
     let json = format!(
         r#"{{
   "bench": "reactor_soak",
-  "provenance": "Measured on a shared container from a `cargo --release` build. TCP stages run {tcp_n} sequential localhost clients against each front end (identical wire workload; per-request latency is a full round trip); soak stages run the deterministic in-process reactor with 10% session churn per round, individually-timed probe round-trips, and RSS/thread figures read from /proc/self/status. Absolute times carry scheduler noise; ratios (p99 scaling, threads, kB/session) are representative. Regenerate with `cargo run --release -p viz-bench --bin soak`.",
+  "provenance": "Measured on a shared {cores}-core container from a `cargo --release` build. TCP stages run {tcp_n} sequential localhost clients against each front end (identical wire workload; per-request latency is a full round trip); soak stages run the deterministic in-process reactor with 10% session churn per round, individually-timed probe round-trips, and RSS/thread figures read from /proc/self/status. Absolute times carry scheduler noise; ratios (p99 scaling, threads, kB/session) are representative. Regenerate with `cargo run --release --locked --offline -p viz-bench --bin soak`.",
   "operating_point": {{
     "store_keys": {keys},
     "block_len_f32": {bl},
@@ -466,8 +466,7 @@ fn main() {
     "tcp_sessions": {tcp_n},
     "tcp_rounds": {tcp_rounds},
     "soak_rounds": {soak_rounds},
-    "engine_workers_tcp": 4,
-    "soak_batch_max": 8
+    "engine_workers_tcp": 4
   }},
   "tcp": [
 {tcp_entries}
@@ -477,6 +476,7 @@ fn main() {
   ]
 }}
 "#,
+        cores = std::thread::available_parallelism().map_or(0, |n| n.get()),
         keys = STORE_KEYS,
         bl = BLOCK_LEN,
         tcp_n = tcp_n,

@@ -154,12 +154,12 @@ impl ClusterShared {
             .clone()
     }
 
-    /// Race a peer fetch against a local read: the primary runs on a
-    /// detached thread (a scoped join would block on the slow peer —
+    /// Race a peer fetch of `key` against a local read: the primary runs
+    /// on a detached thread (a scoped join would block on the slow peer —
     /// exactly what hedging exists to avoid); if it has not answered
     /// within `threshold`, the calling thread reads locally and the
     /// first result wins. `Ok` is the primary's outcome (possibly late
-    /// but preferred once it landed); `Err` carries local results that
+    /// but preferred once it landed); `Err` carries the local result that
     /// already resolved the read. The detached thread holds that peer's
     /// client lock until the slow fetch returns, so later fetches to the
     /// same peer serialize behind it — the price of not abandoning the
@@ -167,23 +167,22 @@ impl ClusterShared {
     fn hedged_fetch(
         &self,
         owner: NodeId,
-        keys: &[BlockKey],
+        key: BlockKey,
         threshold: Duration,
         local: &Arc<dyn BlockSource>,
-    ) -> Result<io::Result<Vec<BlockReply>>, Vec<io::Result<Vec<f32>>>> {
+    ) -> Result<io::Result<Vec<BlockReply>>, io::Result<Vec<f32>>> {
         let (tx, rx) = mpsc::channel();
         let peer = self.peer(owner);
-        let keys_owned = keys.to_vec();
         std::thread::spawn(move || {
             let mut peer = relock(&peer);
             // The receiver gives up after its own local read; ignore a
             // closed channel.
-            let _ = tx.send(peer.fetch(&keys_owned));
+            let _ = tx.send(peer.fetch(&[key]));
         });
         match rx.recv_timeout(threshold) {
             Ok(fetched) => Ok(fetched),
             Err(_) => {
-                let local_results = local.read_blocks(keys);
+                let local_result = local.read_block(key);
                 // Prefer a primary that landed while we were reading —
                 // it came from the owner's warm pool.
                 match rx.try_recv() {
@@ -193,66 +192,47 @@ impl ClusterShared {
                     }
                     _ => {
                         instant(Ev::HedgedRead, u64::from(owner.0), 1);
-                        Err(local_results)
+                        Err(local_result)
                     }
                 }
             }
         }
     }
 
-    /// Fetch `keys` from `owner`, falling back to `local` per key (or
-    /// whole-batch) on any peer failure. Results land in `out` at the
-    /// positions named by `idxs`. Records no membership evidence: the
-    /// heartbeat path owns suspicion, the read path only routes by it.
+    /// Fetch `key` from `owner`, falling back to a `local` read on any
+    /// peer failure. Records no membership evidence: the heartbeat path
+    /// owns suspicion, the read path only routes by it.
     fn peer_or_local(
         &self,
         owner: NodeId,
-        keys: &[BlockKey],
-        idxs: &[usize],
+        key: BlockKey,
         local: &Arc<dyn BlockSource>,
-        out: &mut [Option<io::Result<Vec<f32>>>],
-    ) {
+    ) -> io::Result<Vec<f32>> {
         let fetched = match self.hedge_after {
-            Some(threshold) => match self.hedged_fetch(owner, keys, threshold, local) {
+            Some(threshold) => match self.hedged_fetch(owner, key, threshold, local) {
                 Ok(f) => f,
-                Err(local_results) => {
-                    for (slot, r) in idxs.iter().zip(local_results) {
-                        out[*slot] = Some(r);
-                    }
-                    return;
-                }
+                Err(local_result) => return local_result,
             },
             None => {
                 let peer = self.peer(owner);
                 let mut peer = relock(&peer);
-                peer.fetch(keys)
+                peer.fetch(&[key])
             }
         };
-        match fetched {
-            Ok(blocks) if blocks.len() == keys.len() => {
-                for (slot, reply) in idxs.iter().zip(blocks) {
-                    out[*slot] = Some(match reply.result {
-                        Ok(data) => Ok(Arc::try_unwrap(data).unwrap_or_else(|a| (*a).clone())),
-                        Err(code) => {
-                            // The owner failed this one key; shared
-                            // storage lets us retry locally.
-                            note_fallback(owner, viz_serve::proto::errkind_from_code(code));
-                            local.read_block(reply.key)
-                        }
-                    });
+        let kind = match fetched {
+            Ok(mut blocks) if blocks.len() == 1 => {
+                match blocks.pop().expect("len checked").result {
+                    Ok(data) => return Ok(Arc::try_unwrap(data).unwrap_or_else(|a| (*a).clone())),
+                    // The owner failed this key; shared storage lets us
+                    // retry locally.
+                    Err(code) => viz_serve::proto::errkind_from_code(code),
                 }
             }
-            Ok(_) | Err(_) => {
-                let kind = match &fetched {
-                    Err(e) => e.kind(),
-                    Ok(_) => io::ErrorKind::InvalidData,
-                };
-                note_fallback(owner, kind);
-                for (slot, r) in idxs.iter().zip(local.read_blocks(keys)) {
-                    out[*slot] = Some(r);
-                }
-            }
-        }
+            Ok(_) => io::ErrorKind::InvalidData,
+            Err(e) => e.kind(),
+        };
+        note_fallback(owner, kind);
+        local.read_block(key)
     }
 }
 
@@ -269,9 +249,7 @@ impl BlockSource for RoutedSource {
         let map = self.shared.map();
         let target = self.shared.route(&map, key);
         if target != self.shared.self_id {
-            let mut out = [None];
-            self.shared.peer_or_local(target, &[key], &[0], &self.local, &mut out);
-            out[0].take().expect("peer_or_local fills every slot")
+            self.shared.peer_or_local(target, key, &self.local)
         } else {
             self.local.read_block(key)
         }
@@ -281,40 +259,6 @@ impl BlockSource for RoutedSource {
         // Size probes stay local: shared storage answers them without a
         // round trip, and quota accounting only needs an estimate.
         self.local.block_bytes(key)
-    }
-
-    fn read_blocks(&self, keys: &[BlockKey]) -> Vec<io::Result<Vec<f32>>> {
-        let map = self.shared.map();
-        let mut out: Vec<Option<io::Result<Vec<f32>>>> = Vec::new();
-        out.resize_with(keys.len(), || None);
-        // Group request positions per routed target (first healthy
-        // replica), preserving request order within each group.
-        let mut local_keys = Vec::new();
-        let mut local_idxs = Vec::new();
-        let mut remote: HashMap<u32, (Vec<BlockKey>, Vec<usize>)> = HashMap::new();
-        for (i, &key) in keys.iter().enumerate() {
-            let target = self.shared.route(&map, key);
-            if target != self.shared.self_id {
-                let entry = remote.entry(target.0).or_default();
-                entry.0.push(key);
-                entry.1.push(i);
-            } else {
-                local_keys.push(key);
-                local_idxs.push(i);
-            }
-        }
-        if !local_keys.is_empty() {
-            for (slot, r) in local_idxs.iter().zip(self.local.read_blocks(&local_keys)) {
-                out[*slot] = Some(r);
-            }
-        }
-        let mut owners: Vec<u32> = remote.keys().copied().collect();
-        owners.sort();
-        for owner in owners {
-            let (ks, idxs) = &remote[&owner];
-            self.shared.peer_or_local(NodeId(owner), ks, idxs, &self.local, &mut out);
-        }
-        out.into_iter().map(|r| r.expect("every slot fills")).collect()
     }
 }
 
@@ -474,30 +418,26 @@ impl ClusterNode {
     /// thread — the deterministic in-process transport. Fetches pump the
     /// scheduler and step the inline engine to idle (recursing into peer
     /// nodes through their own `serve_frame` when a read forwards).
-    /// Replies at the requester's claimed protocol version, and stamps
-    /// every telemetry event emitted while serving with this node's id.
+    /// Stamps every telemetry event emitted while serving with this
+    /// node's id.
     pub fn serve_frame(&self, frame: &[u8]) -> Vec<u8> {
         viz_telemetry::with_node(self.node_tag(), || {
-            let mut ver = viz_serve::proto::PROTO_VERSION;
-            let resp = match viz_serve::proto::decode_request_full(frame) {
-                Ok((v, req)) => {
-                    ver = v;
-                    match self.dispatch(&self.server, req) {
-                        Outcome::Ready(r) => r,
-                        Outcome::Fetch(p) => {
-                            self.server.pump();
-                            if self.cfg.deterministic {
-                                self.server.engine().run_until_idle();
-                                p.resolve_now(&self.server)
-                            } else {
-                                p.wait(&self.server)
-                            }
+            let resp = match viz_serve::proto::decode_request(frame) {
+                Ok(req) => match self.dispatch(&self.server, req) {
+                    Outcome::Ready(r) => r,
+                    Outcome::Fetch(p) => {
+                        self.server.pump();
+                        if self.cfg.deterministic {
+                            self.server.engine().run_until_idle();
+                            p.resolve_now(&self.server)
+                        } else {
+                            p.wait(&self.server)
                         }
                     }
-                }
+                },
                 Err(pe) => Response::Error { code: pe.code(), message: pe.to_string() },
             };
-            viz_serve::proto::encode_response_versioned(&resp, ver)
+            viz_serve::proto::encode_response(&resp)
         })
     }
 
@@ -505,13 +445,15 @@ impl ClusterNode {
     /// reads (shared storage), used past the hop cap and under map skew.
     fn peer_direct(&self, session: u32, demand: Vec<BlockKey>) -> Outcome {
         self.server.record_peer_direct(demand.len() as u64);
-        let results = self.local.read_blocks(&demand);
         let blocks = demand
             .into_iter()
-            .zip(results)
-            .map(|(key, r)| BlockReply {
+            .map(|key| BlockReply {
                 key,
-                result: r.map(Arc::new).map_err(|e| errkind_code(e.kind())),
+                result: self
+                    .local
+                    .read_block(key)
+                    .map(Arc::new)
+                    .map_err(|e| errkind_code(e.kind())),
                 crc: None,
             })
             .collect();

@@ -250,7 +250,7 @@ impl PeerClient {
     }
 
     /// [`PeerClient::ping`] that also returns the peer's telemetry clock
-    /// (`now_ns`; 0 from a v1 peer) — paired with the local send/receive
+    /// (`now_ns`) — paired with the local send/receive
     /// instants it yields an RTT-midpoint clock-offset estimate for
     /// cross-node trace alignment.
     pub fn ping_timed(&mut self, map_version: u64) -> io::Result<(u32, u64, u64)> {

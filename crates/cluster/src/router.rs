@@ -530,8 +530,8 @@ impl Router {
     /// Estimate every live node's clock offset from one `Ping` round
     /// trip each (RTT-midpoint,
     /// [`viz_telemetry::collect::offset_from_rtt`]); the estimates align
-    /// scraped drains onto the router's timeline. A v1 node (reporting
-    /// `now_ns = 0`) keeps its previous estimate. Returns nodes synced.
+    /// scraped drains onto the router's timeline. A node reporting
+    /// `now_ns = 0` keeps its previous estimate. Returns nodes synced.
     pub fn sync_clocks(&mut self) -> usize {
         let my_version = self.map.version();
         let mut synced = 0;

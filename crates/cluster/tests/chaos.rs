@@ -18,7 +18,8 @@ use viz_cluster::{
 use viz_telemetry::EventKind;
 use viz_volume::{BlockId, BlockKey};
 
-/// Serializes the tests that enable + drain the global telemetry trace.
+/// Serializes the tests that enable + drain the global telemetry trace,
+/// and the ones whose `run_plan` drains it while another has it enabled.
 static TRACE: Mutex<()> = Mutex::new(());
 
 fn key(i: u32) -> BlockKey {
@@ -41,6 +42,7 @@ fn owned_by(cluster: &TestCluster, keys: &[BlockKey], node: NodeId) -> Vec<Block
 
 #[test]
 fn seeded_plans_zero_demand_errors_across_seeds() {
+    let _guard = TRACE.lock().unwrap_or_else(|p| p.into_inner());
     for seed in [11u64, 17, 23] {
         let mut cluster = TestCluster::new(4, ShardStrategy::Ring);
         let mut router = cluster.router("chaos");
@@ -104,6 +106,7 @@ fn seeded_plans_zero_demand_errors_across_seeds() {
 
 #[test]
 fn seeded_plan_replays_identically() {
+    let _guard = TRACE.lock().unwrap_or_else(|p| p.into_inner());
     let mut c1 = TestCluster::new(4, ShardStrategy::Ring);
     let mut r1 = c1.router("a");
     let mut c2 = TestCluster::new(4, ShardStrategy::Ring);

@@ -5,11 +5,13 @@
 //! worker threads (or stepped inline in deterministic mode). Scheduling
 //! order is: demand fetches first (the renderer is stalled on them), then
 //! prefetches by descending priority (callers pass `T_important` entropy),
-//! FIFO among equals. Concurrent requests for one key coalesce onto a
+//! FIFO among equals. Every dispatch takes one key and reads it with one
+//! [`BlockSource::read_block`] call, so a demand read never waits behind
+//! sibling reads. Concurrent requests for one key coalesce onto a
 //! single read; queued prefetches whose generation predates the current
 //! camera step are cancelled at dequeue without touching the source.
 //!
-//! The fault-tolerance layer (this PR's `retry`/`fault` modules) keeps a
+//! The fault-tolerance layer (the `retry`/`fault` modules) keeps a
 //! misbehaving source from stalling the render loop:
 //!
 //! - transient read errors are retried with bounded exponential backoff
@@ -31,6 +33,7 @@ use crate::iopool::IoPool;
 use crate::pool::{BlockPool, PoolEntry};
 use crate::retry::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
 use std::any::Any;
+use std::cell::Cell;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
@@ -67,14 +70,6 @@ pub struct FetchConfig {
     /// the cap queue for a pool thread instead of spawning more, so a
     /// fault storm of hung reads can no longer leak one thread per read.
     pub io_threads: usize,
-    /// Maximum prefetches grouped into one batched source read per
-    /// dispatch (`1` disables batching — the default, preserving strict
-    /// one-key-per-dispatch semantics). Batches go through
-    /// [`viz_volume::BlockSource::read_blocks`], letting disk-backed
-    /// sources group and order their accesses. Demand reads always
-    /// dispatch solo so batching never adds sibling latency to a stalled
-    /// renderer.
-    pub batch_max: usize,
     /// Circuit-breaker tuning (see [`CircuitBreaker`]). Set
     /// `failure_threshold` to `u32::MAX` to effectively disable it.
     pub breaker: BreakerConfig,
@@ -88,7 +83,6 @@ impl Default for FetchConfig {
             retry: RetryPolicy::default(),
             source_timeout: None,
             io_threads: 32,
-            batch_max: 1,
             breaker: BreakerConfig::default(),
         }
     }
@@ -840,32 +834,6 @@ impl FetchEngine {
         n
     }
 
-    /// Deterministic mode: dequeue up to [`FetchConfig::batch_max`]
-    /// runnable prefetches and service them as one grouped source read
-    /// (a demand job at the front still dispatches solo). Returns the
-    /// serviced keys, empty when the queue is idle. With `batch_max == 1`
-    /// this is exactly [`Self::run_one`].
-    pub fn run_batch(&self) -> Vec<BlockKey> {
-        let s = &self.shared;
-        let jobs = {
-            let mut st = lock_state(s);
-            try_dequeue_batch(s, &mut st, s.cfg.batch_max.max(1))
-        };
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        let keys: Vec<BlockKey> = jobs.iter().map(|j| j.key).collect();
-        if let Err(p) = catch_unwind(AssertUnwindSafe(|| service_batch(s, jobs))) {
-            s.m.worker_panics.inc();
-            for &key in &keys {
-                if lock_state(s).inflight.contains_key(&key) {
-                    fail_job_after_panic(s, key, p.as_ref());
-                }
-            }
-        }
-        keys
-    }
-
     /// Requests currently queued (logical entries, not stale heap nodes).
     pub fn queue_depth(&self) -> usize {
         lock_state(&self.shared).pending.len()
@@ -1109,43 +1077,6 @@ fn try_dequeue(s: &Shared, st: &mut MutexGuard<'_, State>) -> Option<Job> {
     None
 }
 
-/// Pop up to `max` runnable jobs for one dispatch. A demand job always
-/// dispatches solo (batching must never add sibling-read latency to a
-/// stalled renderer); prefetches batch together so the source sees one
-/// grouped read. Gathering stops early when the heap's next node is a
-/// demand entry — a stale such node can only shrink the batch, never
-/// starve the demand (it dispatches next).
-fn try_dequeue_batch(s: &Shared, st: &mut MutexGuard<'_, State>, max: usize) -> Vec<Job> {
-    let mut jobs = Vec::new();
-    let Some(first) = try_dequeue(s, st) else {
-        return jobs;
-    };
-    let solo = first.demand;
-    jobs.push(first);
-    if solo {
-        return jobs;
-    }
-    while jobs.len() < max {
-        match st.heap.peek() {
-            Some(e) if !e.demand => {}
-            _ => break,
-        }
-        match try_dequeue(s, st) {
-            Some(j) => {
-                // A stale prefetch node can unmask a demand entry; take it
-                // into the batch (correct, just not solo) and stop there.
-                let demand = j.demand;
-                jobs.push(j);
-                if demand {
-                    break;
-                }
-            }
-            None => break,
-        }
-    }
-    jobs
-}
-
 fn notify_if_idle(s: &Shared, st: &MutexGuard<'_, State>) {
     if st.pending.is_empty() && st.inflight.is_empty() {
         s.idle.notify_all();
@@ -1260,17 +1191,16 @@ fn service(s: &Arc<Shared>, job: Job) {
     viz_telemetry::with_node(job.node, || {
         viz_telemetry::with_trace(job.trace, || {
             let t0 = Instant::now();
-            let res = read_retrying(s, job.key, 0);
+            let res = read_retrying(s, job.key);
             publish_one(s, &job, res, t0);
         })
     });
 }
 
-/// Read one key, retrying transient failures per `cfg.retry` starting at
-/// 0-based `attempt` (batch dispatch enters at 1: the batched read was
-/// the key's first attempt).
-fn read_retrying(s: &Arc<Shared>, key: BlockKey, mut attempt: u32) -> Result<Vec<f32>, FetchError> {
+/// Read one key, retrying transient failures per `cfg.retry`.
+fn read_retrying(s: &Arc<Shared>, key: BlockKey) -> Result<Vec<f32>, FetchError> {
     let salt = key_salt(key);
+    let mut attempt = 0;
     loop {
         let ta = viz_telemetry::start();
         let r = read_source(s, key);
@@ -1287,23 +1217,18 @@ fn read_retrying(s: &Arc<Shared>, key: BlockKey, mut attempt: u32) -> Result<Vec
         if !s.cfg.retry.should_retry(kind, attempt) || engine_shutting_down(s) {
             return r;
         }
-        count_retry(s, salt, attempt);
-        attempt += 1;
-    }
-}
-
-/// Count one retry and, in threaded mode, sleep the backoff for 0-based
-/// `attempt`.
-fn count_retry(s: &Shared, salt: u64, attempt: u32) {
-    s.m.retries.inc();
-    viz_telemetry::instant(Ev::FetchRetry, salt, u64::from(attempt));
-    if s.cfg.workers > 0 {
-        let d = s.cfg.retry.backoff(attempt, salt);
-        if !d.is_zero() {
-            let tb = viz_telemetry::start();
-            std::thread::sleep(d);
-            viz_telemetry::span(Ev::FetchBackoff, salt, u64::from(attempt), tb);
+        s.m.retries.inc();
+        viz_telemetry::instant(Ev::FetchRetry, salt, u64::from(attempt));
+        // Deterministic mode retries inline, with no backoff sleep.
+        if s.cfg.workers > 0 {
+            let d = s.cfg.retry.backoff(attempt, salt);
+            if !d.is_zero() {
+                let tb = viz_telemetry::start();
+                std::thread::sleep(d);
+                viz_telemetry::span(Ev::FetchBackoff, salt, u64::from(attempt), tb);
+            }
         }
+        attempt += 1;
     }
 }
 
@@ -1355,125 +1280,6 @@ fn publish_one(s: &Arc<Shared>, job: &Job, res: Result<Vec<f32>, FetchError>, t0
     wake_hook(s);
 }
 
-/// Service a whole dequeued batch with one grouped source read
-/// ([`viz_volume::BlockSource::read_blocks`]), then publish each key
-/// independently. A key whose slot failed transiently falls back to the
-/// per-key retry path (its batched attempt counts as attempt 0); failures
-/// never poison batch siblings. Single-job batches take the plain
-/// [`service`] path so one-key dispatch telemetry is unchanged.
-fn service_batch(s: &Arc<Shared>, jobs: Vec<Job>) {
-    if jobs.len() == 1 {
-        let job = jobs.into_iter().next().expect("len checked");
-        return service(s, job);
-    }
-    let t0 = Instant::now();
-    let keys: Vec<BlockKey> = jobs.iter().map(|j| j.key).collect();
-    let tb = viz_telemetry::start();
-    let results = batched_read(s, &keys);
-    let all_ok = results.iter().all(|r| r.is_ok());
-    viz_telemetry::span(
-        Ev::BatchRead,
-        key_salt(keys[0]),
-        ((keys.len() as u64) << 1) | u64::from(all_ok),
-        tb,
-    );
-    for (job, first) in jobs.into_iter().zip(results) {
-        viz_telemetry::with_node(job.node, || {
-            viz_telemetry::with_trace(job.trace, || {
-                let res = match first {
-                    Ok(v) => Ok(v),
-                    Err(e) if s.cfg.retry.should_retry(e.kind, 0) && !engine_shutting_down(s) => {
-                        count_retry(s, key_salt(job.key), 0);
-                        read_retrying(s, job.key, 1)
-                    }
-                    Err(e) => Err(e),
-                };
-                publish_one(s, &job, res, t0);
-            })
-        });
-    }
-}
-
-/// One batched source read, honoring `cfg.source_timeout` the same way
-/// [`read_source`] does: with a timeout the whole batch runs on the
-/// bounded [`IoPool`] and is abandoned as a unit at the deadline, with
-/// any late-completing payloads still landing in the pool.
-fn batched_read(s: &Arc<Shared>, keys: &[BlockKey]) -> Vec<Result<Vec<f32>, FetchError>> {
-    let Some(limit) = s.cfg.source_timeout else {
-        return s
-            .source
-            .read_blocks(keys)
-            .into_iter()
-            .map(|r| r.map_err(FetchError::from))
-            .collect();
-    };
-    let (tx, rx) = channel::<Vec<Result<Vec<f32>, FetchError>>>();
-    let io_shared = s.clone();
-    let batch: Vec<BlockKey> = keys.to_vec();
-    let submitted = s.io.submit(Box::new(move || {
-        let res = catch_unwind(AssertUnwindSafe(|| io_shared.source.read_blocks(&batch)));
-        let out: Vec<Result<Vec<f32>, FetchError>> = match res {
-            Ok(v) => v.into_iter().map(|r| r.map_err(FetchError::from)).collect(),
-            Err(p) => {
-                let e = panic_error(p.as_ref());
-                batch.iter().map(|_| Err(e.clone())).collect()
-            }
-        };
-        if let Err(unsent) = tx.send(out) {
-            // The worker abandoned the batch at its deadline. Land every
-            // payload that did complete — late, not lost.
-            let landed: Vec<_> = batch
-                .iter()
-                .zip(unsent.0)
-                .filter_map(|(k, r)| Some((*k, PoolEntry::new(Arc::new(r.ok()?)))))
-                .collect();
-            let _st = lock_state(&io_shared);
-            for (k, entry) in landed {
-                io_shared.pool.insert_entry(k, entry);
-                io_shared.m.late_arrivals.inc();
-                viz_telemetry::instant(Ev::LateArrival, key_salt(k), 0);
-            }
-        }
-    }));
-    if !submitted {
-        // Pool already shut down (engine stopping): read inline.
-        return s
-            .source
-            .read_blocks(keys)
-            .into_iter()
-            .map(|r| r.map_err(FetchError::from))
-            .collect();
-    }
-    match rx.recv_timeout(limit) {
-        Ok(out) => out,
-        Err(RecvTimeoutError::Timeout) => {
-            if let Ok(out) = rx.try_recv() {
-                return out;
-            }
-            drop(rx);
-            viz_telemetry::instant(Ev::SourceTimeout, key_salt(keys[0]), limit.as_nanos() as u64);
-            keys.iter()
-                .map(|k| {
-                    s.m.timeouts.inc();
-                    Err(FetchError {
-                        kind: io::ErrorKind::TimedOut,
-                        message: format!("batched read of {k:?} exceeded {limit:?}; abandoned"),
-                    })
-                })
-                .collect()
-        }
-        Err(RecvTimeoutError::Disconnected) => keys
-            .iter()
-            .map(|_| {
-                Err(FetchError {
-                    kind: io::ErrorKind::Other,
-                    message: "fetch io pool dropped the batch without reporting".into(),
-                })
-            })
-            .collect(),
-    }
-}
-
 /// Small stable code for [`io::ErrorKind`]s the engine distinguishes, for
 /// the `arg` of [`Ev::FetchFail`] events (0 = anything else).
 fn errkind_code(kind: io::ErrorKind) -> u64 {
@@ -1504,17 +1310,14 @@ fn fail_job_after_panic(s: &Arc<Shared>, key: BlockKey, p: &(dyn Any + Send)) {
     wake_hook(s);
 }
 
-fn worker_loop(s: &Arc<Shared>, active: &Mutex<Vec<BlockKey>>) {
-    let batch_max = s.cfg.batch_max.max(1);
+fn worker_loop(s: &Arc<Shared>, active: &Cell<Option<BlockKey>>) {
     let mut st = lock_state(s);
     loop {
-        let jobs = try_dequeue_batch(s, &mut st, batch_max);
-        if !jobs.is_empty() {
+        if let Some(job) = try_dequeue(s, &mut st) {
             drop(st);
-            *active.lock().unwrap_or_else(PoisonError::into_inner) =
-                jobs.iter().map(|j| j.key).collect();
-            service_batch(s, jobs);
-            active.lock().unwrap_or_else(PoisonError::into_inner).clear();
+            active.set(Some(job.key));
+            service(s, job);
+            active.set(None);
             st = lock_state(s);
             continue;
         }
@@ -1526,20 +1329,18 @@ fn worker_loop(s: &Arc<Shared>, active: &Mutex<Vec<BlockKey>>) {
 }
 
 /// Worker supervision: catch a panic anywhere in the worker's loop, fail
-/// the in-flight jobs it was holding (so waiters see a [`FetchError`],
+/// the in-flight job it was holding (so waiters see a [`FetchError`],
 /// not a hang), and re-enter the loop — the worker respawns in place and
-/// the pool never shrinks. Batch keys already published before the panic
-/// are left alone (they are no longer in the in-flight map).
+/// the pool never shrinks. A key already published before the panic is
+/// left alone (it is no longer in the in-flight map).
 fn supervised_worker(s: &Arc<Shared>) {
-    let active: Mutex<Vec<BlockKey>> = Mutex::new(Vec::new());
+    let active = Cell::new(None);
     loop {
         match catch_unwind(AssertUnwindSafe(|| worker_loop(s, &active))) {
             Ok(()) => return, // clean shutdown
             Err(p) => {
                 s.m.worker_panics.inc();
-                let keys =
-                    std::mem::take(&mut *active.lock().unwrap_or_else(PoisonError::into_inner));
-                for key in keys {
+                if let Some(key) = active.take() {
                     if lock_state(s).inflight.contains_key(&key) {
                         fail_job_after_panic(s, key, p.as_ref());
                     }
@@ -1860,37 +1661,5 @@ mod tests {
         assert_eq!(eng.run_one(), Some(key(0)), "upgraded key dispatches first");
         eng.run_until_idle();
         assert_eq!(pool.len(), 4);
-    }
-
-    #[test]
-    fn run_batch_groups_prefetches_and_isolates_failures() {
-        let pool = Arc::new(BlockPool::new());
-        let cfg = FetchConfig { batch_max: 4, ..FetchConfig::deterministic() };
-        let eng = FetchEngine::spawn(store_with(8), pool.clone(), cfg);
-        for i in 0..5 {
-            assert!(eng.prefetch(key(i), 1.0));
-        }
-        assert!(eng.prefetch(key(99), 0.5)); // missing from the store
-        assert_eq!(eng.run_batch().len(), 4);
-        assert_eq!(eng.run_batch().len(), 2);
-        assert!(eng.run_batch().is_empty());
-        let m = eng.metrics();
-        assert_eq!(m.completed, 5);
-        assert_eq!(m.errors, 1, "missing key fails without poisoning batch siblings");
-        assert_eq!(m.retries, 0, "NotFound in a batch must fail fast");
-        assert_eq!(pool.len(), 5);
-    }
-
-    #[test]
-    fn demand_dispatches_solo_even_with_batching() {
-        let cfg = FetchConfig { batch_max: 8, ..FetchConfig::deterministic() };
-        let eng = FetchEngine::spawn(store_with(8), Arc::new(BlockPool::new()), cfg);
-        for i in 0..4 {
-            assert!(eng.prefetch(key(i), 1.0));
-        }
-        let t = eng.request(key(7));
-        assert_eq!(eng.run_batch(), vec![key(7)], "demand outranks and dispatches alone");
-        assert_eq!(eng.run_batch().len(), 4);
-        assert!(t.wait().is_ok());
     }
 }

@@ -11,6 +11,8 @@
 //! - [`FetchEngine`] — a configurable worker pool draining a binary heap of
 //!   requests. **Demand** fetches (the renderer is blocked on them) always
 //!   outrank **prefetches**; prefetches order by `T_important` entropy.
+//!   Each dispatch reads one key, as Algorithm 1 fetches each missing
+//!   block on its own.
 //! - **Request coalescing** — concurrent requests for one [`BlockKey`]
 //!   attach to a single in-flight read and all receive the shared `Arc`
 //!   payload; a key is never read twice concurrently.

@@ -173,8 +173,8 @@ impl<T: Transport> ServeClient<T> {
     }
 
     /// [`ServeClient::ping`] that also returns the responder's telemetry
-    /// clock (`now_ns`, v2) — the raw material for an RTT-midpoint clock
-    /// offset estimate. A v1 responder reports 0.
+    /// clock (`now_ns`) — the raw material for an RTT-midpoint clock
+    /// offset estimate.
     pub fn ping_timed(
         &mut self,
         from: u32,
@@ -326,6 +326,11 @@ mod tests {
         // 8 wire bytes a demand key: the keys alone fill the limit.
         let demand = vec![BlockKey::scalar(BlockId(1)); MAX_FRAME_BYTES / 8];
         match client.send_fetch(0, demand, vec![]) {
+            Err(ClientError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::InvalidInput, "{e}"),
+            other => panic!("wanted InvalidInput, got {other:?}"),
+        }
+        // So is an `Open` name its `u16` length field cannot count.
+        match client.send_open(&"n".repeat(70_000)) {
             Err(ClientError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::InvalidInput, "{e}"),
             other => panic!("wanted InvalidInput, got {other:?}"),
         }

@@ -65,7 +65,7 @@ pub mod transport;
 pub use client::{ClientError, FetchOutcome, ServeClient};
 pub use proto::{
     BlockReply, HistSnapshot, ProtoError, Request, Response, TraceCtx, WireTelemetry,
-    MAX_FRAME_BYTES, MIN_PROTO_VERSION, PROTO_VERSION,
+    MAX_FRAME_BYTES, PROTO_VERSION,
 };
 pub use reactor::{ReactorInProcServer, ReactorTcpServer, TcpFrontend};
 pub use registry::{SessionId, SessionView};

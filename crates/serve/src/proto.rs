@@ -15,10 +15,7 @@
 //!
 //! Corruption never panics: truncation, a flipped CRC byte, an unknown
 //! tag, and version skew each map to a distinct [`ProtoError`] variant,
-//! mirroring the persist codecs' corruption contract. A v3 client hitting
-//! a v2 server (or vice versa) gets [`ProtoError::VersionSkew`] and the
-//! server answers with a [`Response::Error`] carrying [`ERR_VERSION`]
-//! instead of dropping the connection.
+//! mirroring the persist codecs' corruption contract.
 //!
 //! ## What a block payload costs
 //!
@@ -61,23 +58,13 @@
 //! refused by [`try_encode_request`] (what the client, peer-link and
 //! router senders use) before a byte is written.
 //!
-//! ## Version 2 (additive)
+//! ## One version
 //!
-//! v2 appends distributed-tracing fields; every v1 frame still decodes
-//! (the new fields default to zero) and [`encode_request_versioned`] at
-//! version 1 reproduces the v1 byte layout exactly:
-//!
-//! - `Fetch` / `Advance` / `PeerFetch` carry a trailing [`TraceCtx`]
-//!   (trace id + parent span id) so server-side work is attributable to
-//!   the originating client request across node boundaries.
-//! - `Pong` carries the responder's telemetry clock (`now_ns`), giving
-//!   heartbeat exchanges an RTT-midpoint clock-offset estimate for
-//!   merged traces.
-//! - `TelemetryGet`/`TelemetryReply` scrape a node's event rings,
-//!   summary histograms, and wire counters in one round trip.
-//!
-//! Servers answer at the version the request claimed, so a v1 client
-//! against a v2 server keeps working.
+//! A build speaks exactly one version, [`PROTO_VERSION`], and every frame
+//! it writes claims it. A frame claiming any other version, older or
+//! newer, decodes to [`ProtoError::VersionSkew`]; a server answers it
+//! with a [`Response::Error`] carrying [`ERR_VERSION`] and keeps the
+//! connection, so the peer learns why instead of seeing a hang-up.
 
 use std::fmt;
 use std::io;
@@ -89,10 +76,8 @@ use viz_volume::{crc32, BlockId, BlockKey};
 
 /// Frame magic, first four body bytes.
 pub const MAGIC: [u8; 4] = *b"VSRV";
-/// Protocol version this build speaks.
+/// The one protocol version this build speaks.
 pub const PROTO_VERSION: u16 = 2;
-/// Oldest protocol version this build still decodes.
-pub const MIN_PROTO_VERSION: u16 = 1;
 /// Upper bound on one frame body; larger length prefixes are rejected
 /// before any allocation.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
@@ -116,10 +101,10 @@ const TAG_PONG: u8 = 0x87;
 const TAG_TELEMETRY_REPLY: u8 = 0x88;
 const TAG_ERROR: u8 = 0xFF;
 
-/// Distributed-trace context carried on v2 `Fetch`/`Advance`/`PeerFetch`
+/// Distributed-trace context carried on `Fetch`/`Advance`/`PeerFetch`
 /// frames: the 64-bit trace id minted by the originating client/Router
 /// and the parent span id within that trace. All-zero ([`TraceCtx::NONE`])
-/// means "untraced" — what every v1 frame decodes to.
+/// means "untraced".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceCtx {
     /// Trace id (0 = none).
@@ -255,7 +240,7 @@ pub enum Request {
         demand: Vec<BlockKey>,
         /// Prefetch keys with `T_important` priorities.
         prefetch: Vec<(BlockKey, f64)>,
-        /// Trace context (v2; [`TraceCtx::NONE`] on v1 frames).
+        /// Trace context ([`TraceCtx::NONE`] when untraced).
         trace: TraceCtx,
     },
     /// Advance the session's frame generation (camera stepped): queued
@@ -265,7 +250,7 @@ pub enum Request {
     Advance {
         /// Session to advance.
         session: u32,
-        /// Trace context (v2; [`TraceCtx::NONE`] on v1 frames).
+        /// Trace context ([`TraceCtx::NONE`] when untraced).
         trace: TraceCtx,
     },
     /// Snapshot server + engine counters.
@@ -285,7 +270,7 @@ pub enum Request {
         /// Demand keys to resolve on the owner.
         demand: Vec<BlockKey>,
         /// Trace context of the originating client request, so the
-        /// owner's work lands in the same cross-node trace (v2).
+        /// owner's work lands in the same cross-node trace.
         trace: TraceCtx,
     },
     /// Membership heartbeat: "I am alive, and my shard map is at this
@@ -302,7 +287,7 @@ pub enum Request {
     },
     /// Drain the responding node's telemetry plane — event rings (routed
     /// through the flight recorder's history on the way), per-span-kind
-    /// summary histograms, and wire counters — in one round trip (v2).
+    /// summary histograms, and wire counters — in one round trip.
     TelemetryGet,
 }
 
@@ -446,12 +431,12 @@ pub enum Response {
         node: u32,
         /// Responder's current shard-map version (0 = none installed).
         map_version: u64,
-        /// Responder's telemetry clock at answer time (v2; 0 on v1
-        /// frames). With the requester's local send/receive stamps this
-        /// yields an RTT-midpoint clock-offset estimate.
+        /// Responder's telemetry clock at answer time. With the
+        /// requester's local send/receive stamps this yields an
+        /// RTT-midpoint clock-offset estimate.
         now_ns: u64,
     },
-    /// One node's telemetry drain (v2), answering
+    /// One node's telemetry drain, answering
     /// [`Request::TelemetryGet`].
     TelemetryReply(WireTelemetry),
     /// Typed failure; the connection stays usable.
@@ -631,17 +616,17 @@ const BODY_PREFIX_BYTES: usize = 7;
 
 /// Open a frame: the outer header's bytes (zero until [`frame`] patches
 /// them), then the body's magic, version and tag.
-fn body_header(version: u16, tag: u8) -> Vec<u8> {
-    sized_body_header(version, tag, 64)
+fn body_header(tag: u8) -> Vec<u8> {
+    sized_body_header(tag, 64)
 }
 
 /// [`body_header`] for a body whose final length is known: the buffer
 /// never regrows.
-fn sized_body_header(version: u16, tag: u8, body_len: usize) -> Vec<u8> {
+fn sized_body_header(tag: u8, body_len: usize) -> Vec<u8> {
     let mut b = Vec::with_capacity(FRAME_HEADER_BYTES + body_len);
     b.extend_from_slice(&[0; FRAME_HEADER_BYTES]);
     b.extend_from_slice(&MAGIC);
-    put_u16(&mut b, version);
+    put_u16(&mut b, PROTO_VERSION);
     b.push(tag);
     b
 }
@@ -659,7 +644,7 @@ fn fetch_reply_body_len(blocks: &[BlockReply]) -> u64 {
     (BODY_PREFIX_BYTES + 4 * 4) as u64 + blocks.iter().map(per_block).sum::<u64>()
 }
 
-fn open_body(buf: &[u8]) -> Result<(u8, u16, Reader<'_>), ProtoError> {
+fn open_body(buf: &[u8]) -> Result<(u8, Reader<'_>), ProtoError> {
     let body = frame_body(buf)?;
     let mut r = Reader::new(body);
     let magic: [u8; 4] = r.take(4)?.try_into().unwrap();
@@ -667,80 +652,59 @@ fn open_body(buf: &[u8]) -> Result<(u8, u16, Reader<'_>), ProtoError> {
         return Err(ProtoError::BadMagic(magic));
     }
     let version = r.u16()?;
-    if !(MIN_PROTO_VERSION..=PROTO_VERSION).contains(&version) {
+    if version != PROTO_VERSION {
         return Err(ProtoError::VersionSkew { got: version, supported: PROTO_VERSION });
     }
     let tag = r.u8()?;
-    Ok((tag, version, r))
+    Ok((tag, r))
 }
 
-fn put_trace(b: &mut Vec<u8>, version: u16, t: TraceCtx) {
-    if version >= 2 {
-        put_u64(b, t.trace);
-        put_u64(b, t.span);
-    }
+fn put_trace(b: &mut Vec<u8>, t: TraceCtx) {
+    put_u64(b, t.trace);
+    put_u64(b, t.span);
 }
 
-fn read_trace(r: &mut Reader<'_>, version: u16) -> Result<TraceCtx, ProtoError> {
-    if version >= 2 {
-        Ok(TraceCtx { trace: r.u64()?, span: r.u64()? })
-    } else {
-        Ok(TraceCtx::NONE)
-    }
+fn read_trace(r: &mut Reader<'_>) -> Result<TraceCtx, ProtoError> {
+    Ok(TraceCtx { trace: r.u64()?, span: r.u64()? })
 }
 
-/// Encode a request at [`PROTO_VERSION`].
+/// Encode a request.
 ///
 /// # Panics
-/// When the body would exceed [`MAX_FRAME_BYTES`] (a `Fetch` or `PeerFetch`
-/// with millions of keys). Senders of caller-sized requests use
+/// When [`try_encode_request`] would refuse it (a `Fetch` or `PeerFetch`
+/// with millions of keys, an `Open` name over `u16::MAX` bytes), with the
+/// same message. Senders of caller-sized requests use
 /// [`try_encode_request`].
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    encode_request_versioned(req, PROTO_VERSION)
+    request_frame(req).unwrap_or_else(|why| panic!("{why}"))
 }
 
-/// Encode a request at [`PROTO_VERSION`] for sending: one whose body would
-/// exceed [`MAX_FRAME_BYTES`] is refused as `InvalidInput` here, before a
-/// byte is written, instead of by the receiver from the frame header with
-/// the stream left mid-body.
+/// Encode a request for sending: one that cannot be framed — a body over
+/// [`MAX_FRAME_BYTES`], or an `Open` name longer than its `u16` length
+/// field — is refused as `InvalidInput` here, before a byte is written,
+/// instead of reaching the receiver as a frame it must refuse or misread.
 pub fn try_encode_request(req: &Request) -> io::Result<Vec<u8>> {
-    request_frame(req, PROTO_VERSION).map_err(|body_len| {
-        io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!(
-                "request of {body_len} bytes exceeds the {MAX_FRAME_BYTES}-byte frame limit; \
-                 send fewer keys per request"
-            ),
-        )
-    })
+    request_frame(req).map_err(|why| io::Error::new(io::ErrorKind::InvalidInput, why))
 }
 
-/// Encode a request claiming `version` — how compatibility probes and the
-/// version-skew tests manufacture frames from a future client.
-///
-/// # Panics
-/// As [`encode_request`].
-pub fn encode_request_versioned(req: &Request, version: u16) -> Vec<u8> {
-    request_frame(req, version).unwrap_or_else(|body_len| {
-        panic!("request of {body_len} bytes exceeds the {MAX_FRAME_BYTES}-byte frame limit")
-    })
-}
-
-/// The frame of `req` at `version`, or its body length when over the limit.
-fn request_frame(req: &Request, version: u16) -> Result<Vec<u8>, usize> {
+/// The frame of `req`, or why it cannot be framed.
+fn request_frame(req: &Request) -> Result<Vec<u8>, String> {
     let mut b;
     match req {
         Request::Open { name } => {
-            b = body_header(version, TAG_OPEN);
-            put_u16(&mut b, name.len() as u16);
+            let len = u16::try_from(name.len()).map_err(|_| {
+                format!("session name of {} bytes exceeds the {}-byte limit", name.len(), u16::MAX)
+            })?;
+            b = body_header(TAG_OPEN);
+            put_u16(&mut b, len);
             b.extend_from_slice(name.as_bytes());
         }
         Request::Close { session } => {
-            b = body_header(version, TAG_CLOSE);
+            b = body_header(TAG_CLOSE);
             put_u32(&mut b, *session);
         }
         Request::Fetch { session, generation, demand, prefetch, trace } => {
-            b = body_header(version, TAG_FETCH);
+            b = body_header(TAG_FETCH);
             put_u32(&mut b, *session);
             put_u64(&mut b, *generation);
             put_u32(&mut b, demand.len() as u32);
@@ -752,50 +716,49 @@ fn request_frame(req: &Request, version: u16) -> Result<Vec<u8>, usize> {
                 put_key(&mut b, k);
                 put_u64(&mut b, pri.to_bits());
             }
-            put_trace(&mut b, version, *trace);
+            put_trace(&mut b, *trace);
         }
         Request::Advance { session, trace } => {
-            b = body_header(version, TAG_ADVANCE);
+            b = body_header(TAG_ADVANCE);
             put_u32(&mut b, *session);
-            put_trace(&mut b, version, *trace);
+            put_trace(&mut b, *trace);
         }
         Request::Stats => {
-            b = body_header(version, TAG_STATS);
+            b = body_header(TAG_STATS);
         }
         Request::MapGet => {
-            b = body_header(version, TAG_MAP_GET);
+            b = body_header(TAG_MAP_GET);
         }
         Request::PeerFetch { session, hops, demand, trace } => {
-            b = body_header(version, TAG_PEER_FETCH);
+            b = body_header(TAG_PEER_FETCH);
             put_u32(&mut b, *session);
             b.push(*hops);
             put_u32(&mut b, demand.len() as u32);
             for &k in demand {
                 put_key(&mut b, k);
             }
-            put_trace(&mut b, version, *trace);
+            put_trace(&mut b, *trace);
         }
         Request::Ping { from, map_version } => {
-            b = body_header(version, TAG_PING);
+            b = body_header(TAG_PING);
             put_u32(&mut b, *from);
             put_u64(&mut b, *map_version);
         }
         Request::TelemetryGet => {
-            b = body_header(version, TAG_TELEMETRY_GET);
+            b = body_header(TAG_TELEMETRY_GET);
         }
     }
-    frame(b, None)
+    frame(b, None).map_err(|body_len| {
+        format!(
+            "request of {body_len} bytes exceeds the {MAX_FRAME_BYTES}-byte frame limit; send \
+             fewer keys per request"
+        )
+    })
 }
 
 /// Decode a request frame.
 pub fn decode_request(buf: &[u8]) -> Result<Request, ProtoError> {
-    decode_request_full(buf).map(|(_, req)| req)
-}
-
-/// Decode a request frame and report the protocol version it claimed, so
-/// servers can answer v1 clients with v1 replies.
-pub fn decode_request_full(buf: &[u8]) -> Result<(u16, Request), ProtoError> {
-    let (tag, version, mut r) = open_body(buf)?;
+    let (tag, mut r) = open_body(buf)?;
     let req = match tag {
         TAG_OPEN => {
             let n = r.u16()? as usize;
@@ -822,12 +785,12 @@ pub fn decode_request_full(buf: &[u8]) -> Result<(u16, Request), ProtoError> {
                 let k = r.key()?;
                 prefetch.push((k, f64::from_bits(r.u64()?)));
             }
-            let trace = read_trace(&mut r, version)?;
+            let trace = read_trace(&mut r)?;
             Request::Fetch { session, generation, demand, prefetch, trace }
         }
         TAG_ADVANCE => {
             let session = r.u32()?;
-            let trace = read_trace(&mut r, version)?;
+            let trace = read_trace(&mut r)?;
             Request::Advance { session, trace }
         }
         TAG_STATS => Request::Stats,
@@ -841,7 +804,7 @@ pub fn decode_request_full(buf: &[u8]) -> Result<(u16, Request), ProtoError> {
             for _ in 0..n {
                 demand.push(r.key()?);
             }
-            let trace = read_trace(&mut r, version)?;
+            let trace = read_trace(&mut r)?;
             Request::PeerFetch { session, hops, demand, trace }
         }
         TAG_PING => Request::Ping { from: r.u32()?, map_version: r.u64()? },
@@ -849,37 +812,30 @@ pub fn decode_request_full(buf: &[u8]) -> Result<(u16, Request), ProtoError> {
         t => return Err(ProtoError::UnknownTag(t)),
     };
     r.finish()?;
-    Ok((version, req))
+    Ok(req)
 }
 
-/// Encode a response at [`PROTO_VERSION`].
+/// Encode a response.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    encode_response_versioned(resp, PROTO_VERSION)
-}
-
-/// Encode a response claiming `version`, omitting fields the version
-/// predates — servers answer at the version the request claimed so v1
-/// clients keep decoding replies.
-pub fn encode_response_versioned(resp: &Response, version: u16) -> Vec<u8> {
     let mut b;
     // The body's CRC, where an arm has it by the time the body is written.
     let mut crc = None;
     match resp {
         Response::OpenAck { session } => {
-            b = body_header(version, TAG_OPEN_ACK);
+            b = body_header(TAG_OPEN_ACK);
             put_u32(&mut b, *session);
         }
         Response::CloseAck { session } => {
-            b = body_header(version, TAG_CLOSE_ACK);
+            b = body_header(TAG_CLOSE_ACK);
             put_u32(&mut b, *session);
         }
         Response::FetchReply { session, blocks, shed, downgraded } => {
             let body_len = fetch_reply_body_len(blocks);
             if body_len > MAX_FRAME_BYTES as u64 {
                 // Refused from the sizes alone, before anything is allocated.
-                return oversize_response(body_len, version);
+                return oversize_response(body_len);
             }
-            b = sized_body_header(version, TAG_FETCH_REPLY, body_len as usize);
+            b = sized_body_header(TAG_FETCH_REPLY, body_len as usize);
             put_u32(&mut b, *session);
             put_u32(&mut b, *shed);
             put_u32(&mut b, *downgraded);
@@ -916,12 +872,12 @@ pub fn encode_response_versioned(resp: &Response, version: u16) -> Vec<u8> {
             crc = Some(crc32_append(joined, &b[mark..]));
         }
         Response::AdvanceAck { session, generation } => {
-            b = body_header(version, TAG_ADVANCE_ACK);
+            b = body_header(TAG_ADVANCE_ACK);
             put_u32(&mut b, *session);
             put_u64(&mut b, *generation);
         }
         Response::StatsReply { counters } => {
-            b = body_header(version, TAG_STATS_REPLY);
+            b = body_header(TAG_STATS_REPLY);
             put_u32(&mut b, counters.len() as u32);
             for (name, value) in counters {
                 put_u16(&mut b, name.len() as u16);
@@ -930,21 +886,19 @@ pub fn encode_response_versioned(resp: &Response, version: u16) -> Vec<u8> {
             }
         }
         Response::MapReply { version: map_ver, map_bytes } => {
-            b = body_header(version, TAG_MAP_REPLY);
+            b = body_header(TAG_MAP_REPLY);
             put_u64(&mut b, *map_ver);
             put_u32(&mut b, map_bytes.len() as u32);
             b.extend_from_slice(map_bytes);
         }
         Response::Pong { node, map_version, now_ns } => {
-            b = body_header(version, TAG_PONG);
+            b = body_header(TAG_PONG);
             put_u32(&mut b, *node);
             put_u64(&mut b, *map_version);
-            if version >= 2 {
-                put_u64(&mut b, *now_ns);
-            }
+            put_u64(&mut b, *now_ns);
         }
         Response::TelemetryReply(t) => {
-            b = body_header(version, TAG_TELEMETRY_REPLY);
+            b = body_header(TAG_TELEMETRY_REPLY);
             put_u32(&mut b, t.node);
             put_u64(&mut b, t.now_ns);
             put_u64(&mut b, t.dropped);
@@ -980,30 +934,30 @@ pub fn encode_response_versioned(resp: &Response, version: u16) -> Vec<u8> {
             }
         }
         Response::Error { code, message } => {
-            b = body_header(version, TAG_ERROR);
+            b = body_header(TAG_ERROR);
             put_u16(&mut b, *code);
             put_u16(&mut b, message.len() as u16);
             b.extend_from_slice(message.as_bytes());
         }
     }
-    frame(b, crc).unwrap_or_else(|body_len| oversize_response(body_len as u64, version))
+    frame(b, crc).unwrap_or_else(|body_len| oversize_response(body_len as u64))
 }
 
 /// What is sent in place of a response whose body would exceed
 /// [`MAX_FRAME_BYTES`]: every receiver refuses such a frame from its header
 /// and a stream transport is then out of step mid-body, so answer with
 /// what the client can act on instead.
-fn oversize_response(body_len: u64, version: u16) -> Vec<u8> {
+fn oversize_response(body_len: u64) -> Vec<u8> {
     let message = format!(
         "reply of {body_len} bytes exceeds the {MAX_FRAME_BYTES}-byte frame limit; ask for less \
          per request"
     );
-    encode_response_versioned(&Response::Error { code: ERR_PROTO, message }, version)
+    encode_response(&Response::Error { code: ERR_PROTO, message })
 }
 
 /// Decode a response frame.
 pub fn decode_response(buf: &[u8]) -> Result<Response, ProtoError> {
-    let (tag, version, mut r) = open_body(buf)?;
+    let (tag, mut r) = open_body(buf)?;
     let resp = match tag {
         TAG_OPEN_ACK => Response::OpenAck { session: r.u32()? },
         TAG_CLOSE_ACK => Response::CloseAck { session: r.u32()? },
@@ -1050,12 +1004,7 @@ pub fn decode_response(buf: &[u8]) -> Result<Response, ProtoError> {
             let map_bytes = r.take(n)?.to_vec();
             Response::MapReply { version, map_bytes }
         }
-        TAG_PONG => {
-            let node = r.u32()?;
-            let map_version = r.u64()?;
-            let now_ns = if version >= 2 { r.u64()? } else { 0 };
-            Response::Pong { node, map_version, now_ns }
-        }
+        TAG_PONG => Response::Pong { node: r.u32()?, map_version: r.u64()?, now_ns: r.u64()? },
         TAG_TELEMETRY_REPLY => {
             let node = r.u32()?;
             let now_ns = r.u64()?;
@@ -1231,68 +1180,15 @@ mod tests {
 
     #[test]
     fn version_skew_is_typed() {
-        let frame = encode_request_versioned(&Request::Stats, 3);
-        assert_eq!(
-            decode_request(&frame).unwrap_err(),
-            ProtoError::VersionSkew { got: 3, supported: PROTO_VERSION }
-        );
-        let frame = encode_request_versioned(&Request::Stats, 0);
-        assert_eq!(
-            decode_request(&frame).unwrap_err(),
-            ProtoError::VersionSkew { got: 0, supported: PROTO_VERSION }
-        );
-    }
-
-    #[test]
-    fn v1_frames_still_decode_with_defaulted_trace() {
-        // A v1 encode drops the trace tail; the v2 decoder must accept
-        // the frame and default the context to NONE.
-        for req in sample_requests() {
-            if matches!(req, Request::TelemetryGet) {
-                continue; // v2-only tag; a real v1 client never sends it
-            }
-            let frame = encode_request_versioned(&req, 1);
-            let (ver, got) = decode_request_full(&frame).unwrap();
-            assert_eq!(ver, 1);
-            let expect = match req {
-                Request::Fetch { session, generation, demand, prefetch, .. } => {
-                    Request::Fetch { session, generation, demand, prefetch, trace: TraceCtx::NONE }
-                }
-                Request::Advance { session, .. } => {
-                    Request::Advance { session, trace: TraceCtx::NONE }
-                }
-                Request::PeerFetch { session, hops, demand, .. } => {
-                    Request::PeerFetch { session, hops, demand, trace: TraceCtx::NONE }
-                }
-                other => other,
-            };
-            assert_eq!(got, expect);
+        // Every version but the one spoken is skew, the retired v1 included.
+        for version in [0, 1, PROTO_VERSION + 1] {
+            let mut body = encode_request(&Request::Stats)[8..].to_vec();
+            body[4..6].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                decode_request(&framed(&body)).unwrap_err(),
+                ProtoError::VersionSkew { got: version, supported: PROTO_VERSION }
+            );
         }
-        // Responses answered at v1 drop now_ns.
-        let pong = Response::Pong { node: 1, map_version: 11, now_ns: 777 };
-        let frame = encode_response_versioned(&pong, 1);
-        assert_eq!(
-            decode_response(&frame).unwrap(),
-            Response::Pong { node: 1, map_version: 11, now_ns: 0 }
-        );
-    }
-
-    #[test]
-    fn v1_encoding_is_byte_identical_to_the_v1_layout() {
-        // Golden v1 Advance frame: magic, version 1, tag 0x04, session 7.
-        let frame = encode_request_versioned(&Request::Advance { session: 7, trace: ctx(9, 9) }, 1);
-        let body = frame_body(&frame).unwrap();
-        let mut expect = Vec::new();
-        expect.extend_from_slice(b"VSRV");
-        expect.extend_from_slice(&1u16.to_le_bytes());
-        expect.push(0x04);
-        expect.extend_from_slice(&7u32.to_le_bytes());
-        assert_eq!(body, &expect[..]);
-        // And the v2 encoding of the same request is exactly 16 bytes
-        // (trace + span) longer.
-        let frame2 =
-            encode_request_versioned(&Request::Advance { session: 7, trace: ctx(9, 9) }, 2);
-        assert_eq!(frame_body(&frame2).unwrap().len(), expect.len() + 16);
     }
 
     #[test]
@@ -1303,9 +1199,7 @@ mod tests {
             demand: vec![key(1)],
             trace: ctx(0xD00D, 42),
         };
-        let (ver, got) = decode_request_full(&encode_request(&req)).unwrap();
-        assert_eq!(ver, PROTO_VERSION);
-        match got {
+        match decode_request(&encode_request(&req)).unwrap() {
             Request::PeerFetch { trace, .. } => assert_eq!(trace, ctx(0xD00D, 42)),
             other => panic!("wrong variant {other:?}"),
         }
@@ -1440,12 +1334,6 @@ mod tests {
             }
             other => panic!("wanted an Error, got {other:?}"),
         }
-        // v1 peers get the refusal at their version too.
-        assert!(matches!(
-            decode_response(&encode_response_versioned(&shared_reply(&payload, 17, &[]), 1)),
-            Ok(Response::Error { code: ERR_PROTO, .. })
-        ));
-
         // The limit itself is still a legal frame; one byte more is not.
         // Body = 23 + 16 × (13 + 4n) + fillers, n = 1_048_572.
         let payload = Arc::new(vec![2.0f32; (1 << 20) - 4]);
@@ -1464,20 +1352,18 @@ mod tests {
     #[test]
     fn oversize_response_of_any_kind_becomes_a_typed_error_frame() {
         let map = Response::MapReply { version: 5, map_bytes: vec![0xAB; MAX_FRAME_BYTES + 1] };
-        for version in [PROTO_VERSION, 1] {
-            let frame = encode_response_versioned(&map, version);
-            assert!(frame.len() < 256, "an error frame, not {} bytes of map", frame.len());
-            assert_eq!(frame, framed(&frame[8..]));
-            match decode_response(&frame).unwrap() {
-                Response::Error { code, message } => {
-                    assert_eq!(code, ERR_PROTO);
-                    assert!(message.contains(&MAX_FRAME_BYTES.to_string()), "{message}");
-                    // 7 prefix + version + count + the bytes.
-                    let body_len = 7 + 8 + 4 + MAX_FRAME_BYTES + 1;
-                    assert!(message.contains(&body_len.to_string()), "names the size: {message}");
-                }
-                other => panic!("wanted an Error, got {other:?}"),
+        let frame = encode_response(&map);
+        assert!(frame.len() < 256, "an error frame, not {} bytes of map", frame.len());
+        assert_eq!(frame, framed(&frame[8..]));
+        match decode_response(&frame).unwrap() {
+            Response::Error { code, message } => {
+                assert_eq!(code, ERR_PROTO);
+                assert!(message.contains(&MAX_FRAME_BYTES.to_string()), "{message}");
+                // 7 prefix + version + count + the bytes.
+                let body_len = 7 + 8 + 4 + MAX_FRAME_BYTES + 1;
+                assert!(message.contains(&body_len.to_string()), "names the size: {message}");
             }
+            other => panic!("wanted an Error, got {other:?}"),
         }
     }
 
@@ -1489,6 +1375,14 @@ mod tests {
         let err = try_encode_request(&req).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         assert!(err.to_string().contains(&MAX_FRAME_BYTES.to_string()), "{err}");
+        // A name its `u16` length field cannot count is refused, not
+        // framed with a wrapped length; `encode_request` panics saying so.
+        let long = Request::Open { name: "n".repeat(70_000) };
+        let err = try_encode_request(&long).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("70000"), "{err}");
+        let panic = std::panic::catch_unwind(|| encode_request(&long)).unwrap_err();
+        assert_eq!(panic.downcast_ref::<String>(), Some(&err.to_string()));
         // A request that fits is the frame `encode_request` builds.
         let small = sample_requests().swap_remove(2);
         assert_eq!(try_encode_request(&small).unwrap(), encode_request(&small));
@@ -1529,15 +1423,13 @@ mod tests {
             let unhinted =
                 reply(blocks.iter().map(|b| BlockReply { crc: None, ..b.clone() }).collect());
             let reply = reply(blocks);
-            for version in [PROTO_VERSION, 1] {
-                let frame = encode_response_versioned(&reply, version);
-                let stored = u32::from_le_bytes(frame[4..8].try_into().unwrap());
-                assert_eq!(stored, crc32(&frame[8..]), "header crc == crc32(body)");
-                assert_eq!(frame, encode_response_versioned(&unhinted, version));
-                // Payloads hold NaNs, so compare through the bytes.
-                let decoded = decode_response(&frame).expect("the receiver accepts the frame");
-                assert_eq!(encode_response_versioned(&decoded, version), frame);
-            }
+            let frame = encode_response(&reply);
+            let stored = u32::from_le_bytes(frame[4..8].try_into().unwrap());
+            assert_eq!(stored, crc32(&frame[8..]), "header crc == crc32(body)");
+            assert_eq!(frame, encode_response(&unhinted));
+            // Payloads hold NaNs, so compare through the bytes.
+            let decoded = decode_response(&frame).expect("the receiver accepts the frame");
+            assert_eq!(encode_response(&decoded), frame);
         });
     }
 

@@ -52,14 +52,11 @@ struct ConnState {
     owned: Vec<SessionId>,
     parked: Option<Parked>,
     dead: bool,
-    /// Protocol version the peer's last request claimed; replies answer
-    /// at it so a v1 client keeps decoding them.
-    ver: u16,
 }
 
 impl ConnState {
     fn new() -> Self {
-        ConnState { owned: Vec::new(), parked: None, dead: false, ver: proto::PROTO_VERSION }
+        ConnState { owned: Vec::new(), parked: None, dead: false }
     }
 
     /// Track session ownership from a response about to be sent, so the
@@ -78,22 +75,19 @@ impl ConnState {
 fn dispatch(
     server: &Arc<Server>,
     st: &mut ConnState,
-    req: Result<(u16, Request), proto::ProtoError>,
+    req: Result<Request, proto::ProtoError>,
 ) -> Option<Response> {
     let resp = match req {
-        Ok((ver, req)) => {
-            st.ver = ver;
-            match handle_request(server, req) {
-                Outcome::Ready(r) => r,
-                Outcome::Fetch(fetch) => {
-                    // Issue the demand now so the engine starts on it this
-                    // tick; the reply completes when the tickets resolve.
-                    server.pump();
-                    st.parked = Some(Parked { fetch, timer: None });
-                    return None;
-                }
+        Ok(req) => match handle_request(server, req) {
+            Outcome::Ready(r) => r,
+            Outcome::Fetch(fetch) => {
+                // Issue the demand now so the engine starts on it this
+                // tick; the reply completes when the tickets resolve.
+                server.pump();
+                st.parked = Some(Parked { fetch, timer: None });
+                return None;
             }
-        }
+        },
         Err(pe) => Response::Error { code: pe.code(), message: pe.to_string() },
     };
     st.note_response(&resp);
@@ -414,7 +408,7 @@ fn process_buffered(
                 break;
             }
         };
-        match dispatch(server, &mut c.st, proto::decode_request_full(&frame)) {
+        match dispatch(server, &mut c.st, proto::decode_request(&frame)) {
             Some(resp) => send_response(c, &resp),
             None => {
                 // Parked: arm the demand deadline, if the config sets one.
@@ -447,7 +441,7 @@ fn unpark_ready(server: &Arc<Server>, wheel: &mut TimerWheel, c: &mut TcpConn) -
 }
 
 fn send_response(c: &mut TcpConn, resp: &Response) {
-    c.wq.push(proto::encode_response_versioned(resp, c.st.ver));
+    c.wq.push(proto::encode_response(resp));
     flush_writes(c);
 }
 
@@ -469,9 +463,9 @@ fn flush_writes(c: &mut TcpConn) {
 /// [`ReactorInProcServer::tick`] runs the same
 /// dispatch/park/unpark/expire cycle as the TCP loop, but to
 /// quiescence, with the engine stepped inline
-/// ([`viz_fetch::FetchEngine::run_batch`], so batched source reads are
-/// exercised too). Deadlines come off the caller-advanced clock
-/// ([`ReactorInProcServer::advance`]), never the wall.
+/// ([`viz_fetch::FetchEngine::run_one`]). Deadlines come off the
+/// caller-advanced clock ([`ReactorInProcServer::advance`]), never the
+/// wall.
 pub struct ReactorInProcServer {
     server: Arc<Server>,
     ready: Arc<ReadySet>,
@@ -545,7 +539,7 @@ impl ReactorInProcServer {
     }
 
     /// Run the reactor cycle to quiescence: drain ready connections,
-    /// pump, step the engine (batched), unpark completed fetches, expire
+    /// pump, step the engine to idle, unpark completed fetches, expire
     /// deadlines — until a full round makes no progress. Returns units of
     /// work done (requests + engine jobs + replies).
     pub fn tick(&mut self) -> usize {
@@ -557,12 +551,8 @@ impl ReactorInProcServer {
                 progress += self.service(token);
             }
             self.server.pump();
-            loop {
-                let done = self.server.engine().run_batch();
-                if done.is_empty() {
-                    break;
-                }
-                progress += done.len();
+            while self.server.engine().run_one().is_some() {
+                progress += 1;
             }
             progress += self.unpark();
             progress += self.expire();
@@ -598,9 +588,9 @@ impl ReactorInProcServer {
                 }
             };
             n += 1;
-            match dispatch(&self.server, &mut c.st, proto::decode_request_full(&frame)) {
+            match dispatch(&self.server, &mut c.st, proto::decode_request(&frame)) {
                 Some(resp) => {
-                    if c.t.send(&proto::encode_response_versioned(&resp, c.st.ver)).is_err() {
+                    if c.t.send(&proto::encode_response(&resp)).is_err() {
                         c.st.dead = true;
                     }
                 }
@@ -634,7 +624,7 @@ impl ReactorInProcServer {
             }
             let resp = p.fetch.resolve_now(&self.server);
             c.st.note_response(&resp);
-            if c.t.send(&proto::encode_response_versioned(&resp, c.st.ver)).is_err() {
+            if c.t.send(&proto::encode_response(&resp)).is_err() {
                 c.st.dead = true;
             } else {
                 sent += 1;
@@ -652,7 +642,7 @@ impl ReactorInProcServer {
             let Some(p) = c.st.parked.take() else { continue };
             let resp = p.fetch.resolve_timed_out(&self.server);
             c.st.note_response(&resp);
-            if c.t.send(&proto::encode_response_versioned(&resp, c.st.ver)).is_err() {
+            if c.t.send(&proto::encode_response(&resp)).is_err() {
                 c.st.dead = true;
             }
             fired += 1;

@@ -1241,20 +1241,14 @@ pub fn serve_connection_with<T: Transport>(
 ) {
     let mut owned: Vec<SessionId> = Vec::new();
     while let Ok(frame) = t.recv() {
-        // Answer at the version the request claimed so a v1 client keeps
-        // decoding replies from a v2 server.
-        let mut ver = proto::PROTO_VERSION;
-        let resp = match proto::decode_request_full(&frame) {
-            Ok((v, req)) => {
-                ver = v;
-                match dispatch.dispatch(server, req) {
-                    Outcome::Ready(r) => r,
-                    Outcome::Fetch(p) => {
-                        server.pump();
-                        p.wait(server)
-                    }
+        let resp = match proto::decode_request(&frame) {
+            Ok(req) => match dispatch.dispatch(server, req) {
+                Outcome::Ready(r) => r,
+                Outcome::Fetch(p) => {
+                    server.pump();
+                    p.wait(server)
                 }
-            }
+            },
             Err(pe) => Response::Error { code: pe.code(), message: pe.to_string() },
         };
         match &resp {
@@ -1262,7 +1256,7 @@ pub fn serve_connection_with<T: Transport>(
             Response::CloseAck { session } => owned.retain(|s| s.0 != *session),
             _ => {}
         }
-        if t.send(&proto::encode_response_versioned(&resp, ver)).is_err() {
+        if t.send(&proto::encode_response(&resp)).is_err() {
             break;
         }
         server.pump();

@@ -5,9 +5,7 @@
 
 use std::sync::Arc;
 use viz_fetch::{BlockPool, FetchConfig, FetchEngine};
-use viz_serve::proto::{
-    encode_request, encode_request_versioned, ERR_PROTO, ERR_VERSION, MAGIC, PROTO_VERSION,
-};
+use viz_serve::proto::{encode_request, ERR_PROTO, ERR_VERSION, MAGIC, PROTO_VERSION};
 use viz_serve::{InProcServer, Request, Response, ServeClient, ServeConfig, Server};
 use viz_volume::{crc32, BlockId, BlockKey, MemBlockStore};
 
@@ -93,21 +91,26 @@ fn unknown_tag_is_rejected() {
 
 #[test]
 fn version_skew_answers_err_version_and_keeps_the_connection() {
-    let (mut s, mut c) = serve();
-    // A client one protocol version ahead greets today's server.
-    let future = encode_request_versioned(
-        &Request::Open { name: "from-the-future".into() },
-        PROTO_VERSION + 1,
-    );
-    c.send_raw(&future).unwrap();
-    s.tick();
-    let msg = expect_error(&mut c, ERR_VERSION);
-    assert!(msg.contains("version"), "{msg}");
+    // A client from before or after this build greets today's server; the
+    // retired v1 is skew like any other version.
+    for version in [0, 1, PROTO_VERSION + 1] {
+        let (mut s, mut c) = serve();
+        let mut body = encode_request(&Request::Open { name: "skewed".into() })[8..].to_vec();
+        body[4..6].copy_from_slice(&version.to_le_bytes());
+        let mut skewed = Vec::new();
+        skewed.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        skewed.extend_from_slice(&crc32(&body).to_le_bytes());
+        skewed.extend_from_slice(&body);
+        c.send_raw(&skewed).unwrap();
+        s.tick();
+        let msg = expect_error(&mut c, ERR_VERSION);
+        assert!(msg.contains("version"), "{msg}");
 
-    // Downgrading to the supported version works on the same connection.
-    c.send_open("downgraded").unwrap();
-    s.tick();
-    c.recv_open().unwrap();
+        // Switching to the supported version works on the same connection.
+        c.send_open("downgraded").unwrap();
+        s.tick();
+        c.recv_open().unwrap();
+    }
 }
 
 #[test]

@@ -41,8 +41,8 @@ fn soak_server() -> ReactorInProcServer {
     let engine = FetchEngine::spawn(
         Arc::new(store),
         Arc::new(BlockPool::new()),
-        // workers = 0: the reactor steps the engine inline, in batches.
-        FetchConfig { workers: 0, batch_max: 8, ..FetchConfig::deterministic() },
+        // workers = 0: the reactor steps the engine inline.
+        FetchConfig::deterministic(),
     );
     let server = Server::new(
         Arc::new(engine),

@@ -97,9 +97,6 @@ pub enum EventKind {
     /// One reactor event-loop iteration (span; `key` = loop id, `arg` =
     /// readiness events handled this tick).
     ReactorTick,
-    /// One batched source read covering several keys (span; `key` = salted
-    /// key of the first batch member, `arg` = `batch_size << 1 | success`).
-    BatchRead,
     /// One peer-node block fetch round trip over VSRV (span; `key` = peer
     /// node id, `arg` = `keys << 1 | success`).
     PeerFetch,
@@ -145,7 +142,7 @@ pub enum EventKind {
 }
 
 /// Number of event kinds (array sizing for per-kind aggregation).
-pub const KIND_COUNT: usize = 45;
+pub const KIND_COUNT: usize = 44;
 
 impl EventKind {
     /// Every kind, in declaration order.
@@ -182,7 +179,6 @@ impl EventKind {
         EventKind::RequestShed,
         EventKind::CrossClientCoalesce,
         EventKind::ReactorTick,
-        EventKind::BatchRead,
         EventKind::PeerFetch,
         EventKind::PeerFallback,
         EventKind::MapUpdate,
@@ -232,7 +228,6 @@ impl EventKind {
             EventKind::RequestShed => "request_shed",
             EventKind::CrossClientCoalesce => "cross_client_coalesce",
             EventKind::ReactorTick => "reactor_tick",
-            EventKind::BatchRead => "batch_read",
             EventKind::PeerFetch => "peer_fetch",
             EventKind::PeerFallback => "peer_fallback",
             EventKind::MapUpdate => "map_update",
@@ -268,8 +263,7 @@ impl EventKind {
             | EventKind::SourceTimeout
             | EventKind::DeadlineMiss
             | EventKind::WorkerPanic
-            | EventKind::TraceJoin
-            | EventKind::BatchRead => "fetch",
+            | EventKind::TraceJoin => "fetch",
             EventKind::CacheHit | EventKind::CacheMiss | EventKind::CacheEvict => "cache",
             EventKind::Frame | EventKind::RenderPass => "frame",
             EventKind::BreakerOpen
@@ -307,7 +301,6 @@ impl EventKind {
                 | EventKind::Frame
                 | EventKind::RenderPass
                 | EventKind::ReactorTick
-                | EventKind::BatchRead
                 | EventKind::PeerFetch
                 | EventKind::RouterFetch
                 | EventKind::RpcServe
@@ -373,7 +366,7 @@ mod tests {
     #[test]
     fn span_kinds_are_exactly_the_duration_carriers() {
         let spans: Vec<_> = EventKind::ALL.iter().filter(|k| k.is_span()).collect();
-        assert_eq!(spans.len(), 11);
+        assert_eq!(spans.len(), 10);
     }
 
     #[test]

@@ -49,6 +49,8 @@ impl Codec {
     }
 
     /// Decompress back into voxels; `count` is the expected voxel count.
+    /// A `count` that `bytes` cannot hold is refused before any buffer is
+    /// sized from it, so an untrusted count cannot drive an allocation.
     pub fn decompress(self, bytes: &[u8], count: usize) -> Result<Vec<f32>, String> {
         match self {
             Codec::Raw => raw_floats(bytes, count),
@@ -64,8 +66,8 @@ fn raw_bytes(data: &[f32]) -> Vec<u8> {
 }
 
 fn raw_floats(bytes: &[u8], count: usize) -> Result<Vec<f32>, String> {
-    if bytes.len() != count * 4 {
-        return Err(format!("raw payload length {} != {}", bytes.len(), count * 4));
+    if bytes.len() % 4 != 0 || bytes.len() / 4 != count {
+        return Err(format!("raw payload of {} bytes does not hold {count} voxels", bytes.len()));
     }
     Ok(get_f32s(bytes))
 }
@@ -126,6 +128,10 @@ fn plane_rle_decompress(bytes: &[u8], count: usize) -> Result<Vec<f32>, String> 
         cursor += len;
         if section.len() % 2 != 0 {
             return Err(format!("odd RLE section in plane {plane_idx}"));
+        }
+        // Each 2-byte run holds at most 255 voxels.
+        if count > (section.len() / 2).saturating_mul(255) {
+            return Err(format!("plane {plane_idx} cannot hold {count} voxels"));
         }
         let mut plane = Vec::with_capacity(count);
         for pair in section.chunks_exact(2) {
@@ -249,6 +255,9 @@ mod tests {
         extra.push(0);
         assert!(Codec::PlaneRle.decompress(&extra, 64).is_err());
         assert!(Codec::Raw.decompress(&[0u8; 7], 2).is_err());
+        // A count the bytes cannot hold fails before anything is sized.
+        assert!(Codec::PlaneRle.decompress(&bytes, 1 << 34).is_err());
+        assert!(Codec::Raw.decompress(&[0u8; 8], usize::MAX / 2).is_err());
     }
 
     #[test]

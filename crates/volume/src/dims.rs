@@ -28,6 +28,12 @@ impl Dims3 {
         self.nx * self.ny * self.nz
     }
 
+    /// Total voxel count, or `None` if it overflows `usize` (dims read
+    /// from untrusted bytes).
+    pub(crate) fn checked_count(&self) -> Option<usize> {
+        self.nx.checked_mul(self.ny)?.checked_mul(self.nz)
+    }
+
     /// Linear index of voxel `(x, y, z)`; x fastest.
     #[inline]
     pub const fn index(&self, x: usize, y: usize, z: usize) -> usize {
@@ -85,6 +91,8 @@ mod tests {
         let d = Dims3::new(4, 5, 6);
         assert_eq!(d.count(), 120);
         assert_eq!(d.bytes_f32(), 480);
+        assert_eq!(d.checked_count(), Some(120));
+        assert_eq!(Dims3::cube(u32::MAX as usize).checked_count(), None);
     }
 
     #[test]

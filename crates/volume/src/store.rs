@@ -5,13 +5,13 @@
 //! file (magic + dims + CRC-32 + f32 payload), written once during
 //! pre-processing and random-accessed during visualization. The checksum
 //! turns on-disk bit-rot into an `InvalidData` error at decode time instead
-//! of NaN frames downstream; pre-checksum v1/v2 frames still decode. An
-//! in-memory implementation backs tests and pure simulations.
+//! of NaN frames downstream. An in-memory implementation backs tests and
+//! pure simulations.
 
 use crate::dims::Dims3;
 use crate::field::VolumeField;
 use crate::layout::{BlockId, BrickLayout};
-use crate::le::{get, get_f32s, put, put_f32s};
+use crate::le::{get, put, put_f32s};
 use std::collections::HashMap;
 use std::fs;
 use std::io::{self, Read, Write};
@@ -49,32 +49,23 @@ pub trait BlockSource: Send + Sync {
 
     /// Payload size in bytes without reading it.
     fn block_bytes(&self, key: BlockKey) -> io::Result<usize>;
-
-    /// Batching extension: read several blocks in one call, returning one
-    /// result per key **in request order**. The fetch engine submits a
-    /// whole visible-set delta through this so sources can amortize
-    /// per-key overhead — grouped/sorted file access on disk, one lock
-    /// acquisition in memory, one round trip over a network. Per-key
-    /// failures are independent: one missing block must not fail its
-    /// batch siblings. The default forwards to [`BlockSource::read_block`]
-    /// key by key.
-    fn read_blocks(&self, keys: &[BlockKey]) -> Vec<io::Result<Vec<f32>>> {
-        keys.iter().map(|&k| self.read_block(k)).collect()
-    }
 }
 
 const MAGIC: &[u8; 4] = b"VBLK";
-const VERSION: u16 = 1;
-const VERSION_CODEC: u16 = 2;
 const VERSION_CRC: u16 = 3;
 const VERSION_CODEC_CRC: u16 = 4;
+/// Bytes before the payload of a v3 frame: magic, version, dims, CRC.
+const RAW_HEADER: usize = 4 + 2 + 12 + 4;
+/// Bytes before the payload of a v4 frame: magic, version, codec tag,
+/// dims, payload length, CRC.
+const CODEC_HEADER: usize = 4 + 2 + 1 + 12 + 4 + 4;
 
 /// Serialize one block payload with its self-describing frame (v3: raw +
 /// CRC-32 of the payload, so bit-rot surfaces as `InvalidData` at decode
 /// instead of NaN frames downstream).
 pub fn encode_block(dims: Dims3, data: &[f32]) -> Vec<u8> {
     assert_eq!(dims.count(), data.len(), "dims/payload mismatch");
-    let mut buf = Vec::with_capacity(4 + 2 + 12 + 4 + data.len() * 4);
+    let mut buf = Vec::with_capacity(RAW_HEADER + data.len() * 4);
     buf.extend_from_slice(MAGIC);
     put::<u16>(&mut buf, VERSION_CRC);
     put::<u32>(&mut buf, dims.nx as u32);
@@ -90,11 +81,11 @@ pub fn encode_block(dims: Dims3, data: &[f32]) -> Vec<u8> {
 
 /// Serialize with an explicit codec (v4 frame: codec tag + length-prefixed
 /// compressed payload + CRC-32 of the compressed bytes). [`decode_block`]
-/// reads every frame version, including the pre-checksum v1/v2.
+/// reads both v3 and v4 frames.
 pub fn encode_block_with(codec: crate::codec::Codec, dims: Dims3, data: &[f32]) -> Vec<u8> {
     assert_eq!(dims.count(), data.len(), "dims/payload mismatch");
     let payload = codec.compress(data);
-    let mut buf = Vec::with_capacity(4 + 2 + 1 + 12 + 4 + 4 + payload.len());
+    let mut buf = Vec::with_capacity(CODEC_HEADER + payload.len());
     buf.extend_from_slice(MAGIC);
     put::<u16>(&mut buf, VERSION_CODEC_CRC);
     put::<u8>(&mut buf, codec.tag());
@@ -108,71 +99,54 @@ pub fn encode_block_with(codec: crate::codec::Codec, dims: Dims3, data: &[f32]) 
 }
 
 /// Parse a frame produced by [`encode_block`] or [`encode_block_with`].
-pub fn decode_block(mut buf: &[u8]) -> io::Result<(Dims3, Vec<f32>)> {
+///
+/// The dims sit outside the CRC, so they are untrusted: a voxel count that
+/// overflows, or that the payload cannot hold, is `InvalidData` before
+/// anything is allocated for it.
+pub fn decode_block(buf: &[u8]) -> io::Result<(Dims3, Vec<f32>)> {
+    use crate::codec::Codec;
     let err = |m: String| io::Error::new(io::ErrorKind::InvalidData, m);
-    if buf.len() < 18 {
+    if buf.len() < 6 {
         return Err(err("block frame too short".into()));
     }
-    let (magic, rest) = buf.split_at(4);
-    buf = rest;
+    let (magic, mut rest) = buf.split_at(4);
     if magic != MAGIC {
         return Err(err("bad magic".into()));
     }
-    let version = get::<u16>(&mut buf);
-    match version {
-        VERSION | VERSION_CRC => {
-            let dims = Dims3::new(
-                get::<u32>(&mut buf) as usize,
-                get::<u32>(&mut buf) as usize,
-                get::<u32>(&mut buf) as usize,
-            );
-            if version == VERSION_CRC {
-                if buf.len() < 4 {
-                    return Err(err("crc frame too short".into()));
-                }
-                let want = get::<u32>(&mut buf);
-                let got = crate::checksum::crc32(buf);
-                if got != want {
-                    return Err(err(format!(
-                        "block payload checksum mismatch (stored {want:#010x}, computed {got:#010x})"
-                    )));
-                }
-            }
-            if buf.len() != dims.count() * 4 {
-                return Err(err("payload length mismatch".into()));
-            }
-            Ok((dims, get_f32s(buf)))
-        }
-        VERSION_CODEC | VERSION_CODEC_CRC => {
-            let crc_len = if version == VERSION_CODEC_CRC { 4 } else { 0 };
-            if buf.len() < 1 + 12 + 4 + crc_len {
-                return Err(err("codec frame too short".into()));
-            }
-            let codec = crate::codec::Codec::from_tag(get::<u8>(&mut buf))
-                .ok_or_else(|| err("unknown codec tag".into()))?;
-            let dims = Dims3::new(
-                get::<u32>(&mut buf) as usize,
-                get::<u32>(&mut buf) as usize,
-                get::<u32>(&mut buf) as usize,
-            );
-            let len = get::<u32>(&mut buf) as usize;
-            let want = (version == VERSION_CODEC_CRC).then(|| get::<u32>(&mut buf));
-            if buf.len() != len {
-                return Err(err("compressed payload length mismatch".into()));
-            }
-            if let Some(want) = want {
-                let got = crate::checksum::crc32(&buf[..len]);
-                if got != want {
-                    return Err(err(format!(
-                        "block payload checksum mismatch (stored {want:#010x}, computed {got:#010x})"
-                    )));
-                }
-            }
-            let data = codec.decompress(&buf[..len], dims.count()).map_err(err)?;
-            Ok((dims, data))
-        }
-        _ => Err(err("unsupported block version".into())),
+    let version = get::<u16>(&mut rest);
+    let header = match version {
+        VERSION_CRC => RAW_HEADER,
+        VERSION_CODEC_CRC => CODEC_HEADER,
+        _ => return Err(err("unsupported block version".into())),
+    };
+    if buf.len() < header {
+        return Err(err("block frame too short".into()));
     }
+    let codec = match version {
+        VERSION_CODEC_CRC => {
+            Codec::from_tag(get::<u8>(&mut rest)).ok_or_else(|| err("unknown codec tag".into()))?
+        }
+        _ => Codec::Raw,
+    };
+    let dims = Dims3::new(
+        get::<u32>(&mut rest) as usize,
+        get::<u32>(&mut rest) as usize,
+        get::<u32>(&mut rest) as usize,
+    );
+    let count = dims.checked_count().ok_or_else(|| err(format!("block dims {dims} overflow")))?;
+    let len = (version == VERSION_CODEC_CRC).then(|| get::<u32>(&mut rest) as usize);
+    let want = get::<u32>(&mut rest);
+    if len.is_some_and(|len| len != rest.len()) {
+        return Err(err("compressed payload length mismatch".into()));
+    }
+    let got = crate::checksum::crc32(rest);
+    if got != want {
+        return Err(err(format!(
+            "block payload checksum mismatch (stored {want:#010x}, computed {got:#010x})"
+        )));
+    }
+    let data = codec.decompress(rest, count).map_err(err)?;
+    Ok((dims, data))
 }
 
 /// File-per-block store rooted at a directory.
@@ -264,29 +238,14 @@ impl BlockSource for DiskBlockStore {
     }
 
     fn block_bytes(&self, key: BlockKey) -> io::Result<usize> {
-        // On-disk payload size (what a fetch actually moves); headers are
-        // 22 bytes (v3 raw + crc) or 31 bytes (v4 codec + crc).
+        // On-disk payload size (what a fetch actually moves): the file
+        // minus the header of the frame version this store writes.
         let meta = fs::metadata(self.path_of(key))?;
         let header = match self.codec {
-            crate::codec::Codec::Raw => 22,
-            _ => 31,
+            crate::codec::Codec::Raw => RAW_HEADER,
+            _ => CODEC_HEADER,
         };
         Ok((meta.len() as usize).saturating_sub(header))
-    }
-
-    fn read_blocks(&self, keys: &[BlockKey]) -> Vec<io::Result<Vec<f32>>> {
-        // Grouped read: visit files in (var, time, block) order so the
-        // directory walk and read-ahead stay sequential even when the
-        // caller's priority order hops around the volume, then hand the
-        // results back in request order.
-        let mut order: Vec<usize> = (0..keys.len()).collect();
-        order.sort_by_key(|&i| keys[i]);
-        let mut out: Vec<Option<io::Result<Vec<f32>>>> = Vec::new();
-        out.resize_with(keys.len(), || None);
-        for i in order {
-            out[i] = Some(self.read_block(keys[i]));
-        }
-        out.into_iter().map(|r| r.expect("every slot filled")).collect()
     }
 }
 
@@ -343,18 +302,6 @@ impl BlockSource for MemBlockStore {
             .get(&key)
             .map(|d| d.len() * 4)
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("{key:?} not in store")))
-    }
-
-    fn read_blocks(&self, keys: &[BlockKey]) -> Vec<io::Result<Vec<f32>>> {
-        // One lock acquisition for the whole batch.
-        let map = self.blocks.read().unwrap_or_else(PoisonError::into_inner);
-        keys.iter()
-            .map(|key| {
-                map.get(key).cloned().ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::NotFound, format!("{key:?} not in store"))
-                })
-            })
-            .collect()
     }
 }
 
@@ -421,9 +368,13 @@ mod tests {
 
     #[test]
     fn decode_rejects_wrong_version() {
-        let mut buf = encode_block(Dims3::new(1, 1, 1), &[1.0]);
-        buf[4] = 99;
-        assert!(decode_block(&buf).is_err());
+        // The pre-checksum v1/v2 frames are no longer read either.
+        for version in [1, 2, 99] {
+            let mut buf = encode_block(Dims3::new(1, 1, 1), &[1.0]);
+            buf[4] = version;
+            let err = decode_block(&buf).unwrap_err();
+            assert!(err.to_string().contains("unsupported block version"), "got: {err}");
+        }
     }
 
     #[test]
@@ -435,39 +386,6 @@ mod tests {
         store.write_block(key, Dims3::new(3, 1, 1), &data).unwrap();
         assert_eq!(store.read_block(key).unwrap(), data);
         assert_eq!(store.block_bytes(key).unwrap(), 12);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn batched_reads_return_request_order_with_independent_failures() {
-        let dir = tmpdir("batch");
-        let store = DiskBlockStore::open(&dir).unwrap();
-        for i in 0..4u32 {
-            let key = BlockKey::scalar(BlockId(i));
-            store.write_block(key, Dims3::new(1, 1, 1), &[i as f32]).unwrap();
-        }
-        // Deliberately shuffled request order, with a missing key inside.
-        let keys = [
-            BlockKey::scalar(BlockId(3)),
-            BlockKey::scalar(BlockId(0)),
-            BlockKey::scalar(BlockId(99)),
-            BlockKey::scalar(BlockId(2)),
-        ];
-        let got = store.read_blocks(&keys);
-        assert_eq!(got.len(), 4);
-        assert_eq!(got[0].as_ref().unwrap(), &vec![3.0]);
-        assert_eq!(got[1].as_ref().unwrap(), &vec![0.0]);
-        assert_eq!(got[2].as_ref().unwrap_err().kind(), io::ErrorKind::NotFound);
-        assert_eq!(got[3].as_ref().unwrap(), &vec![2.0]);
-
-        // The in-memory store honors the same contract.
-        let mem = MemBlockStore::new();
-        mem.insert(keys[0], vec![3.0]);
-        mem.insert(keys[1], vec![0.0]);
-        mem.insert(keys[3], vec![2.0]);
-        let got = mem.read_blocks(&keys);
-        assert!(got[0].is_ok() && got[1].is_ok() && got[3].is_ok());
-        assert!(got[2].is_err());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -618,6 +536,12 @@ mod tests {
             rle.block_bytes(key).unwrap() * 20 < raw.block_bytes(key).unwrap(),
             "ambient block should shrink >20x"
         );
+        // `block_bytes` is exactly the payload, for both frame versions.
+        assert_eq!(rle.block_bytes(key).unwrap(), Codec::PlaneRle.compress(&ambient).len());
+        assert_eq!(raw.block_bytes(key).unwrap(), 4 * ambient.len());
+        let varied: Vec<f32> = (0..dims.count()).map(|i| (i as f32 * 0.37).sin()).collect();
+        rle.write_block(key, dims, &varied).unwrap();
+        assert_eq!(rle.block_bytes(key).unwrap(), Codec::PlaneRle.compress(&varied).len());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -667,22 +591,33 @@ mod tests {
         assert!(err.to_string().contains("checksum"), "got: {err}");
     }
 
+    /// The dims sit outside the CRC: dims whose product overflows must be
+    /// `InvalidData`, not an overflow panic.
     #[test]
-    fn pre_checksum_v1_frames_still_decode() {
-        // Hand-build a v1 frame (no crc) the way old stores wrote it.
-        let data = [1.5f32, -2.0, 3.25];
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        put::<u16>(&mut buf, VERSION);
-        put::<u32>(&mut buf, 3);
-        put::<u32>(&mut buf, 1);
-        put::<u32>(&mut buf, 1);
-        for &v in &data {
-            put::<f32>(&mut buf, v);
+    fn overflowing_dims_are_invalid_data() {
+        let mut buf = encode_block(Dims3::new(3, 1, 1), &[1.0, 2.0, 3.0]);
+        buf[6..18].fill(0xFF);
+        let err = decode_block(&buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("overflow"), "got: {err}");
+    }
+
+    /// A tiny codec frame whose dims claim 2^34 voxels must be refused
+    /// before anything is sized from the claim: a 16 GiB allocation
+    /// failure aborts the process, which no supervisor can catch.
+    #[test]
+    fn dims_the_payload_cannot_hold_are_invalid_data() {
+        use crate::codec::Codec;
+        let mut buf = encode_block_with(Codec::PlaneRle, Dims3::new(1, 1, 1), &[0.0]);
+        for (i, n) in [1u32 << 20, 1 << 10, 1 << 4].into_iter().enumerate() {
+            buf[7 + 4 * i..11 + 4 * i].copy_from_slice(&n.to_le_bytes());
         }
-        let (dims, got) = decode_block(&buf).unwrap();
-        assert_eq!(dims, Dims3::new(3, 1, 1));
-        assert_eq!(got, data);
+        let err = decode_block(&buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // The raw codec holds exactly `len / 4` voxels.
+        let mut raw = encode_block(Dims3::new(2, 1, 1), &[1.0, 2.0]);
+        raw[6..10].copy_from_slice(&(1u32 << 30).to_le_bytes());
+        assert_eq!(decode_block(&raw).unwrap_err().kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
