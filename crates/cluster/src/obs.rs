@@ -111,6 +111,9 @@ const DUMP_MAGIC: [u8; 4] = *b"VFDR";
 const DUMP_VERSION: u16 = 1;
 const EVENT_BYTES: usize = 45;
 const TRIGGER_BYTES: usize = 17;
+/// The smallest section on disk: its `[len][crc]` frame header around
+/// node, dropped, and the two zero counts.
+const SECTION_MIN_BYTES: usize = 8 + 20;
 
 fn put_event(out: &mut Vec<u8>, e: &TraceEvent) {
     out.extend_from_slice(&e.t_ns.to_le_bytes());
@@ -228,6 +231,9 @@ pub fn read_flight_dump(path: &Path) -> io::Result<Vec<DumpSection>> {
         return Err(bad("unsupported flight dump version"));
     }
     let n = h.u32()? as usize;
+    if n > (buf.len() - cur.at) / SECTION_MIN_BYTES {
+        return Err(bad("flight dump truncated"));
+    }
     let mut sections = Vec::with_capacity(n);
     for _ in 0..n {
         let payload = cur.next_frame()?;
@@ -340,6 +346,23 @@ mod tests {
         bytes.truncate(bytes.len() / 2);
         std::fs::write(&path, &bytes).unwrap();
         assert!(read_flight_dump(&path).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A CRC catches corruption, not a lie: a header frame whose checksum
+    /// is right but which claims `u32::MAX` sections must be refused before
+    /// anything is sized from that count.
+    #[test]
+    fn crafted_section_count_is_invalid_data_not_an_abort() {
+        let dir = std::env::temp_dir().join("viz-obs-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("crafted-count.vfdr");
+        let mut header = DUMP_MAGIC.to_vec();
+        header.extend_from_slice(&DUMP_VERSION.to_le_bytes());
+        header.extend_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&path, frame(&header)).unwrap();
+        let e = read_flight_dump(&path).err().expect("a count the file cannot hold decoded");
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -328,6 +328,10 @@ pub fn decode_histogram_table(mut buf: &[u8]) -> io::Result<BlockHistogramTable>
     if bins == 0 {
         return Err(err("histogram-table with zero bins"));
     }
+    // Every bin of every block is at least one varint byte.
+    if n.checked_mul(bins).map_or(true, |cells| cells > buf.len()) {
+        return Err(err("histogram-table counts exceed the payload"));
+    }
     let mut histograms = Vec::with_capacity(n);
     for _ in 0..n {
         let mut h = Histogram::new(lo, hi, bins);
@@ -573,6 +577,31 @@ mod tests {
         let mut long = buf.clone();
         long.extend_from_slice(&[1, 2, 3]);
         assert!(decode_histogram_table(&long).is_err());
+    }
+
+    /// A CRC catches corruption, not a lie: a frame with a correct checksum
+    /// whose block or bin count the payload cannot hold must be refused
+    /// before anything is sized from it.
+    #[test]
+    fn crafted_histogram_counts_are_invalid_data_not_an_abort() {
+        let crafted = |bins: u32, n: u32| {
+            let mut buf = THB_MAGIC.to_vec();
+            put::<u16>(&mut buf, THB_VERSION);
+            put::<u32>(&mut buf, 0);
+            put::<f32>(&mut buf, 0.0);
+            put::<f32>(&mut buf, 1.0);
+            put::<u32>(&mut buf, bins);
+            put::<u32>(&mut buf, n);
+            let crc = viz_volume::crc32(&buf[10..]);
+            buf[6..10].copy_from_slice(&crc.to_le_bytes());
+            buf
+        };
+        for (bins, n) in [(1, u32::MAX), (u32::MAX, 1), (u32::MAX, u32::MAX), (16, 2)] {
+            let buf = crafted(bins, n);
+            assert_eq!(buf.len(), 26);
+            let e = decode_histogram_table(&buf).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "bins {bins}, n {n}: {e}");
+        }
     }
 
     #[test]

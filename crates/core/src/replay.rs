@@ -15,6 +15,8 @@ use viz_volume::le::{get, put};
 
 const JRN_MAGIC: &[u8; 4] = b"VJRN";
 const JRN_VERSION: u16 = 1;
+/// One `StepMetrics` on disk: three `u32`s, five `f64`s and a flag byte.
+const STEP_BYTES: usize = 3 * 4 + 5 * 8 + 1;
 
 fn jerr(m: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, m.into())
@@ -283,6 +285,9 @@ impl JournalEntry {
         let total_s = get_f64(&mut buf)?;
         let degraded_steps = get_u64(&mut buf)? as usize;
         let n = get_u32(&mut buf)? as usize;
+        if n > buf.len() / STEP_BYTES {
+            return Err(jerr("journal step count exceeds the payload"));
+        }
         let mut per_step = Vec::with_capacity(n);
         for _ in 0..n {
             per_step.push(StepMetrics {
@@ -452,6 +457,22 @@ mod tests {
         let mut long = buf;
         long.push(0);
         assert!(JournalEntry::from_bytes(&long).is_err());
+    }
+
+    /// A CRC catches corruption, not a lie: an entry with a correct
+    /// checksum whose step count the payload cannot hold must be refused
+    /// before anything is sized from it.
+    #[test]
+    fn crafted_step_count_is_invalid_data_not_an_abort() {
+        let entry = run_once(5.0);
+        let mut buf = entry.to_bytes();
+        let at = buf.len() - entry.report.per_step.len() * STEP_BYTES - 4;
+        assert_eq!(get::<u32>(&mut &buf[at..]) as usize, entry.report.per_step.len());
+        buf[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let crc = viz_volume::crc32(&buf[10..]);
+        buf[6..10].copy_from_slice(&crc.to_le_bytes());
+        let e = JournalEntry::from_bytes(&buf).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
     }
 
     #[test]

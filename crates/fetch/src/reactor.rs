@@ -73,6 +73,13 @@ mod sys {
 /// caller's loop re-polls anyway.
 #[cfg(unix)]
 pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> std::io::Result<usize> {
+    // SAFETY: `PollFd` is `#[repr(C)]` with the fields of `struct pollfd`
+    // in order (`int fd; short events; short revents`), so the slice is a
+    // C array of them. The pointer and `nfds` come from the same live
+    // `&mut` slice, so the kernel reads and writes exactly `fds.len()`
+    // initialised entries we hold exclusively for the call, and keeps no
+    // pointer after it returns; `usize` → `c_ulong` (`nfds_t`) is
+    // lossless on the unix targets built.
     let n = unsafe { sys::poll(fds.as_mut_ptr(), fds.len() as std::os::raw::c_ulong, timeout_ms) };
     if n >= 0 {
         return Ok(n as usize);

@@ -23,7 +23,9 @@
 //! receiver verifies it on every frame before parsing a byte. Almost all
 //! of a `FetchReply` is `f32` payload (5–6 MB a frame in the benchmark
 //! flights), so the codec is built around touching those bytes as few
-//! times as possible without `unsafe`:
+//! times as possible. It has no `unsafe` of its own; the one fast CRC
+//! kernel it reaches through [`viz_volume::crc32`] is `viz_volume`'s
+//! business:
 //!
 //! - **Encode** — one pass over the block list sizes the buffer exactly
 //!   (a reply that would exceed [`MAX_FRAME_BYTES`] is replaced by an
@@ -49,8 +51,11 @@
 //!
 //! The receiver's CRC pass is the one that remains, and it is what makes
 //! the hint safe: a wrong or stale [`BlockReply::crc`] produces a frame
-//! the client refuses as [`ProtoError::BadCrc`]. [`viz_volume::checksum`]
-//! has the numbers.
+//! the client refuses as [`ProtoError::BadCrc`]. On an x86_64 CPU with
+//! `pclmulqdq` that pass is a carry-less-multiply fold at about 19 GB/s,
+//! about 0.3 ms of a 5.5 MB reply, so the per-block allocation and copy
+//! are now the larger part of a decode. [`viz_volume::checksum`] has the
+//! numbers.
 //!
 //! Every encoder closes its buffer through one routine, which refuses a
 //! body over [`MAX_FRAME_BYTES`]: an oversize response of any kind goes

@@ -56,6 +56,15 @@ pub(crate) struct Ring {
 // (producer→consumer) and `tail` (consumer→producer) order the slot
 // accesses on both sides.
 unsafe impl Send for Ring {}
+// SAFETY: shared `&Ring`s reach the `UnsafeCell` slots from at most two
+// threads at once, one per side of that protocol: `push` runs only on the
+// owning thread (the thread-local behind `with_local`), and `drain_into`
+// only under the registry lock, so there is one consumer at a time. The
+// two sides never touch one slot together: a slot is written only while
+// it is outside [tail, head) and read only while inside it, and the
+// release/acquire pairs order each write before its read and each read
+// before the slot is reused. Everything else in a `Ring` is atomic or
+// never written after `new`.
 unsafe impl Sync for Ring {}
 
 impl Ring {
