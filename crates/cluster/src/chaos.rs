@@ -181,9 +181,6 @@ pub struct ChaosReport {
     pub recoveries: Vec<u32>,
     /// Virtual ticks each step's demand frame took.
     pub frame_ticks: Vec<u64>,
-    /// Wall-clock seconds each step's demand frame took. Deterministic
-    /// assertions use the virtual numbers; benches read these.
-    pub frame_wall_s: Vec<f64>,
     /// Flight-recorder triggers observed during the run (0 with the
     /// telemetry gate off).
     pub triggers: u64,
@@ -270,9 +267,7 @@ pub fn run_plan(
             .map(|i| chaos_key((step.wrapping_mul(3) + i) % opts.key_space))
             .collect();
         let t0 = cluster.clock().now();
-        let w0 = std::time::Instant::now();
         let reply = router.fetch(demand, Vec::new());
-        report.frame_wall_s.push(w0.elapsed().as_secs_f64());
         report.frame_ticks.push(cluster.clock().now() - t0);
         report.demand_blocks += reply.blocks.len() as u64;
         report.demand_errors += reply.blocks.iter().filter(|b| b.result.is_err()).count() as u64;

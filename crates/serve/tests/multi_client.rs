@@ -102,6 +102,90 @@ fn two_clients_same_key_is_one_source_read() {
     assert_eq!((count("serve_crc_cached"), count("serve_crc_computed")), (2, 0));
 }
 
+/// N viewers replay one closed keyframe flight, each rotated to its own
+/// phase, against one shared server. Every key any of them wants is read
+/// from the source once: the reads equal the flight's distinct keys at
+/// every N, and with more than one viewer some of them are joins across
+/// sessions.
+#[test]
+fn phase_rotated_viewers_read_each_distinct_key_once_at_every_n() {
+    use std::collections::HashSet;
+    use viz_core::{compute_visibility, ClientFlight};
+    use viz_geom::{CameraPath, ExplorationDomain, Keyframe, KeyframePath, Vec3};
+    use viz_serve::InProcTransport;
+    use viz_volume::{BrickLayout, Dims3};
+
+    let layout = BrickLayout::with_target_blocks(Dims3::cube(128), 128);
+    let poses = KeyframePath::new(
+        ExplorationDomain::new(Vec3::ZERO, 2.0, 3.2),
+        vec![
+            Keyframe::new(Vec3::new(0.0, 0.0, 1.0), 3.1),
+            Keyframe::new(Vec3::new(1.0, 0.3, 0.4), 2.2).with_weight(2.0),
+            Keyframe::new(Vec3::new(0.2, 1.0, 0.1), 2.0),
+            Keyframe::new(Vec3::new(-0.6, 0.4, 0.7), 3.0).with_weight(1.5),
+        ],
+        0.26,
+    )
+    .closed()
+    .generate(24);
+    let visible = compute_visibility(&layout, &poses);
+
+    for n in [1usize, 4, 16] {
+        let (server, src) = det_server(ServeConfig::default(), layout.num_blocks() as u32);
+        let mut inproc = InProcServer::new(server.clone());
+        let stride = poses.len().div_ceil(n);
+        let mut viewers: Vec<(ServeClient<InProcTransport>, ClientFlight)> = (0..n)
+            .map(|c| {
+                let mut client = ServeClient::new(inproc.connect());
+                client.send_open(&format!("viewer-{c}")).unwrap();
+                let flight = ClientFlight::from_visible(poses.clone(), visible.clone(), None, 0.0)
+                    .rotated(c * stride);
+                (client, flight)
+            })
+            .collect();
+        inproc.tick();
+        for (client, _) in &mut viewers {
+            client.recv_open().unwrap();
+        }
+
+        // Lockstep frames: every viewer advances, then every viewer's
+        // fetch is decoded before the engine runs, so overlapping wants
+        // meet in the engine's queue.
+        let mut wanted = HashSet::new();
+        let mut demand_errors = 0;
+        for _ in 0..poses.len() {
+            for (client, _) in &mut viewers {
+                client.send_advance().unwrap();
+            }
+            inproc.tick();
+            for (client, flight) in &mut viewers {
+                let generation = match client.recv_response().unwrap() {
+                    Response::AdvanceAck { generation, .. } => generation,
+                    other => panic!("wanted AdvanceAck, got {other:?}"),
+                };
+                let fr = flight.next_frame().unwrap();
+                wanted.extend(fr.demand.iter().copied());
+                wanted.extend(fr.prefetch.iter().map(|(k, _)| *k));
+                client.send_fetch(generation, fr.demand, fr.prefetch).unwrap();
+            }
+            inproc.tick();
+            for (client, _) in &mut viewers {
+                let got = client.recv_fetch().unwrap();
+                demand_errors += got.blocks.iter().filter(|b| b.result.is_err()).count();
+            }
+        }
+
+        assert_eq!(demand_errors, 0, "N={n}: demand always delivers");
+        assert_eq!(src.reads(), wanted.len() as u64, "N={n}: one source read per distinct key");
+        assert_eq!(src.reads(), 98, "N={n}: reads do not grow with N");
+        assert_eq!(
+            server.engine().metrics().cross_tag_coalesced > 0,
+            n > 1,
+            "N={n}: reads are shared across sessions when there are several"
+        );
+    }
+}
+
 #[test]
 fn replies_route_to_the_requesting_session() {
     let (server, _src) = det_server(ServeConfig::default(), 8);

@@ -1,8 +1,8 @@
 //! Drained-trace container and the three exporters: Chrome trace-event
 //! JSON (Perfetto-loadable), Prometheus-style text exposition, and a
 //! per-run summary JSON. All output is hand-assembled so the crate stays
-//! dependency-free; [`json::validate`] gives tests and bench bins an
-//! offline syntax check.
+//! dependency-free; [`json::validate`] gives tests an offline syntax
+//! check.
 
 use crate::event::{EventKind, TraceEvent, KIND_COUNT};
 use crate::hist::LogHistogram;
@@ -52,7 +52,6 @@ impl Trace {
     }
 
     /// Per-run summary JSON: per-kind counts and duration percentiles.
-    /// Bench bins write this next to their `BENCH_*.json`.
     pub fn summary_json(&self) -> String {
         let mut counts = [0u64; KIND_COUNT];
         let mut hists: Vec<LogHistogram> = (0..KIND_COUNT).map(|_| LogHistogram::new()).collect();
@@ -206,8 +205,8 @@ pub fn prometheus_text(counters: &[(&str, u64)], hists: &[(&str, &LogHistogram)]
     out
 }
 
-/// Minimal recursive-descent JSON *syntax* checker, so tests and bench
-/// bins can validate exporter output without a JSON library. Accepts
+/// Minimal recursive-descent JSON *syntax* checker, so tests can
+/// validate exporter output without a JSON library. Accepts
 /// exactly the RFC 8259 grammar; reports the byte offset of the first
 /// error.
 pub mod json {
