@@ -23,29 +23,35 @@
 //! receiver verifies it on every frame before parsing a byte. Almost all
 //! of a `FetchReply` is `f32` payload (5–6 MB a frame in the benchmark
 //! flights), so the codec is built around touching those bytes as few
-//! times as possible. It has no `unsafe` of its own; the one fast CRC
-//! kernel it reaches through [`viz_volume::crc32`] is `viz_volume`'s
-//! business:
+//! times as possible. Its only `unsafe` is reached through `viz_volume`:
+//! the byte views of [`viz_volume::le`] and the fast CRC kernel behind
+//! [`viz_volume::crc32`].
 //!
-//! - **Encode** — one pass over the block list sizes the buffer exactly
-//!   (a reply that would exceed [`MAX_FRAME_BYTES`] is replaced by an
-//!   [`ERR_PROTO`] error frame *before* anything is allocated); each pool
-//!   `Arc<Vec<f32>>` is copied once into that buffer as little-endian
-//!   bytes ([`viz_volume::le::put_f32s`]). The frame CRC is *joined*, not
-//!   recomputed: the few header and key bytes between payloads are
-//!   appended to a running CRC, and each payload is folded in from its own
-//!   CRC with one GF(2) multiplication
+//! - **Encode** — no payload is copied. A response encodes to a
+//!   `ReplyFrame`: one `head` buffer, sized exactly by one pass over the
+//!   block list (a reply that would exceed [`MAX_FRAME_BYTES`] is replaced
+//!   by an [`ERR_PROTO`] error frame *before* anything is allocated),
+//!   holding the frame header and every key, status, length and error
+//!   field, plus a clone of each pool `Arc<Vec<f32>>` and the offset it is
+//!   sent at. The frame CRC is *joined*, not recomputed: the few head bytes
+//!   between payloads are appended to a running CRC, and each payload is
+//!   folded in from its own CRC with one GF(2) multiplication
 //!   ([`viz_volume::checksum::crc32_combine_op`]). That per-payload CRC is
 //!   [`BlockReply::crc`] — what the pool cached when the block was
 //!   inserted — or, for a block that arrives without one, a single pass
 //!   over its values. The length and CRC are patched into header bytes
-//!   reserved at the front. One allocation, one copy, and for a reply of
-//!   resident blocks no checksum pass. Debug builds check every joined CRC
-//!   against a full pass over the body.
-//! - **Transport** — [`crate::TcpTransport`] reads the body straight into
-//!   unfilled capacity (no zero-fill pass).
+//!   reserved at the front. For a reply of resident blocks that is
+//!   O(blocks): one small allocation, no copy, no checksum pass. Debug
+//!   builds check every joined CRC against a full pass over the body.
+//!   [`encode_response`] is the same frame's segments concatenated;
+//!   servers send the segments themselves.
+//! - **Transport** — a server sends a reply's segments as they lie
+//!   ([`crate::Transport::send_segments`]): `head` slices interleaved with
+//!   [`viz_volume::le::f32_bytes`] views of the payloads, in vectored
+//!   writes on both TCP backends. [`crate::TcpTransport`] reads the body
+//!   straight into unfilled capacity (no zero-fill pass).
 //! - **Decode** — one CRC pass over the body, then each payload is one
-//!   bounds check, one slice and one bulk copy into its own `Vec<f32>`
+//!   bounds check, one slice and one `memcpy` into its own `Vec<f32>`
 //!   ([`viz_volume::le::get_f32s`]). Every count and length is still
 //!   checked against the bytes left before anything is allocated.
 //!
@@ -53,8 +59,7 @@
 //! the hint safe: a wrong or stale [`BlockReply::crc`] produces a frame
 //! the client refuses as [`ProtoError::BadCrc`]. On an x86_64 CPU with
 //! `pclmulqdq` that pass is a carry-less-multiply fold at about 19 GB/s,
-//! about 0.3 ms of a 5.5 MB reply, so the per-block allocation and copy
-//! are now the larger part of a decode. [`viz_volume::checksum`] has the
+//! about 0.3 ms of a 5.5 MB reply; [`viz_volume::checksum`] has the
 //! numbers.
 //!
 //! Every encoder closes its buffer through one routine, which refuses a
@@ -76,7 +81,7 @@ use std::io;
 use std::sync::Arc;
 use viz_telemetry::{EventKind, TraceEvent};
 use viz_volume::checksum::{crc32_append, crc32_combine_op, crc32_f32s, crc32_shift_op};
-use viz_volume::le::{get_f32s, put_f32s};
+use viz_volume::le::get_f32s;
 use viz_volume::{crc32, BlockId, BlockKey};
 
 /// Frame magic, first four body bytes.
@@ -563,26 +568,91 @@ impl<'a> Reader<'a> {
 /// Bytes of the outer `[len][crc]` header in front of every body.
 const FRAME_HEADER_BYTES: usize = 8;
 
-/// Close a buffer opened by [`body_header`]: patch the length and CRC of
+/// One encoded frame as the segments it goes out in: `head` holds every
+/// byte the encoder wrote — the `[len][crc]` header, the body's fields, and
+/// each block's key, status and length — and `payloads` the pool's buffers
+/// themselves, each a clone of the reply's `Arc` (not a copy of its data)
+/// and the offset into `head` it is sent at. On the wire a frame is
+/// `head[..o1]`, payload 1, `head[o1..o2]`, …, `head[oN..]`
+/// ([`ReplyFrame::segments`]); concatenated, those are the bytes
+/// [`encode_response`] returns. Only a `FetchReply` has payloads, and only
+/// on a little-endian target, where a payload's memory is its wire bytes;
+/// everything else is one segment.
+#[derive(Debug)]
+pub(crate) struct ReplyFrame {
+    head: Vec<u8>,
+    payloads: Vec<(usize, Arc<Vec<f32>>)>,
+}
+
+impl ReplyFrame {
+    /// The frame's bytes in wire order, `2 × payloads + 1` slices; a
+    /// zero-length payload is an empty one.
+    pub(crate) fn segments(&self) -> Vec<&[u8]> {
+        let mut parts = Vec::with_capacity(2 * self.payloads.len() + 1);
+        let mut from = 0;
+        #[cfg(target_endian = "little")]
+        for (at, data) in &self.payloads {
+            parts.push(&self.head[from..*at]);
+            parts.push(viz_volume::le::f32_bytes(data));
+            from = *at;
+        }
+        parts.push(&self.head[from..]);
+        parts
+    }
+
+    /// Bytes on the wire, header included.
+    pub(crate) fn wire_len(&self) -> usize {
+        self.head.len() + self.payloads.iter().map(|(_, p)| 4 * p.len()).sum::<usize>()
+    }
+
+    /// The frame as one buffer: `head` itself when there are no payloads,
+    /// the segments concatenated otherwise.
+    pub(crate) fn into_vec(self) -> Vec<u8> {
+        if self.payloads.is_empty() {
+            self.head
+        } else {
+            self.segments().concat()
+        }
+    }
+
+    /// Queue `data` to go out at the end of `head` so far.
+    fn push_payload(&mut self, data: &Arc<Vec<f32>>) {
+        #[cfg(target_endian = "little")]
+        self.payloads.push((self.head.len(), Arc::clone(data)));
+        // A big-endian value's memory is not its wire bytes: copy them in.
+        #[cfg(not(target_endian = "little"))]
+        viz_volume::le::put_f32s(&mut self.head, data);
+    }
+
+    /// CRC-32 of the body, from the segments.
+    fn body_crc(&self) -> u32 {
+        let parts = self.segments();
+        let body =
+            std::iter::once(&parts[0][FRAME_HEADER_BYTES..]).chain(parts[1..].iter().copied());
+        body.fold(0, crc32_append)
+    }
+}
+
+/// Close a frame opened by [`body_header`]: patch the length and CRC of
 /// the body it now holds into the header bytes reserved in front of it.
 /// `crc` is the body's CRC where the caller already has it. A body longer
 /// than [`MAX_FRAME_BYTES`] — every receiver would refuse it from its
 /// header — is not framed; its length comes back instead.
-fn frame(mut buf: Vec<u8>, crc: Option<u32>) -> Result<Vec<u8>, usize> {
-    let (header, body) = buf.split_at_mut(FRAME_HEADER_BYTES);
-    if body.len() > MAX_FRAME_BYTES {
-        return Err(body.len());
+fn frame(mut f: ReplyFrame, crc: Option<u32>) -> Result<ReplyFrame, usize> {
+    let body_len = f.wire_len() - FRAME_HEADER_BYTES;
+    if body_len > MAX_FRAME_BYTES {
+        return Err(body_len);
     }
     let crc = match crc {
         Some(joined) => {
-            debug_assert_eq!(joined, crc32(body), "a joined CRC equals one pass over the body");
+            debug_assert_eq!(joined, f.body_crc(), "a joined CRC equals one pass over the body");
             joined
         }
-        None => crc32(body),
+        None => f.body_crc(),
     };
-    header[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
-    header[4..].copy_from_slice(&crc.to_le_bytes());
-    Ok(buf)
+    f.head[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
+    f.head[4..FRAME_HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
+    Ok(f)
 }
 
 /// Validate the outer frame of `buf` and return its body.
@@ -625,7 +695,7 @@ fn body_header(tag: u8) -> Vec<u8> {
     sized_body_header(tag, 64)
 }
 
-/// [`body_header`] for a body whose final length is known: the buffer
+/// [`body_header`] for a head whose final length is known: the buffer
 /// never regrows.
 fn sized_body_header(tag: u8, body_len: usize) -> Vec<u8> {
     let mut b = Vec::with_capacity(FRAME_HEADER_BYTES + body_len);
@@ -636,17 +706,24 @@ fn sized_body_header(tag: u8, body_len: usize) -> Vec<u8> {
     b
 }
 
-/// Exact body length of a [`Response::FetchReply`] carrying `blocks`, from
-/// one pass over the list and before anything is allocated. Counted in
-/// `u64`: payloads can be `Arc`-shared, so the wire size is not bounded by
-/// the memory the reply occupies.
-fn fetch_reply_body_len(blocks: &[BlockReply]) -> u64 {
-    // Per block: key and status byte, then a counted payload or an error code.
-    let per_block = |br: &BlockReply| match &br.result {
-        Ok(data) => 8 + 1 + 4 + 4 * data.len() as u64,
-        Err(_) => 8 + 1 + 2,
-    };
-    (BODY_PREFIX_BYTES + 4 * 4) as u64 + blocks.iter().map(per_block).sum::<u64>()
+/// Exact lengths of a [`Response::FetchReply`] carrying `blocks` — its
+/// body, and the part of it that is not payload — from one pass over the
+/// list and before anything is allocated. Counted in `u64`: payloads can be
+/// `Arc`-shared, so the wire size is not bounded by the memory the reply
+/// occupies.
+fn fetch_reply_sizes(blocks: &[BlockReply]) -> (u64, u64) {
+    let (mut fields, mut payload) = ((BODY_PREFIX_BYTES + 4 * 4) as u64, 0u64);
+    for br in blocks {
+        // Key and status byte, then a counted payload or an error code.
+        fields += match &br.result {
+            Ok(data) => {
+                payload += 4 * data.len() as u64;
+                8 + 1 + 4
+            }
+            Err(_) => 8 + 1 + 2,
+        };
+    }
+    (fields + payload, fields)
 }
 
 fn open_body(buf: &[u8]) -> Result<(u8, Reader<'_>), ProtoError> {
@@ -753,7 +830,8 @@ fn request_frame(req: &Request) -> Result<Vec<u8>, String> {
             b = body_header(TAG_TELEMETRY_GET);
         }
     }
-    frame(b, None).map_err(|body_len| {
+    let framed = frame(ReplyFrame { head: b, payloads: Vec::new() }, None);
+    framed.map(ReplyFrame::into_vec).map_err(|body_len| {
         format!(
             "request of {body_len} bytes exceeds the {MAX_FRAME_BYTES}-byte frame limit; send \
              fewer keys per request"
@@ -820,11 +898,18 @@ pub fn decode_request(buf: &[u8]) -> Result<Request, ProtoError> {
     Ok(req)
 }
 
-/// Encode a response.
+/// Encode a response: the segments `encode_reply_frame` splits it into,
+/// concatenated.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
+    encode_reply_frame(resp).into_vec()
+}
+
+/// Encode a response as segments: the one response encoder, which
+/// [`encode_response`] concatenates. A `FetchReply` costs O(blocks) here:
+/// no payload is copied and none is checksummed if its [`BlockReply::crc`]
+/// is known.
+pub(crate) fn encode_reply_frame(resp: &Response) -> ReplyFrame {
     let mut b;
-    // The body's CRC, where an arm has it by the time the body is written.
-    let mut crc = None;
     match resp {
         Response::OpenAck { session } => {
             b = body_header(TAG_OPEN_ACK);
@@ -835,17 +920,22 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             put_u32(&mut b, *session);
         }
         Response::FetchReply { session, blocks, shed, downgraded } => {
-            let body_len = fetch_reply_body_len(blocks);
+            let (body_len, fields_len) = fetch_reply_sizes(blocks);
             if body_len > MAX_FRAME_BYTES as u64 {
                 // Refused from the sizes alone, before anything is allocated.
                 return oversize_response(body_len);
             }
-            b = sized_body_header(TAG_FETCH_REPLY, body_len as usize);
-            put_u32(&mut b, *session);
-            put_u32(&mut b, *shed);
-            put_u32(&mut b, *downgraded);
-            put_u32(&mut b, blocks.len() as u32);
-            // The frame CRC is joined as the body is written: `joined`
+            // The head holds every byte but the payloads, which stay in the
+            // pool's buffers (a big-endian head copies them in and regrows).
+            let mut f = ReplyFrame {
+                head: sized_body_header(TAG_FETCH_REPLY, fields_len as usize),
+                payloads: Vec::with_capacity(blocks.len()),
+            };
+            put_u32(&mut f.head, *session);
+            put_u32(&mut f.head, *shed);
+            put_u32(&mut f.head, *downgraded);
+            put_u32(&mut f.head, blocks.len() as u32);
+            // The frame CRC is joined as the head is written: `joined`
             // covers the body up to `mark`; the small fields since then
             // are appended to it, a payload is folded in from its own CRC
             // (the reply's hint, or one pass here) without being re-read.
@@ -853,14 +943,14 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             // Consecutive payloads are nearly always the same length.
             let (mut op_len, mut op) = (0usize, crc32_shift_op(0));
             for br in blocks {
-                put_key(&mut b, br.key);
+                put_key(&mut f.head, br.key);
                 match &br.result {
                     Ok(data) => {
-                        b.push(0);
-                        put_u32(&mut b, data.len() as u32);
-                        joined = crc32_append(joined, &b[mark..]);
-                        put_f32s(&mut b, data);
-                        mark = b.len();
+                        f.head.push(0);
+                        put_u32(&mut f.head, data.len() as u32);
+                        joined = crc32_append(joined, &f.head[mark..]);
+                        f.push_payload(data);
+                        mark = f.head.len();
                         if op_len != data.len() {
                             (op_len, op) = (data.len(), crc32_shift_op(4 * data.len() as u64));
                         }
@@ -868,13 +958,14 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
                         joined = crc32_combine_op(joined, payload, op);
                     }
                     Err(code) => {
-                        b.push(1);
-                        put_u16(&mut b, *code);
+                        f.head.push(1);
+                        put_u16(&mut f.head, *code);
                     }
                 }
             }
-            debug_assert_eq!(b.len() as u64, FRAME_HEADER_BYTES as u64 + body_len);
-            crc = Some(crc32_append(joined, &b[mark..]));
+            debug_assert_eq!(f.wire_len() as u64, FRAME_HEADER_BYTES as u64 + body_len);
+            let crc = crc32_append(joined, &f.head[mark..]);
+            return frame(f, Some(crc)).expect("the size was checked before encoding");
         }
         Response::AdvanceAck { session, generation } => {
             b = body_header(TAG_ADVANCE_ACK);
@@ -945,19 +1036,20 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             b.extend_from_slice(message.as_bytes());
         }
     }
-    frame(b, crc).unwrap_or_else(|body_len| oversize_response(body_len as u64))
+    frame(ReplyFrame { head: b, payloads: Vec::new() }, None)
+        .unwrap_or_else(|body_len| oversize_response(body_len as u64))
 }
 
 /// What is sent in place of a response whose body would exceed
 /// [`MAX_FRAME_BYTES`]: every receiver refuses such a frame from its header
 /// and a stream transport is then out of step mid-body, so answer with
 /// what the client can act on instead.
-fn oversize_response(body_len: u64) -> Vec<u8> {
+fn oversize_response(body_len: u64) -> ReplyFrame {
     let message = format!(
         "reply of {body_len} bytes exceeds the {MAX_FRAME_BYTES}-byte frame limit; ask for less \
          per request"
     );
-    encode_response(&Response::Error { code: ERR_PROTO, message })
+    encode_reply_frame(&Response::Error { code: ERR_PROTO, message })
 }
 
 /// Decode a response frame.
@@ -1393,6 +1485,11 @@ mod tests {
         assert_eq!(try_encode_request(&small).unwrap(), encode_request(&small));
     }
 
+    /// A reply's segments, joined, are a frame whose header holds the
+    /// body's length and CRC — asserted here, so release builds, which
+    /// compile the encoder's debug cross-check out, check it too — the same
+    /// frame with or without hints, and one the receiver decodes back; each
+    /// payload segment is the pool's buffer itself.
     #[test]
     fn fetch_reply_header_crc_is_the_crc_of_the_body_with_or_without_hints() {
         use viz_geom::rng::for_cases;
@@ -1401,6 +1498,7 @@ mod tests {
             // Hints on every payload, on none, or on some.
             let hints = case % 3;
             let mut len = rng.index(0..40);
+            let mut sent: Vec<Arc<Vec<f32>>> = Vec::new();
             let blocks: Vec<BlockReply> = (0..n as u32)
                 .map(|i| {
                     if rng.below(4) == 0 {
@@ -1410,6 +1508,13 @@ mod tests {
                             crc: None,
                         };
                     }
+                    let hinted = hints == 0 || (hints == 2 && rng.below(2) == 0);
+                    // The pool hands one `Arc` to every block that asks for it.
+                    if !sent.is_empty() && rng.below(5) == 0 {
+                        let data = sent[rng.index(0..sent.len())].clone();
+                        let crc = hinted.then(|| crc32_f32s(&data));
+                        return BlockReply { key: key(i), result: Ok(data), crc };
+                    }
                     // Mostly runs of one length, as a brick layout gives.
                     match rng.below(4) {
                         0 => len = rng.index(0..600),
@@ -1418,9 +1523,9 @@ mod tests {
                     }
                     let data: Vec<f32> =
                         (0..len).map(|_| f32::from_bits(rng.next_u64() as u32)).collect();
-                    let hinted = hints == 0 || (hints == 2 && rng.below(2) == 0);
                     let crc = hinted.then(|| crc32_f32s(&data));
-                    BlockReply { key: key(i), result: Ok(Arc::new(data)), crc }
+                    sent.push(Arc::new(data));
+                    BlockReply { key: key(i), result: Ok(sent[sent.len() - 1].clone()), crc }
                 })
                 .collect();
             let reply =
@@ -1428,13 +1533,25 @@ mod tests {
             let unhinted =
                 reply(blocks.iter().map(|b| BlockReply { crc: None, ..b.clone() }).collect());
             let reply = reply(blocks);
-            let frame = encode_response(&reply);
-            let stored = u32::from_le_bytes(frame[4..8].try_into().unwrap());
-            assert_eq!(stored, crc32(&frame[8..]), "header crc == crc32(body)");
-            assert_eq!(frame, encode_response(&unhinted));
+            let frame = encode_reply_frame(&reply);
+            let parts = frame.segments();
+            let joined = parts.concat();
+            assert_eq!(joined.len(), frame.wire_len());
+            assert!(joined == framed(&joined[8..]), "header == [len][crc32(body)]");
+            assert!(joined == encode_response(&unhinted));
+            #[cfg(target_endian = "little")]
+            {
+                let Response::FetchReply { blocks, .. } = &reply else { unreachable!() };
+                let payloads = blocks.iter().filter_map(|b| b.result.as_ref().ok());
+                assert_eq!(parts.len(), 2 * payloads.clone().count() + 1);
+                for (seg, data) in parts.iter().skip(1).step_by(2).zip(payloads) {
+                    let view = (data.as_ptr().cast::<u8>(), 4 * data.len());
+                    assert_eq!((seg.as_ptr(), seg.len()), view, "the pool's buffer, not a copy");
+                }
+            }
             // Payloads hold NaNs, so compare through the bytes.
-            let decoded = decode_response(&frame).expect("the receiver accepts the frame");
-            assert_eq!(encode_response(&decoded), frame);
+            let decoded = decode_response(&joined).expect("the receiver accepts the frame");
+            assert!(encode_response(&decoded) == joined);
         });
     }
 

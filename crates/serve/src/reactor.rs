@@ -24,10 +24,10 @@
 //! Pick the backend with [`crate::ServeConfig::backend`]; [`crate::TcpFrontend`]
 //! dispatches on it so callers and tests are backend-generic.
 
-use crate::proto::{self, frame_body_len, Request, Response};
+use crate::proto::{self, encode_reply_frame, frame_body_len, ReplyFrame, Request, Response};
 use crate::registry::SessionId;
-use crate::server::{DrainReport, Outcome, PendingFetch, Server};
-use crate::transport::{InProcTransport, Transport};
+use crate::server::{send_reply, DrainReport, Outcome, PendingFetch, Server};
+use crate::transport::{InProcTransport, SegmentCursor, Transport};
 use crate::{handle_request, inproc_pair};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -113,15 +113,17 @@ fn take_frame(rbuf: &mut Vec<u8>) -> Result<Option<Vec<u8>>, ()> {
 // TCP reactor
 // ---------------------------------------------------------------------
 
-/// Encoded replies owed to one peer, oldest first. A frame is written from
-/// the `Vec` it was encoded into and freed when its last byte is out, so
-/// the queue holds the unsent backlog plus at most the sent part of the
-/// frame in progress, however many replies are pipelined behind it.
+/// Encoded replies owed to one peer, oldest first. A reply is queued as
+/// its [`ReplyFrame`] — header bytes plus the pool's payload `Arc`s, which
+/// it keeps alive until their last byte is out — and written from there
+/// with vectored writes, so the loop thread copies no payload. The queue
+/// holds the unsent backlog plus at most the sent part of the frame in
+/// progress, however many replies are pipelined behind it.
 #[derive(Default)]
 struct WriteQueue {
-    frames: VecDeque<Vec<u8>>,
+    frames: VecDeque<ReplyFrame>,
     /// How much of the front frame the peer has already taken.
-    pos: usize,
+    at: SegmentCursor,
 }
 
 impl WriteQueue {
@@ -129,7 +131,7 @@ impl WriteQueue {
         self.frames.is_empty()
     }
 
-    fn push(&mut self, frame: Vec<u8>) {
+    fn push(&mut self, frame: ReplyFrame) {
         self.frames.push_back(frame);
     }
 
@@ -137,18 +139,16 @@ impl WriteQueue {
     /// gone; a full socket (`WouldBlock`) is `Ok` with frames left queued.
     fn flush(&mut self, out: &mut impl Write) -> io::Result<()> {
         while let Some(front) = self.frames.front() {
-            if self.pos == front.len() {
-                self.frames.pop_front();
-                self.pos = 0;
-                continue;
+            let parts = front.segments();
+            while !self.at.is_done(&parts) {
+                match self.at.write_to(out, &parts) {
+                    Ok(()) => {}
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                    Err(e) => return Err(e),
+                }
             }
-            match out.write(&front[self.pos..]) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => self.pos += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
+            self.frames.pop_front();
+            self.at = SegmentCursor::default();
         }
         Ok(())
     }
@@ -441,7 +441,7 @@ fn unpark_ready(server: &Arc<Server>, wheel: &mut TimerWheel, c: &mut TcpConn) -
 }
 
 fn send_response(c: &mut TcpConn, resp: &Response) {
-    c.wq.push(proto::encode_response(resp));
+    c.wq.push(encode_reply_frame(resp));
     flush_writes(c);
 }
 
@@ -590,7 +590,7 @@ impl ReactorInProcServer {
             n += 1;
             match dispatch(&self.server, &mut c.st, proto::decode_request(&frame)) {
                 Some(resp) => {
-                    if c.t.send(&proto::encode_response(&resp)).is_err() {
+                    if send_reply(&mut c.t, &resp).is_err() {
                         c.st.dead = true;
                     }
                 }
@@ -624,7 +624,7 @@ impl ReactorInProcServer {
             }
             let resp = p.fetch.resolve_now(&self.server);
             c.st.note_response(&resp);
-            if c.t.send(&proto::encode_response(&resp)).is_err() {
+            if send_reply(&mut c.t, &resp).is_err() {
                 c.st.dead = true;
             } else {
                 sent += 1;
@@ -642,7 +642,7 @@ impl ReactorInProcServer {
             let Some(p) = c.st.parked.take() else { continue };
             let resp = p.fetch.resolve_timed_out(&self.server);
             c.st.note_response(&resp);
-            if c.t.send(&proto::encode_response(&resp)).is_err() {
+            if send_reply(&mut c.t, &resp).is_err() {
                 c.st.dead = true;
             }
             fired += 1;
@@ -725,62 +725,46 @@ impl TcpFrontend {
 mod tests {
     use super::*;
 
-    /// A peer that takes `budget` more bytes, at most `chunk` per write,
-    /// then reports a full socket.
-    struct Throttled {
-        got: Vec<u8>,
-        budget: usize,
-        chunk: usize,
-    }
+    use crate::transport::tests::{mixed_reply, Throttled};
 
-    impl Write for Throttled {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            if self.budget == 0 {
-                return Err(io::ErrorKind::WouldBlock.into());
-            }
-            let n = buf.len().min(self.budget).min(self.chunk);
-            self.got.extend_from_slice(&buf[..n]);
-            self.budget -= n;
-            Ok(n)
-        }
-
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    fn held(q: &WriteQueue) -> usize {
-        q.frames.iter().map(Vec::len).sum()
+    /// Segment bytes the queue holds, and how many of the front frame's the
+    /// peer has already taken.
+    fn held(q: &WriteQueue) -> (usize, usize) {
+        let held = q.frames.iter().map(ReplyFrame::wire_len).sum();
+        (held, q.frames.front().map_or(0, |f| q.at.written(&f.segments())))
     }
 
     /// A client that keeps two fetches in flight and reads one reply
     /// behind: the queue is never empty when the next reply is pushed, yet
-    /// it never holds more than the two replies owed — sent bytes are not
-    /// carried along — and the peer sees every byte once, in order.
+    /// it never holds more than the two replies owed — sent frames are not
+    /// carried along — and the peer sees every byte once, in order, with
+    /// the peer's reads splitting heads and payloads alike.
     #[test]
     fn write_queue_holds_only_what_is_owed_under_pipelining() {
-        const LEN: usize = 10_000;
-        let reply = |i: usize| -> Vec<u8> { (0..LEN).map(|j| (i * 31 + j) as u8).collect() };
-        let mut peer = Throttled { got: Vec::new(), budget: 0, chunk: 777 };
+        let reply = |i: u32| encode_reply_frame(&mixed_reply(60, i));
+        let len = reply(0).wire_len();
+        let mut peer = Throttled::new(777, 9);
         let mut q = WriteQueue::default();
         let mut want = Vec::new();
         q.push(reply(0));
-        want.extend(reply(0));
+        want.extend(reply(0).into_vec());
         for i in 1..50 {
             q.push(reply(i));
-            want.extend(reply(i));
+            want.extend(reply(i).into_vec());
             assert!(!q.is_empty());
             // The peer reads one reply's worth, off the frame boundary.
-            peer.budget = if i == 1 { LEN / 2 } else { LEN };
+            peer.budget = if i == 1 { len / 2 } else { len };
             q.flush(&mut peer).unwrap();
-            assert!(held(&q) <= 2 * LEN, "reply {i}: {} bytes held", held(&q));
-            assert_eq!(held(&q) - q.pos, want.len() - peer.got.len());
+            let (held, sent) = held(&q);
+            assert!(held <= 2 * len, "reply {i}: {held} bytes held");
+            assert_eq!(held - sent, want.len() - peer.got.len());
         }
         peer.budget = usize::MAX;
         q.flush(&mut peer).unwrap();
         assert!(q.is_empty());
-        assert_eq!(q.pos, 0);
+        assert_eq!(q.at, SegmentCursor::default());
         assert!(peer.got == want);
+        assert_eq!(peer.empty_slices, 0);
     }
 
     /// A peer that accepts nothing (`Ok(0)`) or fails hard is reported, so
@@ -800,14 +784,15 @@ mod tests {
                 Ok(())
             }
         }
+        let frame = || encode_reply_frame(&mixed_reply(3, 0));
         for kind in [io::ErrorKind::WriteZero, io::ErrorKind::BrokenPipe] {
             let mut q = WriteQueue::default();
-            q.push(vec![1, 2, 3]);
+            q.push(frame());
             assert_eq!(q.flush(&mut Gone(kind)).unwrap_err().kind(), kind);
         }
         let mut q = WriteQueue::default();
-        q.push(vec![1, 2, 3]);
+        q.push(frame());
         q.flush(&mut Gone(io::ErrorKind::WouldBlock)).unwrap();
-        assert_eq!(held(&q), 3);
+        assert_eq!(held(&q), (frame().wire_len(), 0));
     }
 }

@@ -1256,7 +1256,7 @@ pub fn serve_connection_with<T: Transport>(
             Response::CloseAck { session } => owned.retain(|s| s.0 != *session),
             _ => {}
         }
-        if t.send(&proto::encode_response(&resp)).is_err() {
+        if send_reply(&mut t, &resp).is_err() {
             break;
         }
         server.pump();
@@ -1264,6 +1264,13 @@ pub fn serve_connection_with<T: Transport>(
     for id in owned {
         server.close_session(id);
     }
+}
+
+/// Send `resp` as the segments it encodes to
+/// ([`proto::ReplyFrame::segments`]): a `FetchReply`'s payloads go from the
+/// pool's buffers to the transport without being copied into a frame.
+pub(crate) fn send_reply(t: &mut impl Transport, resp: &Response) -> io::Result<()> {
+    t.send_segments(&proto::encode_reply_frame(resp).segments())
 }
 
 /// A live TCP connection: the accept-side stream handle (kept so
@@ -1427,7 +1434,7 @@ impl InProcServer {
                 Response::CloseAck { session } => conn.owned.retain(|s| s.0 != *session),
                 _ => {}
             }
-            if conn.t.send(&proto::encode_response(&resp)).is_err() {
+            if send_reply(&mut conn.t, &resp).is_err() {
                 conn.dead = true;
             }
         }
@@ -1449,7 +1456,7 @@ impl InProcServer {
         for conn in &mut self.conns {
             let Some(p) = conn.pending.take() else { continue };
             let resp = p.resolve_now(&self.server);
-            if conn.t.send(&proto::encode_response(&resp)).is_err() {
+            if send_reply(&mut conn.t, &resp).is_err() {
                 conn.dead = true;
             } else {
                 sent += 1;

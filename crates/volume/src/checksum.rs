@@ -56,13 +56,14 @@
 //! bytes left after the last fold — runs the portable loop. There is no
 //! switch: the CPU decides.
 //!
-//! The folding kernel is the only `unsafe` code in the crate, and it is
-//! sound for three reasons. It is entered from one call site, just after
-//! detection has confirmed both features its `#[target_feature]` enables.
-//! Every 16-byte load is an unaligned load from a slice checked to hold
-//! 16 bytes. [`crc32_f32s`] hands it a byte view of the `f32` slice, which
-//! is exactly the little-endian bytes [`crate::le::put_f32s`] writes: an
-//! `f32` has no padding and x86_64 is little-endian.
+//! The folding kernel and [`crate::le`]'s two byte views are the only
+//! `unsafe` code in the crate. The kernel is sound for three reasons. It is
+//! entered from one call site, just after detection has confirmed both
+//! features its `#[target_feature]` enables. Every 16-byte load is an
+//! unaligned load from a slice checked to hold 16 bytes. [`crc32_f32s`]
+//! hands it [`crate::le::f32_bytes`] of the `f32` slice, which is exactly
+//! the little-endian bytes [`crate::le::put_f32s`] writes: an `f32` has no
+//! padding and x86_64 is little-endian.
 //!
 //! Measured on a two-core Intel Xeon with bare `rustc -C opt-level=3` (no
 //! `target-cpu`), one pass over 5.5 MB (one `FetchReply`) takes
@@ -191,13 +192,14 @@ pub fn crc32_append(crc: u32, data: &[u8]) -> u32 {
 pub fn crc32_f32s(data: &[f32]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     if std::mem::size_of_val(data) >= FOLD_MIN_BYTES {
-        return crc32(fold::le_bytes(data));
+        return crc32(crate::le::f32_bytes(data));
     }
     !portable_f32s(!0, data)
 }
 
 /// The folding kernel: CRC-32 by carry-less multiplication, 64 bytes a
-/// step (module docs). Everything `unsafe` in the crate is here.
+/// step (module docs). Everything `unsafe` in the crate but the byte views
+/// of [`crate::le`] is here.
 #[cfg(target_arch = "x86_64")]
 mod fold {
     use std::arch::x86_64::{
@@ -251,17 +253,6 @@ mod fold {
         // SAFETY: `detected` has just reported both features `update`
         // enables, so this CPU can run it.
         detected().then(|| unsafe { update(c, data) })
-    }
-
-    /// `v`'s bytes in memory order, which on x86_64 are the little-endian
-    /// bytes of each value in turn.
-    pub(super) fn le_bytes(v: &[f32]) -> &[u8] {
-        // SAFETY: `v` is `size_of_val(v)` initialised bytes that stay
-        // borrowed, unmodified, for the returned lifetime: an `f32` is four
-        // bytes with no padding, and any byte is a valid `u8`, which needs no
-        // alignment. x86_64 is little-endian, so each value's four bytes are
-        // its `to_le_bytes()`.
-        unsafe { std::slice::from_raw_parts(v.as_ptr().cast::<u8>(), std::mem::size_of_val(v)) }
     }
 
     /// The first 16 bytes of `b`, in order, as one register.
@@ -649,7 +640,11 @@ mod tests {
             assert_eq!(crc32_f32s(v), want, "dispatcher: len {len}");
             #[cfg(target_arch = "x86_64")]
             for (name, kernel) in kernels() {
-                assert_eq!(kernel(0, fold::le_bytes(v)), want, "{name}, byte view: len {len}");
+                assert_eq!(
+                    kernel(0, crate::le::f32_bytes(v)),
+                    want,
+                    "{name}, byte view: len {len}"
+                );
             }
         }
     }

@@ -3,7 +3,11 @@
 //! `Vec<u8>`, split one off the front of a `&[u8]`. Voxel payloads — the
 //! only fields that run to megabytes — go through the bulk pair
 //! [`put_f32s`] / [`get_f32s`], shared by `VBLK` frames, the raw block
-//! codec and the `VSRV` wire.
+//! codec and the `VSRV` wire. On a little-endian target the `VSRV` reply
+//! segments and [`get_f32s`] go through a byte view of the `f32` slice
+//! ([`f32_bytes`] / [`f32_bytes_mut`]), the crate's only `unsafe` besides
+//! the CRC folding kernel; a big-endian target converts one value at a
+//! time.
 
 /// A fixed-width field with a little-endian byte form.
 pub trait Le: Sized {
@@ -43,6 +47,32 @@ pub fn get<T: Le>(buf: &mut &[u8]) -> T {
     T::get(buf)
 }
 
+/// The bytes of `data` in memory order, which on a little-endian target are
+/// each value's `to_le_bytes()` in turn: the wire form of a payload, with
+/// no copy. The CRC kernels and the `VSRV` reply segments read payloads
+/// through it.
+#[cfg(target_endian = "little")]
+pub fn f32_bytes(data: &[f32]) -> &[u8] {
+    // SAFETY: `data` is `size_of_val(data)` initialised bytes that stay
+    // borrowed, unmodified, for the returned lifetime: an `f32` is four
+    // bytes with no padding, and a `u8` is valid for any byte and needs no
+    // alignment.
+    unsafe { std::slice::from_raw_parts(data.as_ptr().cast::<u8>(), std::mem::size_of_val(data)) }
+}
+
+/// The mutable twin of [`f32_bytes`]: writing little-endian bytes through
+/// it sets the values they encode.
+#[cfg(target_endian = "little")]
+pub fn f32_bytes_mut(data: &mut [f32]) -> &mut [u8] {
+    // SAFETY: as in `f32_bytes`, and `data` is borrowed mutably for the
+    // returned lifetime, so the view is the only access; any four bytes
+    // written through it are a valid `f32` (every bit pattern is one), and
+    // the view's alignment of 1 is never more than `f32`'s.
+    unsafe {
+        std::slice::from_raw_parts_mut(data.as_mut_ptr().cast::<u8>(), std::mem::size_of_val(data))
+    }
+}
+
 /// Append every value of `data` to `buf`, little-endian: one `resize`, then
 /// a fixed-width chunk loop the compiler turns into a plain copy on
 /// little-endian targets.
@@ -56,8 +86,24 @@ pub fn put_f32s(buf: &mut Vec<u8>, data: &[f32]) {
 
 /// The values `bytes` holds, four little-endian bytes each; a tail shorter
 /// than one value is ignored, so callers check `bytes.len() % 4` (they all
-/// check the exact length against a count) first.
+/// check the exact length against a count) first. On a little-endian
+/// target that is one zero-filled allocation and one `memcpy`.
 pub fn get_f32s(bytes: &[u8]) -> Vec<f32> {
+    #[cfg(target_endian = "little")]
+    {
+        let mut out = vec![0.0f32; bytes.len() / 4];
+        f32_bytes_mut(&mut out).copy_from_slice(&bytes[..bytes.len() / 4 * 4]);
+        out
+    }
+    #[cfg(not(target_endian = "little"))]
+    get_f32s_each(bytes)
+}
+
+// The per-value decode a big-endian target runs. It is compiled everywhere,
+// and the tests hold it to the byte views on every little-endian host.
+
+#[cfg_attr(target_endian = "little", allow(dead_code))]
+fn get_f32s_each(bytes: &[u8]) -> Vec<f32> {
     bytes.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect()
 }
 
@@ -89,6 +135,27 @@ mod tests {
             data.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
         assert!(get_f32s(&[]).is_empty());
+        assert_eq!(get_f32s(&bulk[1..bulk.len() - 1]).len(), data.len() - 1, "a short tail");
+    }
+
+    /// The per-value loops (`put_f32s` everywhere, `get_f32s_each` on a
+    /// big-endian target) are held to the byte views they stand in for.
+    #[cfg(target_endian = "little")]
+    #[test]
+    fn per_value_loops_equal_the_byte_views() {
+        let data: Vec<f32> = AWKWARD_F32_BITS.iter().map(|&b| f32::from_bits(b)).collect();
+        let mut each = vec![0xEE];
+        put_f32s(&mut each, &data);
+        assert_eq!(&each[1..], f32_bytes(&data));
+        let back = get_f32s_each(f32_bytes(&data));
+        assert_eq!(f32_bytes(&back), f32_bytes(&data));
+        let mut viewed = vec![0.0f32; data.len()];
+        f32_bytes_mut(&mut viewed).copy_from_slice(&each[1..]);
+        assert_eq!(
+            viewed.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            AWKWARD_F32_BITS,
+            "bytes written through the mutable view set those bits"
+        );
     }
 
     #[test]
