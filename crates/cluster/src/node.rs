@@ -422,20 +422,17 @@ impl ClusterNode {
     /// node's id.
     pub fn serve_frame(&self, frame: &[u8]) -> Vec<u8> {
         viz_telemetry::with_node(self.node_tag(), || {
-            let resp = match viz_serve::proto::decode_request(frame) {
-                Ok(req) => match self.dispatch(&self.server, req) {
-                    Outcome::Ready(r) => r,
-                    Outcome::Fetch(p) => {
-                        self.server.pump();
-                        if self.cfg.deterministic {
-                            self.server.engine().run_until_idle();
-                            p.resolve_now(&self.server)
-                        } else {
-                            p.wait(&self.server)
-                        }
+            let resp = match self.dispatch_frame(&self.server, frame) {
+                Outcome::Ready(r) => r,
+                Outcome::Fetch(p) => {
+                    self.server.pump();
+                    if self.cfg.deterministic {
+                        self.server.engine().run_until_idle();
+                        p.resolve(&self.server, io::ErrorKind::Interrupted)
+                    } else {
+                        p.wait(&self.server)
                     }
-                },
-                Err(pe) => Response::Error { code: pe.code(), message: pe.to_string() },
+                }
             };
             viz_serve::proto::encode_response(&resp)
         })

@@ -255,11 +255,6 @@ impl ReadySet {
         std::mem::take(&mut relock(&self.ready))
     }
 
-    /// `true` when any token is marked (cheap poll-timeout decision).
-    pub fn any_ready(&self) -> bool {
-        !relock(&self.ready).is_empty()
-    }
-
     /// A producer-side handle that marks `token` on this set.
     pub fn handle(self: &Arc<Self>, token: u64) -> ReadyHandle {
         ReadyHandle { set: self.clone(), token }
@@ -277,11 +272,6 @@ impl ReadyHandle {
     /// Mark the token ready.
     pub fn mark(&self) {
         self.set.mark(self.token);
-    }
-
-    /// The token this handle marks.
-    pub fn token(&self) -> u64 {
-        self.token
     }
 }
 
@@ -346,14 +336,14 @@ mod tests {
         let set = ReadySet::new();
         let h1 = set.handle(1);
         let h2 = set.handle(2);
-        assert!(!set.any_ready());
+        assert!(set.take_ready().is_empty());
         h2.mark();
         h1.mark();
         h2.mark(); // duplicate collapses
-        assert!(set.any_ready());
         assert_eq!(set.take_ready(), vec![2, 1]);
         assert!(set.take_ready().is_empty());
-        assert_eq!(h1.token(), 1);
+        h1.mark();
+        assert_eq!(set.take_ready(), vec![1], "a handle marks its own token");
     }
 
     #[cfg(unix)]

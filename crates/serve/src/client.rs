@@ -6,7 +6,7 @@
 //! [`crate::server::serve_connection`] thread. The split `send_*` /
 //! `recv_*` halves exist for the deterministic tests, where the request
 //! must be on the wire *before* the test steps the
-//! [`crate::server::InProcServer`], and the reply is only read after.
+//! [`crate::InProcServer`], and the reply is only read after.
 
 use crate::proto::{
     decode_response, try_encode_request, BlockReply, ProtoError, Request, Response, TraceCtx,

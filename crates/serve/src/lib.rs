@@ -22,8 +22,15 @@
 //! - [`reactor`] — the scaling front end: every connection on one
 //!   poll-driven event loop (demand deadlines on a timer wheel, no
 //!   thread per client), selected by [`ServeConfig::backend`] via
-//!   [`TcpFrontend`]; its in-process twin drives thousands of virtual
-//!   sessions on a virtual clock for the soak suite.
+//!   [`TcpFrontend`]. Its in-process twin, [`InProcServer`], runs the
+//!   same connection table over in-process pipes on a virtual clock:
+//!   the deterministic front end every serve test, and the soak suite's
+//!   thousands of virtual sessions, step by `tick`.
+//!
+//! Every front end — thread-per-connection, reactor, in-process — runs
+//! one per-connection state machine: decode, dispatch, park a `Fetch`,
+//! reply in request order, and close the sessions a connection opened
+//! when it goes away.
 //! - [`client`] — a typed client over any transport, with split
 //!   send/recv halves for deterministic stepping.
 //!
@@ -55,6 +62,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod conn;
 pub mod proto;
 pub mod reactor;
 pub mod registry;
@@ -67,11 +75,11 @@ pub use proto::{
     BlockReply, HistSnapshot, ProtoError, Request, Response, TraceCtx, WireTelemetry,
     MAX_FRAME_BYTES, PROTO_VERSION,
 };
-pub use reactor::{ReactorInProcServer, ReactorTcpServer, TcpFrontend};
+pub use reactor::{InProcServer, ReactorTcpServer, TcpFrontend};
 pub use registry::{SessionId, SessionView};
 pub use server::{
     handle_request, serve_connection, serve_connection_with, DefaultDispatch, DrainReport,
-    InProcServer, IoBackend, LadderConfig, Outcome, PendingFetch, RequestDispatch, ServeConfig,
-    ServeError, ServeMetrics, Server, ShedReason, Submission, TcpServer,
+    IoBackend, LadderConfig, Outcome, PendingFetch, RequestDispatch, ServeConfig, ServeError,
+    ServeMetrics, Server, ShedReason, Submission, TcpServer,
 };
 pub use transport::{inproc_pair, InProcTransport, TcpTransport, Transport};

@@ -6,30 +6,32 @@
 //! loop built from the [`viz_fetch::reactor`] substrate: `poll(2)` for
 //! socket readiness, a [`TimerWheel`] for demand deadlines (no
 //! sacrificial timeout threads), and a [`viz_fetch::ReadySet`] so the
-//! deterministic in-process transport runs through the *same* state
-//! machine — the soak suite drives thousands of virtual connections on a
+//! deterministic [`InProcServer`] runs through the *same* connection
+//! table — the soak suite drives thousands of virtual connections on a
 //! virtual clock and exercises exactly the code the TCP loop runs.
 //!
 //! ## Per-connection state machine
 //!
-//! A connection is either **idle** (buffered requests decode and
-//! dispatch immediately) or **parked** on one in-flight `Fetch`. While
-//! parked, later requests stay buffered — request→reply order per
-//! connection is the same contract [`crate::serve_connection`] keeps.
-//! A parked fetch unparks when its demand tickets resolve
-//! ([`PendingFetch::poll`]) or when its deadline timer fires, in which
-//! case unresolved keys report `TimedOut` and their reads stay in
-//! flight for a later frame — degraded, not dropped.
+//! Every front end, the thread-per-connection one included, runs one
+//! connection state machine (`conn::Conn`). A connection is either
+//! **idle** (buffered requests decode and dispatch immediately) or
+//! **parked** on one in-flight `Fetch`. While parked, later requests stay
+//! buffered — request→reply order per connection is the same contract
+//! [`crate::serve_connection`] keeps. A parked fetch unparks when its
+//! demand tickets resolve ([`crate::PendingFetch::poll`]) or when its
+//! deadline timer fires, in which case unresolved keys report `TimedOut`
+//! and their reads stay in flight for a later frame — degraded, not
+//! dropped.
 //!
 //! Pick the backend with [`crate::ServeConfig::backend`]; [`crate::TcpFrontend`]
 //! dispatches on it so callers and tests are backend-generic.
 
-use crate::proto::{self, encode_reply_frame, frame_body_len, ReplyFrame, Request, Response};
-use crate::registry::SessionId;
-use crate::server::{send_reply, DrainReport, Outcome, PendingFetch, Server};
+use crate::conn::{Conn, Pipe};
+use crate::inproc_pair;
+use crate::proto::{encode_reply_frame, frame_body_len, ReplyFrame, Response};
+use crate::server::{send_reply, DefaultDispatch, DrainReport, Server};
 use crate::transport::{InProcTransport, SegmentCursor, Transport};
-use crate::{handle_request, inproc_pair};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -37,71 +39,90 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 use viz_fetch::reactor::{POLL_IN, POLL_OUT};
-use viz_fetch::{poll_fds, PollFd, ReadySet, TimerId, TimerWheel};
+use viz_fetch::{poll_fds, PollFd, ReadySet, TimerWheel};
 use viz_telemetry::EventKind as Ev;
 
-/// One parked `Fetch` and its (optional) deadline timer.
-struct Parked {
-    fetch: PendingFetch,
-    timer: Option<TimerId>,
+/// The connections of one poll-driven loop by token, in token order, and
+/// the wheel their demand deadlines run on. Both reactor front ends drive
+/// it; they differ only in their [`Pipe`] and in how they learn a
+/// connection is ready. Tokens are never reused, so a timer that outlives
+/// its connection fires into nothing.
+struct Conns<P> {
+    server: Arc<Server>,
+    live: BTreeMap<u64, (P, Conn)>,
+    next_token: u64,
+    wheel: TimerWheel,
 }
 
-/// Shared per-connection protocol state: buffered inbound bytes/frames,
-/// sessions opened on the connection, and the park slot.
-struct ConnState {
-    owned: Vec<SessionId>,
-    parked: Option<Parked>,
-    dead: bool,
-}
-
-impl ConnState {
-    fn new() -> Self {
-        ConnState { owned: Vec::new(), parked: None, dead: false }
+impl<P: Pipe> Conns<P> {
+    fn new(server: Arc<Server>) -> Self {
+        Conns { server, live: BTreeMap::new(), next_token: 0, wheel: TimerWheel::for_serving() }
     }
 
-    /// Track session ownership from a response about to be sent, so the
-    /// reaper can close sessions the peer abandoned.
-    fn note_response(&mut self, resp: &Response) {
-        match resp {
-            Response::OpenAck { session } => self.owned.push(SessionId(*session)),
-            Response::CloseAck { session } => self.owned.retain(|s| s.0 != *session),
-            _ => {}
-        }
+    /// Add a connection; returns its token.
+    fn insert(&mut self, pipe: P) -> u64 {
+        let token = self.next_token;
+        self.next_token += 1;
+        self.live.insert(token, (pipe, Conn::default()));
+        token
     }
-}
 
-/// Dispatch one decoded request; `Some` is a ready reply, `None` means
-/// the fetch parked in `st` (the caller arms its deadline timer).
-fn dispatch(
-    server: &Arc<Server>,
-    st: &mut ConnState,
-    req: Result<Request, proto::ProtoError>,
-) -> Option<Response> {
-    let resp = match req {
-        Ok(req) => match handle_request(server, req) {
-            Outcome::Ready(r) => r,
-            Outcome::Fetch(fetch) => {
-                // Issue the demand now so the engine starts on it this
-                // tick; the reply completes when the tickets resolve.
-                server.pump();
-                st.parked = Some(Parked { fetch, timer: None });
-                return None;
+    /// Serve one connection's buffered frames until it parks or runs dry.
+    fn service(&mut self, token: u64, now_ns: u64) -> usize {
+        let Some((pipe, conn)) = self.live.get_mut(&token) else { return 0 };
+        conn.service(pipe, &self.server, &DefaultDispatch, &mut self.wheel, now_ns, token)
+    }
+
+    /// Reply to every parked fetch whose tickets all resolved; each freed
+    /// connection then serves what it has buffered. Returns replies plus
+    /// frames taken.
+    fn unpark(&mut self, now_ns: u64) -> usize {
+        let mut freed = Vec::new();
+        for (&token, (pipe, conn)) in &mut self.live {
+            if conn.unpark(pipe, &self.server, &mut self.wheel) {
+                freed.push(token);
             }
-        },
-        Err(pe) => Response::Error { code: pe.code(), message: pe.to_string() },
-    };
-    st.note_response(&resp);
-    Some(resp)
+        }
+        self.serve_freed(freed, now_ns)
+    }
+
+    /// Fire the deadlines `now_ns` has passed; each freed connection then
+    /// serves what it has buffered. Returns replies plus frames taken.
+    fn expire(&mut self, now_ns: u64) -> usize {
+        let mut freed = Vec::new();
+        for (_, token) in self.wheel.expire(now_ns) {
+            let Some((pipe, conn)) = self.live.get_mut(&token) else { continue };
+            if conn.expire(pipe, &self.server, &mut self.wheel) {
+                freed.push(token);
+            }
+        }
+        self.serve_freed(freed, now_ns)
+    }
+
+    fn serve_freed(&mut self, freed: Vec<u64>, now_ns: u64) -> usize {
+        freed.len() + freed.into_iter().map(|t| self.service(t, now_ns)).sum::<usize>()
+    }
+
+    /// Drop dead connections: their sessions close, their timers cancel.
+    fn reap(&mut self) {
+        let (server, wheel) = (&self.server, &mut self.wheel);
+        self.live.retain(|_, (_, conn)| {
+            if conn.dead {
+                conn.close(server, Some(&mut *wheel));
+            }
+            !conn.dead
+        });
+    }
 }
 
 /// Split complete frames off the front of `rbuf`. `Err` means the
 /// header itself is garbage — the stream cannot be resynchronized.
-fn take_frame(rbuf: &mut Vec<u8>) -> Result<Option<Vec<u8>>, ()> {
+fn take_frame(rbuf: &mut Vec<u8>) -> io::Result<Option<Vec<u8>>> {
     if rbuf.len() < 8 {
         return Ok(None);
     }
     let header: &[u8; 8] = rbuf[..8].try_into().expect("8-byte slice");
-    let body = frame_body_len(header).map_err(|_| ())?;
+    let body = frame_body_len(header).map_err(io::Error::from)?;
     let total = 8 + body;
     if rbuf.len() < total {
         return Ok(None);
@@ -154,11 +175,29 @@ impl WriteQueue {
     }
 }
 
-struct TcpConn {
+/// A nonblocking socket: bytes read so far in, the write queue out.
+struct TcpPipe {
     stream: TcpStream,
     rbuf: Vec<u8>,
     wq: WriteQueue,
-    st: ConnState,
+}
+
+impl TcpPipe {
+    /// Write as much queued reply data as the socket takes right now.
+    fn flush(&mut self) -> io::Result<()> {
+        self.wq.flush(&mut self.stream)
+    }
+}
+
+impl Pipe for TcpPipe {
+    fn next_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
+        take_frame(&mut self.rbuf)
+    }
+
+    fn reply(&mut self, resp: &Response) -> io::Result<()> {
+        self.wq.push(encode_reply_frame(resp));
+        self.flush()
+    }
 }
 
 /// A localhost TCP front end running every connection on one poll loop.
@@ -216,9 +255,7 @@ impl ReactorTcpServer {
 fn run_tcp_loop(server: &Arc<Server>, listener: &TcpListener, stop: &AtomicBool) {
     use std::os::unix::io::AsRawFd;
     let epoch = Instant::now();
-    let mut conns: HashMap<u64, TcpConn> = HashMap::new();
-    let mut next_token: u64 = 0;
-    let mut wheel = TimerWheel::for_serving();
+    let mut conns: Conns<TcpPipe> = Conns::new(server.clone());
     let mut ticks: u64 = 0;
     // Engine-completion wake: a self-connected loopback UDP socket whose
     // fd joins the poll set. The engine's completion hook sends one byte
@@ -239,22 +276,20 @@ fn run_tcp_loop(server: &Arc<Server>, listener: &TcpListener, stop: &AtomicBool)
         let now_ns = epoch.elapsed().as_nanos() as u64;
         // Poll interest: the listener plus every live connection; write
         // interest only while a reply is partially flushed.
-        let mut tokens: Vec<u64> = conns.keys().copied().collect();
-        tokens.sort_unstable();
+        let tokens: Vec<u64> = conns.live.keys().copied().collect();
         let mut fds = Vec::with_capacity(tokens.len() + conn_base);
         fds.push(PollFd::new(listener.as_raw_fd(), POLL_IN));
         if let Some(w) = &wake {
             fds.push(PollFd::new(w.as_raw_fd(), POLL_IN));
         }
         let mut any_parked = false;
-        for &t in &tokens {
-            let c = &conns[&t];
+        for (pipe, conn) in conns.live.values() {
             let mut ev = POLL_IN;
-            if !c.wq.is_empty() {
+            if !pipe.wq.is_empty() {
                 ev |= POLL_OUT;
             }
-            any_parked |= c.st.parked.is_some();
-            fds.push(PollFd::new(c.stream.as_raw_fd(), ev));
+            any_parked |= conn.is_parked();
+            fds.push(PollFd::new(pipe.stream.as_raw_fd(), ev));
         }
         // Parked fetches resolve on engine-worker time; the wake socket
         // reports that as readiness, so the loop sleeps to the next timer
@@ -264,7 +299,7 @@ fn run_tcp_loop(server: &Arc<Server>, listener: &TcpListener, stop: &AtomicBool)
         let timeout_ms = if any_parked && wake.is_none() {
             1
         } else {
-            match wheel.next_deadline_ns() {
+            match conns.wheel.next_deadline_ns() {
                 Some(d) => ((d.saturating_sub(now_ns)) / 1_000_000).clamp(1, 25) as i32,
                 None => 25,
             }
@@ -287,79 +322,42 @@ fn run_tcp_loop(server: &Arc<Server>, listener: &TcpListener, stop: &AtomicBool)
                     continue;
                 }
                 let _ = stream.set_nodelay(true);
-                let token = next_token;
-                next_token += 1;
-                conns.insert(
-                    token,
-                    TcpConn {
-                        stream,
-                        rbuf: Vec::new(),
-                        wq: WriteQueue::default(),
-                        st: ConnState::new(),
-                    },
-                );
+                conns.insert(TcpPipe { stream, rbuf: Vec::new(), wq: WriteQueue::default() });
             }
         }
         // Read + dispatch on readable connections.
         for (i, &token) in tokens.iter().enumerate() {
             let fd = fds[i + conn_base];
-            let Some(c) = conns.get_mut(&token) else { continue };
-            if fd.readable() && !read_into(&mut c.stream, &mut c.rbuf) {
-                c.st.dead = true;
+            if let Some((pipe, conn)) = conns.live.get_mut(&token) {
+                if fd.readable() && !read_into(&mut pipe.stream, &mut pipe.rbuf) {
+                    conn.dead = true;
+                }
             }
-            process_buffered(server, &mut wheel, now_ns, token, c);
+            conns.service(token, now_ns);
             if fd.writable() {
-                flush_writes(c);
+                if let Some((pipe, conn)) = conns.live.get_mut(&token) {
+                    conn.dead |= pipe.flush().is_err();
+                }
             }
         }
         // Move queued work into the engine; its workers resolve tickets.
         server.pump();
         // Unpark completed fetches, then expire missed deadlines.
-        for (&token, c) in &mut conns {
-            if unpark_ready(server, &mut wheel, c) {
-                // The reply freed the park slot: buffered requests can
-                // now dispatch without waiting for more socket bytes.
-                process_buffered(server, &mut wheel, now_ns, token, c);
-            }
-        }
-        for (_, token) in wheel.expire(now_ns) {
-            if let Some(c) = conns.get_mut(&token) {
-                if let Some(p) = c.st.parked.take() {
-                    let resp = p.fetch.resolve_timed_out(server);
-                    c.st.note_response(&resp);
-                    send_response(c, &resp);
-                }
-            }
-        }
+        conns.unpark(now_ns);
+        conns.expire(now_ns);
         // Opportunistic flush (most replies fit the socket buffer).
-        for c in conns.values_mut() {
-            if !c.wq.is_empty() {
-                flush_writes(c);
+        for (pipe, conn) in conns.live.values_mut() {
+            if !pipe.wq.is_empty() {
+                conn.dead |= pipe.flush().is_err();
             }
         }
-        // Reap dead connections: their sessions close, timers lapse as
-        // tombstones.
-        conns.retain(|_, c| {
-            if c.st.dead {
-                if let Some(p) = c.st.parked.take() {
-                    if let Some(t) = p.timer {
-                        wheel.cancel(t);
-                    }
-                }
-                for id in c.st.owned.drain(..) {
-                    server.close_session(id);
-                }
-                false
-            } else {
-                true
-            }
-        });
+        conns.reap();
         if viz_telemetry::enabled() {
             ticks += 1;
             viz_telemetry::span(
                 Ev::ReactorTick,
                 ticks,
-                ((events as u64) << 32) | conns.len() as u64,
+                ((events as u64) << 32) | conns.live.len() as u64,
                 tt,
             );
         }
@@ -368,11 +366,9 @@ fn run_tcp_loop(server: &Arc<Server>, listener: &TcpListener, stop: &AtomicBool)
     if wake.is_some() {
         server.engine().set_completion_hook(None);
     }
-    for (_, mut c) in conns {
-        for id in c.st.owned.drain(..) {
-            server.close_session(id);
-        }
-        let _ = c.stream.shutdown(std::net::Shutdown::Both);
+    for (pipe, mut conn) in conns.live.into_values() {
+        conn.close(server, None);
+        let _ = pipe.stream.shutdown(std::net::Shutdown::Both);
     }
 }
 
@@ -390,178 +386,94 @@ fn read_into(stream: &mut TcpStream, rbuf: &mut Vec<u8>) -> bool {
     }
 }
 
-/// Decode and dispatch buffered frames until the connection parks or
-/// the buffer runs dry.
-fn process_buffered(
-    server: &Arc<Server>,
-    wheel: &mut TimerWheel,
-    now_ns: u64,
-    token: u64,
-    c: &mut TcpConn,
-) {
-    while !c.st.dead && c.st.parked.is_none() {
-        let frame = match take_frame(&mut c.rbuf) {
-            Ok(Some(f)) => f,
-            Ok(None) => break,
-            Err(()) => {
-                c.st.dead = true;
-                break;
-            }
-        };
-        match dispatch(server, &mut c.st, proto::decode_request(&frame)) {
-            Some(resp) => send_response(c, &resp),
-            None => {
-                // Parked: arm the demand deadline, if the config sets one.
-                if let Some(d) = server.config().demand_deadline {
-                    let deadline = now_ns + d.as_nanos() as u64;
-                    if let Some(p) = c.st.parked.as_mut() {
-                        p.timer = Some(wheel.schedule(deadline, token));
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// If the parked fetch completed, send its reply. Returns `true` when
-/// the park slot was freed.
-fn unpark_ready(server: &Arc<Server>, wheel: &mut TimerWheel, c: &mut TcpConn) -> bool {
-    let Some(p) = c.st.parked.as_mut() else { return false };
-    if !p.fetch.poll() {
-        return false;
-    }
-    let p = c.st.parked.take().unwrap();
-    if let Some(t) = p.timer {
-        wheel.cancel(t);
-    }
-    let resp = p.fetch.resolve_now(server);
-    c.st.note_response(&resp);
-    send_response(c, &resp);
-    true
-}
-
-fn send_response(c: &mut TcpConn, resp: &Response) {
-    c.wq.push(encode_reply_frame(resp));
-    flush_writes(c);
-}
-
-/// Write as much queued reply data as the socket takes right now.
-fn flush_writes(c: &mut TcpConn) {
-    if c.wq.flush(&mut c.stream).is_err() {
-        c.st.dead = true;
-    }
-}
-
 // ---------------------------------------------------------------------
-// Deterministic in-process reactor
+// Deterministic in-process server
 // ---------------------------------------------------------------------
 
-/// The reactor state machine over virtual connections and a virtual
-/// clock: the soak suite's workhorse. [`ReactorInProcServer::connect`]
-/// hands back a client pipe whose sends mark a [`ReadySet`] token —
-/// the loop's stand-in for socket readability — and
-/// [`ReactorInProcServer::tick`] runs the same
-/// dispatch/park/unpark/expire cycle as the TCP loop, but to
+impl Pipe for InProcTransport {
+    fn next_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
+        self.try_recv()
+    }
+
+    fn reply(&mut self, resp: &Response) -> io::Result<()> {
+        send_reply(self, resp)
+    }
+}
+
+/// The reactor's connection table over in-process pipes and a virtual
+/// clock: the deterministic front end the serve tests and the soak suite
+/// drive. [`InProcServer::connect`] hands back a client pipe whose sends
+/// — and whose drop, a virtual POLLHUP — mark a [`ReadySet`] token, the
+/// loop's stand-in for socket readiness. [`InProcServer::tick`] runs the
+/// same service/unpark/expire/reap cycle as the TCP loop, but to
 /// quiescence, with the engine stepped inline
 /// ([`viz_fetch::FetchEngine::run_one`]). Deadlines come off the
-/// caller-advanced clock ([`ReactorInProcServer::advance`]), never the
-/// wall.
-pub struct ReactorInProcServer {
-    server: Arc<Server>,
+/// caller-advanced clock ([`InProcServer::advance`]), never the wall.
+pub struct InProcServer {
+    conns: Conns<InProcTransport>,
     ready: Arc<ReadySet>,
-    wheel: TimerWheel,
-    /// Token == index; dead slots tombstone as `None` so tokens stay
-    /// stable for the ready set and timer wheel.
-    conns: Vec<Option<VConn>>,
     now_ns: u64,
     ticks: u64,
 }
 
-struct VConn {
-    t: InProcTransport,
-    st: ConnState,
-}
-
-impl ReactorInProcServer {
+impl InProcServer {
     /// Wrap a server (typically over a `workers = 0` engine).
-    pub fn new(server: Arc<Server>) -> ReactorInProcServer {
-        ReactorInProcServer {
-            server,
-            ready: ReadySet::new(),
-            wheel: TimerWheel::for_serving(),
-            conns: Vec::new(),
-            now_ns: 0,
-            ticks: 0,
-        }
+    pub fn new(server: Arc<Server>) -> InProcServer {
+        InProcServer { conns: Conns::new(server), ready: ReadySet::new(), now_ns: 0, ticks: 0 }
     }
 
     /// The served [`Server`].
     pub fn server(&self) -> &Arc<Server> {
-        &self.server
+        &self.conns.server
     }
 
-    /// The virtual clock, in nanoseconds.
-    pub fn now_ns(&self) -> u64 {
-        self.now_ns
-    }
-
-    /// Live (non-tombstoned) connections.
+    /// Live (not yet reaped) connections.
     pub fn open_conns(&self) -> usize {
-        self.conns.iter().flatten().count()
+        self.conns.live.len()
     }
 
-    /// Open a connection; the returned client end's sends wake the loop.
+    /// Open a connection; the returned client end's sends and its drop
+    /// wake the loop.
     pub fn connect(&mut self) -> InProcTransport {
         let (mut client, server_end) = inproc_pair();
-        let token = self.conns.len() as u64;
-        let h = self.ready.handle(token);
+        let h = self.ready.handle(self.conns.insert(server_end));
         client.set_notify(Arc::new(move || h.mark()));
-        self.conns.push(Some(VConn { t: server_end, st: ConnState::new() }));
         client
     }
 
     /// Advance the virtual clock; deadlines crossed fire on the next
-    /// [`ReactorInProcServer::tick`].
+    /// [`InProcServer::tick`].
     pub fn advance(&mut self, ns: u64) {
         self.now_ns += ns;
     }
 
-    /// Probe every live connection on the next tick — the virtual
-    /// counterpart of `POLLHUP`: a client end that was dropped without a
-    /// `Close` is only observable by polling its pipe, so churn tests
-    /// sweep periodically the way the TCP loop's `poll` reports hangups.
-    pub fn sweep(&mut self) {
-        for (i, slot) in self.conns.iter().enumerate() {
-            if slot.is_some() {
-                self.ready.mark(i as u64);
-            }
-        }
-    }
-
-    /// Run the reactor cycle to quiescence: drain ready connections,
-    /// pump, step the engine to idle, unpark completed fetches, expire
-    /// deadlines — until a full round makes no progress. Returns units of
-    /// work done (requests + engine jobs + replies).
+    /// Run the cycle to quiescence: serve every ready connection, pump,
+    /// step the engine to idle, unpark completed fetches, expire
+    /// deadlines — until a full round makes no progress — then reap the
+    /// connections whose peers are gone. Every ready connection is served
+    /// before the engine runs, so fetches sent together meet in its
+    /// queue. Returns units of work done (requests + engine jobs +
+    /// replies).
     pub fn tick(&mut self) -> usize {
         let tt = viz_telemetry::start();
         let mut total = 0;
         loop {
             let mut progress = 0;
             for token in self.ready.take_ready() {
-                progress += self.service(token);
+                progress += self.conns.service(token, self.now_ns);
             }
-            self.server.pump();
-            while self.server.engine().run_one().is_some() {
+            self.conns.server.pump();
+            while self.conns.server.engine().run_one().is_some() {
                 progress += 1;
             }
-            progress += self.unpark();
-            progress += self.expire();
+            progress += self.conns.unpark(self.now_ns);
+            progress += self.conns.expire(self.now_ns);
             if progress == 0 {
                 break;
             }
             total += progress;
         }
-        self.reap();
+        self.conns.reap();
         if viz_telemetry::enabled() {
             self.ticks += 1;
             viz_telemetry::span(
@@ -572,100 +484,6 @@ impl ReactorInProcServer {
             );
         }
         total
-    }
-
-    /// Dispatch buffered requests on one ready connection.
-    fn service(&mut self, token: u64) -> usize {
-        let Some(Some(c)) = self.conns.get_mut(token as usize) else { return 0 };
-        let mut n = 0;
-        while !c.st.dead && c.st.parked.is_none() {
-            let frame = match c.t.try_recv() {
-                Ok(Some(f)) => f,
-                Ok(None) => break,
-                Err(_) => {
-                    c.st.dead = true;
-                    break;
-                }
-            };
-            n += 1;
-            match dispatch(&self.server, &mut c.st, proto::decode_request(&frame)) {
-                Some(resp) => {
-                    if send_reply(&mut c.t, &resp).is_err() {
-                        c.st.dead = true;
-                    }
-                }
-                None => {
-                    if let Some(d) = self.server.config().demand_deadline {
-                        let deadline = self.now_ns + d.as_nanos() as u64;
-                        if let Some(p) = c.st.parked.as_mut() {
-                            p.timer = Some(self.wheel.schedule(deadline, token));
-                        }
-                    }
-                }
-            }
-        }
-        n
-    }
-
-    /// Send replies for parked fetches whose tickets all resolved; the
-    /// freed connections re-mark themselves so still-buffered requests
-    /// dispatch on the next round.
-    fn unpark(&mut self) -> usize {
-        let mut sent = 0;
-        for (i, slot) in self.conns.iter_mut().enumerate() {
-            let Some(c) = slot else { continue };
-            let Some(p) = c.st.parked.as_mut() else { continue };
-            if !p.fetch.poll() {
-                continue;
-            }
-            let p = c.st.parked.take().unwrap();
-            if let Some(t) = p.timer {
-                self.wheel.cancel(t);
-            }
-            let resp = p.fetch.resolve_now(&self.server);
-            c.st.note_response(&resp);
-            if send_reply(&mut c.t, &resp).is_err() {
-                c.st.dead = true;
-            } else {
-                sent += 1;
-            }
-            self.ready.mark(i as u64);
-        }
-        sent
-    }
-
-    /// Fire deadlines the virtual clock has passed.
-    fn expire(&mut self) -> usize {
-        let mut fired = 0;
-        for (_, token) in self.wheel.expire(self.now_ns) {
-            let Some(Some(c)) = self.conns.get_mut(token as usize) else { continue };
-            let Some(p) = c.st.parked.take() else { continue };
-            let resp = p.fetch.resolve_timed_out(&self.server);
-            c.st.note_response(&resp);
-            if send_reply(&mut c.t, &resp).is_err() {
-                c.st.dead = true;
-            }
-            fired += 1;
-            self.ready.mark(token);
-        }
-        fired
-    }
-
-    fn reap(&mut self) {
-        for slot in &mut self.conns {
-            let dead = matches!(slot, Some(c) if c.st.dead);
-            if dead {
-                let mut c = slot.take().unwrap();
-                if let Some(p) = c.st.parked.take() {
-                    if let Some(t) = p.timer {
-                        self.wheel.cancel(t);
-                    }
-                }
-                for id in c.st.owned.drain(..) {
-                    self.server.close_session(id);
-                }
-            }
-        }
     }
 }
 

@@ -23,11 +23,12 @@
 //! speculation every time, which is the same demand-over-prefetch
 //! invariant the engine heap enforces, applied one layer up.
 
+use crate::conn::Conn;
 use crate::proto::{errkind_code, Request, Response};
 use crate::registry::{Registry, SessionId, SessionView};
 use crate::sched::{DemandEntry, PrefetchEntry, Scheduler};
-use crate::transport::{InProcTransport, Transport};
-use crate::{inproc_pair, proto, BlockReply};
+use crate::transport::Transport;
+use crate::{proto, BlockReply};
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
@@ -76,8 +77,10 @@ pub struct ServeConfig {
     pub downgrade_queue_depth: usize,
     /// Shed new prefetch when the shared pool holds this many bytes.
     pub shed_resident_bytes: usize,
-    /// Bound each demand wait; `None` waits for the engine's own
-    /// timeout/retry machinery to resolve the ticket.
+    /// Bound each frame's demand wait, counted from the frame's admission:
+    /// keys unresolved by then reply `TimedOut`, however many the frame
+    /// asked for. `None` waits for the engine's own timeout/retry
+    /// machinery to resolve every ticket.
     pub demand_deadline: Option<Duration>,
     /// Registry cap; opens past it are refused.
     pub max_sessions: usize,
@@ -964,12 +967,14 @@ impl Submission {
     }
 
     /// Block until every demand key has an outcome (the engine's workers
-    /// resolve the tickets). Requires a [`Server::pump`] to have issued
-    /// the entries; [`serve_connection`] does this.
+    /// resolve the tickets), or until [`ServeConfig::demand_deadline`]
+    /// past admission, whichever is first: every ticket waits against the
+    /// frame's one deadline. Requires a [`Server::pump`] to have issued the
+    /// entries; [`serve_connection`] does this.
     pub fn collect(mut self, server: &Server) -> Vec<BlockReply> {
-        let deadline = server.cfg.demand_deadline;
+        let deadline = server.cfg.demand_deadline.map(|d| self.t0 + d);
         let resolve = |ticket: Ticket| match deadline {
-            Some(d) => match ticket.wait_timeout(d) {
+            Some(at) => match ticket.wait_until(at) {
                 Ok(r) => r.map_err(|e| errkind_code(e.kind)),
                 Err(_still_pending) => Err(errkind_code(io::ErrorKind::TimedOut)),
             },
@@ -994,16 +999,15 @@ impl Submission {
     /// Non-blocking collection for deterministic (`workers = 0`) runs:
     /// call after the engine has been stepped to idle; any ticket still
     /// unresolved reports `Interrupted`.
-    pub fn collect_ready(mut self, server: &Server) -> Vec<BlockReply> {
-        self.poll_ready();
-        self.finish(server, io::ErrorKind::Interrupted)
+    pub fn collect_ready(self, server: &Server) -> Vec<BlockReply> {
+        self.collect_polled(server, io::ErrorKind::Interrupted)
     }
 
-    /// Non-blocking collection at a missed deadline: unresolved keys
-    /// report `TimedOut` (the reactor's timer wheel lands here).
-    pub fn collect_timed_out(mut self, server: &Server) -> Vec<BlockReply> {
+    /// Non-blocking collection: whatever is resolved now, every other key
+    /// reporting `missing`.
+    fn collect_polled(mut self, server: &Server, missing: io::ErrorKind) -> Vec<BlockReply> {
         self.poll_ready();
-        self.finish(server, io::ErrorKind::TimedOut)
+        self.finish(server, missing)
     }
 
     fn finish(self, server: &Server, missing: io::ErrorKind) -> Vec<BlockReply> {
@@ -1062,51 +1066,36 @@ pub struct PendingFetch {
 }
 
 impl PendingFetch {
-    /// The session the fetch belongs to.
-    pub fn session(&self) -> u32 {
-        self.session
-    }
-
     /// Non-blocking progress check: `true` once the reply is complete
-    /// and [`PendingFetch::resolve_now`] will lose nothing.
+    /// and [`PendingFetch::resolve`] will lose nothing.
     pub fn poll(&mut self) -> bool {
         self.sub.poll_ready()
     }
 
-    fn rpc_span(t0: Option<std::time::Instant>, session: u32, tag: u8, trace: u64) {
+    /// Block until the reply is complete (threaded servers).
+    pub fn wait(self, server: &Server) -> Response {
+        self.reply(|sub| sub.collect(server))
+    }
+
+    /// Reply from whatever is resolved now, every other demand key
+    /// reporting `missing`: `Interrupted` once [`PendingFetch::poll`] said
+    /// the reply is complete or a deterministic engine ran to idle,
+    /// `TimedOut` at a missed per-frame demand deadline (those reads stay
+    /// in flight and land in the pool for a later frame).
+    pub fn resolve(self, server: &Server, missing: io::ErrorKind) -> Response {
+        self.reply(|sub| sub.collect_polled(server, missing))
+    }
+
+    /// The `FetchReply` around `collect`'s blocks, closing the `RpcServe`
+    /// span under the originating request's trace context.
+    fn reply(self, collect: impl FnOnce(Submission) -> Vec<BlockReply>) -> Response {
+        let PendingFetch { session, sub, t0, tag, trace } = self;
+        let (shed, downgraded) = (sub.shed, sub.downgraded);
+        let blocks = collect(sub);
         viz_telemetry::with_trace(trace, || {
             viz_telemetry::span(Ev::RpcServe, u64::from(session), u64::from(tag), t0);
         });
-    }
-
-    /// Block until the reply is complete (threaded servers).
-    pub fn wait(self, server: &Server) -> Response {
-        let (shed, downgraded) = (self.sub.shed, self.sub.downgraded);
-        let (t0, tag, trace) = (self.t0, self.tag, self.trace);
-        let blocks = self.sub.collect(server);
-        Self::rpc_span(t0, self.session, tag, trace);
-        Response::FetchReply { session: self.session, blocks, shed, downgraded }
-    }
-
-    /// Resolve from whatever is ready (deterministic stepper).
-    pub fn resolve_now(self, server: &Server) -> Response {
-        let (shed, downgraded) = (self.sub.shed, self.sub.downgraded);
-        let (t0, tag, trace) = (self.t0, self.tag, self.trace);
-        let blocks = self.sub.collect_ready(server);
-        Self::rpc_span(t0, self.session, tag, trace);
-        Response::FetchReply { session: self.session, blocks, shed, downgraded }
-    }
-
-    /// Resolve at a missed demand deadline: unresolved keys report
-    /// `TimedOut` (their reads stay in flight and land in the pool for a
-    /// later frame — same degraded-frame contract as the thread model's
-    /// per-ticket deadline).
-    pub fn resolve_timed_out(self, server: &Server) -> Response {
-        let (shed, downgraded) = (self.sub.shed, self.sub.downgraded);
-        let (t0, tag, trace) = (self.t0, self.tag, self.trace);
-        let blocks = self.sub.collect_timed_out(server);
-        Self::rpc_span(t0, self.session, tag, trace);
-        Response::FetchReply { session: self.session, blocks, shed, downgraded }
+        Response::FetchReply { session, blocks, shed, downgraded }
     }
 }
 
@@ -1211,6 +1200,16 @@ fn handle_request_inner(server: &Server, req: Request) -> Outcome {
 pub trait RequestDispatch: Send + Sync {
     /// Dispatch one decoded request against `server`.
     fn dispatch(&self, server: &Arc<Server>, req: Request) -> Outcome;
+
+    /// Decode one request frame and dispatch it. A frame that does not
+    /// decode is answered with the typed `Error` its
+    /// [`proto::ProtoError`] maps to, and the connection stays up.
+    fn dispatch_frame(&self, server: &Arc<Server>, frame: &[u8]) -> Outcome {
+        match proto::decode_request(frame) {
+            Ok(req) => self.dispatch(server, req),
+            Err(pe) => Outcome::Ready(Response::Error { code: pe.code(), message: pe.to_string() }),
+        }
+    }
 }
 
 /// The single-node dispatcher: every request goes straight to
@@ -1239,31 +1238,18 @@ pub fn serve_connection_with<T: Transport>(
     dispatch: &dyn RequestDispatch,
     mut t: T,
 ) {
-    let mut owned: Vec<SessionId> = Vec::new();
+    let mut conn = Conn::default();
     while let Ok(frame) = t.recv() {
-        let resp = match proto::decode_request(&frame) {
-            Ok(req) => match dispatch.dispatch(server, req) {
-                Outcome::Ready(r) => r,
-                Outcome::Fetch(p) => {
-                    server.pump();
-                    p.wait(server)
-                }
-            },
-            Err(pe) => Response::Error { code: pe.code(), message: pe.to_string() },
+        let resp = match conn.dispatch(server, dispatch, &frame) {
+            Some(r) => r,
+            None => conn.wait(server),
         };
-        match &resp {
-            Response::OpenAck { session } => owned.push(SessionId(*session)),
-            Response::CloseAck { session } => owned.retain(|s| s.0 != *session),
-            _ => {}
-        }
         if send_reply(&mut t, &resp).is_err() {
             break;
         }
         server.pump();
     }
-    for id in owned {
-        server.close_session(id);
-    }
+    conn.close(server, None);
 }
 
 /// Send `resp` as the segments it encodes to
@@ -1358,137 +1344,5 @@ impl TcpServer {
             let _ = handle.join();
         }
         self.server.drain()
-    }
-}
-
-/// Deterministic in-process front end: the test owns every step. Each
-/// [`InProcServer::connect`] yields the client end of a frame pipe;
-/// `poll` decodes at most one request per connection (preserving
-/// request→reply ordering), `step` pumps the scheduler and runs the
-/// `workers = 0` engine to idle, `flush` sends the completed replies.
-pub struct InProcServer {
-    server: Arc<Server>,
-    conns: Vec<InProcConn>,
-}
-
-struct InProcConn {
-    t: InProcTransport,
-    owned: Vec<SessionId>,
-    pending: Option<PendingFetch>,
-    dead: bool,
-}
-
-impl InProcServer {
-    /// Wrap a server (typically over [`FetchEngine::deterministic`]).
-    pub fn new(server: Arc<Server>) -> InProcServer {
-        InProcServer { server, conns: Vec::new() }
-    }
-
-    /// The served [`Server`].
-    pub fn server(&self) -> &Arc<Server> {
-        &self.server
-    }
-
-    /// Open a new connection; returns the client end.
-    pub fn connect(&mut self) -> InProcTransport {
-        let (client, server_end) = inproc_pair();
-        self.conns.push(InProcConn {
-            t: server_end,
-            owned: Vec::new(),
-            pending: None,
-            dead: false,
-        });
-        client
-    }
-
-    /// Decode and dispatch at most one waiting request per connection.
-    /// Immediate replies go out now; admitted fetches park until
-    /// [`InProcServer::flush`]. Returns requests processed.
-    pub fn poll(&mut self) -> usize {
-        let mut processed = 0;
-        for conn in &mut self.conns {
-            if conn.dead || conn.pending.is_some() {
-                continue;
-            }
-            let frame = match conn.t.try_recv() {
-                Ok(Some(f)) => f,
-                Ok(None) => continue,
-                Err(_) => {
-                    conn.dead = true;
-                    continue;
-                }
-            };
-            processed += 1;
-            let resp = match proto::decode_request(&frame) {
-                Ok(req) => match handle_request(&self.server, req) {
-                    Outcome::Ready(r) => r,
-                    Outcome::Fetch(p) => {
-                        conn.pending = Some(p);
-                        continue;
-                    }
-                },
-                Err(pe) => Response::Error { code: pe.code(), message: pe.to_string() },
-            };
-            match &resp {
-                Response::OpenAck { session } => conn.owned.push(SessionId(*session)),
-                Response::CloseAck { session } => conn.owned.retain(|s| s.0 != *session),
-                _ => {}
-            }
-            if send_reply(&mut conn.t, &resp).is_err() {
-                conn.dead = true;
-            }
-        }
-        self.reap();
-        processed
-    }
-
-    /// Pump the scheduler into the engine and run the inline engine to
-    /// idle. Returns jobs the engine executed.
-    pub fn step(&mut self) -> usize {
-        self.server.pump();
-        self.server.engine().run_until_idle()
-    }
-
-    /// Resolve parked fetches from the now-idle engine and send their
-    /// replies. Returns replies sent.
-    pub fn flush(&mut self) -> usize {
-        let mut sent = 0;
-        for conn in &mut self.conns {
-            let Some(p) = conn.pending.take() else { continue };
-            let resp = p.resolve_now(&self.server);
-            if send_reply(&mut conn.t, &resp).is_err() {
-                conn.dead = true;
-            } else {
-                sent += 1;
-            }
-        }
-        self.reap();
-        sent
-    }
-
-    /// Convenience: poll + step + flush until no progress is made.
-    pub fn tick(&mut self) {
-        loop {
-            let polled = self.poll();
-            let stepped = self.step();
-            let flushed = self.flush();
-            if polled == 0 && stepped == 0 && flushed == 0 {
-                break;
-            }
-        }
-    }
-
-    fn reap(&mut self) {
-        let server = &self.server;
-        self.conns.retain_mut(|c| {
-            if c.dead {
-                for id in c.owned.drain(..) {
-                    server.close_session(id);
-                }
-                false
-            } else {
-                true
-            }
-        });
     }
 }

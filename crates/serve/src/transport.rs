@@ -68,9 +68,11 @@ pub fn inproc_pair() -> (InProcTransport, InProcTransport) {
 impl InProcTransport {
     /// Install a readiness hook: `f` runs after every successful send,
     /// so a poll-driven peer can learn a frame is waiting without
-    /// sleeping. The reactor back end marks a
-    /// [`viz_fetch::ReadySet`] token here — this is what makes the
-    /// in-process pipe a virtual-readiness transport.
+    /// sleeping, and once more when this end is dropped — a virtual
+    /// POLLHUP, so the peer learns the pipe is gone the same way. The
+    /// in-process server marks a [`viz_fetch::ReadySet`] token here —
+    /// this is what makes the in-process pipe a virtual-readiness
+    /// transport.
     pub fn set_notify(&mut self, f: std::sync::Arc<dyn Fn() + Send + Sync>) {
         self.notify = Some(f);
     }
@@ -81,6 +83,17 @@ impl InProcTransport {
             n();
         }
         Ok(())
+    }
+}
+
+impl Drop for InProcTransport {
+    fn drop(&mut self) {
+        if let Some(n) = self.notify.take() {
+            // Hang up before notifying, so the peer the hook wakes already
+            // sees the pipe disconnected.
+            self.tx = channel().0;
+            n();
+        }
     }
 }
 

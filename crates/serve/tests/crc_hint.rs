@@ -5,10 +5,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 use viz_fetch::{BlockPool, FetchConfig, FetchEngine, InstrumentedSource};
-use viz_serve::proto::{decode_request, encode_response, ProtoError};
+use viz_serve::proto::{decode_request, decode_response, encode_response, ProtoError};
 use viz_serve::{
     inproc_pair, BlockReply, ClientError, InProcServer, Request, Response, ServeClient,
-    ServeConfig, Server, Transport,
+    ServeConfig, Server, SessionId, Transport,
 };
 use viz_volume::checksum::crc32_f32s;
 use viz_volume::{BlockId, BlockKey, MemBlockStore};
@@ -55,7 +55,7 @@ fn resident_blocks_are_served_without_a_checksum_pass() {
     a.send_open("a").unwrap();
     b.send_open("b").unwrap();
     inproc.tick();
-    a.recv_open().unwrap();
+    let sa = a.recv_open().unwrap();
     b.recv_open().unwrap();
 
     let window = |start: u32| (0..8).map(|i| key((start + i) % BLOCKS)).collect::<Vec<_>>();
@@ -80,15 +80,23 @@ fn resident_blocks_are_served_without_a_checksum_pass() {
 
     // A block evicted between its ticket resolving and the reply being
     // built has no checksum to lend: the encoder takes the pass, the
-    // counter says so, and the client still gets the right bytes.
-    a.send_fetch(0, vec![key(5), key(6)], vec![]).unwrap();
-    assert_eq!(inproc.poll(), 1);
-    inproc.step();
+    // counter says so, and the client still gets the right bytes. A tick
+    // has no such gap, so the request is driven by hand through the same
+    // server: admit, pump, run the engine, evict, then collect and encode.
+    let server = inproc.server().clone();
+    let sub = server.submit(SessionId(sa), 0, vec![key(5), key(6)], vec![]).unwrap();
+    server.pump();
+    server.engine().run_until_idle();
     pool.remove(key(5));
-    assert_eq!(inproc.flush(), 1);
-    let got = a.recv_fetch().unwrap();
-    assert_eq!(got.blocks[0].result.as_ref().unwrap().as_slice(), &[5.0; 64]);
-    assert_eq!(got.blocks[1].result.as_ref().unwrap().as_slice(), &[6.0; 64]);
+    let blocks = sub.collect_ready(&server);
+    let frame =
+        encode_response(&Response::FetchReply { session: sa, blocks, shed: 0, downgraded: 0 });
+    let got = match decode_response(&frame).unwrap() {
+        Response::FetchReply { blocks, .. } => blocks,
+        other => panic!("wanted FetchReply, got {other:?}"),
+    };
+    assert_eq!(got[0].result.as_ref().unwrap().as_slice(), &[5.0; 64]);
+    assert_eq!(got[1].result.as_ref().unwrap().as_slice(), &[6.0; 64]);
     let s = stats(&mut inproc, &mut a);
     assert_eq!(counter(&s, "serve_crc_computed"), 1);
     assert_eq!(counter(&s, "serve_crc_cached"), 2 * 16 * 8 + 1);

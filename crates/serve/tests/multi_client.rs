@@ -66,13 +66,12 @@ fn two_clients_same_key_is_one_source_read() {
     let sb = b.recv_open().unwrap();
     assert_ne!(sa, sb);
 
-    // Both demand the same key before the engine runs: the second request
+    // Both demand the same key before the engine runs: a tick serves every
+    // ready connection before it steps the engine, so the second request
     // must coalesce onto the first's in-flight read.
     a.send_fetch(0, vec![key(3)], vec![]).unwrap();
     b.send_fetch(0, vec![key(3)], vec![]).unwrap();
-    assert_eq!(inproc.poll(), 2, "both requests decoded before any engine work");
-    inproc.step();
-    assert_eq!(inproc.flush(), 2);
+    inproc.tick();
 
     let ra = a.recv_fetch().unwrap();
     let rb = b.recv_fetch().unwrap();
@@ -213,6 +212,59 @@ fn replies_route_to_the_requesting_session() {
     };
     assert_eq!(stats.iter().find(|(n, _)| n == "serve_demand_served").unwrap().1, 2);
     assert_eq!(stats.iter().find(|(n, _)| n == "serve_sessions_opened").unwrap().1, 2);
+}
+
+/// The in-process twin of the TCP reactor's pipelining test, without
+/// sockets: one connection pipelines Open, three Fetches and Stats before
+/// a single tick while a second connection's fetch interleaves. Each
+/// fetch parks its connection with later requests still buffered, yet
+/// every reply comes back in request order.
+#[test]
+fn pipelined_requests_reply_in_order_on_one_tick() {
+    use viz_serve::proto::encode_request;
+    use viz_serve::{Request, TraceCtx};
+
+    let (server, _src) = det_server(ServeConfig::default(), 64);
+    let mut inproc = InProcServer::new(server.clone());
+    let mut a = ServeClient::new(inproc.connect());
+    let mut b = ServeClient::new(inproc.connect());
+    b.send_open("bystander").unwrap();
+    inproc.tick();
+    let sb = b.recv_open().unwrap();
+
+    // Session ids are handed out densely, so the pipeliner can name the
+    // session its Open will get before the ack arrives.
+    let sa = sb + 1;
+    a.send_open("pipeliner").unwrap();
+    for i in 0..3u32 {
+        a.send_raw(&encode_request(&Request::Fetch {
+            session: sa,
+            generation: 0,
+            demand: vec![key(i), key(i + 8)],
+            prefetch: vec![(key(40 + i), 0.5)],
+            trace: TraceCtx::NONE,
+        }))
+        .unwrap();
+    }
+    a.send_stats().unwrap();
+    b.send_fetch(0, vec![key(7)], vec![]).unwrap();
+    inproc.tick();
+
+    assert_eq!(a.recv_open().unwrap(), sa);
+    for i in 0..3u32 {
+        let got = a.recv_fetch().unwrap();
+        assert_eq!(got.blocks.len(), 2);
+        assert_eq!(got.blocks[0].key, key(i), "reply order must match request order");
+        assert!(got.blocks.iter().all(|r| r.result.is_ok()));
+    }
+    let tail = a.recv_response().unwrap();
+    assert!(
+        matches!(tail, Response::StatsReply { .. }),
+        "the pipelined stats probe answers last: {tail:?}"
+    );
+    let other = b.recv_fetch().unwrap();
+    assert_eq!(other.blocks[0].result.as_ref().unwrap()[0], 7.0);
+    assert_eq!(server.metrics().demand_served, 7);
 }
 
 #[test]

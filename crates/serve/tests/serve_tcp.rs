@@ -9,6 +9,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 use viz_fetch::{BlockPool, FetchConfig, FetchEngine, InstrumentedSource};
+use viz_serve::proto::errkind_code;
 use viz_serve::{IoBackend, ServeClient, ServeConfig, Server, TcpFrontend, TcpTransport};
 use viz_volume::{BlockId, BlockKey, MemBlockStore};
 
@@ -150,24 +151,28 @@ fn shutdown_forces_out_a_lingering_client_reactor() {
     shutdown_forces_out_a_lingering_client(IoBackend::Reactor);
 }
 
-/// Reactor-only: a demand deadline on the timer wheel bounds the reply
-/// even when the source is far slower — no sacrificial timeout thread,
-/// and the abandoned read still lands in the pool afterwards.
-#[test]
-fn reactor_demand_deadline_bounds_a_slow_source() {
+/// The demand deadline bounds a whole frame, not each key: an 8-key frame
+/// over a source far slower than the deadline replies `TimedOut` for every
+/// key within one deadline, whether the reactor's timer wheel or the
+/// thread model's blocking wait enforces it. The abandoned reads still land
+/// in the pool afterwards, so the retry is all pool hits.
+fn demand_deadline_bounds_a_frame_of_slow_keys(backend: IoBackend) {
+    const KEYS: u32 = 8;
     let store = MemBlockStore::new();
-    store.insert(key(0), vec![0.5; 8]);
+    for i in 0..KEYS {
+        store.insert(key(i), vec![0.5 + i as f32; 8]);
+    }
     let src = Arc::new(InstrumentedSource::new(Arc::new(store), Duration::from_millis(300)));
     let engine = FetchEngine::spawn(
         src,
         Arc::new(BlockPool::new()),
-        FetchConfig { workers: 1, ..FetchConfig::default() },
+        FetchConfig { workers: 2, ..FetchConfig::default() },
     );
     let server = Server::new(
         Arc::new(engine),
         ServeConfig {
-            backend: IoBackend::Reactor,
-            demand_deadline: Some(Duration::from_millis(25)),
+            backend,
+            demand_deadline: Some(Duration::from_millis(40)),
             ..ServeConfig::default()
         },
     );
@@ -176,21 +181,48 @@ fn reactor_demand_deadline_bounds_a_slow_source() {
     let mut client =
         ServeClient::new(TcpTransport::connect(&tcp.local_addr().to_string()).unwrap());
     client.open("impatient").unwrap();
+    let demand: Vec<BlockKey> = (0..KEYS).map(key).collect();
     let t0 = std::time::Instant::now();
-    let got = client.fetch(vec![key(0)], vec![]).unwrap();
+    let got = client.fetch(demand.clone(), vec![]).unwrap();
     let waited = t0.elapsed();
-    assert!(got.blocks[0].result.is_err(), "the 300 ms read cannot beat a 25 ms deadline");
+    let timed_out = errkind_code(std::io::ErrorKind::TimedOut);
+    assert_eq!(got.blocks.len(), KEYS as usize);
+    for reply in &got.blocks {
+        assert_eq!(
+            reply.result,
+            Err(timed_out),
+            "{:?}: a 300 ms read cannot beat 40 ms",
+            reply.key
+        );
+    }
     assert!(
-        waited < Duration::from_millis(290),
-        "deadline reply took {waited:?}, the wheel must fire long before the read lands"
+        waited < Duration::from_millis(200),
+        "{backend:?}: deadline reply took {waited:?}; the deadline is per frame, not per key"
     );
-    // The read was abandoned, not cancelled: once it lands, the block is
-    // resident and the retry is a pool hit.
-    std::thread::sleep(Duration::from_millis(350));
-    let again = client.fetch(vec![key(0)], vec![]).unwrap();
-    assert_eq!(again.blocks[0].result.as_ref().unwrap()[0], 0.5);
+    // The reads were abandoned, not cancelled: once they land, every block
+    // is resident and the retry is all pool hits.
+    let pool = tcp.server().engine().pool().clone();
+    let landing = std::time::Instant::now();
+    while !demand.iter().all(|&k| pool.contains(k)) {
+        assert!(landing.elapsed() < Duration::from_secs(30), "abandoned reads never landed");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let again = client.fetch(demand, vec![]).unwrap();
+    for (i, reply) in again.blocks.iter().enumerate() {
+        assert_eq!(reply.result.as_ref().unwrap()[0], 0.5 + i as f32);
+    }
     client.close().unwrap();
     tcp.shutdown();
+}
+
+#[test]
+fn demand_deadline_bounds_a_frame_of_slow_keys_threads() {
+    demand_deadline_bounds_a_frame_of_slow_keys(IoBackend::Threads);
+}
+
+#[test]
+fn demand_deadline_bounds_a_frame_of_slow_keys_reactor() {
+    demand_deadline_bounds_a_frame_of_slow_keys(IoBackend::Reactor);
 }
 
 /// Reactor-only: one connection pipelines several requests; replies come
