@@ -6,11 +6,7 @@
 #![warn(missing_docs)]
 
 pub mod env;
-pub mod hostile;
 pub mod opts;
-pub mod replay;
 
 pub use env::{Env, D_MAX, D_MIN, PATH_STEPS, VIEW_ANGLE_DEG};
-pub use hostile::{ClientOp, ScenarioConfig, ScenarioKind, Schedule};
 pub use opts::Opts;
-pub use replay::{run_schedule, ReplayOptions, ReplayReport};

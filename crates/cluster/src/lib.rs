@@ -30,11 +30,6 @@
 //! - [`chaos`] — seeded, replayable fault schedules ([`ChaosPlan`])
 //!   driven through the test cluster by [`chaos::run_plan`], reporting
 //!   detection/recovery latency and the zero-demand-errors invariant.
-//! - [`adapt`] — per-node closed loops: a [`NodeControl`] wraps a
-//!   [`viz_adapt::ControlPlane`] around each node's server, tuning the
-//!   local shed ladder against the node's own demand-p99 and publishing
-//!   node-prefixed `node<N>_adapt_*` gauges so co-resident planes stay
-//!   distinguishable in one scrape.
 //! - [`obs`] — cluster observability glue: `TelemetryGet` replies →
 //!   [`viz_telemetry::collect`] drains (Perfetto merge + Prometheus
 //!   rollup), and the CRC-framed flight-recorder dump file.
@@ -67,7 +62,6 @@
 
 #![warn(missing_docs)]
 
-pub mod adapt;
 pub mod chaos;
 pub mod membership;
 pub mod node;
@@ -77,7 +71,6 @@ pub mod router;
 pub mod shard;
 pub mod testing;
 
-pub use adapt::NodeControl;
 pub use chaos::{ChaosAction, ChaosEvent, ChaosOptions, ChaosPlan, ChaosReport};
 pub use membership::{Membership, MembershipConfig};
 pub use node::{ClusterConfig, ClusterNode, RoutedSource};

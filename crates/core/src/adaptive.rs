@@ -1,10 +1,9 @@
-//! Closed-loop controllers: the shared integral-controller abstraction
-//! and the adaptive-σ policy built on it.
+//! Closed-loop controllers: the integral-controller abstraction and the
+//! adaptive-σ policy built on it.
 //!
-//! The paper leaves the entropy threshold σ as a free parameter, and one
-//! layer up so are the serve admission watermarks. Both have the same
-//! operational shape: a scalar output bounded to a safe range, chasing a
-//! measurable target ("prefetch time ≈ render time", "demand p99 ≤ SLO"),
+//! The paper leaves the entropy threshold σ as a free parameter. Tuning
+//! it has a simple operational shape: a scalar output bounded to a safe
+//! range, chasing a measurable target ("prefetch time ≈ render time"),
 //! where over- and under-shoot by equal *factors* deserve equal
 //! corrections. [`IntegralController`] is
 //! that shape, extracted once: a log-ratio integral controller whose
@@ -15,8 +14,7 @@
 //!
 //! [`SigmaController`] (the original in-process session tuner, and since
 //! the serve wiring also the server-side flight tuner) is a thin facade
-//! over it; the `viz-adapt` control plane builds its ladder tuner from
-//! the same primitive.
+//! over it.
 
 /// Configuration of a bounded log-ratio integral controller.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -88,19 +86,6 @@ impl IntegralController {
             return self.output;
         }
         let error = (actual / target).ln();
-        self.output = (self.output + self.cfg.gain * error).clamp(self.cfg.min, self.cfg.max);
-        self.output
-    }
-
-    /// [`observe`](Self::observe) with the correction sign flipped —
-    /// for plants where a *larger* output should push `actual` up (e.g.
-    /// a watermark scale that must grow when latency is comfortably
-    /// under its SLO).
-    pub fn observe_inverse(&mut self, actual: f64, target: f64) -> f64 {
-        if !(actual.is_finite() && target.is_finite()) || actual <= 0.0 || target <= 0.0 {
-            return self.output;
-        }
-        let error = (target / actual).ln();
         self.output = (self.output + self.cfg.gain * error).clamp(self.cfg.min, self.cfg.max);
         self.output
     }
@@ -341,22 +326,13 @@ mod tests {
     }
 
     #[test]
-    fn inverse_observation_flips_direction() {
-        let mut c = IntegralController::new(ControllerConfig::new(0.5, 0.0, 10.0), 5.0);
-        c.observe_inverse(2.0, 1.0); // actual above target: inverse lowers
-        assert!(c.output() < 5.0);
-        c.observe_inverse(1.0, 4.0);
-        assert!(c.output() > 5.0 - 0.5 * 2.0f64.ln() + 1e-12 - 1.0, "raises when under");
-    }
-
-    #[test]
     fn degenerate_inputs_are_noops() {
         let mut c = IntegralController::new(ControllerConfig::new(0.5, 0.0, 10.0), 5.0);
         c.observe(0.0, 1.0);
         c.observe(1.0, 0.0);
         c.observe(f64::NAN, 1.0);
         c.observe(1.0, f64::NAN);
-        c.observe_inverse(0.0, 0.0);
+        c.observe(0.0, 0.0);
         assert_eq!(c.output(), 5.0);
     }
 

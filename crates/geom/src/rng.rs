@@ -2,10 +2,10 @@
 //! property tests use.
 //!
 //! Every seeded stream in the repository — random-walk paths, vicinal
-//! points, hostile-workload schedules, property-test inputs — comes from
-//! [`SplitMix64`], so a seed means the same thing on every machine. The
-//! first outputs for two seeds are pinned by a test below: changing the
-//! mixer or a mapping re-seeds every fixture and every recorded figure.
+//! points, property-test inputs — comes from [`SplitMix64`], so a seed
+//! means the same thing on every machine. The first outputs for two
+//! seeds are pinned by a test below: changing the mixer or a mapping
+//! re-seeds every fixture and every recorded figure.
 
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

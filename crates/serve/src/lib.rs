@@ -79,7 +79,7 @@ pub use reactor::{InProcServer, ReactorTcpServer, TcpFrontend};
 pub use registry::{SessionId, SessionView};
 pub use server::{
     handle_request, serve_connection, serve_connection_with, DefaultDispatch, DrainReport,
-    IoBackend, LadderConfig, Outcome, PendingFetch, RequestDispatch, ServeConfig, ServeError,
-    ServeMetrics, Server, ShedReason, Submission, TcpServer,
+    IoBackend, Outcome, PendingFetch, RequestDispatch, ServeConfig, ServeError, ServeMetrics,
+    Server, ShedReason, Submission, TcpServer,
 };
 pub use transport::{inproc_pair, InProcTransport, TcpTransport, Transport};

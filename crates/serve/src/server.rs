@@ -33,14 +33,13 @@ use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use viz_core::{AdaptiveSigma, ClientFlight, SigmaController};
 use viz_fetch::{BreakerState, FetchEngine, Ticket};
-use viz_telemetry::stats::RotatingHist;
 use viz_telemetry::{instant, Counter, EventKind as Ev};
 use viz_volume::BlockKey;
 
@@ -108,85 +107,6 @@ impl Default for ServeConfig {
             backend: IoBackend::Threads,
             pump_batch: 64,
         }
-    }
-}
-
-/// The runtime-mutable subset of [`ServeConfig`]: the shed-ladder
-/// watermarks and per-client quotas. [`ServeConfig`] seeds these at
-/// construction; [`Server::set_ladder`] swaps them while the server runs
-/// — the adaptive control plane's serve-side actuator. Reads are relaxed
-/// atomics: admission sees *a* recent ladder, which is all a watermark
-/// needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LadderConfig {
-    /// Per-session cap on queued prefetch entries.
-    pub per_client_queue: usize,
-    /// Per-session cap on queued prefetch bytes (estimated).
-    pub per_client_bytes: usize,
-    /// Stop pumping prefetch into the engine at this backlog.
-    pub engine_queue_target: usize,
-    /// Shed new prefetch outright at this combined backlog.
-    pub shed_queue_depth: usize,
-    /// Admit prefetch at a quarter priority from this backlog up.
-    pub downgrade_queue_depth: usize,
-    /// Shed new prefetch when the shared pool holds this many bytes.
-    pub shed_resident_bytes: usize,
-}
-
-impl LadderConfig {
-    /// The ladder a [`ServeConfig`] starts with.
-    pub fn from_serve(cfg: &ServeConfig) -> Self {
-        LadderConfig {
-            per_client_queue: cfg.per_client_queue,
-            per_client_bytes: cfg.per_client_bytes,
-            engine_queue_target: cfg.engine_queue_target,
-            shed_queue_depth: cfg.shed_queue_depth,
-            downgrade_queue_depth: cfg.downgrade_queue_depth,
-            shed_resident_bytes: cfg.shed_resident_bytes,
-        }
-    }
-}
-
-/// Atomic cells holding the live ladder (see [`LadderConfig`]).
-struct LadderCells {
-    per_client_queue: AtomicUsize,
-    per_client_bytes: AtomicUsize,
-    engine_queue_target: AtomicUsize,
-    shed_queue_depth: AtomicUsize,
-    downgrade_queue_depth: AtomicUsize,
-    shed_resident_bytes: AtomicUsize,
-}
-
-impl LadderCells {
-    fn new(cfg: LadderConfig) -> Self {
-        LadderCells {
-            per_client_queue: AtomicUsize::new(cfg.per_client_queue),
-            per_client_bytes: AtomicUsize::new(cfg.per_client_bytes),
-            engine_queue_target: AtomicUsize::new(cfg.engine_queue_target),
-            shed_queue_depth: AtomicUsize::new(cfg.shed_queue_depth),
-            downgrade_queue_depth: AtomicUsize::new(cfg.downgrade_queue_depth),
-            shed_resident_bytes: AtomicUsize::new(cfg.shed_resident_bytes),
-        }
-    }
-
-    fn load(&self) -> LadderConfig {
-        LadderConfig {
-            per_client_queue: self.per_client_queue.load(Ordering::Relaxed),
-            per_client_bytes: self.per_client_bytes.load(Ordering::Relaxed),
-            engine_queue_target: self.engine_queue_target.load(Ordering::Relaxed),
-            shed_queue_depth: self.shed_queue_depth.load(Ordering::Relaxed),
-            downgrade_queue_depth: self.downgrade_queue_depth.load(Ordering::Relaxed),
-            shed_resident_bytes: self.shed_resident_bytes.load(Ordering::Relaxed),
-        }
-    }
-
-    fn store(&self, cfg: LadderConfig) {
-        self.per_client_queue.store(cfg.per_client_queue, Ordering::Relaxed);
-        self.per_client_bytes.store(cfg.per_client_bytes, Ordering::Relaxed);
-        self.engine_queue_target.store(cfg.engine_queue_target, Ordering::Relaxed);
-        self.shed_queue_depth.store(cfg.shed_queue_depth, Ordering::Relaxed);
-        self.downgrade_queue_depth.store(cfg.downgrade_queue_depth, Ordering::Relaxed);
-        self.shed_resident_bytes.store(cfg.shed_resident_bytes, Ordering::Relaxed);
     }
 }
 
@@ -279,8 +199,8 @@ struct ServeStats {
     crc_computed: Counter,
     peer_requests: Counter,
     peer_demand_keys: Counter,
-    // Per-reason shed breakdown: the controller and the cluster router
-    // need to know *why* prefetch is being refused (a byte-quota shed
+    // Per-reason shed breakdown: whoever tunes the `ServeConfig` ladder
+    // needs to know *why* prefetch is being refused (a byte-quota shed
     // wants a bigger quota; a breaker shed wants nothing at all).
     shed_draining: Counter,
     shed_stale_gen: Counter,
@@ -400,13 +320,9 @@ pub struct DrainReport {
 pub struct Server {
     engine: Arc<FetchEngine>,
     cfg: ServeConfig,
-    ladder: LadderCells,
     registry: Mutex<Registry>,
     sched: Mutex<Scheduler>,
     stats: ServeStats,
-    /// Whole-frame demand round trip (submit → last demand outcome), in
-    /// nanoseconds, windowed for the control plane's p99 SLO signal.
-    demand_rtt: RotatingHist,
     draining: AtomicBool,
 }
 
@@ -419,15 +335,12 @@ fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 impl Server {
     /// Wrap a shared engine in a server.
     pub fn new(engine: Arc<FetchEngine>, cfg: ServeConfig) -> Arc<Server> {
-        let ladder = LadderCells::new(LadderConfig::from_serve(&cfg));
         Arc::new(Server {
             engine,
             cfg,
-            ladder,
             registry: Mutex::new(Registry::new()),
             sched: Mutex::new(Scheduler::new()),
             stats: ServeStats::new(),
-            demand_rtt: RotatingHist::new(),
             draining: AtomicBool::new(false),
         })
     }
@@ -437,33 +350,10 @@ impl Server {
         &self.engine
     }
 
-    /// The config the server started with. The watermarks and quotas in
-    /// it are *initial* values — [`Server::ladder`] reads the live ones.
+    /// The config the server runs with: its watermarks and quotas are
+    /// the shed ladder every admission walks.
     pub fn config(&self) -> &ServeConfig {
         &self.cfg
-    }
-
-    /// The shed ladder currently in force.
-    pub fn ladder(&self) -> LadderConfig {
-        self.ladder.load()
-    }
-
-    /// Replace the live shed ladder (watermarks + per-client quotas).
-    /// Takes effect for the next admission; queued entries are untouched.
-    pub fn set_ladder(&self, cfg: LadderConfig) {
-        self.ladder.store(cfg);
-    }
-
-    /// p99 of the demand-RTT window being accumulated, in ns (0 when no
-    /// demand was served since the window opened).
-    pub fn demand_p99_ns(&self) -> u64 {
-        self.demand_rtt.percentile(0.99)
-    }
-
-    /// Close the demand-RTT window and return it (the control plane's
-    /// per-tick consumption; a fresh window starts accumulating).
-    pub fn take_demand_window(&self) -> viz_telemetry::LogHistogram {
-        self.demand_rtt.take()
     }
 
     /// `true` once [`Server::drain`] has started.
@@ -650,8 +540,8 @@ impl Server {
         let breaker_open = self.engine.breaker_state() == BreakerState::Open;
         let pool_bytes = self.engine.pool().bytes_resident();
         let draining = self.is_draining();
-        let hint = self.cfg.block_bytes_hint;
-        let ladder = self.ladder.load();
+        let cfg = &self.cfg;
+        let hint = cfg.block_bytes_hint;
 
         let (mut shed, mut downgraded, mut admitted) = (0u32, 0u32, 0u64);
         let mut sched = relock(&self.sched);
@@ -662,17 +552,17 @@ impl Server {
                 Err(ShedReason::Draining)
             } else if generation < session_gen {
                 Err(ShedReason::StaleGeneration)
-            } else if lane_n >= ladder.per_client_queue {
+            } else if lane_n >= cfg.per_client_queue {
                 Err(ShedReason::ClientQuota)
-            } else if lane_bytes + hint > ladder.per_client_bytes {
+            } else if lane_bytes + hint > cfg.per_client_bytes {
                 Err(ShedReason::ByteQuota)
             } else if breaker_open {
                 Err(ShedReason::BreakerOpen)
-            } else if backlog >= ladder.shed_queue_depth {
+            } else if backlog >= cfg.shed_queue_depth {
                 Err(ShedReason::QueueDepth)
-            } else if pool_bytes >= ladder.shed_resident_bytes {
+            } else if pool_bytes >= cfg.shed_resident_bytes {
                 Err(ShedReason::PoolPressure)
-            } else if backlog >= ladder.downgrade_queue_depth {
+            } else if backlog >= cfg.downgrade_queue_depth {
                 Ok(pri * 0.25)
             } else {
                 Ok(pri)
@@ -729,7 +619,7 @@ impl Server {
         if self.is_draining() {
             return;
         }
-        let engine_queue_target = self.ladder.engine_queue_target.load(Ordering::Relaxed);
+        let engine_queue_target = self.cfg.engine_queue_target;
         loop {
             let (_, engine_pf) = self.engine.queue_depths();
             if engine_pf >= engine_queue_target {
@@ -826,26 +716,10 @@ impl Server {
         v.push(("engine_queue_demand".to_string(), qd as u64));
         v.push(("engine_queue_prefetch".to_string(), qp as u64));
         v.push(("sessions_active".to_string(), relock(&self.registry).len() as u64));
-        // Demand-latency SLO signal: p99 of the RTT window currently
-        // accumulating, plus its sample count so consumers can judge
-        // significance.
-        v.push(("serve_demand_p99_ns".to_string(), self.demand_rtt.percentile(0.99)));
-        v.push(("serve_demand_rtt_count".to_string(), self.demand_rtt.count()));
-        // The live ladder, so a scraper can watch the controller actuate.
-        let ladder = self.ladder.load();
-        v.push(("ladder_per_client_queue".to_string(), ladder.per_client_queue as u64));
-        v.push(("ladder_per_client_bytes".to_string(), ladder.per_client_bytes as u64));
-        v.push(("ladder_engine_queue_target".to_string(), ladder.engine_queue_target as u64));
-        v.push(("ladder_shed_queue_depth".to_string(), ladder.shed_queue_depth as u64));
-        v.push(("ladder_downgrade_queue_depth".to_string(), ladder.downgrade_queue_depth as u64));
-        v.push(("ladder_shed_resident_bytes".to_string(), ladder.shed_resident_bytes as u64));
         // Telemetry-plane health: is the gate on, and has any per-thread
         // ring ever overflowed (cumulative — a lost event is permanent).
         v.push(("telemetry_enabled".to_string(), u64::from(viz_telemetry::enabled())));
         v.push(("telemetry_ring_dropped_total".to_string(), viz_telemetry::dropped_total()));
-        // Named gauges published by controllers and other components
-        // through the always-on stats plane.
-        v.extend(viz_telemetry::stats::gauges());
         v
     }
 
@@ -1011,10 +885,6 @@ impl Submission {
     }
 
     fn finish(self, server: &Server, missing: io::ErrorKind) -> Vec<BlockReply> {
-        if !self.demand_keys.is_empty() {
-            let rtt = self.t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            server.demand_rtt.record(rtt);
-        }
         let missing = errkind_code(missing);
         let got = self.got;
         let pool = server.engine.pool();
@@ -1313,7 +1183,11 @@ impl TcpServer {
                             crate::TcpTransport::new(stream),
                         );
                     });
-                    relock(&conns).push((peer, handle));
+                    // Reap connections whose handler has returned, so a
+                    // long-lived server holds one fd per *live* client.
+                    let mut held = relock(&conns);
+                    held.retain(|(_, h)| !h.is_finished());
+                    held.push((peer, handle));
                 }
             })
         };
@@ -1344,5 +1218,42 @@ impl TcpServer {
             let _ = handle.join();
         }
         self.server.drain()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ServeClient, TcpTransport};
+    use viz_fetch::{BlockPool, FetchConfig, InstrumentedSource};
+    use viz_volume::MemBlockStore;
+
+    /// Sequential clients that come and go leave nothing behind: each
+    /// accept reaps the connections whose handler has returned, so the
+    /// server holds the live client and at most one straggler — not one
+    /// stream per client it ever accepted.
+    #[test]
+    fn accept_loop_reaps_finished_connections() {
+        let src = Arc::new(InstrumentedSource::new(Arc::new(MemBlockStore::new()), Duration::ZERO));
+        let engine = FetchEngine::spawn(src, Arc::new(BlockPool::new()), FetchConfig::default());
+        let server = Server::new(Arc::new(engine), ServeConfig::default());
+        let tcp = TcpServer::bind(server.clone(), "127.0.0.1:0").unwrap();
+        let addr = tcp.local_addr().to_string();
+        for i in 0..64 {
+            let mut client = ServeClient::new(TcpTransport::connect(&addr).unwrap());
+            client.open(&format!("c{i}")).unwrap();
+            drop(client);
+            // Let the handler see the hang-up and return before the next
+            // accept, so that accept has something to reap.
+            let t0 = Instant::now();
+            while !relock(&tcp.conns).iter().all(|(_, h)| h.is_finished()) {
+                assert!(t0.elapsed() < Duration::from_secs(10), "handler {i} never returned");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        let held = relock(&tcp.conns).len();
+        assert!(held <= 2, "{held} connections held after 64 sequential clients");
+        assert!(server.sessions().is_empty());
+        tcp.shutdown();
     }
 }

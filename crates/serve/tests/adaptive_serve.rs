@@ -1,120 +1,190 @@
-//! The serve-side adaptive surface: per-reason shed counters on the wire,
-//! runtime-mutable ladder, demand-RTT window, and the σ loop driven by
+//! The serve-side adaptive surface: per-reason shed counters on the wire
+//! for every rung of the shed ladder, and the σ loop driven by
 //! `Server::advance`.
 
-use std::sync::Arc;
+use std::io;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 use viz_core::{AdaptiveSigma, ClientFlight, ImportanceTable, VisibleTable};
 use viz_core::{RadiusRule, SamplingConfig};
-use viz_fetch::{BlockPool, FetchConfig, FetchEngine, InstrumentedSource};
+use viz_fetch::{
+    BlockPool, BreakerConfig, FaultInjectingSource, FetchConfig, FetchEngine, InstrumentedSource,
+    RetryPolicy,
+};
 use viz_geom::angle::deg_to_rad;
 use viz_geom::{CameraPath, SphericalPath};
-use viz_serve::{InProcServer, LadderConfig, ServeClient, ServeConfig, Server};
-use viz_volume::{BlockId, BlockKey, BrickLayout, DatasetKind, DatasetSpec, Dims3, MemBlockStore};
+use viz_serve::{ServeConfig, Server};
+use viz_volume::{
+    BlockId, BlockKey, BlockSource, BrickLayout, DatasetKind, DatasetSpec, Dims3, MemBlockStore,
+};
 
 fn key(i: u32) -> BlockKey {
     BlockKey::scalar(BlockId(i))
 }
 
-fn det_server(cfg: ServeConfig, n: u32) -> Arc<Server> {
+fn store(n: u32) -> Arc<MemBlockStore> {
     let store = MemBlockStore::new();
     for i in 0..n {
         store.insert(key(i), vec![i as f32; 16]);
     }
-    let src = Arc::new(InstrumentedSource::new(Arc::new(store), Duration::ZERO));
-    let engine = FetchEngine::spawn(
-        src,
-        Arc::new(BlockPool::new()),
-        FetchConfig { workers: 0, ..FetchConfig::default() },
-    );
+    Arc::new(store)
+}
+
+fn server_over(src: Arc<dyn BlockSource>, fetch: FetchConfig, cfg: ServeConfig) -> Arc<Server> {
+    let engine = FetchEngine::spawn(src, Arc::new(BlockPool::new()), fetch);
     Server::new(Arc::new(engine), cfg)
+}
+
+fn det_server(cfg: ServeConfig, n: u32) -> Arc<Server> {
+    let src = Arc::new(InstrumentedSource::new(store(n), Duration::ZERO));
+    server_over(src, FetchConfig { workers: 0, ..FetchConfig::default() }, cfg)
 }
 
 fn counter(stats: &[(String, u64)], name: &str) -> u64 {
     stats.iter().find(|(n, _)| n == name).unwrap_or_else(|| panic!("missing {name}")).1
 }
 
-#[test]
-fn per_reason_shed_counters_reach_the_wire() {
-    let cfg = ServeConfig { per_client_queue: 2, ..ServeConfig::default() };
-    let server = det_server(cfg, 32);
-    let id = server.open_session("v").unwrap();
-    // 5 prefetch entries against an entry quota of 2: 3 shed for quota.
-    let prefetch: Vec<(BlockKey, f64)> = (10..15).map(|i| (key(i), 1.0)).collect();
-    let sub = server.submit(id, 0, vec![], prefetch).unwrap();
-    assert_eq!(sub.shed(), 3);
+/// One counter per [`viz_serve::ShedReason`], in ladder order.
+const SHED_COUNTERS: [&str; 7] = [
+    "serve_shed_draining",
+    "serve_shed_stale_gen",
+    "serve_shed_entry_quota",
+    "serve_shed_byte_quota",
+    "serve_shed_breaker",
+    "serve_shed_queue_depth",
+    "serve_shed_pool_pressure",
+];
 
+/// `server` shed exactly `n` prefetch entries, every one attributed to
+/// `reason` on the wire, and the per-reason counters sum to the total.
+fn assert_sheds(server: &Server, reason: &str, n: u64) {
     let stats = server.wire_counters();
-    assert_eq!(counter(&stats, "serve_prefetch_shed"), 3);
-    assert_eq!(counter(&stats, "serve_shed_entry_quota"), 3);
-    for other in [
-        "serve_shed_draining",
-        "serve_shed_stale_gen",
-        "serve_shed_byte_quota",
-        "serve_shed_breaker",
-        "serve_shed_queue_depth",
-        "serve_shed_pool_pressure",
-    ] {
-        assert_eq!(counter(&stats, other), 0, "{other} must stay untouched");
+    let total = counter(&stats, "serve_prefetch_shed");
+    assert_eq!(total, n, "{reason}: total sheds");
+    let mut sum = 0;
+    for name in SHED_COUNTERS {
+        let v = counter(&stats, name);
+        assert_eq!(v, if name == reason { n } else { 0 }, "{reason} rung: {name}");
+        sum += v;
+    }
+    assert_eq!(sum, total, "{reason}: per-reason sheds must sum to serve_prefetch_shed");
+}
+
+fn prefetch(keys: std::ops::Range<u32>) -> Vec<(BlockKey, f64)> {
+    keys.map(|i| (key(i), 1.0)).collect()
+}
+
+/// A source whose reads block until [`Gate::open`]: holds a drain inside
+/// its engine sync, with the sessions still registered.
+struct Gate {
+    inner: Arc<MemBlockStore>,
+    open: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl Gate {
+    fn open(&self) {
+        *self.open.lock().unwrap() = true;
+        self.cv.notify_all();
     }
 }
 
+impl BlockSource for Gate {
+    fn read_block(&self, key: BlockKey) -> io::Result<Vec<f32>> {
+        let mut open = self.open.lock().unwrap();
+        while !*open {
+            open = self.cv.wait(open).unwrap();
+        }
+        drop(open);
+        self.inner.read_block(key)
+    }
+    fn block_bytes(&self, key: BlockKey) -> io::Result<usize> {
+        self.inner.block_bytes(key)
+    }
+}
+
+/// Every rung of the shed ladder fires on a server configured so that it
+/// is the first to fail, and each shed reaches the wire under its own
+/// reason — nothing shed goes unattributed.
 #[test]
-fn ladder_is_runtime_mutable_and_scrape_visible() {
-    let server = det_server(ServeConfig::default(), 32);
+fn per_reason_shed_counters_reach_the_wire() {
+    let det = FetchConfig { workers: 0, ..FetchConfig::default() };
+
+    // Draining: a drain blocked in its engine sync still has the session
+    // registered, so a frame submitted now walks the ladder and sheds at
+    // the first rung.
+    let gate = Arc::new(Gate { inner: store(8), open: Mutex::new(false), cv: Condvar::new() });
+    let server = server_over(gate.clone(), det, ServeConfig::default());
     let id = server.open_session("v").unwrap();
+    let held = server.submit(id, 0, vec![key(0)], vec![]).unwrap();
+    let drain = {
+        let server = server.clone();
+        std::thread::spawn(move || server.drain())
+    };
+    while !server.is_draining() {
+        std::thread::yield_now();
+    }
+    let sub = server.submit(id, 0, vec![], prefetch(1..3)).unwrap();
+    assert_eq!(sub.shed(), 2);
+    gate.open();
+    assert_eq!(drain.join().unwrap().sessions_closed, 1);
+    assert!(held.collect_ready(&server)[0].result.is_ok(), "demand flows through a drain");
+    assert_sheds(&server, "serve_shed_draining", 2);
 
-    // Defaults admit freely.
-    let sub = server.submit(id, 0, vec![], vec![(key(1), 1.0)]).unwrap();
-    assert_eq!(sub.shed(), 0);
-
-    // Choke the entry quota at runtime: everything sheds.
-    let mut ladder = server.ladder();
-    ladder.per_client_queue = 1; // one already queued above
-    server.set_ladder(ladder);
-    let sub = server.submit(id, 0, vec![], vec![(key(2), 1.0), (key(3), 1.0)]).unwrap();
-    assert_eq!(sub.shed(), 2, "tightened quota must shed immediately");
-
-    // Re-open the quota: admission resumes, no restart required.
-    ladder.per_client_queue = 256;
-    server.set_ladder(ladder);
-    let sub = server.submit(id, 0, vec![], vec![(key(4), 1.0)]).unwrap();
-    assert_eq!(sub.shed(), 0);
-
-    let stats = server.wire_counters();
-    assert_eq!(counter(&stats, "ladder_per_client_queue"), 256);
-    assert_eq!(counter(&stats, "serve_shed_entry_quota"), 2);
-}
-
-#[test]
-fn demand_rtt_window_feeds_the_p99_gauge() {
+    // Stale generation: the session advanced past the frame's generation.
     let server = det_server(ServeConfig::default(), 8);
-    let mut inproc = InProcServer::new(server.clone());
-    let mut c = ServeClient::new(inproc.connect());
-    c.send_open("v").unwrap();
-    inproc.tick();
-    c.recv_open().unwrap();
-    c.send_fetch(0, vec![key(1), key(2)], vec![]).unwrap();
-    inproc.tick();
-    let r = c.recv_fetch().unwrap();
-    assert_eq!(r.blocks.len(), 2);
+    let id = server.open_session("v").unwrap();
+    assert_eq!(server.advance(id), Some(1));
+    assert_eq!(server.submit(id, 0, vec![], prefetch(1..3)).unwrap().shed(), 2);
+    assert_sheds(&server, "serve_shed_stale_gen", 2);
 
-    let stats = server.wire_counters();
-    assert_eq!(counter(&stats, "serve_demand_rtt_count"), 1, "one frame = one RTT sample");
-    assert!(server.demand_p99_ns() > 0);
-    // Consuming the window resets it.
-    let w = server.take_demand_window();
-    assert_eq!(w.count(), 1);
-    assert_eq!(server.demand_p99_ns(), 0);
-}
+    // Entry quota: 5 entries against a quota of 2.
+    let server = det_server(ServeConfig { per_client_queue: 2, ..ServeConfig::default() }, 32);
+    let id = server.open_session("v").unwrap();
+    assert_eq!(server.submit(id, 0, vec![], prefetch(10..15)).unwrap().shed(), 3);
+    assert_sheds(&server, "serve_shed_entry_quota", 3);
 
-#[test]
-fn stats_frames_carry_published_gauges() {
-    viz_telemetry::stats::set_gauge("adapt_test_gauge", 42);
-    let server = det_server(ServeConfig::default(), 4);
-    let stats = server.wire_counters();
-    assert_eq!(counter(&stats, "adapt_test_gauge"), 42);
-    viz_telemetry::stats::clear_gauges();
+    // Byte quota: room for two blocks' worth of the byte estimate.
+    let hint = ServeConfig::default().block_bytes_hint;
+    let server =
+        det_server(ServeConfig { per_client_bytes: 2 * hint, ..ServeConfig::default() }, 32);
+    let id = server.open_session("v").unwrap();
+    assert_eq!(server.submit(id, 0, vec![], prefetch(10..15)).unwrap().shed(), 3);
+    assert_sheds(&server, "serve_shed_byte_quota", 3);
+
+    // Breaker open: one failed demand read trips a threshold-1 breaker.
+    let faulty = Arc::new(FaultInjectingSource::healthy(store(8)));
+    faulty.set_outage(Some(io::ErrorKind::Other));
+    let fetch = FetchConfig {
+        retry: RetryPolicy::none(),
+        breaker: BreakerConfig { failure_threshold: 1 },
+        ..det
+    };
+    let server = server_over(faulty, fetch, ServeConfig::default());
+    let id = server.open_session("v").unwrap();
+    let sub = server.submit(id, 0, vec![key(0)], vec![]).unwrap();
+    server.pump();
+    server.engine().run_until_idle();
+    assert!(sub.collect_ready(&server)[0].result.is_err());
+    assert_eq!(server.submit(id, 0, vec![], prefetch(1..3)).unwrap().shed(), 2);
+    assert_sheds(&server, "serve_shed_breaker", 2);
+
+    // Queue depth: the combined backlog reaches the shed watermark.
+    let server = det_server(ServeConfig { shed_queue_depth: 2, ..ServeConfig::default() }, 32);
+    let id = server.open_session("v").unwrap();
+    assert_eq!(server.submit(id, 0, vec![], prefetch(10..15)).unwrap().shed(), 3);
+    assert_sheds(&server, "serve_shed_queue_depth", 3);
+
+    // Pool pressure: one resident demand block crosses the watermark.
+    let server = det_server(ServeConfig { shed_resident_bytes: 1, ..ServeConfig::default() }, 8);
+    let id = server.open_session("v").unwrap();
+    let sub = server.submit(id, 0, vec![key(0)], vec![]).unwrap();
+    server.pump();
+    server.engine().run_until_idle();
+    assert!(sub.collect_ready(&server)[0].result.is_ok());
+    assert!(server.engine().pool().bytes_resident() > 0);
+    assert_eq!(server.submit(id, 0, vec![], prefetch(1..3)).unwrap().shed(), 2);
+    assert_sheds(&server, "serve_shed_pool_pressure", 2);
 }
 
 /// A small flight with real prediction tables, so σ actually gates
@@ -179,7 +249,5 @@ fn attach_adaptive_sigma_requires_a_flight() {
     assert!(!server.attach_adaptive_sigma(id, cfg, 4.0), "no flight attached yet");
     assert!(server.attach_flight(id, table_flight(1.0)));
     assert!(server.attach_adaptive_sigma(id, cfg, 4.0));
-    let _ = server.advance(id);
-    let ladder = server.ladder();
-    assert_eq!(ladder, LadderConfig::from_serve(server.config()));
+    assert!(server.advance(id).is_some());
 }

@@ -320,6 +320,54 @@ fn demand_is_never_shed_while_prefetch_downgrades_then_sheds() {
     assert_eq!(m.demand_served, 8);
     assert_eq!(m.prefetch_shed, 4);
     assert_eq!(m.prefetch_downgraded, 2);
+
+    // The harshest static ladder: every prefetch quota and watermark at
+    // zero. Several sessions keep asking for speculation; all of it sheds,
+    // and every demand key is still admitted and served.
+    let cfg = ServeConfig {
+        per_client_queue: 0,
+        per_client_bytes: 0,
+        engine_queue_target: 0,
+        shed_queue_depth: 0,
+        downgrade_queue_depth: 0,
+        shed_resident_bytes: 0,
+        ..ServeConfig::default()
+    };
+    let (server, _src) = det_server(cfg, 64);
+    let sessions: Vec<SessionId> =
+        (0..4).map(|c| server.open_session(&format!("c{c}")).unwrap()).collect();
+    let (mut demand_keys, mut prefetch_keys) = (0u64, 0u64);
+    for frame in 0..6u32 {
+        let subs: Vec<_> = sessions
+            .iter()
+            .enumerate()
+            .map(|(c, &sid)| {
+                let base = (frame * 4 + c as u32 * 8) % 48;
+                let demand: Vec<BlockKey> = (base..base + 4).map(key).collect();
+                let prefetch: Vec<(BlockKey, f64)> =
+                    (base + 4..base + 12).map(|i| (key(i), 1.0)).collect();
+                demand_keys += demand.len() as u64;
+                prefetch_keys += prefetch.len() as u64;
+                let sub = server.submit(sid, u64::from(frame), demand, prefetch).unwrap();
+                assert_eq!(sub.shed() as usize, 8, "every prefetch entry sheds");
+                assert_eq!(sub.downgraded(), 0);
+                sub
+            })
+            .collect();
+        server.pump();
+        server.engine().run_until_idle();
+        for sub in subs {
+            let replies = sub.collect_ready(&server);
+            assert_eq!(replies.len(), 4);
+            assert!(replies.iter().all(|r| r.result.is_ok()), "demand never sheds or fails");
+        }
+    }
+    let m = server.metrics();
+    assert_eq!(m.demand_admitted, demand_keys);
+    assert_eq!(m.demand_served, demand_keys);
+    assert_eq!(m.demand_errors, 0);
+    assert_eq!((m.prefetch_admitted, m.prefetch_downgraded), (0, 0));
+    assert_eq!(m.prefetch_shed, prefetch_keys);
 }
 
 #[test]

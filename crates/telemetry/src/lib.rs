@@ -37,7 +37,6 @@ mod export;
 pub mod flight;
 mod hist;
 mod ring;
-pub mod stats;
 
 pub use counter::Counter;
 pub use event::{EventKind, TraceEvent, KIND_COUNT};

@@ -10,7 +10,7 @@
 //! transports) so the run replays exactly; swap the [`TestCluster`] for
 //! [`viz_appaware::cluster::ClusterNode`] + `TcpServer::bind_with` +
 //! [`viz_appaware::cluster::TcpPeerLink`] to deploy over real sockets
-//! (see `crates/bench/src/bin/cluster.rs` for that wiring).
+//! (`benchmark/src/pipeline.rs` builds its cluster workload that way).
 //!
 //! Run with: `cargo run --release --example multi_node_serve`
 
