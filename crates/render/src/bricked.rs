@@ -190,7 +190,9 @@ impl<L: BlockLookup> SampleSource for BrickedSource<'_, L> {
         let cx = (x - 0.5).clamp(0.0, (dims.nx - 1) as f64);
         let cy = (y - 0.5).clamp(0.0, (dims.ny - 1) as f64);
         let cz = (z - 0.5).clamp(0.0, (dims.nz - 1) as f64);
-        let (x0, y0, z0) = (cx.floor() as usize, cy.floor() as usize, cz.floor() as usize);
+        // Truncation is `floor` on the clamped, non-negative coordinates
+        // (and maps NaN to 0 as `floor` does), without a libm call.
+        let (x0, y0, z0) = (cx as usize, cy as usize, cz as usize);
 
         // The block owning the base corner decides residency for the whole
         // sample; it changes only when the base corner leaves `[lo, hi)`.
@@ -600,7 +602,7 @@ pub(crate) mod tests {
         })
     }
 
-    fn random_pose(rng: &mut SplitMix64) -> viz_geom::CameraPose {
+    pub(crate) fn random_pose(rng: &mut SplitMix64) -> viz_geom::CameraPose {
         // Distance 1.2–3.2 puts some cameras inside the volume.
         orbit_pose(
             rng.range(5.0, 175.0),

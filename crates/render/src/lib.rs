@@ -34,6 +34,7 @@
 pub mod analytics;
 pub mod bricked;
 pub mod culling;
+mod exact;
 pub mod image;
 pub mod metrics;
 pub mod raycast;

@@ -3,6 +3,24 @@
 //! A transfer function maps scalar values to color and opacity; tuning it
 //! is the canonical data-dependent operation that changes which blocks
 //! matter without moving the camera.
+//!
+//! # Cost of a sample
+//!
+//! [`TransferFunction::sample`] runs once per ray sample. Its two
+//! divisions (normalizing the value into the range, then into its segment)
+//! and the four products of [`Rgba::lerp`] go through the crate's exact
+//! helpers (`exact.rs`): a subnormal value — most of the benchmark's
+//! `lifted_rr` voxels — would otherwise cost a ~60 ns x86 microcode assist
+//! per `divss`/`mulss`. The helpers return the native operator's bits for
+//! every input, so every colour is what plain `f32` arithmetic gives. The
+//! segment is found by a linear scan, not a binary search: with a handful
+//! of control points the search's data-dependent branches mispredict, and
+//! the scan finds the same segment in about half the time.
+//!
+//! A NaN value samples as [`Rgba::TRANSPARENT`]: the wire accepts every bit
+//! pattern, and a NaN voxel must not panic the renderer.
+
+use crate::exact::{div, mul};
 
 /// Linear RGBA color, components in `[0, 1]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,8 +50,9 @@ impl Rgba {
     pub const TRANSPARENT: Rgba = Rgba { r: 0.0, g: 0.0, b: 0.0, a: 0.0 };
 
     /// Component-wise linear interpolation.
+    #[inline]
     pub fn lerp(self, other: Rgba, t: f32) -> Rgba {
-        let l = |a: f32, b: f32| a + (b - a) * t;
+        let l = |a: f32, b: f32| a + mul(b - a, t);
         Rgba {
             r: l(self.r, other.r),
             g: l(self.g, other.g),
@@ -61,12 +80,22 @@ pub struct TransferFunction {
 }
 
 impl TransferFunction {
-    /// Build from control points (sorted by `x` internally). Needs ≥ 1.
+    /// Build from control points (sorted by `x` internally). Needs ≥ 1,
+    /// each with a finite `x`.
     pub fn new(mut points: Vec<ControlPoint>, range: (f32, f32)) -> Self {
         assert!(!points.is_empty(), "transfer function needs control points");
         assert!(range.0 <= range.1, "invalid scalar range");
-        points.sort_by(|a, b| a.x.partial_cmp(&b.x).unwrap());
+        for (i, p) in points.iter().enumerate() {
+            assert!(p.x.is_finite(), "control point {i} has a non-finite x: {p:?}");
+        }
+        points.sort_by(|a, b| a.x.total_cmp(&b.x));
         TransferFunction { points, range }
+    }
+
+    /// The control points, sorted by `x`.
+    #[cfg(test)]
+    pub(crate) fn points(&self) -> &[ControlPoint] {
+        &self.points
     }
 
     /// Grayscale ramp with linearly increasing opacity.
@@ -146,10 +175,16 @@ impl TransferFunction {
         )
     }
 
-    /// Look up the color for a raw scalar value.
+    /// Look up the color for a raw scalar value; NaN is transparent.
+    #[inline]
     pub fn sample(&self, value: f32) -> Rgba {
         let (lo, hi) = self.range;
-        let x = if hi > lo { ((value - lo) / (hi - lo)).clamp(0.0, 1.0) } else { 0.0 };
+        let x = if hi > lo { div(value - lo, hi - lo).clamp(0.0, 1.0) } else { 0.0 };
+        // A NaN value (checked apart for a degenerate range) or a value over
+        // an infinite range has no place on the ramp.
+        if x.is_nan() || value.is_nan() {
+            return Rgba::TRANSPARENT;
+        }
         let pts = &self.points;
         if x <= pts[0].x {
             return pts[0].color;
@@ -157,10 +192,11 @@ impl TransferFunction {
         if x >= pts[pts.len() - 1].x {
             return pts[pts.len() - 1].color;
         }
-        let i = pts.partition_point(|p| p.x <= x);
+        // The first point right of `x`: `pts[0].x < x < pts[last].x` here.
+        let i = 1 + pts[1..].iter().take_while(|p| p.x <= x).count();
         let (a, b) = (&pts[i - 1], &pts[i]);
         let span = (b.x - a.x).max(1e-12);
-        a.color.lerp(b.color, (x - a.x) / span)
+        a.color.lerp(b.color, div(x - a.x, span))
     }
 
     /// Maximum opacity the function assigns to any value in `[lo, hi]`.
@@ -195,8 +231,110 @@ impl TransferFunction {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    impl TransferFunction {
+        /// [`TransferFunction::sample`] as it was before the exact helpers,
+        /// kept verbatim (with [`Rgba::lerp`] inlined) as the reference the
+        /// ray march must match bit for bit. Panics on NaN.
+        pub(crate) fn reference_sample(&self, value: f32) -> Rgba {
+            let (lo, hi) = self.range;
+            let x = if hi > lo { ((value - lo) / (hi - lo)).clamp(0.0, 1.0) } else { 0.0 };
+            let pts = &self.points;
+            if x <= pts[0].x {
+                return pts[0].color;
+            }
+            if x >= pts[pts.len() - 1].x {
+                return pts[pts.len() - 1].color;
+            }
+            let i = pts.partition_point(|p| p.x <= x);
+            let (a, b) = (&pts[i - 1], &pts[i]);
+            let span = (b.x - a.x).max(1e-12);
+            let t = (x - a.x) / span;
+            let l = |a: f32, b: f32| a + (b - a) * t;
+            let (p, q) = (a.color, b.color);
+            Rgba { r: l(p.r, q.r), g: l(p.g, q.g), b: l(p.b, q.b), a: l(p.a, q.a) }
+        }
+    }
+
+    /// The transfer functions the image tests cross: the five built-ins
+    /// (`diverging` over a range that straddles 0) and one whose first
+    /// control point is opaque, so a zero or subnormal sample is visible.
+    pub(crate) fn tf_family((lo, hi): (f32, f32)) -> Vec<(&'static str, TransferFunction)> {
+        let signed = (-hi.abs().max(lo.abs()), hi.abs().max(lo.abs()));
+        vec![
+            ("heat", TransferFunction::heat((lo, hi))),
+            ("grayscale", TransferFunction::grayscale((lo, hi))),
+            ("viridis", TransferFunction::viridis((lo, hi))),
+            ("diverging", TransferFunction::diverging(signed)),
+            (
+                "iso_peak",
+                TransferFunction::iso_peak(0.3, 0.1, Rgba::new(0.9, 0.6, 0.2, 0.6), (lo, hi)),
+            ),
+            (
+                "opaque_first",
+                TransferFunction::new(
+                    vec![
+                        ControlPoint { x: 0.0, color: Rgba::new(0.3, 0.7, 0.9, 0.9) },
+                        ControlPoint { x: 0.4, color: Rgba::new(0.8, 0.1, 0.3, 0.2) },
+                        ControlPoint { x: 1.0, color: Rgba::new(1.0, 1.0, 0.6, 0.7) },
+                    ],
+                    (lo, hi),
+                ),
+            ),
+        ]
+    }
+
+    /// Every voxel value of the benchmark scene (every 97th in a debug
+    /// build), their negations and the specials sample to the reference's
+    /// bits under every transfer function of the family.
+    #[test]
+    fn sample_equals_the_reference_on_every_voxel_value() {
+        let (field, _, _) = crate::bricked::tests::lifted();
+        let stride = if cfg!(debug_assertions) { 97 } else { 1 };
+        let mut values: Vec<f32> =
+            field.data().iter().step_by(stride).flat_map(|&v| [v, -v]).collect();
+        values.extend([0.0, -0.0, f32::MIN_POSITIVE, 1e-45, f32::INFINITY, f32::NEG_INFINITY]);
+        values.sort_by(f32::total_cmp);
+        values.dedup_by(|a, b| a.to_bits() == b.to_bits());
+        for (name, tf) in tf_family(field.min_max()) {
+            for &v in &values {
+                let (got, want) = (tf.sample(v), tf.reference_sample(v));
+                let bits = |c: Rgba| [c.r, c.g, c.b, c.a].map(f32::to_bits);
+                assert_eq!(bits(got), bits(want), "{name} at {v:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn nan_value_samples_transparent_instead_of_panicking() {
+        let nans = [f32::NAN, -f32::NAN, f32::from_bits(0x7fc0_1234)];
+        for (name, tf) in tf_family((0.0, 2.0)) {
+            for v in nans {
+                assert_eq!(tf.sample(v), Rgba::TRANSPARENT, "{name}");
+            }
+            assert_eq!(tf.mean_opacity(&[f32::NAN, f32::NAN]), 0.0, "{name}");
+            assert_eq!(tf.mean_opacity(&[f32::NAN, 2.0]), f64::from(tf.sample(2.0).a) / 2.0);
+        }
+        // A degenerate or infinite range does not make NaN visible either.
+        assert_eq!(TransferFunction::heat((1.0, 1.0)).sample(f32::NAN), Rgba::TRANSPARENT);
+        let unbounded = TransferFunction::heat((f32::NEG_INFINITY, f32::INFINITY));
+        assert_eq!(unbounded.sample(f32::NAN), Rgba::TRANSPARENT);
+        assert_eq!(unbounded.sample(1.0), Rgba::TRANSPARENT);
+    }
+
+    #[test]
+    #[should_panic(expected = "control point 1 has a non-finite x")]
+    fn nan_control_point_panics_with_its_index() {
+        TransferFunction::new(
+            vec![
+                ControlPoint { x: 0.0, color: Rgba::TRANSPARENT },
+                ControlPoint { x: f32::NAN, color: Rgba::new(1.0, 0.0, 0.0, 1.0) },
+            ],
+            (0.0, 1.0),
+        );
+    }
 
     #[test]
     fn rgba_clamps() {

@@ -75,7 +75,9 @@ impl VolumeField {
         let cx = (x - 0.5).clamp(0.0, (self.dims.nx - 1) as f64);
         let cy = (y - 0.5).clamp(0.0, (self.dims.ny - 1) as f64);
         let cz = (z - 0.5).clamp(0.0, (self.dims.nz - 1) as f64);
-        let (x0, y0, z0) = (cx.floor() as usize, cy.floor() as usize, cz.floor() as usize);
+        // Truncation is `floor` on the clamped, non-negative coordinates
+        // (and maps NaN to 0 as `floor` does), without a libm call.
+        let (x0, y0, z0) = (cx as usize, cy as usize, cz as usize);
         let x1 = (x0 + 1).min(self.dims.nx - 1);
         let y1 = (y0 + 1).min(self.dims.ny - 1);
         let z1 = (z0 + 1).min(self.dims.nz - 1);

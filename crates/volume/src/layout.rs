@@ -136,6 +136,7 @@ impl BrickLayout {
 
     /// World-space scale: voxels → normalized coordinates where the longest
     /// edge spans `[-1, 1]`.
+    #[inline]
     fn world_scale(&self) -> f64 {
         2.0 / self.volume.max_edge() as f64
     }
@@ -152,6 +153,7 @@ impl BrickLayout {
     }
 
     /// Map a world-space point back to (fractional) voxel coordinates.
+    #[inline]
     pub fn world_to_voxel(&self, p: Vec3) -> Vec3 {
         let s = self.world_scale();
         let half = Vec3::new(
