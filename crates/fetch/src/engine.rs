@@ -414,7 +414,11 @@ pub struct FetchMetrics {
     /// `prefetch` calls.
     pub prefetch_requests: u64,
     /// Requests merged onto an existing result (resident block), queue
-    /// entry, or in-flight read instead of issuing their own.
+    /// entry, or in-flight read instead of issuing their own. Behind a
+    /// `viz_serve::Server` this is mostly demand pool hits and in-flight
+    /// joins: the server drops predicted keys that are already resident
+    /// before they reach the engine (counting them as
+    /// `serve_prefetch_resident`), so they are not counted here.
     pub coalesced: u64,
     /// Of `coalesced`, merges where the incoming fairness tag differed
     /// from the tag that created the queue/in-flight entry — i.e. one

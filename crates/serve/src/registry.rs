@@ -46,6 +46,7 @@ pub(crate) struct Session {
     pub demand_submitted: u64,
     pub prefetch_submitted: u64,
     pub prefetch_shed: u64,
+    pub prefetch_resident: u64,
     pub demand_served: u64,
 }
 
@@ -68,6 +69,9 @@ pub struct SessionView {
     pub prefetch_submitted: u64,
     /// Of those, how many admission shed.
     pub prefetch_shed: u64,
+    /// Of those, how many the pool already held (dropped before the shed
+    /// ladder).
+    pub prefetch_resident: u64,
     /// Demand replies delivered.
     pub demand_served: u64,
 }
@@ -96,6 +100,7 @@ impl Registry {
                 demand_submitted: 0,
                 prefetch_submitted: 0,
                 prefetch_shed: 0,
+                prefetch_resident: 0,
                 demand_served: 0,
             },
         );
@@ -137,6 +142,7 @@ impl Registry {
                 demand_submitted: s.demand_submitted,
                 prefetch_submitted: s.prefetch_submitted,
                 prefetch_shed: s.prefetch_shed,
+                prefetch_resident: s.prefetch_resident,
                 demand_served: s.demand_served,
             })
             .collect();

@@ -14,13 +14,16 @@
 //!
 //! ## The shed ladder
 //!
-//! Prefetch admission walks, in order: draining → stale generation →
-//! per-client entry quota → per-client byte quota → breaker open →
-//! global queue depth → pool pressure. First failure sheds the entry
-//! with a typed [`ShedReason`]; between the downgrade and shed
-//! watermarks entries are admitted at a quarter of their priority
-//! instead. **Demand is never shed** — a blocked renderer beats a
-//! speculation every time, which is the same demand-over-prefetch
+//! A predicted key the shared pool already holds is counted as
+//! *resident* and dropped before the ladder: Algorithm 1 prefetches only
+//! what fast memory lacks, so it costs no quota and never reaches the
+//! lanes or the engine. Every other prefetch entry walks, in order:
+//! draining → stale generation → per-client entry quota → per-client
+//! byte quota → breaker open → global queue depth → pool pressure.
+//! First failure sheds the entry with a typed [`ShedReason`]; between
+//! the downgrade and shed watermarks entries are admitted at a quarter of
+//! their priority instead. **Demand is never shed** — a blocked renderer
+//! beats a speculation every time, which is the same demand-over-prefetch
 //! invariant the engine heap enforces, applied one layer up.
 
 use crate::conn::Conn;
@@ -189,6 +192,9 @@ struct ServeStats {
     prefetch_admitted: Counter,
     prefetch_downgraded: Counter,
     prefetch_shed: Counter,
+    /// Predicted keys already resident at admission: dropped before the
+    /// ladder, so submitted = shed + downgraded + admitted + resident.
+    prefetch_resident: Counter,
     demand_served: Counter,
     demand_errors: Counter,
     bytes_served: Counter,
@@ -221,6 +227,7 @@ impl ServeStats {
             prefetch_admitted: Counter::new("serve_prefetch_admitted"),
             prefetch_downgraded: Counter::new("serve_prefetch_downgraded"),
             prefetch_shed: Counter::new("serve_prefetch_shed"),
+            prefetch_resident: Counter::new("serve_prefetch_resident"),
             demand_served: Counter::new("serve_demand_served"),
             demand_errors: Counter::new("serve_demand_errors"),
             bytes_served: Counter::new("serve_bytes_served"),
@@ -259,6 +266,7 @@ impl ServeStats {
             &self.prefetch_admitted,
             &self.prefetch_downgraded,
             &self.prefetch_shed,
+            &self.prefetch_resident,
             &self.demand_served,
             &self.demand_errors,
             &self.bytes_served,
@@ -297,6 +305,10 @@ pub struct ServeMetrics {
     pub prefetch_downgraded: u64,
     /// Prefetch keys refused admission.
     pub prefetch_shed: u64,
+    /// Prefetch keys already resident at admission, dropped before the
+    /// ladder. Every submitted prefetch key is exactly one of admitted,
+    /// downgraded, shed or resident.
+    pub prefetch_resident: u64,
     /// Demand replies delivered with a payload.
     pub demand_served: u64,
     /// Demand replies delivered with an error code.
@@ -447,9 +459,12 @@ impl Server {
     ///
     /// With [`Server::attach_adaptive_sigma`] active, the leftover
     /// prefetch backlog (about to be purged as stale) first feeds the σ
-    /// controller: a backlog persistently above target means admission
-    /// outruns consumption — raise σ, speculate less; an empty backlog
-    /// means idle I/O headroom — lower σ, speculate more.
+    /// controller. It holds only keys that were absent from the pool at
+    /// admission (resident predictions never queue), so it measures
+    /// speculation that still costs a read. A backlog persistently above
+    /// target means admission outruns consumption — raise σ, speculate
+    /// less; an empty backlog means idle I/O headroom — lower σ,
+    /// speculate more.
     pub fn advance(&self, id: SessionId) -> Option<u64> {
         let (leftover, _) = relock(&self.sched).queued_prefetch(id.0);
         let (generation, frame) = {
@@ -500,8 +515,9 @@ impl Server {
         if let Some(s) = relock(&self.registry).get_mut(id) {
             s.demand_submitted += demand_n as u64;
         }
-        let (shed, downgraded, admitted) = self.admit_prefetch(id, generation, prefetch);
-        instant(Ev::RequestAdmit, u64::from(id.0), ((demand_n as u64) << 32) | admitted);
+        let t = self.admit_prefetch(id, generation, prefetch);
+        let queued = u64::from(t.admitted + t.downgraded);
+        instant(Ev::RequestAdmit, u64::from(id.0), ((demand_n as u64) << 32) | queued);
         Ok(Submission {
             session: id,
             demand_keys: demand,
@@ -510,40 +526,51 @@ impl Server {
             disconnected: false,
             waiting: Vec::new(),
             got: HashMap::new(),
-            shed,
-            downgraded,
+            tally: t,
             t0: Instant::now(),
         })
     }
 
-    /// Walk the shed ladder for each prefetch entry; returns
-    /// `(shed, downgraded, admitted)` counts.
+    /// Split a prediction into resident and absent keys, then walk the
+    /// shed ladder for each absent one.
     fn admit_prefetch(
         &self,
         id: SessionId,
         generation: u64,
-        prefetch: Vec<(BlockKey, f64)>,
-    ) -> (u32, u32, u64) {
+        mut prefetch: Vec<(BlockKey, f64)>,
+    ) -> PrefetchTally {
+        let mut t = PrefetchTally::default();
         if prefetch.is_empty() {
-            return (0, 0, 0);
+            return t;
         }
+        let submitted = prefetch.len();
+        // Algorithm 1 fetches only what fast memory lacks: a resident key
+        // is counted and dropped here, before any quota, lane or engine
+        // sees it. (`Residency` will touch the key at this point — a
+        // predicted block is not stale.) The engine's own pool check in
+        // `prefetch_locked` stays, for keys that land between this split
+        // and the pump.
+        let pool = self.engine.pool();
+        prefetch.retain(|&(key, _)| !pool.contains(key));
+        t.resident = (submitted - prefetch.len()) as u32;
         let session_gen = match relock(&self.registry).get_mut(id) {
             Some(s) => {
-                s.prefetch_submitted += prefetch.len() as u64;
+                s.prefetch_submitted += submitted as u64;
+                s.prefetch_resident += u64::from(t.resident);
                 s.generation
             }
-            None => return (0, 0, 0),
+            None => return PrefetchTally::default(),
         };
+        self.stats.prefetch_resident.add(u64::from(t.resident));
         // One poll per submit; admitted entries adjust the view so a
         // single huge request cannot blow through the watermark unseen.
         let (_, engine_pf) = self.engine.queue_depths();
         let breaker_open = self.engine.breaker_state() == BreakerState::Open;
-        let pool_bytes = self.engine.pool().bytes_resident();
+        let pool_bytes = pool.bytes_resident();
         let draining = self.is_draining();
         let cfg = &self.cfg;
         let hint = cfg.block_bytes_hint;
 
-        let (mut shed, mut downgraded, mut admitted) = (0u32, 0u32, 0u64);
         let mut sched = relock(&self.sched);
         let (mut lane_n, mut lane_bytes) = sched.queued_prefetch(id.0);
         let mut backlog = engine_pf + sched.queued_prefetch_total();
@@ -570,22 +597,22 @@ impl Server {
             match verdict {
                 Ok(p) => {
                     if p < pri {
-                        downgraded += 1;
+                        t.downgraded += 1;
                         self.stats.prefetch_downgraded.inc();
                     } else {
+                        t.admitted += 1;
                         self.stats.prefetch_admitted.inc();
                     }
                     sched.push_prefetch(
                         id.0,
                         PrefetchEntry { key, pri: p, gen: session_gen, bytes: hint },
                     );
-                    admitted += 1;
                     lane_n += 1;
                     lane_bytes += hint;
                     backlog += 1;
                 }
                 Err(reason) => {
-                    shed += 1;
+                    t.shed += 1;
                     self.stats.prefetch_shed.inc();
                     self.stats.shed_counter(reason).inc();
                     instant(Ev::RequestShed, u64::from(id.0), u64::from(reason.code()));
@@ -593,12 +620,12 @@ impl Server {
             }
         }
         drop(sched);
-        if shed > 0 {
+        if t.shed > 0 {
             if let Some(s) = relock(&self.registry).get_mut(id) {
-                s.prefetch_shed += u64::from(shed);
+                s.prefetch_shed += u64::from(t.shed);
             }
         }
-        (shed, downgraded, admitted)
+        t
     }
 
     /// Move queued work into the shared engine in DRR order: demand
@@ -695,6 +722,7 @@ impl Server {
             prefetch_admitted: s.prefetch_admitted.get(),
             prefetch_downgraded: s.prefetch_downgraded.get(),
             prefetch_shed: s.prefetch_shed.get(),
+            prefetch_resident: s.prefetch_resident.get(),
             demand_served: s.demand_served.get(),
             demand_errors: s.demand_errors.get(),
             bytes_served: s.bytes_served.get(),
@@ -772,6 +800,16 @@ impl Server {
     }
 }
 
+/// Where one submission's prefetch keys went: each is exactly one of
+/// admitted (full priority), downgraded, shed or resident.
+#[derive(Debug, Clone, Copy, Default)]
+struct PrefetchTally {
+    admitted: u32,
+    downgraded: u32,
+    shed: u32,
+    resident: u32,
+}
+
 /// An admitted frame request: collects the demand outcomes once the pump
 /// has issued them.
 ///
@@ -792,8 +830,7 @@ pub struct Submission {
     /// Tickets received but not yet resolved (poll path only).
     waiting: Vec<(BlockKey, Ticket)>,
     got: HashMap<BlockKey, Result<Arc<Vec<f32>>, u16>>,
-    shed: u32,
-    downgraded: u32,
+    tally: PrefetchTally,
     /// Admission time; `finish` records submit→outcome as the frame's
     /// demand RTT.
     t0: Instant,
@@ -802,12 +839,18 @@ pub struct Submission {
 impl Submission {
     /// Prefetch entries shed at admission.
     pub fn shed(&self) -> u32 {
-        self.shed
+        self.tally.shed
     }
 
     /// Prefetch entries admitted at reduced priority.
     pub fn downgraded(&self) -> u32 {
-        self.downgraded
+        self.tally.downgraded
+    }
+
+    /// Prefetch entries the pool already held at admission: dropped
+    /// before the shed ladder, never queued.
+    pub fn resident(&self) -> u32 {
+        self.tally.resident
     }
 
     /// Drain whatever the pump has issued and resolve whatever the
@@ -960,7 +1003,7 @@ impl PendingFetch {
     /// span under the originating request's trace context.
     fn reply(self, collect: impl FnOnce(Submission) -> Vec<BlockReply>) -> Response {
         let PendingFetch { session, sub, t0, tag, trace } = self;
-        let (shed, downgraded) = (sub.shed, sub.downgraded);
+        let (shed, downgraded) = (sub.shed(), sub.downgraded());
         let blocks = collect(sub);
         viz_telemetry::with_trace(trace, || {
             viz_telemetry::span(Ev::RpcServe, u64::from(session), u64::from(tag), t0);

@@ -1,6 +1,6 @@
 //! The serve-side adaptive surface: per-reason shed counters on the wire
-//! for every rung of the shed ladder, and the σ loop driven by
-//! `Server::advance`.
+//! for every rung of the shed ladder, the four fates of a predicted key,
+//! and the σ loop driven by `Server::advance`.
 
 use std::io;
 use std::sync::{Arc, Condvar, Mutex};
@@ -12,8 +12,9 @@ use viz_fetch::{
     RetryPolicy,
 };
 use viz_geom::angle::deg_to_rad;
+use viz_geom::rng::{for_cases, SplitMix64};
 use viz_geom::{CameraPath, SphericalPath};
-use viz_serve::{ServeConfig, Server};
+use viz_serve::{ServeConfig, Server, SessionId};
 use viz_volume::{
     BlockId, BlockKey, BlockSource, BrickLayout, DatasetKind, DatasetSpec, Dims3, MemBlockStore,
 };
@@ -185,6 +186,118 @@ fn per_reason_shed_counters_reach_the_wire() {
     assert!(server.engine().pool().bytes_resident() > 0);
     assert_eq!(server.submit(id, 0, vec![], prefetch(1..3)).unwrap().shed(), 2);
     assert_sheds(&server, "serve_shed_pool_pressure", 2);
+}
+
+/// Submit one random prediction for `id` (now and then under a stale
+/// generation) and check that each of its keys has exactly one fate, in
+/// the submission and in the server's counters. Returns the keys
+/// submitted and, of those, how many were queued (admitted at full or
+/// reduced priority).
+fn submit_checked(server: &Server, rng: &mut SplitMix64, id: SessionId, keys: u32) -> (u64, u64) {
+    let current = server.sessions().iter().find(|v| v.id == id).unwrap().generation;
+    let generation = if rng.below(4) == 0 { current.saturating_sub(1) } else { current };
+    let prefetch: Vec<(BlockKey, f64)> = (0..rng.index(0..24))
+        .map(|_| (key(rng.below(u64::from(keys)) as u32), rng.range(0.1, 1.0)))
+        .collect();
+    let demand: Vec<BlockKey> =
+        (0..rng.index(0..4)).map(|_| key(rng.below(u64::from(keys)) as u32)).collect();
+    let n = prefetch.len() as u64;
+    let before = server.metrics();
+    let sub = server.submit(id, generation, demand, prefetch).unwrap();
+    let after = server.metrics();
+    let (shed, downgraded, resident) =
+        (u64::from(sub.shed()), u64::from(sub.downgraded()), u64::from(sub.resident()));
+    let admitted = after.prefetch_admitted - before.prefetch_admitted;
+    assert_eq!(after.prefetch_shed - before.prefetch_shed, shed);
+    assert_eq!(after.prefetch_downgraded - before.prefetch_downgraded, downgraded);
+    assert_eq!(after.prefetch_resident - before.prefetch_resident, resident);
+    assert_eq!(n, shed + downgraded + admitted + resident, "submission: every key has one fate");
+    (n, downgraded + admitted)
+}
+
+/// submitted = shed + downgraded + admitted + resident, for the server
+/// and for every session.
+fn assert_fates(server: &Server, submitted: &[u64], queued: &[u64]) {
+    let m = server.metrics();
+    let total: u64 = submitted.iter().sum();
+    let fates = m.prefetch_shed + m.prefetch_downgraded + m.prefetch_admitted + m.prefetch_resident;
+    assert_eq!(total, fates, "server: every key has one fate");
+    let views = server.sessions();
+    assert_eq!(views.len(), submitted.len());
+    for (c, v) in views.iter().enumerate() {
+        assert_eq!(v.prefetch_submitted, submitted[c], "session {c} submitted");
+        let fates = v.prefetch_shed + v.prefetch_resident + queued[c];
+        assert_eq!(v.prefetch_submitted, fates, "session {c}: every key has one fate");
+    }
+}
+
+/// Every predicted key is exactly one of admitted, downgraded, shed or
+/// resident, whatever the ladder: random quotas and watermarks, random
+/// resident subsets, random predictions from several sessions, stale
+/// generations, and now and then a submission while the server drains.
+#[test]
+fn every_predicted_key_has_exactly_one_fate() {
+    const KEYS: u32 = 48;
+    for_cases(0xfa7e_5eed, 48, |rng, _| {
+        let hint = ServeConfig::default().block_bytes_hint;
+        let cfg = ServeConfig {
+            per_client_queue: rng.index(0..16),
+            per_client_bytes: rng.index(0..16) * hint,
+            engine_queue_target: rng.index(0..8),
+            shed_queue_depth: rng.index(0..32),
+            downgrade_queue_depth: rng.index(0..32),
+            shed_resident_bytes: if rng.below(4) == 0 { rng.index(0..4096) } else { usize::MAX },
+            ..ServeConfig::default()
+        };
+        // Key `KEYS` is never predicted, so it is never resident: a demand
+        // for it holds a drain in its engine sync once the gate closes.
+        let gate =
+            Arc::new(Gate { inner: store(KEYS + 1), open: Mutex::new(true), cv: Condvar::new() });
+        let det = FetchConfig { workers: 0, ..FetchConfig::default() };
+        let server = server_over(gate.clone(), det, cfg);
+        for i in 0..KEYS {
+            if rng.below(3) == 0 {
+                server.engine().pool().insert(key(i), vec![i as f32; 16]);
+            }
+        }
+        let ids: Vec<SessionId> =
+            (0..3).map(|c| server.open_session(&format!("c{c}")).unwrap()).collect();
+        let (mut submitted, mut queued) = ([0u64; 3], [0u64; 3]);
+        for _ in 0..12 {
+            let c = rng.index(0..ids.len());
+            if rng.below(4) == 0 {
+                server.advance(ids[c]).unwrap();
+            }
+            let (n, q) = submit_checked(&server, rng, ids[c], KEYS);
+            submitted[c] += n;
+            queued[c] += q;
+            if rng.below(2) == 0 {
+                server.pump();
+                server.engine().run_until_idle();
+            }
+        }
+        assert_fates(&server, &submitted, &queued);
+
+        if rng.below(3) == 0 {
+            *gate.open.lock().unwrap() = false;
+            let held = server.submit(ids[0], 0, vec![key(KEYS)], vec![]).unwrap();
+            let drain = {
+                let server = server.clone();
+                std::thread::spawn(move || server.drain())
+            };
+            while !server.is_draining() {
+                std::thread::yield_now();
+            }
+            let c = rng.index(0..ids.len());
+            let (n, q) = submit_checked(&server, rng, ids[c], KEYS);
+            assert_eq!(q, 0, "a draining server queues no speculation");
+            submitted[c] += n;
+            assert_fates(&server, &submitted, &queued);
+            gate.open();
+            assert_eq!(drain.join().unwrap().sessions_closed, ids.len());
+            drop(held);
+        }
+    });
 }
 
 /// A small flight with real prediction tables, so σ actually gates

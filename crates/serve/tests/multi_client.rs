@@ -322,8 +322,10 @@ fn demand_is_never_shed_while_prefetch_downgrades_then_sheds() {
     assert_eq!(m.prefetch_downgraded, 2);
 
     // The harshest static ladder: every prefetch quota and watermark at
-    // zero. Several sessions keep asking for speculation; all of it sheds,
-    // and every demand key is still admitted and served.
+    // zero. Several sessions keep asking for speculation; none of it is
+    // admitted, and every demand key is still admitted and served. A
+    // predicted key that an earlier frame's demand made resident is
+    // counted as resident before the ladder; every other entry sheds.
     let cfg = ServeConfig {
         per_client_queue: 0,
         per_client_bytes: 0,
@@ -337,6 +339,7 @@ fn demand_is_never_shed_while_prefetch_downgrades_then_sheds() {
     let sessions: Vec<SessionId> =
         (0..4).map(|c| server.open_session(&format!("c{c}")).unwrap()).collect();
     let (mut demand_keys, mut prefetch_keys) = (0u64, 0u64);
+    let mut resident = std::collections::HashSet::new();
     for frame in 0..6u32 {
         let subs: Vec<_> = sessions
             .iter()
@@ -348,8 +351,10 @@ fn demand_is_never_shed_while_prefetch_downgrades_then_sheds() {
                     (base + 4..base + 12).map(|i| (key(i), 1.0)).collect();
                 demand_keys += demand.len() as u64;
                 prefetch_keys += prefetch.len() as u64;
+                let held = prefetch.iter().filter(|(k, _)| resident.contains(k)).count() as u32;
                 let sub = server.submit(sid, u64::from(frame), demand, prefetch).unwrap();
-                assert_eq!(sub.shed() as usize, 8, "every prefetch entry sheds");
+                assert_eq!(sub.resident(), held, "earlier frames made these resident");
+                assert_eq!(sub.shed(), 8 - held, "every other prefetch entry sheds");
                 assert_eq!(sub.downgraded(), 0);
                 sub
             })
@@ -360,6 +365,7 @@ fn demand_is_never_shed_while_prefetch_downgrades_then_sheds() {
             let replies = sub.collect_ready(&server);
             assert_eq!(replies.len(), 4);
             assert!(replies.iter().all(|r| r.result.is_ok()), "demand never sheds or fails");
+            resident.extend(replies.iter().map(|r| r.key));
         }
     }
     let m = server.metrics();
@@ -367,7 +373,35 @@ fn demand_is_never_shed_while_prefetch_downgrades_then_sheds() {
     assert_eq!(m.demand_served, demand_keys);
     assert_eq!(m.demand_errors, 0);
     assert_eq!((m.prefetch_admitted, m.prefetch_downgraded), (0, 0));
-    assert_eq!(m.prefetch_shed, prefetch_keys);
+    assert_eq!(m.prefetch_shed + m.prefetch_resident, prefetch_keys);
+}
+
+/// A predicted key the pool already holds costs no quota: it is counted
+/// as resident and dropped before the ladder, so the whole entry quota
+/// goes to the keys that still need a read.
+#[test]
+fn resident_predictions_bypass_the_ladder() {
+    let cfg = ServeConfig { per_client_queue: 4, ..ServeConfig::default() };
+    let (server, _src) = det_server(cfg, 64);
+    let sid = server.open_session("v").unwrap();
+    let sub = server.submit(sid, 0, (0..8).map(key).collect(), vec![]).unwrap();
+    server.pump();
+    server.engine().run_until_idle();
+    assert!(sub.collect_ready(&server).iter().all(|r| r.result.is_ok()));
+    let completed = server.engine().metrics().completed;
+
+    let sub = server.submit(sid, 0, vec![], (0..12).map(|i| (key(i), 1.0)).collect()).unwrap();
+    assert_eq!(sub.resident(), 8, "keys 0..8 are resident");
+    assert_eq!((sub.shed(), sub.downgraded()), (0, 0));
+    let m = server.metrics();
+    assert_eq!((m.prefetch_admitted, m.prefetch_resident, m.prefetch_shed), (4, 8, 0));
+    let view = &server.sessions()[0];
+    assert_eq!((view.prefetch_submitted, view.prefetch_resident), (12, 8));
+
+    server.pump();
+    server.engine().run_until_idle();
+    assert_eq!(server.engine().metrics().completed, completed + 4, "keys 8..12 were read");
+    assert_eq!(server.engine().pool().len(), 12);
 }
 
 #[test]

@@ -90,16 +90,22 @@ fn main() {
     }
 
     let m = server.metrics();
+    let (pool_hits, _) = server.engine().pool().stats();
     println!("served {served} demand blocks across 3 clients");
     println!(
-        "source reads: {} (cross-client coalescing saved {} duplicate reads)",
+        "source reads: {}; demand pool hits: {pool_hits}; cross-client coalescing saved {} \
+         duplicate reads",
         src.reads(),
-        served as u64 - src.reads()
+        server.engine().metrics().cross_tag_coalesced
     );
     println!(
-        "admitted {} prefetch, downgraded {}, shed {}",
-        m.prefetch_admitted, m.prefetch_downgraded, m.prefetch_shed
+        "prefetch: admitted {}, downgraded {}, shed {}, already resident {}",
+        m.prefetch_admitted, m.prefetch_downgraded, m.prefetch_shed, m.prefetch_resident
     );
+    // Every predicted key has exactly one fate, summed over the sessions.
+    let submitted: u64 = server.sessions().iter().map(|v| v.prefetch_submitted).sum();
+    let fates = m.prefetch_admitted + m.prefetch_downgraded + m.prefetch_shed + m.prefetch_resident;
+    assert_eq!(submitted, fates, "every prefetch key is admitted, downgraded, shed or resident");
 
     let report = server.drain();
     println!(
