@@ -59,23 +59,12 @@ impl PolicyKind {
     }
 
     /// Stable small numeric code, used for telemetry eviction attribution
-    /// (the `arg` of `cache_evict` events) and in session journals. Codes
-    /// 2-8 belonged to policies that were removed and are retired: never
-    /// reuse or renumber.
+    /// (the `arg` of `cache_evict` events). Codes 2-8 belonged to policies
+    /// that were removed and are retired: never reuse or renumber.
     pub fn code(&self) -> u8 {
         match self {
             PolicyKind::Fifo => 0,
             PolicyKind::Lru => 1,
-        }
-    }
-
-    /// Inverse of [`PolicyKind::code`]; `None` for unknown (or retired)
-    /// codes.
-    pub fn from_code(code: u8) -> Option<PolicyKind> {
-        match code {
-            0 => Some(PolicyKind::Fifo),
-            1 => Some(PolicyKind::Lru),
-            _ => None,
         }
     }
 
@@ -94,17 +83,9 @@ mod kind_tests {
 
     #[test]
     fn codes_are_stable_and_unique() {
-        // Locked-in values: telemetry traces and journals persist across
-        // versions.
+        // Locked-in values: telemetry traces persist across versions.
         assert_eq!(PolicyKind::Fifo.code(), 0);
         assert_eq!(PolicyKind::Lru.code(), 1);
-        // from_code is the exact inverse, and the retired codes stay dead.
-        for k in [PolicyKind::Fifo, PolicyKind::Lru] {
-            assert_eq!(PolicyKind::from_code(k.code()), Some(k));
-        }
-        for code in 2..=u8::MAX {
-            assert_eq!(PolicyKind::from_code(code), None);
-        }
     }
 }
 

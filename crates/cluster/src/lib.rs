@@ -16,8 +16,9 @@
 //!   engine reads through a [`RoutedSource`]; cross-session coalescing
 //!   then dedupes concurrent remote fetches into one peer round trip.
 //! - [`router`] — the client side: split a frame's demand per owner,
-//!   merge replies, fail over along the ring-successor order the map
-//!   itself defines, spill to a replica when the owner is overloaded.
+//!   merge replies, and fail over along the ring-successor order the map
+//!   itself defines, hop-capping off-owner batches so the receiver reads
+//!   its local storage.
 //! - [`membership`] — deadline-based failure detection over `Ping` /
 //!   `Pong` heartbeats: suspected nodes route around *before* a demand
 //!   read pays a timeout, and re-admit the moment a probe succeeds.

@@ -15,21 +15,15 @@
 //! by construction: when the new map arrives the router is already
 //! talking to the right node, the map refresh just makes it official.
 //!
-//! ## Load-aware tie-breaking
+//! ## Off-owner batches
 //!
-//! Every node's `Stats` reply carries its engine queue depths
-//! (`engine_queue_demand` + `engine_queue_prefetch`). When the primary
-//! owner's backlog exceeds the first fallback's by more than
-//! [`RouterConfig::spill_depth`], the router sends the batch to the
-//! fallback instead — shared storage means any node *can* serve any key;
-//! ownership is a locality optimization, not a correctness constraint.
-//!
-//! A batch sent to a node that does *not* own its keys (spill, or
-//! failover before the survivors reassigned) goes out as a hop-capped
-//! `PeerFetch` rather than a plain `Fetch`: the receiving node's own
-//! router-at-the-source would otherwise forward the keys straight back
-//! to the overloaded or dead owner. The hop cap makes the receiver read
-//! its local storage directly — which is the entire point of the spill.
+//! Shared storage means any node *can* serve any key; ownership is a
+//! locality optimization, not a correctness constraint. A batch sent to
+//! a node that does *not* own its keys (failover before the survivors
+//! reassigned) goes out as a hop-capped `PeerFetch` rather than a plain
+//! `Fetch`: the receiving node's own router-at-the-source would
+//! otherwise forward the keys straight back to the dead owner. The hop
+//! cap makes the receiver read its local storage directly.
 
 use crate::peer::{Connector, PeerLink};
 use crate::shard::{NodeId, ShardMap};
@@ -56,9 +50,6 @@ pub struct RouterConfig {
     /// up. Each round regroups the still-pending keys under the freshest
     /// map, so one round per tolerated failure is enough.
     pub max_rounds: u32,
-    /// Send a batch to the first fallback instead of the owner when the
-    /// owner's queue backlog exceeds the fallback's by more than this.
-    pub spill_depth: u64,
     /// While any node is marked down, probe it with a `Ping` every this
     /// many frames (0 disables) — a crashed-then-restarted node resumes
     /// taking traffic without waiting for a map change.
@@ -67,7 +58,7 @@ pub struct RouterConfig {
 
 impl Default for RouterConfig {
     fn default() -> Self {
-        RouterConfig { candidates: 2, max_rounds: 3, spill_depth: 512, probe_every: 8 }
+        RouterConfig { candidates: 2, max_rounds: 3, probe_every: 8 }
     }
 }
 
@@ -105,9 +96,6 @@ pub struct Router {
     connect: Arc<Connector>,
     cfg: RouterConfig,
     conns: HashMap<u32, NodeConn>,
-    /// Last observed queue backlog per node (from `Stats`, or
-    /// [`Router::note_load`] in tests).
-    loads: HashMap<u32, u64>,
     /// Frames routed so far (drives the periodic down-node probe).
     frames: u64,
     /// Per-node clock-offset estimates from [`Router::sync_clocks`]
@@ -142,7 +130,6 @@ impl Router {
             connect,
             cfg,
             conns: HashMap::new(),
-            loads: HashMap::new(),
             frames: 0,
             offsets: HashMap::new(),
         }
@@ -176,33 +163,6 @@ impl Router {
             self.conns.iter().filter(|(_, c)| c.down).map(|(&id, _)| NodeId(id)).collect();
         v.sort();
         v
-    }
-
-    /// Record a node's queue backlog (tests; production uses
-    /// [`Router::refresh_loads`]).
-    pub fn note_load(&mut self, node: NodeId, backlog: u64) {
-        self.loads.insert(node.0, backlog);
-    }
-
-    /// Poll every live node's `Stats` and record its engine queue
-    /// backlog for spill decisions. Returns nodes successfully polled.
-    pub fn refresh_loads(&mut self) -> usize {
-        let mut polled = 0;
-        for node in self.map.clone().nodes() {
-            if self.conns.get(&node.0).is_some_and(|c| c.down) {
-                continue;
-            }
-            if let Ok(Response::StatsReply { counters }) = self.round_trip(*node, &Request::Stats) {
-                let backlog: u64 = counters
-                    .iter()
-                    .filter(|(n, _)| n == "engine_queue_demand" || n == "engine_queue_prefetch")
-                    .map(|(_, v)| v)
-                    .sum();
-                self.loads.insert(node.0, backlog);
-                polled += 1;
-            }
-        }
-        polled
     }
 
     /// Ask any live node for its map and install it if newer. Returns
@@ -345,15 +305,15 @@ impl Router {
             let mut batches: Vec<(u32, bool)> = groups.keys().copied().collect();
             batches.sort();
             // One job per node; a node serving both an owner batch and a
-            // direct (spill/failover) batch this round gets both, in
+            // direct (failover) batch this round gets both, in
             // order, on its one connection.
             type Batch = (bool, Vec<usize>, Vec<BlockKey>, Vec<(BlockKey, f64)>);
             let mut jobs: Vec<(u32, Vec<Batch>)> = Vec::new();
             for (nid, direct) in batches {
                 let idxs = groups.remove(&(nid, direct)).expect("batch key came from groups");
                 let keys: Vec<BlockKey> = idxs.iter().map(|&i| demand[i]).collect();
-                // Prefetch rides only with an owner batch; a spill target
-                // has no use speculating on blocks it does not own.
+                // Prefetch rides only with an owner batch; an off-owner
+                // target has no use speculating on blocks it does not own.
                 let pf = if direct {
                     Vec::new()
                 } else {
@@ -477,9 +437,8 @@ impl Router {
     }
 
     /// The node this key should try next: the first live, un-attempted
-    /// candidate — spilled to the next one when the load gap says the
-    /// primary is drowning. Falls back to any live candidate (repeat
-    /// attempts allowed) so transient errors can retry; `None` when every
+    /// candidate. Falls back to any live candidate (repeat attempts
+    /// allowed) so transient errors can retry; `None` when every
     /// candidate is down.
     fn pick(&self, key: BlockKey, attempted: &[NodeId]) -> Option<NodeId> {
         let cands = self.map.owners(key, self.cfg.candidates.max(1));
@@ -488,19 +447,7 @@ impl Router {
             .copied()
             .filter(|n| !self.conns.get(&n.0).is_some_and(|c| c.down))
             .collect();
-        let fresh: Vec<NodeId> = live.iter().copied().filter(|n| !attempted.contains(n)).collect();
-        match fresh.as_slice() {
-            [] => live.first().copied(),
-            [only] => Some(*only),
-            [first, second, ..] => {
-                let load = |n: &NodeId| self.loads.get(&n.0).copied().unwrap_or(0);
-                if load(first) > load(second).saturating_add(self.cfg.spill_depth) {
-                    Some(*second)
-                } else {
-                    Some(*first)
-                }
-            }
-        }
+        live.iter().copied().find(|n| !attempted.contains(n)).or_else(|| live.first().copied())
     }
 
     /// One batch round trip to `node` (see [`exchange_on`]).

@@ -4,7 +4,7 @@
 //! `fetch` call. Replies merge in sorted node order over disjoint
 //! per-node state, so every asserted outcome replays exactly.
 
-use viz_cluster::{NodeId, RouterConfig, ShardMap, ShardStrategy, TestCluster};
+use viz_cluster::{NodeId, ShardMap, ShardStrategy, TestCluster};
 use viz_volume::{BlockId, BlockKey};
 
 fn key(i: u32) -> BlockKey {
@@ -216,24 +216,30 @@ fn map_get_exchanges_the_current_map() {
 }
 
 #[test]
-fn overloaded_owner_spills_to_fallback_replica() {
+fn off_owner_batch_reads_local_storage() {
     let cluster = TestCluster::new(2, ShardStrategy::Ring);
     let keys = seed(&cluster, 8);
     let k = keys[0];
     let cands = cluster.map().owners(k, 2);
     let (owner, fallback) = (cands[0], cands[1]);
+    let mut router = cluster.router("viewer");
 
-    let mut router =
-        cluster.router_with("viewer", RouterConfig { spill_depth: 10, ..Default::default() });
-    router.note_load(owner, 100);
-    router.note_load(fallback, 0);
+    // The owner stops answering, but no map change names a new owner:
+    // the router marks it down and fails over to the ring successor.
+    cluster.isolate(owner);
+    assert!(router.fetch(vec![k], vec![]).blocks[0].result.is_ok());
+    assert_eq!(router.down_nodes(), vec![owner]);
+    assert_eq!(cluster.reads(fallback), 1, "fallback served the key locally");
 
-    let reply = router.fetch(vec![k], vec![]);
-    assert!(reply.blocks[0].result.is_ok());
-    // The spill batch went out hop-capped, so the fallback read its own
-    // storage instead of forwarding back to the drowning owner.
-    assert_eq!(cluster.reads(fallback), 1, "fallback served the spilled key locally");
-    assert_eq!(cluster.reads(owner), 0, "owner was left alone — that was the point");
+    // The owner answers again before the router probes it, so the next
+    // owner key still goes to the fallback. That batch is hop-capped, so
+    // the fallback reads its own storage instead of forwarding to the
+    // owner it does not know is back.
+    cluster.heal(owner);
+    let k2 = *keys[1..].iter().find(|&&x| cluster.map().owner(x) == Some(owner)).unwrap();
+    assert!(router.fetch(vec![k2], vec![]).blocks[0].result.is_ok());
+    assert_eq!(cluster.reads(fallback), 2, "fallback served the second key locally");
+    assert_eq!(cluster.reads(owner), 0, "owner read nothing");
 }
 
 #[test]

@@ -1,95 +1,15 @@
-//! Closed-loop controllers: the integral-controller abstraction and the
-//! adaptive-σ policy built on it.
+//! The adaptive-σ controller.
 //!
 //! The paper leaves the entropy threshold σ as a free parameter. Tuning
 //! it has a simple operational shape: a scalar output bounded to a safe
 //! range, chasing a measurable target ("prefetch time ≈ render time"),
 //! where over- and under-shoot by equal *factors* deserve equal
-//! corrections. [`IntegralController`] is
-//! that shape, extracted once: a log-ratio integral controller whose
-//! integrator *is* the clamped output — the standard conditional
-//! anti-windup, so a controller that sat pinned at a bound for an hour
-//! responds to the first reversal at full gain instead of unwinding an
-//! accumulated error backlog.
-//!
-//! [`SigmaController`] (the original in-process session tuner, and since
-//! the serve wiring also the server-side flight tuner) is a thin facade
-//! over it.
-
-/// Configuration of a bounded log-ratio integral controller.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ControllerConfig {
-    /// Integral gain, in output units per unit of log-ratio error.
-    pub gain: f64,
-    /// Lower output clamp.
-    pub min: f64,
-    /// Upper output clamp.
-    pub max: f64,
-}
-
-impl ControllerConfig {
-    /// A controller confined to `[min, max]` with `gain`.
-    pub fn new(gain: f64, min: f64, max: f64) -> Self {
-        assert!(gain >= 0.0, "gain must be non-negative");
-        assert!(min <= max, "controller bounds inverted");
-        ControllerConfig { gain, min, max }
-    }
-}
-
-/// A bounded integral controller on log-ratio error (see module docs).
-///
-/// `observe(actual, target)` nudges the output by
-/// `gain · ln(actual/target)` and clamps it into `[min, max]`. Because
-/// the clamped output is the *only* integrator state, saturation cannot
-/// wind up: at a bound the controller simply stays there, and the first
-/// error reversal moves it immediately.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IntegralController {
-    cfg: ControllerConfig,
-    output: f64,
-}
-
-impl IntegralController {
-    /// Start from `initial` (clamped into bounds).
-    pub fn new(cfg: ControllerConfig, initial: f64) -> Self {
-        assert!(cfg.gain >= 0.0, "gain must be non-negative");
-        assert!(cfg.min <= cfg.max, "controller bounds inverted");
-        IntegralController { cfg, output: initial.clamp(cfg.min, cfg.max) }
-    }
-
-    /// The current output.
-    pub fn output(&self) -> f64 {
-        self.output
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> ControllerConfig {
-        self.cfg
-    }
-
-    /// `true` when the output sits at its lower bound.
-    pub fn at_min(&self) -> bool {
-        self.output <= self.cfg.min
-    }
-
-    /// `true` when the output sits at its upper bound.
-    pub fn at_max(&self) -> bool {
-        self.output >= self.cfg.max
-    }
-
-    /// Feed one measurement of `actual` against `target`; returns the
-    /// updated output. Raises the output when `actual > target`, lowers
-    /// it when under; non-positive or non-finite inputs carry no signal
-    /// and leave the output unchanged.
-    pub fn observe(&mut self, actual: f64, target: f64) -> f64 {
-        if !(actual.is_finite() && target.is_finite()) || actual <= 0.0 || target <= 0.0 {
-            return self.output;
-        }
-        let error = (actual / target).ln();
-        self.output = (self.output + self.cfg.gain * error).clamp(self.cfg.min, self.cfg.max);
-        self.output
-    }
-}
+//! corrections. [`SigmaController`] is that shape: a log-ratio integral
+//! controller whose integrator *is* the clamped σ — the standard
+//! conditional anti-windup, so a controller that sat pinned at a bound
+//! for an hour responds to the first reversal at full gain instead of
+//! unwinding an accumulated error backlog. It tunes σ for in-process
+//! sessions and, through the serve wiring, for each server-side flight.
 
 /// Configuration of the σ controller.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -120,29 +40,30 @@ impl AdaptiveSigma {
 
 /// The σ controller: prefetch is free exactly while it hides under
 /// rendering (§IV-D), so the ideal σ admits just enough blocks that
-/// per-step prefetch time ≈ render time. A facade over
-/// [`IntegralController`] — σ rises (prefetch less) when prefetch spills
-/// past the render window, falls (use the idle I/O) when under-used.
+/// per-step prefetch time ≈ render time. σ rises (prefetch less) when
+/// prefetch spills past the render window, falls (use the idle I/O) when
+/// under-used, each step by `gain · ln(actual/target)`, clamped into
+/// `[min_sigma, max_sigma]`. Because the clamped σ is the *only*
+/// integrator state, saturation cannot wind up: at a bound the controller
+/// simply stays there, and the first error reversal moves it immediately.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SigmaController {
     cfg: AdaptiveSigma,
-    inner: IntegralController,
+    sigma: f64,
 }
 
 impl SigmaController {
-    /// Start from an initial σ.
+    /// Start from an initial σ (clamped into bounds).
     pub fn new(cfg: AdaptiveSigma, initial_sigma: f64) -> Self {
         assert!(cfg.target_ratio > 0.0, "target ratio must be positive");
-        let inner = IntegralController::new(
-            ControllerConfig::new(cfg.gain, cfg.min_sigma, cfg.max_sigma),
-            initial_sigma,
-        );
-        SigmaController { cfg, inner }
+        assert!(cfg.gain >= 0.0, "gain must be non-negative");
+        assert!(cfg.min_sigma <= cfg.max_sigma, "controller bounds inverted");
+        SigmaController { cfg, sigma: initial_sigma.clamp(cfg.min_sigma, cfg.max_sigma) }
     }
 
     /// Current threshold.
     pub fn sigma(&self) -> f64 {
-        self.inner.output()
+        self.sigma
     }
 
     /// The configuration in force.
@@ -152,10 +73,11 @@ impl SigmaController {
 
     /// Feed one step's measured prefetch and render durations; returns the
     /// updated σ. Uses the log of the fill ratio so over- and under-shoot
-    /// of equal *factors* produce equal corrections.
+    /// of equal *factors* produce equal corrections. A non-positive or
+    /// non-finite render time carries no signal and leaves σ unchanged.
     pub fn observe(&mut self, prefetch_s: f64, render_s: f64) -> f64 {
         if render_s <= 0.0 {
-            return self.sigma();
+            return self.sigma;
         }
         let target = self.cfg.target_ratio * render_s;
         // Steps with zero prefetch (everything already resident) carry no
@@ -164,7 +86,13 @@ impl SigmaController {
         // per-step correction to `gain * ln(1/2)` instead of letting a
         // single empty step slam σ to its minimum clamp.
         let actual = prefetch_s.max(0.5 * target);
-        self.inner.observe(actual, target)
+        if !(actual.is_finite() && target.is_finite()) || actual <= 0.0 || target <= 0.0 {
+            return self.sigma;
+        }
+        let error = (actual / target).ln();
+        self.sigma =
+            (self.sigma + self.cfg.gain * error).clamp(self.cfg.min_sigma, self.cfg.max_sigma);
+        self.sigma
     }
 }
 
@@ -198,20 +126,29 @@ mod tests {
         let before = c.sigma();
         c.observe(0.9 * 0.05, 0.05); // exactly the target ratio
         assert!((c.sigma() - before).abs() < 1e-9);
+        // Over by 2x then under by 2x: equal factors, equal and opposite
+        // corrections, back where it started.
+        c.observe(2.0 * 0.9 * 0.05, 0.05);
+        assert!(c.sigma() > before);
+        c.observe(0.5 * 0.9 * 0.05, 0.05);
+        assert!((c.sigma() - before).abs() < 1e-12);
     }
 
     #[test]
     fn sigma_stays_clamped() {
+        // An out-of-range initial σ starts at the nearer bound.
+        assert_eq!(controller(99.0).sigma(), 6.0);
+        assert_eq!(controller(-1.0).sigma(), 0.0);
         let mut c = controller(5.9);
         for _ in 0..100 {
             c.observe(10.0, 0.01); // massive overshoot
         }
-        assert!(c.sigma() <= 6.0 + 1e-12);
+        assert_eq!(c.sigma(), 6.0);
         let mut c = controller(0.1);
         for _ in 0..100 {
             c.observe(0.0, 0.01);
         }
-        assert!(c.sigma() >= 0.0);
+        assert_eq!(c.sigma(), 0.0);
     }
 
     #[test]
@@ -219,6 +156,13 @@ mod tests {
         let mut c = controller(2.0);
         let before = c.sigma();
         c.observe(0.5, 0.0);
+        assert_eq!(c.sigma(), before);
+        // Negative or non-finite render times carry no signal either.
+        for render in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            c.observe(0.5, render);
+            c.observe(f64::NAN, render);
+            c.observe(f64::INFINITY, render);
+        }
         assert_eq!(c.sigma(), before);
     }
 
@@ -303,42 +247,5 @@ mod tests {
         let moved = c.sigma() - before;
         let expect = one_step_correction(cfg.gain, 4.0);
         assert!((moved - expect).abs() < 1e-9, "windup detected: moved {moved} expected {expect}");
-    }
-
-    // ---- the generic controller ------------------------------------
-
-    #[test]
-    fn integral_controller_tracks_and_clamps() {
-        let mut c = IntegralController::new(ControllerConfig::new(0.5, 0.0, 10.0), 5.0);
-        assert_eq!(c.output(), 5.0);
-        c.observe(2.0, 1.0); // over target: raise
-        assert!(c.output() > 5.0);
-        c.observe(1.0, 2.0); // under target: back down
-        assert!((c.output() - 5.0).abs() < 1e-12);
-        for _ in 0..200 {
-            c.observe(100.0, 1.0);
-        }
-        assert!(c.at_max());
-        for _ in 0..200 {
-            c.observe(1.0, 100.0);
-        }
-        assert!(c.at_min());
-    }
-
-    #[test]
-    fn degenerate_inputs_are_noops() {
-        let mut c = IntegralController::new(ControllerConfig::new(0.5, 0.0, 10.0), 5.0);
-        c.observe(0.0, 1.0);
-        c.observe(1.0, 0.0);
-        c.observe(f64::NAN, 1.0);
-        c.observe(1.0, f64::NAN);
-        c.observe(0.0, 0.0);
-        assert_eq!(c.output(), 5.0);
-    }
-
-    #[test]
-    fn initial_output_is_clamped() {
-        let c = IntegralController::new(ControllerConfig::new(0.1, 1.0, 2.0), 99.0);
-        assert_eq!(c.output(), 2.0);
     }
 }

@@ -69,36 +69,28 @@
 pub mod adaptive;
 pub mod degraded;
 pub mod distribution;
-pub mod eval;
 pub mod flight;
 pub mod histable;
 pub mod importance;
 pub mod lod;
-pub mod multivar;
 pub mod persist;
 pub mod prediction;
 pub mod radius;
-pub mod replay;
 pub mod report;
 pub mod sampling;
 pub mod session;
 pub mod trace;
 
-pub use adaptive::{AdaptiveSigma, ControllerConfig, IntegralController, SigmaController};
+pub use adaptive::{AdaptiveSigma, SigmaController};
 pub use degraded::{fetch_frame, FrameFetchReport};
 pub use distribution::{parallel_fetch_time, serial_fetch_time, DeviceId, Distribution};
-pub use eval::{across_seeds, RunningStats};
 pub use flight::{ClientFlight, FrameRequest};
 pub use histable::BlockHistogramTable;
 pub use importance::{ImportanceEntry, ImportanceTable};
 pub use lod::{run_lod_session, LodPolicy, LodReport};
-pub use multivar::{
-    run_multivar_session, ExplorationScript, MultiVarReport, MultiVarStrategy, ScriptStep,
-};
 pub use persist::{load_tables, save_tables};
 pub use prediction::extrapolate_pose;
 pub use radius::RadiusModel;
-pub use replay::{compare, Comparison, JournalEntry, MetricDelta};
 pub use report::{Metric, Row, Table};
 pub use sampling::{
     visible_blocks, visible_blocks_brute_force, RadiusRule, SamplingConfig, VisibleTable,

@@ -192,14 +192,6 @@ pub struct SessionReport {
     pub per_step: Vec<StepMetrics>,
 }
 
-impl SessionReport {
-    /// The demand access trace is replayable through Belady's MIN; this
-    /// helper just documents the pairing.
-    pub fn misses_per_step(&self) -> impl Iterator<Item = usize> + '_ {
-        self.per_step.iter().map(|s| s.misses)
-    }
-}
-
 /// Session configuration independent of the strategy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionConfig {

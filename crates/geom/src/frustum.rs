@@ -101,14 +101,6 @@ impl ConeFrustum {
             || block.contains(self.apex)
     }
 
-    /// Exact whole-box containment: `true` only when every point of `block`
-    /// lies inside the cone. Valid because a cone with half angle ≤ 90° is
-    /// convex, so corner containment implies containment of the hull; wider
-    /// (non-convex) cones conservatively return `false`.
-    pub fn contains_aabb(&self, block: &Aabb) -> bool {
-        self.cos_half_angle >= 0.0 && block.corners().iter().all(|&c| self.contains_point(c))
-    }
-
     /// Conservative sphere-vs-cone test on the block's bounding sphere.
     /// Never misses a visible block (may over-include), making it suitable
     /// for prefetch candidate generation.

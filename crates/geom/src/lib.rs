@@ -57,7 +57,7 @@ pub use bvh::Bvh;
 pub use camera::{CameraBasis, CameraPose};
 pub use frustum::{ConeFrustum, PlaneFrustum, SphereClass};
 pub use keyframe::{Keyframe, KeyframePath};
-pub use path::{CameraPath, CompositePath, RandomWalkPath, SphericalPath, ZoomPath};
+pub use path::{CameraPath, RandomWalkPath, SphericalPath};
 pub use quat::Quat;
 pub use ray::{Ray, RayGenerator};
 pub use rng::SplitMix64;

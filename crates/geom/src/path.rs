@@ -171,91 +171,6 @@ impl CameraPath for RandomWalkPath {
     }
 }
 
-/// Zoom in/out along a fixed direction: distance sweeps linearly from
-/// `d_start` to `d_end` and back (triangle wave over the path).
-#[derive(Debug, Clone)]
-pub struct ZoomPath {
-    /// Exploration domain (distances are clamped into it).
-    pub domain: ExplorationDomain,
-    /// Fixed view direction (center towards camera), normalized.
-    pub direction: Vec3,
-    /// Distance at the path ends.
-    pub d_start: f64,
-    /// Distance at the path midpoint.
-    pub d_end: f64,
-    /// Full frustum view angle in radians.
-    pub view_angle: f64,
-}
-
-impl ZoomPath {
-    /// Create a zoom path along a fixed direction.
-    pub fn new(
-        domain: ExplorationDomain,
-        direction: Vec3,
-        d_start: f64,
-        d_end: f64,
-        view_angle: f64,
-    ) -> Self {
-        ZoomPath { domain, direction: direction.normalize(), d_start, d_end, view_angle }
-    }
-}
-
-impl CameraPath for ZoomPath {
-    fn generate(&self, n: usize) -> Vec<CameraPose> {
-        let mut poses = Vec::with_capacity(n);
-        for i in 0..n {
-            // Triangle wave in [0, 1]: 0 → 1 → 0 over the path.
-            let t = if n <= 1 { 0.0 } else { i as f64 / (n - 1) as f64 };
-            let tri = 1.0 - (2.0 * t - 1.0).abs();
-            let d = (self.d_start + (self.d_end - self.d_start) * tri)
-                .clamp(self.domain.r_min, self.domain.r_max);
-            poses.push(CameraPose::new(
-                self.domain.center + self.direction * d,
-                self.domain.center,
-                self.view_angle,
-            ));
-        }
-        poses
-    }
-
-    fn label(&self) -> String {
-        format!("zoom(d={:.2}..{:.2})", self.d_start, self.d_end)
-    }
-}
-
-/// Concatenation of several paths, splitting the pose budget evenly.
-pub struct CompositePath {
-    /// Ordered path segments.
-    pub segments: Vec<Box<dyn CameraPath + Send + Sync>>,
-}
-
-impl CompositePath {
-    /// Create from segments (at least one).
-    pub fn new(segments: Vec<Box<dyn CameraPath + Send + Sync>>) -> Self {
-        assert!(!segments.is_empty(), "composite path needs at least one segment");
-        CompositePath { segments }
-    }
-}
-
-impl CameraPath for CompositePath {
-    fn generate(&self, n: usize) -> Vec<CameraPose> {
-        let k = self.segments.len();
-        let base = n / k;
-        let extra = n % k;
-        let mut poses = Vec::with_capacity(n);
-        for (i, seg) in self.segments.iter().enumerate() {
-            let len = base + usize::from(i < extra);
-            poses.extend(seg.generate(len));
-        }
-        poses
-    }
-
-    fn label(&self) -> String {
-        let inner: Vec<String> = self.segments.iter().map(|s| s.label()).collect();
-        format!("composite[{}]", inner.join("+"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,29 +228,6 @@ mod tests {
             let d = pose.distance();
             assert!((1.5 - 1e-9..=6.0 + 1e-9).contains(&d), "d = {d} escaped the domain");
         }
-    }
-
-    #[test]
-    fn zoom_path_sweeps_and_returns() {
-        let p = ZoomPath::new(domain(), Vec3::X, 2.0, 5.0, 0.7);
-        let poses = p.generate(101);
-        assert!((poses[0].distance() - 2.0).abs() < 1e-9);
-        assert!((poses[50].distance() - 5.0).abs() < 1e-9);
-        assert!((poses[100].distance() - 2.0).abs() < 1e-9);
-        // Direction never changes on a zoom path.
-        for w in poses.windows(2) {
-            assert!(w[0].direction_change(&w[1]) < 1e-9);
-        }
-    }
-
-    #[test]
-    fn composite_splits_budget() {
-        let c = CompositePath::new(vec![
-            Box::new(SphericalPath::new(domain(), 3.0, 5.0, 0.7)),
-            Box::new(ZoomPath::new(domain(), Vec3::X, 2.0, 5.0, 0.7)),
-        ]);
-        assert_eq!(c.generate(99).len(), 99);
-        assert_eq!(c.generate(100).len(), 100);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Little-endian field I/O for the framed binary codecs (`VBLK` here;
-//! `TVIS`, `TIMP`, `THBT` and `VJRN` in `viz-core`): append a field to a
+//! `TVIS`, `TIMP` and `THBT` in `viz-core`): append a field to a
 //! `Vec<u8>`, split one off the front of a `&[u8]`. Voxel payloads — the
 //! only fields that run to megabytes — go through the bulk pair
 //! [`put_f32s`] / [`get_f32s`], shared by `VBLK` frames, the raw block

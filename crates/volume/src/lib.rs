@@ -38,7 +38,6 @@
 pub mod bvh;
 pub mod checksum;
 pub mod codec;
-pub mod combinators;
 pub mod datasets;
 pub mod dims;
 pub mod field;
@@ -49,7 +48,6 @@ pub mod lod;
 pub mod noise;
 pub mod stats;
 pub mod store;
-pub mod timevarying;
 
 pub use bvh::BlockBvh;
 pub use checksum::crc32;
@@ -62,4 +60,3 @@ pub use layout::{BlockId, BrickLayout};
 pub use lod::{LodLevel, LodPyramid};
 pub use stats::{BlockStats, Histogram};
 pub use store::{BlockKey, BlockSource, DiskBlockStore, MemBlockStore};
-pub use timevarying::{FieldCache, FieldKey};

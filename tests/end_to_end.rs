@@ -3,8 +3,8 @@
 
 use viz_appaware::cache::PolicyKind;
 use viz_appaware::core::{
-    run_session, AppAwareConfig, ImportanceTable, JournalEntry, RadiusModel, RadiusRule,
-    SamplingConfig, SessionConfig, Strategy, VisibleTable,
+    run_session, AppAwareConfig, ImportanceTable, RadiusModel, RadiusRule, SamplingConfig,
+    SessionConfig, Strategy, VisibleTable,
 };
 use viz_appaware::geom::angle::deg_to_rad;
 use viz_appaware::geom::{CameraPath, CameraPose, ExplorationDomain, SphericalPath, Vec3};
@@ -114,11 +114,6 @@ fn reports_are_serializable_and_consistent() {
     let path = orbit(60, 8.0);
     let strategy = Strategy::AppAware(AppAwareConfig::paper(s.sigma));
     let r = run_session(&s.cfg, &s.layout, &strategy, &path, Some((&s.t_visible, &s.importance)));
-    // Journal (VJRN) roundtrip across crate boundaries.
-    let entry = JournalEntry::new("end_to_end/orbit8", &s.cfg, &strategy, r.clone());
-    let back = JournalEntry::from_bytes(&entry.to_bytes()).unwrap();
-    assert_eq!(back, entry);
-    assert_eq!(back.report, r);
     // Aggregates equal per-step sums.
     let io: f64 = r.per_step.iter().map(|x| x.io_s).sum();
     let total: f64 = r.per_step.iter().map(|x| x.total_s).sum();
