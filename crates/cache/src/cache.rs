@@ -1,9 +1,15 @@
 //! A single cache level: bounded set of resident keys governed by a
 //! replacement policy, with pin support for the paper's "only evict blocks
 //! whose last use is older than the current step" rule.
+//!
+//! A pin of a resident key goes to the policy, which takes the key out of
+//! its victim order (O(1)); only a key pinned *before* it is resident waits
+//! here, in a small set, until [`CacheLevel::insert`] hands its pin to the
+//! policy. So an insert at capacity costs one victim read, however many
+//! resident keys the current view step has pinned.
 
+use crate::order::KeySet;
 use crate::policy::{PolicyKind, ReplacementPolicy};
-use std::collections::HashSet;
 use std::hash::Hash;
 
 /// Outcome of requesting a key.
@@ -21,14 +27,15 @@ pub enum Lookup {
 pub struct CacheLevel<K: Copy + Eq + Hash> {
     policy: Box<dyn ReplacementPolicy<K>>,
     capacity: usize,
-    pinned: HashSet<K>,
+    /// Keys pinned while absent; pinned in the policy once inserted.
+    pinned_absent: KeySet<K>,
 }
 
 impl<K: Copy + Eq + Hash + Send + 'static> CacheLevel<K> {
     /// Create with a built-in policy.
     pub fn new(kind: PolicyKind, capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
-        CacheLevel { policy: kind.build(), capacity, pinned: HashSet::new() }
+        CacheLevel { policy: kind.build(), capacity, pinned_absent: KeySet::default() }
     }
 }
 
@@ -56,8 +63,7 @@ impl<K: Copy + Eq + Hash> CacheLevel<K> {
     /// Record an access: returns [`Lookup::Hit`] and updates recency when
     /// resident, [`Lookup::Miss`] otherwise (no insertion).
     pub fn access(&mut self, key: K) -> Lookup {
-        if self.policy.contains(&key) {
-            self.policy.on_hit(key);
+        if self.policy.on_hit(key) {
             Lookup::Hit
         } else {
             Lookup::Miss
@@ -72,41 +78,46 @@ impl<K: Copy + Eq + Hash> CacheLevel<K> {
     /// caller is about to use (Algorithm 1 pins at most the current
     /// frame's working set, which the experiments keep below capacity).
     pub fn insert(&mut self, key: K) -> Vec<K> {
-        if self.policy.contains(&key) {
-            self.policy.on_hit(key);
+        if self.policy.on_hit(key) {
             return Vec::new();
         }
         let mut evicted = Vec::new();
         while self.policy.len() >= self.capacity {
-            let pinned = &self.pinned;
-            match self.policy.choose_victim(&mut |k| !pinned.contains(k)) {
+            match self.policy.choose_victim() {
                 Some(v) => evicted.push(v),
                 None => break, // everything pinned: allow overflow
             }
         }
         self.policy.on_insert(key);
+        if !self.pinned_absent.is_empty() && self.pinned_absent.remove(&key) {
+            self.policy.pin(&key);
+        }
         evicted
     }
 
     /// Remove a key outright (invalidation).
     pub fn remove(&mut self, key: &K) {
         self.policy.on_remove(key);
-        self.pinned.remove(key);
+        self.pinned_absent.remove(key);
     }
 
     /// Protect a key from eviction until [`Self::unpin_all`] (or removal).
+    /// An absent key is protected from the moment it is inserted.
     pub fn pin(&mut self, key: K) {
-        self.pinned.insert(key);
+        if !self.policy.pin(&key) {
+            self.pinned_absent.insert(key);
+        }
     }
 
     /// Release every pin.
     pub fn unpin_all(&mut self) {
-        self.pinned.clear();
+        self.policy.unpin_all();
+        self.pinned_absent.clear();
     }
 
-    /// Number of currently pinned keys.
+    /// Number of currently pinned keys, resident or not.
     pub fn pinned_len(&self) -> usize {
-        self.pinned.len()
+        self.policy.pinned_len() + self.pinned_absent.len()
     }
 }
 
@@ -192,6 +203,21 @@ mod tests {
         c.remove(&1);
         assert_eq!(c.pinned_len(), 0);
         assert!(!c.contains(&1));
+    }
+
+    #[test]
+    fn pin_of_an_absent_key_takes_effect_on_insert() {
+        let mut c = lru(2);
+        c.pin(1);
+        assert_eq!(c.pinned_len(), 1);
+        c.insert(1);
+        c.insert(2);
+        assert_eq!(c.pinned_len(), 1);
+        // 1 is LRU but pinned since before it arrived.
+        assert_eq!(c.insert(3), vec![2]);
+        c.unpin_all();
+        assert_eq!(c.pinned_len(), 0);
+        assert_eq!(c.insert(4), vec![1]);
     }
 
     #[test]

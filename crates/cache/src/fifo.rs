@@ -1,77 +1,77 @@
 //! First-In First-Out replacement (paper baseline).
+//!
+//! The same slab as [`crate::lru`] (`order.rs`) over an arrival list
+//! that hits never reorder: the victim is the oldest unpinned arrival, in
+//! O(1). A pinned key keeps its place in arrival order, and a removed key
+//! is unlinked at once, so a key that returns is the newest arrival.
 
+use crate::order::KeyOrder;
 use crate::policy::ReplacementPolicy;
-use std::collections::{HashSet, VecDeque};
 use std::hash::Hash;
 
 /// Evicts in arrival order, ignoring accesses entirely.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct FifoPolicy<K> {
-    queue: VecDeque<K>,
-    resident: HashSet<K>,
+    order: KeyOrder<K>,
 }
 
 impl<K: Copy + Eq + Hash> FifoPolicy<K> {
     /// Create an empty FIFO policy.
     pub fn new() -> Self {
-        FifoPolicy { queue: VecDeque::new(), resident: HashSet::new() }
+        FifoPolicy { order: KeyOrder::new() }
+    }
+}
+
+impl<K: Copy + Eq + Hash> Default for FifoPolicy<K> {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
 impl<K: Copy + Eq + Hash + Send> ReplacementPolicy<K> for FifoPolicy<K> {
     fn on_insert(&mut self, key: K) {
-        debug_assert!(!self.resident.contains(&key), "duplicate insert");
-        self.queue.push_back(key);
-        self.resident.insert(key);
+        self.order.insert(key);
     }
 
-    fn on_hit(&mut self, _key: K) {
+    fn on_hit(&mut self, key: K) -> bool {
         // FIFO is access-oblivious.
+        self.order.contains(&key)
     }
 
-    fn choose_victim(&mut self, is_evictable: &mut dyn FnMut(&K) -> bool) -> Option<K> {
-        // Scan from the oldest entry; skipped (pinned or stale) entries are
-        // rotated to preserve relative order cheaply.
-        let mut scanned = 0;
-        let limit = self.queue.len();
-        while scanned < limit {
-            let k = *self.queue.front()?;
-            if !self.resident.contains(&k) {
-                // Stale entry from an external removal.
-                self.queue.pop_front();
-                continue;
-            }
-            if is_evictable(&k) {
-                self.queue.pop_front();
-                self.resident.remove(&k);
-                return Some(k);
-            }
-            // Pinned: rotate to the back, remember we have seen it.
-            self.queue.rotate_left(1);
-            scanned += 1;
-        }
-        None
+    fn choose_victim(&mut self) -> Option<K> {
+        self.order.pop_victim()
     }
 
     fn on_remove(&mut self, key: &K) {
-        // Lazy removal: drop from the resident set; the queue entry is
-        // skipped when it surfaces.
-        self.resident.remove(key);
+        self.order.remove(key);
+    }
+
+    fn pin(&mut self, key: &K) -> bool {
+        self.order.pin(key)
+    }
+
+    fn unpin_all(&mut self) {
+        self.order.unpin_all();
+    }
+
+    fn pinned_len(&self) -> usize {
+        self.order.pinned_len()
     }
 
     fn len(&self) -> usize {
-        self.resident.len()
+        self.order.len()
     }
 
     fn contains(&self, key: &K) -> bool {
-        self.resident.contains(key)
+        self.order.contains(key)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::conformance;
+    use crate::cache::CacheLevel;
+    use crate::policy::{conformance, PolicyKind};
 
     #[test]
     fn conformance_lifecycle() {
@@ -94,8 +94,8 @@ mod tests {
         for k in [5u32, 1, 9, 2] {
             p.on_insert(k);
         }
-        assert_eq!(p.choose_victim(&mut |_| true), Some(5));
-        assert_eq!(p.choose_victim(&mut |_| true), Some(1));
+        assert_eq!(p.choose_victim(), Some(5));
+        assert_eq!(p.choose_victim(), Some(1));
     }
 
     #[test]
@@ -105,7 +105,7 @@ mod tests {
         p.on_insert(2);
         p.on_hit(1);
         p.on_hit(1);
-        assert_eq!(p.choose_victim(&mut |_| true), Some(1));
+        assert_eq!(p.choose_victim(), Some(1));
     }
 
     #[test]
@@ -113,7 +113,8 @@ mod tests {
         let mut p = FifoPolicy::new();
         p.on_insert(1u32);
         p.on_insert(2);
-        assert_eq!(p.choose_victim(&mut |k| *k != 1), Some(2));
+        p.pin(&1);
+        assert_eq!(p.choose_victim(), Some(2));
         assert!(p.contains(&1));
     }
 
@@ -123,7 +124,33 @@ mod tests {
         p.on_insert(1u32);
         p.on_insert(2);
         p.on_remove(&1);
-        assert_eq!(p.choose_victim(&mut |_| true), Some(2));
-        assert_eq!(p.choose_victim(&mut |_| true), None);
+        assert_eq!(p.choose_victim(), Some(2));
+        assert_eq!(p.choose_victim(), None);
+    }
+
+    /// A pinned key skipped by a victim search keeps its age: once
+    /// unpinned it is again the oldest arrival.
+    #[test]
+    fn pinned_key_keeps_its_age_through_a_victim_search() {
+        let mut c = CacheLevel::new(PolicyKind::Fifo, 3);
+        for k in [1u32, 2, 3] {
+            c.insert(k);
+        }
+        c.pin(1);
+        assert_eq!(c.insert(4), vec![2]);
+        c.unpin_all();
+        assert_eq!(c.insert(5), vec![1]);
+    }
+
+    /// A removed key that returns is the newest arrival, not its old self.
+    #[test]
+    fn reinserted_key_is_the_newest_arrival() {
+        let mut c = CacheLevel::new(PolicyKind::Fifo, 3);
+        c.insert(1u32);
+        c.insert(2);
+        c.remove(&1);
+        c.insert(3);
+        c.insert(1);
+        assert_eq!(c.insert(4), vec![2]);
     }
 }

@@ -6,7 +6,9 @@
 //! evaluation.
 //!
 //! - [`policy`] — the [`policy::ReplacementPolicy`] trait and [`policy::PolicyKind`].
-//! - [`fifo`], [`lru`] — policy implementations.
+//! - [`fifo`], [`lru`] — policy implementations, sharing one slab of two
+//!   lists (every resident key, and the unpinned ones) so that a victim is
+//!   O(1) however many keys are pinned.
 //! - [`belady`] — offline-optimal (MIN) trace simulation.
 //! - [`cache`] — one bounded cache level with pin support.
 //! - [`cost`] — per-tier latency/bandwidth cost model.
@@ -33,6 +35,7 @@ pub mod cost;
 pub mod fifo;
 pub mod hierarchy;
 pub mod lru;
+mod order;
 pub mod policy;
 pub mod stats;
 

@@ -1,93 +1,35 @@
 //! Least-Recently-Used replacement (paper baseline, and the in-frame
-//! eviction rule inside the paper's Algorithm 1).
+//! eviction rule inside the paper's Algorithm 1: LRU among the blocks the
+//! current view step has not pinned).
 //!
-//! Implemented as an intrusive doubly-linked list over a slab of nodes:
-//! O(1) insert / hit / unlink, O(k) victim search where k is the number of
-//! pinned entries skipped (k = 0 for plain LRU use).
+//! Built on the slab of two intrusive lists in `order.rs`: the recency
+//! list of every resident key, and the sub-list of unpinned keys in the
+//! same order. Insert, hit, pin, removal and the victim are all O(1) —
+//! the victim is the unpinned list's tail, never a walk past pinned
+//! entries — and `unpin_all` is one walk of the recency list per view
+//! step.
 
+use crate::order::KeyOrder;
 use crate::policy::ReplacementPolicy;
-use std::collections::HashMap;
 use std::hash::Hash;
 
-const NIL: usize = usize::MAX;
-
-#[derive(Debug, Clone)]
-struct Node<K> {
-    key: K,
-    prev: usize,
-    next: usize,
-}
-
-/// Classic LRU list: most-recent at the head, victims taken from the tail.
+/// Classic LRU list: most-recent at the head, victims taken from the
+/// unpinned tail.
 #[derive(Debug)]
 pub struct LruPolicy<K> {
-    nodes: Vec<Node<K>>,
-    free: Vec<usize>,
-    index: HashMap<K, usize>,
-    head: usize,
-    tail: usize,
+    order: KeyOrder<K>,
 }
 
 impl<K: Copy + Eq + Hash> LruPolicy<K> {
     /// Create an empty LRU policy.
     pub fn new() -> Self {
-        LruPolicy {
-            nodes: Vec::new(),
-            free: Vec::new(),
-            index: HashMap::new(),
-            head: NIL,
-            tail: NIL,
-        }
+        LruPolicy { order: KeyOrder::new() }
     }
 
-    fn unlink(&mut self, i: usize) {
-        let (prev, next) = (self.nodes[i].prev, self.nodes[i].next);
-        if prev != NIL {
-            self.nodes[prev].next = next;
-        } else {
-            self.head = next;
-        }
-        if next != NIL {
-            self.nodes[next].prev = prev;
-        } else {
-            self.tail = prev;
-        }
-        self.nodes[i].prev = NIL;
-        self.nodes[i].next = NIL;
-    }
-
-    fn push_front(&mut self, i: usize) {
-        self.nodes[i].prev = NIL;
-        self.nodes[i].next = self.head;
-        if self.head != NIL {
-            self.nodes[self.head].prev = i;
-        }
-        self.head = i;
-        if self.tail == NIL {
-            self.tail = i;
-        }
-    }
-
-    fn alloc(&mut self, key: K) -> usize {
-        if let Some(i) = self.free.pop() {
-            self.nodes[i] = Node { key, prev: NIL, next: NIL };
-            i
-        } else {
-            self.nodes.push(Node { key, prev: NIL, next: NIL });
-            self.nodes.len() - 1
-        }
-    }
-
-    /// Keys from least- to most-recently used (tail to head). Test helper
+    /// Keys from least- to most-recently used, pinned or not. Test helper
     /// and debugging aid.
     pub fn lru_order(&self) -> Vec<K> {
-        let mut out = Vec::with_capacity(self.index.len());
-        let mut i = self.tail;
-        while i != NIL {
-            out.push(self.nodes[i].key);
-            i = self.nodes[i].prev;
-        }
-        out
+        self.order.oldest_first()
     }
 }
 
@@ -99,47 +41,39 @@ impl<K: Copy + Eq + Hash> Default for LruPolicy<K> {
 
 impl<K: Copy + Eq + Hash + Send> ReplacementPolicy<K> for LruPolicy<K> {
     fn on_insert(&mut self, key: K) {
-        debug_assert!(!self.index.contains_key(&key), "duplicate insert");
-        let i = self.alloc(key);
-        self.push_front(i);
-        self.index.insert(key, i);
+        self.order.insert(key);
     }
 
-    fn on_hit(&mut self, key: K) {
-        if let Some(&i) = self.index.get(&key) {
-            self.unlink(i);
-            self.push_front(i);
-        }
+    fn on_hit(&mut self, key: K) -> bool {
+        self.order.touch(&key)
     }
 
-    fn choose_victim(&mut self, is_evictable: &mut dyn FnMut(&K) -> bool) -> Option<K> {
-        let mut i = self.tail;
-        while i != NIL {
-            let key = self.nodes[i].key;
-            if is_evictable(&key) {
-                self.unlink(i);
-                self.index.remove(&key);
-                self.free.push(i);
-                return Some(key);
-            }
-            i = self.nodes[i].prev;
-        }
-        None
+    fn choose_victim(&mut self) -> Option<K> {
+        self.order.pop_victim()
     }
 
     fn on_remove(&mut self, key: &K) {
-        if let Some(i) = self.index.remove(key) {
-            self.unlink(i);
-            self.free.push(i);
-        }
+        self.order.remove(key);
+    }
+
+    fn pin(&mut self, key: &K) -> bool {
+        self.order.pin(key)
+    }
+
+    fn unpin_all(&mut self) {
+        self.order.unpin_all();
+    }
+
+    fn pinned_len(&self) -> usize {
+        self.order.pinned_len()
     }
 
     fn len(&self) -> usize {
-        self.index.len()
+        self.order.len()
     }
 
     fn contains(&self, key: &K) -> bool {
-        self.index.contains_key(key)
+        self.order.contains(key)
     }
 }
 
@@ -170,9 +104,9 @@ mod tests {
             p.on_insert(k);
         }
         p.on_hit(1); // order (LRU→MRU): 2, 3, 1
-        assert_eq!(p.choose_victim(&mut |_| true), Some(2));
-        assert_eq!(p.choose_victim(&mut |_| true), Some(3));
-        assert_eq!(p.choose_victim(&mut |_| true), Some(1));
+        assert_eq!(p.choose_victim(), Some(2));
+        assert_eq!(p.choose_victim(), Some(3));
+        assert_eq!(p.choose_victim(), Some(1));
     }
 
     #[test]
@@ -193,8 +127,23 @@ mod tests {
             p.on_insert(k);
         }
         // 1 is LRU but pinned.
-        assert_eq!(p.choose_victim(&mut |k| *k != 1), Some(2));
+        p.pin(&1);
+        assert_eq!(p.choose_victim(), Some(2));
         assert_eq!(p.lru_order(), vec![1, 3]);
+    }
+
+    #[test]
+    fn hit_while_pinned_counts_after_unpin() {
+        let mut p = LruPolicy::new();
+        for k in 1..=3u32 {
+            p.on_insert(k);
+        }
+        p.pin(&1);
+        p.on_hit(1); // order (LRU→MRU): 2, 3, 1
+        p.unpin_all();
+        assert_eq!(p.choose_victim(), Some(2));
+        assert_eq!(p.choose_victim(), Some(3));
+        assert_eq!(p.choose_victim(), Some(1));
     }
 
     #[test]
@@ -204,10 +153,10 @@ mod tests {
             for k in 0..100u32 {
                 p.on_insert(k + round * 100);
             }
-            while p.choose_victim(&mut |_| true).is_some() {}
+            while p.choose_victim().is_some() {}
         }
         // 5 rounds × 100 inserts but the slab never exceeds 100 nodes.
-        assert!(p.nodes.len() <= 100);
+        assert!(p.order.slots() <= 100);
     }
 
     #[test]
@@ -227,7 +176,7 @@ mod tests {
         p.on_remove(&3); // head (MRU)
         p.on_remove(&1); // tail (LRU)
         assert_eq!(p.lru_order(), vec![2]);
-        assert_eq!(p.choose_victim(&mut |_| true), Some(2));
+        assert_eq!(p.choose_victim(), Some(2));
         assert!(p.is_empty());
     }
 }

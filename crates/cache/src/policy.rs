@@ -1,32 +1,49 @@
 //! The replacement-policy abstraction.
 //!
-//! A policy tracks the set of resident keys of one cache level and answers
-//! "who should go?" when space is needed. The paper compares its
-//! application-aware scheme against FIFO and LRU (§V), and those are the
-//! two policies here; the offline Belady bound lives in [`crate::belady`].
+//! A policy tracks the set of resident keys of one cache level, which of
+//! them are pinned, and answers "who should go?" when space is needed. The
+//! paper compares its application-aware scheme against FIFO and LRU (§V),
+//! and those are the two policies here; the offline Belady bound lives in
+//! [`crate::belady`]. Pins live in the policy, not in a predicate the
+//! caller passes, so a victim is one list-tail read however many resident
+//! keys are pinned (see [`crate::lru`]).
 
 use std::hash::Hash;
 
 /// Replacement bookkeeping for one cache level.
 ///
 /// The cache core calls `on_insert` / `on_hit` to report residency changes
-/// and `choose_victim` to pick an eviction candidate. `is_evictable` lets
-/// the caller exclude keys (the paper's Algorithm 1 only evicts blocks whose
-/// last-use time is strictly older than the current view step).
+/// and `choose_victim` to pick an eviction candidate. A pinned key is never
+/// chosen: the paper's Algorithm 1 pins the blocks the current view step
+/// uses, so it only evicts blocks whose last-use time is strictly older.
 pub trait ReplacementPolicy<K: Copy + Eq + Hash>: Send {
-    /// A new key became resident. The key is guaranteed absent beforehand.
+    /// A new key became resident, unpinned. The key is guaranteed absent
+    /// beforehand.
     fn on_insert(&mut self, key: K);
 
-    /// A resident key was accessed (cache hit).
-    fn on_hit(&mut self, key: K);
+    /// Report an access of `key`, refreshing its place in the policy's
+    /// order when resident. Returns whether `key` is resident.
+    fn on_hit(&mut self, key: K) -> bool;
 
-    /// Pick a victim among resident keys for which `is_evictable` returns
-    /// `true`, remove it from the policy's bookkeeping, and return it.
-    /// Returns `None` when every resident key is protected.
-    fn choose_victim(&mut self, is_evictable: &mut dyn FnMut(&K) -> bool) -> Option<K>;
+    /// Remove the policy's victim among the unpinned resident keys from
+    /// its bookkeeping and return it. Returns `None` when every resident
+    /// key is pinned.
+    fn choose_victim(&mut self) -> Option<K>;
 
-    /// A key was removed externally (invalidation); drop bookkeeping.
+    /// A key was removed externally (invalidation); drop bookkeeping,
+    /// including its pin.
     fn on_remove(&mut self, key: &K);
+
+    /// Protect a resident key from `choose_victim` until `unpin_all` or
+    /// its removal. Returns `false`, changing nothing, when `key` is not
+    /// resident.
+    fn pin(&mut self, key: &K) -> bool;
+
+    /// Release every pin.
+    fn unpin_all(&mut self);
+
+    /// Number of pinned resident keys.
+    fn pinned_len(&self) -> usize;
 
     /// Number of resident keys tracked.
     fn len(&self) -> usize;
@@ -105,7 +122,7 @@ pub(crate) mod conformance {
         assert!(!p.contains(&99));
 
         let mut evicted = Vec::new();
-        while let Some(v) = p.choose_victim(&mut |_| true) {
+        while let Some(v) = p.choose_victim() {
             assert!(!p.contains(&v), "victim must be removed from policy");
             evicted.push(v);
         }
@@ -118,18 +135,24 @@ pub(crate) mod conformance {
         assert_eq!(sorted.len(), 10);
     }
 
-    /// choose_victim must respect the evictability predicate.
+    /// choose_victim must skip pinned keys until they are unpinned.
     pub fn respects_pinning(mut p: Box<dyn ReplacementPolicy<u32>>) {
         for k in 0..5u32 {
             p.on_insert(k);
         }
+        assert!(!p.pin(&9), "absent key pinned");
         // Only key 3 may be evicted.
-        let v = p.choose_victim(&mut |k| *k == 3);
-        assert_eq!(v, Some(3));
+        for k in [0, 1, 2, 4] {
+            assert!(p.pin(&k));
+        }
+        assert_eq!(p.pinned_len(), 4);
+        assert_eq!(p.choose_victim(), Some(3));
         // Nothing evictable -> None, and nothing is removed.
-        let v = p.choose_victim(&mut |_| false);
-        assert_eq!(v, None);
+        assert_eq!(p.choose_victim(), None);
         assert_eq!(p.len(), 4);
+        p.unpin_all();
+        assert_eq!(p.pinned_len(), 0);
+        assert_eq!(p.choose_victim(), Some(0));
     }
 
     /// on_remove drops bookkeeping so the key is never chosen later.
@@ -140,7 +163,7 @@ pub(crate) mod conformance {
         p.on_remove(&2);
         assert_eq!(p.len(), 3);
         let mut victims = Vec::new();
-        while let Some(v) = p.choose_victim(&mut |_| true) {
+        while let Some(v) = p.choose_victim() {
             victims.push(v);
         }
         assert!(!victims.contains(&2));

@@ -375,19 +375,21 @@ pub fn run_session_precomputed(
         if let (Some(c), Some(tv), Some(ti)) = (app, t_visible, t_important) {
             if c.prefetch {
                 let sigma = sigma_ctl.as_ref().map(|s| s.sigma()).unwrap_or(c.sigma);
-                let predicted: Vec<BlockId> = match c.predictor {
+                let dead_reckoned: Vec<BlockId>;
+                let predicted: &[BlockId] = match c.predictor {
                     PredictorKind::Table => {
                         step_lookup = lookup_cost;
-                        tv.predict(pose).to_vec()
+                        tv.predict(pose)
                     }
                     PredictorKind::DeadReckoning => {
                         // Extrapolate motion; exact visibility at the
                         // predicted pose (no table, no lookup cost).
                         let next = extrapolate_pose(prev_pose.as_ref(), pose);
-                        visible_blocks(&next, layout)
+                        dead_reckoned = visible_blocks(&next, layout);
+                        &dead_reckoned
                     }
                 };
-                for &b in &predicted {
+                for &b in predicted {
                     if ti.entropy(b) > sigma && !hier.in_fastest(&b) {
                         let o = hier.fetch(b, AccessClass::Prefetch);
                         step_prefetch += o.time_s;

@@ -66,6 +66,7 @@ impl Dims3 {
     }
 
     /// Longest edge, used to normalize world coordinates.
+    #[inline]
     pub fn max_edge(&self) -> usize {
         self.nx.max(self.ny).max(self.nz)
     }
