@@ -101,8 +101,12 @@ fn non_owner_forward_reaches_owner_and_warms_the_pool() {
     assert_eq!(peer_reqs(1), 1, "owner served exactly one peer forward");
 
     // The remote block landed in node 0's pool: asking again costs no
-    // read anywhere.
-    let again = client.fetch(vec![remote], vec![]).unwrap();
+    // read anywhere. A fresh client asks, since the first one holds the
+    // block and would not send the key.
+    let mut fresh = cluster.client(NodeId(0));
+    fresh.open("second viewer").unwrap();
+    let again = fresh.fetch(vec![remote], vec![]).unwrap();
+    assert_eq!(again.held, 0, "the fresh client asked node 0");
     assert!(again.blocks[0].result.is_ok());
     assert_eq!(cluster.reads(NodeId(1)), 1, "second ask was a pool hit, not a re-read");
     assert_eq!(peer_reqs(1), 1, "no second peer round trip");

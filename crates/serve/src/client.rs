@@ -1,5 +1,21 @@
 //! A typed client over any [`Transport`]: encodes requests, decodes
-//! replies, tracks the open session.
+//! replies, tracks the open session, and holds the client tier.
+//!
+//! **The client tier** is the `Arc` payloads of the last `FetchReply` the
+//! client merged — the blocks its viewer is showing now. A `Fetch` is split
+//! at [`ServeClient::send_fetch`]: a demand key the tier holds is answered
+//! locally with an `Arc` clone (no copy, no wire, no CRC), and only the
+//! absent keys are sent. Prefetch goes unchanged, so a `Fetch` whose demand
+//! is all held is still sent for its prefetch to ride. Each send queues its
+//! plan (per demand slot: the held payload, or "asked"), and
+//! [`ServeClient::recv_fetch`] merges the next reply into the oldest plan,
+//! so pipelined sends and receives stay in step. The merge fails closed:
+//! a reply that does not answer exactly the asked keys, in order, is
+//! [`ClientError::Unexpected`] and leaves the tier alone. After a merge the
+//! tier is replaced by that frame's `Ok` payloads, so it never holds more
+//! than one frame the caller already has; errors are never held,
+//! [`ServeClient::peer_fetch`] bypasses the tier, and
+//! [`ServeClient::close`] empties it.
 //!
 //! The blocking calls (`open`, `fetch`, …) suit threaded use against a
 //! [`crate::server::TcpServer`] or a dedicated
@@ -13,7 +29,9 @@ use crate::proto::{
     WireTelemetry,
 };
 use crate::transport::Transport;
+use std::collections::{HashMap, VecDeque};
 use std::io;
+use std::sync::Arc;
 use viz_volume::BlockKey;
 
 /// Client-side failure.
@@ -68,6 +86,16 @@ pub struct FetchOutcome {
     pub shed: u32,
     /// Prefetches admitted at reduced priority.
     pub downgraded: u32,
+    /// Demand slots answered from the client tier, never sent.
+    pub held: u32,
+}
+
+/// One sent `Fetch`'s demand, slot by slot, waiting for its reply.
+struct Plan {
+    /// Per demand slot: its key, and the tier's payload if it was held.
+    slots: Vec<(BlockKey, Option<Arc<Vec<f32>>>)>,
+    /// Whether the merged reply replaces the tier (`PeerFetch` does not).
+    hold: bool,
 }
 
 /// A connected client (see module docs).
@@ -75,12 +103,22 @@ pub struct ServeClient<T: Transport> {
     t: T,
     session: Option<u32>,
     trace: TraceCtx,
+    /// The client tier: the last merged reply's `Ok` payloads.
+    tier: HashMap<BlockKey, Arc<Vec<f32>>>,
+    /// Plans of the fetches sent and not yet received, oldest first.
+    plans: VecDeque<Plan>,
 }
 
 impl<T: Transport> ServeClient<T> {
     /// Wrap a connected transport.
     pub fn new(t: T) -> Self {
-        ServeClient { t, session: None, trace: TraceCtx::NONE }
+        ServeClient {
+            t,
+            session: None,
+            trace: TraceCtx::NONE,
+            tier: HashMap::new(),
+            plans: VecDeque::new(),
+        }
     }
 
     /// The open session id, once [`ServeClient::open`] succeeded.
@@ -208,21 +246,16 @@ impl<T: Transport> ServeClient<T> {
     ) -> Result<FetchOutcome, ClientError> {
         let session = self.sid()?;
         let trace = self.trace;
+        let slots = demand.iter().map(|&k| (k, None)).collect();
         self.send(&Request::PeerFetch { session, hops, demand, trace })?;
+        self.plans.push_back(Plan { slots, hold: false });
         self.recv_fetch()
     }
 
-    /// Close the open session.
+    /// Close the open session and empty the client tier.
     pub fn close(&mut self) -> Result<(), ClientError> {
         self.send_close()?;
-        match self.recv_response()? {
-            Response::CloseAck { .. } => {
-                self.session = None;
-                Ok(())
-            }
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            _ => Err(ClientError::Unexpected("CloseAck")),
-        }
+        self.recv_close()
     }
 
     // ---- split halves (deterministic stepping) --------------------
@@ -232,7 +265,9 @@ impl<T: Transport> ServeClient<T> {
         self.send(&Request::Open { name: name.to_string() })
     }
 
-    /// Put a `Fetch` on the wire without waiting for the reply.
+    /// Put a `Fetch` on the wire without waiting for the reply, which
+    /// [`ServeClient::recv_fetch`] reads. Only the demand keys the client
+    /// tier lacks are sent; the prefetch list is sent whole.
     pub fn send_fetch(
         &mut self,
         generation: u64,
@@ -241,7 +276,11 @@ impl<T: Transport> ServeClient<T> {
     ) -> Result<(), ClientError> {
         let session = self.sid()?;
         let trace = self.trace;
-        self.send(&Request::Fetch { session, generation, demand, prefetch, trace })
+        let slots: Vec<_> = demand.iter().map(|&k| (k, self.tier.get(&k).cloned())).collect();
+        let asked = slots.iter().filter(|(_, held)| held.is_none()).map(|&(k, _)| k).collect();
+        self.send(&Request::Fetch { session, generation, demand: asked, prefetch, trace })?;
+        self.plans.push_back(Plan { slots, hold: true });
+        Ok(())
     }
 
     /// Put an `Advance` on the wire without waiting for the ack.
@@ -285,15 +324,64 @@ impl<T: Transport> ServeClient<T> {
         }
     }
 
-    /// Receive a `FetchReply`.
-    pub fn recv_fetch(&mut self) -> Result<FetchOutcome, ClientError> {
+    /// Receive a `CloseAck`, forgetting the session and emptying the
+    /// client tier.
+    pub fn recv_close(&mut self) -> Result<(), ClientError> {
         match self.recv_response()? {
-            Response::FetchReply { blocks, shed, downgraded, .. } => {
-                Ok(FetchOutcome { blocks, shed, downgraded })
+            Response::CloseAck { .. } => {
+                self.session = None;
+                self.tier.clear();
+                Ok(())
             }
             Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            _ => Err(ClientError::Unexpected("FetchReply")),
+            _ => Err(ClientError::Unexpected("CloseAck")),
         }
+    }
+
+    /// Receive a `FetchReply` and merge it into the oldest sent fetch's
+    /// plan: one [`BlockReply`] per demand slot, in request order. A
+    /// reply that does not answer exactly the asked keys, in order, is
+    /// [`ClientError::Unexpected`] and leaves the tier as it was. A reply
+    /// with no plan waiting (its request went out through
+    /// [`ServeClient::send_raw`]) is returned as decoded.
+    pub fn recv_fetch(&mut self) -> Result<FetchOutcome, ClientError> {
+        // A transport error took no reply off the wire, so its plan waits.
+        let frame = self.t.recv()?;
+        let plan = self.plans.pop_front();
+        let (replies, shed, downgraded) = match decode_response(&frame)? {
+            Response::FetchReply { blocks, shed, downgraded, .. } => (blocks, shed, downgraded),
+            Response::Error { code, message } => return Err(ClientError::Server { code, message }),
+            _ => return Err(ClientError::Unexpected("FetchReply")),
+        };
+        let Some(plan) = plan else {
+            return Ok(FetchOutcome { blocks: replies, shed, downgraded, held: 0 });
+        };
+        let asked = plan.slots.iter().filter(|(_, held)| held.is_none()).map(|&(k, _)| k);
+        if !replies.iter().map(|r| r.key).eq(asked) {
+            return Err(ClientError::Unexpected("a FetchReply answering the asked keys in order"));
+        }
+        let mut replies = replies.into_iter();
+        let mut held = 0;
+        let blocks: Vec<BlockReply> = plan
+            .slots
+            .into_iter()
+            .map(|(key, payload)| match payload {
+                Some(data) => {
+                    held += 1;
+                    BlockReply { key, result: Ok(data), crc: None }
+                }
+                None => replies.next().expect("length checked above"),
+            })
+            .collect();
+        if plan.hold {
+            self.tier.clear();
+            for b in &blocks {
+                if let Ok(data) = &b.result {
+                    self.tier.insert(b.key, data.clone());
+                }
+            }
+        }
+        Ok(FetchOutcome { blocks, shed, downgraded, held })
     }
 
     fn send(&mut self, req: &Request) -> Result<(), ClientError> {

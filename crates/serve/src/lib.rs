@@ -32,7 +32,8 @@
 //! reply in request order, and close the sessions a connection opened
 //! when it goes away.
 //! - [`client`] — a typed client over any transport, with split
-//!   send/recv halves for deterministic stepping.
+//!   send/recv halves for deterministic stepping. It holds its last
+//!   reply's blocks and asks the server only for the demand it lacks.
 //!
 //! ## Example
 //!

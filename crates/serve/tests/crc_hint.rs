@@ -58,23 +58,29 @@ fn resident_blocks_are_served_without_a_checksum_pass() {
     let sa = a.recv_open().unwrap();
     b.recv_open().unwrap();
 
+    // Each window moves two blocks, so after its first frame a viewer
+    // holds six of its eight and asks the server for two.
     let window = |start: u32| (0..8).map(|i| key((start + i) % BLOCKS)).collect::<Vec<_>>();
+    let mut received = [0; 2];
     for frame in 0..16 {
         a.send_fetch(0, window(frame * 2), vec![]).unwrap();
         b.send_fetch(0, window(frame * 2 + BLOCKS / 2), vec![]).unwrap();
         inproc.tick();
-        for (c, start) in [(&mut a, frame * 2), (&mut b, frame * 2 + BLOCKS / 2)] {
+        for (v, c, start) in [(0, &mut a, frame * 2), (1, &mut b, frame * 2 + BLOCKS / 2)] {
             let got = c.recv_fetch().unwrap();
             assert_eq!(got.blocks.len(), 8);
+            assert_eq!(got.held, if frame == 0 { 0 } else { 6 });
             for (i, reply) in got.blocks.iter().enumerate() {
                 let want = ((start + i as u32) % BLOCKS) as f32;
                 assert_eq!(reply.result.as_ref().unwrap().as_slice(), &[want; 64]);
+                received[v] += 1;
             }
         }
     }
+    assert_eq!(received, [16 * 8; 2], "every viewer got every demanded block");
     assert_eq!(src.reads(), 0, "the timestep was resident");
     let s = stats(&mut inproc, &mut a);
-    assert_eq!(counter(&s, "serve_demand_served"), 2 * 16 * 8);
+    assert_eq!(counter(&s, "serve_demand_served"), 76, "8 + 15 x 2 asked a viewer");
     assert_eq!(counter(&s, "serve_crc_cached"), counter(&s, "serve_demand_served"));
     assert_eq!(counter(&s, "serve_crc_computed"), 0);
 
@@ -99,7 +105,7 @@ fn resident_blocks_are_served_without_a_checksum_pass() {
     assert_eq!(got[1].result.as_ref().unwrap().as_slice(), &[6.0; 64]);
     let s = stats(&mut inproc, &mut a);
     assert_eq!(counter(&s, "serve_crc_computed"), 1);
-    assert_eq!(counter(&s, "serve_crc_cached"), 2 * 16 * 8 + 1);
+    assert_eq!(counter(&s, "serve_crc_cached"), 76 + 1);
 }
 
 /// A server end played by hand, so the reply can carry a hint no pool

@@ -3,7 +3,8 @@
 //! single fetch engine and resident pool. Duplicate wants coalesce into
 //! one source read even across clients; fairness interleaves their
 //! demand; prefetch admission sheds under pressure while demand always
-//! flows.
+//! flows. Each client holds its last frame's blocks and asks the server
+//! only for the rest of the next view.
 //!
 //! Uses the deterministic in-process transport so the run is exactly
 //! reproducible; swap [`InProcServer`] for [`viz_appaware::serve::TcpServer`]
@@ -73,25 +74,36 @@ fn main() {
 
     // Replay the flight: every step each client advances its generation,
     // then asks for its visible set (demand) plus next-step speculation.
-    let mut served = 0usize;
+    let (mut served, mut held) = (0usize, 0u64);
     for _step in 0..12 {
+        let mut demanded = Vec::new();
         for (c, flight) in clients.iter_mut() {
             let fr = flight.next_frame().expect("flight step");
+            demanded.push(fr.demand.clone());
             c.send_advance().unwrap();
             c.send_fetch(fr.generation, fr.demand, fr.prefetch).unwrap();
         }
         inproc.tick();
-        for (c, _) in clients.iter_mut() {
+        for ((c, _), want) in clients.iter_mut().zip(demanded) {
             c.recv_response().unwrap(); // AdvanceAck
             let got = c.recv_fetch().unwrap();
-            served += got.blocks.len();
+            let keys: Vec<BlockKey> = got.blocks.iter().map(|b| b.key).collect();
+            assert_eq!(keys, want, "every demanded block arrives, in request order");
             assert!(got.blocks.iter().all(|b| b.result.is_ok()));
+            served += got.blocks.len();
+            held += u64::from(got.held);
         }
     }
 
     let m = server.metrics();
     let (pool_hits, _) = server.engine().pool().stats();
     println!("served {served} demand blocks across 3 clients");
+    println!(
+        "{held} of them held by the clients from their previous frame, {} asked of the server",
+        m.demand_served
+    );
+    assert!(held > 0, "consecutive views overlap, so a client holds part of the next one");
+    assert_eq!(held + m.demand_served, served as u64, "each block is held or asked, not both");
     println!(
         "source reads: {}; demand pool hits: {pool_hits}; cross-client coalescing saved {} \
          duplicate reads",
