@@ -15,7 +15,8 @@
 //! - [`node`] — a [`ClusterNode`] wraps a [`viz_serve::Server`] whose
 //!   engine reads through a [`RoutedSource`]; cross-session coalescing
 //!   then dedupes concurrent remote fetches into one peer round trip.
-//! - [`router`] — the client side: split a frame's demand per owner,
+//! - [`router`] — the client side: answer what the last frame carried
+//!   from the client tier, split the rest of a frame's demand per owner,
 //!   merge replies, and fail over along the ring-successor order the map
 //!   itself defines, hop-capping off-owner batches so the receiver reads
 //!   its local storage.

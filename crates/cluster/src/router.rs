@@ -1,10 +1,24 @@
-//! The client-side router: holds the shard map, splits each frame's
+//! The client-side router: holds the shard map, answers what the viewer
+//! already holds from its client tier, splits the rest of each frame's
 //! demand across owner nodes in per-node batches, sends the batches
 //! concurrently (one scoped thread per node, joined before the call
 //! returns — this is what makes an N-node cold frame approach 1/N of
 //! the single-node time instead of paying N sequential round trips),
 //! merges the replies back into request order, and fails over when an
 //! owner stops answering.
+//!
+//! ## The client tier
+//!
+//! A router keeps the `Arc` payloads of its last frame's `Ok` demand
+//! replies in a [`ClientTier`], the hold rule [`viz_serve::ServeClient`]
+//! uses too. A demand key the tier holds fills its slot before the first
+//! routing round, so only the absent keys are grouped into owner batches;
+//! a frame whose demand is all held routes nothing and needs 0 rounds,
+//! and its prefetch still reaches the owners as prefetch-only requests.
+//! After the merge the tier is replaced by this frame's `Ok` payloads;
+//! errors and `TimedOut` slots are never held, so they are asked again.
+//! A held key is answered even while its owner is unreachable, so a
+//! failover shows only on keys the last frame did not carry.
 //!
 //! ## Failover without a control plane
 //!
@@ -31,7 +45,7 @@ use std::collections::HashMap;
 use std::io;
 use std::sync::Arc;
 use viz_serve::proto::{ERR_DRAINING, ERR_UNKNOWN_SESSION, PING_FROM_CLIENT};
-use viz_serve::{BlockReply, Request, Response, TraceCtx};
+use viz_serve::{BlockReply, ClientTier, Request, Response, TraceCtx};
 use viz_telemetry::{instant, span, EventKind as Ev};
 use viz_volume::BlockKey;
 
@@ -72,8 +86,11 @@ pub struct RouterReply {
     pub shed: u64,
     /// Prefetch entries the nodes admitted at reduced priority.
     pub downgraded: u64,
-    /// Routing rounds the frame needed (1 = every owner answered).
+    /// Routing rounds the frame needed: 0 when every demand key was
+    /// held, 1 when every owner asked answered, more after a failover.
     pub rounds: u32,
+    /// Demand slots answered from the client tier, never sent.
+    pub held: u32,
 }
 
 struct NodeConn {
@@ -101,6 +118,8 @@ pub struct Router {
     /// Per-node clock-offset estimates from [`Router::sync_clocks`]
     /// (ns to add to that node's event timestamps).
     offsets: HashMap<u32, i64>,
+    /// The last frame's `Ok` demand payloads (see module docs).
+    tier: ClientTier,
 }
 
 /// Mint the trace id for one routed frame: a hash of the router's name
@@ -132,6 +151,7 @@ impl Router {
             conns: HashMap::new(),
             frames: 0,
             offsets: HashMap::new(),
+            tier: ClientTier::default(),
         }
     }
 
@@ -246,12 +266,12 @@ impl Router {
         }
     }
 
-    /// Route one frame: demand split per owner, prefetch attached to
-    /// each key's owner batch, failed batches retried against ring
-    /// successors across up to [`RouterConfig::max_rounds`] rounds (with
-    /// a map refresh between rounds once anything failed). Unresolved
-    /// keys report `TimedOut`; the call itself only errs when *no* node
-    /// is reachable at all.
+    /// Route one frame: held demand answered from the client tier, the
+    /// rest split per owner, prefetch attached to each key's owner batch,
+    /// failed batches retried against ring successors across up to
+    /// [`RouterConfig::max_rounds`] rounds (with a map refresh between
+    /// rounds once anything failed). Unresolved keys report `TimedOut`;
+    /// the call itself only errs when *no* node is reachable at all.
     pub fn fetch(&mut self, demand: Vec<BlockKey>, prefetch: Vec<(BlockKey, f64)>) -> RouterReply {
         self.frames = self.frames.wrapping_add(1);
         // Every frame gets one trace id, stamped on every batch it fans
@@ -266,8 +286,11 @@ impl Router {
         {
             self.probe_down();
         }
-        let mut results: Vec<Option<Result<Arc<Vec<f32>>, u16>>> = Vec::new();
-        results.resize_with(demand.len(), || None);
+        // Held slots are filled before the first round, so only absent
+        // keys are ever pending.
+        let mut results: Vec<Option<Result<Arc<Vec<f32>>, u16>>> =
+            demand.iter().map(|&key| self.tier.get(key).map(Ok)).collect();
+        let held = results.iter().filter(|r| r.is_some()).count() as u32;
         let mut attempted: Vec<Vec<NodeId>> = vec![Vec::new(); demand.len()];
         let (mut shed, mut downgraded, mut rounds) = (0u64, 0u64, 0u32);
 
@@ -405,9 +428,10 @@ impl Router {
             }
         }
 
-        // Prefetch whose owner took no demand batch still gets
-        // delivered, as a prefetch-only request; owners that are down
-        // shed it (speculation is not worth a failover).
+        // Prefetch whose owner took no demand batch (every demand key
+        // held, say) still gets delivered, as a prefetch-only request;
+        // owners that are down shed it (speculation is not worth a
+        // failover).
         let mut leftover: Vec<u32> = prefetch_by_node.keys().copied().collect();
         leftover.sort();
         for nid in leftover {
@@ -423,17 +447,19 @@ impl Router {
         }
 
         let timed_out = viz_serve::proto::errkind_code(io::ErrorKind::TimedOut);
-        let blocks = demand
+        let blocks: Vec<BlockReply> = demand
             .into_iter()
             .zip(results)
             .map(|(key, r)| BlockReply { key, result: r.unwrap_or(Err(timed_out)), crc: None })
             .collect();
+        self.tier.replace(&blocks);
         // The frame's root span: key = the minted trace id, arg packs
-        // demand size and the rounds the frame needed.
+        // demand size (held slots included) and the rounds the frame
+        // needed (0 when every demand key was held).
         viz_telemetry::with_trace(trace, || {
             span(Ev::RouterFetch, trace, (demand_n << 8) | u64::from(rounds.min(255)), t0);
         });
-        RouterReply { blocks, shed, downgraded, rounds }
+        RouterReply { blocks, shed, downgraded, rounds, held }
     }
 
     /// The node this key should try next: the first live, un-attempted

@@ -40,6 +40,14 @@ fn owned_by(cluster: &TestCluster, keys: &[BlockKey], node: NodeId) -> Vec<Block
     keys.iter().copied().filter(|&k| cluster.map().owner(k) == Some(node)).collect()
 }
 
+/// Split `keys` into its even and odd positions: two disjoint windows,
+/// so a router that fetched one holds none of the other and a frame on
+/// the other reaches the nodes.
+fn halves(keys: &[BlockKey]) -> [Vec<BlockKey>; 2] {
+    let half = |parity| keys.iter().copied().skip(parity).step_by(2).collect();
+    [half(0), half(1)]
+}
+
 #[test]
 fn seeded_plans_zero_demand_errors_across_seeds() {
     let _guard = TRACE.lock().unwrap_or_else(|p| p.into_inner());
@@ -134,15 +142,21 @@ fn crashed_then_restarted_node_resumes_traffic_via_probe() {
     let victim = NodeId(1);
     let owned = owned_by(&cluster, &keys, victim);
     assert!(!owned.is_empty());
+    // Each frame asks for the half of the victim's keys the last frame
+    // did not carry, so the router's tier holds none of it and every
+    // frame reaches the victim (or fails over from it).
+    let windows = halves(&owned);
+    assert!(windows.iter().all(|w| !w.is_empty()));
 
-    let r = router.fetch(owned.clone(), vec![]);
+    let r = router.fetch(windows[0].clone(), vec![]);
     assert!(r.blocks.iter().all(|b| b.result.is_ok()));
     assert!(cluster.reads(victim) > 0, "the victim served its keys before the crash");
 
     // Crash without reassignment: the next frame fails over whole and
     // marks the node down.
     cluster.partition_node(victim);
-    let r = router.fetch(owned.clone(), vec![]);
+    let r = router.fetch(windows[1].clone(), vec![]);
+    assert_eq!(r.held, 0, "every key of the frame was asked");
     assert!(r.blocks.iter().all(|b| b.result.is_ok()), "failover keeps demand whole");
     assert_eq!(router.down_nodes(), vec![victim]);
 
@@ -150,8 +164,9 @@ fn crashed_then_restarted_node_resumes_traffic_via_probe() {
     cluster.restart_node(victim);
     let before = cluster.reads(victim);
     let mut readmitted = false;
-    for _ in 0..8 {
-        let r = router.fetch(owned.clone(), vec![]);
+    for frame in 0..8 {
+        let r = router.fetch(windows[frame % 2].clone(), vec![]);
+        assert_eq!(r.held, 0, "frame {frame}: every key was asked");
         assert!(r.blocks.iter().all(|b| b.result.is_ok()));
         if router.down_nodes().is_empty() {
             readmitted = true;
@@ -306,8 +321,12 @@ fn join_moves_only_gained_keys_and_serves_during_rebalance() {
     let keys = seed(&cluster, 128);
     let mut router = cluster.router("viewer");
     let before: Vec<Option<NodeId>> = keys.iter().map(|&k| cluster.map().owner(k)).collect();
+    // The router's frames alternate between two disjoint halves of the
+    // keys, so its tier never holds a frame's demand and every frame
+    // routes: before the join, mid-rebalance and after.
+    let windows = halves(&keys);
 
-    let r = router.fetch(keys.clone(), vec![]);
+    let r = router.fetch(windows[0].clone(), vec![]);
     assert!(r.blocks.iter().all(|b| b.result.is_ok()));
 
     let v = cluster.join_node(NodeId(3));
@@ -323,16 +342,24 @@ fn join_moves_only_gained_keys_and_serves_during_rebalance() {
     }
     assert!(gained > 0, "the joiner took over some keys");
     assert!(gained < keys.len(), "the joiner did not take everything");
+    for w in &windows {
+        assert!(
+            w.iter().any(|&k| cluster.map().owner(k) == Some(NodeId(3))),
+            "each half holds keys the joiner gained"
+        );
+    }
 
     // Stale-router frame mid-rebalance: nodes forward under the new map,
     // demand stays whole.
-    let r = router.fetch(keys.clone(), vec![]);
+    let r = router.fetch(windows[1].clone(), vec![]);
+    assert_eq!(r.held, 0, "every key of the frame was asked");
     assert!(r.blocks.iter().all(|b| b.result.is_ok()), "zero errors mid-rebalance");
 
     router.heartbeat();
     assert_eq!(router.map().version(), 2, "heartbeat anti-entropy reached the router");
     let joiner_reads = cluster.reads(NodeId(3));
-    let r = router.fetch(keys.clone(), vec![]);
+    let r = router.fetch(windows[0].clone(), vec![]);
+    assert_eq!(r.held, 0, "every key of the frame was asked");
     assert!(r.blocks.iter().all(|b| b.result.is_ok()));
     assert_eq!(r.rounds, 1);
     assert!(cluster.reads(NodeId(3)) > joiner_reads, "the joiner serves its gained keys");

@@ -22,6 +22,14 @@ fn seed(cluster: &TestCluster, n: u32) -> Vec<BlockKey> {
         .collect()
 }
 
+/// Split `keys` into its even and odd positions: two disjoint windows,
+/// so a router that fetched one holds none of the other and a frame on
+/// the other reaches the nodes.
+fn halves(keys: &[BlockKey]) -> [Vec<BlockKey>; 2] {
+    let half = |parity| keys.iter().copied().skip(parity).step_by(2).collect();
+    [half(0), half(1)]
+}
+
 #[test]
 fn router_resolves_cross_node_demand_through_owners() {
     let cluster = TestCluster::new(4, ShardStrategy::Ring);
@@ -156,11 +164,14 @@ fn duplicate_remote_keys_coalesce_to_one_peer_read() {
 fn crash_failover_keeps_demand_flowing() {
     let mut cluster = TestCluster::new(4, ShardStrategy::Ring);
     let keys = seed(&cluster, 64);
+    // The warm frame and the failover frame are disjoint halves, so the
+    // router's tier holds nothing the failover frame asks for.
+    let [warm, after] = halves(&keys);
     let mut router = cluster.router("viewer");
-    assert!(router.fetch(keys.clone(), vec![]).blocks.iter().all(|b| b.result.is_ok()));
+    assert!(router.fetch(warm, vec![]).blocks.iter().all(|b| b.result.is_ok()));
 
     let dead = NodeId(2);
-    let owned_by_dead = keys.iter().filter(|&&k| cluster.map().owner(k) == Some(dead)).count();
+    let owned_by_dead = after.iter().filter(|&&k| cluster.map().owner(k) == Some(dead)).count();
     assert!(owned_by_dead > 0, "node 2 must own something for this test to bite");
     let new_version = cluster.fail_node(dead);
     assert_eq!(new_version, 2);
@@ -168,7 +179,8 @@ fn crash_failover_keeps_demand_flowing() {
     // The router still holds the old map: its batch to the dead node
     // fails at the transport, it refreshes the map from a survivor, and
     // the orphaned keys resolve against their reassigned owners.
-    let reply = router.fetch(keys.clone(), vec![]);
+    let reply = router.fetch(after, vec![]);
+    assert_eq!(reply.held, 0, "every key of the frame was asked");
     assert!(
         reply.blocks.iter().all(|b| b.result.is_ok()),
         "failover must not surface a single demand error"
@@ -188,12 +200,19 @@ fn crash_failover_keeps_demand_flowing() {
 fn drain_failover_reports_zero_demand_errors() {
     let mut cluster = TestCluster::new(4, ShardStrategy::Ring);
     let keys = seed(&cluster, 48);
+    // Disjoint warm and post-drain frames: the router's tier holds none
+    // of the post-drain demand, so the drained node's keys are asked.
+    let [warm, after] = halves(&keys);
+    let drained = NodeId(1);
+    assert!(after.iter().any(|&k| cluster.map().owner(k) == Some(drained)));
     let mut router = cluster.router("viewer");
-    assert!(router.fetch(keys.clone(), vec![]).blocks.iter().all(|b| b.result.is_ok()));
+    assert!(router.fetch(warm, vec![]).blocks.iter().all(|b| b.result.is_ok()));
 
-    cluster.drain_node(NodeId(1));
+    cluster.drain_node(drained);
 
-    let reply = router.fetch(keys, vec![]);
+    let reply = router.fetch(after, vec![]);
+    assert_eq!(reply.held, 0, "every key of the frame was asked");
+    assert!(reply.rounds >= 1, "the frame routed");
     assert!(reply.blocks.iter().all(|b| b.result.is_ok()), "drain must be invisible to demand");
     for n in cluster.live_nodes() {
         assert_eq!(cluster.node(n).unwrap().server().metrics().demand_errors, 0);

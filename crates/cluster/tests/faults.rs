@@ -22,6 +22,14 @@ fn seed(cluster: &TestCluster, n: u32) -> Vec<BlockKey> {
         .collect()
 }
 
+/// Split `keys` into its even and odd positions: two disjoint windows,
+/// so a router that fetched one holds none of the other and a frame on
+/// the other reaches the nodes.
+fn halves(keys: &[BlockKey]) -> [Vec<BlockKey>; 2] {
+    let half = |parity| keys.iter().copied().skip(parity).step_by(2).collect();
+    [half(0), half(1)]
+}
+
 #[test]
 fn partitioned_peer_falls_back_locally_and_breaker_opens() {
     viz_telemetry::set_enabled(true);
@@ -85,18 +93,22 @@ fn partitioned_peer_falls_back_locally_and_breaker_opens() {
 fn router_survives_partition_before_any_reassignment() {
     let mut cluster = TestCluster::new(4, ShardStrategy::Ring);
     let keys = seed(&cluster, 64);
+    // The warm frame and the post-partition frame are disjoint halves, so
+    // the router's tier holds nothing the second frame asks for.
+    let [warm, after] = halves(&keys);
     let mut router = cluster.router("viewer");
-    assert!(router.fetch(keys.clone(), vec![]).blocks.iter().all(|b| b.result.is_ok()));
+    assert!(router.fetch(warm, vec![]).blocks.iter().all(|b| b.result.is_ok()));
 
     // Partition without reassignment: the surviving nodes still hold the
     // old map, so a map refresh brings nothing new. The router must
     // fail over on its own, via the ring-successor candidates.
     let dead = NodeId(3);
-    let orphaned = keys.iter().filter(|&&k| cluster.map().owner(k) == Some(dead)).count();
+    let orphaned = after.iter().filter(|&&k| cluster.map().owner(k) == Some(dead)).count();
     assert!(orphaned > 0);
     cluster.partition_node(dead);
 
-    let reply = router.fetch(keys.clone(), vec![]);
+    let reply = router.fetch(after, vec![]);
+    assert_eq!(reply.held, 0, "every key of the frame was asked");
     assert!(
         reply.blocks.iter().all(|b| b.result.is_ok()),
         "router failover must cover a partition the control plane missed"

@@ -1,20 +1,23 @@
 //! A typed client over any [`Transport`]: encodes requests, decodes
 //! replies, tracks the open session, and holds the client tier.
 //!
-//! **The client tier** is the `Arc` payloads of the last `FetchReply` the
-//! client merged — the blocks its viewer is showing now. A `Fetch` is split
-//! at [`ServeClient::send_fetch`]: a demand key the tier holds is answered
-//! locally with an `Arc` clone (no copy, no wire, no CRC), and only the
-//! absent keys are sent. Prefetch goes unchanged, so a `Fetch` whose demand
-//! is all held is still sent for its prefetch to ride. Each send queues its
-//! plan (per demand slot: the held payload, or "asked"), and
-//! [`ServeClient::recv_fetch`] merges the next reply into the oldest plan,
-//! so pipelined sends and receives stay in step. The merge fails closed:
-//! a reply that does not answer exactly the asked keys, in order, is
-//! [`ClientError::Unexpected`] and leaves the tier alone. After a merge the
-//! tier is replaced by that frame's `Ok` payloads, so it never holds more
-//! than one frame the caller already has; errors are never held,
-//! [`ServeClient::peer_fetch`] bypasses the tier, and
+//! **The client tier** ([`ClientTier`]) is the `Arc` payloads of the last
+//! frame's `Ok` demand replies — the blocks the viewer is showing now. Its
+//! hold rule is written once here and shared by both viewer-side callers,
+//! this client and the cluster's `Router`: a demand key the tier holds is
+//! answered locally with an `Arc` clone (no copy, no wire, no CRC), only
+//! the absent keys are asked, and once the frame is merged the tier is
+//! replaced by that frame's `Ok` payloads, so it never holds more than one
+//! frame the caller already has. Errors are never held.
+//!
+//! Here a `Fetch` is split at [`ServeClient::send_fetch`]. Prefetch goes
+//! unchanged, so a `Fetch` whose demand is all held is still sent for its
+//! prefetch to ride. Each send queues its plan (per demand slot: the held
+//! payload, or "asked"), and [`ServeClient::recv_fetch`] merges the next
+//! reply into the oldest plan, so pipelined sends and receives stay in
+//! step. The merge fails closed: a reply that does not answer exactly the
+//! asked keys, in order, is [`ClientError::Unexpected`] and leaves the
+//! tier alone. [`ServeClient::peer_fetch`] bypasses the tier, and
 //! [`ServeClient::close`] empties it.
 //!
 //! The blocking calls (`open`, `fetch`, …) suit threaded use against a
@@ -90,6 +93,37 @@ pub struct FetchOutcome {
     pub held: u32,
 }
 
+/// The client tier (see module docs): the `Ok` payloads of the last
+/// frame a viewer merged, looked up before a frame is asked and replaced
+/// after it is merged.
+#[derive(Debug, Default)]
+pub struct ClientTier {
+    held: HashMap<BlockKey, Arc<Vec<f32>>>,
+}
+
+impl ClientTier {
+    /// The payload `key` had in the last merged frame, as an `Arc` clone.
+    pub fn get(&self, key: BlockKey) -> Option<Arc<Vec<f32>>> {
+        self.held.get(&key).cloned()
+    }
+
+    /// Replace the tier by `blocks`' `Ok` payloads: the last frame only,
+    /// and never an error.
+    pub fn replace(&mut self, blocks: &[BlockReply]) {
+        self.held.clear();
+        for b in blocks {
+            if let Ok(data) = &b.result {
+                self.held.insert(b.key, data.clone());
+            }
+        }
+    }
+
+    /// Forget every held payload.
+    pub fn clear(&mut self) {
+        self.held.clear();
+    }
+}
+
 /// One sent `Fetch`'s demand, slot by slot, waiting for its reply.
 struct Plan {
     /// Per demand slot: its key, and the tier's payload if it was held.
@@ -103,8 +137,7 @@ pub struct ServeClient<T: Transport> {
     t: T,
     session: Option<u32>,
     trace: TraceCtx,
-    /// The client tier: the last merged reply's `Ok` payloads.
-    tier: HashMap<BlockKey, Arc<Vec<f32>>>,
+    tier: ClientTier,
     /// Plans of the fetches sent and not yet received, oldest first.
     plans: VecDeque<Plan>,
 }
@@ -116,7 +149,7 @@ impl<T: Transport> ServeClient<T> {
             t,
             session: None,
             trace: TraceCtx::NONE,
-            tier: HashMap::new(),
+            tier: ClientTier::default(),
             plans: VecDeque::new(),
         }
     }
@@ -276,7 +309,7 @@ impl<T: Transport> ServeClient<T> {
     ) -> Result<(), ClientError> {
         let session = self.sid()?;
         let trace = self.trace;
-        let slots: Vec<_> = demand.iter().map(|&k| (k, self.tier.get(&k).cloned())).collect();
+        let slots: Vec<_> = demand.iter().map(|&k| (k, self.tier.get(k))).collect();
         let asked = slots.iter().filter(|(_, held)| held.is_none()).map(|&(k, _)| k).collect();
         self.send(&Request::Fetch { session, generation, demand: asked, prefetch, trace })?;
         self.plans.push_back(Plan { slots, hold: true });
@@ -374,12 +407,7 @@ impl<T: Transport> ServeClient<T> {
             })
             .collect();
         if plan.hold {
-            self.tier.clear();
-            for b in &blocks {
-                if let Ok(data) = &b.result {
-                    self.tier.insert(b.key, data.clone());
-                }
-            }
+            self.tier.replace(&blocks);
         }
         Ok(FetchOutcome { blocks, shed, downgraded, held })
     }

@@ -33,7 +33,8 @@
 //! when it goes away.
 //! - [`client`] — a typed client over any transport, with split
 //!   send/recv halves for deterministic stepping. It holds its last
-//!   reply's blocks and asks the server only for the demand it lacks.
+//!   reply's blocks ([`ClientTier`], the hold rule the cluster's router
+//!   shares) and asks the server only for the demand it lacks.
 //!
 //! ## Example
 //!
@@ -71,7 +72,7 @@ mod sched;
 pub mod server;
 pub mod transport;
 
-pub use client::{ClientError, FetchOutcome, ServeClient};
+pub use client::{ClientError, ClientTier, FetchOutcome, ServeClient};
 pub use proto::{
     BlockReply, HistSnapshot, ProtoError, Request, Response, TraceCtx, WireTelemetry,
     MAX_FRAME_BYTES, PROTO_VERSION,

@@ -121,9 +121,11 @@ pub enum EventKind {
     /// the latency threshold (instant; `key` = primary node id, `arg` =
     /// 1 when the hedge result was used, 0 when the primary still won).
     HedgedRead,
-    /// One router-side fetch round — mint trace id, fan out to owners,
-    /// collect replies (span; `key` = minted trace id, `arg` =
-    /// `demand_keys << 8 | rounds`).
+    /// One router-side fetch round — mint trace id, answer held keys
+    /// from the client tier, fan the rest out to owners, collect replies
+    /// (span; `key` = minted trace id, `arg` = `demand_keys << 8 |
+    /// rounds`, where `demand_keys` counts held slots too and `rounds` is
+    /// 0 when every demand key was held).
     RouterFetch,
     /// Server-side handling of one traced request frame, decode → reply
     /// (span; `key` = session id, `arg` = request tag code).

@@ -1,6 +1,7 @@
 //! Serving one dataset from four machines: a sharded cluster where every
-//! block has exactly one owner, a client-side router that sends each
-//! demand straight to that owner, and peer forwarding over VSRV for
+//! block has exactly one owner, a client-side router that answers what
+//! its last frame carried itself and sends each other demand straight
+//! to its owner, and peer forwarding over VSRV for
 //! requests that arrive at the wrong node. Then a node crashes
 //! mid-flight and the demand keeps flowing — the map reassigns the
 //! orphaned shards to the ring successors the router was already using
@@ -37,10 +38,9 @@ fn main() {
     // The viewer's router fans each frame out to the owners in per-node
     // batches and merges the replies back into request order.
     let mut router = cluster.router("viewer");
-    let frame: Vec<BlockKey> = keys.iter().copied().take(64).collect();
-    let prefetch: Vec<(BlockKey, f64)> =
-        keys.iter().copied().skip(64).take(64).map(|k| (k, 0.5)).collect();
-    let reply = router.fetch(frame.clone(), prefetch);
+    let frame: Vec<BlockKey> = keys[..64].to_vec();
+    let prefetch: Vec<(BlockKey, f64)> = keys[64..128].iter().map(|&k| (k, 0.5)).collect();
+    let reply = router.fetch(frame, prefetch);
     assert!(reply.blocks.iter().all(|b| b.result.is_ok()));
     println!(
         "frame 1: {} demand blocks in {} round(s), {} shed",
@@ -58,14 +58,24 @@ fn main() {
     // sees a slower frame, never a failed one.
     let mut cluster = cluster;
     let dead = NodeId(2);
+    // The view moves on: frame 2 keeps the last quarter of frame 1, which
+    // the router still holds, and its new blocks include some the dead
+    // node owned, which it must ask for.
+    let frame: Vec<BlockKey> = keys[48..112].to_vec();
+    let orphaned = keys[64..112].iter().filter(|&&k| cluster.map().owner(k) == Some(dead)).count();
+    assert!(orphaned > 0, "frame 2 must ask for some of the dead node's blocks");
     cluster.fail_node(dead);
     println!("node {dead} crashed; map now v{}", cluster.map().version());
 
     let reply = router.fetch(frame, vec![]);
     assert!(reply.blocks.iter().all(|b| b.result.is_ok()), "failover must not drop demand");
+    assert!(reply.held > 0, "the overlap with frame 1 is answered by the router's tier");
+    assert!(reply.rounds >= 2, "the dead node's blocks failed over in a second round");
     println!(
-        "frame 2: {} demand blocks in {} round(s) despite the crash",
+        "frame 2: {} demand blocks ({} held by the router, {orphaned} orphaned) in {} round(s) \
+         despite the crash",
         reply.blocks.len(),
+        reply.held,
         reply.rounds
     );
     println!("router learned map v{}; down: {:?}", router.map().version(), router.down_nodes());
