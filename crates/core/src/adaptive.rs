@@ -8,8 +8,8 @@
 //! controller whose integrator *is* the clamped σ — the standard
 //! conditional anti-windup, so a controller that sat pinned at a bound
 //! for an hour responds to the first reversal at full gain instead of
-//! unwinding an accumulated error backlog. It tunes σ for in-process
-//! sessions and, through the serve wiring, for each server-side flight.
+//! unwinding an accumulated error backlog. It tunes σ for the simulator's
+//! sessions ([`crate::AppAwareConfig::adaptive`]).
 
 /// Configuration of the σ controller.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,11 +64,6 @@ impl SigmaController {
     /// Current threshold.
     pub fn sigma(&self) -> f64 {
         self.sigma
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> AdaptiveSigma {
-        self.cfg
     }
 
     /// Feed one step's measured prefetch and render durations; returns the

@@ -1,11 +1,11 @@
 //! Degraded-frame fetch: a per-frame I/O budget over the real
 //! [`viz_fetch::FetchEngine`].
 //!
-//! The simulator's counterpart is [`crate::session::SessionConfig::frame_deadline_s`];
-//! this module is the real-data side. A frame hands its demand set and a
-//! wall-clock budget to [`fetch_frame`]; every block still gets requested
-//! (so the engine's coalescing and retry machinery works the backlog), but
-//! the *wait* is bounded by whatever budget remains. Blocks that miss the
+//! The simulator has no counterpart: it fetches every demand block, as
+//! the paper does. A frame hands its demand set and a wall-clock budget
+//! to [`fetch_frame`]; every block still gets requested (so the engine's
+//! coalescing and retry machinery works the backlog), but the *wait* is
+//! bounded by whatever budget remains. Blocks that miss the
 //! deadline are reported back so the renderer can draw the frame with
 //! resident blocks only — degraded now, recovered on a later frame when
 //! the in-flight reads land in the pool.

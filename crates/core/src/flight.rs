@@ -1,14 +1,15 @@
-//! Per-client flight state for the serve layer: one camera path plus the
+//! Per-client flight state for served viewers: one camera path plus the
 //! `T_visible` / `T_important` handles that drive it.
 //!
 //! The paper's tables are built once per dataset, but every *viewer* flies
 //! its own path over them. A [`ClientFlight`] packages what one client
-//! session needs — the pose sequence, the per-step visible sets, and
-//! (optionally) shared [`Arc`] handles to the prediction tables — and
-//! turns each step into a [`FrameRequest`]: the demand keys the frame
-//! cannot render without, plus the entropy-prioritized prefetch list for
-//! the step after it. The serve registry holds one flight per session;
-//! bench clients replay them directly.
+//! needs — the pose sequence, the per-step visible sets, and (optionally)
+//! shared [`Arc`] handles to the prediction tables — and turns each step
+//! into a [`FrameRequest`]: the demand keys the frame cannot render
+//! without, plus the entropy-prioritized prefetch list for the step after
+//! it. Prediction runs on the client side, next to the renderer: a client
+//! replays its flight and sends each frame's keys in a `Fetch`, and the
+//! server learns no tables.
 
 use crate::importance::ImportanceTable;
 use crate::sampling::VisibleTable;
@@ -117,18 +118,6 @@ impl ClientFlight {
     /// Restart the flight from step 0 (the generation keeps counting).
     pub fn rewind(&mut self) {
         self.cursor = 0;
-    }
-
-    /// The entropy gate currently applied to predicted blocks.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
-    /// Retune the entropy gate mid-flight — the σ controller's actuator:
-    /// subsequent frames admit prefetch only for blocks with entropy
-    /// ≥ the new threshold.
-    pub fn set_sigma(&mut self, sigma: f64) {
-        self.sigma = sigma;
     }
 
     /// Produce the next frame's request, or `None` once the flight ends

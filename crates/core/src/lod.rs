@@ -133,8 +133,6 @@ pub fn run_lod_session(
             prefetch_s: 0.0,
             lookup_s: 0.0,
             total_s: step_io + render_s,
-            skipped: 0,
-            degraded: false,
         });
     }
 

@@ -220,7 +220,6 @@ mod tests {
             prefetch_s: 0.5,
             lookup_s: 0.25,
             total_s: 5.0,
-            degraded_steps: 0,
             per_step: vec![],
         };
         assert_eq!(Metric::MissRate.of(&r), 0.2);

@@ -154,12 +154,6 @@ pub struct StepMetrics {
     pub lookup_s: f64,
     /// Step wall time under the strategy's overlap rule.
     pub total_s: f64,
-    /// Demand misses *not* fetched because the frame's I/O deadline was
-    /// already spent (0 when no deadline is configured).
-    pub skipped: usize,
-    /// `true` when this step rendered with resident blocks only because
-    /// its demand reads missed the frame deadline (`skipped > 0`).
-    pub degraded: bool,
 }
 
 /// Aggregated result of a session run.
@@ -185,9 +179,6 @@ pub struct SessionReport {
     pub lookup_s: f64,
     /// Σ per-step wall time (the paper's "total time").
     pub total_s: f64,
-    /// Steps that rendered degraded (resident blocks only) because their
-    /// demand I/O missed the frame deadline.
-    pub degraded_steps: usize,
     /// Per-step details.
     pub per_step: Vec<StepMetrics>,
 }
@@ -209,13 +200,6 @@ pub struct SessionConfig {
     /// Device costs `[fastest, middle, backing]`; defaults to the paper's
     /// DRAM/SSD/HDD testbed.
     pub tier_costs: [viz_cache::TierCost; 3],
-    /// Per-frame demand I/O budget in seconds. When set, a step stops
-    /// issuing demand fetches once its accumulated I/O reaches the budget:
-    /// the remaining misses are skipped, the step renders with resident
-    /// blocks only, and the step is marked [`StepMetrics::degraded`]. The
-    /// analog of the fetch path's `get_deadline` for the simulator.
-    /// `None` (the default) preserves the paper's fetch-everything rule.
-    pub frame_deadline_s: Option<f64>,
 }
 
 impl SessionConfig {
@@ -231,16 +215,7 @@ impl SessionConfig {
                 viz_cache::TierCost::ssd(),
                 viz_cache::TierCost::hdd(),
             ],
-            frame_deadline_s: None,
         }
-    }
-
-    /// Bound each step's demand I/O to `seconds`; steps that exceed it
-    /// render degraded (resident blocks only) instead of stalling.
-    pub fn with_frame_deadline(mut self, seconds: f64) -> Self {
-        assert!(seconds >= 0.0, "frame deadline must be non-negative");
-        self.frame_deadline_s = Some(seconds);
-        self
     }
 
     /// Swap in a different device triple (e.g. GPU-mem/DRAM/NVMe for VR).
@@ -332,7 +307,6 @@ pub fn run_session_precomputed(
     let mut per_step = Vec::with_capacity(poses.len());
     let (mut io_total, mut render_total, mut prefetch_total, mut lookup_total, mut wall_total) =
         (0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    let mut degraded_steps = 0usize;
     let mut prev_pose: Option<CameraPose> = None;
 
     for (step_index, (pose, visible)) in poses.iter().zip(visible_sets).enumerate() {
@@ -347,24 +321,13 @@ pub fn run_session_precomputed(
 
         let mut step_io = 0.0;
         let mut step_misses = 0usize;
-        let mut step_skipped = 0usize;
         for &b in visible {
-            // Frame deadline: once the step's demand I/O budget is spent,
-            // non-resident blocks are skipped — the frame renders with
-            // what is resident instead of stalling on the slow tiers.
-            if let Some(deadline) = config.frame_deadline_s {
-                if step_io >= deadline && !hier.in_fastest(&b) {
-                    step_skipped += 1;
-                    continue;
-                }
-            }
             let o = hier.fetch(b, AccessClass::Demand);
             if !o.fast_hit {
                 step_misses += 1;
                 step_io += o.time_s;
             }
         }
-        let step_degraded = step_skipped > 0;
 
         let render_s = config.render.time(visible.len());
 
@@ -417,13 +380,8 @@ pub fn run_session_precomputed(
         prefetch_total += step_prefetch;
         lookup_total += step_lookup;
         wall_total += total_s;
-        degraded_steps += usize::from(step_degraded);
-        viz_telemetry::span(
-            Ev::Frame,
-            step_index as u64,
-            ((step_skipped as u64) << 8) | u64::from(step_degraded),
-            ft,
-        );
+        // Every demand block is fetched, so the frame is never degraded.
+        viz_telemetry::span(Ev::Frame, step_index as u64, 0, ft);
         per_step.push(StepMetrics {
             visible: visible.len(),
             misses: step_misses,
@@ -432,8 +390,6 @@ pub fn run_session_precomputed(
             prefetch_s: step_prefetch,
             lookup_s: step_lookup,
             total_s,
-            skipped: step_skipped,
-            degraded: step_degraded,
         });
     }
 
@@ -449,7 +405,6 @@ pub fn run_session_precomputed(
         prefetch_s: prefetch_total,
         lookup_s: lookup_total,
         total_s: wall_total,
-        degraded_steps,
         per_step,
     }
 }
@@ -764,69 +719,6 @@ mod tests {
             Some((&tv, &ti)),
         );
         assert!(dr.miss_rate < none.miss_rate);
-    }
-
-    #[test]
-    fn no_deadline_means_no_degraded_steps() {
-        let l = layout();
-        let r = run_session(
-            &SessionConfig::paper(0.5, 4096),
-            &l,
-            &Strategy::Baseline(PolicyKind::Lru),
-            &poses(10.0, 30),
-            None,
-        );
-        assert_eq!(r.degraded_steps, 0);
-        assert!(r.per_step.iter().all(|s| !s.degraded && s.skipped == 0));
-    }
-
-    #[test]
-    fn zero_deadline_degrades_instead_of_stalling() {
-        // With a zero I/O budget, no demand fetch is ever issued for a
-        // non-resident block: every miss is skipped and the step renders
-        // with resident blocks only.
-        let l = layout();
-        let cfg = SessionConfig::paper(0.5, 4096).with_frame_deadline(0.0);
-        let r = run_session(&cfg, &l, &Strategy::Baseline(PolicyKind::Lru), &poses(10.0, 30), None);
-        assert_eq!(r.io_s, 0.0);
-        assert_eq!(r.misses, 0);
-        assert!(r.degraded_steps > 0);
-        for s in &r.per_step {
-            assert_eq!(s.io_s, 0.0);
-            assert_eq!(s.degraded, s.skipped > 0);
-        }
-        let degraded_count = r.per_step.iter().filter(|s| s.degraded).count();
-        assert_eq!(degraded_count, r.degraded_steps);
-    }
-
-    #[test]
-    fn deadline_bounds_per_step_io_and_total() {
-        let l = layout();
-        let base = SessionConfig::paper(0.5, 4096);
-        let unlimited =
-            run_session(&base, &l, &Strategy::Baseline(PolicyKind::Lru), &poses(20.0, 40), None);
-        let worst_step = unlimited.per_step.iter().map(|s| s.io_s).fold(0.0f64, f64::max);
-        // Budget half the worst step: some steps must degrade, and every
-        // step's I/O stays within budget + one block fetch.
-        let deadline = worst_step / 2.0;
-        let capped = run_session(
-            &base.clone().with_frame_deadline(deadline),
-            &l,
-            &Strategy::Baseline(PolicyKind::Lru),
-            &poses(20.0, 40),
-            None,
-        );
-        assert!(capped.degraded_steps > 0, "halved budget should degrade some steps");
-        assert!(capped.io_s <= unlimited.io_s + 1e-12);
-        let max_single = unlimited.per_step.iter().map(|s| s.io_s).fold(0.0f64, f64::max);
-        for s in &capped.per_step {
-            assert!(
-                s.io_s <= deadline + max_single + 1e-12,
-                "step I/O {} exceeds budget {} by more than one fetch",
-                s.io_s,
-                deadline
-            );
-        }
     }
 
     #[test]

@@ -64,13 +64,6 @@ impl ExplorationDomain {
         ExplorationDomain { center, r_min, r_max }
     }
 
-    /// Domain for the unit-normalized volume (edge 2, so bounding radius
-    /// `sqrt(3)`): cameras between just outside the volume and 3x that.
-    pub fn unit_default() -> Self {
-        let r = 3f64.sqrt();
-        ExplorationDomain::new(Vec3::ZERO, r * 1.05, r * 3.0)
-    }
-
     /// `true` when `p` lies within the shell (inclusive).
     pub fn contains(&self, p: Vec3) -> bool {
         let d = p.distance(self.center);

@@ -11,12 +11,13 @@
 //!   panics, mirroring the persist codecs' contract.
 //! - [`transport`] — frame pipes: an in-process pair for deterministic
 //!   tests, localhost TCP for real connections.
-//! - [`registry`] — per-session identity: generation counter, optional
-//!   server-side [`viz_core::ClientFlight`], accounting.
+//! - [`registry`] — per-session identity: generation counter and
+//!   accounting. The server learns no prediction tables: each client
+//!   predicts for its own pose and sends demand and prefetch keys.
 //! - [`server`] — the tenant layer: deficit-round-robin fairness across
-//!   sessions within each priority class, per-client quotas, a load-shed
-//!   ladder that rejects or downgrades prefetch (never demand) under
-//!   pressure, graceful drain, and per-client telemetry through the
+//!   sessions within each priority class, a per-client entry quota, a
+//!   load-shed ladder that rejects or downgrades prefetch (never demand)
+//!   under pressure, graceful drain, and per-client telemetry through the
 //!   `viz_telemetry` rings. Duplicate keys across *different* clients
 //!   coalesce into one source read inside the shared engine.
 //! - [`reactor`] — the scaling front end: every connection on one

@@ -254,9 +254,8 @@ pub enum Request {
         trace: TraceCtx,
     },
     /// Advance the session's frame generation (camera stepped): queued
-    /// prefetch from earlier generations is purged, and a server-side
-    /// [`viz_core::ClientFlight`], if attached, contributes the next
-    /// frame's prefetch set.
+    /// prefetch from earlier generations is purged. The server predicts
+    /// nothing itself; the next frame's prefetch arrives with its `Fetch`.
     Advance {
         /// Session to advance.
         session: u32,

@@ -1,15 +1,13 @@
 //! The session registry: one entry per connected client, carrying its
-//! generation counter, optional server-side [`ClientFlight`], and
-//! per-session accounting.
+//! generation counter and per-session accounting.
 //!
 //! The registry is deliberately small: fairness queues and quotas live in
 //! the scheduler (`sched`), payloads live in the shared pool, and the
-//! prediction tables are shared `Arc`s inside each flight — a thousand
-//! sessions cost a thousand structs, not a thousand table copies.
+//! prediction tables live with the clients — the server learns no tables,
+//! so a thousand sessions cost a thousand small structs.
 
 use std::collections::HashMap;
 use std::fmt;
-use viz_core::{ClientFlight, SigmaController};
 
 /// Opaque session identifier, assigned at open, never reused within one
 /// server's lifetime.
@@ -30,14 +28,6 @@ pub(crate) struct Session {
     /// untouched by serving (one client stepping must not cancel
     /// another's speculation).
     pub generation: u64,
-    /// Server-side camera flight, when the deployment drives prediction
-    /// from the server (attach via `Server::attach_flight`).
-    pub flight: Option<ClientFlight>,
-    /// Adaptive-σ loop for the attached flight (attach via
-    /// `Server::attach_adaptive_sigma`): the controller plus its queued-
-    /// prefetch backlog target. Each `Advance` observes the session's
-    /// leftover prefetch backlog and retunes the flight's entropy gate.
-    pub sigma_ctl: Option<(SigmaController, f64)>,
     /// `true` when the client is another cluster node (name opens with
     /// `peer/`): its traffic is demand-only forwarding, counted
     /// separately in the stats so operators can split local load from
@@ -59,8 +49,6 @@ pub struct SessionView {
     pub name: String,
     /// Current frame generation.
     pub generation: u64,
-    /// `true` when a server-side flight is attached.
-    pub has_flight: bool,
     /// `true` when the session belongs to a peer cluster node.
     pub is_peer: bool,
     /// Demand keys this session has submitted.
@@ -94,8 +82,6 @@ impl Registry {
             Session {
                 name: name.to_string(),
                 generation: 0,
-                flight: None,
-                sigma_ctl: None,
                 is_peer: name.starts_with("peer/"),
                 demand_submitted: 0,
                 prefetch_submitted: 0,
@@ -137,7 +123,6 @@ impl Registry {
                 id: SessionId(id),
                 name: s.name.clone(),
                 generation: s.generation,
-                has_flight: s.flight.is_some(),
                 is_peer: s.is_peer,
                 demand_submitted: s.demand_submitted,
                 prefetch_submitted: s.prefetch_submitted,
@@ -177,7 +162,6 @@ mod tests {
         r.get_mut(id).unwrap().generation = 3;
         let v = &r.views()[0];
         assert_eq!((v.id, v.generation, v.demand_submitted), (id, 3, 5));
-        assert!(!v.has_flight);
         assert_eq!(v.name, "viewer");
     }
 

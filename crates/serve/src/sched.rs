@@ -34,8 +34,6 @@ pub(crate) struct PrefetchEntry {
     /// Session generation at submit; `purge_prefetch` drops entries from
     /// earlier generations when the client advances its frame.
     pub gen: u64,
-    /// Byte estimate for the session's byte quota.
-    pub bytes: usize,
 }
 
 #[derive(Default)]
@@ -44,7 +42,6 @@ struct SessQueue {
     prefetch: VecDeque<PrefetchEntry>,
     d_deficit: u32,
     p_deficit: u32,
-    p_bytes: usize,
 }
 
 /// Two-class DRR scheduler (see module docs).
@@ -91,9 +88,7 @@ impl Scheduler {
 
     pub fn push_prefetch(&mut self, sid: u32, e: PrefetchEntry) {
         self.add_session(sid);
-        let q = self.queues.get_mut(&sid).unwrap();
-        q.p_bytes += e.bytes;
-        q.prefetch.push_back(e);
+        self.queues.get_mut(&sid).unwrap().prefetch.push_back(e);
         self.p_total += 1;
     }
 
@@ -104,15 +99,14 @@ impl Scheduler {
         };
         let before = q.prefetch.len();
         q.prefetch.retain(|e| e.gen >= cur_gen);
-        q.p_bytes = q.prefetch.iter().map(|e| e.bytes).sum();
         let dropped = before - q.prefetch.len();
         self.p_total -= dropped;
         dropped
     }
 
-    /// `(entries, bytes)` a session has queued in its prefetch lane.
-    pub fn queued_prefetch(&self, sid: u32) -> (usize, usize) {
-        self.queues.get(&sid).map_or((0, 0), |q| (q.prefetch.len(), q.p_bytes))
+    /// Entries a session has queued in its prefetch lane.
+    pub fn queued_prefetch(&self, sid: u32) -> usize {
+        self.queues.get(&sid).map_or(0, |q| q.prefetch.len())
     }
 
     pub fn queued_demand_total(&self) -> usize {
@@ -180,7 +174,6 @@ impl Scheduler {
             }
             let e = q.prefetch.pop_front().unwrap();
             q.p_deficit -= 1;
-            q.p_bytes -= e.bytes;
             self.p_total -= 1;
             if q.p_deficit == 0 || q.prefetch.is_empty() {
                 if q.prefetch.is_empty() {
@@ -200,7 +193,7 @@ mod tests {
     use viz_volume::BlockId;
 
     fn pe(i: u32, gen: u64) -> PrefetchEntry {
-        PrefetchEntry { key: BlockKey::scalar(BlockId(i)), pri: 1.0, gen, bytes: 100 }
+        PrefetchEntry { key: BlockKey::scalar(BlockId(i)), pri: 1.0, gen }
     }
 
     #[test]
@@ -241,14 +234,14 @@ mod tests {
     }
 
     #[test]
-    fn purge_drops_only_stale_generations_and_rebalances_bytes() {
+    fn purge_drops_only_stale_generations() {
         let mut s = Scheduler::new();
         s.push_prefetch(1, pe(0, 1));
         s.push_prefetch(1, pe(1, 2));
         s.push_prefetch(1, pe(2, 3));
-        assert_eq!(s.queued_prefetch(1), (3, 300));
+        assert_eq!(s.queued_prefetch(1), 3);
         assert_eq!(s.purge_prefetch(1, 3), 2);
-        assert_eq!(s.queued_prefetch(1), (1, 100));
+        assert_eq!(s.queued_prefetch(1), 1);
         assert_eq!(s.queued_prefetch_total(), 1);
     }
 

@@ -18,8 +18,8 @@
 //! *resident* and dropped before the ladder: Algorithm 1 prefetches only
 //! what fast memory lacks, so it costs no quota and never reaches the
 //! lanes or the engine. Every other prefetch entry walks, in order:
-//! draining → stale generation → per-client entry quota → per-client
-//! byte quota → breaker open → global queue depth → pool pressure.
+//! draining → stale generation → per-client entry quota → breaker open
+//! → global queue depth → pool pressure.
 //! First failure sheds the entry with a typed [`ShedReason`]; between
 //! the downgrade and shed watermarks entries are admitted at a quarter of
 //! their priority instead. **Demand is never shed** — a blocked renderer
@@ -41,7 +41,6 @@ use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use viz_core::{AdaptiveSigma, ClientFlight, SigmaController};
 use viz_fetch::{BreakerState, FetchEngine, Ticket};
 use viz_telemetry::{instant, Counter, EventKind as Ev};
 use viz_volume::BlockKey;
@@ -58,18 +57,19 @@ pub enum IoBackend {
     Reactor,
 }
 
+/// DRR deficit refilled per visit, in requests.
+const QUANTUM: u32 = 8;
+
+/// How many prefetch entries one pump pass hands the engine as a single
+/// batched admission (grouped per session, DRR order kept).
+const PUMP_BATCH: usize = 64;
+
 /// Serving policy knobs. `Default` suits tests and small deployments;
 /// the bench stresses the watermarks explicitly.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// DRR deficit refilled per visit, in requests.
-    pub quantum: u32,
     /// Per-session cap on queued prefetch entries.
     pub per_client_queue: usize,
-    /// Per-session cap on queued prefetch bytes (estimated).
-    pub per_client_bytes: usize,
-    /// Byte estimate per block for quota accounting.
-    pub block_bytes_hint: usize,
     /// Stop pumping prefetch into the engine once its prefetch backlog
     /// reaches this depth (demand pumps unconditionally).
     pub engine_queue_target: usize,
@@ -89,18 +89,12 @@ pub struct ServeConfig {
     /// Connection front-end model ([`crate::TcpFrontend::bind`] reads
     /// this to pick between thread-per-connection and the reactor).
     pub backend: IoBackend,
-    /// How many prefetch entries one pump pass hands the engine as a
-    /// single batched admission (grouped per session, DRR order kept).
-    pub pump_batch: usize,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            quantum: 8,
             per_client_queue: 256,
-            per_client_bytes: 64 << 20,
-            block_bytes_hint: 4096,
             engine_queue_target: 1024,
             shed_queue_depth: 4096,
             downgrade_queue_depth: 2048,
@@ -108,7 +102,6 @@ impl Default for ServeConfig {
             demand_deadline: None,
             max_sessions: 1024,
             backend: IoBackend::Threads,
-            pump_batch: 64,
         }
     }
 }
@@ -122,8 +115,6 @@ pub enum ShedReason {
     StaleGeneration,
     /// The session's prefetch lane is at its entry quota.
     ClientQuota,
-    /// The session's prefetch lane is at its byte quota.
-    ByteQuota,
     /// The engine's circuit breaker is open — the source is presumed
     /// down, speculation would only deepen the failure.
     BreakerOpen,
@@ -135,13 +126,14 @@ pub enum ShedReason {
 }
 
 impl ShedReason {
-    /// Stable code, used as the `RequestShed` telemetry arg.
+    /// Stable code, used as the `RequestShed` telemetry arg that
+    /// flight-recorder dumps decode. Code 4 (the retired per-client byte
+    /// quota) is never reused.
     pub fn code(self) -> u16 {
         match self {
             ShedReason::Draining => 1,
             ShedReason::StaleGeneration => 2,
             ShedReason::ClientQuota => 3,
-            ShedReason::ByteQuota => 4,
             ShedReason::BreakerOpen => 5,
             ShedReason::QueueDepth => 6,
             ShedReason::PoolPressure => 7,
@@ -206,12 +198,11 @@ struct ServeStats {
     peer_requests: Counter,
     peer_demand_keys: Counter,
     // Per-reason shed breakdown: whoever tunes the `ServeConfig` ladder
-    // needs to know *why* prefetch is being refused (a byte-quota shed
+    // needs to know *why* prefetch is being refused (an entry-quota shed
     // wants a bigger quota; a breaker shed wants nothing at all).
     shed_draining: Counter,
     shed_stale_gen: Counter,
     shed_entry_quota: Counter,
-    shed_byte_quota: Counter,
     shed_breaker: Counter,
     shed_queue_depth: Counter,
     shed_pool_pressure: Counter,
@@ -238,7 +229,6 @@ impl ServeStats {
             shed_draining: Counter::new("serve_shed_draining"),
             shed_stale_gen: Counter::new("serve_shed_stale_gen"),
             shed_entry_quota: Counter::new("serve_shed_entry_quota"),
-            shed_byte_quota: Counter::new("serve_shed_byte_quota"),
             shed_breaker: Counter::new("serve_shed_breaker"),
             shed_queue_depth: Counter::new("serve_shed_queue_depth"),
             shed_pool_pressure: Counter::new("serve_shed_pool_pressure"),
@@ -250,7 +240,6 @@ impl ServeStats {
             ShedReason::Draining => &self.shed_draining,
             ShedReason::StaleGeneration => &self.shed_stale_gen,
             ShedReason::ClientQuota => &self.shed_entry_quota,
-            ShedReason::ByteQuota => &self.shed_byte_quota,
             ShedReason::BreakerOpen => &self.shed_breaker,
             ShedReason::QueueDepth => &self.shed_queue_depth,
             ShedReason::PoolPressure => &self.shed_pool_pressure,
@@ -277,7 +266,6 @@ impl ServeStats {
             &self.shed_draining,
             &self.shed_stale_gen,
             &self.shed_entry_quota,
-            &self.shed_byte_quota,
             &self.shed_breaker,
             &self.shed_queue_depth,
             &self.shed_pool_pressure,
@@ -407,84 +395,17 @@ impl Server {
         true
     }
 
-    /// Attach a server-side camera flight: each `Advance` then feeds the
-    /// flight's next frame's speculation through admission automatically.
-    pub fn attach_flight(&self, id: SessionId, flight: ClientFlight) -> bool {
-        match relock(&self.registry).get_mut(id) {
-            Some(s) => {
-                s.flight = Some(flight);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Put a session's flight under closed-loop σ control: every
-    /// [`Server::advance`] then observes the session's *leftover* queued
-    /// prefetch (entries admitted last frame that the pump never
-    /// consumed — the serve-side analogue of "prefetch time" spilling
-    /// past the render window) against `target_backlog` and retunes the
-    /// flight's entropy gate before producing the next frame. Requires an
-    /// attached flight; returns `false` without one.
-    pub fn attach_adaptive_sigma(
-        &self,
-        id: SessionId,
-        cfg: AdaptiveSigma,
-        target_backlog: f64,
-    ) -> bool {
-        let mut reg = relock(&self.registry);
-        match reg.get_mut(id) {
-            Some(s) => match &s.flight {
-                Some(f) => {
-                    let ctl = SigmaController::new(cfg, f.sigma());
-                    s.sigma_ctl = Some((ctl, target_backlog.max(1.0)));
-                    true
-                }
-                None => false,
-            },
-            None => false,
-        }
-    }
-
-    /// The σ a session's flight currently gates prefetch with (`None`
-    /// for an unknown session or one without a flight).
-    pub fn session_sigma(&self, id: SessionId) -> Option<f64> {
-        relock(&self.registry).get_mut(id)?.flight.as_ref().map(|f| f.sigma())
-    }
-
     /// Bump a session's frame generation: queued prefetch from earlier
-    /// generations is purged, and an attached flight contributes the next
-    /// frame's prefetch set. Returns the new generation, or `None` for an
+    /// generations is purged. Returns the new generation, or `None` for an
     /// unknown session.
-    ///
-    /// With [`Server::attach_adaptive_sigma`] active, the leftover
-    /// prefetch backlog (about to be purged as stale) first feeds the σ
-    /// controller. It holds only keys that were absent from the pool at
-    /// admission (resident predictions never queue), so it measures
-    /// speculation that still costs a read. A backlog persistently above
-    /// target means admission outruns consumption — raise σ, speculate
-    /// less; an empty backlog means idle I/O headroom — lower σ,
-    /// speculate more.
     pub fn advance(&self, id: SessionId) -> Option<u64> {
-        let (leftover, _) = relock(&self.sched).queued_prefetch(id.0);
-        let (generation, frame) = {
+        let generation = {
             let mut reg = relock(&self.registry);
             let s = reg.get_mut(id)?;
             s.generation += 1;
-            if let Some((ctl, target)) = &mut s.sigma_ctl {
-                let render_window = *target / ctl.config().target_ratio.max(1e-9);
-                ctl.observe(leftover as f64, render_window);
-                let sigma = ctl.sigma();
-                if let Some(f) = &mut s.flight {
-                    f.set_sigma(sigma);
-                }
-            }
-            (s.generation, s.flight.as_mut().and_then(|f| f.next_frame()))
+            s.generation
         };
         relock(&self.sched).purge_prefetch(id.0, generation);
-        if let Some(fr) = frame {
-            self.admit_prefetch(id, generation, fr.prefetch);
-        }
         Some(generation)
     }
 
@@ -569,10 +490,9 @@ impl Server {
         let pool_bytes = pool.bytes_resident();
         let draining = self.is_draining();
         let cfg = &self.cfg;
-        let hint = cfg.block_bytes_hint;
 
         let mut sched = relock(&self.sched);
-        let (mut lane_n, mut lane_bytes) = sched.queued_prefetch(id.0);
+        let mut lane_n = sched.queued_prefetch(id.0);
         let mut backlog = engine_pf + sched.queued_prefetch_total();
         for (key, pri) in prefetch {
             let verdict = if draining {
@@ -581,8 +501,6 @@ impl Server {
                 Err(ShedReason::StaleGeneration)
             } else if lane_n >= cfg.per_client_queue {
                 Err(ShedReason::ClientQuota)
-            } else if lane_bytes + hint > cfg.per_client_bytes {
-                Err(ShedReason::ByteQuota)
             } else if breaker_open {
                 Err(ShedReason::BreakerOpen)
             } else if backlog >= cfg.shed_queue_depth {
@@ -603,12 +521,8 @@ impl Server {
                         t.admitted += 1;
                         self.stats.prefetch_admitted.inc();
                     }
-                    sched.push_prefetch(
-                        id.0,
-                        PrefetchEntry { key, pri: p, gen: session_gen, bytes: hint },
-                    );
+                    sched.push_prefetch(id.0, PrefetchEntry { key, pri: p, gen: session_gen });
                     lane_n += 1;
-                    lane_bytes += hint;
                     backlog += 1;
                 }
                 Err(reason) => {
@@ -633,7 +547,7 @@ impl Server {
     /// While draining, prefetch stays queued (drain discards it).
     pub fn pump(&self) {
         loop {
-            let e = relock(&self.sched).pop_next_demand(self.cfg.quantum);
+            let e = relock(&self.sched).pop_next_demand(QUANTUM);
             let Some((sid, e)) = e else { break };
             // Restore the submitting request's trace context around
             // admission: the engine captures it for the whole job.
@@ -656,13 +570,12 @@ impl Server {
             // then admit it to the engine in per-session batches (the
             // engine takes its own lock once per batch instead of once
             // per key — see `FetchEngine::prefetch_batch_tagged`).
-            let budget =
-                engine_queue_target.saturating_sub(engine_pf).min(self.cfg.pump_batch.max(1));
+            let budget = engine_queue_target.saturating_sub(engine_pf).min(PUMP_BATCH);
             let mut run: Vec<(u32, BlockKey, f64)> = Vec::with_capacity(budget);
             {
                 let mut sched = relock(&self.sched);
                 for _ in 0..budget {
-                    let Some((sid, e)) = sched.pop_next_prefetch(self.cfg.quantum) else { break };
+                    let Some((sid, e)) = sched.pop_next_prefetch(QUANTUM) else { break };
                     run.push((sid, e.key, e.pri));
                 }
             }
@@ -1270,6 +1183,24 @@ mod tests {
     use crate::{ServeClient, TcpTransport};
     use viz_fetch::{BlockPool, FetchConfig, InstrumentedSource};
     use viz_volume::MemBlockStore;
+
+    /// The `RequestShed` telemetry arg is a wire-stable code: flight-recorder
+    /// dumps decode it, so no variant may change its number, and the
+    /// retired byte quota's 4 stays unused.
+    #[test]
+    fn shed_reason_codes_are_stable() {
+        let codes = [
+            (ShedReason::Draining, 1),
+            (ShedReason::StaleGeneration, 2),
+            (ShedReason::ClientQuota, 3),
+            (ShedReason::BreakerOpen, 5),
+            (ShedReason::QueueDepth, 6),
+            (ShedReason::PoolPressure, 7),
+        ];
+        for (reason, code) in codes {
+            assert_eq!(reason.code(), code, "{reason:?}");
+        }
+    }
 
     /// Sequential clients that come and go leave nothing behind: each
     /// accept reaps the connections whose handler has returned, so the

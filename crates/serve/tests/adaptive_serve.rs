@@ -1,23 +1,17 @@
 //! The serve-side adaptive surface: per-reason shed counters on the wire
-//! for every rung of the shed ladder, the four fates of a predicted key,
-//! and the σ loop driven by `Server::advance`.
+//! for every rung of the shed ladder, and the four fates of a predicted
+//! key.
 
 use std::io;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
-use viz_core::{AdaptiveSigma, ClientFlight, ImportanceTable, VisibleTable};
-use viz_core::{RadiusRule, SamplingConfig};
 use viz_fetch::{
     BlockPool, BreakerConfig, FaultInjectingSource, FetchConfig, FetchEngine, InstrumentedSource,
     RetryPolicy,
 };
-use viz_geom::angle::deg_to_rad;
 use viz_geom::rng::{for_cases, SplitMix64};
-use viz_geom::{CameraPath, SphericalPath};
 use viz_serve::{ServeConfig, Server, SessionId};
-use viz_volume::{
-    BlockId, BlockKey, BlockSource, BrickLayout, DatasetKind, DatasetSpec, Dims3, MemBlockStore,
-};
+use viz_volume::{BlockId, BlockKey, BlockSource, MemBlockStore};
 
 fn key(i: u32) -> BlockKey {
     BlockKey::scalar(BlockId(i))
@@ -46,11 +40,10 @@ fn counter(stats: &[(String, u64)], name: &str) -> u64 {
 }
 
 /// One counter per [`viz_serve::ShedReason`], in ladder order.
-const SHED_COUNTERS: [&str; 7] = [
+const SHED_COUNTERS: [&str; 6] = [
     "serve_shed_draining",
     "serve_shed_stale_gen",
     "serve_shed_entry_quota",
-    "serve_shed_byte_quota",
     "serve_shed_breaker",
     "serve_shed_queue_depth",
     "serve_shed_pool_pressure",
@@ -145,14 +138,6 @@ fn per_reason_shed_counters_reach_the_wire() {
     assert_eq!(server.submit(id, 0, vec![], prefetch(10..15)).unwrap().shed(), 3);
     assert_sheds(&server, "serve_shed_entry_quota", 3);
 
-    // Byte quota: room for two blocks' worth of the byte estimate.
-    let hint = ServeConfig::default().block_bytes_hint;
-    let server =
-        det_server(ServeConfig { per_client_bytes: 2 * hint, ..ServeConfig::default() }, 32);
-    let id = server.open_session("v").unwrap();
-    assert_eq!(server.submit(id, 0, vec![], prefetch(10..15)).unwrap().shed(), 3);
-    assert_sheds(&server, "serve_shed_byte_quota", 3);
-
     // Breaker open: one failed demand read trips a threshold-1 breaker.
     let faulty = Arc::new(FaultInjectingSource::healthy(store(8)));
     faulty.set_outage(Some(io::ErrorKind::Other));
@@ -239,10 +224,8 @@ fn assert_fates(server: &Server, submitted: &[u64], queued: &[u64]) {
 fn every_predicted_key_has_exactly_one_fate() {
     const KEYS: u32 = 48;
     for_cases(0xfa7e_5eed, 48, |rng, _| {
-        let hint = ServeConfig::default().block_bytes_hint;
         let cfg = ServeConfig {
             per_client_queue: rng.index(0..16),
-            per_client_bytes: rng.index(0..16) * hint,
             engine_queue_target: rng.index(0..8),
             shed_queue_depth: rng.index(0..32),
             downgrade_queue_depth: rng.index(0..32),
@@ -298,69 +281,4 @@ fn every_predicted_key_has_exactly_one_fate() {
             drop(held);
         }
     });
-}
-
-/// A small flight with real prediction tables, so σ actually gates
-/// prefetch admission.
-fn table_flight(sigma: f64) -> ClientFlight {
-    let spec = DatasetSpec::new(DatasetKind::Ball3d, 16, 5);
-    let field = spec.materialize(0, 0.0);
-    let layout = BrickLayout::new(field.dims, Dims3::cube(8));
-    let importance = Arc::new(ImportanceTable::from_field(&layout, &field, 32));
-    let angle = deg_to_rad(20.0);
-    let sampling = SamplingConfig::paper_default(2.0, 3.0, angle).with_target_samples(64);
-    let tv = Arc::new(VisibleTable::build(sampling, &layout, RadiusRule::Fixed(0.6), None));
-    let domain = viz_geom::ExplorationDomain::new(viz_geom::Vec3::ZERO, 2.0, 3.0);
-    let poses = SphericalPath::new(domain, 2.5, 10.0, angle).generate(64);
-    ClientFlight::new(&layout, poses, Some((tv, importance)), sigma)
-}
-
-#[test]
-fn sigma_rises_when_backlog_is_never_consumed() {
-    let server = det_server(ServeConfig::default(), 0);
-    let id = server.open_session("v").unwrap();
-    assert!(server.attach_flight(id, table_flight(0.5)));
-    let cfg = AdaptiveSigma { gain: 0.3, min_sigma: 0.0, max_sigma: 5.0, target_ratio: 0.9 };
-    assert!(server.attach_adaptive_sigma(id, cfg, 2.0));
-    assert_eq!(server.session_sigma(id), Some(0.5));
-
-    // Never pump: every frame's admitted prefetch is still queued at the
-    // next advance — a persistent overshoot the controller must answer by
-    // raising σ (speculate less).
-    for _ in 0..20 {
-        server.advance(id).unwrap();
-    }
-    let sigma = server.session_sigma(id).unwrap();
-    assert!(sigma > 0.5, "σ should rise under persistent backlog, got {sigma}");
-}
-
-#[test]
-fn sigma_falls_when_the_pump_keeps_up() {
-    let server = det_server(ServeConfig::default(), 0);
-    let id = server.open_session("v").unwrap();
-    assert!(server.attach_flight(id, table_flight(3.0)));
-    let cfg = AdaptiveSigma { gain: 0.3, min_sigma: 0.0, max_sigma: 5.0, target_ratio: 0.9 };
-    assert!(server.attach_adaptive_sigma(id, cfg, 8.0));
-
-    // Pump + run the engine to idle after every advance: backlog is
-    // always consumed, so the controller sees idle I/O headroom and
-    // lowers σ (speculate more).
-    for _ in 0..20 {
-        server.advance(id).unwrap();
-        server.pump();
-        server.engine().run_until_idle();
-    }
-    let sigma = server.session_sigma(id).unwrap();
-    assert!(sigma < 3.0, "σ should fall when the backlog clears, got {sigma}");
-}
-
-#[test]
-fn attach_adaptive_sigma_requires_a_flight() {
-    let server = det_server(ServeConfig::default(), 0);
-    let id = server.open_session("v").unwrap();
-    let cfg = AdaptiveSigma::default_for_bins(32);
-    assert!(!server.attach_adaptive_sigma(id, cfg, 4.0), "no flight attached yet");
-    assert!(server.attach_flight(id, table_flight(1.0)));
-    assert!(server.attach_adaptive_sigma(id, cfg, 4.0));
-    assert!(server.advance(id).is_some());
 }

@@ -328,7 +328,6 @@ fn demand_is_never_shed_while_prefetch_downgrades_then_sheds() {
     // counted as resident before the ladder; every other entry sheds.
     let cfg = ServeConfig {
         per_client_queue: 0,
-        per_client_bytes: 0,
         engine_queue_target: 0,
         shed_queue_depth: 0,
         downgrade_queue_depth: 0,
@@ -464,37 +463,6 @@ fn advance_purges_stale_prefetch_and_sheds_stale_generations() {
     server.engine().run_until_idle();
     assert!(server.engine().pool().contains(key(4)));
     assert!(!server.engine().pool().contains(key(3)));
-}
-
-#[test]
-fn attached_flight_feeds_next_frame_speculation_on_advance() {
-    use viz_core::ClientFlight;
-    use viz_geom::{CameraPose, Vec3};
-
-    let (server, _src) = det_server(ServeConfig::default(), 8);
-    let sid = server.open_session("guided").unwrap();
-
-    let pose = CameraPose::new(Vec3::new(2.0, 0.0, 0.0), Vec3::new(0.0, 0.0, 0.0), 1.0);
-    let visible = vec![vec![BlockId(0), BlockId(1)], vec![BlockId(2)], vec![BlockId(3)]];
-    let flight = ClientFlight::from_visible(vec![pose; 3], visible, None, 0.0);
-    assert!(server.attach_flight(sid, flight));
-    assert!(!server.attach_flight(SessionId(999), {
-        let pose = CameraPose::new(Vec3::new(2.0, 0.0, 0.0), Vec3::new(0.0, 0.0, 0.0), 1.0);
-        ClientFlight::from_visible(vec![pose], vec![vec![]], None, 0.0)
-    }));
-
-    // Step 0's frame speculates step 1's visible set (block 2).
-    server.advance(sid).unwrap();
-    server.pump();
-    server.engine().run_until_idle();
-    assert!(server.engine().pool().contains(key(2)));
-    assert!(!server.engine().pool().contains(key(3)));
-
-    // The next advance speculates step 2's set.
-    server.advance(sid).unwrap();
-    server.pump();
-    server.engine().run_until_idle();
-    assert!(server.engine().pool().contains(key(3)));
 }
 
 #[test]

@@ -77,15 +77,6 @@ impl DatasetKind {
             _ => 1,
         }
     }
-
-    /// Number of timesteps our generator exposes (the paper's climate data
-    /// is time-varying; the others are single-timestep).
-    pub fn num_timesteps(&self) -> usize {
-        match self {
-            DatasetKind::Climate => 8,
-            _ => 1,
-        }
-    }
 }
 
 /// A concrete dataset instance: a kind at some resolution scale.
@@ -122,11 +113,6 @@ impl DatasetSpec {
     /// one 294×258×98 snapshot).
     pub fn table1_bytes(&self) -> usize {
         self.resolution().bytes_f32() * self.kind.num_variables()
-    }
-
-    /// Total bytes across every timestep our generator exposes.
-    pub fn total_bytes(&self) -> usize {
-        self.table1_bytes() * self.kind.num_timesteps()
     }
 
     /// The generator for variable `var` of this dataset.

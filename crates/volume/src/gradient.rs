@@ -7,7 +7,6 @@
 //! tends to be the most interesting part" (§IV-C) — is literally a gradient
 //! statement, so the comparison is a natural one.
 
-use crate::dims::Dims3;
 use crate::field::VolumeField;
 use viz_geom::par;
 
@@ -63,14 +62,10 @@ pub fn block_mean_gradient(field: &VolumeField, layout: &crate::layout::BrickLay
     })
 }
 
-/// Dimensions helper re-export used by downstream tests.
-pub fn dims_of(field: &VolumeField) -> Dims3 {
-    field.dims
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dims::Dims3;
     use crate::layout::BrickLayout;
 
     fn linear_field() -> VolumeField {

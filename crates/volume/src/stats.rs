@@ -71,13 +71,6 @@ impl Histogram {
         h
     }
 
-    /// Probability mass function `p(x)` over the bins (empty bins excluded
-    /// implicitly: their probability is 0).
-    pub fn pmf(&self) -> impl Iterator<Item = f64> + '_ {
-        let total = self.total.max(1) as f64;
-        self.counts.iter().map(move |&c| c as f64 / total)
-    }
-
     /// Shannon entropy `H = -Σ p(x) log2 p(x)` (Eq. 2), in bits.
     ///
     /// `0 log 0 = 0` by convention: empty bins contribute nothing. The
