@@ -46,7 +46,7 @@ impl TierSpec {
 /// Where a fetch was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FetchOutcome {
-    /// 0-based tier index; `num_tiers()` means the backing store.
+    /// 0-based tier index; one past the last tier means the backing store.
     pub level: usize,
     /// Simulated seconds the fetch took.
     pub time_s: f64,
@@ -149,11 +149,6 @@ impl<K: Copy + Eq + Hash + Send + 'static> Hierarchy<K> {
 }
 
 impl<K: Copy + Eq + Hash> Hierarchy<K> {
-    /// Number of cache tiers (excluding the backing store).
-    pub fn num_tiers(&self) -> usize {
-        self.tiers.len()
-    }
-
     /// Capacity of tier `i` in blocks.
     pub fn tier_capacity(&self, i: usize) -> usize {
         self.tiers[i].spec.capacity

@@ -387,16 +387,6 @@ struct Shared {
     io: IoPool,
     cfg: FetchConfig,
     m: Counters,
-    /// Completion hook (see [`FetchEngine::set_completion_hook`]).
-    wake: Mutex<Option<Arc<dyn Fn() + Send + Sync>>>,
-}
-
-/// Invoke the registered completion hook, if any, outside the state lock.
-fn wake_hook(s: &Shared) {
-    let hook = s.wake.lock().unwrap_or_else(PoisonError::into_inner).clone();
-    if let Some(hook) = hook {
-        hook();
-    }
 }
 
 /// Poison-tolerant state lock: a panicking worker must never wedge the
@@ -524,7 +514,6 @@ impl FetchEngine {
             io: IoPool::new(cfg.io_threads),
             cfg,
             m: Counters::default(),
-            wake: Mutex::new(None),
         });
         let workers = (0..cfg.workers)
             .map(|i| {
@@ -781,16 +770,6 @@ impl FetchEngine {
     /// Current circuit-breaker state.
     pub fn breaker_state(&self) -> BreakerState {
         self.shared.breaker.state()
-    }
-
-    /// Register (or clear, with `None`) a hook called after every job
-    /// resolution — success, error, cancellation, or panic. An event loop
-    /// parked in `poll(2)` points this at its wake pipe so it learns about
-    /// completions immediately instead of at its poll timeout. The hook
-    /// runs on the resolving worker thread and must be cheap and
-    /// non-blocking.
-    pub fn set_completion_hook(&self, hook: Option<Arc<dyn Fn() + Send + Sync>>) {
-        *self.shared.wake.lock().unwrap_or_else(PoisonError::into_inner) = hook;
     }
 
     /// Wait until every queued and in-flight request has been serviced,
@@ -1280,8 +1259,6 @@ fn publish_one(s: &Arc<Shared>, job: &Job, res: Result<Vec<f32>, FetchError>, t0
         }
     }
     notify_if_idle(s, &st);
-    drop(st);
-    wake_hook(s);
 }
 
 /// Small stable code for [`io::ErrorKind`]s the engine distinguishes, for
@@ -1310,8 +1287,6 @@ fn fail_job_after_panic(s: &Arc<Shared>, key: BlockKey, p: &(dyn Any + Send)) {
         let _ = w.send(Err(e.clone()));
     }
     notify_if_idle(s, &st);
-    drop(st);
-    wake_hook(s);
 }
 
 fn worker_loop(s: &Arc<Shared>, active: &Cell<Option<BlockKey>>) {

@@ -11,9 +11,9 @@
 //! source must never wedge engine shutdown, so nothing joins them; they
 //! exit when the job channel closes (pool drop) and their queue drains.
 //!
-//! This is the thread backend's containment measure; the reactor backend
-//! (see [`crate::reactor`]) removes per-read threads from the serving
-//! path entirely by parking deadlines on a timer wheel.
+//! The pool bounds only source reads under a timeout. A served frame's
+//! demand deadline spawns nothing: the connection's handler waits on its
+//! tickets with [`crate::Ticket::wait_until`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};

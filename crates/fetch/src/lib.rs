@@ -77,7 +77,7 @@ pub use engine::{FetchConfig, FetchEngine, FetchError, FetchMetrics, Ticket};
 pub use fault::{FaultConfig, FaultInjectingSource};
 pub use iopool::IoPool;
 pub use pool::BlockPool;
-pub use reactor::{poll_fds, PollFd, ReadyHandle, ReadySet, TimerId, TimerWheel};
+pub use reactor::{ReadyHandle, ReadySet, TimerId, TimerWheel};
 pub use retry::{is_transient, BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
 pub use virt::{
     InstrumentedSource, ReadRecord, Tier, TierLatency, VirtualClock, VirtualClockSource,

@@ -1,102 +1,15 @@
-//! Reactor core: readiness polling + a timer wheel + virtual readiness.
+//! Event-loop parts: a timer wheel + virtual readiness.
 //!
-//! The thread-per-connection serving model and the sacrificial per-read
-//! timeout threads both burn one OS thread per waiting thing. This module
-//! is the shared substrate that replaces them: a thin, dependency-free
-//! wrapper over `poll(2)` for socket readiness, a hashed [`TimerWheel`]
-//! that tracks thousands of deadlines with O(1) schedule/cancel and no
-//! threads at all, and a [`ReadySet`] that gives the deterministic
-//! in-process transport the same readiness semantics as a socket — so one
-//! event loop drives both real TCP connections and virtual test
-//! connections, and the whole loop is steppable under a virtual clock.
-//!
-//! The pieces are deliberately separable: `viz-serve`'s reactor backend
-//! composes all three; the fetch engine's IO pool uses only the wheel's
-//! sibling idea (bounded threads instead of per-read spawns). Nothing
-//! here owns a thread.
+//! Two pieces for a loop that steps many connections on one thread
+//! without sleeping: a hashed [`TimerWheel`] that tracks thousands of
+//! deadlines with O(1) schedule/cancel and no threads at all, and a
+//! [`ReadySet`] that gives in-process pipes readiness semantics — a
+//! producer marks its token, the loop takes the marked set each tick.
+//! `viz-serve`'s deterministic `InProcServer` composes both, on a virtual
+//! clock. Nothing here owns a thread or touches a socket.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
-
-/// Readable-readiness bit for [`PollFd::events`] (`POLLIN`).
-pub const POLL_IN: i16 = 0x001;
-/// Writable-readiness bit (`POLLOUT`).
-pub const POLL_OUT: i16 = 0x004;
-/// Error condition reported in `revents` (`POLLERR`).
-pub const POLL_ERR: i16 = 0x008;
-/// Peer hangup reported in `revents` (`POLLHUP`).
-pub const POLL_HUP: i16 = 0x010;
-
-/// One pollable descriptor, layout-compatible with the C `struct pollfd`.
-#[repr(C)]
-#[derive(Debug, Clone, Copy)]
-pub struct PollFd {
-    /// The raw file descriptor.
-    pub fd: i32,
-    /// Requested readiness ([`POLL_IN`] | [`POLL_OUT`]).
-    pub events: i16,
-    /// Kernel-reported readiness after [`poll_fds`].
-    pub revents: i16,
-}
-
-impl PollFd {
-    /// Watch `fd` for the given interest bits.
-    pub fn new(fd: i32, events: i16) -> Self {
-        PollFd { fd, events, revents: 0 }
-    }
-
-    /// `true` when the descriptor reported readable (or a condition the
-    /// reader must consume: error/hangup surface on the next read).
-    pub fn readable(self) -> bool {
-        self.revents & (POLL_IN | POLL_ERR | POLL_HUP) != 0
-    }
-
-    /// `true` when the descriptor reported writable.
-    pub fn writable(self) -> bool {
-        self.revents & POLL_OUT != 0
-    }
-}
-
-#[cfg(unix)]
-mod sys {
-    use super::PollFd;
-    extern "C" {
-        // `poll(2)`: declared directly so the crate stays dependency-free
-        // (libc is linked into every Rust binary on unix anyway).
-        pub fn poll(fds: *mut PollFd, nfds: std::os::raw::c_ulong, timeout: i32) -> i32;
-    }
-}
-
-/// Block until at least one descriptor is ready or `timeout_ms` elapses
-/// (`0` = non-blocking check, negative = wait forever). Returns how many
-/// descriptors have non-zero `revents`. `EINTR` reports as `Ok(0)` — the
-/// caller's loop re-polls anyway.
-#[cfg(unix)]
-pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> std::io::Result<usize> {
-    // SAFETY: `PollFd` is `#[repr(C)]` with the fields of `struct pollfd`
-    // in order (`int fd; short events; short revents`), so the slice is a
-    // C array of them. The pointer and `nfds` come from the same live
-    // `&mut` slice, so the kernel reads and writes exactly `fds.len()`
-    // initialised entries we hold exclusively for the call, and keeps no
-    // pointer after it returns; `usize` → `c_ulong` (`nfds_t`) is
-    // lossless on the unix targets built.
-    let n = unsafe { sys::poll(fds.as_mut_ptr(), fds.len() as std::os::raw::c_ulong, timeout_ms) };
-    if n >= 0 {
-        return Ok(n as usize);
-    }
-    let err = std::io::Error::last_os_error();
-    if err.kind() == std::io::ErrorKind::Interrupted {
-        Ok(0)
-    } else {
-        Err(err)
-    }
-}
-
-/// Non-unix fallback: no sockets to poll; virtual readiness still works.
-#[cfg(not(unix))]
-pub fn poll_fds(_fds: &mut [PollFd], _timeout_ms: i32) -> std::io::Result<usize> {
-    Err(std::io::Error::new(std::io::ErrorKind::Unsupported, "poll(2) unavailable"))
-}
 
 /// Handle a scheduled timer; pass back to [`TimerWheel::cancel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -176,11 +89,6 @@ impl TimerWheel {
         self.live.remove(&id.0).is_some()
     }
 
-    /// Earliest live deadline, if any (the poll-timeout bound).
-    pub fn next_deadline_ns(&self) -> Option<u64> {
-        self.live.values().copied().min()
-    }
-
     /// Sweep every bucket the clock passed since the last call and return
     /// the `(TimerId, token)` of each expired live timer, unordered.
     /// Cancelled tombstones are dropped on the way.
@@ -224,13 +132,15 @@ fn relock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Virtual readiness: the in-process transport's stand-in for `poll(2)`.
+/// Virtual readiness: what an in-process pipe reports in place of a
+/// socket's readability.
 ///
 /// Producers [`ReadyHandle::mark`] their token when they enqueue a frame;
-/// the event loop [`ReadySet::take_ready`]s the set each tick and treats
-/// the tokens exactly like readable descriptors. Level-triggered by
-/// convention: the consumer re-marks itself if it drained only part of
-/// its queue (the serve reactor does this when a fetch parks).
+/// the event loop [`ReadySet::take_ready`]s the set each tick and reads
+/// from those tokens' pipes. A token is taken once however many frames
+/// wait behind it, so a consumer that stops reading early (a connection
+/// that parks a fetch) returns to the pipe itself: `InProcServer` does
+/// when the fetch unparks.
 #[derive(Debug, Default)]
 pub struct ReadySet {
     ready: Mutex<Vec<u64>>,
@@ -285,7 +195,6 @@ mod tests {
         let a = w.schedule(5_000, 0xA);
         let _b = w.schedule(9_000, 0xB);
         assert_eq!(w.len(), 2);
-        assert_eq!(w.next_deadline_ns(), Some(5_000));
         assert!(w.expire(4_999).is_empty());
         let fired = w.expire(5_000);
         assert_eq!(fired, vec![(a, 0xA)]);
@@ -294,7 +203,6 @@ mod tests {
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].1, 0xB);
         assert!(w.is_empty());
-        assert_eq!(w.next_deadline_ns(), None);
     }
 
     #[test]
@@ -344,26 +252,5 @@ mod tests {
         assert!(set.take_ready().is_empty());
         h1.mark();
         assert_eq!(set.take_ready(), vec![1], "a handle marks its own token");
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn poll_wrapper_sees_pipe_readiness() {
-        use std::io::Write;
-        use std::net::{TcpListener, TcpStream};
-        use std::os::unix::io::AsRawFd;
-        // A socketpair via localhost TCP: write one byte, poll reports
-        // the reader readable; a fresh pair reports nothing at timeout 0.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        let (server, _) = listener.accept().unwrap();
-        let mut fds = [PollFd::new(server.as_raw_fd(), POLL_IN)];
-        assert_eq!(poll_fds(&mut fds, 0).unwrap(), 0);
-        assert!(!fds[0].readable());
-        client.write_all(&[42]).unwrap();
-        client.flush().unwrap();
-        assert_eq!(poll_fds(&mut fds, 1000).unwrap(), 1);
-        assert!(fds[0].readable());
     }
 }

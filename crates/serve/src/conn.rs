@@ -1,35 +1,24 @@
-//! One connection's protocol, written once for every front end: decode →
+//! One connection's protocol, written once for both front ends: decode →
 //! dispatch → park → reply → session ownership.
 //!
 //! A [`Conn`] holds what a connection owns — the sessions it opened, the
 //! one `Fetch` it may have parked (with that fetch's deadline timer), and
 //! whether the peer is gone. Front ends keep only where frames come from
 //! and where replies go: the thread-per-connection loop reads with a
-//! blocking `recv` and, on a park, blocks in [`Conn::wait`]; the poll-driven
-//! front ends (the TCP reactor and the deterministic in-process server)
-//! hand a [`Pipe`] to [`Conn::service`], [`Conn::unpark`] and
-//! [`Conn::expire`].
+//! blocking `recv` and, on a park, blocks in [`Conn::wait`]; the
+//! deterministic in-process server hands its server-side pipe to
+//! [`Conn::service`], [`Conn::unpark`] and [`Conn::expire`].
 //!
 //! While a fetch is parked, later requests stay buffered in the pipe, so
-//! replies leave in request order on every front end.
+//! replies leave in request order on both front ends.
 
 use crate::proto::Response;
 use crate::registry::SessionId;
-use crate::server::{Outcome, PendingFetch, RequestDispatch, Server};
+use crate::server::{send_reply, Outcome, PendingFetch, RequestDispatch, Server};
+use crate::transport::{InProcTransport, Transport};
 use std::io;
 use std::sync::Arc;
 use viz_fetch::{TimerId, TimerWheel};
-
-/// Where a poll-driven connection's frames come from and its replies go.
-pub(crate) trait Pipe {
-    /// The next whole request frame, without blocking: `Ok(None)` when
-    /// none is buffered, `Err` when the peer is gone or the stream cannot
-    /// be resynchronized.
-    fn next_frame(&mut self) -> io::Result<Option<Vec<u8>>>;
-
-    /// Send or queue one reply; `Err` when the peer is gone.
-    fn reply(&mut self, resp: &Response) -> io::Result<()>;
-}
 
 /// One parked `Fetch` and its deadline timer, if the config sets one.
 struct Parked {
@@ -49,11 +38,6 @@ pub(crate) struct Conn {
 }
 
 impl Conn {
-    /// Whether a `Fetch` is waiting for its demand outcomes.
-    pub(crate) fn is_parked(&self) -> bool {
-        self.parked.is_some()
-    }
-
     /// Decode and dispatch one frame. A ready reply comes back with its
     /// session ownership noted. A `Fetch` parks, its demand pumped into the
     /// engine at once, and `None` comes back.
@@ -93,7 +77,7 @@ impl Conn {
     /// Returns the frames taken.
     pub(crate) fn service(
         &mut self,
-        pipe: &mut impl Pipe,
+        pipe: &mut InProcTransport,
         server: &Arc<Server>,
         dispatch: &dyn RequestDispatch,
         wheel: &mut TimerWheel,
@@ -103,7 +87,7 @@ impl Conn {
         let deadline = server.config().demand_deadline;
         let mut taken = 0;
         while !self.dead && self.parked.is_none() {
-            let frame = match pipe.next_frame() {
+            let frame = match pipe.try_recv() {
                 Ok(Some(f)) => f,
                 Ok(None) => break,
                 Err(_) => {
@@ -128,7 +112,7 @@ impl Conn {
     /// slot.
     pub(crate) fn unpark(
         &mut self,
-        pipe: &mut impl Pipe,
+        pipe: &mut InProcTransport,
         server: &Server,
         wheel: &mut TimerWheel,
     ) -> bool {
@@ -144,7 +128,7 @@ impl Conn {
     /// in the pool for a later frame). Returns whether a reply went out.
     pub(crate) fn expire(
         &mut self,
-        pipe: &mut impl Pipe,
+        pipe: &mut InProcTransport,
         server: &Server,
         wheel: &mut TimerWheel,
     ) -> bool {
@@ -157,7 +141,7 @@ impl Conn {
 
     fn resolve(
         &mut self,
-        pipe: &mut impl Pipe,
+        pipe: &mut InProcTransport,
         server: &Server,
         wheel: &mut TimerWheel,
         missing: io::ErrorKind,
@@ -170,8 +154,8 @@ impl Conn {
         self.send(pipe, &resp);
     }
 
-    fn send(&mut self, pipe: &mut impl Pipe, resp: &Response) {
-        if pipe.reply(resp).is_err() {
+    fn send(&mut self, pipe: &mut InProcTransport, resp: &Response) {
+        if send_reply(pipe, resp).is_err() {
             self.dead = true;
         }
     }

@@ -20,22 +20,20 @@
 //!   under pressure, graceful drain, and per-client telemetry through the
 //!   `viz_telemetry` rings. Duplicate keys across *different* clients
 //!   coalesce into one source read inside the shared engine.
-//! - [`reactor`] — the scaling front end: every connection on one
-//!   poll-driven event loop (demand deadlines on a timer wheel, no
-//!   thread per client), selected by [`ServeConfig::backend`] via
-//!   [`TcpFrontend`]. Its in-process twin, [`InProcServer`], runs the
-//!   same connection table over in-process pipes on a virtual clock:
-//!   the deterministic front end every serve test, and the soak suite's
-//!   thousands of virtual sessions, step by `tick`.
-//!
-//! Every front end — thread-per-connection, reactor, in-process — runs
-//! one per-connection state machine: decode, dispatch, park a `Fetch`,
-//! reply in request order, and close the sessions a connection opened
-//! when it goes away.
+//! - [`inproc`] — the deterministic front end: [`InProcServer`] runs
+//!   every connection on one loop over in-process pipes on a virtual
+//!   clock, stepped by `tick` — what every serve test, and the soak
+//!   suite's thousands of virtual sessions, drive. Real connections go
+//!   through [`TcpServer`]: an accept thread and one thread per
+//!   connection.
 //! - [`client`] — a typed client over any transport, with split
 //!   send/recv halves for deterministic stepping. It holds its last
 //!   reply's blocks ([`ClientTier`], the hold rule the cluster's router
 //!   shares) and asks the server only for the demand it lacks.
+//!
+//! Both front ends run one per-connection state machine: decode,
+//! dispatch, park a `Fetch`, reply in request order, and close the
+//! sessions a connection opened when it goes away.
 //!
 //! ## Example
 //!
@@ -66,23 +64,26 @@
 
 pub mod client;
 mod conn;
+pub mod inproc;
 pub mod proto;
-pub mod reactor;
 pub mod registry;
 mod sched;
 pub mod server;
 pub mod transport;
 
 pub use client::{ClientError, ClientTier, FetchOutcome, ServeClient};
+pub use inproc::InProcServer;
 pub use proto::{
     BlockReply, HistSnapshot, ProtoError, Request, Response, TraceCtx, WireTelemetry,
     MAX_FRAME_BYTES, PROTO_VERSION,
 };
-pub use reactor::{InProcServer, ReactorTcpServer, TcpFrontend};
 pub use registry::{SessionId, SessionView};
 pub use server::{
-    handle_request, serve_connection, serve_connection_with, DefaultDispatch, DrainReport,
-    IoBackend, Outcome, PendingFetch, RequestDispatch, ServeConfig, ServeError, ServeMetrics,
-    Server, ShedReason, Submission, TcpServer,
+    handle_request, serve_connection, serve_connection_with, DefaultDispatch, DrainReport, Outcome,
+    PendingFetch, RequestDispatch, ServeConfig, ServeError, ServeMetrics, Server, ShedReason,
+    Submission, TcpServer,
 };
 pub use transport::{inproc_pair, InProcTransport, TcpTransport, Transport};
+
+/// The TCP front end under the name the benchmark harness imports.
+pub type TcpFrontend = TcpServer;

@@ -48,7 +48,7 @@
 //! - **Transport** — a server sends a reply's segments as they lie
 //!   ([`crate::Transport::send_segments`]): `head` slices interleaved with
 //!   [`viz_volume::le::f32_bytes`] views of the payloads, in vectored
-//!   writes on both TCP backends. [`crate::TcpTransport`] reads the body
+//!   writes over TCP. [`crate::TcpTransport`] reads the body
 //!   straight into unfilled capacity (no zero-fill pass).
 //! - **Decode** — one CRC pass over the body, then each payload is one
 //!   bounds check, one slice and one `memcpy` into its own `Vec<f32>`

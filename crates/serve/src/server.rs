@@ -45,18 +45,6 @@ use viz_fetch::{BreakerState, FetchEngine, Ticket};
 use viz_telemetry::{instant, Counter, EventKind as Ev};
 use viz_volume::BlockKey;
 
-/// Which I/O front end drives connections (see [`crate::reactor`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoBackend {
-    /// One thread per connection, blocking reads. The original model:
-    /// simple, fine up to a few hundred sessions.
-    #[default]
-    Threads,
-    /// One poll-driven event loop for every connection; threads stay
-    /// constant as sessions scale to the thousands.
-    Reactor,
-}
-
 /// DRR deficit refilled per visit, in requests.
 const QUANTUM: u32 = 8;
 
@@ -86,9 +74,6 @@ pub struct ServeConfig {
     pub demand_deadline: Option<Duration>,
     /// Registry cap; opens past it are refused.
     pub max_sessions: usize,
-    /// Connection front-end model ([`crate::TcpFrontend::bind`] reads
-    /// this to pick between thread-per-connection and the reactor).
-    pub backend: IoBackend,
 }
 
 impl Default for ServeConfig {
@@ -101,7 +86,6 @@ impl Default for ServeConfig {
             shed_resident_bytes: 1 << 30,
             demand_deadline: None,
             max_sessions: 1024,
-            backend: IoBackend::Threads,
         }
     }
 }
@@ -726,12 +710,12 @@ struct PrefetchTally {
 /// An admitted frame request: collects the demand outcomes once the pump
 /// has issued them.
 ///
-/// Two consumption styles share this state: the blocking [`Submission::collect`]
-/// (thread-per-connection servers park here) and the incremental
-/// [`Submission::poll_ready`] (the reactor calls it each loop turn and
-/// never blocks). Polling and then collecting is fine — tickets already
-/// drained by a poll are resolved or parked in `waiting`, and `collect`
-/// finishes both.
+/// Two consumption styles share this state: the blocking
+/// [`Submission::collect`] (the thread-per-connection [`TcpServer`] parks
+/// here) and the incremental [`Submission::poll_ready`] (the
+/// [`crate::InProcServer`] calls it each tick and never blocks). Polling
+/// and then collecting is fine — tickets already drained by a poll are
+/// resolved or parked in `waiting`, and `collect` finishes both.
 pub struct Submission {
     session: SessionId,
     demand_keys: Vec<BlockKey>,
@@ -898,7 +882,8 @@ impl PendingFetch {
         self.sub.poll_ready()
     }
 
-    /// Block until the reply is complete (threaded servers).
+    /// Block until the reply is complete (the thread-per-connection
+    /// [`TcpServer`]).
     pub fn wait(self, server: &Server) -> Response {
         self.reply(|sub| sub.collect(server))
     }

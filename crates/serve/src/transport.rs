@@ -67,12 +67,10 @@ pub fn inproc_pair() -> (InProcTransport, InProcTransport) {
 
 impl InProcTransport {
     /// Install a readiness hook: `f` runs after every successful send,
-    /// so a poll-driven peer can learn a frame is waiting without
-    /// sleeping, and once more when this end is dropped — a virtual
-    /// POLLHUP, so the peer learns the pipe is gone the same way. The
-    /// in-process server marks a [`viz_fetch::ReadySet`] token here —
-    /// this is what makes the in-process pipe a virtual-readiness
-    /// transport.
+    /// so a stepping peer can learn a frame is waiting without sleeping,
+    /// and once more when this end is dropped — a virtual hang-up, so the
+    /// peer learns the pipe is gone the same way. The in-process server
+    /// marks a [`viz_fetch::ReadySet`] token here.
     pub fn set_notify(&mut self, f: std::sync::Arc<dyn Fn() + Send + Sync>) {
         self.notify = Some(f);
     }
@@ -190,12 +188,11 @@ impl Transport for TcpTransport {
 const MAX_IOVECS: usize = 1024;
 
 /// How far into a sequence of segments the peer has taken: segment index,
-/// byte offset within it. The one write loop of both TCP backends — the
-/// blocking [`TcpTransport::send_segments`] and the reactor's write queue.
+/// byte offset within it: the write loop of [`TcpTransport::send_segments`].
 /// Written by hand because `IoSlice::advance_slices` and
 /// `write_all_vectored` are newer than the MSRV.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct SegmentCursor {
+struct SegmentCursor {
     seg: usize,
     off: usize,
 }
@@ -203,7 +200,7 @@ pub(crate) struct SegmentCursor {
 impl SegmentCursor {
     /// Whether every byte of `parts` has been written. (`off` is always
     /// short of its segment's end: a finished segment moves the cursor on.)
-    pub(crate) fn is_done(&self, parts: &[&[u8]]) -> bool {
+    fn is_done(&self, parts: &[&[u8]]) -> bool {
         parts.iter().skip(self.seg).all(|p| p.is_empty())
     }
 
@@ -212,7 +209,7 @@ impl SegmentCursor {
     /// bytes `out` took. A full socket comes back as the `WouldBlock` error
     /// with the cursor where it was, and a peer that takes nothing as
     /// `WriteZero`.
-    pub(crate) fn write_to(&mut self, out: &mut impl Write, parts: &[&[u8]]) -> io::Result<()> {
+    fn write_to(&mut self, out: &mut impl Write, parts: &[&[u8]]) -> io::Result<()> {
         let rest = parts.get(self.seg).map_or(&[][..], |p| &p[self.off..]);
         let iov: Vec<IoSlice<'_>> = std::iter::once(rest)
             .chain(parts.iter().skip(self.seg + 1).copied())
@@ -246,13 +243,13 @@ impl SegmentCursor {
 
     /// Bytes of `parts` already written.
     #[cfg(test)]
-    pub(crate) fn written(&self, parts: &[&[u8]]) -> usize {
+    fn written(&self, parts: &[&[u8]]) -> usize {
         parts[..self.seg].iter().map(|p| p.len()).sum::<usize>() + self.off
     }
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::proto::{
         decode_response, encode_reply_frame, encode_request, encode_response, BlockReply, Request,
@@ -266,18 +263,18 @@ pub(crate) mod tests {
     /// across however many slices it is given, then reports a full socket.
     /// Every `interrupt`-th call is `Interrupted` instead. It keeps the
     /// most slices one call carried and counts empty ones.
-    pub(crate) struct Throttled {
-        pub(crate) got: Vec<u8>,
-        pub(crate) budget: usize,
+    struct Throttled {
+        got: Vec<u8>,
+        budget: usize,
         chunk: usize,
         interrupt: usize,
         calls: usize,
-        pub(crate) max_slices: usize,
-        pub(crate) empty_slices: usize,
+        max_slices: usize,
+        empty_slices: usize,
     }
 
     impl Throttled {
-        pub(crate) fn new(chunk: usize, interrupt: usize) -> Self {
+        fn new(chunk: usize, interrupt: usize) -> Self {
             Throttled {
                 got: Vec::new(),
                 budget: 0,
@@ -324,7 +321,7 @@ pub(crate) mod tests {
     /// A `FetchReply` of `n` blocks: every fifth an error, every seventh an
     /// empty payload, the rest short payloads of which every third shares
     /// one `Arc`.
-    pub(crate) fn mixed_reply(n: u32, salt: u32) -> Response {
+    fn mixed_reply(n: u32, salt: u32) -> Response {
         let shared = Arc::new(vec![0.25f32; 33]);
         let blocks = (0..n)
             .map(|i| {

@@ -214,7 +214,7 @@ fn replies_route_to_the_requesting_session() {
     assert_eq!(stats.iter().find(|(n, _)| n == "serve_sessions_opened").unwrap().1, 2);
 }
 
-/// The in-process twin of the TCP reactor's pipelining test, without
+/// The in-process twin of the TCP pipelining test, without
 /// sockets: one connection pipelines Open, three Fetches and Stats before
 /// a single tick while a second connection's fetch interleaves. Each
 /// fetch parks its connection with later requests still buffered, yet

@@ -1,27 +1,20 @@
 //! Localhost TCP end-to-end: real sockets, real worker threads, many
-//! concurrent clients against one shared engine.
-//!
-//! Every scenario runs twice — once per [`IoBackend`] — through the
-//! backend-generic [`TcpFrontend`], so the reactor front end proves it
-//! keeps the thread model's observable contract (replies, coalescing,
-//! metrics, shutdown) on real sockets.
+//! concurrent clients against one shared engine, through the
+//! thread-per-connection [`TcpServer`] — replies, coalescing, metrics,
+//! demand deadlines, shutdown, and pipelined requests on one connection.
 
 use std::sync::Arc;
 use std::time::Duration;
 use viz_fetch::{BlockPool, FetchConfig, FetchEngine, InstrumentedSource};
 use viz_serve::proto::errkind_code;
-use viz_serve::{IoBackend, ServeClient, ServeConfig, Server, TcpFrontend, TcpTransport};
+use viz_serve::{ServeClient, ServeConfig, Server, TcpServer, TcpTransport};
 use viz_volume::{BlockId, BlockKey, MemBlockStore};
 
 fn key(i: u32) -> BlockKey {
     BlockKey::scalar(BlockId(i))
 }
 
-fn tcp_server(
-    backend: IoBackend,
-    workers: usize,
-    n: u32,
-) -> (TcpFrontend, Arc<InstrumentedSource>) {
+fn tcp_server(workers: usize, n: u32) -> (TcpServer, Arc<InstrumentedSource>) {
     let store = MemBlockStore::new();
     for i in 0..n {
         store.insert(key(i), vec![i as f32; 8]);
@@ -32,12 +25,13 @@ fn tcp_server(
         Arc::new(BlockPool::new()),
         FetchConfig { workers, ..FetchConfig::default() },
     );
-    let server = Server::new(Arc::new(engine), ServeConfig { backend, ..ServeConfig::default() });
-    (TcpFrontend::bind(server, "127.0.0.1:0").unwrap(), src)
+    let server = Server::new(Arc::new(engine), ServeConfig::default());
+    (TcpServer::bind(server, "127.0.0.1:0").unwrap(), src)
 }
 
-fn four_tcp_clients_share_one_engine(backend: IoBackend) {
-    let (tcp, src) = tcp_server(backend, 2, 32);
+#[test]
+fn four_tcp_clients_share_one_engine() {
+    let (tcp, src) = tcp_server(2, 32);
     let addr = tcp.local_addr().to_string();
 
     let handles: Vec<_> = (0..4)
@@ -83,17 +77,8 @@ fn four_tcp_clients_share_one_engine(backend: IoBackend) {
 }
 
 #[test]
-fn four_tcp_clients_share_one_engine_threads() {
-    four_tcp_clients_share_one_engine(IoBackend::Threads);
-}
-
-#[test]
-fn four_tcp_clients_share_one_engine_reactor() {
-    four_tcp_clients_share_one_engine(IoBackend::Reactor);
-}
-
-fn stats_round_trip_over_tcp(backend: IoBackend) {
-    let (tcp, _src) = tcp_server(backend, 1, 8);
+fn stats_round_trip_over_tcp() {
+    let (tcp, _src) = tcp_server(1, 8);
     let addr = tcp.local_addr().to_string();
 
     let mut client = ServeClient::new(TcpTransport::connect(&addr).unwrap());
@@ -111,17 +96,8 @@ fn stats_round_trip_over_tcp(backend: IoBackend) {
 }
 
 #[test]
-fn stats_round_trip_over_tcp_threads() {
-    stats_round_trip_over_tcp(IoBackend::Threads);
-}
-
-#[test]
-fn stats_round_trip_over_tcp_reactor() {
-    stats_round_trip_over_tcp(IoBackend::Reactor);
-}
-
-fn shutdown_forces_out_a_lingering_client(backend: IoBackend) {
-    let (tcp, _src) = tcp_server(backend, 1, 8);
+fn shutdown_forces_out_a_lingering_client() {
+    let (tcp, _src) = tcp_server(1, 8);
     let addr = tcp.local_addr().to_string();
 
     let mut client = ServeClient::new(TcpTransport::connect(&addr).unwrap());
@@ -141,22 +117,13 @@ fn shutdown_forces_out_a_lingering_client(backend: IoBackend) {
     assert!(client.stats().is_err());
 }
 
-#[test]
-fn shutdown_forces_out_a_lingering_client_threads() {
-    shutdown_forces_out_a_lingering_client(IoBackend::Threads);
-}
-
-#[test]
-fn shutdown_forces_out_a_lingering_client_reactor() {
-    shutdown_forces_out_a_lingering_client(IoBackend::Reactor);
-}
-
 /// The demand deadline bounds a whole frame, not each key: an 8-key frame
 /// over a source far slower than the deadline replies `TimedOut` for every
-/// key within one deadline, whether the reactor's timer wheel or the
-/// thread model's blocking wait enforces it. The abandoned reads still land
+/// key within one deadline, which the handler's blocking wait enforces
+/// against the frame's admission time. The abandoned reads still land
 /// in the pool afterwards, so the retry is all pool hits.
-fn demand_deadline_bounds_a_frame_of_slow_keys(backend: IoBackend) {
+#[test]
+fn demand_deadline_bounds_a_frame_of_slow_keys() {
     const KEYS: u32 = 8;
     let store = MemBlockStore::new();
     for i in 0..KEYS {
@@ -170,13 +137,9 @@ fn demand_deadline_bounds_a_frame_of_slow_keys(backend: IoBackend) {
     );
     let server = Server::new(
         Arc::new(engine),
-        ServeConfig {
-            backend,
-            demand_deadline: Some(Duration::from_millis(40)),
-            ..ServeConfig::default()
-        },
+        ServeConfig { demand_deadline: Some(Duration::from_millis(40)), ..ServeConfig::default() },
     );
-    let tcp = TcpFrontend::bind(server, "127.0.0.1:0").unwrap();
+    let tcp = TcpServer::bind(server, "127.0.0.1:0").unwrap();
 
     let mut client =
         ServeClient::new(TcpTransport::connect(&tcp.local_addr().to_string()).unwrap());
@@ -197,7 +160,7 @@ fn demand_deadline_bounds_a_frame_of_slow_keys(backend: IoBackend) {
     }
     assert!(
         waited < Duration::from_millis(200),
-        "{backend:?}: deadline reply took {waited:?}; the deadline is per frame, not per key"
+        "deadline reply took {waited:?}; the deadline is per frame, not per key"
     );
     // The reads were abandoned, not cancelled: once they land, every block
     // is resident and the retry is all pool hits.
@@ -215,22 +178,12 @@ fn demand_deadline_bounds_a_frame_of_slow_keys(backend: IoBackend) {
     tcp.shutdown();
 }
 
+/// One connection pipelines several requests; replies come back in
+/// request order even though each fetch parks its handler mid-stream, and
+/// a second connection's traffic is served meanwhile.
 #[test]
-fn demand_deadline_bounds_a_frame_of_slow_keys_threads() {
-    demand_deadline_bounds_a_frame_of_slow_keys(IoBackend::Threads);
-}
-
-#[test]
-fn demand_deadline_bounds_a_frame_of_slow_keys_reactor() {
-    demand_deadline_bounds_a_frame_of_slow_keys(IoBackend::Reactor);
-}
-
-/// Reactor-only: one connection pipelines several requests; replies come
-/// back in order even though fetches park mid-stream, and a second
-/// connection's traffic interleaves on the same loop thread.
-#[test]
-fn reactor_preserves_per_connection_order_under_pipelining() {
-    let (tcp, _src) = tcp_server(IoBackend::Reactor, 2, 64);
+fn tcp_preserves_per_connection_order_under_pipelining() {
+    let (tcp, _src) = tcp_server(2, 64);
     let addr = tcp.local_addr().to_string();
 
     let mut a = ServeClient::new(TcpTransport::connect(&addr).unwrap());
@@ -262,12 +215,13 @@ fn reactor_preserves_per_connection_order_under_pipelining() {
     tcp.shutdown();
 }
 
-/// Reactor-only: three pipelined replies of 8 MiB each, none read until
-/// all three are resolved — more than loopback socket buffers hold, so the
-/// loop has a partly written reply at the front of its write queue and the
-/// others behind it. Every payload must arrive whole and in order.
+/// Three pipelined requests for replies of 8 MiB each, sent before any
+/// reply is read — more than loopback socket buffers hold, so the handler
+/// blocks part-way through writing the first reply while the other
+/// requests wait unread behind it. Every payload must arrive whole and in
+/// order.
 #[test]
-fn reactor_delivers_large_pipelined_replies_intact() {
+fn tcp_delivers_large_pipelined_replies_intact() {
     const WORDS: usize = 256 << 10;
     let payload =
         |i: u32| -> Vec<f32> { (0..WORDS).map(|j| (i * 1000) as f32 + (j % 977) as f32).collect() };
@@ -280,11 +234,8 @@ fn reactor_delivers_large_pipelined_replies_intact() {
         Arc::new(BlockPool::new()),
         FetchConfig { workers: 1, ..FetchConfig::default() },
     );
-    let server = Server::new(
-        Arc::new(engine),
-        ServeConfig { backend: IoBackend::Reactor, ..ServeConfig::default() },
-    );
-    let tcp = TcpFrontend::bind(server, "127.0.0.1:0").unwrap();
+    let server = Server::new(Arc::new(engine), ServeConfig::default());
+    let tcp = TcpServer::bind(server, "127.0.0.1:0").unwrap();
 
     let mut client =
         ServeClient::new(TcpTransport::connect(&tcp.local_addr().to_string()).unwrap());
@@ -293,11 +244,6 @@ fn reactor_delivers_large_pipelined_replies_intact() {
         [(0..8).collect(), (0..8).rev().collect(), vec![3, 1, 4, 1, 5, 2, 6, 5]];
     for order in &orders {
         client.send_fetch(0, order.iter().map(|&i| key(i)).collect(), vec![]).unwrap();
-    }
-    let t0 = std::time::Instant::now();
-    while tcp.server().metrics().demand_served < 24 {
-        assert!(t0.elapsed() < Duration::from_secs(30), "replies never resolved");
-        std::thread::sleep(Duration::from_millis(1));
     }
     for order in &orders {
         let got = client.recv_fetch().unwrap();

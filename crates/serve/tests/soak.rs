@@ -1,12 +1,12 @@
 //! Deterministic 1 000-session churn soak over the in-process server.
 //!
 //! Everything runs on one thread, on a virtual clock, through
-//! [`InProcServer`] — the same connection table and per-connection state
-//! machine the TCP reactor runs, minus the kernel. A thousand live
-//! sessions churn for several rounds (each round: every client fetches,
-//! a cohort leaves — some politely, some by vanishing — and a new cohort
-//! joins) while the suite asserts the invariants the reactor exists to
-//! keep:
+//! [`InProcServer`] — the per-connection state machine the TCP front end
+//! runs too, minus the kernel and the threads. A thousand live sessions
+//! churn for several rounds (each round: every client fetches, a cohort
+//! leaves — some politely, some by vanishing — and a new cohort joins)
+//! while the suite asserts the invariants a server with many sessions
+//! must keep:
 //!
 //! - **session ids are never reused**, across opens, closes, and drops;
 //! - **demand is never shed and never errors** — every demanded block
@@ -63,17 +63,17 @@ struct SoakClient {
 
 /// Open `n` fresh sessions (pipelined: all sends, one tick, all acks),
 /// recording ids in `seen` and asserting none was ever handed out before.
-fn open_cohort(reactor: &mut InProcServer, n: usize, seen: &mut HashSet<u32>) -> Vec<SoakClient> {
+fn open_cohort(inproc: &mut InProcServer, n: usize, seen: &mut HashSet<u32>) -> Vec<SoakClient> {
     let mut cohort: Vec<SoakClient> = (0..n)
         .map(|i| SoakClient {
-            client: ServeClient::new(reactor.connect()),
+            client: ServeClient::new(inproc.connect()),
             session: u32::MAX - i as u32,
         })
         .collect();
     for c in &mut cohort {
         c.client.send_open("soak").unwrap();
     }
-    reactor.tick();
+    inproc.tick();
     for c in &mut cohort {
         let id = c.client.recv_open().unwrap();
         assert!(seen.insert(id), "session id {id} was reused");
@@ -84,9 +84,9 @@ fn open_cohort(reactor: &mut InProcServer, n: usize, seen: &mut HashSet<u32>) ->
 
 #[test]
 fn thousand_session_churn_soak() {
-    let mut reactor = soak_server();
+    let mut inproc = soak_server();
     let mut seen = HashSet::new();
-    let mut clients = open_cohort(&mut reactor, SESSIONS, &mut seen);
+    let mut clients = open_cohort(&mut inproc, SESSIONS, &mut seen);
     let mut expected_served: u64 = 0;
 
     for round in 0..ROUNDS {
@@ -103,7 +103,7 @@ fn thousand_session_churn_soak() {
                 )
                 .unwrap();
         }
-        reactor.tick();
+        inproc.tick();
         for c in &mut clients {
             let got = c.client.recv_fetch().unwrap();
             assert_eq!(got.blocks.len(), 2);
@@ -129,31 +129,31 @@ fn thousand_session_churn_soak() {
             // Odd leavers drop here: no Close, the pipe just dies, and
             // its drop marks the connection ready like a socket's hangup.
         }
-        reactor.tick();
+        inproc.tick();
         for c in &mut polite {
             c.client.close_ack();
         }
         drop(polite);
         // Every leaver's pipe has now hung up; their sessions must be gone
         // before the new cohort opens.
-        reactor.tick();
-        clients.extend(open_cohort(&mut reactor, CHURN, &mut seen));
+        inproc.tick();
+        clients.extend(open_cohort(&mut inproc, CHURN, &mut seen));
 
         // Bounded memory, checked every round: queues fully drain, the
         // pool never outgrows the distinct key set, and the registry
         // holds exactly the live sessions.
-        let server = reactor.server().clone();
+        let server = inproc.server().clone();
         assert_eq!(server.engine().queue_depths(), (0, 0), "round {round}: engine not drained");
         assert!(
             server.engine().pool().len() <= DISTINCT_KEYS as usize,
             "round {round}: pool outgrew the key universe"
         );
         assert_eq!(server.sessions().len(), SESSIONS, "round {round}: session leak");
-        assert_eq!(reactor.open_conns(), SESSIONS, "round {round}: connection leak");
-        reactor.advance(16_000_000); // 16 ms of virtual time per round
+        assert_eq!(inproc.open_conns(), SESSIONS, "round {round}: connection leak");
+        inproc.advance(16_000_000); // 16 ms of virtual time per round
     }
 
-    let m = reactor.server().metrics();
+    let m = inproc.server().metrics();
     assert_eq!(m.demand_errors, 0, "no demand may fail in the soak");
     assert_eq!(m.demand_served, expected_served);
     assert_eq!(m.prefetch_shed, 0);
@@ -166,15 +166,15 @@ fn thousand_session_churn_soak() {
     for c in &mut clients {
         c.client.send_close().unwrap();
     }
-    reactor.tick();
+    inproc.tick();
     for c in &mut clients {
         c.client.close_ack();
     }
     drop(clients);
-    reactor.tick();
-    assert_eq!(reactor.server().sessions().len(), 0);
-    assert_eq!(reactor.open_conns(), 0);
-    assert_eq!(reactor.tick(), 0, "a quiescent reactor does no work");
+    inproc.tick();
+    assert_eq!(inproc.server().sessions().len(), 0);
+    assert_eq!(inproc.open_conns(), 0);
+    assert_eq!(inproc.tick(), 0, "a quiescent server does no work");
 }
 
 trait SoakClientExt {

@@ -94,8 +94,8 @@ pub enum EventKind {
     /// Two *different* sessions coalesced onto one source read (instant;
     /// `key` = salted block key, `arg` = `owner_tag << 32 | incoming_tag`).
     CrossClientCoalesce,
-    /// One reactor event-loop iteration (span; `key` = loop id, `arg` =
-    /// readiness events handled this tick).
+    /// One `viz_serve::InProcServer::tick`, run to quiescence (span;
+    /// `key` = tick count, `arg` = `work_units << 32 | open connections`).
     ReactorTick,
     /// One peer-node block fetch round trip over VSRV (span; `key` = peer
     /// node id, `arg` = `keys << 1 | success`).

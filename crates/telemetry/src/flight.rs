@@ -17,10 +17,10 @@
 //! - **SloBurn** — over a window of `slo_min_count` `FetchService`
 //!   spans, the fraction slower than `slo_ns` reached `slo_burn`.
 //!
-//! Consumers poll [`take_triggers`] (the chaos harness does this every
-//! step) and call [`snapshot`] to capture the recent history — the
-//! cluster layer serializes snapshots from every reachable node into one
-//! CRC-framed dump file.
+//! Consumers pump the rings with [`crate::drain`], poll [`take_triggers`]
+//! (the chaos harness does both every step) and call [`snapshot_history`]
+//! to capture the recent history — the cluster layer serializes snapshots
+//! from every reachable node into one CRC-framed dump file.
 
 use crate::event::{EventKind, TraceEvent, KIND_COUNT};
 use crate::hist::LogHistogram;
@@ -237,17 +237,8 @@ pub fn take_triggers() -> Vec<Trigger> {
     std::mem::take(&mut lock().triggers)
 }
 
-/// Capture the current flight window. Pumps the rings first (via
-/// [`crate::drain`]) so events recorded since the last scrape are
-/// included; those events are thereby consumed from the regular drain
-/// stream — a dump supersedes the scrape it raced with.
-pub fn snapshot() -> FlightSnapshot {
-    let _ = crate::drain();
-    snapshot_history()
-}
-
-/// Capture the current flight window without pumping the rings —
-/// for callers that just drained (e.g. a `TelemetryGet` handler).
+/// Capture the current flight window without pumping the rings: events
+/// recorded since the last [`crate::drain`] are not in it.
 pub fn snapshot_history() -> FlightSnapshot {
     let st = lock();
     FlightSnapshot {
