@@ -8,10 +8,6 @@ use viz_geom::angle::deg_to_rad;
 use viz_geom::{CameraPath, CameraPose, ExplorationDomain, RandomWalkPath, SphericalPath, Vec3};
 use viz_volume::{BrickLayout, DatasetKind, DatasetSpec, Dims3};
 
-/// Camera positions per path, as in §V-A ("the total number of sampling
-/// positions along a camera path is 400").
-pub const PATH_STEPS: usize = 400;
-
 /// Frustum view angle used throughout the experiments (degrees).
 pub const VIEW_ANGLE_DEG: f64 = 15.0;
 

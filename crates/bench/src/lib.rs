@@ -5,8 +5,8 @@
 
 #![warn(missing_docs)]
 
-pub mod env;
-pub mod opts;
+mod env;
+mod opts;
 
-pub use env::{Env, D_MAX, D_MIN, PATH_STEPS, VIEW_ANGLE_DEG};
+pub use env::{Env, D_MAX, D_MIN, VIEW_ANGLE_DEG};
 pub use opts::Opts;

@@ -45,32 +45,6 @@ impl TierCost {
     }
 }
 
-/// A simple simulated-seconds accumulator.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SimTime(pub f64);
-
-impl SimTime {
-    /// Zero elapsed time.
-    pub const ZERO: SimTime = SimTime(0.0);
-
-    /// Advance by `seconds` (must be non-negative).
-    pub fn add(&mut self, seconds: f64) {
-        debug_assert!(seconds >= 0.0, "time cannot run backwards");
-        self.0 += seconds;
-    }
-
-    /// Elapsed simulated seconds.
-    pub fn seconds(&self) -> f64 {
-        self.0
-    }
-}
-
-impl std::ops::AddAssign<f64> for SimTime {
-    fn add_assign(&mut self, rhs: f64) {
-        self.add(rhs);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,14 +75,6 @@ mod tests {
         let t = TierCost::hdd();
         let small = t.read_time(4096);
         assert!(small < 2.0 * t.latency_s, "4 KiB read should be ~seek-bound");
-    }
-
-    #[test]
-    fn sim_time_accumulates() {
-        let mut t = SimTime::ZERO;
-        t += 0.5;
-        t.add(0.25);
-        assert!((t.seconds() - 0.75).abs() < 1e-12);
     }
 
     #[test]

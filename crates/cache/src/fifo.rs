@@ -11,13 +11,13 @@ use std::hash::Hash;
 
 /// Evicts in arrival order, ignoring accesses entirely.
 #[derive(Debug)]
-pub struct FifoPolicy<K> {
+pub(crate) struct FifoPolicy<K> {
     order: KeyOrder<K>,
 }
 
 impl<K: Copy + Eq + Hash> FifoPolicy<K> {
     /// Create an empty FIFO policy.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FifoPolicy { order: KeyOrder::new() }
     }
 }

@@ -73,7 +73,6 @@ struct Tier<K: Copy + Eq + Hash> {
 pub struct Hierarchy<K: Copy + Eq + Hash> {
     tiers: Vec<Tier<K>>,
     backing: TierCost,
-    backing_name: String,
     block_bytes: usize,
     stats: HierarchyStats,
 }
@@ -100,7 +99,6 @@ impl<K: Copy + Eq + Hash + Send + 'static> Hierarchy<K> {
                 .map(|spec| Tier { cache: CacheLevel::new(spec.policy, spec.capacity), spec })
                 .collect(),
             backing,
-            backing_name: "backing".to_string(),
             block_bytes,
             stats: HierarchyStats::new(n),
         }
@@ -154,13 +152,10 @@ impl<K: Copy + Eq + Hash> Hierarchy<K> {
         self.tiers[i].spec.capacity
     }
 
-    /// Name of tier `i`.
-    pub fn tier_name(&self, i: usize) -> &str {
-        if i < self.tiers.len() {
-            &self.tiers[i].spec.name
-        } else {
-            &self.backing_name
-        }
+    /// Name of tier `i`; past the last tier, the backing store.
+    #[cfg(test)]
+    fn tier_name(&self, i: usize) -> &str {
+        self.tiers.get(i).map_or("backing", |t| &t.spec.name)
     }
 
     /// `true` when the fastest tier currently holds `key`.
@@ -287,11 +282,6 @@ impl<K: Copy + Eq + Hash> Hierarchy<K> {
         &self.stats
     }
 
-    /// Reset statistics (e.g. after a warm-up phase), keeping residency.
-    pub fn reset_stats(&mut self) {
-        self.stats = HierarchyStats::new(self.tiers.len());
-    }
-
     /// Uniform block size used by the cost model.
     pub fn block_bytes(&self) -> usize {
         self.block_bytes
@@ -385,7 +375,6 @@ mod tests {
         let mut h = small();
         h.preload(9);
         assert!(h.in_fastest(&9));
-        assert_eq!(h.stats().demand_io_s(), 0.0);
         assert_eq!(h.stats().total_bytes_read(), 0);
     }
 
@@ -452,16 +441,6 @@ mod tests {
             TierCost::hdd(),
             1,
         );
-    }
-
-    #[test]
-    fn reset_stats_keeps_residency() {
-        let mut h = small();
-        h.fetch(1, AccessClass::Demand);
-        h.reset_stats();
-        assert_eq!(h.stats().demand_accesses, 0);
-        let o = h.fetch(1, AccessClass::Demand);
-        assert!(o.fast_hit, "residency must survive a stats reset");
     }
 
     #[test]

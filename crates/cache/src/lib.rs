@@ -5,14 +5,14 @@
 //! DRAM/SSD/HDD hierarchy simulator used by every experiment in the paper's
 //! evaluation.
 //!
-//! - [`policy`] — the [`policy::ReplacementPolicy`] trait and [`policy::PolicyKind`].
-//! - [`fifo`], [`lru`] — policy implementations, sharing one slab of two
+//! - `policy` — the [`policy::ReplacementPolicy`] trait and [`policy::PolicyKind`].
+//! - `fifo`, `lru` — policy implementations, sharing one slab of two
 //!   lists (every resident key, and the unpinned ones) so that a victim is
 //!   O(1) however many keys are pinned.
-//! - [`belady`] — offline-optimal (MIN) trace simulation.
-//! - [`cache`] — one bounded cache level with pin support.
-//! - [`cost`] — per-tier latency/bandwidth cost model.
-//! - [`hierarchy`] — the inclusive multi-tier simulator and its statistics.
+//! - `belady` — offline-optimal (MIN) trace simulation.
+//! - `cache` — one bounded cache level with pin support.
+//! - `cost` — per-tier latency/bandwidth cost model.
+//! - `hierarchy` — the inclusive multi-tier simulator and its statistics.
 //!
 //! # Example
 //!
@@ -29,19 +29,19 @@
 
 #![warn(missing_docs)]
 
-pub mod belady;
-pub mod cache;
-pub mod cost;
-pub mod fifo;
-pub mod hierarchy;
-pub mod lru;
+mod belady;
+mod cache;
+mod cost;
+mod fifo;
+mod hierarchy;
+mod lru;
 mod order;
-pub mod policy;
-pub mod stats;
+mod policy;
+mod stats;
 
 pub use belady::{simulate_belady, BeladyResult};
 pub use cache::{CacheLevel, Lookup};
-pub use cost::{SimTime, TierCost};
+pub use cost::TierCost;
 pub use hierarchy::{FetchOutcome, Hierarchy, TierSpec};
 pub use policy::{PolicyKind, ReplacementPolicy};
 pub use stats::{AccessClass, HierarchyStats, LevelStats};

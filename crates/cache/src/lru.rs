@@ -16,19 +16,19 @@ use std::hash::Hash;
 /// Classic LRU list: most-recent at the head, victims taken from the
 /// unpinned tail.
 #[derive(Debug)]
-pub struct LruPolicy<K> {
+pub(crate) struct LruPolicy<K> {
     order: KeyOrder<K>,
 }
 
 impl<K: Copy + Eq + Hash> LruPolicy<K> {
     /// Create an empty LRU policy.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LruPolicy { order: KeyOrder::new() }
     }
 
-    /// Keys from least- to most-recently used, pinned or not. Test helper
-    /// and debugging aid.
-    pub fn lru_order(&self) -> Vec<K> {
+    /// Keys from least- to most-recently used, pinned or not.
+    #[cfg(test)]
+    fn lru_order(&self) -> Vec<K> {
         self.order.oldest_first()
     }
 }

@@ -253,6 +253,7 @@ impl<K: Copy + Eq + Hash> KeyOrder<K> {
     }
 
     /// Keys from the order list's tail (oldest) to its head.
+    #[cfg(test)]
     pub(crate) fn oldest_first(&self) -> Vec<K> {
         let mut out = Vec::with_capacity(self.index.len());
         let mut i = self.ends[ORDER].prev;

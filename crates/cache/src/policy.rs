@@ -112,7 +112,7 @@ pub(crate) mod conformance {
     use super::*;
 
     /// Insert `n` keys, verify tracking, evict them all.
-    pub fn basic_lifecycle(mut p: Box<dyn ReplacementPolicy<u32>>) {
+    pub(crate) fn basic_lifecycle(mut p: Box<dyn ReplacementPolicy<u32>>) {
         assert!(p.is_empty());
         for k in 0..10u32 {
             p.on_insert(k);
@@ -136,7 +136,7 @@ pub(crate) mod conformance {
     }
 
     /// choose_victim must skip pinned keys until they are unpinned.
-    pub fn respects_pinning(mut p: Box<dyn ReplacementPolicy<u32>>) {
+    pub(crate) fn respects_pinning(mut p: Box<dyn ReplacementPolicy<u32>>) {
         for k in 0..5u32 {
             p.on_insert(k);
         }
@@ -156,7 +156,7 @@ pub(crate) mod conformance {
     }
 
     /// on_remove drops bookkeeping so the key is never chosen later.
-    pub fn external_removal(mut p: Box<dyn ReplacementPolicy<u32>>) {
+    pub(crate) fn external_removal(mut p: Box<dyn ReplacementPolicy<u32>>) {
         for k in 0..4u32 {
             p.on_insert(k);
         }

@@ -60,12 +60,6 @@ impl HierarchyStats {
         }
     }
 
-    /// Total simulated demand I/O time (the paper's "I/O time": time spent
-    /// loading missed blocks, summed over all levels below the fastest).
-    pub fn demand_io_s(&self) -> f64 {
-        self.levels.iter().skip(1).map(|l| l.demand_read_s).sum()
-    }
-
     /// Total simulated prefetch time.
     pub fn prefetch_s(&self) -> f64 {
         self.levels.iter().map(|l| l.prefetch_read_s).sum()
@@ -74,26 +68,6 @@ impl HierarchyStats {
     /// Total bytes moved out of every level.
     pub fn total_bytes_read(&self) -> u64 {
         self.levels.iter().map(|l| l.bytes_read).sum()
-    }
-
-    /// Fraction of demand accesses satisfied at each level (the last entry
-    /// is the backing store). Sums to 1 when any demand traffic exists.
-    pub fn demand_hit_distribution(&self) -> Vec<f64> {
-        let total = self.demand_accesses.max(1) as f64;
-        let n = self.levels.len();
-        self.levels
-            .iter()
-            .enumerate()
-            .map(|(i, l)| {
-                if i + 1 == n {
-                    // Backing store: everything that missed every tier.
-                    let tier_hits: u64 = self.levels[..n - 1].iter().map(|x| x.demand_hits).sum();
-                    (self.demand_accesses - tier_hits) as f64 / total
-                } else {
-                    l.demand_hits as f64 / total
-                }
-            })
-            .collect()
     }
 
     /// Merge another stats object (e.g. from a sharded run) into this one.
@@ -123,7 +97,6 @@ mod tests {
         let s = HierarchyStats::new(2);
         assert_eq!(s.levels.len(), 3);
         assert_eq!(s.miss_rate(), 0.0);
-        assert_eq!(s.demand_io_s(), 0.0);
     }
 
     #[test]
@@ -132,29 +105,6 @@ mod tests {
         s.demand_accesses = 10;
         s.demand_fast_misses = 3;
         assert!((s.miss_rate() - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn io_time_excludes_fastest_tier() {
-        let mut s = HierarchyStats::new(2);
-        s.levels[0].demand_read_s = 100.0; // DRAM reads are not "I/O"
-        s.levels[1].demand_read_s = 2.0;
-        s.levels[2].demand_read_s = 5.0;
-        assert!((s.demand_io_s() - 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hit_distribution_sums_to_one() {
-        let mut s = HierarchyStats::new(2);
-        s.demand_accesses = 10;
-        s.levels[0].demand_hits = 6;
-        s.levels[1].demand_hits = 3;
-        // 1 access fell through to backing.
-        let d = s.demand_hit_distribution();
-        assert_eq!(d.len(), 3);
-        assert!((d.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!((d[0] - 0.6).abs() < 1e-12);
-        assert!((d[2] - 0.1).abs() < 1e-12);
     }
 
     #[test]

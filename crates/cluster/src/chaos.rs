@@ -5,8 +5,8 @@
 //! fabric partition, slow storage, corrupted reply frames — generated
 //! from a seed so every run replays exactly. [`run_plan`] executes the
 //! plan step by step: apply the step's faults, advance the clock, run
-//! one membership round (every node's
-//! [`crate::ClusterNode::heartbeat_tick`] plus the router's
+//! one membership round (every node's heartbeat,
+//! [`crate::TestCluster::heartbeat_all`], plus the router's
 //! [`crate::Router::heartbeat`]), route one frame of demand through the
 //! router, and record what happened. The report carries the two numbers
 //! the resilience layer is judged on — steps from fault injection to
@@ -18,6 +18,7 @@
 use crate::router::Router;
 use crate::shard::{splitmix64, NodeId};
 use crate::testing::TestCluster;
+use std::path::Path;
 use std::time::Duration;
 use viz_telemetry::{instant, EventKind as Ev};
 use viz_volume::{BlockId, BlockKey};
@@ -52,7 +53,7 @@ impl ChaosAction {
     /// Isolate 1, Slow 2, Corrupt 3; the repair bit marks the undo
     /// action. Packed into [`Ev::FaultInjected`]'s `arg` as
     /// `family << 1 | repair`.
-    pub fn wire_code(&self) -> (u64, bool) {
+    pub(crate) fn wire_code(&self) -> (u64, bool) {
         match *self {
             ChaosAction::Crash(_) => (0, false),
             ChaosAction::Restart(_) => (0, true),
@@ -139,30 +140,17 @@ impl ChaosPlan {
     }
 }
 
-/// Driver tuning for [`run_plan`].
-#[derive(Debug, Clone)]
-pub struct ChaosOptions {
-    /// Demand keys routed per step (a rotating window over `key_space`).
-    pub demand_per_step: usize,
-    /// Distinct block keys the workload cycles through (seeded into the
-    /// shared store up front).
-    pub key_space: u32,
-    /// Virtual ticks the clock advances per step (drives suspicion
-    /// deadlines).
-    pub ticks_per_step: u64,
-    /// When set, the first flight-recorder trigger observed during the
-    /// run writes a cluster flight dump here
-    /// ([`crate::obs::write_flight_dump`]) — the injected fault's
-    /// cross-node timeline, reconstructable offline. Requires the
-    /// telemetry gate on to observe anything.
-    pub flight_dump: Option<std::path::PathBuf>,
-}
+/// Demand keys [`run_plan`] routes per step (a rotating window over
+/// [`KEY_SPACE`]).
+const DEMAND_PER_STEP: u32 = 8;
 
-impl Default for ChaosOptions {
-    fn default() -> Self {
-        ChaosOptions { demand_per_step: 8, key_space: 64, ticks_per_step: 10, flight_dump: None }
-    }
-}
+/// Distinct block keys the workload cycles through (seeded into the
+/// shared store up front).
+const KEY_SPACE: u32 = 64;
+
+/// Virtual ticks the clock advances per step (drives suspicion
+/// deadlines).
+const TICKS_PER_STEP: u64 = 10;
 
 /// What a plan run observed.
 #[derive(Debug, Clone, Default)]
@@ -185,7 +173,7 @@ pub struct ChaosReport {
     /// telemetry gate off).
     pub triggers: u64,
     /// Events written to the flight dump, when one was triggered and
-    /// [`ChaosOptions::flight_dump`] named a path.
+    /// [`run_plan`] was given a dump path.
     pub dump_events: u64,
 }
 
@@ -208,13 +196,19 @@ fn marked(cluster: &TestCluster, router: &Router, target: NodeId) -> bool {
 /// Execute `plan` (see module docs). Per step: apply due actions,
 /// advance the virtual clock, run one membership round everywhere,
 /// route one demand frame, and update the detection/recovery trackers.
+///
+/// With `flight_dump` set, the first flight-recorder trigger observed
+/// during the run writes a cluster flight dump there (read it back with
+/// [`crate::read_flight_dump`]) — the injected fault's cross-node
+/// timeline, reconstructable offline. Requires the telemetry gate on to
+/// observe anything.
 pub fn run_plan(
     cluster: &mut TestCluster,
     router: &mut Router,
     plan: &ChaosPlan,
-    opts: &ChaosOptions,
+    flight_dump: Option<&Path>,
 ) -> ChaosReport {
-    for i in 0..opts.key_space {
+    for i in 0..KEY_SPACE {
         cluster.insert(chaos_key(i), vec![i as f32; 8]);
     }
     let steps = plan.events.iter().map(|e| e.step + 1).max().unwrap_or(0) + 8;
@@ -258,13 +252,13 @@ pub fn run_plan(
                 ChaosAction::Slow(..) | ChaosAction::Unslow(_) => {}
             }
         }
-        cluster.clock().advance(opts.ticks_per_step);
+        cluster.clock().advance(TICKS_PER_STEP);
         cluster.heartbeat_all();
         router.heartbeat();
         // A rotating demand window so ownership of the requested keys
         // moves across nodes over the run.
-        let demand: Vec<BlockKey> = (0..opts.demand_per_step as u32)
-            .map(|i| chaos_key((step.wrapping_mul(3) + i) % opts.key_space))
+        let demand: Vec<BlockKey> = (0..DEMAND_PER_STEP)
+            .map(|i| chaos_key((step.wrapping_mul(3) + i) % KEY_SPACE))
             .collect();
         let t0 = cluster.clock().now();
         let reply = router.fetch(demand, Vec::new());
@@ -294,7 +288,7 @@ pub fn run_plan(
             let fired = viz_telemetry::flight::take_triggers();
             report.triggers += fired.len() as u64;
             if !fired.is_empty() && report.dump_events == 0 {
-                if let Some(path) = &opts.flight_dump {
+                if let Some(path) = flight_dump {
                     let mut snap = viz_telemetry::flight::snapshot_history();
                     snap.triggers = fired;
                     let sections = crate::obs::sections_from_snapshot(&snap);

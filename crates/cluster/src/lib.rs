@@ -6,33 +6,33 @@
 //! for a block it does not own forwards to the owner over the same VSRV
 //! protocol clients speak.
 //!
-//! - [`shard`] — the [`ShardMap`]: consistent-hash ring placement (plus
+//! - `shard` — the [`ShardMap`]: consistent-hash ring placement (plus
 //!   an octree-subtree-aware variant that co-locates spatial siblings),
 //!   versioned and CRC-framed so nodes and clients detect skew.
-//! - [`peer`] — node-to-node fetch: one VSRV session per peer pair,
+//! - `peer` — node-to-node fetch: one VSRV session per peer pair,
 //!   bounded retry, and a per-peer circuit breaker reusing the
 //!   [`viz_fetch`] fault machinery.
-//! - [`node`] — a [`ClusterNode`] wraps a [`viz_serve::Server`] whose
-//!   engine reads through a [`RoutedSource`]; cross-session coalescing
+//! - `node` — a [`ClusterNode`] wraps a [`viz_serve::Server`] whose
+//!   engine reads through a `RoutedSource`; cross-session coalescing
 //!   then dedupes concurrent remote fetches into one peer round trip.
-//! - [`router`] — the client side: answer what the last frame carried
+//! - `router` — the client side: answer what the last frame carried
 //!   from the client tier, split the rest of a frame's demand per owner,
 //!   merge replies, and fail over along the ring-successor order the map
 //!   itself defines, hop-capping off-owner batches so the receiver reads
 //!   its local storage.
-//! - [`membership`] — deadline-based failure detection over `Ping` /
+//! - `membership` — deadline-based failure detection over `Ping` /
 //!   `Pong` heartbeats: suspected nodes route around *before* a demand
 //!   read pays a timeout, and re-admit the moment a probe succeeds.
 //!   Heartbeats piggyback shard-map versions, so stale participants
 //!   pull a newer map immediately (anti-entropy).
-//! - [`testing`] — a deterministic in-process [`TestCluster`]: N nodes
+//! - `testing` — a deterministic in-process [`TestCluster`]: N nodes
 //!   over one shared store on a virtual clock, synchronous transports,
 //!   crash/restart/join, fabric partitions, slow storage, and corrupted
 //!   reply frames in one call each.
 //! - [`chaos`] — seeded, replayable fault schedules ([`ChaosPlan`])
 //!   driven through the test cluster by [`chaos::run_plan`], reporting
 //!   detection/recovery latency and the zero-demand-errors invariant.
-//! - [`obs`] — cluster observability glue: `TelemetryGet` replies →
+//! - `obs` — cluster observability glue: `TelemetryGet` replies →
 //!   [`viz_telemetry::collect`] drains (Perfetto merge + Prometheus
 //!   rollup), and the CRC-framed flight-recorder dump file.
 //!
@@ -65,22 +65,19 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
-pub mod membership;
-pub mod node;
-pub mod obs;
-pub mod peer;
-pub mod router;
-pub mod shard;
-pub mod testing;
+mod membership;
+mod node;
+mod obs;
+mod peer;
+mod router;
+mod shard;
+mod testing;
 
-pub use chaos::{ChaosAction, ChaosEvent, ChaosOptions, ChaosPlan, ChaosReport};
-pub use membership::{Membership, MembershipConfig};
-pub use node::{ClusterConfig, ClusterNode, RoutedSource};
-pub use obs::{
-    drain_from_wire, read_flight_dump, section_from_drain, sections_from_snapshot,
-    write_flight_dump, DumpSection,
-};
-pub use peer::{Connector, LinkFactory, PeerClient, PeerConfig, PeerLink, TcpPeerLink};
+pub use chaos::{ChaosAction, ChaosEvent, ChaosPlan, ChaosReport};
+pub use membership::Membership;
+pub use node::{ClusterConfig, ClusterNode};
+pub use obs::{read_flight_dump, DumpSection};
+pub use peer::{PeerLink, TcpPeerLink};
 pub use router::{Router, RouterConfig, RouterReply};
 pub use shard::{MapError, NodeId, ShardMap, ShardStrategy};
-pub use testing::{SyncLink, SyncTransport, TestCluster};
+pub use testing::{SyncTransport, TestCluster};

@@ -10,7 +10,7 @@
 //! probe's transport failure is
 //! immediate negative evidence ([`Membership::note_fail`]); and
 //! [`Membership::sweep`] applies the deadline rule: a peer whose last
-//! positive evidence is older than [`MembershipConfig::suspect_after`]
+//! positive evidence is older than the detector's `suspect_after`
 //! becomes *suspect*. Suspect peers are excluded from demand routing
 //! proactively — the read path skips them before paying a timeout — and
 //! re-admitted the moment a probe succeeds.
@@ -23,22 +23,6 @@ use crate::shard::NodeId;
 use std::collections::HashMap;
 use viz_telemetry::{instant, EventKind as Ev};
 
-/// Failure-detector tuning.
-#[derive(Debug, Clone, Copy)]
-pub struct MembershipConfig {
-    /// A peer with no positive evidence for this long (in the caller's
-    /// clock units) becomes suspect at the next [`Membership::sweep`].
-    pub suspect_after: u64,
-}
-
-impl Default for MembershipConfig {
-    fn default() -> Self {
-        // Generous for wall-clock milliseconds (several heartbeat
-        // intervals); deterministic tests override in virtual ticks.
-        MembershipConfig { suspect_after: 3_000 }
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 struct PeerHealth {
     last_ok: u64,
@@ -46,21 +30,24 @@ struct PeerHealth {
 }
 
 /// One participant's live view of its peers (see module docs).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Membership {
-    cfg: MembershipConfig,
+    /// A peer with no positive evidence for this long (in the caller's
+    /// clock units) becomes suspect at the next [`Membership::sweep`].
+    suspect_after: u64,
     peers: HashMap<u32, PeerHealth>,
 }
 
 impl Membership {
-    /// An empty view under `cfg`; peers register on first evidence.
-    pub fn new(cfg: MembershipConfig) -> Membership {
-        Membership { cfg, peers: HashMap::new() }
+    /// An empty view that suspects a peer silent for longer than
+    /// `suspect_after`; peers register on first evidence.
+    pub fn new(suspect_after: u64) -> Membership {
+        Membership { suspect_after, peers: HashMap::new() }
     }
 
     /// Record positive evidence for `peer` at `now`. Returns `true` when
     /// this re-admitted a suspect (emitting [`Ev::NodeRecovered`]).
-    pub fn note_ok(&mut self, peer: NodeId, now: u64) -> bool {
+    pub(crate) fn note_ok(&mut self, peer: NodeId, now: u64) -> bool {
         let h = self.peers.entry(peer.0).or_insert(PeerHealth { last_ok: now, suspect: false });
         h.last_ok = now;
         let recovered = h.suspect;
@@ -74,7 +61,7 @@ impl Membership {
     /// Record a hard failure (transport error, refused connection) for
     /// `peer`: immediate suspicion, no deadline wait. Returns `true` when
     /// the peer was not already suspect (emitting [`Ev::SuspectNode`]).
-    pub fn note_fail(&mut self, peer: NodeId) -> bool {
+    pub(crate) fn note_fail(&mut self, peer: NodeId) -> bool {
         let h = self.peers.entry(peer.0).or_insert(PeerHealth { last_ok: 0, suspect: false });
         let newly = !h.suspect;
         h.suspect = true;
@@ -85,12 +72,12 @@ impl Membership {
     }
 
     /// Apply the deadline rule at `now`: peers silent longer than
-    /// [`MembershipConfig::suspect_after`] become suspect. Returns the
+    /// `suspect_after` become suspect. Returns the
     /// newly suspected peers, sorted.
     pub fn sweep(&mut self, now: u64) -> Vec<NodeId> {
         let mut newly = Vec::new();
         for (&id, h) in &mut self.peers {
-            if !h.suspect && now.saturating_sub(h.last_ok) > self.cfg.suspect_after {
+            if !h.suspect && now.saturating_sub(h.last_ok) > self.suspect_after {
                 h.suspect = true;
                 instant(Ev::SuspectNode, u64::from(id), 0);
                 newly.push(NodeId(id));
@@ -113,11 +100,6 @@ impl Membership {
         v.sort();
         v
     }
-
-    /// Drop all recorded state for `peer` (it left the map for good).
-    pub fn forget(&mut self, peer: NodeId) {
-        self.peers.remove(&peer.0);
-    }
 }
 
 #[cfg(test)]
@@ -125,7 +107,7 @@ mod tests {
     use super::*;
 
     fn m(suspect_after: u64) -> Membership {
-        Membership::new(MembershipConfig { suspect_after })
+        Membership::new(suspect_after)
     }
 
     #[test]
@@ -160,7 +142,5 @@ mod tests {
         mem.note_ok(NodeId(1), 0);
         assert_eq!(mem.sweep(100), vec![NodeId(1)]);
         assert!(mem.sweep(200).is_empty(), "no double suspicion");
-        mem.forget(NodeId(1));
-        assert!(!mem.is_suspect(NodeId(1)));
     }
 }

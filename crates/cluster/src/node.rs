@@ -15,24 +15,28 @@
 //! ## Cycle safety
 //!
 //! A forward can only cycle if two nodes disagree about ownership (map
-//! skew mid-reassignment). Three fences bound it: the node's dispatcher
+//! skew mid-reassignment). Two fences bound it: the node's dispatcher
 //! answers a `PeerFetch` through its engine only when it owns *every*
 //! key under its own map (otherwise it reads local storage directly —
-//! shared storage makes that always correct); forwarded frames carry a
-//! hop count that receivers refuse to extend past
-//! [`ClusterConfig::max_hops`]; and any peer failure — including a
-//! refused forward — falls back to a local read. Demand therefore never
-//! errors because of cluster topology; skew costs locality, not
-//! availability.
+//! shared storage makes that always correct), so a receiver never
+//! forwards a peer's keys onward; and any peer failure falls back to a
+//! local read. Demand therefore never errors because of cluster
+//! topology; skew costs locality, not availability.
+//!
+//! The hop stamp does not count forwards: every node forwards at
+//! [`FORWARD_HOPS`] and no receiver increments it. It only marks the
+//! router's off-owner batches, stamped [`DIRECT_HOPS`], which is at or
+//! past [`MAX_HOPS`], so the receiver reads them from local storage even
+//! for keys it owns.
 
-use crate::membership::{Membership, MembershipConfig};
-use crate::peer::{note_fallback, Connector, PeerClient, PeerConfig};
+use crate::membership::Membership;
+use crate::peer::{note_fallback, Connector, PeerClient};
 use crate::shard::{NodeId, ShardMap};
 use std::collections::HashMap;
 use std::io;
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, RwLock};
 use std::time::Duration;
-use viz_fetch::{BlockPool, FetchConfig, FetchEngine};
+use viz_fetch::{BlockPool, FetchConfig, FetchEngine, RetryPolicy};
 use viz_serve::proto::{errkind_code, PING_FROM_CLIENT};
 use viz_serve::{
     handle_request, BlockReply, Outcome, Request, RequestDispatch, Response, ServeConfig, Server,
@@ -40,43 +44,46 @@ use viz_serve::{
 use viz_telemetry::{instant, EventKind as Ev};
 use viz_volume::{BlockKey, BlockSource};
 
+/// Hop count a node stamps on the `PeerFetch` it forwards to a key's
+/// owner.
+pub(crate) const FORWARD_HOPS: u8 = 1;
+
+/// A `PeerFetch` stamped below this goes through the receiver's engine
+/// (when it owns every key); at or past it the receiver reads its local
+/// storage directly.
+pub(crate) const MAX_HOPS: u8 = 2;
+
+/// Hop count the router stamps on an off-owner batch: past [`MAX_HOPS`],
+/// so the receiver answers from local storage instead of forwarding the
+/// keys back to their (failed) owner.
+pub(crate) const DIRECT_HOPS: u8 = u8::MAX;
+
+/// Replica candidates a demand read considers: the key's owner plus one
+/// ring successor. The read goes to the first candidate the failure
+/// detector calls healthy, so a suspected owner costs nothing — the read
+/// routes around it up front.
+const READ_REPLICAS: usize = 2;
+
+/// A peer with no positive heartbeat evidence for this long (in the
+/// caller's clock units: virtual ticks in tests, milliseconds deployed)
+/// becomes suspect.
+const SUSPECT_AFTER: u64 = 3_000;
+
 /// Cluster-layer tuning for one node.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct ClusterConfig {
-    /// Peer-fetch behaviour (retry, breaker, outgoing hop stamp).
-    pub peer: PeerConfig,
-    /// Refuse to re-forward a `PeerFetch` whose hop count reaches this;
-    /// answer from local storage instead.
-    pub max_hops: u8,
+    /// Retry policy for transient peer-fetch failures (transport drop,
+    /// peer timeout).
+    pub peer_retry: RetryPolicy,
     /// `true` resolves peer-forwarded fetches by stepping the `workers =
     /// 0` engine inline (the deterministic test cluster); `false` blocks
     /// on worker threads (real deployments).
     pub deterministic: bool,
-    /// Replica candidates a demand read considers: the key's owner plus
-    /// `read_replicas - 1` ring successors. The read goes to the first
-    /// candidate the failure detector calls healthy, so a suspected
-    /// owner costs nothing — the read routes around it up front.
-    pub read_replicas: usize,
     /// When set, a remote demand read that has not answered within this
     /// wall-clock threshold triggers a hedged second read (the next
     /// replica — under shared storage, the local copy) and the first
     /// result wins. `None` disables hedging.
     pub hedge_after: Option<Duration>,
-    /// Failure-detector tuning (heartbeat suspicion deadline).
-    pub membership: MembershipConfig,
-}
-
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        ClusterConfig {
-            peer: PeerConfig::default(),
-            max_hops: 2,
-            deterministic: false,
-            read_replicas: 2,
-            hedge_after: None,
-            membership: MembershipConfig::default(),
-        }
-    }
 }
 
 impl ClusterConfig {
@@ -84,7 +91,7 @@ impl ClusterConfig {
     /// stepping, no retry sleeps.
     pub fn deterministic() -> Self {
         ClusterConfig {
-            peer: PeerConfig { retry: viz_fetch::RetryPolicy::none(), ..PeerConfig::default() },
+            peer_retry: RetryPolicy::none(),
             deterministic: true,
             ..ClusterConfig::default()
         }
@@ -101,7 +108,7 @@ struct ClusterShared {
     self_id: NodeId,
     map: RwLock<Arc<ShardMap>>,
     connect: Arc<Connector>,
-    peer_cfg: PeerConfig,
+    peer_retry: RetryPolicy,
     /// One lazily-dialed client per peer, each behind its own lock so
     /// concurrent fetches to *different* peers proceed in parallel while
     /// fetches to the same peer serialize on its one connection.
@@ -111,7 +118,6 @@ struct ClusterShared {
     /// ([`Membership::is_suspect`]) but never writes, so per-peer fetch
     /// fault handling (retry, breaker) keeps its own semantics.
     membership: Mutex<Membership>,
-    read_replicas: usize,
     hedge_after: Option<Duration>,
 }
 
@@ -126,7 +132,7 @@ impl ClusterShared {
     /// makes a local read always correct — when every candidate is
     /// suspect.
     fn route(&self, map: &ShardMap, key: BlockKey) -> NodeId {
-        let candidates = map.owners(key, self.read_replicas.max(1));
+        let candidates = map.owners(key, READ_REPLICAS);
         if candidates.is_empty() {
             return self.self_id;
         }
@@ -148,7 +154,7 @@ impl ClusterShared {
                     self.self_id,
                     id,
                     Box::new(move || connect(id)),
-                    self.peer_cfg.clone(),
+                    self.peer_retry,
                 )))
             })
             .clone()
@@ -239,7 +245,7 @@ impl ClusterShared {
 /// The node's [`BlockSource`]: owned keys read `local`, remote keys
 /// round-trip to the first *healthy* replica (owner, then ring
 /// successors) with local fallback (see module docs).
-pub struct RoutedSource {
+pub(crate) struct RoutedSource {
     local: Arc<dyn BlockSource>,
     shared: Arc<ClusterShared>,
 }
@@ -277,7 +283,7 @@ impl ClusterNode {
     /// Build a node over `local` storage with the initial `map`.
     /// `connect` dials peers (TCP in deployments, in-process links in
     /// tests); the engine and server are built here so their source is
-    /// the node's [`RoutedSource`].
+    /// the node's `RoutedSource`.
     pub fn new(
         id: NodeId,
         local: Arc<dyn BlockSource>,
@@ -291,10 +297,9 @@ impl ClusterNode {
             self_id: id,
             map: RwLock::new(Arc::new(map)),
             connect: Arc::new(connect),
-            peer_cfg: cfg.peer.clone(),
+            peer_retry: cfg.peer_retry,
             peers: Mutex::new(HashMap::new()),
-            membership: Mutex::new(Membership::new(cfg.membership)),
-            read_replicas: cfg.read_replicas,
+            membership: Mutex::new(Membership::new(SUSPECT_AFTER)),
             hedge_after: cfg.hedge_after,
         });
         let routed = Arc::new(RoutedSource { local: local.clone(), shared: shared.clone() });
@@ -342,7 +347,7 @@ impl ClusterNode {
     /// from any peer that advertises one (anti-entropy), then apply the
     /// suspicion deadline. Returns `(alive, suspect)` counts over the
     /// map's peers.
-    pub fn heartbeat_tick(&self, now: u64) -> (usize, usize) {
+    pub(crate) fn heartbeat_tick(&self, now: u64) -> (usize, usize) {
         let map = self.shared.map();
         let mut alive = 0usize;
         for &peer in map.nodes() {
@@ -380,7 +385,7 @@ impl ClusterNode {
 
     /// Pull `peer`'s shard map and install it if newer than ours.
     /// Returns whether a newer map was installed.
-    pub fn pull_map_from(&self, peer: NodeId) -> io::Result<bool> {
+    pub(crate) fn pull_map_from(&self, peer: NodeId) -> io::Result<bool> {
         let (version, bytes) = {
             let client = self.shared.peer(peer);
             let mut client = relock(&client);
@@ -420,7 +425,7 @@ impl ClusterNode {
     /// nodes through their own `serve_frame` when a read forwards).
     /// Stamps every telemetry event emitted while serving with this
     /// node's id.
-    pub fn serve_frame(&self, frame: &[u8]) -> Vec<u8> {
+    pub(crate) fn serve_frame(&self, frame: &[u8]) -> Vec<u8> {
         viz_telemetry::with_node(self.node_tag(), || {
             let resp = match self.dispatch_frame(&self.server, frame) {
                 Outcome::Ready(r) => r,
@@ -500,7 +505,7 @@ impl ClusterNode {
             Request::PeerFetch { session, hops, demand, trace } => {
                 let map = self.shared.map();
                 let all_owned = demand.iter().all(|&k| map.owner(k) == Some(self.id));
-                if hops < self.cfg.max_hops && all_owned {
+                if hops < MAX_HOPS && all_owned {
                     // Normal ownership: resolve through the engine so
                     // concurrent peers coalesce and the pool warms.
                     handle_request(server, Request::PeerFetch { session, hops, demand, trace })

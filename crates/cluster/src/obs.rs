@@ -12,9 +12,7 @@
 //! already holds every node's events, split by each event's `node`
 //! attribution — and [`write_flight_dump`] serializes it into a
 //! length-prefixed, CRC-framed file [`read_flight_dump`] can
-//! reconstruct. A TCP deployment builds the remote sections from
-//! scraped drains instead ([`section_from_drain`]); the dumping process
-//! contributes its own flight history.
+//! reconstruct.
 
 use std::collections::BTreeMap;
 use std::io::{self, Read as _, Write as _};
@@ -28,7 +26,7 @@ use viz_volume::crc32;
 /// Convert one node's `TelemetryGet` reply into a collector drain,
 /// aligned onto the collector's timeline by `clock_offset_ns` (from an
 /// RTT-midpoint estimate, [`viz_telemetry::collect::offset_from_rtt`]).
-pub fn drain_from_wire(w: &WireTelemetry, clock_offset_ns: i64) -> NodeDrain {
+pub(crate) fn drain_from_wire(w: &WireTelemetry, clock_offset_ns: i64) -> NodeDrain {
     let hists = w
         .hists
         .iter()
@@ -67,7 +65,7 @@ pub struct DumpSection {
 /// shape, where one flight recorder saw every node's drains. Triggers
 /// ride with the section of the event that fired them (by subject key
 /// match), defaulting to section 0.
-pub fn sections_from_snapshot(snap: &FlightSnapshot) -> Vec<DumpSection> {
+pub(crate) fn sections_from_snapshot(snap: &FlightSnapshot) -> Vec<DumpSection> {
     let mut by_node: BTreeMap<u32, DumpSection> = BTreeMap::new();
     for e in &snap.events {
         let s = by_node
@@ -92,19 +90,6 @@ pub fn sections_from_snapshot(snap: &FlightSnapshot) -> Vec<DumpSection> {
         first.dropped = snap.dropped;
     }
     sections
-}
-
-/// A scraped remote drain as a dump section (no trigger state — that
-/// never leaves the remote process).
-pub fn section_from_drain(d: &NodeDrain) -> DumpSection {
-    DumpSection {
-        // The drain names the node by raw id; sections use the
-        // attribution convention.
-        node: d.node + 1,
-        dropped: d.dropped,
-        triggers: Vec::new(),
-        events: d.events.clone(),
-    }
 }
 
 const DUMP_MAGIC: [u8; 4] = *b"VFDR";
@@ -139,7 +124,7 @@ fn frame(payload: &[u8]) -> Vec<u8> {
 /// [`EventKind::FlightDump`] instant — key = the first pending
 /// trigger's wire code (0 if none), arg = total events written — so the
 /// dump itself lands on the timeline. Returns total events written.
-pub fn write_flight_dump(path: &Path, sections: &[DumpSection]) -> io::Result<u64> {
+pub(crate) fn write_flight_dump(path: &Path, sections: &[DumpSection]) -> io::Result<u64> {
     let mut total = 0u64;
     let mut out = Vec::new();
     let mut header = Vec::with_capacity(10);
@@ -216,7 +201,7 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Read a dump written by [`write_flight_dump`], validating every
+/// Read a dump written by [`crate::chaos::run_plan`], validating every
 /// frame's CRC, the magic/version, and each event's kind code.
 pub fn read_flight_dump(path: &Path) -> io::Result<Vec<DumpSection>> {
     let mut buf = Vec::new();

@@ -12,6 +12,7 @@
 //! "read it locally instead" — shared storage makes the fallback always
 //! correct, so peer failure degrades locality, never availability.
 
+use crate::node::FORWARD_HOPS;
 use crate::shard::NodeId;
 use std::io;
 use std::net::TcpStream;
@@ -20,7 +21,7 @@ use viz_fetch::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
 use viz_serve::proto::{
     decode_response, try_encode_request, ERR_DRAINING, ERR_NO_MAP, ERR_UNKNOWN_SESSION,
 };
-use viz_serve::{BlockReply, Request, Response, TcpTransport, TraceCtx, Transport, WireTelemetry};
+use viz_serve::{BlockReply, Request, Response, TcpTransport, TraceCtx, Transport};
 use viz_telemetry::{instant, span, EventKind as Ev};
 use viz_volume::BlockKey;
 
@@ -34,11 +35,11 @@ pub trait PeerLink: Send {
 
 /// Dials a fresh link to one peer; called on first use and after any
 /// transport error.
-pub type LinkFactory = Box<dyn Fn() -> io::Result<Box<dyn PeerLink>> + Send + Sync>;
+pub(crate) type LinkFactory = Box<dyn Fn() -> io::Result<Box<dyn PeerLink>> + Send + Sync>;
 
 /// Dials a fresh link to the named peer (shared by every [`PeerClient`]
 /// of a node and by the router).
-pub type Connector = dyn Fn(NodeId) -> io::Result<Box<dyn PeerLink>> + Send + Sync;
+pub(crate) type Connector = dyn Fn(NodeId) -> io::Result<Box<dyn PeerLink>> + Send + Sync;
 
 /// A [`PeerLink`] over localhost/LAN TCP.
 pub struct TcpPeerLink {
@@ -60,35 +61,16 @@ impl PeerLink for TcpPeerLink {
     }
 }
 
-/// Peer-fetch tuning.
-#[derive(Debug, Clone)]
-pub struct PeerConfig {
-    /// Retry policy for transient failures (transport drop, peer timeout).
-    /// Deterministic clusters use [`RetryPolicy::none`] or `immediate`.
-    pub retry: RetryPolicy,
-    /// Per-peer circuit breaker tuning.
-    pub breaker: BreakerConfig,
-    /// Hop count stamped on outgoing `PeerFetch` frames. A node forwards
-    /// at 1; receivers past the cap answer from local storage instead of
-    /// forwarding again, bounding cycles under shard-map skew.
-    pub hops: u8,
-}
-
-impl Default for PeerConfig {
-    fn default() -> Self {
-        PeerConfig { retry: RetryPolicy::default(), breaker: BreakerConfig::default(), hops: 1 }
-    }
-}
-
 /// A resilient client for one peer node (see module docs).
-pub struct PeerClient {
+pub(crate) struct PeerClient {
     self_id: NodeId,
     peer: NodeId,
     /// Session name on the peer; the `peer/` prefix tags the session as
     /// cluster traffic in the peer's registry and stats.
     name: String,
     factory: LinkFactory,
-    cfg: PeerConfig,
+    /// Retry policy for transient failures (transport drop, peer timeout).
+    retry: RetryPolicy,
     breaker: CircuitBreaker,
     link: Option<Box<dyn PeerLink>>,
     session: Option<u32>,
@@ -96,32 +78,27 @@ pub struct PeerClient {
 
 impl PeerClient {
     /// A client for `peer`, identifying itself as `self_id`.
-    pub fn new(self_id: NodeId, peer: NodeId, factory: LinkFactory, cfg: PeerConfig) -> PeerClient {
+    pub(crate) fn new(
+        self_id: NodeId,
+        peer: NodeId,
+        factory: LinkFactory,
+        retry: RetryPolicy,
+    ) -> PeerClient {
         PeerClient {
             self_id,
             peer,
             name: format!("peer/{self_id}"),
             factory,
-            cfg,
+            retry,
             breaker: CircuitBreaker::new(),
             link: None,
             session: None,
         }
     }
 
-    /// The peer this client dials.
-    pub fn peer(&self) -> NodeId {
-        self.peer
-    }
-
-    /// The breaker's current state (tests and diagnostics).
-    pub fn breaker_state(&self) -> BreakerState {
-        self.breaker.state()
-    }
-
     /// Breaker transition counters: `(opens, half_opens, closes,
     /// rejected)`.
-    pub fn breaker_counters(&self) -> (u64, u64, u64, u64) {
+    pub(crate) fn breaker_counters(&self) -> (u64, u64, u64, u64) {
         self.breaker.counters()
     }
 
@@ -168,7 +145,7 @@ impl PeerClient {
         // owner's spans join the same cross-node tree.
         let trace = TraceCtx { trace: viz_telemetry::current_trace(), span: 0 };
         let req =
-            Request::PeerFetch { session, hops: self.cfg.hops, demand: demand.to_vec(), trace };
+            Request::PeerFetch { session, hops: FORWARD_HOPS, demand: demand.to_vec(), trace };
         match self.call(&req)? {
             Response::FetchReply { blocks, .. } => Ok(blocks),
             Response::Error { code, message } if code == ERR_UNKNOWN_SESSION => {
@@ -191,7 +168,7 @@ impl PeerClient {
     /// bounded retry on transient failures and the breaker gating
     /// attempts while the peer is presumed down. Returns one reply per
     /// key in request order.
-    pub fn fetch(&mut self, demand: &[BlockKey]) -> io::Result<Vec<BlockReply>> {
+    pub(crate) fn fetch(&mut self, demand: &[BlockKey]) -> io::Result<Vec<BlockReply>> {
         match self.breaker.state() {
             BreakerState::Closed => {}
             // We become the probe: the CAS flips Open → HalfOpen and
@@ -219,15 +196,15 @@ impl PeerClient {
                     return Ok(blocks);
                 }
                 Err(e) => {
-                    if self.cfg.retry.should_retry(e.kind(), attempt) {
-                        let backoff = self.cfg.retry.backoff(attempt, u64::from(self.peer.0));
+                    if self.retry.should_retry(e.kind(), attempt) {
+                        let backoff = self.retry.backoff(attempt, u64::from(self.peer.0));
                         if !backoff.is_zero() {
                             std::thread::sleep(backoff);
                         }
                         attempt += 1;
                         continue;
                     }
-                    self.breaker.on_failure(self.cfg.breaker.failure_threshold);
+                    self.breaker.on_failure(BreakerConfig::default().failure_threshold);
                     span(
                         Ev::PeerFetch,
                         u64::from(self.peer.0),
@@ -245,7 +222,7 @@ impl PeerClient {
     /// Sessionless and not breaker-gated — the heartbeat *is* the probe
     /// that detects recovery, so it must keep flowing while the breaker
     /// holds fetches back. Emits [`Ev::HeartbeatSent`] per attempt.
-    pub fn ping(&mut self, map_version: u64) -> io::Result<(u32, u64)> {
+    pub(crate) fn ping(&mut self, map_version: u64) -> io::Result<(u32, u64)> {
         self.ping_timed(map_version).map(|(node, ver, _)| (node, ver))
     }
 
@@ -253,7 +230,7 @@ impl PeerClient {
     /// (`now_ns`) — paired with the local send/receive
     /// instants it yields an RTT-midpoint clock-offset estimate for
     /// cross-node trace alignment.
-    pub fn ping_timed(&mut self, map_version: u64) -> io::Result<(u32, u64, u64)> {
+    pub(crate) fn ping_timed(&mut self, map_version: u64) -> io::Result<(u32, u64, u64)> {
         instant(Ev::HeartbeatSent, u64::from(self.peer.0), map_version);
         let from = self.self_id.0;
         match self.call(&Request::Ping { from, map_version })? {
@@ -265,25 +242,10 @@ impl PeerClient {
         }
     }
 
-    /// Drain the peer's telemetry plane (events, histograms, counters) —
-    /// the scrape collector's per-node round trip. Sessionless and not
-    /// breaker-gated: observability must keep working while fetches are
-    /// held back, or the trace of the outage loses exactly the node that
-    /// matters.
-    pub fn telemetry_get(&mut self) -> io::Result<WireTelemetry> {
-        match self.call(&Request::TelemetryGet)? {
-            Response::TelemetryReply(t) => Ok(t),
-            Response::Error { message, .. } => {
-                Err(io::Error::new(io::ErrorKind::InvalidData, message))
-            }
-            _ => Err(io::Error::new(io::ErrorKind::InvalidData, "expected TelemetryReply")),
-        }
-    }
-
     /// Fetch the peer's shard map: `(version, map_bytes)`. No session
     /// needed; not breaker-gated (map refresh is how recovery learns the
     /// cluster healed).
-    pub fn map_get(&mut self) -> io::Result<(u64, Vec<u8>)> {
+    pub(crate) fn map_get(&mut self) -> io::Result<(u64, Vec<u8>)> {
         match self.call(&Request::MapGet)? {
             Response::MapReply { version, map_bytes } => Ok((version, map_bytes)),
             Response::Error { code, message } if code == ERR_NO_MAP => {
@@ -293,17 +255,6 @@ impl PeerClient {
                 Err(io::Error::new(io::ErrorKind::InvalidData, message))
             }
             _ => Err(io::Error::new(io::ErrorKind::InvalidData, "expected MapReply")),
-        }
-    }
-
-    /// Snapshot the peer's wire counters (the router's load probe).
-    pub fn stats(&mut self) -> io::Result<Vec<(String, u64)>> {
-        match self.call(&Request::Stats)? {
-            Response::StatsReply { counters } => Ok(counters),
-            Response::Error { message, .. } => {
-                Err(io::Error::new(io::ErrorKind::InvalidData, message))
-            }
-            _ => Err(io::Error::new(io::ErrorKind::InvalidData, "expected StatsReply")),
         }
     }
 }

@@ -39,6 +39,7 @@
 //! otherwise forward the keys straight back to the dead owner. The hop
 //! cap makes the receiver read its local storage directly.
 
+use crate::node::DIRECT_HOPS;
 use crate::peer::{Connector, PeerLink};
 use crate::shard::{NodeId, ShardMap};
 use std::collections::HashMap;
@@ -49,10 +50,10 @@ use viz_serve::{BlockReply, ClientTier, Request, Response, TraceCtx};
 use viz_telemetry::{instant, span, EventKind as Ev};
 use viz_volume::BlockKey;
 
-/// Hop count stamped on an off-owner batch: past every node's
-/// `max_hops`, so the receiver answers from local storage instead of
-/// forwarding onward (see module docs).
-const DIRECT_HOPS: u8 = u8::MAX;
+/// Routing rounds per [`Router::fetch`] before unresolved keys give up.
+/// Each round regroups the still-pending keys under the freshest map, so
+/// one round per tolerated failure is enough.
+const MAX_ROUNDS: u32 = 3;
 
 /// Router tuning.
 #[derive(Debug, Clone)]
@@ -60,10 +61,6 @@ pub struct RouterConfig {
     /// Candidate nodes considered per key (owner + `candidates - 1` ring
     /// successors). Raising it tolerates more simultaneous node loss.
     pub candidates: usize,
-    /// Routing rounds per [`Router::fetch`] before unresolved keys give
-    /// up. Each round regroups the still-pending keys under the freshest
-    /// map, so one round per tolerated failure is enough.
-    pub max_rounds: u32,
     /// While any node is marked down, probe it with a `Ping` every this
     /// many frames (0 disables) — a crashed-then-restarted node resumes
     /// taking traffic without waiting for a map change.
@@ -72,7 +69,7 @@ pub struct RouterConfig {
 
 impl Default for RouterConfig {
     fn default() -> Self {
-        RouterConfig { candidates: 2, max_rounds: 3, probe_every: 8 }
+        RouterConfig { candidates: 2, probe_every: 8 }
     }
 }
 
@@ -187,7 +184,7 @@ impl Router {
 
     /// Ask any live node for its map and install it if newer. Returns
     /// whether a newer map was installed.
-    pub fn refresh_map(&mut self) -> bool {
+    pub(crate) fn refresh_map(&mut self) -> bool {
         for node in self.map.clone().nodes() {
             if self.conns.get(&node.0).is_some_and(|c| c.down) {
                 continue;
@@ -220,7 +217,7 @@ impl Router {
     /// Probe only the nodes currently marked down (the cheap revival
     /// path [`Router::fetch`] runs every [`RouterConfig::probe_every`]
     /// frames). Returns how many recovered.
-    pub fn probe_down(&mut self) -> usize {
+    pub(crate) fn probe_down(&mut self) -> usize {
         self.down_nodes().into_iter().filter(|&n| self.probe(n)).count()
     }
 
@@ -269,7 +266,7 @@ impl Router {
     /// Route one frame: held demand answered from the client tier, the
     /// rest split per owner, prefetch attached to each key's owner batch,
     /// failed batches retried against ring successors across up to
-    /// [`RouterConfig::max_rounds`] rounds (with a map refresh between
+    /// three rounds (with a map refresh between
     /// rounds once anything failed). Unresolved keys report `TimedOut`;
     /// the call itself only errs when *no* node is reachable at all.
     pub fn fetch(&mut self, demand: Vec<BlockKey>, prefetch: Vec<(BlockKey, f64)>) -> RouterReply {
@@ -305,7 +302,7 @@ impl Router {
             }
         }
 
-        while rounds < self.cfg.max_rounds {
+        while rounds < MAX_ROUNDS {
             let pending: Vec<usize> = (0..demand.len()).filter(|&i| results[i].is_none()).collect();
             if pending.is_empty() {
                 break;
@@ -528,7 +525,7 @@ impl Router {
 
     /// The last [`Router::sync_clocks`] estimate for `node` (ns to add
     /// to its event timestamps; 0 until synced).
-    pub fn clock_offset(&self, node: NodeId) -> i64 {
+    pub(crate) fn clock_offset(&self, node: NodeId) -> i64 {
         self.offsets.get(&node.0).copied().unwrap_or(0)
     }
 

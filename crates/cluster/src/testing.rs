@@ -96,7 +96,7 @@ fn serve_sync(registry: &NodeRegistry, id: NodeId, frame: &[u8]) -> io::Result<V
 /// A [`PeerLink`] that serves each round trip by calling the target
 /// node's dispatcher on this thread. Looks the target up per call, so a
 /// failed node turns into `ConnectionRefused` exactly like a dead socket.
-pub struct SyncLink {
+pub(crate) struct SyncLink {
     registry: NodeRegistry,
     target: NodeId,
 }
@@ -250,7 +250,7 @@ impl TestCluster {
     }
 
     /// A connector usable by routers and external peer clients.
-    pub fn connector(&self) -> Arc<Connector> {
+    pub(crate) fn connector(&self) -> Arc<Connector> {
         Arc::new(Self::make_connector(self.registry.clone()))
     }
 
@@ -307,7 +307,7 @@ impl TestCluster {
     /// Start (`on`) or stop corrupting every reply frame `id` serves:
     /// one deterministically-seeded byte flip per frame, which CRC
     /// framing converts into a decode failure at the caller.
-    pub fn corrupt_from(&self, id: NodeId, on: bool) {
+    pub(crate) fn corrupt_from(&self, id: NodeId, on: bool) {
         let mut corrupt = relock(&self.registry.corrupt);
         if on {
             corrupt.entry(id.0).or_insert(0);
@@ -351,7 +351,8 @@ impl TestCluster {
     }
 
     /// One membership round at the current virtual tick: every live
-    /// node, in id order, runs [`ClusterNode::heartbeat_tick`]. Returns
+    /// node, in id order, pings its map peers, pulls any newer map, and
+    /// applies the suspicion deadline. Returns
     /// each node's `(id, alive, suspect)` counts.
     pub fn heartbeat_all(&self) -> Vec<(NodeId, usize, usize)> {
         let now = self.clock.now();

@@ -12,8 +12,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 use viz_cluster::chaos::run_plan;
 use viz_cluster::{
-    ChaosAction, ChaosOptions, ChaosPlan, ClusterConfig, NodeId, RouterConfig, ShardStrategy,
-    TestCluster,
+    ChaosAction, ChaosPlan, ClusterConfig, NodeId, RouterConfig, ShardStrategy, TestCluster,
 };
 use viz_telemetry::EventKind;
 use viz_volume::{BlockId, BlockKey};
@@ -77,7 +76,7 @@ fn seeded_plans_zero_demand_errors_across_seeds() {
             })
             .count();
 
-        let report = run_plan(&mut cluster, &mut router, &plan, &ChaosOptions::default());
+        let report = run_plan(&mut cluster, &mut router, &plan, None);
 
         assert_eq!(report.demand_errors, 0, "seed {seed}: demand must never error");
         assert!(report.demand_blocks > 0, "seed {seed}: the workload ran");
@@ -120,9 +119,8 @@ fn seeded_plan_replays_identically() {
     let mut c2 = TestCluster::new(4, ShardStrategy::Ring);
     let mut r2 = c2.router("a");
     let plan = ChaosPlan::seeded(17, 4, 40);
-    let opts = ChaosOptions::default();
-    let a = run_plan(&mut c1, &mut r1, &plan, &opts);
-    let b = run_plan(&mut c2, &mut r2, &plan, &opts);
+    let a = run_plan(&mut c1, &mut r1, &plan, None);
+    let b = run_plan(&mut c2, &mut r2, &plan, None);
     assert_eq!(a.demand_blocks, b.demand_blocks);
     assert_eq!(a.demand_errors, b.demand_errors);
     assert_eq!(a.detections, b.detections);

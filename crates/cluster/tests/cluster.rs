@@ -121,6 +121,45 @@ fn non_owner_forward_reaches_owner_and_warms_the_pool() {
 }
 
 #[test]
+fn hop_stamp_past_the_cap_reads_owned_keys_without_the_engine() {
+    let cluster = TestCluster::new(2, ShardStrategy::Ring);
+    let keys = seed(&cluster, 32);
+    let owned: Vec<BlockKey> =
+        keys.iter().copied().filter(|&k| cluster.map().owner(k) == Some(NodeId(1))).collect();
+    assert!(owned.len() >= 2, "node 1 must own two keys");
+    let (forwarded, direct) = (owned[0], owned[1]);
+
+    let node1 = cluster.node(NodeId(1)).unwrap();
+    let admitted = || node1.server().metrics().demand_admitted;
+    let peer_reqs = || {
+        node1
+            .server()
+            .wire_counters()
+            .into_iter()
+            .find(|(name, _)| name == "serve_peer_requests")
+            .map(|(_, v)| v)
+            .unwrap()
+    };
+    let mut peer = cluster.client(NodeId(1));
+    peer.open("peer/0").unwrap();
+
+    // A node's forward (hop 1) of keys the receiver owns goes through the
+    // receiver's engine.
+    let before = admitted();
+    let out = peer.peer_fetch(1, vec![forwarded]).unwrap();
+    assert_eq!(out.blocks[0].result.as_ref().unwrap()[0], forwarded.block.0 as f32);
+    assert_eq!(admitted(), before + 1, "a forward is admitted by the owner's engine");
+
+    // The router's direct stamp is past the cap: the owner answers from
+    // local storage, admits nothing, and still counts the peer request.
+    let (before, reqs) = (admitted(), peer_reqs());
+    let out = peer.peer_fetch(u8::MAX, vec![direct]).unwrap();
+    assert_eq!(out.blocks[0].result.as_ref().unwrap()[0], direct.block.0 as f32);
+    assert_eq!(admitted(), before, "a read past the hop cap bypasses the engine");
+    assert_eq!(peer_reqs(), reqs + 1, "the direct read is one more peer request");
+}
+
+#[test]
 fn duplicate_remote_keys_coalesce_to_one_peer_read() {
     let cluster = TestCluster::new(2, ShardStrategy::Ring);
     let keys = seed(&cluster, 32);

@@ -35,23 +35,23 @@ fn partitioned_peer_falls_back_locally_and_breaker_opens() {
     viz_telemetry::set_enabled(true);
     let _ = viz_telemetry::drain();
 
-    // Low breaker threshold so a handful of remote keys crosses it.
-    let mut cluster_cfg = ClusterConfig::deterministic();
-    cluster_cfg.peer.breaker = BreakerConfig { failure_threshold: 3 };
     let mut cluster = TestCluster::with_configs(
         2,
         ShardStrategy::Ring,
         viz_serve::ServeConfig::default(),
-        cluster_cfg,
+        ClusterConfig::deterministic(),
     );
     let keys = seed(&cluster, 64);
     let remote: Vec<BlockKey> = keys
         .iter()
         .copied()
         .filter(|&k| cluster.map().owner(k) == Some(NodeId(1)))
-        .take(8)
+        .take(12)
         .collect();
-    assert!(remote.len() >= 6, "need several node-1 keys");
+    // More remote keys than the breaker's threshold, so it opens and
+    // later demands probe it.
+    let threshold = BreakerConfig::default().failure_threshold as usize;
+    assert!(remote.len() > threshold, "need more node-1 keys than the breaker threshold");
 
     // Node 1 dies, but nobody reassigns the map: node 0 keeps trying to
     // forward, failing, and falling back to its local (shared) storage.

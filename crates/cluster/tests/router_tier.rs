@@ -115,7 +115,7 @@ fn a_timed_out_slot_is_asked_again() {
     // One candidate per key, so an unreachable owner leaves its keys
     // unresolved (`TimedOut`); probe every frame so it is re-admitted at
     // the start of the next one.
-    let cfg = RouterConfig { candidates: 1, probe_every: 1, ..RouterConfig::default() };
+    let cfg = RouterConfig { candidates: 1, probe_every: 1 };
     let mut router = cluster.router_with("viewer", cfg);
     let owner = NodeId(0);
     let k = owned_by(&cluster, &keys(0..16), owner)[0];

@@ -8,8 +8,7 @@
 use std::sync::Mutex;
 use viz_cluster::chaos::run_plan;
 use viz_cluster::{
-    read_flight_dump, ChaosAction, ChaosEvent, ChaosOptions, ChaosPlan, NodeId, ShardStrategy,
-    TestCluster,
+    read_flight_dump, ChaosAction, ChaosEvent, ChaosPlan, NodeId, ShardStrategy, TestCluster,
 };
 use viz_serve::TraceCtx;
 use viz_telemetry::{collect, json, EventKind};
@@ -214,9 +213,8 @@ fn chaos_faults_trigger_flight_dump_with_zero_demand_errors() {
     };
     let path = std::env::temp_dir().join("viz_trace_test_flight.vfdr");
     let _ = std::fs::remove_file(&path);
-    let opts = ChaosOptions { flight_dump: Some(path.clone()), ..ChaosOptions::default() };
 
-    let report = run_plan(&mut cluster, &mut router, &plan, &opts);
+    let report = run_plan(&mut cluster, &mut router, &plan, Some(&path));
     assert_eq!(report.demand_errors, 0, "no fault cost a demand block");
     assert!(report.demand_blocks > 0, "the workload ran");
     assert!(report.triggers >= 1, "the slow window burned the SLO and fired a trigger");

@@ -47,14 +47,14 @@ impl AdaptiveSigma {
 /// integrator state, saturation cannot wind up: at a bound the controller
 /// simply stays there, and the first error reversal moves it immediately.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SigmaController {
+pub(crate) struct SigmaController {
     cfg: AdaptiveSigma,
     sigma: f64,
 }
 
 impl SigmaController {
     /// Start from an initial σ (clamped into bounds).
-    pub fn new(cfg: AdaptiveSigma, initial_sigma: f64) -> Self {
+    pub(crate) fn new(cfg: AdaptiveSigma, initial_sigma: f64) -> Self {
         assert!(cfg.target_ratio > 0.0, "target ratio must be positive");
         assert!(cfg.gain >= 0.0, "gain must be non-negative");
         assert!(cfg.min_sigma <= cfg.max_sigma, "controller bounds inverted");
@@ -62,7 +62,7 @@ impl SigmaController {
     }
 
     /// Current threshold.
-    pub fn sigma(&self) -> f64 {
+    pub(crate) fn sigma(&self) -> f64 {
         self.sigma
     }
 
@@ -70,7 +70,7 @@ impl SigmaController {
     /// updated σ. Uses the log of the fill ratio so over- and under-shoot
     /// of equal *factors* produce equal corrections. A non-positive or
     /// non-finite render time carries no signal and leaves σ unchanged.
-    pub fn observe(&mut self, prefetch_s: f64, render_s: f64) -> f64 {
+    pub(crate) fn observe(&mut self, prefetch_s: f64, render_s: f64) -> f64 {
         if render_s <= 0.0 {
             return self.sigma;
         }

@@ -16,7 +16,7 @@ use viz_volume::BlockId;
 
 /// Identifier of a storage device in a striped set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct DeviceId(pub u16);
+pub(crate) struct DeviceId(pub u16);
 
 /// A block→device placement.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,17 +62,8 @@ impl Distribution {
 
     /// Owning device of a block.
     #[inline]
-    pub fn device_of(&self, b: BlockId) -> DeviceId {
+    pub(crate) fn device_of(&self, b: BlockId) -> DeviceId {
         self.assignment[b.index()]
-    }
-
-    /// Number of blocks assigned to each device.
-    pub fn block_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.devices as usize];
-        for d in &self.assignment {
-            counts[d.0 as usize] += 1;
-        }
-        counts
     }
 
     /// Aggregate entropy load per device under `importance`.
@@ -128,10 +119,19 @@ mod tests {
         ImportanceTable::from_entropies(entropies, 64)
     }
 
+    /// Number of blocks assigned to each device.
+    fn counts(d: &Distribution) -> Vec<usize> {
+        let mut counts = vec![0usize; d.devices as usize];
+        for dev in &d.assignment {
+            counts[dev.0 as usize] += 1;
+        }
+        counts
+    }
+
     #[test]
     fn round_robin_spreads_counts_evenly() {
         let d = Distribution::round_robin(10, 3);
-        assert_eq!(d.block_counts(), vec![4, 3, 3]);
+        assert_eq!(counts(&d), vec![4, 3, 3]);
         assert_eq!(d.device_of(BlockId(4)), DeviceId(1));
     }
 
@@ -173,7 +173,7 @@ mod tests {
     fn every_block_is_assigned_exactly_once() {
         let imp = importance((0..50).map(|i| i as f64 * 0.1).collect());
         let d = Distribution::importance_balanced(&imp, 4);
-        assert_eq!(d.block_counts().iter().sum::<usize>(), 50);
+        assert_eq!(counts(&d).iter().sum::<usize>(), 50);
     }
 
     #[test]

@@ -116,11 +116,6 @@ impl ImportanceTable {
         &self.entries
     }
 
-    /// The `n` most important blocks.
-    pub fn top_n(&self, n: usize) -> impl Iterator<Item = BlockId> + '_ {
-        self.entries.iter().take(n).map(|e| e.block)
-    }
-
     /// Blocks with entropy strictly greater than `sigma` (the paper's
     /// pre-load set, Algorithm 1 line 7).
     pub fn above_threshold(&self, sigma: f64) -> impl Iterator<Item = BlockId> + '_ {
@@ -193,7 +188,7 @@ mod tests {
     #[test]
     fn top_n_and_threshold() {
         let t = table();
-        let top: Vec<BlockId> = t.top_n(2).collect();
+        let top: Vec<BlockId> = t.ranked()[..2].iter().map(|e| e.block).collect();
         assert_eq!(top, vec![BlockId(1), BlockId(3)]);
         let above: Vec<BlockId> = t.above_threshold(0.4).collect();
         assert_eq!(above, vec![BlockId(1), BlockId(3), BlockId(0)]);
@@ -220,7 +215,7 @@ mod tests {
     #[test]
     fn ties_break_deterministically() {
         let t = ImportanceTable::from_entropies(vec![1.0, 1.0, 1.0], 8);
-        let ids: Vec<BlockId> = t.top_n(3).collect();
+        let ids: Vec<BlockId> = t.ranked().iter().map(|e| e.block).collect();
         assert_eq!(ids, vec![BlockId(0), BlockId(1), BlockId(2)]);
     }
 

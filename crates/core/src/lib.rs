@@ -8,18 +8,18 @@
 //! pre-loads important blocks, pins the working set, and overlaps
 //! prefetching with rendering.
 //!
-//! - [`radius`] — the Eq. 6 radius model.
-//! - [`importance`] — `T_important` construction and queries.
-//! - [`sampling`] — camera lattice, `T_visible` build, O(1) nearest lookup.
-//! - [`session`] — Algorithm 1 and the FIFO/LRU baselines over the
+//! - `radius` — the Eq. 6 radius model.
+//! - `importance` — `T_important` construction and queries.
+//! - `sampling` — camera lattice, `T_visible` build, O(1) nearest lookup.
+//! - `session` — Algorithm 1 and the FIFO/LRU baselines over the
 //!   simulated hierarchy; per-step and aggregate metrics.
 //! - [`degraded`] — per-frame I/O budgets over the real fetch engine:
 //!   frames whose demand reads miss their deadline render with resident
 //!   blocks only instead of stalling.
-//! - [`flight`] — per-client camera flights: one viewer's pose sequence +
+//! - `flight` — per-client camera flights: one viewer's pose sequence +
 //!   table handles, turned into per-frame demand/prefetch requests for the
 //!   serve layer's session registry.
-//! - [`report`] — figure/table emission helpers for the bench harness.
+//! - `report` — figure/table emission helpers for the bench harness.
 //!
 //! # Example — the paper's pipeline end to end
 //!
@@ -66,30 +66,29 @@
 
 #![warn(missing_docs)]
 
-pub mod adaptive;
+mod adaptive;
 pub mod degraded;
-pub mod distribution;
-pub mod flight;
-pub mod histable;
-pub mod importance;
-pub mod lod;
+mod distribution;
+mod flight;
+mod histable;
+mod importance;
+mod lod;
 pub mod persist;
-pub mod prediction;
-pub mod radius;
-pub mod report;
-pub mod sampling;
-pub mod session;
-pub mod trace;
+mod prediction;
+mod radius;
+mod report;
+mod sampling;
+mod session;
+mod trace;
 
-pub use adaptive::{AdaptiveSigma, SigmaController};
+pub use adaptive::AdaptiveSigma;
 pub use degraded::{fetch_frame, FrameFetchReport};
-pub use distribution::{parallel_fetch_time, serial_fetch_time, DeviceId, Distribution};
+pub use distribution::{parallel_fetch_time, serial_fetch_time, Distribution};
 pub use flight::{ClientFlight, FrameRequest};
 pub use histable::BlockHistogramTable;
 pub use importance::{ImportanceEntry, ImportanceTable};
 pub use lod::{run_lod_session, LodPolicy, LodReport};
 pub use persist::{load_tables, save_tables};
-pub use prediction::extrapolate_pose;
 pub use radius::RadiusModel;
 pub use report::{Metric, Row, Table};
 pub use sampling::{

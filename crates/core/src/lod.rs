@@ -40,7 +40,7 @@ impl LodPolicy {
 
     /// Level selected for a block whose center sits `distance` from the
     /// camera.
-    pub fn level_for_distance(&self, distance: f64) -> LodLevel {
+    pub(crate) fn level_for_distance(&self, distance: f64) -> LodLevel {
         if distance <= self.near_distance {
             return LodLevel(0);
         }
@@ -50,7 +50,7 @@ impl LodPolicy {
 }
 
 /// Key of an LOD-aware cached unit: a block at a resolution level.
-pub type LodKey = (BlockId, LodLevel);
+pub(crate) type LodKey = (BlockId, LodLevel);
 
 /// Report of an LOD baseline run.
 #[derive(Debug, Clone, PartialEq)]

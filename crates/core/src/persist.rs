@@ -6,7 +6,6 @@
 //! compact framed binary (magic, version, CRC-32 of the body, then
 //! fixed-width little-endian fields and LEB128 varints).
 
-use crate::histable::BlockHistogramTable;
 use crate::importance::ImportanceTable;
 use crate::radius::RadiusModel;
 use crate::sampling::{RadiusRule, SamplingConfig, VisibleTable};
@@ -14,11 +13,9 @@ use std::fs;
 use std::io::{self, Read, Write};
 use std::path::Path;
 use viz_volume::le::{get, put};
-use viz_volume::Histogram;
 
 const VIS_MAGIC: &[u8; 4] = b"TVIS";
 const IMP_MAGIC: &[u8; 4] = b"TIMP";
-const THB_MAGIC: &[u8; 4] = b"THBT";
 /// The `T_visible` frame version: CSR payload, LEB128 varint
 /// delta-encoded per entry, with a CRC-32 of the body right after the
 /// version field so bit-rot on disk is rejected at load instead of
@@ -26,8 +23,6 @@ const THB_MAGIC: &[u8; 4] = b"THBT";
 /// 1–3 carried a JSON header; no such file exists, so they are rejected
 /// like any other unknown version.)
 const VIS_VERSION: u16 = 4;
-/// Current per-block histogram-table frame version.
-const THB_VERSION: u16 = 1;
 /// The `T_important` frame version: entropies + CRC-32 of the body.
 const IMP_VERSION: u16 = 2;
 
@@ -224,7 +219,7 @@ pub fn decode_visible_table(mut buf: &[u8]) -> io::Result<VisibleTable> {
 }
 
 /// Serialize a `T_important` table (bin count + per-block entropies).
-pub fn encode_importance_table(t: &ImportanceTable) -> Vec<u8> {
+pub(crate) fn encode_importance_table(t: &ImportanceTable) -> Vec<u8> {
     let mut buf = Vec::with_capacity(18 + t.len() * 8);
     buf.extend_from_slice(IMP_MAGIC);
     put::<u16>(&mut buf, IMP_VERSION);
@@ -241,7 +236,7 @@ pub fn encode_importance_table(t: &ImportanceTable) -> Vec<u8> {
 }
 
 /// Parse a buffer produced by [`encode_importance_table`].
-pub fn decode_importance_table(mut buf: &[u8]) -> io::Result<ImportanceTable> {
+pub(crate) fn decode_importance_table(mut buf: &[u8]) -> io::Result<ImportanceTable> {
     if buf.len() < 18 {
         return Err(err("T_important frame too short"));
     }
@@ -270,83 +265,6 @@ pub fn decode_importance_table(mut buf: &[u8]) -> io::Result<ImportanceTable> {
         by_block.push(get::<f64>(&mut buf));
     }
     Ok(ImportanceTable::from_entropies(by_block, bins))
-}
-
-/// Serialize a per-block histogram table: shared range + bin count, then
-/// per block the varint bin counts (most bins are empty or small, so
-/// varints beat fixed u64s by a wide margin). Checksummed like the other
-/// table frames.
-pub fn encode_histogram_table(t: &BlockHistogramTable) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(22 + t.len() * t.bins);
-    buf.extend_from_slice(THB_MAGIC);
-    put::<u16>(&mut buf, THB_VERSION);
-    let crc_at = buf.len();
-    put::<u32>(&mut buf, 0); // crc placeholder, patched below
-    put::<f32>(&mut buf, t.range.0);
-    put::<f32>(&mut buf, t.range.1);
-    put::<u32>(&mut buf, t.bins as u32);
-    put::<u32>(&mut buf, t.len() as u32);
-    for i in 0..t.len() {
-        let h = t.histogram(viz_volume::BlockId(i as u32));
-        for &c in &h.counts {
-            // A bin count is bounded by one block's voxel count, far below
-            // 2^32; assert rather than silently truncate if that changes.
-            assert!(c <= u64::from(u32::MAX), "bin count {c} overflows u32 varint");
-            put_varint_u32(&mut buf, c as u32);
-        }
-    }
-    let crc = viz_volume::crc32(&buf[crc_at + 4..]);
-    buf[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
-    buf
-}
-
-/// Parse a buffer produced by [`encode_histogram_table`].
-pub fn decode_histogram_table(mut buf: &[u8]) -> io::Result<BlockHistogramTable> {
-    if buf.len() < 26 {
-        return Err(err("histogram-table frame too short"));
-    }
-    let (magic, rest) = buf.split_at(4);
-    buf = rest;
-    if magic != THB_MAGIC {
-        return Err(err("bad histogram-table magic"));
-    }
-    let version = get::<u16>(&mut buf);
-    if version != THB_VERSION {
-        return Err(err("unsupported histogram-table version"));
-    }
-    let want = get::<u32>(&mut buf);
-    let got = viz_volume::crc32(buf);
-    if got != want {
-        return Err(err(format!(
-            "histogram-table checksum mismatch (stored {want:#010x}, computed {got:#010x})"
-        )));
-    }
-    let lo = get::<f32>(&mut buf);
-    let hi = get::<f32>(&mut buf);
-    let bins = get::<u32>(&mut buf) as usize;
-    let n = get::<u32>(&mut buf) as usize;
-    if bins == 0 {
-        return Err(err("histogram-table with zero bins"));
-    }
-    // Every bin of every block is at least one varint byte.
-    if n.checked_mul(bins).map_or(true, |cells| cells > buf.len()) {
-        return Err(err("histogram-table counts exceed the payload"));
-    }
-    let mut histograms = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mut h = Histogram::new(lo, hi, bins);
-        let mut total = 0u64;
-        for c in h.counts.iter_mut() {
-            *c = u64::from(get_varint_u32(&mut buf)?);
-            total += *c;
-        }
-        h.total = total;
-        histograms.push(h);
-    }
-    if !buf.is_empty() {
-        return Err(err("trailing bytes after histogram payload"));
-    }
-    BlockHistogramTable::from_parts(histograms, (lo, hi), bins).map_err(err)
 }
 
 /// Write both tables next to each other under `dir`
@@ -535,73 +453,6 @@ mod tests {
         let back = decode_visible_table(&encode_visible_table(&tv).unwrap()).unwrap();
         assert_eq!(back.config, tv.config);
         assert_eq!(back.radius_rule, tv.radius_rule);
-    }
-
-    #[test]
-    fn histogram_table_binary_roundtrip() {
-        use viz_volume::{DatasetKind, DatasetSpec};
-        let spec = DatasetSpec::new(DatasetKind::Ball3d, 8, 5); // 32³
-        let field = spec.materialize(0, 0.0);
-        let layout = BrickLayout::new(field.dims, Dims3::cube(8));
-        let table = BlockHistogramTable::from_field(&layout, &field, 32);
-        let buf = encode_histogram_table(&table);
-        let back = decode_histogram_table(&buf).unwrap();
-        assert_eq!(back, table);
-        // Varints keep the frame well under the fixed-u64 cost.
-        assert!(buf.len() < 22 + table.len() * table.bins * 8);
-    }
-
-    #[test]
-    fn histogram_table_corruption_rejected() {
-        use viz_volume::{DatasetKind, DatasetSpec};
-        let spec = DatasetSpec::new(DatasetKind::Ball3d, 8, 5);
-        let field = spec.materialize(0, 0.0);
-        let layout = BrickLayout::new(field.dims, Dims3::cube(8));
-        let table = BlockHistogramTable::from_field(&layout, &field, 16);
-        let buf = encode_histogram_table(&table);
-        // Magic.
-        let mut bad = buf.clone();
-        bad[0] = b'X';
-        assert!(decode_histogram_table(&bad).is_err());
-        // Bit rot in the payload trips the checksum.
-        let mut rotted = buf.clone();
-        let at = buf.len() - 2;
-        rotted[at] ^= 0x04;
-        let e = decode_histogram_table(&rotted).unwrap_err();
-        assert!(e.to_string().contains("checksum"), "got: {e}");
-        // Truncation at every depth class.
-        for cut in [3usize, 9, 20, buf.len() / 2, buf.len() - 1] {
-            assert!(decode_histogram_table(&buf[..cut]).is_err(), "cut at {cut} decoded");
-        }
-        // Trailing garbage.
-        let mut long = buf.clone();
-        long.extend_from_slice(&[1, 2, 3]);
-        assert!(decode_histogram_table(&long).is_err());
-    }
-
-    /// A CRC catches corruption, not a lie: a frame with a correct checksum
-    /// whose block or bin count the payload cannot hold must be refused
-    /// before anything is sized from it.
-    #[test]
-    fn crafted_histogram_counts_are_invalid_data_not_an_abort() {
-        let crafted = |bins: u32, n: u32| {
-            let mut buf = THB_MAGIC.to_vec();
-            put::<u16>(&mut buf, THB_VERSION);
-            put::<u32>(&mut buf, 0);
-            put::<f32>(&mut buf, 0.0);
-            put::<f32>(&mut buf, 1.0);
-            put::<u32>(&mut buf, bins);
-            put::<u32>(&mut buf, n);
-            let crc = viz_volume::crc32(&buf[10..]);
-            buf[6..10].copy_from_slice(&crc.to_le_bytes());
-            buf
-        };
-        for (bins, n) in [(1, u32::MAX), (u32::MAX, 1), (u32::MAX, u32::MAX), (16, 2)] {
-            let buf = crafted(bins, n);
-            assert_eq!(buf.len(), 26);
-            let e = decode_histogram_table(&buf).unwrap_err();
-            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "bins {bins}, n {n}: {e}");
-        }
     }
 
     #[test]

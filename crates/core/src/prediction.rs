@@ -16,7 +16,7 @@ use viz_geom::{CameraPose, Quat};
 /// direction rotation again and repeat the (log-space) distance step.
 /// With a single pose (or identical poses) the prediction is the current
 /// pose itself.
-pub fn extrapolate_pose(prev: Option<&CameraPose>, current: &CameraPose) -> CameraPose {
+pub(crate) fn extrapolate_pose(prev: Option<&CameraPose>, current: &CameraPose) -> CameraPose {
     let Some(prev) = prev else {
         return *current;
     };

@@ -43,13 +43,6 @@ impl RadiusModel {
         RadiusModel { cache_ratio, view_angle, min_radius: 1e-3 }
     }
 
-    /// Set the minimum-radius clamp (e.g. the camera-path step length).
-    pub fn with_min_radius(mut self, min_radius: f64) -> Self {
-        assert!(min_radius >= 0.0);
-        self.min_radius = min_radius;
-        self
-    }
-
     /// Eq. 6: the optimal vicinal radius for view distance `d` (normalized
     /// units: volume edge = 2). Clamped below by `min_radius` — when the
     /// camera is so far away that even `r = 0` over-predicts, the entropy
@@ -66,7 +59,7 @@ impl RadiusModel {
     ///
     /// Used by tests to verify that `optimal_radius` solves the fill
     /// condition, and by the benches to report predicted working-set size.
-    pub fn aggregated_frustum_volume(&self, d: f64, r: f64) -> f64 {
+    pub(crate) fn aggregated_frustum_volume(&self, d: f64, r: f64) -> f64 {
         let tau = (self.view_angle * 0.5).tan();
         let a = d + r / tau;
         // Clip the cone between the near (a-1) and far (a+1) planes; if the
@@ -133,7 +126,7 @@ mod tests {
     #[test]
     fn clamps_to_min_radius_when_over_budget() {
         // Far camera + wide angle + small cache: formula would go negative.
-        let m = RadiusModel::new(0.05, deg_to_rad(60.0)).with_min_radius(0.01);
+        let m = RadiusModel { min_radius: 0.01, ..RadiusModel::new(0.05, deg_to_rad(60.0)) };
         let r = m.optimal_radius(10.0);
         assert_eq!(r, 0.01);
     }

@@ -70,7 +70,7 @@ impl SamplingConfig {
     }
 
     /// Total number of sampled camera positions.
-    pub fn total_samples(&self) -> usize {
+    pub(crate) fn total_samples(&self) -> usize {
         self.n_theta * self.n_phi * self.n_dist
     }
 
@@ -312,7 +312,7 @@ impl VisibleTable {
 
     /// Reassemble a table directly from its CSR arrays (the compact binary
     /// persist path). Validates the offsets invariants.
-    pub fn from_csr(
+    pub(crate) fn from_csr(
         config: SamplingConfig,
         radius_rule: RadiusRule,
         offsets: Vec<u32>,

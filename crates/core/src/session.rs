@@ -40,7 +40,7 @@ pub struct RenderModel {
 impl RenderModel {
     /// A frame-rate-realistic default: ~5 ms fixed + 0.2 ms per block
     /// (≈30 fps at 100 visible blocks).
-    pub fn default_interactive() -> Self {
+    pub(crate) fn default_interactive() -> Self {
         RenderModel { base_s: 5e-3, per_block_s: 2e-4 }
     }
 

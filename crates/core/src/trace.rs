@@ -70,11 +70,6 @@ impl ReuseProfile {
         }
     }
 
-    /// The whole LRU miss curve up to `max_capacity` (inclusive), one pass.
-    pub fn miss_curve(&self, max_capacity: usize) -> Vec<f64> {
-        (0..=max_capacity).map(|c| self.lru_miss_rate(c)).collect()
-    }
-
     /// Smallest capacity achieving at most `target` miss rate, if any
     /// capacity in `0..=limit` does.
     pub fn capacity_for_miss_rate(&self, target: f64, limit: usize) -> Option<usize> {
@@ -124,7 +119,7 @@ mod tests {
     fn miss_curve_is_monotone_nonincreasing() {
         let trace: Vec<u32> = (0..200).map(|i| (i * i + i / 3) as u32 % 17).collect();
         let p = ReuseProfile::compute(&trace);
-        let curve = p.miss_curve(20);
+        let curve: Vec<f64> = (0..=20).map(|c| p.lru_miss_rate(c)).collect();
         for w in curve.windows(2) {
             assert!(w[1] <= w[0] + 1e-12);
         }

@@ -64,7 +64,7 @@ pub struct FetchConfig {
     /// Abandon a single source read after this long (the worker moves on;
     /// the read finishes on a pooled I/O thread and its payload still
     /// lands in the pool). `None` trusts the source to return. Timed
-    /// reads dispatch through the bounded [`IoPool`] when set.
+    /// reads dispatch through the bounded `IoPool` when set.
     pub source_timeout: Option<Duration>,
     /// Cap on concurrent I/O threads servicing timed reads. Reads beyond
     /// the cap queue for a pool thread instead of spawning more, so a
@@ -151,7 +151,7 @@ type Payload = Arc<Vec<f32>>;
 type FetchResult = Result<Payload, FetchError>;
 
 /// Handle to one demand fetch. Resolves exactly once, via [`Ticket::wait`],
-/// a successful [`Ticket::try_wait`], or a resolved [`Ticket::wait_timeout`].
+/// a successful [`Ticket::try_wait`], or a resolved [`Ticket::wait_until`].
 #[derive(Debug)]
 pub struct Ticket(TicketInner);
 
@@ -189,7 +189,7 @@ impl Ticket {
     /// deadline expiry — the fetch stays in flight and the ticket can keep
     /// waiting, or be dropped to render degraded (the payload still lands
     /// in the pool when the read completes).
-    pub fn wait_timeout(self, timeout: Duration) -> Result<FetchResult, Ticket> {
+    pub(crate) fn wait_timeout(self, timeout: Duration) -> Result<FetchResult, Ticket> {
         match self.0 {
             TicketInner::Ready(r) => Ok(r),
             TicketInner::Waiting(rx) => match rx.recv_timeout(timeout) {
@@ -200,7 +200,7 @@ impl Ticket {
         }
     }
 
-    /// [`Self::wait_timeout`] against an absolute deadline. Callers
+    /// `wait_timeout` against an absolute deadline. Callers
     /// bounding many fetches by one budget (a frame's demand set) compute
     /// the deadline once and pass it to every wait, so the blocks share a
     /// single clock instead of each re-measuring its own remainder.
@@ -552,7 +552,7 @@ impl FetchEngine {
     /// engine counts a [`FetchMetrics::cross_tag_coalesced`] save and
     /// emits a `CrossClientCoalesce` event — one client's read served
     /// another's.
-    pub fn prefetch_tagged(&self, key: BlockKey, priority: f64, tag: u32) -> bool {
+    pub(crate) fn prefetch_tagged(&self, key: BlockKey, priority: f64, tag: u32) -> bool {
         let s = &*self.shared;
         s.m.prefetch_requests.inc();
         if s.pool.contains(key) {
@@ -582,13 +582,8 @@ impl FetchEngine {
     /// round-trip instead of a thousand. Returns how many entries were
     /// accepted (queued, upgraded, or coalesced); dropped and
     /// breaker-rejected keys are counted exactly as per-key admission
-    /// would count them.
-    pub fn prefetch_batch(&self, items: &[(BlockKey, f64)]) -> usize {
-        self.prefetch_batch_tagged(items, 0)
-    }
-
-    /// [`Self::prefetch_batch`] with a fairness tag (see
-    /// [`Self::prefetch_tagged`]).
+    /// would count them. `tag` is the fairness tag, as in
+    /// [`Self::request_tagged`].
     pub fn prefetch_batch_tagged(&self, items: &[(BlockKey, f64)], tag: u32) -> usize {
         let s = &*self.shared;
         let mut st = lock_state(s);
@@ -624,7 +619,7 @@ impl FetchEngine {
     }
 
     /// [`Self::request`] with a fairness tag (see
-    /// [`Self::prefetch_tagged`] for the cross-tag coalescing contract).
+    /// `prefetch_tagged` for the cross-tag coalescing contract).
     pub fn request_tagged(&self, key: BlockKey, tag: u32) -> Ticket {
         let s = &*self.shared;
         s.m.demand_requests.inc();
@@ -1630,12 +1625,12 @@ mod tests {
         let eng = FetchEngine::spawn(store_with(16), pool.clone(), cfg);
         // 6 fresh keys against cap 4: first 4 queue, last 2 drop.
         let items: Vec<(BlockKey, f64)> = (0..6).map(|i| (key(i), f64::from(i))).collect();
-        assert_eq!(eng.prefetch_batch(&items), 4);
+        assert_eq!(eng.prefetch_batch_tagged(&items, 0), 4);
         let m = eng.metrics();
         assert_eq!(m.dropped, 2);
         assert_eq!(m.queue_depth_prefetch, 4);
         // Re-submitting queued keys coalesces; the upgrade takes effect.
-        assert_eq!(eng.prefetch_batch(&[(key(0), 9.0), (key(1), 0.0)]), 2);
+        assert_eq!(eng.prefetch_batch_tagged(&[(key(0), 9.0), (key(1), 0.0)], 0), 2);
         assert_eq!(eng.metrics().coalesced, 2);
         assert_eq!(eng.run_one(), Some(key(0)), "upgraded key dispatches first");
         eng.run_until_idle();

@@ -23,7 +23,7 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// Fixed-capacity, lazily-populated pool of detached I/O threads.
 #[derive(Debug)]
-pub struct IoPool {
+pub(crate) struct IoPool {
     inner: Arc<Inner>,
     cap: usize,
     /// `None` after shutdown; also the lock serializing spawn decisions.
@@ -44,7 +44,7 @@ struct Inner {
 impl IoPool {
     /// A pool allowing at most `cap` concurrent I/O threads (min 1). No
     /// thread exists until the first [`IoPool::submit`].
-    pub fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         let (tx, rx) = channel();
         IoPool {
             inner: Arc::new(Inner {
@@ -59,7 +59,7 @@ impl IoPool {
 
     /// Threads spawned over the pool's lifetime (gauge; bounded by the
     /// cap passed to [`IoPool::new`] — the storm-containment guarantee).
-    pub fn spawned(&self) -> usize {
+    pub(crate) fn spawned(&self) -> usize {
         self.inner.spawned.load(Ordering::Relaxed)
     }
 
@@ -67,7 +67,7 @@ impl IoPool {
     /// existing one is busy and the cap allows; otherwise the job queues
     /// until a thread frees up. Returns `false` if the pool is shut down
     /// (the job is dropped).
-    pub fn submit(&self, job: Job) -> bool {
+    pub(crate) fn submit(&self, job: Job) -> bool {
         let guard = self.tx.lock().unwrap_or_else(PoisonError::into_inner);
         let Some(tx) = guard.as_ref() else {
             return false;
@@ -90,7 +90,7 @@ impl IoPool {
     }
 
     /// Close the job channel: queued jobs still run, threads exit after.
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         self.tx.lock().unwrap_or_else(PoisonError::into_inner).take();
     }
 }

@@ -65,17 +65,16 @@
 
 #![warn(missing_docs)]
 
-pub mod engine;
-pub mod fault;
-pub mod iopool;
-pub mod pool;
-pub mod reactor;
-pub mod retry;
-pub mod virt;
+mod engine;
+mod fault;
+mod iopool;
+mod pool;
+mod reactor;
+mod retry;
+mod virt;
 
 pub use engine::{FetchConfig, FetchEngine, FetchError, FetchMetrics, Ticket};
 pub use fault::{FaultConfig, FaultInjectingSource};
-pub use iopool::IoPool;
 pub use pool::BlockPool;
 pub use reactor::{ReadyHandle, ReadySet, TimerId, TimerWheel};
 pub use retry::{is_transient, BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};

@@ -3,7 +3,7 @@
 //! The renderer reads blocks out of the pool while fetch workers insert
 //! into it; a single `RwLock<HashMap>` would serialize both sides. The
 //! pool therefore splits the key space over N lock shards by key hash
-//! (N is a power of two, default [`BlockPool::DEFAULT_SHARDS`]).
+//! (N is a power of two, default 16).
 //!
 //! Eviction *policy* stays in `viz-cache`; the pool only stores what it is
 //! given. It does, however, account resident payload bytes so callers can
@@ -27,20 +27,20 @@ use viz_volume::BlockKey;
 /// [`PoolEntry::new`] makes one, so the two always agree; build it before
 /// taking a lock, the checksum is a pass over the payload.
 #[derive(Debug, Clone)]
-pub struct PoolEntry {
+pub(crate) struct PoolEntry {
     data: Arc<Vec<f32>>,
     crc: u32,
 }
 
 impl PoolEntry {
     /// Checksum `data` and pair the result with it.
-    pub fn new(data: Arc<Vec<f32>>) -> Self {
+    pub(crate) fn new(data: Arc<Vec<f32>>) -> Self {
         let crc = crc32_f32s(&data);
         PoolEntry { data, crc }
     }
 
     /// The payload.
-    pub fn data(&self) -> &Arc<Vec<f32>> {
+    pub(crate) fn data(&self) -> &Arc<Vec<f32>> {
         &self.data
     }
 }
@@ -77,15 +77,15 @@ impl Default for BlockPool {
 impl BlockPool {
     /// Default shard count: enough that a handful of render threads and
     /// fetch workers rarely collide, small enough to stay cache-friendly.
-    pub const DEFAULT_SHARDS: usize = 16;
+    pub(crate) const DEFAULT_SHARDS: usize = 16;
 
-    /// Create an empty pool with [`Self::DEFAULT_SHARDS`] shards.
+    /// Create an empty pool with 16 shards.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Create an empty pool with `n` shards (rounded up to a power of two).
-    pub fn with_shards(n: usize) -> Self {
+    pub(crate) fn with_shards(n: usize) -> Self {
         let n = n.max(1).next_power_of_two();
         let shards: Vec<Shard> = (0..n).map(|_| RwLock::new(HashMap::new())).collect();
         BlockPool {
@@ -129,14 +129,14 @@ impl BlockPool {
     }
 
     /// Insert an already-shared payload, checksumming it first.
-    pub fn insert_arc(&self, key: BlockKey, data: Arc<Vec<f32>>) {
+    pub(crate) fn insert_arc(&self, key: BlockKey, data: Arc<Vec<f32>>) {
         self.insert_entry(key, PoolEntry::new(data));
     }
 
     /// Insert a payload whose checksum is already taken (the fetch engine
     /// makes the entry before it takes its state lock, and hands coalesced
     /// waiters the same `Arc` it parks here).
-    pub fn insert_entry(&self, key: BlockKey, entry: PoolEntry) {
+    pub(crate) fn insert_entry(&self, key: BlockKey, entry: PoolEntry) {
         let added = entry.data.len() * 4;
         let old = wr(self.shard(&key)).insert(key, entry);
         if let Some(old) = old {
@@ -200,8 +200,9 @@ impl BlockPool {
         (self.hits.load(Ordering::Relaxed), self.misses.load(Ordering::Relaxed))
     }
 
-    /// Number of lock shards (for diagnostics).
-    pub fn num_shards(&self) -> usize {
+    /// Number of lock shards.
+    #[cfg(test)]
+    fn num_shards(&self) -> usize {
         self.shards.len()
     }
 }

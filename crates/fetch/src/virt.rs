@@ -63,12 +63,6 @@ pub struct TierLatency {
 }
 
 impl TierLatency {
-    /// The paper's relative ordering at convenient round numbers:
-    /// DRAM 1, SSD 20, HDD 400.
-    pub fn paper_like() -> Self {
-        TierLatency { dram: 1, ssd: 20, hdd: 400 }
-    }
-
     /// Ticks for one read from `tier`.
     pub fn of(&self, tier: Tier) -> u64 {
         match tier {
@@ -110,7 +104,7 @@ impl VirtualClockSource {
     }
 
     /// Latency decided per key (tier assignment is the caller's model).
-    pub fn with_latency(
+    pub(crate) fn with_latency(
         inner: Arc<dyn BlockSource>,
         clock: Arc<VirtualClock>,
         latency: impl Fn(BlockKey) -> u64 + Send + Sync + 'static,
@@ -267,7 +261,7 @@ mod tests {
         let src = VirtualClockSource::tiered(
             Arc::new(store),
             clock.clone(),
-            TierLatency::paper_like(),
+            TierLatency { dram: 1, ssd: 20, hdd: 400 },
             |k| if k.block.0 == 0 { Tier::Hdd } else { Tier::Ssd },
         );
         src.read_block(key(0)).unwrap();

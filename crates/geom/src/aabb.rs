@@ -40,7 +40,7 @@ impl Aabb {
 
     /// Half of [`Self::extent`].
     #[inline]
-    pub fn half_extent(&self) -> Vec3 {
+    pub(crate) fn half_extent(&self) -> Vec3 {
         self.extent() * 0.5
     }
 
@@ -53,7 +53,7 @@ impl Aabb {
 
     /// Radius of the bounding sphere (distance from center to a corner).
     #[inline]
-    pub fn bounding_radius(&self) -> f64 {
+    pub(crate) fn bounding_radius(&self) -> f64 {
         self.half_extent().norm()
     }
 
@@ -88,16 +88,6 @@ impl Aabb {
         Aabb { min: self.min.min(other.min), max: self.max.max(other.max) }
     }
 
-    /// `true` when the two boxes overlap (closed intersection).
-    pub fn intersects(&self, other: &Aabb) -> bool {
-        self.min.x <= other.max.x
-            && self.max.x >= other.min.x
-            && self.min.y <= other.max.y
-            && self.max.y >= other.min.y
-            && self.min.z <= other.max.z
-            && self.max.z >= other.min.z
-    }
-
     /// Closest point inside the box to `p` (is `p` itself when contained).
     pub fn clamp_point(&self, p: Vec3) -> Vec3 {
         Vec3::new(
@@ -105,16 +95,6 @@ impl Aabb {
             p.y.clamp(self.min.y, self.max.y),
             p.z.clamp(self.min.z, self.max.z),
         )
-    }
-
-    /// Squared distance from `p` to the box (0 when inside).
-    pub fn distance_squared(&self, p: Vec3) -> f64 {
-        (p - self.clamp_point(p)).norm_squared()
-    }
-
-    /// Map a point given in `[0,1]^3` box-relative coordinates to world space.
-    pub fn lerp_point(&self, t: Vec3) -> Vec3 {
-        self.min + self.extent().mul_elem(t)
     }
 }
 
@@ -167,29 +147,10 @@ mod tests {
     }
 
     #[test]
-    fn intersection_test_cases() {
-        let a = Aabb::new(Vec3::ZERO, Vec3::splat(1.0));
-        assert!(a.intersects(&Aabb::new(Vec3::splat(0.5), Vec3::splat(2.0))));
-        // Touching faces count as intersecting (closed boxes).
-        assert!(a.intersects(&Aabb::new(Vec3::splat(1.0), Vec3::splat(2.0))));
-        assert!(!a.intersects(&Aabb::new(Vec3::splat(1.1), Vec3::splat(2.0))));
-    }
-
-    #[test]
     fn clamp_and_distance() {
         let b = Aabb::new(Vec3::ZERO, Vec3::splat(1.0));
         assert_eq!(b.clamp_point(Vec3::splat(0.5)), Vec3::splat(0.5));
         assert_eq!(b.clamp_point(Vec3::new(2.0, 0.5, -1.0)), Vec3::new(1.0, 0.5, 0.0));
-        assert_eq!(b.distance_squared(Vec3::new(2.0, 0.5, 0.5)), 1.0);
-        assert_eq!(b.distance_squared(Vec3::splat(0.25)), 0.0);
-    }
-
-    #[test]
-    fn lerp_point_maps_unit_cube() {
-        let b = Aabb::new(Vec3::new(10.0, 20.0, 30.0), Vec3::new(20.0, 40.0, 60.0));
-        assert_eq!(b.lerp_point(Vec3::ZERO), b.min);
-        assert_eq!(b.lerp_point(Vec3::splat(1.0)), b.max);
-        assert_eq!(b.lerp_point(Vec3::splat(0.5)), b.center());
     }
 
     #[test]

@@ -15,38 +15,10 @@ pub fn rad_to_deg(rad: f64) -> f64 {
     rad * 180.0 / std::f64::consts::PI
 }
 
-/// Wrap an angle in radians into `[0, 2*pi)`.
-#[inline]
-pub fn wrap_two_pi(rad: f64) -> f64 {
-    let two_pi = std::f64::consts::TAU;
-    let r = rad % two_pi;
-    if r < 0.0 {
-        r + two_pi
-    } else {
-        r
-    }
-}
-
-/// Wrap an angle in radians into `(-pi, pi]`.
-#[inline]
-pub fn wrap_pi(rad: f64) -> f64 {
-    let mut r = wrap_two_pi(rad);
-    if r > std::f64::consts::PI {
-        r -= std::f64::consts::TAU;
-    }
-    r
-}
-
-/// Smallest absolute difference between two angles, in `[0, pi]`.
-#[inline]
-pub fn angular_distance(a: f64, b: f64) -> f64 {
-    wrap_pi(a - b).abs()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::f64::consts::{FRAC_PI_2, PI, TAU};
+    use std::f64::consts::{FRAC_PI_2, PI};
 
     #[test]
     fn deg_rad_roundtrip() {
@@ -59,19 +31,5 @@ mod tests {
     fn known_conversions() {
         assert!((deg_to_rad(180.0) - PI).abs() < 1e-15);
         assert!((deg_to_rad(90.0) - FRAC_PI_2).abs() < 1e-15);
-    }
-
-    #[test]
-    fn wrapping_positive_and_negative() {
-        assert!((wrap_two_pi(TAU + 0.5) - 0.5).abs() < 1e-12);
-        assert!((wrap_two_pi(-0.5) - (TAU - 0.5)).abs() < 1e-12);
-        assert!((wrap_pi(PI + 0.1) - (-PI + 0.1)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn angular_distance_is_symmetric_and_short_way() {
-        assert!((angular_distance(0.1, TAU - 0.1) - 0.2).abs() < 1e-12);
-        assert!((angular_distance(1.0, 2.0) - 1.0).abs() < 1e-12);
-        assert_eq!(angular_distance(1.0, 2.0), angular_distance(2.0, 1.0));
     }
 }

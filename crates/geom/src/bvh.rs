@@ -80,8 +80,9 @@ impl Bvh {
         self.prim_ids.is_empty()
     }
 
-    /// Number of arena nodes (diagnostics).
-    pub fn node_count(&self) -> usize {
+    /// Number of arena nodes.
+    #[cfg(test)]
+    fn node_count(&self) -> usize {
         self.nodes.len()
     }
 

@@ -19,7 +19,7 @@ use crate::vec3::Vec3;
 /// the exact per-corner test only on `Crossing` boundary nodes without ever
 /// changing the result set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SphereClass {
+pub(crate) enum SphereClass {
     /// The sphere is certainly disjoint from the cone.
     Outside,
     /// The sphere may straddle the cone boundary — fall back to exact tests.
@@ -66,18 +66,6 @@ impl ConeFrustum {
         self.half_angle
     }
 
-    /// Precomputed `cos(θ/2)`.
-    #[inline]
-    pub fn cos_half_angle(&self) -> f64 {
-        self.cos_half_angle
-    }
-
-    /// Precomputed `sin(θ/2)`.
-    #[inline]
-    pub fn sin_half_angle(&self) -> f64 {
-        self.sin_half_angle
-    }
-
     /// Eq. 1 on a single point: `φ = arccos( (v→p)·(v→o) / (||v→p|| ||v→o||) )`,
     /// visible iff `φ <= θ/2`. A point at the apex is trivially visible.
     #[inline]
@@ -101,13 +89,6 @@ impl ConeFrustum {
             || block.contains(self.apex)
     }
 
-    /// Conservative sphere-vs-cone test on the block's bounding sphere.
-    /// Never misses a visible block (may over-include), making it suitable
-    /// for prefetch candidate generation.
-    pub fn intersects_block_sphere(&self, block: &Aabb) -> bool {
-        self.classify_sphere(block.center(), block.bounding_radius()) != SphereClass::Outside
-    }
-
     /// Classify a sphere against the cone without per-call trigonometry.
     ///
     /// For the common convex case (`θ/2 ≤ 90°`) the sphere center is mapped
@@ -128,7 +109,7 @@ impl ConeFrustum {
     /// which is valid for any half angle because the cone is an angular set.
     /// A sphere containing the apex is always `Crossing` (the exact corner
     /// test has an apex-containment clause the sphere cannot settle).
-    pub fn classify_sphere(&self, center: Vec3, radius: f64) -> SphereClass {
+    pub(crate) fn classify_sphere(&self, center: Vec3, radius: f64) -> SphereClass {
         let to_c = center - self.apex;
         let dist2 = to_c.dot(to_c);
         if dist2 <= radius * radius {
@@ -208,23 +189,6 @@ impl PlaneFrustum {
     pub fn contains_point(&self, p: Vec3) -> bool {
         self.planes.iter().all(|(n, off)| n.dot(p) + off >= -1e-12)
     }
-
-    /// Conservative AABB test: `false` only when the box is certainly
-    /// outside (standard positive-vertex plane test).
-    pub fn intersects_aabb(&self, aabb: &Aabb) -> bool {
-        for (n, off) in &self.planes {
-            // The corner of the box furthest along the plane normal.
-            let p = Vec3::new(
-                if n.x >= 0.0 { aabb.max.x } else { aabb.min.x },
-                if n.y >= 0.0 { aabb.max.y } else { aabb.min.y },
-                if n.z >= 0.0 { aabb.max.z } else { aabb.min.z },
-            );
-            if n.dot(p) + off < 0.0 {
-                return false;
-            }
-        }
-        true
-    }
 }
 
 #[cfg(test)]
@@ -281,7 +245,6 @@ mod tests {
         let cone = looking_down_z(40.0);
         let b = Aabb::new(Vec3::new(50.0, 0.0, -0.2), Vec3::new(50.4, 0.4, 0.2));
         assert!(!cone.intersects_block_corners(&b));
-        assert!(!cone.intersects_block_sphere(&b));
     }
 
     #[test]
@@ -293,8 +256,8 @@ mod tests {
 
     #[test]
     fn sphere_test_is_superset_of_corner_test() {
-        // The conservative test must never reject a block the corner test
-        // accepts.
+        // The bounding-sphere prune must never reject a block the corner
+        // test accepts.
         let cone = looking_down_z(35.0);
         for ix in -4..4 {
             for iy in -4..4 {
@@ -303,7 +266,8 @@ mod tests {
                     let b = Aabb::new(min, min + Vec3::splat(0.5));
                     if cone.intersects_block_corners(&b) {
                         assert!(
-                            cone.intersects_block_sphere(&b),
+                            cone.classify_sphere(b.center(), b.bounding_radius())
+                                != SphereClass::Outside,
                             "sphere test rejected a corner-visible block {b:?}"
                         );
                     }
@@ -354,25 +318,6 @@ mod tests {
         assert!(pf.contains_point(Vec3::ZERO));
         assert!(!pf.contains_point(Vec3::new(0.0, 0.0, 10.0))); // behind
         assert!(!pf.contains_point(Vec3::new(0.0, 0.0, 4.95))); // before near
-    }
-
-    #[test]
-    fn plane_frustum_rejects_off_axis_box() {
-        let pose = CameraPose::new(Vec3::new(0.0, 0.0, 5.0), Vec3::ZERO, deg_to_rad(40.0));
-        let pf = PlaneFrustum::from_pose(&pose, 0.1, 100.0);
-        let b = Aabb::new(Vec3::new(30.0, 30.0, -1.0), Vec3::new(31.0, 31.0, 0.0));
-        assert!(!pf.intersects_aabb(&b));
-        let on_axis = Aabb::new(Vec3::splat(-0.5), Vec3::splat(0.5));
-        assert!(pf.intersects_aabb(&on_axis));
-    }
-
-    #[test]
-    fn plane_frustum_is_conservative_for_straddling_boxes() {
-        let pose = CameraPose::new(Vec3::new(0.0, 0.0, 5.0), Vec3::ZERO, deg_to_rad(40.0));
-        let pf = PlaneFrustum::from_pose(&pose, 0.1, 100.0);
-        // A box straddling a side plane intersects.
-        let b = Aabb::new(Vec3::new(-5.0, -0.5, -0.5), Vec3::new(0.0, 0.5, 0.5));
-        assert!(pf.intersects_aabb(&b));
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //!
 //! The module map follows the paper's geometry (Sections III-IV):
 //!
-//! - [`vec3`], [`aabb`], [`angle`], [`ray`] — basic math.
-//! - [`camera`] — the `<l, d>` camera parameterization of Section IV-B.
-//! - [`frustum`] — the conical visibility test of Eq. 1 plus an exact
+//! - `vec3`, `aabb`, [`angle`], `ray` — basic math.
+//! - `camera` — the `<l, d>` camera parameterization of Section IV-B.
+//! - `frustum` — the conical visibility test of Eq. 1 plus an exact
 //!   six-plane frustum for validation and rendering.
-//! - [`bvh`] — a flat BVH over block AABBs accelerating the Eq. 1 scans
+//! - `bvh` — a flat BVH over block AABBs accelerating the Eq. 1 scans
 //!   (conservative sphere-cone pruning, exact corner test at leaves).
 //! - [`sphere`] — the exploration domain Omega and its sampling lattices.
 //! - [`path`] — spherical and random camera paths from Section V-A.
@@ -38,24 +38,24 @@
 
 #![warn(missing_docs)]
 
-pub mod aabb;
+mod aabb;
 pub mod angle;
-pub mod bvh;
-pub mod camera;
-pub mod frustum;
-pub mod keyframe;
+mod bvh;
+mod camera;
+mod frustum;
+mod keyframe;
 pub mod par;
 pub mod path;
-pub mod quat;
-pub mod ray;
+mod quat;
+mod ray;
 pub mod rng;
 pub mod sphere;
-pub mod vec3;
+mod vec3;
 
 pub use aabb::Aabb;
 pub use bvh::Bvh;
 pub use camera::{CameraBasis, CameraPose};
-pub use frustum::{ConeFrustum, PlaneFrustum, SphereClass};
+pub use frustum::{ConeFrustum, PlaneFrustum};
 pub use keyframe::{Keyframe, KeyframePath};
 pub use path::{CameraPath, RandomWalkPath, SphericalPath};
 pub use quat::Quat;

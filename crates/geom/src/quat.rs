@@ -22,7 +22,7 @@ pub struct Quat {
 
 impl Quat {
     /// The identity rotation.
-    pub const IDENTITY: Quat = Quat { w: 1.0, x: 0.0, y: 0.0, z: 0.0 };
+    pub(crate) const IDENTITY: Quat = Quat { w: 1.0, x: 0.0, y: 0.0, z: 0.0 };
 
     /// Rotation of `angle` radians around the (non-zero) `axis`.
     pub fn from_axis_angle(axis: Vec3, angle: f64) -> Self {
@@ -63,7 +63,8 @@ impl Quat {
     }
 
     /// Conjugate (inverse for unit quaternions).
-    pub fn conjugate(self) -> Quat {
+    #[cfg(test)]
+    fn conjugate(self) -> Quat {
         Quat { w: self.w, x: -self.x, y: -self.y, z: -self.z }
     }
 

@@ -6,7 +6,7 @@
 
 use crate::rng::SplitMix64;
 use crate::vec3::Vec3;
-use std::f64::consts::{PI, TAU};
+use std::f64::consts::TAU;
 
 /// Spherical coordinate relative to some center: `radius >= 0`,
 /// polar angle `theta` in `[0, pi]` measured from +Z, azimuth `phi`
@@ -83,36 +83,6 @@ impl ExplorationDomain {
     }
 }
 
-/// Directions quasi-uniformly covering the unit sphere via the Fibonacci
-/// (golden-spiral) lattice. Deterministic; good uniformity for any `n`.
-pub fn fibonacci_sphere(n: usize) -> Vec<Vec3> {
-    let golden = (1.0 + 5f64.sqrt()) / 2.0;
-    (0..n)
-        .map(|i| {
-            // Stratify z in (-1, 1); offset by 0.5 to avoid poles.
-            let z = 1.0 - (2.0 * (i as f64 + 0.5)) / n as f64;
-            let r = (1.0 - z * z).max(0.0).sqrt();
-            let phi = TAU * (i as f64 / golden % 1.0);
-            Vec3::new(r * phi.cos(), r * phi.sin(), z)
-        })
-        .collect()
-}
-
-/// Directions on a latitude/longitude grid: `n_theta` polar rings ×
-/// `n_phi` azimuthal steps (the paper's "sampled according to view
-/// directions" stratification). Ring centers avoid the exact poles.
-pub fn lat_long_directions(n_theta: usize, n_phi: usize) -> Vec<Vec3> {
-    let mut dirs = Vec::with_capacity(n_theta * n_phi);
-    for it in 0..n_theta {
-        let theta = PI * (it as f64 + 0.5) / n_theta as f64;
-        for ip in 0..n_phi {
-            let phi = TAU * ip as f64 / n_phi as f64;
-            dirs.push(SphericalCoord { radius: 1.0, theta, phi }.to_cartesian());
-        }
-    }
-    dirs
-}
-
 /// Uniform random point inside a ball of radius `r` centered at `c`
 /// (rejection-free: cube-root radial inversion).
 pub fn sample_in_ball(rng: &mut SplitMix64, c: Vec3, r: f64) -> Vec3 {
@@ -122,7 +92,7 @@ pub fn sample_in_ball(rng: &mut SplitMix64, c: Vec3, r: f64) -> Vec3 {
 }
 
 /// Uniform random direction on the unit sphere.
-pub fn sample_on_sphere(rng: &mut SplitMix64) -> Vec3 {
+pub(crate) fn sample_on_sphere(rng: &mut SplitMix64) -> Vec3 {
     // Marsaglia: z uniform in [-1,1], phi uniform.
     let z = rng.range(-1.0, 1.0);
     let phi = rng.range(0.0, TAU);
@@ -149,35 +119,6 @@ mod tests {
     fn from_cartesian_origin_is_finite() {
         let sc = SphericalCoord::from_cartesian(Vec3::ZERO);
         assert_eq!(sc.radius, 0.0);
-    }
-
-    #[test]
-    fn fibonacci_points_are_unit_and_spread() {
-        let pts = fibonacci_sphere(500);
-        assert_eq!(pts.len(), 500);
-        let mut mean = Vec3::ZERO;
-        for p in &pts {
-            assert!((p.norm() - 1.0).abs() < 1e-12);
-            mean += *p;
-        }
-        // Quasi-uniform coverage ⇒ centroid near origin.
-        assert!((mean / 500.0).norm() < 0.02);
-    }
-
-    #[test]
-    fn lat_long_count_and_unit_norm() {
-        let dirs = lat_long_directions(18, 36);
-        assert_eq!(dirs.len(), 18 * 36);
-        for d in &dirs {
-            assert!((d.norm() - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn lat_long_covers_both_hemispheres() {
-        let dirs = lat_long_directions(10, 10);
-        assert!(dirs.iter().any(|d| d.z > 0.8));
-        assert!(dirs.iter().any(|d| d.z < -0.8));
     }
 
     #[test]

@@ -24,7 +24,7 @@ impl Vec3 {
     /// Unit +X axis.
     pub const X: Vec3 = Vec3 { x: 1.0, y: 0.0, z: 0.0 };
     /// Unit +Y axis.
-    pub const Y: Vec3 = Vec3 { x: 0.0, y: 1.0, z: 0.0 };
+    pub(crate) const Y: Vec3 = Vec3 { x: 0.0, y: 1.0, z: 0.0 };
     /// Unit +Z axis.
     pub const Z: Vec3 = Vec3 { x: 0.0, y: 0.0, z: 1.0 };
 
@@ -62,12 +62,6 @@ impl Vec3 {
         self.dot(self).sqrt()
     }
 
-    /// Squared L2 norm (avoids the square root).
-    #[inline]
-    pub fn norm_squared(self) -> f64 {
-        self.dot(self)
-    }
-
     /// Euclidean distance to another point.
     #[inline]
     pub fn distance(self, rhs: Vec3) -> f64 {
@@ -77,7 +71,7 @@ impl Vec3 {
     /// Unit vector in the same direction. Returns `None` for (near-)zero
     /// vectors rather than producing NaNs.
     #[inline]
-    pub fn try_normalize(self) -> Option<Vec3> {
+    pub(crate) fn try_normalize(self) -> Option<Vec3> {
         let n = self.norm();
         if n > 1e-300 {
             Some(self / n)
@@ -121,12 +115,6 @@ impl Vec3 {
     #[inline]
     pub fn max(self, rhs: Vec3) -> Vec3 {
         Vec3::new(self.x.max(rhs.x), self.y.max(rhs.y), self.z.max(rhs.z))
-    }
-
-    /// Component-wise product (Hadamard product).
-    #[inline]
-    pub fn mul_elem(self, rhs: Vec3) -> Vec3 {
-        Vec3::new(self.x * rhs.x, self.y * rhs.y, self.z * rhs.z)
     }
 
     /// `true` when every component is finite.

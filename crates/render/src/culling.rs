@@ -30,26 +30,6 @@ pub fn contributing_working_set(
         .collect()
 }
 
-/// Fraction of the geometric working set the transfer function culls
-/// (diagnostic for reports).
-pub fn cull_fraction(
-    pose: &CameraPose,
-    layout: &BrickLayout,
-    config: &RenderConfig,
-    stats: &[BlockStats],
-    tf: &TransferFunction,
-) -> f64 {
-    let geo = frame_working_set(pose, layout, config);
-    if geo.is_empty() {
-        return 0.0;
-    }
-    let kept = geo
-        .iter()
-        .filter(|b| tf.max_opacity_in(stats[b.index()].min, stats[b.index()].max) > 0.0)
-        .count();
-    1.0 - kept as f64 / geo.len() as f64
-}
-
 /// Per-block stats helper (min/max/mean/entropy) for culling.
 pub fn block_stats_for(
     layout: &BrickLayout,
@@ -79,6 +59,19 @@ mod tests {
         (field, layout, stats)
     }
 
+    /// Fraction of the geometric working set the transfer function culls.
+    fn culled(
+        pose: &CameraPose,
+        layout: &BrickLayout,
+        rc: &RenderConfig,
+        stats: &[BlockStats],
+        tf: &TransferFunction,
+    ) -> f64 {
+        let geo = frame_working_set(pose, layout, rc).len();
+        let kept = contributing_working_set(pose, layout, rc, stats, tf).len();
+        1.0 - kept as f64 / geo as f64
+    }
+
     #[test]
     fn fully_opaque_tf_culls_nothing() {
         let (field, layout, stats) = setup();
@@ -88,7 +81,7 @@ mod tests {
         );
         let pose = orbit_pose(90.0, 0.0, 2.5, deg_to_rad(15.0));
         let rc = RenderConfig::preview(48, 48);
-        assert_eq!(cull_fraction(&pose, &layout, &rc, &stats, &tf), 0.0);
+        assert_eq!(culled(&pose, &layout, &rc, &stats, &tf), 0.0);
     }
 
     #[test]
@@ -111,7 +104,7 @@ mod tests {
         // Wide view from afar so the frustum includes ambient corners.
         let pose = orbit_pose(90.0, 0.0, 3.0, deg_to_rad(50.0));
         let rc = RenderConfig::preview(48, 48);
-        let frac = cull_fraction(&pose, &layout, &rc, &stats, &tf);
+        let frac = culled(&pose, &layout, &rc, &stats, &tf);
         assert!(frac > 0.05, "ball exterior should be culled ({frac})");
         assert!(frac < 0.95, "ball interior must survive ({frac})");
     }

@@ -40,7 +40,7 @@ impl Image {
     }
 
     /// Mutable access to a row (for parallel rendering).
-    pub fn rows_mut(&mut self) -> std::slice::ChunksMut<'_, [f32; 3]> {
+    pub(crate) fn rows_mut(&mut self) -> std::slice::ChunksMut<'_, [f32; 3]> {
         self.pixels.chunks_mut(self.width)
     }
 
@@ -58,7 +58,8 @@ impl Image {
     }
 
     /// Number of pixels brighter than `threshold` luminance.
-    pub fn bright_pixels(&self, threshold: f64) -> usize {
+    #[cfg(test)]
+    pub(crate) fn bright_pixels(&self, threshold: f64) -> usize {
         self.pixels
             .iter()
             .filter(|p| {
@@ -68,7 +69,7 @@ impl Image {
     }
 
     /// Encode as binary PPM (P6).
-    pub fn to_ppm(&self) -> Vec<u8> {
+    pub(crate) fn to_ppm(&self) -> Vec<u8> {
         let mut out = format!("P6\n{} {}\n255\n", self.width, self.height).into_bytes();
         for p in &self.pixels {
             for &c in p {

@@ -6,11 +6,11 @@
 //! and the per-view analytics of the paper's Fig. 3 (region histograms and
 //! variable correlation matrices).
 //!
-//! - [`tf`] — transfer functions (the data-dependent interaction).
-//! - [`image`] — RGB image buffer with PPM output.
-//! - [`raycast`] — front-to-back ray caster, parallel over rows.
-//! - [`bricked`] — sampling through a partially resident block cache.
-//! - [`analytics`] — histograms, correlation matrices, query counting.
+//! - `tf` — transfer functions (the data-dependent interaction).
+//! - `image` — RGB image buffer with PPM output.
+//! - `raycast` — front-to-back ray caster, parallel over rows.
+//! - `bricked` — sampling through a partially resident block cache.
+//! - `analytics` — histograms, correlation matrices, query counting.
 //!
 //! # Example
 //!
@@ -31,20 +31,20 @@
 
 #![warn(missing_docs)]
 
-pub mod analytics;
-pub mod bricked;
-pub mod culling;
+mod analytics;
+mod bricked;
+mod culling;
 mod exact;
-pub mod image;
-pub mod metrics;
-pub mod raycast;
-pub mod tf;
+mod image;
+mod metrics;
+mod raycast;
+mod tf;
 
 pub use analytics::{query_count, region_histogram, CorrelationAccumulator};
 pub use bricked::{BlockLookup, BrickCursor, BrickedSource, CountingLookup};
-pub use culling::{block_stats_for, contributing_working_set, cull_fraction};
+pub use culling::{block_stats_for, contributing_working_set};
 pub use image::Image;
-pub use metrics::{downsample, mse, psnr, ssim_global};
+pub use metrics::{downsample, psnr};
 pub use raycast::{
     frame_working_set, orbit_pose, render, FieldSource, RenderConfig, RenderMode, SampleSource,
 };

@@ -1,4 +1,4 @@
-//! Image-quality metrics: MSE / PSNR / SSIM-lite.
+//! Image-quality metrics: MSE / PSNR.
 //!
 //! Used to *quantify* rendering fidelity claims instead of eyeballing them
 //! — e.g. how much image quality the §III-B LOD baseline actually costs at
@@ -7,7 +7,7 @@
 use crate::image::Image;
 
 /// Mean squared error over RGB channels (images must match in size).
-pub fn mse(a: &Image, b: &Image) -> f64 {
+pub(crate) fn mse(a: &Image, b: &Image) -> f64 {
     assert_eq!(a.width(), b.width(), "width mismatch");
     assert_eq!(a.height(), b.height(), "height mismatch");
     let mut sum = 0.0f64;
@@ -33,41 +33,6 @@ pub fn psnr(a: &Image, b: &Image) -> f64 {
     } else {
         -10.0 * e.log10()
     }
-}
-
-/// Global-statistics SSIM (single window over the whole image, luminance
-/// only): a lightweight structural-similarity score in `[-1, 1]`.
-///
-/// Not the windowed SSIM of Wang et al. — adequate for ranking rendering
-/// configurations, which is all the benches need.
-pub fn ssim_global(a: &Image, b: &Image) -> f64 {
-    assert_eq!(a.width(), b.width(), "width mismatch");
-    assert_eq!(a.height(), b.height(), "height mismatch");
-    let lum = |img: &Image| -> Vec<f64> {
-        let mut out = Vec::with_capacity(img.width() * img.height());
-        for y in 0..img.height() {
-            for x in 0..img.width() {
-                let p = img.get(x, y);
-                out.push(0.2126 * p[0] as f64 + 0.7152 * p[1] as f64 + 0.0722 * p[2] as f64);
-            }
-        }
-        out
-    };
-    let (la, lb) = (lum(a), lum(b));
-    let n = la.len() as f64;
-    let (ma, mb) = (la.iter().sum::<f64>() / n, lb.iter().sum::<f64>() / n);
-    let (mut va, mut vb, mut cov) = (0.0, 0.0, 0.0);
-    for (&x, &y) in la.iter().zip(&lb) {
-        va += (x - ma) * (x - ma);
-        vb += (y - mb) * (y - mb);
-        cov += (x - ma) * (y - mb);
-    }
-    va /= n;
-    vb /= n;
-    cov /= n;
-    // Standard stabilizers for dynamic range 1.
-    let (c1, c2) = (0.01f64.powi(2), 0.03f64.powi(2));
-    ((2.0 * ma * mb + c1) * (2.0 * cov + c2)) / ((ma * ma + mb * mb + c1) * (va + vb + c2))
 }
 
 /// Box-filter downsample by an integer factor (for pyramid comparisons).
@@ -119,7 +84,6 @@ mod tests {
         let a = solid(8, 8, 0.5);
         assert_eq!(mse(&a, &a), 0.0);
         assert_eq!(psnr(&a, &a), f64::INFINITY);
-        assert!((ssim_global(&a, &a) - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -136,22 +100,6 @@ mod tests {
         let slight = solid(8, 8, 0.52);
         let heavy = solid(8, 8, 0.9);
         assert!(psnr(&base, &slight) > psnr(&base, &heavy));
-    }
-
-    #[test]
-    fn ssim_detects_structure_loss() {
-        // A gradient vs its mean: same brightness, no structure.
-        let mut grad = Image::new(16, 16);
-        for y in 0..16 {
-            for x in 0..16 {
-                let v = x as f32 / 15.0;
-                grad.set(x, y, Rgba::new(v, v, v, 1.0));
-            }
-        }
-        let flat = solid(16, 16, 0.5);
-        let s = ssim_global(&grad, &flat);
-        assert!(s < 0.5, "flat image should lose structure: {s}");
-        assert!(ssim_global(&grad, &grad) > 0.999);
     }
 
     #[test]

@@ -85,6 +85,9 @@ pub enum RenderMode {
     Mip,
 }
 
+/// A ray stops compositing once its accumulated alpha reaches this.
+const EARLY_TERMINATION: f32 = 0.98;
+
 /// Renderer configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RenderConfig {
@@ -94,8 +97,6 @@ pub struct RenderConfig {
     pub height: usize,
     /// Step size along the ray in world units (volume edge = 2).
     pub step: f64,
-    /// Stop compositing when accumulated alpha exceeds this.
-    pub early_termination: f32,
     /// Background color.
     pub background: Rgba,
     /// Sample combination rule.
@@ -109,7 +110,6 @@ impl RenderConfig {
             width,
             height,
             step: 0.01,
-            early_termination: 0.98,
             background: Rgba::TRANSPARENT,
             mode: RenderMode::Composite,
         }
@@ -211,7 +211,7 @@ fn trace<S: SampleSource>(
     let mut alpha = 0.0f32;
     // Opacity correction reference: the TF is calibrated for this step.
     let mut t = t0 + config.step * 0.5;
-    while t < t1 && alpha < config.early_termination {
+    while t < t1 && alpha < EARLY_TERMINATION {
         let p = ray.at(t);
         let v = layout.world_to_voxel(p);
         if let Some(s) = source.sample(&mut cursor, v.x, v.y, v.z) {
@@ -493,7 +493,7 @@ mod tests {
         let mut color = [0.0f32; 3];
         let mut alpha = 0.0f32;
         let mut t = t0 + config.step * 0.5;
-        while t < t1 && alpha < config.early_termination {
+        while t < t1 && alpha < EARLY_TERMINATION {
             let p = ray.at(t);
             let v = layout.world_to_voxel(p);
             if let Some(s) = source.sample(&mut cursor, v.x, v.y, v.z) {

@@ -21,15 +21,13 @@
 //! [`ServeClient::close`] empties it.
 //!
 //! The blocking calls (`open`, `fetch`, …) suit threaded use against a
-//! [`crate::server::TcpServer`] or a dedicated
-//! [`crate::server::serve_connection`] thread. The split `send_*` /
+//! [`crate::TcpServer`]. The split `send_*` /
 //! `recv_*` halves exist for the deterministic tests, where the request
 //! must be on the wire *before* the test steps the
 //! [`crate::InProcServer`], and the reply is only read after.
 
 use crate::proto::{
     decode_response, try_encode_request, BlockReply, ProtoError, Request, Response, TraceCtx,
-    WireTelemetry,
 };
 use crate::transport::Transport;
 use std::collections::{HashMap, VecDeque};
@@ -166,11 +164,6 @@ impl<T: Transport> ServeClient<T> {
         std::mem::replace(&mut self.trace, trace)
     }
 
-    /// The trace context currently stamped on traced requests.
-    pub fn trace_ctx(&self) -> TraceCtx {
-        self.trace
-    }
-
     fn sid(&self) -> Result<u32, ClientError> {
         self.session.ok_or(ClientError::Unexpected("an open session"))
     }
@@ -256,17 +249,6 @@ impl<T: Transport> ServeClient<T> {
             Response::Pong { node, map_version, now_ns } => Ok((node, map_version, now_ns)),
             Response::Error { code, message } => Err(ClientError::Server { code, message }),
             _ => Err(ClientError::Unexpected("Pong")),
-        }
-    }
-
-    /// Drain the server's telemetry plane: events, span histograms, and
-    /// counters in one round trip.
-    pub fn telemetry_get(&mut self) -> Result<WireTelemetry, ClientError> {
-        self.send(&Request::TelemetryGet)?;
-        match self.recv_response()? {
-            Response::TelemetryReply(t) => Ok(t),
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            _ => Err(ClientError::Unexpected("TelemetryReply")),
         }
     }
 

@@ -14,7 +14,7 @@
 //! connection is either **idle** (buffered requests decode and dispatch
 //! immediately) or **parked** on one in-flight `Fetch`. While parked,
 //! later requests stay buffered — request→reply order per connection is
-//! the same contract [`crate::serve_connection`] keeps. Here a parked
+//! the same contract a [`crate::TcpServer`] connection thread keeps. Here a parked
 //! fetch unparks when its demand tickets resolve
 //! ([`crate::PendingFetch::poll`]) or when its deadline timer fires, in
 //! which case unresolved keys report `TimedOut` and their reads stay in

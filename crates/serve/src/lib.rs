@@ -9,24 +9,24 @@
 //!   protocol (Open / Close / Fetch / Advance / Stats request–response
 //!   pairs). Corruption decodes to typed [`proto::ProtoError`]s, never
 //!   panics, mirroring the persist codecs' contract.
-//! - [`transport`] — frame pipes: an in-process pair for deterministic
+//! - `transport` — frame pipes: an in-process pair for deterministic
 //!   tests, localhost TCP for real connections.
-//! - [`registry`] — per-session identity: generation counter and
+//! - `registry` — per-session identity: generation counter and
 //!   accounting. The server learns no prediction tables: each client
 //!   predicts for its own pose and sends demand and prefetch keys.
-//! - [`server`] — the tenant layer: deficit-round-robin fairness across
+//! - `server` — the tenant layer: deficit-round-robin fairness across
 //!   sessions within each priority class, a per-client entry quota, a
 //!   load-shed ladder that rejects or downgrades prefetch (never demand)
 //!   under pressure, graceful drain, and per-client telemetry through the
 //!   `viz_telemetry` rings. Duplicate keys across *different* clients
 //!   coalesce into one source read inside the shared engine.
-//! - [`inproc`] — the deterministic front end: [`InProcServer`] runs
+//! - `inproc` — the deterministic front end: [`InProcServer`] runs
 //!   every connection on one loop over in-process pipes on a virtual
 //!   clock, stepped by `tick` — what every serve test, and the soak
 //!   suite's thousands of virtual sessions, drive. Real connections go
 //!   through [`TcpServer`]: an accept thread and one thread per
 //!   connection.
-//! - [`client`] — a typed client over any transport, with split
+//! - `client` — a typed client over any transport, with split
 //!   send/recv halves for deterministic stepping. It holds its last
 //!   reply's blocks ([`ClientTier`], the hold rule the cluster's router
 //!   shares) and asks the server only for the demand it lacks.
@@ -62,14 +62,14 @@
 
 #![warn(missing_docs)]
 
-pub mod client;
+mod client;
 mod conn;
-pub mod inproc;
+mod inproc;
 pub mod proto;
-pub mod registry;
+mod registry;
 mod sched;
-pub mod server;
-pub mod transport;
+mod server;
+mod transport;
 
 pub use client::{ClientError, ClientTier, FetchOutcome, ServeClient};
 pub use inproc::InProcServer;
@@ -79,9 +79,8 @@ pub use proto::{
 };
 pub use registry::{SessionId, SessionView};
 pub use server::{
-    handle_request, serve_connection, serve_connection_with, DefaultDispatch, DrainReport, Outcome,
-    PendingFetch, RequestDispatch, ServeConfig, ServeError, ServeMetrics, Server, ShedReason,
-    Submission, TcpServer,
+    handle_request, DrainReport, Outcome, PendingFetch, RequestDispatch, ServeConfig, ServeError,
+    ServeMetrics, Server, ShedReason, Submission, TcpServer,
 };
 pub use transport::{inproc_pair, InProcTransport, TcpTransport, Transport};
 

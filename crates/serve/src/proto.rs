@@ -140,7 +140,7 @@ pub const ERR_VERSION: u16 = 2;
 /// Wire error code: request named a session the registry does not know.
 pub const ERR_UNKNOWN_SESSION: u16 = 3;
 /// Wire error code: the registry is at its session cap.
-pub const ERR_TOO_MANY_SESSIONS: u16 = 4;
+pub(crate) const ERR_TOO_MANY_SESSIONS: u16 = 4;
 /// Wire error code: the server is draining and rejects new work.
 pub const ERR_DRAINING: u16 = 5;
 /// Wire error code: a `MapGet` reached a server with no shard map
@@ -303,7 +303,7 @@ pub enum Request {
 impl Request {
     /// The wire tag this request encodes with — the stable code the
     /// `RpcServe` telemetry span carries as its arg.
-    pub fn tag_code(&self) -> u8 {
+    pub(crate) fn tag_code(&self) -> u8 {
         match self {
             Request::Open { .. } => TAG_OPEN,
             Request::Close { .. } => TAG_CLOSE,
@@ -319,7 +319,7 @@ impl Request {
 
     /// The trace context a request carries ([`TraceCtx::NONE`] for
     /// untraced tags).
-    pub fn trace_ctx(&self) -> TraceCtx {
+    pub(crate) fn trace_ctx(&self) -> TraceCtx {
         match self {
             Request::Fetch { trace, .. }
             | Request::Advance { trace, .. }
@@ -655,7 +655,7 @@ fn frame(mut f: ReplyFrame, crc: Option<u32>) -> Result<ReplyFrame, usize> {
 }
 
 /// Validate the outer frame of `buf` and return its body.
-pub fn frame_body(buf: &[u8]) -> Result<&[u8], ProtoError> {
+pub(crate) fn frame_body(buf: &[u8]) -> Result<&[u8], ProtoError> {
     if buf.len() < 8 {
         return Err(ProtoError::Truncated { need: 8, got: buf.len() });
     }
@@ -677,7 +677,7 @@ pub fn frame_body(buf: &[u8]) -> Result<&[u8], ProtoError> {
 
 /// The `[body_len]` a transport needs to finish reading a frame whose
 /// first 8 header bytes are in `header`.
-pub fn frame_body_len(header: &[u8; 8]) -> Result<usize, ProtoError> {
+pub(crate) fn frame_body_len(header: &[u8; 8]) -> Result<usize, ProtoError> {
     let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
     if len > MAX_FRAME_BYTES {
         return Err(ProtoError::TooLarge(len));

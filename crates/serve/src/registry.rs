@@ -70,11 +70,11 @@ pub(crate) struct Registry {
 }
 
 impl Registry {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Registry { next: 1, sessions: HashMap::new() }
     }
 
-    pub fn open(&mut self, name: &str) -> SessionId {
+    pub(crate) fn open(&mut self, name: &str) -> SessionId {
         let id = self.next;
         self.next += 1;
         self.sessions.insert(
@@ -93,29 +93,29 @@ impl Registry {
         SessionId(id)
     }
 
-    pub fn close(&mut self, id: SessionId) -> Option<Session> {
+    pub(crate) fn close(&mut self, id: SessionId) -> Option<Session> {
         self.sessions.remove(&id.0)
     }
 
-    pub fn get_mut(&mut self, id: SessionId) -> Option<&mut Session> {
+    pub(crate) fn get_mut(&mut self, id: SessionId) -> Option<&mut Session> {
         self.sessions.get_mut(&id.0)
     }
 
-    pub fn contains(&self, id: SessionId) -> bool {
+    pub(crate) fn contains(&self, id: SessionId) -> bool {
         self.sessions.contains_key(&id.0)
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.sessions.len()
     }
 
-    pub fn ids(&self) -> Vec<SessionId> {
+    pub(crate) fn ids(&self) -> Vec<SessionId> {
         let mut v: Vec<SessionId> = self.sessions.keys().copied().map(SessionId).collect();
         v.sort();
         v
     }
 
-    pub fn views(&self) -> Vec<SessionView> {
+    pub(crate) fn views(&self) -> Vec<SessionView> {
         let mut v: Vec<SessionView> = self
             .sessions
             .iter()

@@ -56,11 +56,11 @@ pub(crate) struct Scheduler {
 }
 
 impl Scheduler {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    pub fn add_session(&mut self, sid: u32) {
+    pub(crate) fn add_session(&mut self, sid: u32) {
         if let std::collections::hash_map::Entry::Vacant(e) = self.queues.entry(sid) {
             e.insert(SessQueue::default());
             self.order.push(sid);
@@ -70,7 +70,7 @@ impl Scheduler {
     /// Drop a session's lanes; returns `(demand, prefetch)` entries
     /// discarded (demand senders drop, unblocking any waiter with a
     /// disconnect).
-    pub fn remove_session(&mut self, sid: u32) -> (usize, usize) {
+    pub(crate) fn remove_session(&mut self, sid: u32) -> (usize, usize) {
         let Some(q) = self.queues.remove(&sid) else {
             return (0, 0);
         };
@@ -80,20 +80,20 @@ impl Scheduler {
         (q.demand.len(), q.prefetch.len())
     }
 
-    pub fn push_demand(&mut self, sid: u32, e: DemandEntry) {
+    pub(crate) fn push_demand(&mut self, sid: u32, e: DemandEntry) {
         self.add_session(sid);
         self.queues.get_mut(&sid).unwrap().demand.push_back(e);
         self.d_total += 1;
     }
 
-    pub fn push_prefetch(&mut self, sid: u32, e: PrefetchEntry) {
+    pub(crate) fn push_prefetch(&mut self, sid: u32, e: PrefetchEntry) {
         self.add_session(sid);
         self.queues.get_mut(&sid).unwrap().prefetch.push_back(e);
         self.p_total += 1;
     }
 
     /// Discard a session's queued prefetch older than `cur_gen`.
-    pub fn purge_prefetch(&mut self, sid: u32, cur_gen: u64) -> usize {
+    pub(crate) fn purge_prefetch(&mut self, sid: u32, cur_gen: u64) -> usize {
         let Some(q) = self.queues.get_mut(&sid) else {
             return 0;
         };
@@ -105,20 +105,20 @@ impl Scheduler {
     }
 
     /// Entries a session has queued in its prefetch lane.
-    pub fn queued_prefetch(&self, sid: u32) -> usize {
+    pub(crate) fn queued_prefetch(&self, sid: u32) -> usize {
         self.queues.get(&sid).map_or(0, |q| q.prefetch.len())
     }
 
-    pub fn queued_demand_total(&self) -> usize {
+    pub(crate) fn queued_demand_total(&self) -> usize {
         self.d_total
     }
 
-    pub fn queued_prefetch_total(&self) -> usize {
+    pub(crate) fn queued_prefetch_total(&self) -> usize {
         self.p_total
     }
 
     /// Pop the next demand entry in DRR order.
-    pub fn pop_next_demand(&mut self, quantum: u32) -> Option<(u32, DemandEntry)> {
+    pub(crate) fn pop_next_demand(&mut self, quantum: u32) -> Option<(u32, DemandEntry)> {
         if self.d_total == 0 {
             return None;
         }
@@ -152,7 +152,7 @@ impl Scheduler {
     }
 
     /// Pop the next prefetch entry in DRR order.
-    pub fn pop_next_prefetch(&mut self, quantum: u32) -> Option<(u32, PrefetchEntry)> {
+    pub(crate) fn pop_next_prefetch(&mut self, quantum: u32) -> Option<(u32, PrefetchEntry)> {
         if self.p_total == 0 {
             return None;
         }

@@ -712,7 +712,7 @@ struct PrefetchTally {
 ///
 /// Two consumption styles share this state: the blocking
 /// [`Submission::collect`] (the thread-per-connection [`TcpServer`] parks
-/// here) and the incremental [`Submission::poll_ready`] (the
+/// here) and the incremental `Submission::poll_ready` (the
 /// [`crate::InProcServer`] calls it each tick and never blocks). Polling
 /// and then collecting is fine — tickets already drained by a poll are
 /// resolved or parked in `waiting`, and `collect` finishes both.
@@ -754,7 +754,7 @@ impl Submission {
     /// engine has finished, without blocking. Returns `true` once every
     /// demand key has an outcome (or the session vanished), i.e. the
     /// reply is complete and a `collect_*` call will not block.
-    pub fn poll_ready(&mut self) -> bool {
+    pub(crate) fn poll_ready(&mut self) -> bool {
         loop {
             match self.rx.try_recv() {
                 Ok(pair) => {
@@ -784,7 +784,7 @@ impl Submission {
     /// resolve the tickets), or until [`ServeConfig::demand_deadline`]
     /// past admission, whichever is first: every ticket waits against the
     /// frame's one deadline. Requires a [`Server::pump`] to have issued the
-    /// entries; [`serve_connection`] does this.
+    /// entries; a [`TcpServer`] connection thread does this.
     pub fn collect(mut self, server: &Server) -> Vec<BlockReply> {
         let deadline = server.cfg.demand_deadline.map(|d| self.t0 + d);
         let resolve = |ticket: Ticket| match deadline {
@@ -1025,7 +1025,7 @@ pub trait RequestDispatch: Send + Sync {
 
 /// The single-node dispatcher: every request goes straight to
 /// [`handle_request`].
-pub struct DefaultDispatch;
+pub(crate) struct DefaultDispatch;
 
 impl RequestDispatch for DefaultDispatch {
     fn dispatch(&self, server: &Arc<Server>, req: Request) -> Outcome {
@@ -1033,18 +1033,12 @@ impl RequestDispatch for DefaultDispatch {
     }
 }
 
-/// Serve one connection until the peer disconnects: decode → dispatch →
-/// pump → reply. Malformed frames answer with a typed `Error` response
-/// and the connection stays up; sessions opened on this connection are
-/// closed when it ends.
-pub fn serve_connection<T: Transport>(server: &Arc<Server>, t: T) {
-    serve_connection_with(server, &DefaultDispatch, t);
-}
-
-/// [`serve_connection`] with a custom [`RequestDispatch`] — the cluster
-/// node's TCP front end routes every decoded request through its
-/// ownership logic this way.
-pub fn serve_connection_with<T: Transport>(
+/// Serve one connection until the peer disconnects: decode → dispatch
+/// through `dispatch` → pump → reply. Malformed frames answer with a
+/// typed `Error` response and the connection stays up; sessions opened on
+/// this connection are closed when it ends. The cluster node's TCP front
+/// end routes every decoded request through its ownership logic this way.
+pub(crate) fn serve_connection_with<T: Transport>(
     server: &Arc<Server>,
     dispatch: &dyn RequestDispatch,
     mut t: T,

@@ -71,7 +71,7 @@ impl InProcTransport {
     /// and once more when this end is dropped — a virtual hang-up, so the
     /// peer learns the pipe is gone the same way. The in-process server
     /// marks a [`viz_fetch::ReadySet`] token here.
-    pub fn set_notify(&mut self, f: std::sync::Arc<dyn Fn() + Send + Sync>) {
+    pub(crate) fn set_notify(&mut self, f: std::sync::Arc<dyn Fn() + Send + Sync>) {
         self.notify = Some(f);
     }
 

@@ -144,7 +144,7 @@ pub enum EventKind {
 }
 
 /// Number of event kinds (array sizing for per-kind aggregation).
-pub const KIND_COUNT: usize = 44;
+pub(crate) const KIND_COUNT: usize = 44;
 
 impl EventKind {
     /// Every kind, in declaration order.
@@ -246,7 +246,7 @@ impl EventKind {
     }
 
     /// Coarse grouping used as the Chrome trace `cat` field.
-    pub fn category(self) -> &'static str {
+    pub(crate) fn category(self) -> &'static str {
         match self {
             EventKind::FetchAdmitDemand
             | EventKind::FetchAdmitPrefetch
@@ -324,14 +324,14 @@ pub struct TraceEvent {
     /// Kind-specific argument (see each [`EventKind`]'s docs).
     pub arg: u64,
     /// Distributed trace id this event is attributed to (the thread's
-    /// trace context at record time, see [`crate::set_trace`]); 0 when
+    /// trace context at record time, see [`crate::with_trace`]); 0 when
     /// the work was not serving any traced request.
     pub trace: u64,
     /// What happened.
     pub kind: EventKind,
     /// Recording thread, as a small dense id assigned at first use.
     pub tid: u16,
-    /// Recording node's attribution id ([`crate::set_node`]); 0 for
+    /// Recording node's attribution id ([`crate::with_node`]); 0 for
     /// client/unattributed work, cluster nodes record `NodeId + 1`.
     pub node: u16,
 }

@@ -125,7 +125,7 @@ impl Trace {
 /// The always-present self-diagnostics exposition: the telemetry gate
 /// state and the cumulative ring-overflow drop count, so a scraper can
 /// tell silent event loss from a quiet system.
-pub fn gate_prometheus_text() -> String {
+pub(crate) fn gate_prometheus_text() -> String {
     let mut out = String::new();
     out.push_str("# HELP viz_telemetry_gate Event recording gate (1 on, 0 off).\n");
     out.push_str("# TYPE viz_telemetry_gate gauge\n");
@@ -213,7 +213,7 @@ pub mod json {
     /// Append `s` to `out` as the body of a JSON string (no surrounding
     /// quotes), escaping quotes, backslashes, and control characters per
     /// RFC 8259.
-    pub fn escape_into(s: &str, out: &mut String) {
+    pub(crate) fn escape_into(s: &str, out: &mut String) {
         for c in s.chars() {
             match c {
                 '"' => out.push_str("\\\""),
@@ -231,7 +231,8 @@ pub mod json {
         }
     }
 
-    /// [`escape_into`] returning a fresh `String`.
+    /// Escape `s` as the body of a JSON string (no surrounding quotes),
+    /// returning a fresh `String`.
     pub fn escape(s: &str) -> String {
         let mut out = String::with_capacity(s.len());
         escape_into(s, &mut out);

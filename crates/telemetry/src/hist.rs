@@ -7,7 +7,7 @@
 //! upper bounds, clamped to the recorded max so `percentile(1.0) == max`.
 
 /// Number of buckets: 4 exact + 60 octaves × 4 sub-buckets.
-pub const BUCKETS: usize = 252;
+pub(crate) const BUCKETS: usize = 252;
 
 /// Fixed-size log-bucketed histogram over `u64` values (nanoseconds,
 /// bytes, counts — unit-agnostic).

@@ -16,9 +16,7 @@
 //!   the crate serializes [`drain`] against ring registration.
 //! - **One timeline.** All built-in instrumentation records wall-clock
 //!   time relative to a single epoch (set when the gate turns on), so one
-//!   [`drain`] yields a coherent cross-crate trace. [`span_at`] /
-//!   [`instant_at`] accept caller-supplied timestamps for virtual-time
-//!   traces.
+//!   [`drain`] yields a coherent cross-crate trace.
 //!
 //! ```
 //! viz_telemetry::set_enabled(true);
@@ -39,10 +37,10 @@ mod hist;
 mod ring;
 
 pub use counter::Counter;
-pub use event::{EventKind, TraceEvent, KIND_COUNT};
+pub use event::{EventKind, TraceEvent};
 pub use export::{json, prometheus_text, Trace};
-pub use hist::{LogHistogram, BUCKETS};
-pub use ring::{dropped_total, ring_count};
+pub use hist::LogHistogram;
+pub use ring::dropped_total;
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -125,23 +123,13 @@ pub fn span_from(kind: EventKind, key: u64, arg: u64, t0: Instant) {
     push(kind, key, arg, since_epoch(t0), dur_ns);
 }
 
-/// Record a span with caller-supplied timestamps (virtual-time traces,
-/// replays).
-#[inline]
-pub fn span_at(kind: EventKind, key: u64, arg: u64, t_ns: u64, dur_ns: u64) {
+/// Record a span with caller-supplied timestamps.
+#[cfg(test)]
+fn span_at(kind: EventKind, key: u64, arg: u64, t_ns: u64, dur_ns: u64) {
     if !enabled() {
         return;
     }
     push(kind, key, arg, t_ns, dur_ns);
-}
-
-/// Record a point event with a caller-supplied timestamp.
-#[inline]
-pub fn instant_at(kind: EventKind, key: u64, arg: u64, t_ns: u64) {
-    if !enabled() {
-        return;
-    }
-    push(kind, key, arg, t_ns, 0);
 }
 
 // ---- trace / node attribution context ------------------------------
@@ -163,7 +151,7 @@ thread_local! {
 /// thread carries it until changed. Returns the previous value so scoped
 /// callers can restore it. 0 means "no traced request".
 #[inline]
-pub fn set_trace(trace: u64) -> u64 {
+pub(crate) fn set_trace(trace: u64) -> u64 {
     TRACE_CTX.with(|c| c.replace(trace))
 }
 
@@ -177,7 +165,7 @@ pub fn current_trace() -> u64 {
 /// unattributed; cluster nodes record `NodeId + 1`). Returns the
 /// previous value.
 #[inline]
-pub fn set_node(node: u16) -> u16 {
+pub(crate) fn set_node(node: u16) -> u16 {
     NODE_CTX.with(|c| c.replace(node))
 }
 
@@ -299,14 +287,10 @@ mod tests {
         set_enabled(true);
         reset();
         span_at(EventKind::Frame, 3, 1, 5_000, 16_000_000);
-        instant_at(EventKind::DeadlineMiss, 3, 0, 21_000_000);
         let t = drain();
         set_enabled(false);
         let frame = t.events.iter().find(|e| e.kind == EventKind::Frame && e.key == 3).unwrap();
         assert_eq!((frame.t_ns, frame.dur_ns, frame.arg), (5_000, 16_000_000, 1));
-        let miss =
-            t.events.iter().find(|e| e.kind == EventKind::DeadlineMiss && e.key == 3).unwrap();
-        assert_eq!(miss.t_ns, 21_000_000);
     }
 
     #[test]

@@ -33,11 +33,6 @@ pub fn dropped_total() -> u64 {
     DROPPED_TOTAL.load(Ordering::Relaxed)
 }
 
-/// Number of per-thread rings registered so far.
-pub fn ring_count() -> usize {
-    lock_registry().len()
-}
-
 pub(crate) struct Ring {
     buf: Box<[UnsafeCell<TraceEvent>]>,
     /// Next write slot (monotonic; slot = head % len). Producer-owned,

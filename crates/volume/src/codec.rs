@@ -32,7 +32,7 @@ impl Codec {
     }
 
     /// Codec from a wire tag.
-    pub fn from_tag(tag: u8) -> Option<Codec> {
+    pub(crate) fn from_tag(tag: u8) -> Option<Codec> {
         match tag {
             0 => Some(Codec::Raw),
             1 => Some(Codec::PlaneRle),
@@ -51,7 +51,7 @@ impl Codec {
     /// Decompress back into voxels; `count` is the expected voxel count.
     /// A `count` that `bytes` cannot hold is refused before any buffer is
     /// sized from it, so an untrusted count cannot drive an allocation.
-    pub fn decompress(self, bytes: &[u8], count: usize) -> Result<Vec<f32>, String> {
+    pub(crate) fn decompress(self, bytes: &[u8], count: usize) -> Result<Vec<f32>, String> {
         match self {
             Codec::Raw => raw_floats(bytes, count),
             Codec::PlaneRle => plane_rle_decompress(bytes, count),
@@ -157,18 +157,14 @@ fn plane_rle_decompress(bytes: &[u8], count: usize) -> Result<Vec<f32>, String> 
         .collect())
 }
 
-/// Compression ratio achieved on a payload (`raw bytes / encoded bytes`).
-pub fn compression_ratio(codec: Codec, data: &[f32]) -> f64 {
-    if data.is_empty() {
-        return 1.0;
-    }
-    let encoded = codec.compress(data).len().max(1);
-    (data.len() * 4) as f64 / encoded as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `raw bytes / encoded bytes` under plane RLE.
+    fn ratio(data: &[f32]) -> f64 {
+        (data.len() * 4) as f64 / Codec::PlaneRle.compress(data).len() as f64
+    }
 
     fn roundtrip(codec: Codec, data: &[f32]) {
         let bytes = codec.compress(data);
@@ -223,7 +219,7 @@ mod tests {
 
     #[test]
     fn ambient_blocks_compress_massively() {
-        let r = compression_ratio(Codec::PlaneRle, &[0.0; 32 * 32 * 32]);
+        let r = ratio(&[0.0; 32 * 32 * 32]);
         assert!(r > 100.0, "ambient ratio only {r}");
     }
 
@@ -231,7 +227,7 @@ mod tests {
     fn smooth_blocks_still_compress() {
         // A smooth ramp: upper byte planes are long runs.
         let data: Vec<f32> = (0..4096).map(|i| i as f32 / 4096.0).collect();
-        let r = compression_ratio(Codec::PlaneRle, &data);
+        let r = ratio(&data);
         assert!(r > 1.5, "smooth ratio only {r}");
     }
 

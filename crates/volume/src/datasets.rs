@@ -136,13 +136,13 @@ impl DatasetSpec {
 /// oscillating shell structure so interior blocks carry signal while the
 /// exterior is exactly-zero ambient space.
 #[derive(Debug, Clone)]
-pub struct Ball3dField {
+pub(crate) struct Ball3dField {
     noise: ValueNoise,
 }
 
 impl Ball3dField {
     /// Create the generator from a noise seed.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Ball3dField { noise: ValueNoise::new(seed) }
     }
 }
@@ -170,19 +170,19 @@ impl ScalarFunction for Ball3dField {
 /// crosses its stoichiometric value — concentrated, high-entropy structure
 /// surrounded by near-zero ambient, as in the real `lifted_rr` data.
 #[derive(Debug, Clone)]
-pub struct CombustionField {
+pub(crate) struct CombustionField {
     noise: ValueNoise,
     reaction_rate: bool,
 }
 
 impl CombustionField {
     /// The mixture-fraction variable (`lifted_mix_frac`).
-    pub fn mix_frac(seed: u64) -> Self {
+    pub(crate) fn mix_frac(seed: u64) -> Self {
         CombustionField { noise: ValueNoise::new(seed), reaction_rate: false }
     }
 
     /// The reaction-rate variable (`lifted_rr`).
-    pub fn reaction_rate(seed: u64) -> Self {
+    pub(crate) fn reaction_rate(seed: u64) -> Self {
         CombustionField { noise: ValueNoise::new(seed ^ 0xC0FFEE), reaction_rate: true }
     }
 
@@ -220,14 +220,14 @@ impl ScalarFunction for CombustionField {
 /// distinct spatial structure; time moves a typhoon vortex and its
 /// interacting smoke plume across the domain (the scenario of Figs. 2–3).
 #[derive(Debug, Clone)]
-pub struct ClimateField {
+pub(crate) struct ClimateField {
     noise: ValueNoise,
     var: usize,
 }
 
 /// Physical family of a climate variable, chosen by index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClimateFamily {
+pub(crate) enum ClimateFamily {
     /// Water-vapor-like: smooth vertical decay + plumes (e.g. QVAPOR).
     Moisture,
     /// Wind-like: vortex flow around the typhoon center.
@@ -242,13 +242,13 @@ pub enum ClimateFamily {
 
 impl ClimateField {
     /// Generator for climate variable `var`.
-    pub fn new(seed: u64, var: usize) -> Self {
+    pub(crate) fn new(seed: u64, var: usize) -> Self {
         ClimateField { noise: ValueNoise::new(seed.wrapping_add(var as u64 * 0x5851_F42D)), var }
     }
 
     /// Deterministic family assignment: the 244 variables cycle through the
     /// four families so every family is well represented.
-    pub fn family(&self) -> ClimateFamily {
+    pub(crate) fn family(&self) -> ClimateFamily {
         match self.var % 4 {
             0 => ClimateFamily::Moisture,
             1 => ClimateFamily::Wind,

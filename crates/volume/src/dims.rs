@@ -57,7 +57,7 @@ impl Dims3 {
 
     /// Number of blocks per axis when tiling with `block` (last block may be
     /// partial): ceil-division per axis.
-    pub const fn blocks_for(&self, block: Dims3) -> Dims3 {
+    pub(crate) const fn blocks_for(&self, block: Dims3) -> Dims3 {
         Dims3 {
             nx: self.nx.div_ceil(block.nx),
             ny: self.ny.div_ceil(block.ny),
@@ -67,7 +67,7 @@ impl Dims3 {
 
     /// Longest edge, used to normalize world coordinates.
     #[inline]
-    pub fn max_edge(&self) -> usize {
+    pub(crate) fn max_edge(&self) -> usize {
         self.nx.max(self.ny).max(self.nz)
     }
 

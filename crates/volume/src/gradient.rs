@@ -12,7 +12,7 @@ use viz_geom::par;
 
 /// Central-difference gradient magnitude of a scalar field, same grid.
 /// One-sided differences at the boundary; spacing = 1 voxel.
-pub fn gradient_magnitude(field: &VolumeField) -> VolumeField {
+pub(crate) fn gradient_magnitude(field: &VolumeField) -> VolumeField {
     let d = field.dims;
     let mut out = vec![0.0f32; d.count()];
     let slab = d.nx * d.ny;
@@ -28,7 +28,7 @@ pub fn gradient_magnitude(field: &VolumeField) -> VolumeField {
 }
 
 /// Central-difference gradient vector at a voxel (one-sided at the edges).
-pub fn gradient_at(field: &VolumeField, x: usize, y: usize, z: usize) -> [f32; 3] {
+pub(crate) fn gradient_at(field: &VolumeField, x: usize, y: usize, z: usize) -> [f32; 3] {
     let d = field.dims;
     let diff = |lo: f32, hi: f32, span: f32| (hi - lo) / span;
     let gx = {

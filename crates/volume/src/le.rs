@@ -5,7 +5,7 @@
 //! [`put_f32s`] / [`get_f32s`], shared by `VBLK` frames, the raw block
 //! codec and the `VSRV` wire. On a little-endian target the `VSRV` reply
 //! segments and [`get_f32s`] go through a byte view of the `f32` slice
-//! ([`f32_bytes`] / [`f32_bytes_mut`]), the crate's only `unsafe` besides
+//! ([`f32_bytes`] / `f32_bytes_mut`), the crate's only `unsafe` besides
 //! the CRC folding kernel; a big-endian target converts one value at a
 //! time.
 
@@ -63,7 +63,7 @@ pub fn f32_bytes(data: &[f32]) -> &[u8] {
 /// The mutable twin of [`f32_bytes`]: writing little-endian bytes through
 /// it sets the values they encode.
 #[cfg(target_endian = "little")]
-pub fn f32_bytes_mut(data: &mut [f32]) -> &mut [u8] {
+pub(crate) fn f32_bytes_mut(data: &mut [f32]) -> &mut [u8] {
     // SAFETY: as in `f32_bytes`, and `data` is borrowed mutably for the
     // returned lifetime, so the view is the only access; any four bytes
     // written through it are a valid `f32` (every bit pattern is one), and

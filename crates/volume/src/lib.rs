@@ -5,20 +5,19 @@
 //! (the Shannon-entropy importance measure of Eq. 2), and an on-disk block
 //! store used as the slow end of the memory hierarchy.
 //!
-//! - [`dims`], [`layout`] — voxel grids and the uniform block partition.
-//! - [`bvh`] — the cached per-layout spatial index accelerating Eq. 1 scans.
-//! - [`field`] — materialized scalar fields and procedural generation.
-//! - [`noise`] — seeded value noise / fBm used by the generators.
-//! - [`datasets`] — the four Table I datasets as procedural stand-ins.
-//! - [`stats`] — histograms and block entropy.
+//! - `dims`, `layout` — voxel grids and the uniform block partition.
+//! - `bvh` — the cached per-layout spatial index accelerating Eq. 1 scans.
+//! - `field` — materialized scalar fields and procedural generation.
+//! - `noise` — seeded value noise / fBm used by the generators.
+//! - `datasets` — the four Table I datasets as procedural stand-ins.
+//! - `stats` — histograms and block entropy.
 //! - [`store`] — framed on-disk and in-memory block stores.
 //! - [`le`] — little-endian field I/O shared by the framed binary codecs.
 //!
 //! # Example
 //!
 //! ```
-//! use viz_volume::{BrickLayout, DatasetKind, DatasetSpec, Dims3};
-//! use viz_volume::stats::BlockStats;
+//! use viz_volume::{BlockStats, BrickLayout, DatasetKind, DatasetSpec, Dims3};
 //!
 //! // A miniature 3d_ball (paper scale / 32 = 32^3), split into 8 blocks.
 //! let spec = DatasetSpec::new(DatasetKind::Ball3d, 32, 7);
@@ -35,18 +34,18 @@
 
 #![warn(missing_docs)]
 
-pub mod bvh;
+mod bvh;
 pub mod checksum;
-pub mod codec;
-pub mod datasets;
-pub mod dims;
-pub mod field;
-pub mod gradient;
-pub mod layout;
+mod codec;
+mod datasets;
+mod dims;
+mod field;
+mod gradient;
+mod layout;
 pub mod le;
 pub mod lod;
-pub mod noise;
-pub mod stats;
+mod noise;
+mod stats;
 pub mod store;
 
 pub use bvh::BlockBvh;
@@ -55,7 +54,7 @@ pub use codec::Codec;
 pub use datasets::{DatasetKind, DatasetSpec};
 pub use dims::Dims3;
 pub use field::{ScalarFunction, VolumeField};
-pub use gradient::{block_mean_gradient, gradient_at, gradient_magnitude};
+pub use gradient::block_mean_gradient;
 pub use layout::{BlockId, BrickLayout};
 pub use lod::{LodLevel, LodPyramid};
 pub use stats::{BlockStats, Histogram};

@@ -48,13 +48,15 @@ impl LodPyramid {
     }
 
     /// The coarsest available level.
-    pub fn coarsest(&self) -> LodLevel {
+    #[cfg(test)]
+    fn coarsest(&self) -> LodLevel {
         LodLevel((self.levels.len() - 1) as u8)
     }
 
     /// Bytes of one voxel payload at level `l` relative to level 0:
     /// approximately `8^-l` (each level halves three axes).
-    pub fn relative_bytes(&self, l: LodLevel) -> f64 {
+    #[cfg(test)]
+    fn relative_bytes(&self, l: LodLevel) -> f64 {
         let base = self.levels[0].dims.count() as f64;
         self.levels[l.0 as usize].dims.count() as f64 / base
     }

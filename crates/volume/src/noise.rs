@@ -8,13 +8,13 @@
 
 /// Seeded value-noise generator over `R^3`, smooth (C1) and in `[-1, 1]`.
 #[derive(Debug, Clone, Copy)]
-pub struct ValueNoise {
+pub(crate) struct ValueNoise {
     seed: u64,
 }
 
 impl ValueNoise {
     /// Create a generator from a seed.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         ValueNoise { seed }
     }
 
@@ -37,7 +37,7 @@ impl ValueNoise {
     }
 
     /// Smooth interpolated noise at a continuous point, in `[-1, 1]`.
-    pub fn sample(&self, x: f64, y: f64, z: f64) -> f64 {
+    pub(crate) fn sample(&self, x: f64, y: f64, z: f64) -> f64 {
         let (x0, y0, z0) = (x.floor(), y.floor(), z.floor());
         let (fx, fy, fz) = (x - x0, y - y0, z - z0);
         // Smoothstep fade for C1 continuity at lattice boundaries.
@@ -64,7 +64,15 @@ impl ValueNoise {
 
     /// Fractal Brownian motion: `octaves` layers of self-similar noise.
     /// Result stays in `[-1, 1]` (normalized by the geometric weight sum).
-    pub fn fbm(&self, x: f64, y: f64, z: f64, octaves: u32, lacunarity: f64, gain: f64) -> f64 {
+    pub(crate) fn fbm(
+        &self,
+        x: f64,
+        y: f64,
+        z: f64,
+        octaves: u32,
+        lacunarity: f64,
+        gain: f64,
+    ) -> f64 {
         let mut amp = 1.0;
         let mut freq = 1.0;
         let mut sum = 0.0;

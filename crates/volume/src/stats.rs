@@ -25,7 +25,7 @@ impl Histogram {
 
     /// Bin index for a value (clamped into range; NaN → None).
     #[inline]
-    pub fn bin_of(&self, v: f32) -> Option<usize> {
+    pub(crate) fn bin_of(&self, v: f32) -> Option<usize> {
         if v.is_nan() {
             return None;
         }

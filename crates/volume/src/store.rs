@@ -165,7 +165,10 @@ impl DiskBlockStore {
     }
 
     /// Open with a write codec (reads auto-detect per frame).
-    pub fn with_codec(root: impl Into<PathBuf>, codec: crate::codec::Codec) -> io::Result<Self> {
+    pub(crate) fn with_codec(
+        root: impl Into<PathBuf>,
+        codec: crate::codec::Codec,
+    ) -> io::Result<Self> {
         let root = root.into();
         fs::create_dir_all(&root)?;
         Ok(DiskBlockStore { root, codec })
@@ -186,7 +189,7 @@ impl DiskBlockStore {
     /// After the rename the parent directory is fsynced too — the rename
     /// itself lives in directory metadata, and without that sync a power
     /// loss could silently roll a key back to its previous frame.
-    pub fn write_block(&self, key: BlockKey, dims: Dims3, data: &[f32]) -> io::Result<()> {
+    pub(crate) fn write_block(&self, key: BlockKey, dims: Dims3, data: &[f32]) -> io::Result<()> {
         static WRITE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let bytes = match self.codec {
             crate::codec::Codec::Raw => encode_block(dims, data),
