@@ -3,7 +3,8 @@
 //! the online policies are situated in the ablation benches.
 //!
 //! Because MIN needs the complete future access sequence it is exposed as a
-//! trace simulator rather than as an online [`ReplacementPolicy`](crate::policy::ReplacementPolicy).
+//! trace simulator rather than as a [`PolicyKind`](crate::PolicyKind) a
+//! [`CacheLevel`](crate::CacheLevel) runs online.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::Hash;

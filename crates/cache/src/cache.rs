@@ -1,15 +1,14 @@
-//! A single cache level: bounded set of resident keys governed by a
-//! replacement policy, with pin support for the paper's "only evict blocks
-//! whose last use is older than the current step" rule.
+//! A single cache level: bounded set of resident keys in one replacement
+//! order, with pin support for the paper's "only evict blocks whose last
+//! use is older than the current step" rule.
 //!
-//! A pin of a resident key goes to the policy, which takes the key out of
-//! its victim order (O(1)); only a key pinned *before* it is resident waits
-//! here, in a small set, until [`CacheLevel::insert`] hands its pin to the
-//! policy. So an insert at capacity costs one victim read, however many
-//! resident keys the current view step has pinned.
+//! The order is a [`KeyOrder`] (an O(1) victim however many keys are
+//! pinned); the policy decides only whether a hit refreshes a key's place
+//! in it. A key pinned *before* it is resident waits here, in a small set,
+//! until [`CacheLevel::insert`] pins it in the order.
 
-use crate::order::KeySet;
-use crate::policy::{PolicyKind, ReplacementPolicy};
+use crate::order::{KeyOrder, KeySet};
+use crate::policy::PolicyKind;
 use std::hash::Hash;
 
 /// Outcome of requesting a key.
@@ -24,30 +23,34 @@ pub enum Lookup {
 /// A bounded cache level. Capacity is counted in entries because the paper
 /// partitions data into uniform-size blocks (§IV: "divided into a set of
 /// uniform-size blocks"), making entry count ∝ bytes.
-pub struct CacheLevel<K: Copy + Eq + Hash> {
-    policy: Box<dyn ReplacementPolicy<K>>,
+pub struct CacheLevel<K> {
+    order: KeyOrder<K>,
+    kind: PolicyKind,
     capacity: usize,
-    /// Keys pinned while absent; pinned in the policy once inserted.
+    /// Keys pinned while absent; pinned in the order once inserted.
     pinned_absent: KeySet<K>,
 }
 
-impl<K: Copy + Eq + Hash + Send + 'static> CacheLevel<K> {
-    /// Create with a built-in policy.
+impl<K: Copy + Eq + Hash> CacheLevel<K> {
+    /// Create an empty level replacing by `kind`.
     pub fn new(kind: PolicyKind, capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
-        CacheLevel { policy: kind.build(), capacity, pinned_absent: KeySet::default() }
+        CacheLevel { order: KeyOrder::new(), kind, capacity, pinned_absent: KeySet::default() }
     }
-}
 
-impl<K: Copy + Eq + Hash> CacheLevel<K> {
+    /// The replacement policy.
+    pub(crate) fn kind(&self) -> PolicyKind {
+        self.kind
+    }
+
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.policy.len()
+        self.order.len()
     }
 
     /// `true` when no entries are resident.
     pub fn is_empty(&self) -> bool {
-        self.policy.is_empty()
+        self.order.len() == 0
     }
 
     /// Entry capacity.
@@ -57,13 +60,22 @@ impl<K: Copy + Eq + Hash> CacheLevel<K> {
 
     /// Residency check without touching recency state.
     pub fn contains(&self, key: &K) -> bool {
-        self.policy.contains(key)
+        self.order.contains(key)
+    }
+
+    /// A hit refreshes `key`'s place in the order under LRU only. Returns
+    /// whether `key` is resident.
+    fn hit(&mut self, key: &K) -> bool {
+        match self.kind {
+            PolicyKind::Lru => self.order.touch(key),
+            PolicyKind::Fifo => self.order.contains(key),
+        }
     }
 
     /// Record an access: returns [`Lookup::Hit`] and updates recency when
     /// resident, [`Lookup::Miss`] otherwise (no insertion).
     pub fn access(&mut self, key: K) -> Lookup {
-        if self.policy.on_hit(key) {
+        if self.hit(&key) {
             Lookup::Hit
         } else {
             Lookup::Miss
@@ -78,46 +90,46 @@ impl<K: Copy + Eq + Hash> CacheLevel<K> {
     /// caller is about to use (Algorithm 1 pins at most the current
     /// frame's working set, which the experiments keep below capacity).
     pub fn insert(&mut self, key: K) -> Vec<K> {
-        if self.policy.on_hit(key) {
+        if self.hit(&key) {
             return Vec::new();
         }
         let mut evicted = Vec::new();
-        while self.policy.len() >= self.capacity {
-            match self.policy.choose_victim() {
+        while self.order.len() >= self.capacity {
+            match self.order.pop_victim() {
                 Some(v) => evicted.push(v),
                 None => break, // everything pinned: allow overflow
             }
         }
-        self.policy.on_insert(key);
+        self.order.insert(key);
         if !self.pinned_absent.is_empty() && self.pinned_absent.remove(&key) {
-            self.policy.pin(&key);
+            self.order.pin(&key);
         }
         evicted
     }
 
     /// Remove a key outright (invalidation).
     pub fn remove(&mut self, key: &K) {
-        self.policy.on_remove(key);
+        self.order.remove(key);
         self.pinned_absent.remove(key);
     }
 
     /// Protect a key from eviction until [`Self::unpin_all`] (or removal).
     /// An absent key is protected from the moment it is inserted.
     pub fn pin(&mut self, key: K) {
-        if !self.policy.pin(&key) {
+        if !self.order.pin(&key) {
             self.pinned_absent.insert(key);
         }
     }
 
     /// Release every pin.
     pub fn unpin_all(&mut self) {
-        self.policy.unpin_all();
+        self.order.unpin_all();
         self.pinned_absent.clear();
     }
 
     /// Number of currently pinned keys, resident or not.
     pub fn pinned_len(&self) -> usize {
-        self.policy.pinned_len() + self.pinned_absent.len()
+        self.order.pinned_len() + self.pinned_absent.len()
     }
 }
 
@@ -127,6 +139,15 @@ mod tests {
 
     fn lru(cap: usize) -> CacheLevel<u32> {
         CacheLevel::new(PolicyKind::Lru, cap)
+    }
+
+    /// Fill a level of capacity `keys.len()` with `keys`, oldest first.
+    fn filled(kind: PolicyKind, keys: &[u32]) -> CacheLevel<u32> {
+        let mut c = CacheLevel::new(kind, keys.len());
+        for &k in keys {
+            c.insert(k);
+        }
+        c
     }
 
     #[test]
@@ -238,5 +259,126 @@ mod tests {
     #[should_panic]
     fn zero_capacity_panics() {
         lru(0);
+    }
+
+    #[test]
+    fn lru_evicts_least_recently_used() {
+        let mut c = filled(PolicyKind::Lru, &[1, 2, 3]);
+        c.access(1); // order (LRU→MRU): 2, 3, 1
+        assert_eq!(c.insert(4), vec![2]);
+        assert_eq!(c.insert(5), vec![3]);
+        assert_eq!(c.insert(6), vec![1]);
+    }
+
+    #[test]
+    fn lru_order_reflects_hits() {
+        let mut c = filled(PolicyKind::Lru, &[1, 2, 3, 4]);
+        c.access(2);
+        c.access(1);
+        assert_eq!(c.order.oldest_first(), vec![3, 4, 2, 1]);
+    }
+
+    #[test]
+    fn lru_pinned_tail_skips_to_next_lru() {
+        let mut c = filled(PolicyKind::Lru, &[1, 2, 3]);
+        c.pin(1); // LRU but pinned
+        assert_eq!(c.insert(4), vec![2]);
+        assert_eq!(c.order.oldest_first(), vec![1, 3, 4]);
+    }
+
+    #[test]
+    fn lru_hit_while_pinned_counts_after_unpin() {
+        let mut c = filled(PolicyKind::Lru, &[1, 2, 3]);
+        c.pin(1);
+        c.access(1); // order (LRU→MRU): 2, 3, 1
+        c.unpin_all();
+        assert_eq!(c.insert(4), vec![2]);
+        assert_eq!(c.insert(5), vec![3]);
+        assert_eq!(c.insert(6), vec![1]);
+    }
+
+    #[test]
+    fn lru_access_of_an_absent_key_changes_nothing() {
+        let mut c = filled(PolicyKind::Lru, &[1, 2]);
+        assert_eq!(c.access(42), Lookup::Miss);
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.insert(3), vec![1]);
+    }
+
+    #[test]
+    fn lru_removing_head_and_tail_keeps_the_order_consistent() {
+        let mut c = filled(PolicyKind::Lru, &[1, 2, 3]);
+        c.remove(&3); // head (MRU)
+        c.remove(&1); // tail (LRU)
+        assert_eq!(c.order.oldest_first(), vec![2]);
+        assert!(c.insert(4).is_empty());
+        assert!(c.insert(5).is_empty());
+        assert_eq!(c.insert(6), vec![2]);
+    }
+
+    #[test]
+    fn lru_slab_reuses_freed_nodes() {
+        let mut c = lru(100);
+        for k in 0..500u32 {
+            c.insert(k);
+        }
+        // 500 inserts through 100 entries: the slab never exceeds 100 nodes.
+        assert_eq!(c.len(), 100);
+        assert!(c.order.slots() <= 100);
+    }
+
+    #[test]
+    fn fifo_evicts_in_arrival_order() {
+        let mut c = filled(PolicyKind::Fifo, &[5, 1, 9, 2]);
+        assert_eq!(c.insert(7), vec![5]);
+        assert_eq!(c.insert(8), vec![1]);
+    }
+
+    #[test]
+    fn fifo_hits_do_not_change_order() {
+        let mut c = filled(PolicyKind::Fifo, &[1, 2]);
+        assert_eq!(c.access(1), Lookup::Hit);
+        assert_eq!(c.access(1), Lookup::Hit);
+        assert!(c.insert(1).is_empty(), "a resident insert is a hit");
+        assert_eq!(c.insert(3), vec![1]);
+    }
+
+    #[test]
+    fn fifo_pinned_front_falls_back_to_second() {
+        let mut c = filled(PolicyKind::Fifo, &[1, 2]);
+        c.pin(1);
+        assert_eq!(c.insert(3), vec![2]);
+        assert!(c.contains(&1));
+    }
+
+    #[test]
+    fn fifo_removed_key_is_never_a_victim() {
+        let mut c = filled(PolicyKind::Fifo, &[1, 2]);
+        c.remove(&1);
+        assert!(c.insert(3).is_empty());
+        assert_eq!(c.insert(4), vec![2]);
+    }
+
+    /// A pinned key skipped by a victim search keeps its age: once
+    /// unpinned it is again the oldest arrival.
+    #[test]
+    fn fifo_pinned_key_keeps_its_age_through_a_victim_search() {
+        let mut c = filled(PolicyKind::Fifo, &[1, 2, 3]);
+        c.pin(1);
+        assert_eq!(c.insert(4), vec![2]);
+        c.unpin_all();
+        assert_eq!(c.insert(5), vec![1]);
+    }
+
+    /// A removed key that returns is the newest arrival, not its old self.
+    #[test]
+    fn fifo_reinserted_key_is_the_newest_arrival() {
+        let mut c = CacheLevel::new(PolicyKind::Fifo, 3);
+        c.insert(1u32);
+        c.insert(2);
+        c.remove(&1);
+        c.insert(3);
+        c.insert(1);
+        assert_eq!(c.insert(4), vec![2]);
     }
 }

@@ -1,18 +1,20 @@
 //! # viz-cache — memory-hierarchy substrate
 //!
 //! The paper's two baseline replacement policies (FIFO and LRU), an offline
-//! Belady bound, a single-level cache with pinning, and the multi-tier
-//! DRAM/SSD/HDD hierarchy simulator used by every experiment in the paper's
-//! evaluation.
+//! Belady bound, a single-level cache with pinning, and the two-tier
+//! DRAM/SSD-over-HDD hierarchy simulator used by every experiment in the
+//! paper's evaluation.
 //!
-//! - `policy` — the [`policy::ReplacementPolicy`] trait and [`policy::PolicyKind`].
-//! - `fifo`, `lru` — policy implementations, sharing one slab of two
-//!   lists (every resident key, and the unpinned ones) so that a victim is
-//!   O(1) however many keys are pinned.
+//! - `cache` — [`CacheLevel`]: one bounded cache level with pin support,
+//!   replacing by a [`PolicyKind`].
+//! - `order` — the level's replacement order: a slab of two lists (every
+//!   resident key, and the unpinned ones) so that a victim is O(1)
+//!   however many keys are pinned.
+//! - `policy` — [`PolicyKind`]: FIFO or LRU, and their telemetry codes.
 //! - `belady` — offline-optimal (MIN) trace simulation.
-//! - `cache` — one bounded cache level with pin support.
 //! - `cost` — per-tier latency/bandwidth cost model.
-//! - `hierarchy` — the inclusive multi-tier simulator and its statistics.
+//! - `hierarchy` — [`Hierarchy`]: two cache tiers over a backing store,
+//!   inclusive, and its demand statistics.
 //!
 //! # Example
 //!
@@ -32,9 +34,7 @@
 mod belady;
 mod cache;
 mod cost;
-mod fifo;
 mod hierarchy;
-mod lru;
 mod order;
 mod policy;
 mod stats;
@@ -42,6 +42,6 @@ mod stats;
 pub use belady::{simulate_belady, BeladyResult};
 pub use cache::{CacheLevel, Lookup};
 pub use cost::TierCost;
-pub use hierarchy::{FetchOutcome, Hierarchy, TierSpec};
-pub use policy::{PolicyKind, ReplacementPolicy};
-pub use stats::{AccessClass, HierarchyStats, LevelStats};
+pub use hierarchy::{FetchOutcome, Hierarchy};
+pub use policy::PolicyKind;
+pub use stats::{AccessClass, HierarchyStats};

@@ -1,5 +1,5 @@
-//! The bookkeeping both built-in policies share: resident keys in one
-//! order, with pins.
+//! The replacement order of one [`CacheLevel`](crate::CacheLevel):
+//! resident keys in one order, with pins.
 //!
 //! A slab of nodes carries two intrusive doubly-linked lists: the *order*
 //! list of every resident key (newest at the head), and the *unpinned*
@@ -9,13 +9,14 @@
 //! [`KeyOrder::unpin_all`] relinks every pinned node in one head-to-tail
 //! walk of the order list that stops at the last pinned node.
 //!
-//! LRU moves a node to the head of both lists on a hit
-//! ([`KeyOrder::touch`]); FIFO never does, so its order is arrival order.
+//! Under LRU the level moves a node to the head of both lists on a hit
+//! ([`KeyOrder::touch`]); under FIFO it never does, so the order is
+//! arrival order.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-/// Multiplicative hasher for the policies' key maps. Cache keys are small
+/// Multiplicative hasher for the cache's key maps. Cache keys are small
 /// integers (dense block ids), which SipHash's flooding resistance buys
 /// nothing for: one rotate, xor and multiply per written word spreads
 /// consecutive ids over the buckets, since the low bits of `x * K` for

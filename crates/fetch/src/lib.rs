@@ -69,14 +69,12 @@ mod engine;
 mod fault;
 mod iopool;
 mod pool;
-mod reactor;
 mod retry;
 mod virt;
 
 pub use engine::{FetchConfig, FetchEngine, FetchError, FetchMetrics, Ticket};
 pub use fault::{FaultConfig, FaultInjectingSource};
 pub use pool::BlockPool;
-pub use reactor::{ReadyHandle, ReadySet, TimerId, TimerWheel};
 pub use retry::{is_transient, BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
 pub use virt::{
     InstrumentedSource, ReadRecord, Tier, TierLatency, VirtualClock, VirtualClockSource,

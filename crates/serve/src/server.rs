@@ -1045,7 +1045,7 @@ pub(crate) fn serve_connection_with<T: Transport>(
 ) {
     let mut conn = Conn::default();
     while let Ok(frame) = t.recv() {
-        let resp = match conn.dispatch(server, dispatch, &frame) {
+        let resp = match conn.dispatch(server, dispatch, &frame, None) {
             Some(r) => r,
             None => conn.wait(server),
         };
@@ -1054,7 +1054,7 @@ pub(crate) fn serve_connection_with<T: Transport>(
         }
         server.pump();
     }
-    conn.close(server, None);
+    conn.close(server);
 }
 
 /// Send `resp` as the segments it encodes to

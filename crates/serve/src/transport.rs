@@ -7,10 +7,11 @@
 //! may be handed over as one buffer ([`Transport::send`]) or as its
 //! consecutive parts ([`Transport::send_segments`]): a reply's header
 //! bytes interleaved with the pool's payload buffers, which TCP writes
-//! with `writev` and nothing copies. Either way the peer receives one whole frame. The in-process
-//! pair is two bounded-by-nothing mpsc channels — sends never block,
-//! receives can poll — which is what the `workers = 0` stepper tests
-//! need: every interleaving is chosen by the test, not the kernel.
+//! with `writev` and nothing copies. Either way the peer receives one
+//! whole frame. The in-process pair is two bounded-by-nothing mpsc
+//! channels — sends never block, receives can poll — which is what
+//! [`crate::InProcServer`] needs: it polls every pipe each round, so
+//! every interleaving is chosen by the test, not the kernel.
 
 use crate::proto::frame_body_len;
 use std::io::{self, IoSlice, Read, Write};
@@ -42,67 +43,30 @@ fn broken_pipe() -> io::Error {
 }
 
 /// One end of an in-process duplex frame pipe (see [`inproc_pair`]).
+#[derive(Debug)]
 pub struct InProcTransport {
     tx: Sender<Vec<u8>>,
     rx: Receiver<Vec<u8>>,
-    notify: Option<std::sync::Arc<dyn Fn() + Send + Sync>>,
-}
-
-impl std::fmt::Debug for InProcTransport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("InProcTransport").field("notify", &self.notify.is_some()).finish()
-    }
 }
 
 /// Create a connected pair of in-process transports: frames sent on one
 /// end arrive on the other, in order, never corrupted and never merged.
+/// Dropping one end hangs up: the other's receives report `BrokenPipe`
+/// once the frames already sent are taken, and its sends fail at once.
 pub fn inproc_pair() -> (InProcTransport, InProcTransport) {
     let (a_tx, b_rx) = channel();
     let (b_tx, a_rx) = channel();
-    (
-        InProcTransport { tx: a_tx, rx: a_rx, notify: None },
-        InProcTransport { tx: b_tx, rx: b_rx, notify: None },
-    )
-}
-
-impl InProcTransport {
-    /// Install a readiness hook: `f` runs after every successful send,
-    /// so a stepping peer can learn a frame is waiting without sleeping,
-    /// and once more when this end is dropped — a virtual hang-up, so the
-    /// peer learns the pipe is gone the same way. The in-process server
-    /// marks a [`viz_fetch::ReadySet`] token here.
-    pub(crate) fn set_notify(&mut self, f: std::sync::Arc<dyn Fn() + Send + Sync>) {
-        self.notify = Some(f);
-    }
-
-    fn push(&mut self, frame: Vec<u8>) -> io::Result<()> {
-        self.tx.send(frame).map_err(|_| broken_pipe())?;
-        if let Some(n) = &self.notify {
-            n();
-        }
-        Ok(())
-    }
-}
-
-impl Drop for InProcTransport {
-    fn drop(&mut self) {
-        if let Some(n) = self.notify.take() {
-            // Hang up before notifying, so the peer the hook wakes already
-            // sees the pipe disconnected.
-            self.tx = channel().0;
-            n();
-        }
-    }
+    (InProcTransport { tx: a_tx, rx: a_rx }, InProcTransport { tx: b_tx, rx: b_rx })
 }
 
 impl Transport for InProcTransport {
     fn send(&mut self, frame: &[u8]) -> io::Result<()> {
-        self.push(frame.to_vec())
+        self.tx.send(frame.to_vec()).map_err(|_| broken_pipe())
     }
 
     /// The joined parts are the message: one copy, not two.
     fn send_segments(&mut self, parts: &[&[u8]]) -> io::Result<()> {
-        self.push(parts.concat())
+        self.tx.send(parts.concat()).map_err(|_| broken_pipe())
     }
 
     fn recv(&mut self) -> io::Result<Vec<u8>> {
