@@ -7,58 +7,60 @@
 //! benchmark's `lifted_rr` field is more than half subnormal voxels, so the
 //! transfer function's divisions and lerp and the compositing products of
 //! the ray march ([`crate::tf`], [`crate::raycast`]) go through [`mul`] and
-//! [`div`]:
+//! [`div`].
 //!
-//! - both operands normal: the native instruction (a normal pair whose
-//!   product or quotient underflows still takes the assist; testing for
-//!   it would cost every common-case operation more compares);
-//! - otherwise: the exact operation in `f64`, rounded once to `f32`. An
-//!   `f32 × f32` product is exact in `f64`, and an `f64` quotient of two
-//!   `f32`s rounded to `f32` is the `f32` quotient because 53 ≥ 2·24 + 2,
-//!   so the result is the native one — including signed zeros, infinities
-//!   and subnormal results. Flushing subnormals (FTZ/DAZ, or to zero by
-//!   hand) or a transfer function run end to end in `f64` would each
-//!   change image bits.
+//! Each forms the exact operation in `f64` and rounds once to `f32`. An
+//! `f32 × f32` product is exact in `f64`, and an `f64` quotient of two
+//! `f32`s rounded to `f32` is the `f32` quotient because 53 ≥ 2·24 + 2, so
+//! the result is the native one for every input — including signed zeros,
+//! infinities and subnormal results. No `f32` is subnormal as an `f64`, and
+//! no product or quotient of two `f32`s underflows in `f64`, so no operand
+//! or result reaches the assist. There is no branch on the operands: in a
+//! frame whose subnormal samples are interleaved along every ray, a test
+//! for normal operands mispredicts, and every miss costs more than the
+//! `f64` operation saves. Flushing subnormals (FTZ/DAZ, or to zero by hand)
+//! or a transfer function run end to end in `f64` would each change image
+//! bits.
 //!
-//! A subnormal operand is widened from its bits (significand × 2⁻¹⁴⁹):
-//! LLVM narrows `((a as f64) * (b as f64)) as f32` straight back to
-//! `mulss`, so a plain `as f64` would bring the assist back.
+//! One operand passes through [`opaque`], an optimisation barrier that
+//! emits no instruction: LLVM narrows `((a as f64) * (b as f64)) as f32`
+//! straight back to `mulss` (and `/` to `divss`), since the result has the
+//! same bits, which would bring the assist back. `std::hint::black_box`
+//! blocks the narrowing too, but spills its operand to the stack.
 
-/// `a * b`, bit for bit, without a subnormal operand reaching `mulss`.
+/// `a * b`, bit for bit, without reaching `mulss`.
 #[inline]
 pub(crate) fn mul(a: f32, b: f32) -> f32 {
-    if a.is_normal() && b.is_normal() {
-        a * b
-    } else {
-        (widen(a) * widen(b)) as f32
-    }
+    (opaque(f64::from(a)) * f64::from(b)) as f32
 }
 
-/// `a / b`, bit for bit, without a subnormal operand reaching `divss`.
+/// `a / b`, bit for bit, without reaching `divss`.
 #[inline]
 pub(crate) fn div(a: f32, b: f32) -> f32 {
-    if a.is_normal() && b.is_normal() {
-        a / b
-    } else {
-        (widen(a) / widen(b)) as f32
-    }
+    (opaque(f64::from(a)) / f64::from(b)) as f32
 }
 
-/// `f64::from(v)`, formed from the bits when `v` is subnormal.
-#[inline]
-fn widen(v: f32) -> f64 {
-    if v.is_subnormal() {
-        // 2⁻¹⁴⁹, the weight of a subnormal's significand.
-        let ulp = f64::from_bits(0x36a0_0000_0000_0000);
-        let m = f64::from(v.to_bits() & 0x007f_ffff) * ulp;
-        if v.is_sign_negative() {
-            -m
-        } else {
-            m
-        }
-    } else {
-        f64::from(v)
+/// `x`, unknown to the optimiser: an empty `asm!` template that claims to
+/// rewrite the register holding `x`, so LLVM cannot see that it is a
+/// widened `f32` and narrow the operation it feeds.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn opaque(mut x: f64) -> f64 {
+    // SAFETY: the template is a comment, so no instruction is emitted; it
+    // reads and writes no memory, stack or flags (as the options declare),
+    // and leaves `x` in its register unchanged.
+    unsafe {
+        std::arch::asm!("/* {0} */", inout(xmm_reg) x, options(pure, nomem, nostack, preserves_flags));
     }
+    x
+}
+
+/// `x`. Elsewhere the compiler may narrow the `f64` operation to the native
+/// `f32` one, which has the same bits, and there is no assist to avoid.
+#[cfg(not(target_arch = "x86_64"))]
+#[inline(always)]
+fn opaque(x: f64) -> f64 {
+    x
 }
 
 #[cfg(test)]
@@ -66,15 +68,6 @@ mod tests {
     use super::*;
     use crate::tf::{Rgba, TransferFunction};
     use viz_geom::par;
-
-    #[test]
-    fn widen_is_the_exact_conversion() {
-        for bits in [0, 1, 2, 0x0040_0000, 0x007f_ffff, 0x0080_0000, 0x3f80_0000, 0x7f80_0000] {
-            for v in [f32::from_bits(bits), -f32::from_bits(bits)] {
-                assert_eq!(widen(v).to_bits(), f64::from(v).to_bits(), "{v:e}");
-            }
-        }
-    }
 
     /// Normal, subnormal and special values every helper is swept against.
     const EDGES: [f32; 11] = [
@@ -152,6 +145,72 @@ mod tests {
             n
         });
         assert_eq!(checked.iter().sum::<usize>(), 2 * significands);
+    }
+
+    /// Whether `v` is what an underflowing operation returns: subnormal or ±0.
+    fn underflowed(v: f32) -> bool {
+        v.is_subnormal() || v == 0.0
+    }
+
+    /// Normal operands whose product or quotient underflows, which the
+    /// native operator also sends to the assist, against the native
+    /// operator: every 1021st significand (every 13273rd in a debug build)
+    /// of the bottom 30 binades of both signs through the same operations
+    /// as the subnormal sweep, and every pair of tiny normals multiplied,
+    /// and divided by the large normal mirroring the second.
+    #[test]
+    fn helpers_match_native_when_normal_operands_underflow() {
+        let stride = if cfg!(debug_assertions) { 13_273 } else { 1021 };
+        let (factors, divisors) = co_operands();
+        let per_binade = 0x0080_0000_usize.div_ceil(stride);
+        let counts: Vec<(usize, usize)> = par::map_ranges(30 * per_binade, |range| {
+            let (mut n, mut under) = (0, 0);
+            for i in range {
+                let bits = (((1 + i / per_binade) << 23) | (i % per_binade * stride)) as u32;
+                for a in [f32::from_bits(bits), -f32::from_bits(bits)] {
+                    let mut same = |got: f32, want: f32, what: &str, c: f32| {
+                        assert_eq!(got.to_bits(), want.to_bits(), "{a:e} {what} {c:e}");
+                        under += usize::from(c.is_normal() && underflowed(want));
+                    };
+                    for &c in &factors {
+                        same(mul(a, c), a * c, "*", c);
+                    }
+                    for &c in &divisors {
+                        same(div(a, c), a / c, "/", c);
+                    }
+                    for c in EDGES {
+                        same(div(a, c), a / c, "/", c);
+                        same(div(c, a), c / a, "into", c);
+                    }
+                    n += 1;
+                }
+            }
+            (n, under)
+        });
+        let n: usize = counts.iter().map(|c| c.0).sum();
+        assert_eq!(n, 2 * 30 * per_binade);
+        assert!(counts.iter().map(|c| c.1).sum::<usize>() > n, "too few underflows: {counts:?}");
+
+        // Biased exponents 1..=104 (2⁻¹²⁶ up to 2⁻²³), and their mirrors
+        // 2¹²⁷ down to 2²⁴: products and quotients from normal down to ±0,
+        // across the rounding boundary at half the least subnormal.
+        let normals = |exponents: &[u32]| -> Vec<f32> {
+            let significands = [0, 1, 0x2a_aaab, 0x40_0000, 0x7f_ffff];
+            let bits = exponents.iter().flat_map(|e| significands.map(|m| (e << 23) | m));
+            bits.flat_map(|b| [f32::from_bits(b), -f32::from_bits(b)]).collect()
+        };
+        let tiny = normals(&(1..=104).collect::<Vec<_>>());
+        let huge = normals(&(1..=104).map(|e| 255 - e).collect::<Vec<_>>());
+        let mut under = 0;
+        for &a in &tiny {
+            for (&b, &h) in tiny.iter().zip(&huge) {
+                assert!(a.is_normal() && b.is_normal() && h.is_normal());
+                assert_eq!(mul(a, b).to_bits(), (a * b).to_bits(), "{a:e} * {b:e}");
+                assert_eq!(div(a, h).to_bits(), (a / h).to_bits(), "{a:e} / {h:e}");
+                under += usize::from(underflowed(a * b)) + usize::from(underflowed(a / h));
+            }
+        }
+        assert!(under * 2 > tiny.len() * tiny.len(), "only {under} underflows");
     }
 
     #[test]

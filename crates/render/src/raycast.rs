@@ -20,11 +20,12 @@
 //! the crate's exact multiply (`exact.rs`), as do the transfer
 //! function's divisions and lerp. A subnormal sample (43 % of a benchmark
 //! frame's samples) yields subnormal opacities and weights, and every
-//! native `mulss` on one costs a ~60 ns x86 microcode assist; the helper
-//! computes such a product exactly in `f64` and rounds once, so it returns
-//! the native operator's bits and images are unchanged to the bit. Sums,
-//! differences, `max` and the `f64` sampling arithmetic take no assist and
-//! stay native.
+//! native `mulss` on one costs a ~60 ns x86 microcode assist. The helper
+//! computes every product exactly in `f64` and rounds once, with no branch
+//! on its operands, so it returns the native operator's bits and images are
+//! unchanged to the bit. Sums, differences, `max` and the `f64` sampling
+//! arithmetic take no assist and stay native, as does the per-ray blend
+//! over the background.
 
 use crate::exact::mul;
 use crate::image::Image;
@@ -617,6 +618,116 @@ mod tests {
                 let reference = render(&BrickedSource::new(layout, &clean), &pose, &tf, &cfg);
                 assert_ne!(img, reference, "no ray reached the NaN brick");
             }
+        }
+    }
+
+    /// The first `stages` stages of [`trace`]'s compositing march along
+    /// `ray`, for at most `n` samples: 1, the ray and `world_to_voxel`;
+    /// 2, + the sampler; 3, + the transfer function; 4, + compositing.
+    /// Returns the samples taken and a colour every stage's work feeds: at
+    /// stage 4, what `trace` returns over a transparent background.
+    fn march_stages<S: SampleSource>(
+        source: &S,
+        ray: &Ray,
+        tf: &TransferFunction,
+        step: f64,
+        stages: usize,
+        n: usize,
+    ) -> (usize, Rgba) {
+        let layout = source.layout();
+        let Some((t0, t1)) = ray.intersect_aabb(&layout.world_bounds()) else {
+            return (0, Rgba::TRANSPARENT);
+        };
+        let mut cursor = S::Cursor::default();
+        let (mut taken, mut acc) = (0, 0.0f32);
+        let (mut color, mut alpha) = ([0.0f32; 3], 0.0f32);
+        let mut t = t0 + step * 0.5;
+        while t < t1 && taken < n && alpha < EARLY_TERMINATION {
+            let v = layout.world_to_voxel(ray.at(t));
+            taken += 1;
+            t += step;
+            if stages == 1 {
+                acc += (v.x + v.y + v.z) as f32;
+                continue;
+            }
+            let Some(s) = source.sample(&mut cursor, v.x, v.y, v.z) else { continue };
+            if stages == 2 {
+                acc += s;
+                continue;
+            }
+            let c = tf.sample(s);
+            if stages == 3 {
+                acc += c.a;
+            } else if c.a > 0.0 {
+                let w = mul(c.a, 1.0 - alpha);
+                color[0] += mul(c.r, w);
+                color[1] += mul(c.g, w);
+                color[2] += mul(c.b, w);
+                alpha += w;
+            }
+        }
+        (taken, Rgba::new(color[0], color[1], color[2], alpha + acc))
+    }
+
+    /// Where a sample's time goes, on this thread: the rays of 60 orbit
+    /// frames of the benchmark scene (32 × 32 pixels, step 0.02, 8° cone),
+    /// marched once per stage of [`march_stages`] over the samples
+    /// [`trace`] takes, printing ns a sample for each (the least of five
+    /// passes). Run it on an idle core:
+    /// `taskset -c 0 cargo test --release -p viz-render --lib sample_cost -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "timing: run it in release, on an idle core, with --nocapture"]
+    fn sample_cost_by_stage() {
+        use crate::bricked::BrickedSource;
+        use std::hint::black_box;
+        use std::time::Instant;
+        use viz_volume::BlockId;
+
+        let (field, layout, bricks) = crate::bricked::tests::lifted();
+        let tf = TransferFunction::heat(field.min_max());
+        let cfg = RenderConfig { step: 0.02, ..RenderConfig::preview(32, 32) };
+        let mut rays = Vec::new();
+        for k in 0..60 {
+            let pose = orbit_pose(70.0, 5.0 * f64::from(k), 2.7, deg_to_rad(8.0));
+            let gen = RayGenerator::new(&pose, cfg.width, cfg.height);
+            for py in 0..cfg.height {
+                rays.extend((0..cfg.width).map(|px| gen.ray(px, py)));
+            }
+        }
+        let lookup = |id: BlockId| Some(bricks[id.index()].clone());
+        let src = BrickedSource::new(layout, &lookup);
+        let bounds = layout.world_bounds();
+        // Stage 4 is `trace` on a transparent background, and gives the
+        // sample counts every stage marches.
+        let counts: Vec<usize> = rays
+            .iter()
+            .map(|ray| {
+                let (n, c) = march_stages(&src, ray, &tf, cfg.step, 4, usize::MAX);
+                assert_eq!(c, trace(&src, ray, &tf, &cfg, &bounds));
+                n
+            })
+            .collect();
+        let samples: usize = counts.iter().sum();
+        println!("{} rays, {samples} samples", rays.len());
+        let mut prev = 0.0;
+        for (stages, what) in [
+            (1, "ray + world_to_voxel"),
+            (2, "+ sampler"),
+            (3, "+ transfer function"),
+            (4, "+ compositing"),
+        ] {
+            let best = (0..5)
+                .map(|_| {
+                    let start = Instant::now();
+                    for (ray, &n) in rays.iter().zip(&counts) {
+                        black_box(march_stages(&src, ray, &tf, cfg.step, stages, n));
+                    }
+                    start.elapsed().as_secs_f64()
+                })
+                .fold(f64::INFINITY, f64::min);
+            let ns = best * 1e9 / samples as f64;
+            println!("{what:<22} {ns:6.1} ns a sample ({:+.1})", ns - prev);
+            prev = ns;
         }
     }
 

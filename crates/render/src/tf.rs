@@ -11,11 +11,14 @@
 //! and the four products of [`Rgba::lerp`] go through the crate's exact
 //! helpers (`exact.rs`): a subnormal value — most of the benchmark's
 //! `lifted_rr` voxels — would otherwise cost a ~60 ns x86 microcode assist
-//! per `divss`/`mulss`. The helpers return the native operator's bits for
+//! per `divss`/`mulss`. The helpers compute in `f64` and round once, with
+//! no branch on the operands, and return the native operator's bits for
 //! every input, so every colour is what plain `f32` arithmetic gives. The
 //! segment is found by a linear scan, not a binary search: with a handful
 //! of control points the search's data-dependent branches mispredict, and
-//! the scan finds the same segment in about half the time.
+//! the scan finds the same segment in about half the time. A branch-free
+//! scan and end-point pick (selects instead of the early returns) measured
+//! slower.
 //!
 //! A NaN value samples as [`Rgba::TRANSPARENT`]: the wire accepts every bit
 //! pattern, and a NaN voxel must not panic the renderer.
