@@ -44,7 +44,6 @@ fn main() {
         ("OPT -preload", mk(false, true, true)),
         ("OPT -prefetch", mk(true, false, true)),
         ("OPT -overlap", mk(true, true, false)),
-        ("OPT preload only", mk(true, false, false)),
     ];
 
     for (label, s) in variants {
@@ -84,34 +83,6 @@ fn main() {
             ],
         );
         eprintln!("ablation: dead reckoning done");
-    }
-
-    // Closed-loop sigma (extension): tune the threshold online so
-    // prefetch fills the render window.
-    {
-        use viz_core::AdaptiveSigma;
-        let s = Strategy::AppAware(
-            viz_core::AppAwareConfig::paper(sigma)
-                .with_adaptive_sigma(AdaptiveSigma::default_for_bins(64)),
-        );
-        let r = run_session_precomputed(
-            &cfg,
-            &env.layout,
-            &s,
-            &path,
-            &vis,
-            Some((&tv, &env.importance)),
-        );
-        t.push(
-            "OPT (adaptive sigma)",
-            vec![
-                ("miss rate".to_string(), r.miss_rate),
-                ("io (s)".to_string(), r.io_s),
-                ("prefetch (s)".to_string(), r.prefetch_s),
-                ("total (s)".to_string(), r.total_s),
-            ],
-        );
-        eprintln!("ablation: adaptive sigma done");
     }
 
     // Alternative importance measure: mean gradient magnitude instead of

@@ -85,10 +85,13 @@ impl<K: Copy + Eq + Hash> CacheLevel<K> {
     /// Insert a key (after a miss was serviced), evicting as needed.
     /// Returns the evicted keys (0 or 1 under normal operation).
     ///
-    /// When every resident entry is pinned the insertion is still honoured —
-    /// the cache temporarily exceeds capacity rather than dropping data the
-    /// caller is about to use (Algorithm 1 pins at most the current
-    /// frame's working set, which the experiments keep below capacity).
+    /// When every resident entry is pinned the insertion is still honoured
+    /// and the level grows past capacity: nothing bounds it. Algorithm 1
+    /// pins the current frame's working set, and a frame's visible set can
+    /// outrun the fast tier — in `fig11` it does on most steps, and the
+    /// fast tier peaks near twice its capacity. Bounding the level (a miss
+    /// that finds every resident key pinned is served but not cached) is
+    /// the ROADMAP's bounded-memory item.
     pub fn insert(&mut self, key: K) -> Vec<K> {
         if self.hit(&key) {
             return Vec::new();

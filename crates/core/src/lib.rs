@@ -66,13 +66,10 @@
 
 #![warn(missing_docs)]
 
-mod adaptive;
 pub mod degraded;
-mod distribution;
 mod flight;
 mod histable;
 mod importance;
-mod lod;
 pub mod persist;
 mod prediction;
 mod radius;
@@ -81,13 +78,10 @@ mod sampling;
 mod session;
 mod trace;
 
-pub use adaptive::AdaptiveSigma;
 pub use degraded::{fetch_frame, FrameFetchReport};
-pub use distribution::{parallel_fetch_time, serial_fetch_time, Distribution};
 pub use flight::{ClientFlight, FrameRequest};
 pub use histable::BlockHistogramTable;
 pub use importance::{ImportanceEntry, ImportanceTable};
-pub use lod::{run_lod_session, LodPolicy, LodReport};
 pub use persist::{load_tables, save_tables};
 pub use radius::RadiusModel;
 pub use report::{Metric, Row, Table};

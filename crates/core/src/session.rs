@@ -16,7 +16,6 @@
 //! `io + render` per step; the app-aware mode accumulates
 //! `io + max(prefetch, render)` because prefetch is hidden behind rendering.
 
-use crate::adaptive::{AdaptiveSigma, SigmaController};
 use crate::importance::ImportanceTable;
 use crate::prediction::extrapolate_pose;
 use crate::sampling::{visible_blocks, VisibleTable};
@@ -92,9 +91,6 @@ pub struct AppAwareConfig {
     /// Overlap prefetch with rendering; when `false` prefetch time adds
     /// serially (used to quantify the overlap benefit).
     pub overlap: bool,
-    /// Closed-loop σ tuning (an extension beyond the paper): when set, σ
-    /// tracks the render window online instead of staying fixed.
-    pub adaptive: Option<AdaptiveSigma>,
     /// How the next view's blocks are predicted (ablation knob).
     pub predictor: PredictorKind,
 }
@@ -119,7 +115,6 @@ impl AppAwareConfig {
             preload: true,
             prefetch: true,
             overlap: true,
-            adaptive: None,
             predictor: PredictorKind::Table,
         }
     }
@@ -127,12 +122,6 @@ impl AppAwareConfig {
     /// Swap in the dead-reckoning predictor (ablation).
     pub fn with_dead_reckoning(mut self) -> Self {
         self.predictor = PredictorKind::DeadReckoning;
-        self
-    }
-
-    /// Enable closed-loop σ tuning starting from the current σ.
-    pub fn with_adaptive_sigma(mut self, adaptive: AdaptiveSigma) -> Self {
-        self.adaptive = Some(adaptive);
         self
     }
 }
@@ -297,8 +286,6 @@ pub fn run_session_precomputed(
         }
     }
 
-    let mut sigma_ctl = app.and_then(|c| c.adaptive.map(|a| SigmaController::new(a, c.sigma)));
-
     let lookup_cost = match (app, t_visible) {
         (Some(c), Some(tv)) if c.prefetch => config.lookup_s_per_entry * tv.len() as f64,
         _ => 0.0,
@@ -337,7 +324,6 @@ pub fn run_session_precomputed(
         let mut step_lookup = 0.0;
         if let (Some(c), Some(tv), Some(ti)) = (app, t_visible, t_important) {
             if c.prefetch {
-                let sigma = sigma_ctl.as_ref().map(|s| s.sigma()).unwrap_or(c.sigma);
                 let dead_reckoned: Vec<BlockId>;
                 let predicted: &[BlockId] = match c.predictor {
                     PredictorKind::Table => {
@@ -353,13 +339,10 @@ pub fn run_session_precomputed(
                     }
                 };
                 for &b in predicted {
-                    if ti.entropy(b) > sigma && !hier.in_fastest(&b) {
+                    if ti.entropy(b) > c.sigma && !hier.in_fastest(&b) {
                         let o = hier.fetch(b, AccessClass::Prefetch);
                         step_prefetch += o.time_s;
                     }
-                }
-                if let Some(ctl) = sigma_ctl.as_mut() {
-                    ctl.observe(step_prefetch, render_s);
                 }
             }
         }
@@ -547,7 +530,7 @@ mod tests {
         let with = run_session(
             &cfg,
             &l,
-            &Strategy::AppAware(AppAwareConfig { adaptive: None, ..AppAwareConfig::paper(0.0) }),
+            &Strategy::AppAware(AppAwareConfig::paper(0.0)),
             &path,
             Some((&tv, &ti)),
         );
@@ -562,6 +545,26 @@ mod tests {
         assert_eq!(with.miss_rate, without.miss_rate);
         assert!(with.total_s <= without.total_s + 1e-12);
         assert!(with.prefetch_s > 0.0);
+    }
+
+    #[test]
+    fn prefetch_off_makes_overlap_moot() {
+        // With no prefetch there is nothing to hide behind rendering, so
+        // `io + max(0, render)` and `io + render + 0` are the same step
+        // time: the two configurations differ only in their label.
+        let l = layout();
+        let cfg = SessionConfig::paper(0.5, 4096);
+        let path = poses(5.0, 60);
+        let (tv, ti) = tables(&l);
+        let run = |overlap: bool| {
+            let c = AppAwareConfig { prefetch: false, overlap, ..AppAwareConfig::paper(0.0) };
+            run_session(&cfg, &l, &Strategy::AppAware(c), &path, Some((&tv, &ti)))
+        };
+        let (with, mut without) = (run(true), run(false));
+        assert!(with.misses > 0 && with.io_s > 0.0);
+        assert_ne!(with.strategy, without.strategy, "the label names `overlap`");
+        without.strategy = with.strategy.clone();
+        assert_eq!(with, without);
     }
 
     #[test]
@@ -640,46 +643,6 @@ mod tests {
         let large =
             run_session(&cfg, &l, &Strategy::Baseline(PolicyKind::Lru), &poses(30.0, 100), None);
         assert!(small.miss_rate <= large.miss_rate, "1° path missed more than 30° path");
-    }
-
-    #[test]
-    fn adaptive_sigma_session_runs_and_bounds_prefetch() {
-        use crate::adaptive::AdaptiveSigma;
-        let l = layout();
-        let cfg = SessionConfig::paper(0.5, 4096);
-        let path = poses(8.0, 80);
-        let (tv, ti) = tables(&l);
-        // Start from sigma 0 (prefetch everything): the controller should
-        // rein prefetch in relative to the fixed-sigma-0 run.
-        let fixed = run_session(
-            &cfg,
-            &l,
-            &Strategy::AppAware(AppAwareConfig::paper(0.0)),
-            &path,
-            Some((&tv, &ti)),
-        );
-        let adaptive = run_session(
-            &cfg,
-            &l,
-            &Strategy::AppAware(
-                AppAwareConfig::paper(0.0).with_adaptive_sigma(AdaptiveSigma::default_for_bins(64)),
-            ),
-            &path,
-            Some((&tv, &ti)),
-        );
-        assert!(adaptive.prefetch_s <= fixed.prefetch_s + 1e-9);
-        assert!(adaptive.miss_rate <= 1.0);
-        // Determinism holds with the controller in the loop.
-        let again = run_session(
-            &cfg,
-            &l,
-            &Strategy::AppAware(
-                AppAwareConfig::paper(0.0).with_adaptive_sigma(AdaptiveSigma::default_for_bins(64)),
-            ),
-            &path,
-            Some((&tv, &ti)),
-        );
-        assert_eq!(adaptive, again);
     }
 
     #[test]

@@ -99,7 +99,7 @@ impl InProcServer {
         if viz_telemetry::enabled() {
             self.ticks += 1;
             viz_telemetry::span(
-                Ev::ReactorTick,
+                Ev::InProcTick,
                 self.ticks,
                 ((total as u64) << 32) | self.open_conns() as u64,
                 tt,

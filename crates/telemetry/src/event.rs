@@ -96,7 +96,7 @@ pub enum EventKind {
     CrossClientCoalesce,
     /// One `viz_serve::InProcServer::tick`, run to quiescence (span;
     /// `key` = tick count, `arg` = `work_units << 32 | open connections`).
-    ReactorTick,
+    InProcTick,
     /// One peer-node block fetch round trip over VSRV (span; `key` = peer
     /// node id, `arg` = `keys << 1 | success`).
     PeerFetch,
@@ -180,7 +180,7 @@ impl EventKind {
         EventKind::RequestAdmit,
         EventKind::RequestShed,
         EventKind::CrossClientCoalesce,
-        EventKind::ReactorTick,
+        EventKind::InProcTick,
         EventKind::PeerFetch,
         EventKind::PeerFallback,
         EventKind::MapUpdate,
@@ -229,7 +229,7 @@ impl EventKind {
             EventKind::RequestAdmit => "request_admit",
             EventKind::RequestShed => "request_shed",
             EventKind::CrossClientCoalesce => "cross_client_coalesce",
-            EventKind::ReactorTick => "reactor_tick",
+            EventKind::InProcTick => "inproc_tick",
             EventKind::PeerFetch => "peer_fetch",
             EventKind::PeerFallback => "peer_fallback",
             EventKind::MapUpdate => "map_update",
@@ -277,7 +277,7 @@ impl EventKind {
             | EventKind::RequestAdmit
             | EventKind::RequestShed
             | EventKind::CrossClientCoalesce
-            | EventKind::ReactorTick
+            | EventKind::InProcTick
             | EventKind::RpcServe => "serve",
             EventKind::PeerFetch
             | EventKind::PeerFallback
@@ -302,7 +302,7 @@ impl EventKind {
                 | EventKind::FetchService
                 | EventKind::Frame
                 | EventKind::RenderPass
-                | EventKind::ReactorTick
+                | EventKind::InProcTick
                 | EventKind::PeerFetch
                 | EventKind::RouterFetch
                 | EventKind::RpcServe

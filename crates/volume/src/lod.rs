@@ -3,9 +3,9 @@
 //! §III-B discusses the conventional *view-dependent* alternative to the
 //! paper's approach: keep a multi-resolution representation and load
 //! coarser levels for distant regions. The paper argues this defeats
-//! data-dependent analysis (statistics need full resolution); this module
-//! implements the baseline so the claim can be measured rather than
-//! asserted (see `viz-core::lod` and the `ablation` bench).
+//! data-dependent analysis (statistics need full resolution). This module
+//! builds the pyramid; `tests/render_pipeline.rs` renders from its levels
+//! to show image quality falling with each coarser one.
 
 use crate::dims::Dims3;
 use crate::field::VolumeField;

@@ -1,15 +1,14 @@
 //! Guided keyframe flight: a scientist drops waypoints (overview → dive
 //! toward the flame → pass along the jet → pull back) and the tool flies
 //! smoothly between them with quaternion-slerped direction and log-linear
-//! zoom, while the app-aware policy (with closed-loop σ) keeps the working
-//! set resident.
+//! zoom, while the app-aware policy keeps the working set resident.
 //!
 //! Run with: `cargo run --release --example keyframe_flight`
 
 use viz_appaware::cache::PolicyKind;
 use viz_appaware::core::{
-    run_session, AdaptiveSigma, AppAwareConfig, ImportanceTable, RadiusModel, RadiusRule,
-    SamplingConfig, SessionConfig, Strategy, VisibleTable,
+    run_session, AppAwareConfig, ImportanceTable, RadiusModel, RadiusRule, SamplingConfig,
+    SessionConfig, Strategy, VisibleTable,
 };
 use viz_appaware::geom::angle::deg_to_rad;
 use viz_appaware::geom::{CameraPath, ExplorationDomain, Keyframe, KeyframePath, Vec3};
@@ -53,23 +52,18 @@ fn main() {
         "\n{:<22} {:>10} {:>10} {:>12} {:>10}",
         "policy", "miss rate", "I/O (s)", "prefetch (s)", "total (s)"
     );
-    for strategy in [
-        Strategy::Baseline(PolicyKind::Lru),
-        Strategy::AppAware(AppAwareConfig::paper(sigma)),
-        Strategy::AppAware(
-            AppAwareConfig::paper(sigma).with_adaptive_sigma(AdaptiveSigma::default_for_bins(64)),
-        ),
-    ] {
-        let label = match &strategy {
-            Strategy::Baseline(_) => "LRU".to_string(),
-            Strategy::AppAware(c) if c.adaptive.is_some() => "OPT (adaptive sigma)".to_string(),
-            Strategy::AppAware(_) => "OPT (fixed sigma)".to_string(),
-        };
+    for strategy in
+        [Strategy::Baseline(PolicyKind::Lru), Strategy::AppAware(AppAwareConfig::paper(sigma))]
+    {
         let tables = matches!(strategy, Strategy::AppAware(_)).then_some((&t_visible, &importance));
         let r = run_session(&cfg, &layout, &strategy, &poses, tables);
         println!(
             "{:<22} {:>10.4} {:>10.3} {:>12.3} {:>10.3}",
-            label, r.miss_rate, r.io_s, r.prefetch_s, r.total_s
+            strategy.label(),
+            r.miss_rate,
+            r.io_s,
+            r.prefetch_s,
+            r.total_s
         );
     }
     println!("\nKeyframe flights are highly predictable (smooth slerp between waypoints)");
