@@ -117,9 +117,11 @@ impl Env {
         VisibleTable::build(cfg, &self.layout, rule, Some((&self.importance, cap)))
     }
 
-    /// A sensible entropy threshold σ: the value above which the top 50% of
-    /// blocks lie (the paper does not publish its σ; half the blocks being
-    /// "important" matches its combustion/climate narratives).
+    /// A sensible entropy threshold σ: the median block entropy, above
+    /// which at most half the blocks lie (the paper does not publish its σ;
+    /// half the blocks being "important" matches its combustion/climate
+    /// narratives). Ties at the median put fewer than half strictly above
+    /// it; see [`ImportanceTable::sigma_for_fraction`].
     pub fn sigma(&self) -> f64 {
         self.importance.sigma_for_fraction(0.5)
     }

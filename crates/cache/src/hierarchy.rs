@@ -48,23 +48,11 @@ pub struct Hierarchy<K> {
 }
 
 impl<K: Copy + Eq + Hash> Hierarchy<K> {
-    /// The paper's standard configuration: DRAM and SSD tiers over an HDD,
-    /// with DRAM = `ratio²`·blocks and SSD = `ratio`·blocks (ratio 0.5 ⇒
-    /// 25% / 50% of the dataset, exactly §V-A).
-    pub fn paper_default(
-        num_blocks: usize,
-        ratio: f64,
-        policy: PolicyKind,
-        block_bytes: usize,
-    ) -> Self {
-        let costs = [TierCost::dram(), TierCost::ssd(), TierCost::hdd()];
-        Hierarchy::two_level(num_blocks, ratio, policy, block_bytes, costs)
-    }
-
-    /// The paper's two-cache-tier shape with custom device costs
-    /// `[fastest, middle, backing]` — e.g. GPU-memory/DRAM/NVMe for a VR
-    /// rig instead of DRAM/SSD/HDD. The tiers hold `ratio²` and `ratio` of
-    /// the blocks (at least one each), so the fast tier is never the larger.
+    /// The paper's two-cache-tier shape over device costs
+    /// `[fastest, middle, backing]`: DRAM/SSD/HDD in §V-A, or e.g.
+    /// GPU-memory/DRAM/NVMe for a VR rig. The tiers hold `ratio²` and
+    /// `ratio` of the blocks (at least one each), so the fast tier is never
+    /// the larger; ratio 0.5 gives §V-A's 25% / 50% of the dataset.
     pub fn two_level(
         num_blocks: usize,
         ratio: f64,
@@ -174,9 +162,15 @@ impl<K: Copy + Eq + Hash> Hierarchy<K> {
 mod tests {
     use super::*;
 
+    /// §V-A's devices: DRAM and SSD tiers over an HDD.
+    fn paper(num_blocks: usize, ratio: f64, block_bytes: usize) -> Hierarchy<u32> {
+        let costs = [TierCost::dram(), TierCost::ssd(), TierCost::hdd()];
+        Hierarchy::two_level(num_blocks, ratio, PolicyKind::Lru, block_bytes, costs)
+    }
+
     fn small() -> Hierarchy<u32> {
         // DRAM: 2 blocks, SSD: 4 blocks, over HDD; 1 MiB blocks.
-        let h = Hierarchy::paper_default(8, 0.5, PolicyKind::Lru, 1 << 20);
+        let h = paper(8, 0.5, 1 << 20);
         assert_eq!((h.tier_capacity(0), h.tier_capacity(1)), (2, 4));
         h
     }
@@ -277,14 +271,14 @@ mod tests {
 
     #[test]
     fn paper_default_capacities() {
-        let h: Hierarchy<u32> = Hierarchy::paper_default(1024, 0.5, PolicyKind::Lru, 4096);
+        let h = paper(1024, 0.5, 4096);
         assert_eq!(h.tier_capacity(0), 256); // 25% of dataset
         assert_eq!(h.tier_capacity(1), 512); // 50% of dataset
     }
 
     #[test]
     fn paper_default_ratio_07() {
-        let h: Hierarchy<u32> = Hierarchy::paper_default(1000, 0.7, PolicyKind::Lru, 4096);
+        let h = paper(1000, 0.7, 4096);
         assert_eq!(h.tier_capacity(0), 490);
         assert_eq!(h.tier_capacity(1), 700);
     }
@@ -292,20 +286,11 @@ mod tests {
     #[test]
     fn cache_ratio_outside_half_open_unit_interval_panics() {
         for ratio in [0.0, -0.1, 1.5, f64::NAN] {
-            for two_level in [false, true] {
-                let err = std::panic::catch_unwind(|| -> Hierarchy<u32> {
-                    if two_level {
-                        let costs = [TierCost::dram(), TierCost::ssd(), TierCost::hdd()];
-                        Hierarchy::two_level(1024, ratio, PolicyKind::Lru, 4096, costs)
-                    } else {
-                        Hierarchy::paper_default(1024, ratio, PolicyKind::Lru, 4096)
-                    }
-                })
+            let err = std::panic::catch_unwind(|| paper(1024, ratio, 4096))
                 .err()
-                .unwrap_or_else(|| panic!("ratio {ratio} accepted (two_level: {two_level})"));
-                let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
-                assert!(msg.contains("(0, 1]"), "ratio {ratio}: panicked with {msg:?}");
-            }
+                .unwrap_or_else(|| panic!("ratio {ratio} accepted"));
+            let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert!(msg.contains("(0, 1]"), "ratio {ratio}: panicked with {msg:?}");
         }
     }
 

@@ -19,10 +19,12 @@
 //! # Example
 //!
 //! ```
-//! use viz_cache::{AccessClass, Hierarchy, PolicyKind};
+//! use viz_cache::{AccessClass, Hierarchy, PolicyKind, TierCost};
 //!
-//! // The paper's setup: DRAM = 25%, SSD = 50% of a 1024-block dataset.
-//! let mut h: Hierarchy<u32> = Hierarchy::paper_default(1024, 0.5, PolicyKind::Lru, 64 * 1024);
+//! // The paper's setup: DRAM = 25%, SSD = 50% of a 1024-block dataset,
+//! // over an HDD.
+//! let costs = [TierCost::dram(), TierCost::ssd(), TierCost::hdd()];
+//! let mut h: Hierarchy<u32> = Hierarchy::two_level(1024, 0.5, PolicyKind::Lru, 64 * 1024, costs);
 //! h.fetch(7, AccessClass::Demand);          // cold: comes from the HDD
 //! let again = h.fetch(7, AccessClass::Demand);
 //! assert!(again.fast_hit);                  // now resident in DRAM

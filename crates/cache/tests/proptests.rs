@@ -6,7 +6,9 @@
 //! failure names the seed and case that replay it.
 
 use std::collections::HashSet;
-use viz_cache::{simulate_belady, AccessClass, CacheLevel, Hierarchy, Lookup, PolicyKind};
+use viz_cache::{
+    simulate_belady, AccessClass, CacheLevel, Hierarchy, Lookup, PolicyKind, TierCost,
+};
 use viz_geom::rng::{for_cases, SplitMix64};
 
 const CASES: usize = 256;
@@ -79,7 +81,8 @@ fn hierarchy_fetch_invariants() {
         let keys = (0..rng.index(1..300)).map(|_| rng.index(0..128) as u32).collect::<Vec<_>>();
         let ratio_pct = rng.index(20..80) as u32;
         let ratio = ratio_pct as f64 / 100.0;
-        let mut h: Hierarchy<u32> = Hierarchy::paper_default(128, ratio, PolicyKind::Lru, 4096);
+        let costs = [TierCost::dram(), TierCost::ssd(), TierCost::hdd()];
+        let mut h: Hierarchy<u32> = Hierarchy::two_level(128, ratio, PolicyKind::Lru, 4096, costs);
         let cap0 = h.tier_capacity(0);
         for &k in &keys {
             h.fetch(k, AccessClass::Demand);
@@ -98,7 +101,8 @@ fn hierarchy_fetch_invariants() {
 fn prefetch_isolation() {
     for_cases(0xca06, CASES, |rng, _| {
         let keys = (0..rng.index(1..60)).map(|_| rng.index(0..32) as u32).collect::<Vec<_>>();
-        let mut h: Hierarchy<u32> = Hierarchy::paper_default(256, 0.5, PolicyKind::Lru, 1024);
+        let costs = [TierCost::dram(), TierCost::ssd(), TierCost::hdd()];
+        let mut h: Hierarchy<u32> = Hierarchy::two_level(256, 0.5, PolicyKind::Lru, 1024, costs);
         for &k in &keys {
             h.fetch(k, AccessClass::Prefetch);
         }

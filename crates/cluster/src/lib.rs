@@ -6,8 +6,7 @@
 //! for a block it does not own forwards to the owner over the same VSRV
 //! protocol clients speak.
 //!
-//! - `shard` — the [`ShardMap`]: consistent-hash ring placement (plus
-//!   an octree-subtree-aware variant that co-locates spatial siblings),
+//! - `shard` — the [`ShardMap`]: consistent-hash ring placement,
 //!   versioned and CRC-framed so nodes and clients detect skew.
 //! - `peer` — node-to-node fetch: one VSRV session per peer pair,
 //!   bounded retry, and a per-peer circuit breaker reusing the

@@ -8,15 +8,8 @@
 //! it lands on the ring successors — exactly the nodes
 //! [`ShardMap::owners`] already named as fallback candidates).
 //!
-//! Two sharding strategies pick what gets hashed:
-//!
-//! - [`ShardStrategy::Ring`] hashes each key independently — perfectly
-//!   uniform, but spatially adjacent blocks scatter across nodes.
-//! - [`ShardStrategy::Subtree`] hashes the octree-style cell a block's
-//!   grid coordinates fall in (`coord >> bits` per axis), so every block
-//!   in one `2^bits`-wide cube co-locates on one node. Vicinal prefetch
-//!   around a camera position then stays mostly shard-local, at the cost
-//!   of coarser balance (the unit of placement is a subtree, not a key).
+//! Each key is hashed independently ([`ShardStrategy::Ring`]): uniform,
+//! though spatially adjacent blocks scatter across nodes.
 //!
 //! Maps are versioned (every membership change bumps the version) and
 //! travel between nodes/clients as a CRC-framed `VMAP` blob inside the
@@ -41,17 +34,6 @@ impl fmt::Display for NodeId {
 pub enum ShardStrategy {
     /// Hash each key independently: uniform, spatially scattered.
     Ring,
-    /// Hash the `2^bits`-wide grid cell the block sits in, so spatial
-    /// siblings co-locate. `grid` is the volume's block-grid dimensions
-    /// (blocks per axis), matching the row-major [`viz_volume::BlockId`]
-    /// layout.
-    Subtree {
-        /// Cell width exponent: blocks whose coordinates agree after a
-        /// `>> bits` per axis share an owner.
-        bits: u32,
-        /// Blocks per axis, for decomposing a dense block id.
-        grid: [u32; 3],
-    },
 }
 
 /// Why a `VMAP` blob failed to decode.
@@ -158,17 +140,6 @@ impl ShardMap {
             ShardStrategy::Ring => {
                 splitmix64((vt << 32) ^ u64::from(key.block.0).wrapping_mul(0x9E37_79B9))
             }
-            ShardStrategy::Subtree { bits, grid } => {
-                let id = key.block.0;
-                let (gx, gy) = (grid[0].max(1), grid[1].max(1));
-                let bx = id % gx;
-                let by = (id / gx) % gy;
-                let bz = id / (gx * gy);
-                let cell = (u64::from(bx >> bits) << 42)
-                    | (u64::from(by >> bits) << 21)
-                    | u64::from(bz >> bits);
-                splitmix64(splitmix64(cell) ^ vt)
-            }
         }
     }
 
@@ -241,13 +212,6 @@ impl ShardMap {
         b.extend_from_slice(&self.vnodes.to_le_bytes());
         match self.strategy {
             ShardStrategy::Ring => b.push(0),
-            ShardStrategy::Subtree { bits, grid } => {
-                b.push(1);
-                b.extend_from_slice(&bits.to_le_bytes());
-                for g in grid {
-                    b.extend_from_slice(&g.to_le_bytes());
-                }
-            }
         }
         b.extend_from_slice(&(self.nodes.len() as u32).to_le_bytes());
         for n in &self.nodes {
@@ -299,14 +263,6 @@ impl ShardMap {
         }
         let strategy = match take(&mut at, 1)?[0] {
             0 => ShardStrategy::Ring,
-            1 => {
-                let bits = u32::from_le_bytes(take(&mut at, 4)?.try_into().unwrap());
-                let mut grid = [0u32; 3];
-                for g in &mut grid {
-                    *g = u32::from_le_bytes(take(&mut at, 4)?.try_into().unwrap());
-                }
-                ShardStrategy::Subtree { bits, grid }
-            }
             _ => return Err(MapError::Malformed("unknown strategy tag")),
         };
         let count = u32::from_le_bytes(take(&mut at, 4)?.try_into().unwrap()) as usize;
@@ -353,18 +309,14 @@ mod tests {
 
     #[test]
     fn every_key_has_exactly_one_owner() {
-        for strategy in
-            [ShardStrategy::Ring, ShardStrategy::Subtree { bits: 1, grid: [16, 16, 16] }]
-        {
-            let map = ShardMap::new(&nodes(4), 64, strategy);
-            for k in key_corpus() {
-                let owner = map.owner(k).expect("non-empty map always owns");
-                assert!(map.contains(owner));
-                // Deterministic: ask twice, same answer.
-                assert_eq!(map.owner(k), Some(owner));
-                // owners(1) agrees with owner().
-                assert_eq!(map.owners(k, 1), vec![owner]);
-            }
+        let map = ShardMap::new(&nodes(4), 64, ShardStrategy::Ring);
+        for k in key_corpus() {
+            let owner = map.owner(k).expect("non-empty map always owns");
+            assert!(map.contains(owner));
+            // Deterministic: ask twice, same answer.
+            assert_eq!(map.owner(k), Some(owner));
+            // owners(1) agrees with owner().
+            assert_eq!(map.owners(k, 1), vec![owner]);
         }
     }
 
@@ -442,36 +394,6 @@ mod tests {
     }
 
     #[test]
-    fn subtree_strategy_colocates_siblings() {
-        let grid = [16u32, 16, 16];
-        let map = ShardMap::new(&nodes(4), 64, ShardStrategy::Subtree { bits: 1, grid });
-        // Every 2x2x2 sibling group shares one owner.
-        for cz in 0..8u32 {
-            for cy in 0..8u32 {
-                for cx in 0..8u32 {
-                    let mut owners = Vec::new();
-                    for dz in 0..2u32 {
-                        for dy in 0..2u32 {
-                            for dx in 0..2u32 {
-                                let (bx, by, bz) = (cx * 2 + dx, cy * 2 + dy, cz * 2 + dz);
-                                let id = (bz * grid[1] + by) * grid[0] + bx;
-                                owners.push(map.owner(key(id)).unwrap());
-                            }
-                        }
-                    }
-                    owners.dedup();
-                    assert_eq!(owners.len(), 1, "cell ({cx},{cy},{cz}) split across {owners:?}");
-                }
-            }
-        }
-        // ...while the map still uses every node (the cells spread out).
-        let mut all: Vec<NodeId> = (0..4096).map(|i| map.owner(key(i)).unwrap()).collect();
-        all.sort();
-        all.dedup();
-        assert_eq!(all.len(), 4);
-    }
-
-    #[test]
     fn ring_balance_is_reasonable() {
         let map = ShardMap::new(&nodes(4), 64, ShardStrategy::Ring);
         let mut counts = [0usize; 4];
@@ -491,15 +413,12 @@ mod tests {
 
     #[test]
     fn encode_decode_roundtrip() {
-        for strategy in [ShardStrategy::Ring, ShardStrategy::Subtree { bits: 2, grid: [32, 16, 8] }]
-        {
-            let map = ShardMap::new(&nodes(4), 32, strategy).without(NodeId(1));
-            let decoded = ShardMap::decode(&map.encode()).unwrap();
-            assert_eq!(decoded, map);
-            assert_eq!(decoded.version(), 2);
-            for k in key_corpus().into_iter().take(256) {
-                assert_eq!(decoded.owner(k), map.owner(k));
-            }
+        let map = ShardMap::new(&nodes(4), 32, ShardStrategy::Ring).without(NodeId(1));
+        let decoded = ShardMap::decode(&map.encode()).unwrap();
+        assert_eq!(decoded, map);
+        assert_eq!(decoded.version(), 2);
+        for k in key_corpus().into_iter().take(256) {
+            assert_eq!(decoded.owner(k), map.owner(k));
         }
     }
 
@@ -514,15 +433,24 @@ mod tests {
         let mut magic_flip = blob.clone();
         magic_flip[8] = b'X';
         // CRC is over the body, so a magic flip also fails the CRC first;
-        // manufacture a frame with a valid CRC over a bad magic.
-        let mut body = blob[8..].to_vec();
-        body[0] = b'X';
-        let mut reframed = Vec::new();
-        reframed.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        reframed.extend_from_slice(&crc32(&body).to_le_bytes());
-        reframed.extend_from_slice(&body);
-        assert_eq!(ShardMap::decode(&reframed), Err(MapError::BadMagic));
+        // manufacture frames with a valid CRC over a corrupt body.
+        let reframed = |at: usize, byte: u8| {
+            let mut body = blob[8..].to_vec();
+            body[at] = byte;
+            let mut frame = Vec::new();
+            frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            frame.extend_from_slice(&crc32(&body).to_le_bytes());
+            frame.extend_from_slice(&body);
+            frame
+        };
+        assert_eq!(ShardMap::decode(&reframed(0, b'X')), Err(MapError::BadMagic));
         assert_eq!(ShardMap::decode(&magic_flip), Err(MapError::BadCrc));
+        // The strategy tag follows magic, codec, version and vnodes; 0 is
+        // `Ring`, and no other tag names a strategy.
+        assert_eq!(
+            ShardMap::decode(&reframed(18, 1)),
+            Err(MapError::Malformed("unknown strategy tag"))
+        );
     }
 
     #[test]

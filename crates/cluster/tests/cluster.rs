@@ -305,35 +305,6 @@ fn off_owner_batch_reads_local_storage() {
 }
 
 #[test]
-fn subtree_strategy_serves_sibling_batches_from_one_node() {
-    let grid = [8u32, 8, 8];
-    let cluster = TestCluster::new(4, ShardStrategy::Subtree { bits: 1, grid });
-    // One 2x2x2 sibling cell's eight blocks.
-    let mut keys = Vec::new();
-    for dz in 0..2u32 {
-        for dy in 0..2u32 {
-            for dx in 0..2u32 {
-                let id = (dz * grid[1] + dy) * grid[0] + dx;
-                let k = key(id);
-                cluster.insert(k, vec![id as f32; 8]);
-                keys.push(k);
-            }
-        }
-    }
-    let mut router = cluster.router("viewer");
-    let reply = router.fetch(keys, vec![]);
-    assert!(reply.blocks.iter().all(|b| b.result.is_ok()));
-
-    let readers: Vec<u64> = (0..4).map(|n| cluster.reads(NodeId(n))).collect();
-    assert_eq!(readers.iter().sum::<u64>(), 8);
-    assert_eq!(
-        readers.iter().filter(|&&r| r > 0).count(),
-        1,
-        "sibling cell split across nodes: {readers:?}"
-    );
-}
-
-#[test]
 fn prefetch_rides_to_owners_and_warms_their_pools() {
     let cluster = TestCluster::new(2, ShardStrategy::Ring);
     let keys = seed(&cluster, 32);

@@ -6,10 +6,10 @@
 //! needs — the pose sequence, the per-step visible sets, and (optionally)
 //! shared [`Arc`] handles to the prediction tables — and turns each step
 //! into a [`FrameRequest`]: the demand keys the frame cannot render
-//! without, plus the entropy-prioritized prefetch list for the step after
-//! it. Prediction runs on the client side, next to the renderer: a client
-//! replays its flight and sends each frame's keys in a `Fetch`, and the
-//! server learns no tables.
+//! without, plus the entropy-prioritized prefetch Algorithm 1 predicts from
+//! the pose being rendered, not the next one. Prediction runs on the client
+//! side, next to the renderer: a client replays its flight and sends each
+//! frame's keys in a `Fetch`, and the server learns no tables.
 
 use crate::importance::ImportanceTable;
 use crate::sampling::VisibleTable;
@@ -29,8 +29,9 @@ pub struct FrameRequest {
     pub generation: u64,
     /// Blocks the frame renders from — fetched at demand priority.
     pub demand: Vec<BlockKey>,
-    /// `(key, priority)` speculation for the upcoming step; priority is
-    /// `T_important` entropy when tables are attached, 1.0 otherwise.
+    /// `(key, priority)` speculation: `T_visible`'s prediction for this
+    /// step's pose, entropy ≥ σ, at its `T_important` entropy. Empty
+    /// without tables and on a flight's last step.
     pub prefetch: Vec<(BlockKey, f64)>,
 }
 
@@ -51,8 +52,7 @@ impl ClientFlight {
     /// Build a flight over `layout`, computing each pose's visible set via
     /// the BVH. Attach `tables` to prefetch from `T_visible` predictions
     /// filtered by `T_important` entropy ≥ `sigma` (Algorithm 1's gate);
-    /// without tables, prefetch falls back to the next step's ground-truth
-    /// visible set at uniform priority.
+    /// without tables, the flight prefetches nothing.
     pub fn new(
         layout: &BrickLayout,
         poses: Vec<CameraPose>,
@@ -131,19 +131,16 @@ impl ClientFlight {
         self.generation += 1;
         let key_of = |id: BlockId| BlockKey::new(self.var, self.time, id);
         let demand: Vec<BlockKey> = self.visible[step].iter().copied().map(key_of).collect();
-        let prefetch = match (&self.tables, self.poses.get(self.cursor)) {
-            (Some((tv, ti)), Some(next_pose)) => tv
-                .predict(next_pose)
+        let prefetch = match &self.tables {
+            Some((tv, ti)) if self.cursor < self.poses.len() => tv
+                .predict(&self.poses[step])
                 .iter()
                 .filter_map(|&id| {
                     let h = ti.entropy(id);
                     (h >= self.sigma).then(|| (key_of(id), h))
                 })
                 .collect(),
-            (None, Some(_)) => {
-                self.visible[self.cursor].iter().map(|&id| (key_of(id), 1.0)).collect()
-            }
-            (_, None) => Vec::new(),
+            _ => Vec::new(),
         };
         Some(FrameRequest { step, generation: self.generation, demand, prefetch })
     }
@@ -191,51 +188,64 @@ mod tests {
     }
 
     #[test]
-    fn tables_gate_prefetch_by_entropy() {
+    fn untabled_flight_prefetches_nothing() {
         let (layout, poses, tv, ti) = fixture();
-        let lax = ClientFlight::new(&layout, poses.clone(), Some((tv.clone(), ti.clone())), -1.0)
-            .next_frame()
-            .unwrap();
-        let strict = ClientFlight::new(&layout, poses, Some((tv, ti.clone())), f64::INFINITY)
-            .next_frame()
-            .unwrap();
-        assert!(!lax.prefetch.is_empty(), "sigma below every entropy admits the prediction");
-        assert!(strict.prefetch.is_empty(), "infinite sigma filters everything");
-        for (key, pri) in &lax.prefetch {
-            assert_eq!(*pri, ti.entropy(key.block), "priority is the block's entropy");
+        let mut bare = ClientFlight::new(&layout, poses.clone(), None, -1.0);
+        let mut tabled = ClientFlight::new(&layout, poses, Some((tv, ti)), -1.0);
+        let first = tabled.next_frame().unwrap();
+        assert!(!first.prefetch.is_empty(), "the same step prefetches with tables");
+        while let Some(req) = bare.next_frame() {
+            assert!(req.prefetch.is_empty(), "no tables, no prefetch");
         }
     }
 
     #[test]
-    fn untabled_flight_prefetches_next_visible_set() {
-        let (layout, poses, _, _) = fixture();
-        let mut f = ClientFlight::new(&layout, poses, None, 0.0);
-        let first = f.next_frame().unwrap();
-        let second = f.next_frame().unwrap();
-        let predicted: Vec<BlockKey> = first.prefetch.iter().map(|(k, _)| *k).collect();
-        assert_eq!(predicted, second.demand, "lookahead is the next step's demand");
-        assert!(first.prefetch.iter().all(|(_, p)| *p == 1.0));
+    fn tables_gate_prefetch_by_entropy() {
+        let (layout, poses, tv, ti) = fixture();
+        let (sigma, tables) = (ti.sigma_for_fraction(0.5), Some((tv.clone(), ti.clone())));
+        let mut f = ClientFlight::new(&layout, poses.clone(), tables.clone(), sigma);
+        let mut strict = ClientFlight::new(&layout, poses.clone(), tables, f64::INFINITY);
+        let mut gated = 0;
+        for (k, pose) in poses.iter().enumerate() {
+            // Step k predicts from the pose it renders; the last step has
+            // no next frame to prefetch for.
+            let predicted = if k + 1 < poses.len() { tv.predict(pose) } else { &[] };
+            let all = predicted.iter().map(|&b| (BlockKey::scalar(b), ti.entropy(b)));
+            let want: Vec<_> = all.filter(|&(_, h)| h >= sigma).collect();
+            gated += predicted.len() - want.len();
+            assert_eq!(f.next_frame().unwrap().prefetch, want, "step {k}");
+            assert!(strict.next_frame().unwrap().prefetch.is_empty(), "infinite sigma");
+        }
+        assert!(gated > 0, "the median sigma filters some predicted block");
+    }
+
+    #[test]
+    fn next_pose_does_not_change_this_steps_prefetch() {
+        let (layout, poses, tv, ti) = fixture();
+        let k = 4;
+        let mut moved = poses.clone();
+        moved[k + 1] = poses[0];
+        assert_ne!(tv.predict(&poses[k + 1]), tv.predict(&moved[k + 1]), "the swap must matter");
+        let step_k = |poses: Vec<CameraPose>| {
+            let tables = Some((tv.clone(), ti.clone()));
+            let mut f = ClientFlight::new(&layout, poses, tables, -1.0);
+            (0..k).for_each(|_| drop(f.next_frame()));
+            f.next_frame().unwrap().prefetch
+        };
+        let (a, b) = (step_k(poses), step_k(moved));
+        assert!(!a.is_empty());
+        assert_eq!(a, b, "step {k} predicts from its own pose, not the next one");
     }
 
     #[test]
     fn rotation_and_variable_addressing() {
         let (layout, poses, _, _) = fixture();
-        let base = ClientFlight::new(&layout, poses, None, 0.0);
-        let n = base.len();
-        let mut plain = base.clone();
-        let mut shifted = base.clone().rotated(3).for_variable(2, 9);
-        let p0 = plain.next_frame().unwrap();
-        let s0 = shifted.next_frame().unwrap();
+        let mut expected = ClientFlight::new(&layout, poses, None, 0.0);
+        let s0 = expected.clone().rotated(3).for_variable(2, 9).next_frame().unwrap();
         assert!(s0.demand.iter().all(|k| k.var == 2 && k.time == 9));
-        let s0_ids: Vec<BlockId> = s0.demand.iter().map(|k| k.block).collect();
-        let mut expected = base.clone();
-        for _ in 0..3 {
-            expected.next_frame();
-        }
+        (0..3).for_each(|_| drop(expected.next_frame()));
+        let ids = |r: FrameRequest| r.demand.iter().map(|k| k.block).collect::<Vec<BlockId>>();
         let e = expected.next_frame().unwrap();
-        let e_ids: Vec<BlockId> = e.demand.iter().map(|k| k.block).collect();
-        assert_eq!(s0_ids, e_ids, "offset 3 starts at step 3's visible set");
-        assert_eq!(p0.step, 0);
-        assert_eq!(n % n, 0);
+        assert_eq!(ids(s0), ids(e), "offset 3 starts at step 3's visible set");
     }
 }

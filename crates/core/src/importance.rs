@@ -122,8 +122,12 @@ impl ImportanceTable {
         self.entries.iter().take_while(move |e| e.entropy > sigma).map(|e| e.block)
     }
 
-    /// The entropy value such that exactly `fraction` of blocks lie above
-    /// it — a convenient way to pick the paper's threshold σ.
+    /// A block's own entropy, picked so that at most `fraction` of blocks
+    /// lie strictly above it (the rank `⌊fraction·n⌋` entry of
+    /// [`ranked`](Self::ranked)) — a convenient way to pick the paper's
+    /// threshold σ. Ties make `> σ` and `≥ σ` differ: when many blocks
+    /// share the returned entropy (zero-entropy ambient blocks, say), far
+    /// fewer than `fraction` lie above it and far more lie at or above it.
     pub fn sigma_for_fraction(&self, fraction: f64) -> f64 {
         assert!((0.0..=1.0).contains(&fraction), "fraction out of [0, 1]");
         if self.entries.is_empty() || fraction >= 1.0 {

@@ -102,10 +102,10 @@ fn two_clients_same_key_is_one_source_read() {
 }
 
 /// N viewers replay one closed keyframe flight, each rotated to its own
-/// phase, against one shared server. Every key any of them wants is read
-/// from the source once: the reads equal the flight's distinct keys at
-/// every N, and with more than one viewer some of them are joins across
-/// sessions.
+/// phase, against one shared server. The flights carry no tables, so they
+/// ask for demand only. Every key any of them wants is read from the
+/// source once: the reads equal the flight's distinct keys at every N, and
+/// with more than one viewer some of them are joins across sessions.
 #[test]
 fn phase_rotated_viewers_read_each_distinct_key_once_at_every_n() {
     use std::collections::HashSet;

@@ -3,8 +3,9 @@
 //! single fetch engine and resident pool. Duplicate wants coalesce into
 //! one source read even across clients; fairness interleaves their
 //! demand; prefetch admission sheds under pressure while demand always
-//! flows. Each client holds its last frame's blocks and asks the server
-//! only for the rest of the next view.
+//! flows. Each client predicts from the pose it renders (the paper's
+//! `T_visible` / `T_important` tables), holds its last frame's blocks and
+//! asks the server only for the rest of the next view.
 //!
 //! Uses the deterministic in-process transport so the run is exactly
 //! reproducible; swap [`InProcServer`] for [`viz_appaware::serve::TcpServer`]
@@ -14,17 +15,21 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use viz_appaware::core::{compute_visibility, ClientFlight};
+use viz_appaware::core::{
+    compute_visibility, ClientFlight, ImportanceTable, RadiusRule, SamplingConfig, VisibleTable,
+};
 use viz_appaware::fetch::{BlockPool, FetchConfig, FetchEngine, InstrumentedSource};
 use viz_appaware::geom::angle::deg_to_rad;
 use viz_appaware::geom::{CameraPath, ExplorationDomain, Keyframe, KeyframePath, Vec3};
 use viz_appaware::serve::{InProcServer, ServeClient, ServeConfig, Server};
-use viz_appaware::volume::{BlockKey, BrickLayout, Dims3, MemBlockStore};
+use viz_appaware::volume::{BlockKey, BrickLayout, DatasetKind, DatasetSpec, MemBlockStore};
 
 fn main() {
-    // One modest bricked volume in a memory-backed store, read through an
-    // instrumented source so we can count what actually hits "disk".
-    let layout = BrickLayout::with_target_blocks(Dims3::cube(128), 128);
+    // One modest bricked combustion volume in a memory-backed store, read
+    // through an instrumented source so we can count what actually hits
+    // "disk".
+    let field = DatasetSpec::new(DatasetKind::LiftedRr, 8, 7).materialize(0, 0.0);
+    let layout = BrickLayout::with_target_blocks(field.dims, 128);
     let store = MemBlockStore::new();
     for id in layout.block_ids() {
         store.insert(BlockKey::scalar(id), vec![id.0 as f32; 64]);
@@ -41,6 +46,7 @@ fn main() {
     // Three viewers on the same closed keyframe flight, phase-shifted — the
     // "colleagues inspecting the same feature" deployment.
     let domain = ExplorationDomain::new(Vec3::ZERO, 2.0, 3.2);
+    let view_angle = deg_to_rad(15.0);
     let path = KeyframePath::new(
         domain,
         vec![
@@ -48,15 +54,23 @@ fn main() {
             Keyframe::new(Vec3::new(1.0, 0.3, 0.4), 2.2).with_weight(2.0),
             Keyframe::new(Vec3::new(-0.6, 0.4, 0.7), 2.8),
         ],
-        deg_to_rad(15.0),
+        view_angle,
     )
     .closed();
     let poses = path.generate(12);
     let visible = compute_visibility(&layout, &poses);
 
+    // The tables every viewer predicts from, shared: T_visible over the
+    // exploration domain, T_important by block entropy, σ at the median.
+    let sampling = SamplingConfig::paper_default(2.0, 3.2, view_angle).with_target_samples(256);
+    let tv = Arc::new(VisibleTable::build(sampling, &layout, RadiusRule::Fixed(0.5), None));
+    let ti = Arc::new(ImportanceTable::from_field(&layout, &field, 64));
+    let sigma = ti.sigma_for_fraction(0.5);
+
     let mut clients: Vec<_> = (0..3)
         .map(|i| {
-            let flight = ClientFlight::from_visible(poses.clone(), visible.clone(), None, 0.0)
+            let tables = Some((tv.clone(), ti.clone()));
+            let flight = ClientFlight::from_visible(poses.clone(), visible.clone(), tables, sigma)
                 .rotated(i * 4);
             (ServeClient::new(inproc.connect()), flight)
         })
@@ -73,7 +87,8 @@ fn main() {
     }
 
     // Replay the flight: every step each client advances its generation,
-    // then asks for its visible set (demand) plus next-step speculation.
+    // then asks for its visible set (demand) plus the blocks its tables
+    // predict around the pose it renders (speculation for the next step).
     let (mut served, mut held) = (0usize, 0u64);
     for _step in 0..12 {
         let mut demanded = Vec::new();

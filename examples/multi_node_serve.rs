@@ -19,12 +19,9 @@ use viz_appaware::cluster::{NodeId, ShardStrategy, TestCluster};
 use viz_appaware::volume::{BlockKey, BrickLayout, Dims3};
 
 fn main() {
-    // A bricked volume sharded over four nodes. Subtree placement keeps
-    // each 2x2x2 sibling cell of the octree on one owner, so a viewer
-    // refining into a region talks to one node, not four.
+    // A bricked volume sharded over four nodes on a consistent-hash ring.
     let layout = BrickLayout::with_target_blocks(Dims3::cube(128), 256);
-    let grid = [layout.grid.nx as u32, layout.grid.ny as u32, layout.grid.nz as u32];
-    let cluster = TestCluster::new(4, ShardStrategy::Subtree { bits: 1, grid });
+    let cluster = TestCluster::new(4, ShardStrategy::Ring);
     let keys: Vec<BlockKey> = layout
         .block_ids()
         .map(|id| {

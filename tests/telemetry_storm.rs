@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use viz_appaware::cache::{AccessClass, Hierarchy, PolicyKind};
+use viz_appaware::cache::{AccessClass, Hierarchy, PolicyKind, TierCost};
 use viz_appaware::core::degraded::fetch_frame;
 use viz_appaware::fetch::{BlockPool, FaultConfig, FaultInjectingSource, FetchConfig, FetchEngine};
 use viz_appaware::telemetry::{self, json, EventKind, Trace};
@@ -50,7 +50,9 @@ fn storm_trace_run() -> Run {
         Arc::new(BlockPool::new()),
         FetchConfig::deterministic(),
     );
-    let mut hier: Hierarchy<BlockId> = Hierarchy::paper_default(BLOCKS, 0.3, PolicyKind::Lru, 4096);
+    let costs = [TierCost::dram(), TierCost::ssd(), TierCost::hdd()];
+    let mut hier: Hierarchy<BlockId> =
+        Hierarchy::two_level(BLOCKS, 0.3, PolicyKind::Lru, 4096, costs);
 
     telemetry::reset();
     telemetry::set_enabled(true);
