@@ -4,16 +4,15 @@
 //! A [`ChaosPlan`] is a list of `(step, action)` events — crash, restart,
 //! fabric partition, slow storage, corrupted reply frames — generated
 //! from a seed so every run replays exactly. [`run_plan`] executes the
-//! plan step by step: apply the step's faults, advance the clock, run
-//! one membership round (every node's heartbeat,
-//! [`crate::TestCluster::heartbeat_all`], plus the router's
-//! [`crate::Router::heartbeat`]), route one frame of demand through the
-//! router, and record what happened. The report carries the two numbers
-//! the resilience layer is judged on — steps from fault injection to
-//! *detection* (the router or any node marks the target down/suspect)
-//! and steps from the repair action to *re-admission* (no one marks it
-//! anymore) — alongside the invariant every schedule must uphold: zero
-//! demand errors, no matter what the plan did.
+//! plan step by step: apply the step's faults, run the router's
+//! [`crate::Router::heartbeat`], route one frame of demand through the
+//! router, and record what happened. The router is the cluster's one
+//! failure detector (nodes dial nobody), so the report's two numbers
+//! are the router's: steps from fault injection to *detection* (the
+//! router marks the target down) and steps from the repair action to
+//! *re-admission* (it no longer does) — alongside the invariant every
+//! schedule must uphold: zero demand errors, no matter what the plan
+//! did.
 
 use crate::router::Router;
 use crate::shard::{splitmix64, NodeId};
@@ -148,10 +147,6 @@ const DEMAND_PER_STEP: u32 = 8;
 /// shared store up front).
 const KEY_SPACE: u32 = 64;
 
-/// Virtual ticks the clock advances per step (drives suspicion
-/// deadlines).
-const TICKS_PER_STEP: u64 = 10;
-
 /// What a plan run observed.
 #[derive(Debug, Clone, Default)]
 pub struct ChaosReport {
@@ -162,10 +157,10 @@ pub struct ChaosReport {
     /// Demand blocks that came back as errors — the invariant says 0.
     pub demand_errors: u64,
     /// Steps from each unreachability fault (crash, isolate, corrupt)
-    /// to the cluster marking the target down or suspect.
+    /// to the router marking the target down.
     pub detections: Vec<u32>,
-    /// Steps from each repair action to full re-admission (no router
-    /// down mark, no node suspicion).
+    /// Steps from each repair action to re-admission (the router's down
+    /// mark cleared).
     pub recoveries: Vec<u32>,
     /// Virtual ticks each step's demand frame took.
     pub frame_ticks: Vec<u64>,
@@ -181,21 +176,14 @@ fn chaos_key(i: u32) -> BlockKey {
     BlockKey::scalar(BlockId(i))
 }
 
-/// Whether anyone — the router or a live node's failure detector —
-/// currently holds `target` unreachable.
-fn marked(cluster: &TestCluster, router: &Router, target: NodeId) -> bool {
+/// Whether the router currently holds `target` unreachable.
+fn marked(router: &Router, target: NodeId) -> bool {
     router.down_nodes().contains(&target)
-        || cluster
-            .live_nodes()
-            .into_iter()
-            .filter(|&id| id != target)
-            .filter_map(|id| cluster.node(id))
-            .any(|n| n.is_suspect(target))
 }
 
-/// Execute `plan` (see module docs). Per step: apply due actions,
-/// advance the virtual clock, run one membership round everywhere,
-/// route one demand frame, and update the detection/recovery trackers.
+/// Execute `plan` (see module docs). Per step: apply due actions, run
+/// the router's heartbeat, route one demand frame, and update the
+/// detection/recovery trackers.
 ///
 /// With `flight_dump` set, the first flight-recorder trigger observed
 /// during the run writes a cluster flight dump there (read it back with
@@ -252,8 +240,6 @@ pub fn run_plan(
                 ChaosAction::Slow(..) | ChaosAction::Unslow(_) => {}
             }
         }
-        cluster.clock().advance(TICKS_PER_STEP);
-        cluster.heartbeat_all();
         router.heartbeat();
         // A rotating demand window so ownership of the requested keys
         // moves across nodes over the run.
@@ -266,7 +252,7 @@ pub fn run_plan(
         report.demand_blocks += reply.blocks.len() as u64;
         report.demand_errors += reply.blocks.iter().filter(|b| b.result.is_err()).count() as u64;
         pending_detect.retain(|&(n, since)| {
-            if marked(cluster, router, n) {
+            if marked(router, n) {
                 report.detections.push(step - since);
                 false
             } else {
@@ -274,7 +260,7 @@ pub fn run_plan(
             }
         });
         pending_recover.retain(|&(n, since)| {
-            if !marked(cluster, router, n) {
+            if !marked(router, n) {
                 report.recoveries.push(step - since);
                 false
             } else {

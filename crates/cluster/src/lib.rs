@@ -1,29 +1,25 @@
 //! # viz-cluster — sharded multi-node block serving
 //!
 //! Scales the single-node [`viz_serve`] server out: every
-//! [`viz_volume::BlockKey`] maps to exactly one *owner* node, clients
-//! route each frame's demand to the owners directly, and a node asked
-//! for a block it does not own forwards to the owner over the same VSRV
-//! protocol clients speak.
+//! [`viz_volume::BlockKey`] maps to exactly one *owner* node, and the
+//! client-side [`Router`] sends each frame's demand to the owners
+//! directly. The router is the one routing layer: a node serves what it
+//! is asked from its own engine and storage, and never dials another
+//! node.
 //!
 //! - `shard` — the [`ShardMap`]: consistent-hash ring placement,
 //!   versioned and CRC-framed so nodes and clients detect skew.
-//! - `peer` — node-to-node fetch: one VSRV session per peer pair,
-//!   bounded retry, and a per-peer circuit breaker reusing the
-//!   [`viz_fetch`] fault machinery.
+//! - `peer` — the router's links to nodes: [`PeerLink`], one framed
+//!   VSRV round trip, and [`TcpPeerLink`] over TCP.
 //! - `node` — a [`ClusterNode`] wraps a [`viz_serve::Server`] whose
-//!   engine reads through a `RoutedSource`; cross-session coalescing
-//!   then dedupes concurrent remote fetches into one peer round trip.
+//!   engine reads the node's local storage, and answers `MapGet`,
+//!   `Ping` and `TelemetryGet` with its map and identity.
 //! - `router` — the client side: answer what the last frame carried
 //!   from the client tier, split the rest of a frame's demand per owner,
 //!   merge replies, and fail over along the ring-successor order the map
-//!   itself defines, hop-capping off-owner batches so the receiver reads
-//!   its local storage.
-//! - `membership` — deadline-based failure detection over `Ping` /
-//!   `Pong` heartbeats: suspected nodes route around *before* a demand
-//!   read pays a timeout, and re-admit the moment a probe succeeds.
-//!   Heartbeats piggyback shard-map versions, so stale participants
-//!   pull a newer map immediately (anti-entropy).
+//!   itself defines. Its down marks (failed round trips, heartbeats and
+//!   periodic probes) are the cluster's failure detection, and its
+//!   heartbeats pull a newer shard map the moment a node advertises one.
 //! - `testing` — a deterministic in-process [`TestCluster`]: N nodes
 //!   over one shared store on a virtual clock, synchronous transports,
 //!   crash/restart/join, fabric partitions, slow storage, and corrupted
@@ -38,8 +34,8 @@
 //! The deployment model is shared storage (every node can read every
 //! block, as on a parallel file system): ownership concentrates each
 //! block's pool residency and request coalescing on one node, but any
-//! peer failure can always fall back to a local read — so sharding
-//! optimizes locality and can never cost availability.
+//! node can serve any key from its own storage, so a router failing over
+//! from a dead owner costs locality and never availability.
 //!
 //! ## Example
 //!
@@ -64,7 +60,6 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
-mod membership;
 mod node;
 mod obs;
 mod peer;
@@ -73,7 +68,6 @@ mod shard;
 mod testing;
 
 pub use chaos::{ChaosAction, ChaosEvent, ChaosPlan, ChaosReport};
-pub use membership::Membership;
 pub use node::{ClusterConfig, ClusterNode};
 pub use obs::{read_flight_dump, DumpSection};
 pub use peer::{PeerLink, TcpPeerLink};

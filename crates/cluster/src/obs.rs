@@ -290,7 +290,7 @@ mod tests {
                 triggers: vec![],
                 events: vec![
                     ev(EventKind::FaultInjected, 2, 1, 2),
-                    ev(EventKind::PeerFetch, 3, 0xA, 2),
+                    ev(EventKind::RpcServe, 3, 0xA, 2),
                 ],
             },
         ];
@@ -357,7 +357,7 @@ mod tests {
             events: vec![
                 ev(EventKind::RouterFetch, 1, 0xA, 0),
                 ev(EventKind::RpcServe, 2, 1, 1),
-                ev(EventKind::PeerFetch, 3, 0xA, 2),
+                ev(EventKind::RpcServe, 3, 0xA, 2),
                 ev(EventKind::FetchFail, 4, 0xB, 2),
             ],
             dropped: 9,

@@ -32,14 +32,14 @@
 //! ## Off-owner batches
 //!
 //! Shared storage means any node *can* serve any key; ownership is a
-//! locality optimization, not a correctness constraint. A batch sent to
-//! a node that does *not* own its keys (failover before the survivors
-//! reassigned) goes out as a hop-capped `PeerFetch` rather than a plain
-//! `Fetch`: the receiving node's own router-at-the-source would
-//! otherwise forward the keys straight back to the dead owner. The hop
-//! cap makes the receiver read its local storage directly.
+//! locality optimization, not a correctness constraint. Every batch is a
+//! plain `Fetch`, and a node serves every key it is sent from its own
+//! engine and storage, so a failover batch sent to a node that does
+//! *not* own its keys (before the survivors reassigned) is read there.
+//! Nodes never forward: the router is the cluster's one routing layer,
+//! and its down marks (failed round trips, [`Router::heartbeat`], the
+//! periodic probe) are its one failure detector.
 
-use crate::node::DIRECT_HOPS;
 use crate::peer::{Connector, PeerLink};
 use crate::shard::{NodeId, ShardMap};
 use std::collections::HashMap;
@@ -164,7 +164,7 @@ impl Router {
             return false;
         }
         self.map = Arc::new(map);
-        // A new membership is fresh evidence: nodes it still lists get
+        // A new map is fresh evidence: nodes it still lists get
         // another chance even if we marked them down.
         for (id, conn) in &mut self.conns {
             if conn.down && self.map.contains(NodeId(*id)) {
@@ -241,7 +241,7 @@ impl Router {
                 }
                 if map_version > my_version {
                     // The node is ahead of us: pull its map now so the
-                    // next frame routes under current membership.
+                    // next frame routes under the current map.
                     if let Ok(Response::MapReply { version, map_bytes }) =
                         self.round_trip(node, &Request::MapGet)
                     {
@@ -308,79 +308,58 @@ impl Router {
                 break;
             }
             rounds += 1;
-            // Group this round's keys by chosen node, split by whether
-            // the node owns them (off-owner batches go out hop-capped).
-            let mut groups: HashMap<(u32, bool), Vec<usize>> = HashMap::new();
-            let mut routable = false;
+            // Group this round's keys by chosen node.
+            let mut groups: HashMap<u32, Vec<usize>> = HashMap::new();
             for &i in &pending {
                 if let Some(node) = self.pick(demand[i], &attempted[i]) {
-                    let direct = self.map.owner(demand[i]) != Some(node);
-                    groups.entry((node.0, direct)).or_default().push(i);
-                    routable = true;
+                    groups.entry(node.0).or_default().push(i);
                 }
             }
-            if !routable {
+            if groups.is_empty() {
                 break;
             }
-            let mut batches: Vec<(u32, bool)> = groups.keys().copied().collect();
-            batches.sort();
-            // One job per node; a node serving both an owner batch and a
-            // direct (failover) batch this round gets both, in
-            // order, on its one connection.
-            type Batch = (bool, Vec<usize>, Vec<BlockKey>, Vec<(BlockKey, f64)>);
-            let mut jobs: Vec<(u32, Vec<Batch>)> = Vec::new();
-            for (nid, direct) in batches {
-                let idxs = groups.remove(&(nid, direct)).expect("batch key came from groups");
-                let keys: Vec<BlockKey> = idxs.iter().map(|&i| demand[i]).collect();
-                // Prefetch rides only with an owner batch; an off-owner
-                // target has no use speculating on blocks it does not own.
-                let pf = if direct {
-                    Vec::new()
-                } else {
-                    prefetch_by_node.remove(&nid).unwrap_or_default()
-                };
-                for &i in &idxs {
-                    attempted[i].push(NodeId(nid));
-                }
-                match jobs.last_mut() {
-                    Some((last, list)) if *last == nid => list.push((direct, idxs, keys, pf)),
-                    _ => jobs.push((nid, vec![(direct, idxs, keys, pf)])),
-                }
-            }
-            // Fan the round out: each node's batches run on their own
+            let mut nodes: Vec<u32> = groups.keys().copied().collect();
+            nodes.sort();
+            // One batch per node. A node's prefetch rides with the first
+            // batch sent to it, whether or not it owns that batch's
+            // demand keys.
+            type Batch = (u32, Vec<usize>, Vec<BlockKey>, Vec<(BlockKey, f64)>);
+            let batches: Vec<Batch> = nodes
+                .into_iter()
+                .map(|nid| {
+                    let idxs = groups.remove(&nid).expect("node came from groups");
+                    let keys: Vec<BlockKey> = idxs.iter().map(|&i| demand[i]).collect();
+                    for &i in &idxs {
+                        attempted[i].push(NodeId(nid));
+                    }
+                    (nid, idxs, keys, prefetch_by_node.remove(&nid).unwrap_or_default())
+                })
+                .collect();
+            // Fan the round out: each node's batch runs on its own
             // scoped thread, owning that node's connection until the
             // join. Replies are still folded in sorted node order below,
             // so accounting stays deterministic.
             let connect = self.connect.clone();
             let name = self.name.clone();
-            let mut conns: Vec<(u32, NodeConn)> = jobs
+            let mut conns: Vec<(u32, NodeConn)> = batches
                 .iter()
-                .map(|(nid, _)| (*nid, self.conns.remove(nid).unwrap_or_else(NodeConn::fresh)))
+                .map(|(nid, ..)| (*nid, self.conns.remove(nid).unwrap_or_else(NodeConn::fresh)))
                 .collect();
             type BatchOutcome = (Vec<usize>, u64, io::Result<(Vec<BlockReply>, u32, u32)>);
-            let round_results: Vec<Vec<BatchOutcome>> = std::thread::scope(|s| {
-                let handles: Vec<_> = jobs
+            let round_results: Vec<BatchOutcome> = std::thread::scope(|s| {
+                let handles: Vec<_> = batches
                     .into_iter()
                     .zip(conns.iter_mut())
-                    .map(|((nid, list), (_, conn))| {
+                    .map(|((nid, idxs, keys, pf), (_, conn))| {
                         let (connect, name) = (&connect, &name);
                         s.spawn(move || {
-                            list.into_iter()
-                                .map(|(direct, idxs, keys, pf)| {
-                                    let pf_n = pf.len() as u64;
-                                    let r = exchange_on(
-                                        connect.as_ref(),
-                                        name,
-                                        NodeId(nid),
-                                        conn,
-                                        keys,
-                                        pf,
-                                        direct,
-                                        ctx,
-                                    );
-                                    (idxs, pf_n, r)
-                                })
-                                .collect()
+                            let pf_n = pf.len() as u64;
+                            let node = NodeId(nid);
+                            (
+                                idxs,
+                                pf_n,
+                                exchange_on(connect.as_ref(), name, node, conn, keys, pf, ctx),
+                            )
                         })
                     })
                     .collect();
@@ -390,7 +369,7 @@ impl Router {
                 self.conns.insert(nid, conn);
             }
             let mut any_failed = false;
-            for (idxs, pf_n, res) in round_results.into_iter().flatten() {
+            for (idxs, pf_n, res) in round_results {
                 match res {
                     Ok((blocks, s, d)) => {
                         shed += u64::from(s);
@@ -434,7 +413,7 @@ impl Router {
         for nid in leftover {
             let entries = prefetch_by_node.remove(&nid).unwrap_or_default();
             let n = entries.len() as u64;
-            match self.exchange(NodeId(nid), Vec::new(), entries, false, ctx) {
+            match self.exchange(NodeId(nid), Vec::new(), entries, ctx) {
                 Ok((_, s, d)) => {
                     shed += u64::from(s);
                     downgraded += u64::from(d);
@@ -479,12 +458,11 @@ impl Router {
         node: NodeId,
         keys: Vec<BlockKey>,
         prefetch: Vec<(BlockKey, f64)>,
-        direct: bool,
         trace: TraceCtx,
     ) -> io::Result<(Vec<BlockReply>, u32, u32)> {
         let connect = self.connect.clone();
         let name = self.name.clone();
-        exchange_on(connect.as_ref(), &name, node, self.conn(node), keys, prefetch, direct, trace)
+        exchange_on(connect.as_ref(), &name, node, self.conn(node), keys, prefetch, trace)
     }
 
     fn conn(&mut self, node: NodeId) -> &mut NodeConn {
@@ -550,13 +528,11 @@ impl Router {
     }
 }
 
-/// One batch round trip to `node` on its connection — a plain `Fetch`
-/// for an owner batch, a hop-capped `PeerFetch` for an off-owner one.
+/// One batch round trip to `node` on its connection, as a plain `Fetch`.
 /// Reopens the session once on `ERR_UNKNOWN_SESSION`; `ERR_DRAINING` and
 /// transport failures mark the node down. A free function over the
 /// node's [`NodeConn`] so a fan-out thread can run it while the `Router`
 /// itself stays on the caller's thread.
-#[allow(clippy::too_many_arguments)]
 fn exchange_on(
     connect: &Connector,
     name: &str,
@@ -564,21 +540,16 @@ fn exchange_on(
     conn: &mut NodeConn,
     keys: Vec<BlockKey>,
     prefetch: Vec<(BlockKey, f64)>,
-    direct: bool,
     trace: TraceCtx,
 ) -> io::Result<(Vec<BlockReply>, u32, u32)> {
     for attempt in 0..2 {
         let session = ensure_session_on(connect, name, node, conn)?;
-        let req = if direct {
-            Request::PeerFetch { session, hops: DIRECT_HOPS, demand: keys.clone(), trace }
-        } else {
-            Request::Fetch {
-                session,
-                generation: 0,
-                demand: keys.clone(),
-                prefetch: prefetch.clone(),
-                trace,
-            }
+        let req = Request::Fetch {
+            session,
+            generation: 0,
+            demand: keys.clone(),
+            prefetch: prefetch.clone(),
+            trace,
         };
         match round_trip_on(connect, node, conn, &req) {
             Ok(Response::FetchReply { blocks, shed, downgraded, .. }) => {

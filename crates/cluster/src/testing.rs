@@ -3,20 +3,16 @@
 //! source time is a shared [`VirtualClock`] — so cluster tests replay
 //! byte-for-byte, with no sockets, threads, or sleeps.
 //!
-//! [`SyncLink`] (node→node) and [`SyncTransport`] (client→node) both
+//! [`SyncLink`] (router→node) and [`SyncTransport`] (client→node) both
 //! resolve a frame by calling the target node's
-//! [`ClusterNode::serve_frame`] on the calling thread. A peer forward
-//! under map skew therefore *recurses* — node A serving a frame calls
-//! into node B, which may call onward — and a thread-local depth guard
-//! converts runaway recursion (a routing cycle two maps could otherwise
-//! sustain) into a clean `WouldBlock`, which the peer layer treats like
-//! any other peer failure: fall back to local storage.
+//! [`ClusterNode::serve_frame`] on the calling thread. Nodes dial
+//! nobody: each is built with a connector that panics if called, so
+//! every test over this cluster also checks that no node forwards.
 
 use crate::node::{ClusterConfig, ClusterNode};
 use crate::peer::{Connector, PeerLink};
 use crate::router::{Router, RouterConfig};
 use crate::shard::{splitmix64, NodeId, ShardMap, ShardStrategy};
-use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -49,17 +45,6 @@ fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-thread_local! {
-    /// Frames currently being served recursively on this thread.
-    static SERVE_DEPTH: Cell<u32> = const { Cell::new(0) };
-}
-
-/// How deep synchronous node→node recursion may go before a link refuses
-/// with `WouldBlock`. Deep enough for legitimate client→node→peer chains
-/// (depth 2) plus one skew-induced extra hop; shallow enough to stop a
-/// cycle immediately.
-const MAX_SERVE_DEPTH: u32 = 4;
-
 fn lookup(registry: &NodeRegistry, id: NodeId) -> io::Result<Arc<ClusterNode>> {
     relock(&registry.nodes)
         .get(&id.0)
@@ -74,14 +59,7 @@ fn serve_sync(registry: &NodeRegistry, id: NodeId, frame: &[u8]) -> io::Result<V
             format!("{id} is partitioned"),
         ));
     }
-    let node = lookup(registry, id)?;
-    let depth = SERVE_DEPTH.with(|d| d.get());
-    if depth >= MAX_SERVE_DEPTH {
-        return Err(io::Error::new(io::ErrorKind::WouldBlock, "synchronous serve recursion cap"));
-    }
-    SERVE_DEPTH.with(|d| d.set(depth + 1));
-    let mut reply = node.serve_frame(frame);
-    SERVE_DEPTH.with(|d| d.set(depth));
+    let mut reply = lookup(registry, id)?.serve_frame(frame);
     if let Some(count) = relock(&registry.corrupt).get_mut(&id.0) {
         // One deterministic byte flip anywhere in the frame breaks
         // either the length prefix or the CRC, so the caller always
@@ -144,24 +122,11 @@ pub struct TestCluster {
     registry: NodeRegistry,
     taps: HashMap<u32, Arc<InstrumentedSource>>,
     map: ShardMap,
-    serve_cfg: ServeConfig,
-    cluster_cfg: ClusterConfig,
 }
 
 impl TestCluster {
     /// `n` nodes (ids `0..n`) sharded by `strategy`.
     pub fn new(n: u32, strategy: ShardStrategy) -> TestCluster {
-        Self::with_configs(n, strategy, ServeConfig::default(), ClusterConfig::deterministic())
-    }
-
-    /// [`TestCluster::new`] with explicit per-node serve and cluster
-    /// configs (also used when rebuilding a node on restart or join).
-    pub fn with_configs(
-        n: u32,
-        strategy: ShardStrategy,
-        serve_cfg: ServeConfig,
-        cluster_cfg: ClusterConfig,
-    ) -> TestCluster {
         let ids: Vec<NodeId> = (0..n).map(NodeId).collect();
         let mut cluster = TestCluster {
             store: Arc::new(MemBlockStore::new()),
@@ -169,8 +134,6 @@ impl TestCluster {
             registry: Arc::new(Fabric::default()),
             taps: HashMap::new(),
             map: ShardMap::new(&ids, 64, strategy),
-            serve_cfg,
-            cluster_cfg,
         };
         for id in ids {
             cluster.build_node(id);
@@ -180,7 +143,7 @@ impl TestCluster {
 
     /// Build (or rebuild) node `id` over the shared store under the
     /// current map, reusing its tap if it had one so read accounting
-    /// spans restarts.
+    /// spans restarts. The node's connector panics: nodes dial nobody.
     fn build_node(&mut self, id: NodeId) {
         let tap = self
             .taps
@@ -194,20 +157,12 @@ impl TestCluster {
             id,
             tap,
             self.map.clone(),
-            Self::make_connector(self.registry.clone()),
+            |_| -> io::Result<Box<dyn PeerLink>> { panic!("cluster nodes dial nobody") },
             FetchConfig::deterministic(),
-            self.serve_cfg.clone(),
-            self.cluster_cfg.clone(),
+            ServeConfig::default(),
+            ClusterConfig,
         );
         relock(&self.registry.nodes).insert(id.0, node);
-    }
-
-    fn make_connector(
-        registry: NodeRegistry,
-    ) -> impl Fn(NodeId) -> io::Result<Box<dyn PeerLink>> + Send + Sync + 'static {
-        move |id| {
-            Ok(Box::new(SyncLink { registry: registry.clone(), target: id }) as Box<dyn PeerLink>)
-        }
     }
 
     /// The shared backing store (seed blocks here).
@@ -243,15 +198,18 @@ impl TestCluster {
         v
     }
 
-    /// Storage reads issued *by* `id`'s local source (local + forwarded
-    /// work it performed), counting reads even after the node failed.
+    /// Storage reads issued *by* `id`'s local source, counting reads
+    /// even after the node failed.
     pub fn reads(&self, id: NodeId) -> u64 {
         self.taps.get(&id.0).map_or(0, |t| t.reads())
     }
 
-    /// A connector usable by routers and external peer clients.
+    /// A connector for routers: each link calls its node in-process.
     pub(crate) fn connector(&self) -> Arc<Connector> {
-        Arc::new(Self::make_connector(self.registry.clone()))
+        let registry = self.registry.clone();
+        Arc::new(move |id| {
+            Ok(Box::new(SyncLink { registry: registry.clone(), target: id }) as Box<dyn PeerLink>)
+        })
     }
 
     /// A router named `name` holding the current map.
@@ -264,8 +222,9 @@ impl TestCluster {
         Router::new(name, self.map.clone(), self.connector(), cfg)
     }
 
-    /// A direct client to one node (bypasses routing; used to compare
-    /// single-node behavior and to drive peer-coalescing assertions).
+    /// A direct client to one node. It does not route: the node serves
+    /// every key it is asked from its own engine and storage, owner or
+    /// not.
     pub fn client(&self, id: NodeId) -> ServeClient<SyncTransport> {
         ServeClient::new(SyncTransport {
             registry: self.registry.clone(),
@@ -285,8 +244,8 @@ impl TestCluster {
 
     /// Crash `id` *without* reassigning: the node vanishes but every
     /// surviving map still names it — the window between a crash and the
-    /// control plane noticing. Peer fetches to it fail, fall back to
-    /// local reads, and open the callers' breakers.
+    /// control plane noticing. Routers asking it fail over to its ring
+    /// successors.
     pub fn partition_node(&mut self, id: NodeId) {
         relock(&self.registry.nodes).remove(&id.0);
     }
@@ -348,23 +307,6 @@ impl TestCluster {
         self.build_node(id);
         self.push_map();
         self.map.version()
-    }
-
-    /// One membership round at the current virtual tick: every live
-    /// node, in id order, pings its map peers, pulls any newer map, and
-    /// applies the suspicion deadline. Returns
-    /// each node's `(id, alive, suspect)` counts.
-    pub fn heartbeat_all(&self) -> Vec<(NodeId, usize, usize)> {
-        let now = self.clock.now();
-        self.live_nodes()
-            .into_iter()
-            .filter_map(|id| {
-                self.node(id).map(|n| {
-                    let (alive, suspect) = n.heartbeat_tick(now);
-                    (id, alive, suspect)
-                })
-            })
-            .collect()
     }
 
     fn push_map(&self) {

@@ -79,124 +79,41 @@ fn reads_spread_roughly_uniformly_across_nodes() {
     }
 }
 
+/// A node asked for a key it does not own serves it from its own engine
+/// and storage: nodes never forward, under an agreed map or a skewed one.
 #[test]
-fn non_owner_forward_reaches_owner_and_warms_the_pool() {
-    let cluster = TestCluster::new(2, ShardStrategy::Ring);
-    let keys = seed(&cluster, 32);
-    let remote =
-        *keys.iter().find(|&&k| cluster.map().owner(k) == Some(NodeId(1))).expect("some key on n1");
+fn non_owner_serves_from_its_own_storage_and_pool() {
+    for skewed in [false, true] {
+        let cluster = TestCluster::new(2, ShardStrategy::Ring);
+        let keys = seed(&cluster, 32);
+        let remote = *keys
+            .iter()
+            .find(|&&k| cluster.map().owner(k) == Some(NodeId(1)))
+            .expect("some key on n1");
+        if skewed {
+            // Node 1 now believes node 0 owns everything (v2); node 0
+            // still believes node 1 owns `remote` (v1).
+            assert!(cluster.node(NodeId(1)).unwrap().install_map(cluster.map().without(NodeId(1))));
+        }
 
-    // Ask node 0 for a block node 1 owns: the forward goes through node
-    // 0's engine to node 1, which reads its local storage.
-    let mut client = cluster.client(NodeId(0));
-    client.open("viewer").unwrap();
-    let out = client.fetch(vec![remote], vec![]).unwrap();
-    assert_eq!(out.blocks[0].result.as_ref().unwrap()[0], remote.block.0 as f32);
-    assert_eq!(cluster.reads(NodeId(1)), 1, "the owner performed the read");
-    assert_eq!(cluster.reads(NodeId(0)), 0, "the asked node read nothing locally");
+        let mut client = cluster.client(NodeId(0));
+        client.open("viewer").unwrap();
+        let out = client.fetch(vec![remote], vec![]).unwrap();
+        assert_eq!(out.blocks[0].result.as_ref().unwrap()[0], remote.block.0 as f32);
+        assert_eq!(cluster.reads(NodeId(0)), 1, "skewed={skewed}: the asked node read it");
+        assert_eq!(cluster.reads(NodeId(1)), 0, "skewed={skewed}: the owner read nothing");
 
-    let peer_reqs = |n: u32| {
-        cluster
-            .node(NodeId(n))
-            .unwrap()
-            .server()
-            .wire_counters()
-            .into_iter()
-            .find(|(name, _)| name == "serve_peer_requests")
-            .map(|(_, v)| v)
-            .unwrap()
-    };
-    assert_eq!(peer_reqs(1), 1, "owner served exactly one peer forward");
-
-    // The remote block landed in node 0's pool: asking again costs no
-    // read anywhere. A fresh client asks, since the first one holds the
-    // block and would not send the key.
-    let mut fresh = cluster.client(NodeId(0));
-    fresh.open("second viewer").unwrap();
-    let again = fresh.fetch(vec![remote], vec![]).unwrap();
-    assert_eq!(again.held, 0, "the fresh client asked node 0");
-    assert!(again.blocks[0].result.is_ok());
-    assert_eq!(cluster.reads(NodeId(1)), 1, "second ask was a pool hit, not a re-read");
-    assert_eq!(peer_reqs(1), 1, "no second peer round trip");
-}
-
-#[test]
-fn hop_stamp_past_the_cap_reads_owned_keys_without_the_engine() {
-    let cluster = TestCluster::new(2, ShardStrategy::Ring);
-    let keys = seed(&cluster, 32);
-    let owned: Vec<BlockKey> =
-        keys.iter().copied().filter(|&k| cluster.map().owner(k) == Some(NodeId(1))).collect();
-    assert!(owned.len() >= 2, "node 1 must own two keys");
-    let (forwarded, direct) = (owned[0], owned[1]);
-
-    let node1 = cluster.node(NodeId(1)).unwrap();
-    let admitted = || node1.server().metrics().demand_admitted;
-    let peer_reqs = || {
-        node1
-            .server()
-            .wire_counters()
-            .into_iter()
-            .find(|(name, _)| name == "serve_peer_requests")
-            .map(|(_, v)| v)
-            .unwrap()
-    };
-    let mut peer = cluster.client(NodeId(1));
-    peer.open("peer/0").unwrap();
-
-    // A node's forward (hop 1) of keys the receiver owns goes through the
-    // receiver's engine.
-    let before = admitted();
-    let out = peer.peer_fetch(1, vec![forwarded]).unwrap();
-    assert_eq!(out.blocks[0].result.as_ref().unwrap()[0], forwarded.block.0 as f32);
-    assert_eq!(admitted(), before + 1, "a forward is admitted by the owner's engine");
-
-    // The router's direct stamp is past the cap: the owner answers from
-    // local storage, admits nothing, and still counts the peer request.
-    let (before, reqs) = (admitted(), peer_reqs());
-    let out = peer.peer_fetch(u8::MAX, vec![direct]).unwrap();
-    assert_eq!(out.blocks[0].result.as_ref().unwrap()[0], direct.block.0 as f32);
-    assert_eq!(admitted(), before, "a read past the hop cap bypasses the engine");
-    assert_eq!(peer_reqs(), reqs + 1, "the direct read is one more peer request");
-}
-
-#[test]
-fn duplicate_remote_keys_coalesce_to_one_peer_read() {
-    let cluster = TestCluster::new(2, ShardStrategy::Ring);
-    let keys = seed(&cluster, 32);
-    let remote =
-        *keys.iter().find(|&&k| cluster.map().owner(k) == Some(NodeId(1))).expect("some key on n1");
-
-    // Two sessions on node 0 demand the same remote key with both
-    // submissions queued before the engine runs: the engine coalesces
-    // them onto one job, so the cluster sees ONE peer round trip and the
-    // owner does ONE storage read.
-    let node0 = cluster.node(NodeId(0)).unwrap();
-    let server = node0.server().clone();
-    let s1 = server.open_session("viewer-a").unwrap();
-    let s2 = server.open_session("viewer-b").unwrap();
-    let sub1 = server.submit(s1, 0, vec![remote], vec![]).unwrap();
-    let sub2 = server.submit(s2, 0, vec![remote], vec![]).unwrap();
-    server.pump();
-    server.engine().run_until_idle();
-    let r1 = sub1.collect_ready(&server);
-    let r2 = sub2.collect_ready(&server);
-    assert!(r1[0].result.is_ok() && r2[0].result.is_ok());
-
-    assert!(
-        server.engine().metrics().cross_tag_coalesced >= 1,
-        "the second session's demand must join the first's in-flight job"
-    );
-    assert_eq!(cluster.reads(NodeId(1)), 1, "one storage read on the owner");
-    let peer_reqs = cluster
-        .node(NodeId(1))
-        .unwrap()
-        .server()
-        .wire_counters()
-        .into_iter()
-        .find(|(name, _)| name == "serve_peer_requests")
-        .map(|(_, v)| v)
-        .unwrap();
-    assert_eq!(peer_reqs, 1, "one peer round trip for two client demands");
+        // The block landed in node 0's pool: a fresh client (the first
+        // holds the block and would not send the key) asks again, and no
+        // node reads.
+        let mut fresh = cluster.client(NodeId(0));
+        fresh.open("second viewer").unwrap();
+        let again = fresh.fetch(vec![remote], vec![]).unwrap();
+        assert_eq!(again.held, 0, "skewed={skewed}: the fresh client asked node 0");
+        assert!(again.blocks[0].result.is_ok());
+        assert_eq!(cluster.reads(NodeId(0)), 1, "skewed={skewed}: a pool hit, not a re-read");
+        assert_eq!(cluster.reads(NodeId(1)), 0, "skewed={skewed}: still no read on the owner");
+    }
 }
 
 #[test]
@@ -294,9 +211,8 @@ fn off_owner_batch_reads_local_storage() {
     assert_eq!(cluster.reads(fallback), 1, "fallback served the key locally");
 
     // The owner answers again before the router probes it, so the next
-    // owner key still goes to the fallback. That batch is hop-capped, so
-    // the fallback reads its own storage instead of forwarding to the
-    // owner it does not know is back.
+    // owner key still goes to the fallback, which reads its own storage:
+    // nodes never forward to the owner.
     cluster.heal(owner);
     let k2 = *keys[1..].iter().find(|&&x| cluster.map().owner(x) == Some(owner)).unwrap();
     assert!(router.fetch(vec![k2], vec![]).blocks[0].result.is_ok());

@@ -1,7 +1,7 @@
 //! Cross-node trace propagation and the flight recorder, end to end on
-//! the deterministic in-process cluster: a client's trace context rides
-//! the wire through owner and peer nodes, coalesced sessions join into
-//! one connected span tree, the router's scrape plane merges per-node
+//! the deterministic in-process cluster: a router frame's trace context
+//! rides the wire to every owner node, coalesced sessions join into one
+//! connected span tree, the router's scrape plane merges per-node
 //! drains into one clock-aligned Perfetto document, and a chaos-injected
 //! crash cuts a reconstructable flight dump with zero demand errors.
 
@@ -10,7 +10,6 @@ use viz_cluster::chaos::run_plan;
 use viz_cluster::{
     read_flight_dump, ChaosAction, ChaosEvent, ChaosPlan, NodeId, ShardStrategy, TestCluster,
 };
-use viz_serve::TraceCtx;
 use viz_telemetry::{collect, json, EventKind};
 use viz_volume::{BlockId, BlockKey};
 
@@ -39,9 +38,9 @@ fn owned_key(cluster: &TestCluster, keys: &[BlockKey], node: NodeId) -> BlockKey
         .expect("some key lands on the node")
 }
 
-/// A wire client's trace context survives the forward chain: asked node
-/// → engine job → peer fetch → owner node, so every event on both nodes
-/// carries the originating request's trace id.
+/// A traced router frame over keys owned by both nodes: the frame's
+/// trace id rides each node's batch, so the serve span and the storage
+/// reads on both nodes carry it.
 #[test]
 fn wire_trace_ctx_attributes_events_on_both_nodes() {
     let _guard = TRACE.lock().unwrap_or_else(|p| p.into_inner());
@@ -50,36 +49,38 @@ fn wire_trace_ctx_attributes_events_on_both_nodes() {
 
     let cluster = TestCluster::new(2, ShardStrategy::Ring);
     let keys = seed(&cluster, 32);
-    let remote = owned_key(&cluster, &keys, NodeId(1));
+    let demand = vec![owned_key(&cluster, &keys, NodeId(0)), owned_key(&cluster, &keys, NodeId(1))];
 
-    const T: u64 = 0xC11E27;
-    let mut client = cluster.client(NodeId(0));
-    client.open("viewer").unwrap();
-    client.set_trace_ctx(TraceCtx { trace: T, span: 1 });
-    let out = client.fetch(vec![remote], vec![]).unwrap();
-    assert!(out.blocks[0].result.is_ok());
-    assert_eq!(cluster.reads(NodeId(1)), 1, "the owner performed the read");
+    let mut router = cluster.router("viewer");
+    let reply = router.fetch(demand, vec![]);
+    assert!(reply.blocks.iter().all(|b| b.result.is_ok()));
+    assert_eq!(reply.rounds, 1);
+    for n in 0..2 {
+        assert_eq!(cluster.reads(NodeId(n)), 1, "node {n} read the key it owns");
+    }
 
     let trace = viz_telemetry::drain();
-    let on_node = |n: u16| trace.events.iter().filter(move |e| e.trace == T && e.node == n);
-    assert!(on_node(1).count() > 0, "traced events on the asked node (node 0)");
-    assert!(on_node(2).count() > 0, "traced events on the peer owner (node 1)");
-    assert!(
-        trace.events.iter().any(|e| e.kind == EventKind::RpcServe && e.trace == T && e.node == 2),
-        "the owner's serve span is attributed to the client's trace"
-    );
-    assert!(
-        trace.events.iter().any(|e| e.kind == EventKind::SourceRead && e.trace == T && e.node == 2),
-        "the storage read on the owner is attributed to the client's trace"
-    );
+    let root = trace
+        .events
+        .iter()
+        .find(|e| e.kind == EventKind::RouterFetch && e.node == 0)
+        .expect("the router recorded its frame span");
+    let t = root.key;
+    assert_eq!(root.trace, t, "the frame span carries the trace id it minted");
+    // Telemetry stamps node `n` as `n + 1`.
+    for tag in [1u16, 2] {
+        let on =
+            |kind| trace.events.iter().any(|e| e.kind == kind && e.trace == t && e.node == tag);
+        assert!(on(EventKind::RpcServe), "node tag {tag}: the serve span is in the frame's trace");
+        assert!(on(EventKind::SourceRead), "node tag {tag}: the read is in the frame's trace");
+    }
     viz_telemetry::set_enabled(false);
 }
 
 /// The propagation acceptance test: one demand key, two sessions with
-/// distinct trace ids, coalesced in the engine and forwarded to the
-/// peer owner — the drained events hold both ids, a `TraceJoin` edge
-/// links them, and together they form ONE connected span tree whose
-/// primary trace spans both nodes.
+/// distinct trace ids on the key's owner, coalesced in its engine — the
+/// drained events hold both ids, a `TraceJoin` edge links them, and
+/// together they form ONE connected span tree.
 #[test]
 fn coalesced_sessions_and_peer_forward_yield_one_connected_span_tree() {
     let _guard = TRACE.lock().unwrap_or_else(|p| p.into_inner());
@@ -88,22 +89,22 @@ fn coalesced_sessions_and_peer_forward_yield_one_connected_span_tree() {
 
     let cluster = TestCluster::new(2, ShardStrategy::Ring);
     let keys = seed(&cluster, 32);
-    let remote = owned_key(&cluster, &keys, NodeId(1));
+    let owned = owned_key(&cluster, &keys, NodeId(1));
 
     const T1: u64 = 0xA11CE;
     const T2: u64 = 0xB0B;
-    let node0 = cluster.node(NodeId(0)).unwrap();
-    let server = node0.server().clone();
+    let node1 = cluster.node(NodeId(1)).unwrap();
+    let server = node1.server().clone();
     let s1 = server.open_session("viewer-a").unwrap();
     let s2 = server.open_session("viewer-b").unwrap();
     // Both submissions queue before the engine runs (exactly the wire
-    // dispatch order under node 0's attribution scope), so the second
-    // session's demand joins the first's queued job.
-    let (sub1, sub2) = viz_telemetry::with_node(1, || {
+    // dispatch order under node 1's attribution scope, tag 2), so the
+    // second session's demand joins the first's queued job.
+    let (sub1, sub2) = viz_telemetry::with_node(2, || {
         let sub1 =
-            viz_telemetry::with_trace(T1, || server.submit(s1, 0, vec![remote], vec![])).unwrap();
+            viz_telemetry::with_trace(T1, || server.submit(s1, 0, vec![owned], vec![])).unwrap();
         let sub2 =
-            viz_telemetry::with_trace(T2, || server.submit(s2, 0, vec![remote], vec![])).unwrap();
+            viz_telemetry::with_trace(T2, || server.submit(s2, 0, vec![owned], vec![])).unwrap();
         server.pump();
         server.engine().run_until_idle();
         (sub1, sub2)
@@ -113,6 +114,7 @@ fn coalesced_sessions_and_peer_forward_yield_one_connected_span_tree() {
     assert!(r1[0].result.is_ok() && r2[0].result.is_ok());
     assert!(server.engine().metrics().cross_tag_coalesced >= 1, "the sessions coalesced");
     assert_eq!(cluster.reads(NodeId(1)), 1, "one storage read on the owner");
+    assert_eq!(cluster.reads(NodeId(0)), 0, "nothing read elsewhere");
 
     let trace = viz_telemetry::drain();
     let ids = collect::trace_ids(&trace.events);
@@ -125,12 +127,13 @@ fn coalesced_sessions_and_peer_forward_yield_one_connected_span_tree() {
         collect::traces_connected(&trace.events, &ids),
         "the two traces form one connected span tree, not islands"
     );
-    // The primary trace's tree spans both nodes: admission + forward on
-    // node 0, serve + read on node 1.
-    assert!(trace.events.iter().any(|e| e.trace == T1 && e.node == 1));
-    assert!(trace.events.iter().any(|e| e.trace == T1 && e.node == 2));
-    // The joining trace is recorded on the coalescing node.
-    assert!(trace.events.iter().any(|e| e.trace == T2 && e.node == 1));
+    // Both traces are recorded on the owner: admission and read under
+    // the primary, the join under the second.
+    assert!(trace
+        .events
+        .iter()
+        .any(|e| e.kind == EventKind::SourceRead && e.trace == T1 && e.node == 2));
+    assert!(trace.events.iter().any(|e| e.trace == T2 && e.node == 2));
     viz_telemetry::set_enabled(false);
 }
 
@@ -180,7 +183,7 @@ fn router_scrape_merges_clock_aligned_perfetto_trace() {
 /// A chaos window fires a flight-recorder trigger and the dump cut at
 /// that moment replays the fault timeline — injection events first,
 /// symptoms after — while the demand invariant holds. Crashes alone
-/// never produce failure events (the membership layer routes around
+/// never produce failure events (the router's heartbeat routes around
 /// them before demand pays), so the trigger here is the SLO burn
 /// tracker catching a slow node the failure detector cannot see, with a
 /// crash window overlapping it on the same timeline.

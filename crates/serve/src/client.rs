@@ -17,8 +17,7 @@
 //! reply into the oldest plan, so pipelined sends and receives stay in
 //! step. The merge fails closed: a reply that does not answer exactly the
 //! asked keys, in order, is [`ClientError::Unexpected`] and leaves the
-//! tier alone. [`ServeClient::peer_fetch`] bypasses the tier, and
-//! [`ServeClient::close`] empties it.
+//! tier alone. [`ServeClient::close`] empties it.
 //!
 //! The blocking calls (`open`, `fetch`, …) suit threaded use against a
 //! [`crate::TcpServer`]. The split `send_*` /
@@ -122,13 +121,9 @@ impl ClientTier {
     }
 }
 
-/// One sent `Fetch`'s demand, slot by slot, waiting for its reply.
-struct Plan {
-    /// Per demand slot: its key, and the tier's payload if it was held.
-    slots: Vec<(BlockKey, Option<Arc<Vec<f32>>>)>,
-    /// Whether the merged reply replaces the tier (`PeerFetch` does not).
-    hold: bool,
-}
+/// One sent `Fetch`'s demand waiting for its reply: per demand slot, its
+/// key and the tier's payload if it was held.
+type Plan = Vec<(BlockKey, Option<Arc<Vec<f32>>>)>;
 
 /// A connected client (see module docs).
 pub struct ServeClient<T: Transport> {
@@ -157,8 +152,8 @@ impl<T: Transport> ServeClient<T> {
         self.session
     }
 
-    /// Set the trace context stamped on subsequent `Fetch` / `Advance` /
-    /// `PeerFetch` frames (the Router mints one per client request).
+    /// Set the trace context stamped on subsequent `Fetch` / `Advance`
+    /// frames (the Router mints one per client request).
     /// Returns the previous context.
     pub fn set_trace_ctx(&mut self, trace: TraceCtx) -> TraceCtx {
         std::mem::replace(&mut self.trace, trace)
@@ -228,9 +223,9 @@ impl<T: Transport> ServeClient<T> {
         }
     }
 
-    /// Membership heartbeat: probe the server's liveness and shard-map
-    /// version. `from` is the caller's node id, or
-    /// [`crate::proto::PING_FROM_CLIENT`] for a plain client probe.
+    /// Liveness probe: ask the server's liveness and shard-map version.
+    /// `from` travels on the wire and the server ignores it; pass
+    /// [`crate::proto::PING_FROM_CLIENT`].
     /// Returns the responder's `(node, map_version)`.
     pub fn ping(&mut self, from: u32, map_version: u64) -> Result<(u32, u64), ClientError> {
         self.ping_timed(from, map_version).map(|(node, ver, _)| (node, ver))
@@ -250,21 +245,6 @@ impl<T: Transport> ServeClient<T> {
             Response::Error { code, message } => Err(ClientError::Server { code, message }),
             _ => Err(ClientError::Unexpected("Pong")),
         }
-    }
-
-    /// Node-to-node demand forward: resolve `demand` on this server as
-    /// the owner. Requires an open (peer) session.
-    pub fn peer_fetch(
-        &mut self,
-        hops: u8,
-        demand: Vec<BlockKey>,
-    ) -> Result<FetchOutcome, ClientError> {
-        let session = self.sid()?;
-        let trace = self.trace;
-        let slots = demand.iter().map(|&k| (k, None)).collect();
-        self.send(&Request::PeerFetch { session, hops, demand, trace })?;
-        self.plans.push_back(Plan { slots, hold: false });
-        self.recv_fetch()
     }
 
     /// Close the open session and empty the client tier.
@@ -294,7 +274,7 @@ impl<T: Transport> ServeClient<T> {
         let slots: Vec<_> = demand.iter().map(|&k| (k, self.tier.get(k))).collect();
         let asked = slots.iter().filter(|(_, held)| held.is_none()).map(|&(k, _)| k).collect();
         self.send(&Request::Fetch { session, generation, demand: asked, prefetch, trace })?;
-        self.plans.push_back(Plan { slots, hold: true });
+        self.plans.push_back(slots);
         Ok(())
     }
 
@@ -371,14 +351,13 @@ impl<T: Transport> ServeClient<T> {
         let Some(plan) = plan else {
             return Ok(FetchOutcome { blocks: replies, shed, downgraded, held: 0 });
         };
-        let asked = plan.slots.iter().filter(|(_, held)| held.is_none()).map(|&(k, _)| k);
+        let asked = plan.iter().filter(|(_, held)| held.is_none()).map(|&(k, _)| k);
         if !replies.iter().map(|r| r.key).eq(asked) {
             return Err(ClientError::Unexpected("a FetchReply answering the asked keys in order"));
         }
         let mut replies = replies.into_iter();
         let mut held = 0;
         let blocks: Vec<BlockReply> = plan
-            .slots
             .into_iter()
             .map(|(key, payload)| match payload {
                 Some(data) => {
@@ -388,9 +367,7 @@ impl<T: Transport> ServeClient<T> {
                 None => replies.next().expect("length checked above"),
             })
             .collect();
-        if plan.hold {
-            self.tier.replace(&blocks);
-        }
+        self.tier.replace(&blocks);
         Ok(FetchOutcome { blocks, shed, downgraded, held })
     }
 

@@ -5,13 +5,14 @@
 //! where `crc` is the CRC-32 of `body` (the same polynomial the block
 //! store frames use, via [`viz_volume::crc32`]). The body opens with the
 //! `b"VSRV"` magic, a `u16` protocol version, and a one-byte message tag,
-//! followed by the tag-specific payload. Requests use tags `0x01..=0x08`,
-//! responses mirror them at `0x81..=0x87`, and `0xFF` is the typed error
-//! reply. The cluster layer rides the same version: `MapGet`/`MapReply`
-//! exchange the opaque CRC-framed shard map, `PeerFetch` is the
-//! node-to-node demand forward (a hop counter bounds forwarding cycles
-//! under shard-map skew), and `Ping`/`Pong` carry membership heartbeats
-//! with piggybacked map versions for anti-entropy.
+//! followed by the tag-specific payload. Requests use tags `0x01..=0x09`,
+//! responses mirror them at `0x81..=0x88`, and `0xFF` is the typed error
+//! reply. Request tag `0x07` is retired (it was a node-to-node forward)
+//! and is never reused: it decodes as [`ProtoError::UnknownTag`]. The
+//! cluster layer rides the same version: `MapGet`/`MapReply` exchange
+//! the opaque CRC-framed shard map, and `Ping`/`Pong` carry a router's
+//! liveness probes with piggybacked map versions, so a router behind
+//! the cluster pulls the newer map.
 //!
 //! Corruption never panics: truncation, a flipped CRC byte, an unknown
 //! tag, and version skew each map to a distinct [`ProtoError`] variant,
@@ -98,7 +99,7 @@ const TAG_FETCH: u8 = 0x03;
 const TAG_ADVANCE: u8 = 0x04;
 const TAG_STATS: u8 = 0x05;
 const TAG_MAP_GET: u8 = 0x06;
-const TAG_PEER_FETCH: u8 = 0x07;
+// 0x07 is retired: never reuse it.
 const TAG_PING: u8 = 0x08;
 const TAG_TELEMETRY_GET: u8 = 0x09;
 const TAG_OPEN_ACK: u8 = 0x81;
@@ -111,8 +112,7 @@ const TAG_PONG: u8 = 0x87;
 const TAG_TELEMETRY_REPLY: u8 = 0x88;
 const TAG_ERROR: u8 = 0xFF;
 
-/// Distributed-trace context carried on `Fetch`/`Advance`/`PeerFetch`
-/// frames: the 64-bit trace id minted by the originating client/Router
+/// Distributed-trace context carried on `Fetch`/`Advance` frames: the 64-bit trace id minted by the originating client/Router
 /// and the parent span id within that trace. All-zero ([`TraceCtx::NONE`])
 /// means "untraced".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -266,30 +266,13 @@ pub enum Request {
     Stats,
     /// Ask for the serving node's current shard map (cluster layer).
     MapGet,
-    /// Node-to-node demand forward: the sender does not own these keys
-    /// and asks their owner to resolve them. Replies with a normal
-    /// [`Response::FetchReply`]. Prefetch never crosses nodes.
-    PeerFetch {
-        /// The sender's peer session on the receiving node.
-        session: u32,
-        /// Forwarding hops already taken; receivers reject further
-        /// forwarding once this reaches the hop cap, bounding cycles
-        /// when two nodes briefly disagree about ownership.
-        hops: u8,
-        /// Demand keys to resolve on the owner.
-        demand: Vec<BlockKey>,
-        /// Trace context of the originating client request, so the
-        /// owner's work lands in the same cross-node trace.
-        trace: TraceCtx,
-    },
-    /// Membership heartbeat: "I am alive, and my shard map is at this
-    /// version." Sessionless, answered with [`Response::Pong`]. Both
-    /// sides use the piggybacked versions for map anti-entropy: whichever
-    /// party is behind pulls the newer map with `MapGet` immediately
-    /// instead of learning about the skew on a failed fetch.
+    /// Liveness probe: "are you there, and is your shard map newer than
+    /// this version?" Sessionless, answered with [`Response::Pong`]. A
+    /// router behind the responder pulls the newer map with `MapGet`
+    /// immediately instead of learning about the skew on a failed fetch.
     Ping {
-        /// Sender's node id, or [`PING_FROM_CLIENT`] for a router/client
-        /// probe that has no node identity.
+        /// [`PING_FROM_CLIENT`] from every sender this build has. The field
+        /// stays on the wire, and receivers ignore it.
         from: u32,
         /// Sender's current shard-map version (0 = none installed).
         map_version: u64,
@@ -311,7 +294,6 @@ impl Request {
             Request::Advance { .. } => TAG_ADVANCE,
             Request::Stats => TAG_STATS,
             Request::MapGet => TAG_MAP_GET,
-            Request::PeerFetch { .. } => TAG_PEER_FETCH,
             Request::Ping { .. } => TAG_PING,
             Request::TelemetryGet => TAG_TELEMETRY_GET,
         }
@@ -321,9 +303,7 @@ impl Request {
     /// untraced tags).
     pub(crate) fn trace_ctx(&self) -> TraceCtx {
         match self {
-            Request::Fetch { trace, .. }
-            | Request::Advance { trace, .. }
-            | Request::PeerFetch { trace, .. } => *trace,
+            Request::Fetch { trace, .. } | Request::Advance { trace, .. } => *trace,
             _ => TraceCtx::NONE,
         }
     }
@@ -471,8 +451,8 @@ pub fn errkind_code(kind: io::ErrorKind) -> u16 {
 }
 
 /// Inverse of [`errkind_code`]: reconstruct the `io::ErrorKind` a remote
-/// [`BlockReply`] failure carried, so a peer-fetching node can classify
-/// the error (transient vs permanent) exactly as if the read were local.
+/// [`BlockReply`] failure carried, so a client can classify the error
+/// (transient vs permanent) exactly as if the read were local.
 pub fn errkind_from_code(code: u16) -> io::ErrorKind {
     match code {
         1 => io::ErrorKind::NotFound,
@@ -752,8 +732,8 @@ fn read_trace(r: &mut Reader<'_>) -> Result<TraceCtx, ProtoError> {
 /// Encode a request.
 ///
 /// # Panics
-/// When [`try_encode_request`] would refuse it (a `Fetch` or `PeerFetch`
-/// with millions of keys, an `Open` name over `u16::MAX` bytes), with the
+/// When [`try_encode_request`] would refuse it (a `Fetch` with millions
+/// of keys, an `Open` name over `u16::MAX` bytes), with the
 /// same message. Senders of caller-sized requests use
 /// [`try_encode_request`].
 pub fn encode_request(req: &Request) -> Vec<u8> {
@@ -809,16 +789,6 @@ fn request_frame(req: &Request) -> Result<Vec<u8>, String> {
         }
         Request::MapGet => {
             b = body_header(TAG_MAP_GET);
-        }
-        Request::PeerFetch { session, hops, demand, trace } => {
-            b = body_header(TAG_PEER_FETCH);
-            put_u32(&mut b, *session);
-            b.push(*hops);
-            put_u32(&mut b, demand.len() as u32);
-            for &k in demand {
-                put_key(&mut b, k);
-            }
-            put_trace(&mut b, *trace);
         }
         Request::Ping { from, map_version } => {
             b = body_header(TAG_PING);
@@ -877,18 +847,6 @@ pub fn decode_request(buf: &[u8]) -> Result<Request, ProtoError> {
         }
         TAG_STATS => Request::Stats,
         TAG_MAP_GET => Request::MapGet,
-        TAG_PEER_FETCH => {
-            let session = r.u32()?;
-            let hops = r.u8()?;
-            let n = r.u32()?;
-            let n = r.count(n, 8)?;
-            let mut demand = Vec::with_capacity(n);
-            for _ in 0..n {
-                demand.push(r.key()?);
-            }
-            let trace = read_trace(&mut r)?;
-            Request::PeerFetch { session, hops, demand, trace }
-        }
         TAG_PING => Request::Ping { from: r.u32()?, map_version: r.u64()? },
         TAG_TELEMETRY_GET => Request::TelemetryGet,
         t => return Err(ProtoError::UnknownTag(t)),
@@ -1199,12 +1157,6 @@ mod tests {
             Request::Advance { session: 7, trace: ctx(0x1111, 0) },
             Request::Stats,
             Request::MapGet,
-            Request::PeerFetch {
-                session: 9,
-                hops: 1,
-                demand: vec![key(3), key(4)],
-                trace: ctx(0x2222, 3),
-            },
             Request::Ping { from: 2, map_version: 13 },
             Request::Ping { from: PING_FROM_CLIENT, map_version: 0 },
             Request::TelemetryGet,
@@ -1289,15 +1241,18 @@ mod tests {
 
     #[test]
     fn trace_context_rides_v2_frames() {
-        let req = Request::PeerFetch {
+        let fetch = Request::Fetch {
             session: 4,
-            hops: 0,
+            generation: 0,
             demand: vec![key(1)],
+            prefetch: vec![(key(2), 0.5)],
             trace: ctx(0xD00D, 42),
         };
-        match decode_request(&encode_request(&req)).unwrap() {
-            Request::PeerFetch { trace, .. } => assert_eq!(trace, ctx(0xD00D, 42)),
-            other => panic!("wrong variant {other:?}"),
+        let advance = Request::Advance { session: 4, trace: ctx(0xD00D, 43) };
+        for req in [fetch, advance] {
+            let got = decode_request(&encode_request(&req)).unwrap();
+            assert_eq!(got.trace_ctx(), req.trace_ctx());
+            assert_eq!(got, req);
         }
     }
 
@@ -1467,7 +1422,13 @@ mod tests {
     fn oversize_request_is_refused_not_framed() {
         // 8 bytes a key on the wire: one key past what the limit holds.
         let demand = vec![key(1); MAX_FRAME_BYTES / 8];
-        let req = Request::PeerFetch { session: 1, hops: 0, demand, trace: TraceCtx::NONE };
+        let req = Request::Fetch {
+            session: 1,
+            generation: 0,
+            demand,
+            prefetch: Vec::new(),
+            trace: TraceCtx::NONE,
+        };
         let err = try_encode_request(&req).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         assert!(err.to_string().contains(&MAX_FRAME_BYTES.to_string()), "{err}");
@@ -1565,6 +1526,10 @@ mod tests {
         };
         assert_eq!(with(&|b| b[0] = b'X'), ProtoError::BadMagic(*b"XSRV"));
         assert_eq!(with(&|b| b[6] = 0x7E), ProtoError::UnknownTag(0x7E));
+        // Request tag 0x07 is retired, never reused.
+        let mut retired = encode_request(&sample_requests()[2])[8..].to_vec();
+        retired[6] = 0x07;
+        assert_eq!(decode_request(&framed(&retired)).unwrap_err(), ProtoError::UnknownTag(0x07));
         assert_eq!(with(&|b| b.push(0)), ProtoError::Malformed("trailing bytes after payload"));
         // Body layout: 7 prefix, session/shed/downgraded, then the block
         // count at 19, the first block's status at 31 and length at 32.

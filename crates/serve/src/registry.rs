@@ -28,11 +28,6 @@ pub(crate) struct Session {
     /// untouched by serving (one client stepping must not cancel
     /// another's speculation).
     pub generation: u64,
-    /// `true` when the client is another cluster node (name opens with
-    /// `peer/`): its traffic is demand-only forwarding, counted
-    /// separately in the stats so operators can split local load from
-    /// cluster overflow.
-    pub is_peer: bool,
     pub demand_submitted: u64,
     pub prefetch_submitted: u64,
     pub prefetch_shed: u64,
@@ -49,8 +44,6 @@ pub struct SessionView {
     pub name: String,
     /// Current frame generation.
     pub generation: u64,
-    /// `true` when the session belongs to a peer cluster node.
-    pub is_peer: bool,
     /// Demand keys this session has submitted.
     pub demand_submitted: u64,
     /// Prefetch keys this session has submitted.
@@ -82,7 +75,6 @@ impl Registry {
             Session {
                 name: name.to_string(),
                 generation: 0,
-                is_peer: name.starts_with("peer/"),
                 demand_submitted: 0,
                 prefetch_submitted: 0,
                 prefetch_shed: 0,
@@ -123,7 +115,6 @@ impl Registry {
                 id: SessionId(id),
                 name: s.name.clone(),
                 generation: s.generation,
-                is_peer: s.is_peer,
                 demand_submitted: s.demand_submitted,
                 prefetch_submitted: s.prefetch_submitted,
                 prefetch_shed: s.prefetch_shed,
@@ -163,17 +154,5 @@ mod tests {
         let v = &r.views()[0];
         assert_eq!((v.id, v.generation, v.demand_submitted), (id, 3, 5));
         assert_eq!(v.name, "viewer");
-    }
-
-    #[test]
-    fn peer_sessions_are_tagged_by_name_prefix() {
-        let mut r = Registry::new();
-        let peer = r.open("peer/node-3");
-        let local = r.open("viewer");
-        assert!(r.get_mut(peer).unwrap().is_peer);
-        assert!(!r.get_mut(local).unwrap().is_peer);
-        let views = r.views();
-        assert!(views[0].is_peer);
-        assert!(!views[1].is_peer);
     }
 }

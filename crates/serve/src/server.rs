@@ -179,8 +179,6 @@ struct ServeStats {
     /// Served payloads the wire encoder has to checksum itself (no longer
     /// resident, or replaced, by the time the reply is built).
     crc_computed: Counter,
-    peer_requests: Counter,
-    peer_demand_keys: Counter,
     // Per-reason shed breakdown: whoever tunes the `ServeConfig` ladder
     // needs to know *why* prefetch is being refused (an entry-quota shed
     // wants a bigger quota; a breaker shed wants nothing at all).
@@ -208,8 +206,6 @@ impl ServeStats {
             bytes_served: Counter::new("serve_bytes_served"),
             crc_cached: Counter::new("serve_crc_cached"),
             crc_computed: Counter::new("serve_crc_computed"),
-            peer_requests: Counter::new("serve_peer_requests"),
-            peer_demand_keys: Counter::new("serve_peer_demand_keys"),
             shed_draining: Counter::new("serve_shed_draining"),
             shed_stale_gen: Counter::new("serve_shed_stale_gen"),
             shed_entry_quota: Counter::new("serve_shed_entry_quota"),
@@ -245,8 +241,6 @@ impl ServeStats {
             &self.bytes_served,
             &self.crc_cached,
             &self.crc_computed,
-            &self.peer_requests,
-            &self.peer_demand_keys,
             &self.shed_draining,
             &self.shed_stale_gen,
             &self.shed_entry_quota,
@@ -676,15 +670,6 @@ impl Server {
         }
     }
 
-    /// Count a peer-forward answered from local storage without engine
-    /// submission (the cluster node's skew/hop-cap path); keeps the
-    /// `serve_peer_*` wire counters honest when requests bypass
-    /// [`handle_request`].
-    pub fn record_peer_direct(&self, keys: u64) {
-        self.stats.peer_requests.inc();
-        self.stats.peer_demand_keys.add(keys);
-    }
-
     fn record_served(&self, id: SessionId, served: u64, errors: u64, bytes: u64, crc_cached: u64) {
         self.stats.demand_served.add(served);
         self.stats.demand_errors.add(errors);
@@ -968,27 +953,10 @@ fn handle_request_inner(server: &Server, req: Request) -> Outcome {
             code: proto::ERR_NO_MAP,
             message: "no shard map installed".to_string(),
         }),
-        // A peer forward on a plain server resolves like a demand-only
-        // fetch: every key reads locally (shared storage), no further
-        // forwarding. Generation 0 is fine — the stale check only
-        // guards prefetch and a peer forward carries none.
-        Request::PeerFetch { session, hops: _, demand, trace } => {
-            let t0 = viz_telemetry::start();
-            server.stats.peer_requests.inc();
-            server.stats.peer_demand_keys.add(demand.len() as u64);
-            match server.submit(SessionId(session), 0, demand, Vec::new()) {
-                Ok(sub) => {
-                    Outcome::Fetch(PendingFetch { session, sub, t0, tag, trace: trace.trace })
-                }
-                Err(e) => {
-                    Outcome::Ready(Response::Error { code: e.code(), message: e.to_string() })
-                }
-            }
-        }
         // A plain server has no node identity or shard map; it still
-        // answers the heartbeat (liveness is liveness) with the sentinel
-        // id and version 0. The cluster dispatcher intercepts this tag to
-        // fill in real values and feed its failure detector.
+        // answers the probe (liveness is liveness) with the sentinel id
+        // and version 0. The cluster dispatcher intercepts this tag to
+        // fill in its real id and map version.
         Request::Ping { .. } => Outcome::Ready(Response::Pong {
             node: proto::PING_FROM_CLIENT,
             map_version: 0,
@@ -1004,7 +972,7 @@ fn handle_request_inner(server: &Server, req: Request) -> Outcome {
 
 /// Per-node request interceptor: lets a layer above the server (the
 /// cluster node) claim protocol tags the plain server cannot answer —
-/// `MapGet`, `PeerFetch`, ownership-partitioned `Fetch` — while passing
+/// `MapGet`, and `Ping`/`TelemetryGet` with a node identity — while passing
 /// everything else to [`handle_request`]. One dispatcher is shared by
 /// every connection of a front end, so implementations hold their own
 /// state behind `Arc`s.

@@ -172,9 +172,9 @@ pub fn trace_ids(events: &[TraceEvent]) -> Vec<u64> {
 /// Whether the given trace ids form one connected component when events
 /// are linked by (a) sharing a subject `key` and (b) `TraceJoin` edges
 /// (whose `arg` names the primary trace the event's own trace merged
-/// into). This is the acceptance check for cross-node propagation: a
-/// request that coalesced and forwarded must yield a single connected
-/// span tree, not islands.
+/// into). This is the acceptance check for trace propagation: requests
+/// that coalesced onto one read must yield a single connected span
+/// tree, not islands.
 pub fn traces_connected(events: &[TraceEvent], ids: &[u64]) -> bool {
     if ids.len() <= 1 {
         return true;
@@ -248,7 +248,7 @@ mod tests {
             },
             NodeDrain {
                 node: 1,
-                events: vec![ev(EventKind::PeerFetch, 500, 0xA, 7, 2)],
+                events: vec![ev(EventKind::RpcServe, 500, 0xA, 7, 2)],
                 dropped: 0,
                 clock_offset_ns: 2_000,
                 ..NodeDrain::default()
@@ -310,7 +310,7 @@ mod tests {
             ev(EventKind::FetchAdmitDemand, 1, 0xA, 1, 1),
             ev(EventKind::TraceJoin, 2, 0xA, 2, 1),
             ev(EventKind::SourceRead, 3, 0xB, 1, 1),
-            ev(EventKind::PeerFetch, 4, 0xB, 3, 2),
+            ev(EventKind::RpcServe, 4, 0xB, 3, 2),
         ];
         events[1].arg = 1; // join primary = trace 1
         assert_eq!(trace_ids(&events), vec![1, 2, 3]);

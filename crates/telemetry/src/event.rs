@@ -97,29 +97,26 @@ pub enum EventKind {
     /// One `viz_serve::InProcServer::tick`, run to quiescence (span;
     /// `key` = tick count, `arg` = `work_units << 32 | open connections`).
     InProcTick,
-    /// One peer-node block fetch round trip over VSRV (span; `key` = peer
-    /// node id, `arg` = `keys << 1 | success`).
+    /// Not emitted any more; kept so later kinds keep their codes.
+    /// Was: one node-to-node block fetch round trip (span).
     PeerFetch,
-    /// A peer fetch failed after retries and the read fell back to the
-    /// local shared-storage path (instant; `key` = peer node id, `arg` =
-    /// error-kind code).
+    /// Not emitted any more; kept so later kinds keep their codes.
+    /// Was: a node-to-node fetch fell back to a local read (instant).
     PeerFallback,
     /// A node or router installed a newer shard map (instant; `key` =
     /// node id, `arg` = new map version).
     MapUpdate,
-    /// A membership heartbeat (`Ping`) went out to a peer (instant;
-    /// `key` = peer node id, `arg` = the sender's map version).
+    /// Not emitted any more; kept so later kinds keep their codes.
+    /// Was: a node sent a membership heartbeat to a peer (instant).
     HeartbeatSent,
-    /// Failure detection marked a peer suspect — missed heartbeat
-    /// deadline or a hard transport failure (instant; `key` = suspected
-    /// node id, `arg` = 1 for a hard failure, 0 for a deadline lapse).
+    /// Not emitted any more; kept so later kinds keep their codes.
+    /// Was: a node's failure detector suspected a peer (instant).
     SuspectNode,
-    /// A suspected or down node answered a probe and was re-admitted to
-    /// routing (instant; `key` = recovered node id).
+    /// A node a router had marked down answered a probe and was
+    /// re-admitted to routing (instant; `key` = recovered node id).
     NodeRecovered,
-    /// A demand read hedged to a second replica after the primary passed
-    /// the latency threshold (instant; `key` = primary node id, `arg` =
-    /// 1 when the hedge result was used, 0 when the primary still won).
+    /// Not emitted any more; kept so later kinds keep their codes.
+    /// Was: a node hedged a slow peer read with a local one (instant).
     HedgedRead,
     /// One router-side fetch round — mint trace id, answer held keys
     /// from the client tier, fan the rest out to owners, collect replies
@@ -344,7 +341,10 @@ mod tests {
     #[test]
     fn labels_are_unique_and_snake_case() {
         let mut seen = HashSet::new();
-        for k in EventKind::ALL {
+        for (i, k) in EventKind::ALL.into_iter().enumerate() {
+            // Dumps and telemetry replies carry `kind as u8`: a kind's
+            // code is its position, and no kind may move.
+            assert_eq!(k as usize, i, "{k:?} is out of declaration order");
             let l = k.label();
             assert!(seen.insert(l), "duplicate label {l}");
             assert!(
@@ -353,6 +353,8 @@ mod tests {
             );
         }
         assert_eq!(seen.len(), KIND_COUNT);
+        assert_eq!(EventKind::RouterFetch as u8, 39);
+        assert_eq!(EventKind::FaultInjected as u8, 43);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Serving one dataset from four machines: a sharded cluster where every
 //! block has exactly one owner, a client-side router that answers what
 //! its last frame carried itself and sends each other demand straight
-//! to its owner, and peer forwarding over VSRV for
-//! requests that arrive at the wrong node. Then a node crashes
+//! to its owner, and nodes that serve whatever they are asked from
+//! their own storage, never forwarding. Then a node crashes
 //! mid-flight and the demand keeps flowing — the map reassigns the
 //! orphaned shards to the ring successors the router was already using
 //! as fallbacks.

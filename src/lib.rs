@@ -15,8 +15,8 @@
 //!   protocol, session registry, deficit-round-robin fairness, load
 //!   shedding, cross-session request coalescing.
 //! - [`cluster`] — sharded multi-node serving: consistent-hash shard
-//!   map, node-to-node peer fetch over the same wire protocol, and a
-//!   client-side owner router.
+//!   map, nodes that serve from their own storage, and a client-side
+//!   owner router, the one routing layer.
 //! - [`telemetry`] — zero-dependency tracing: per-thread event rings,
 //!   log-bucketed histograms, Chrome-trace / Prometheus / summary
 //!   exporters.
