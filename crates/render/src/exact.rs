@@ -6,8 +6,10 @@
 //! `addss`, `subss`, `maxss` and the `f32`↔`f64` conversions do not. The
 //! benchmark's `lifted_rr` field is more than half subnormal voxels, so the
 //! transfer function's divisions and lerp and the compositing products of
-//! the ray march ([`crate::tf`], [`crate::raycast`]) go through [`mul`] and
-//! [`div`].
+//! the packet ray march ([`crate::tf`], [`crate::raycast`]) go through
+//! [`mul_lanes`] and [`div_lanes`], which do the operation in each of the
+//! four lanes ([`crate::lanes`]); [`mul`] is the product of one pair, for
+//! `Rgba::lerp`.
 //!
 //! Each forms the exact operation in `f64` and rounds once to `f32`. An
 //! `f32 × f32` product is exact in `f64`, and an `f64` quotient of two
@@ -22,11 +24,16 @@
 //! or a transfer function run end to end in `f64` would each change image
 //! bits.
 //!
-//! One operand passes through [`opaque`], an optimisation barrier that
-//! emits no instruction: LLVM narrows `((a as f64) * (b as f64)) as f32`
-//! straight back to `mulss` (and `/` to `divss`), since the result has the
-//! same bits, which would bring the assist back. `std::hint::black_box`
-//! blocks the narrowing too, but spills its operand to the stack.
+//! One operand passes through an optimisation barrier that emits no
+//! instruction: LLVM narrows `((a as f64) * (b as f64)) as f32` straight
+//! back to `mulss` (and `/` to `divss`), and the four-lane form to
+//! `mulps`/`divps`, since the result has the same bits, which would bring
+//! the assist back. [`opaque`] hides one widened operand; [`opaque_lanes`]
+//! hides all four at once, in the two `xmm` registers that hold them, so the
+//! packed `f64` operation stays packed. `std::hint::black_box` blocks the
+//! narrowing too, but spills its operand to the stack.
+
+use crate::lanes::{map, zip, F32s, F64s};
 
 /// `a * b`, bit for bit, without reaching `mulss`.
 #[inline]
@@ -34,10 +41,46 @@ pub(crate) fn mul(a: f32, b: f32) -> f32 {
     (opaque(f64::from(a)) * f64::from(b)) as f32
 }
 
-/// `a / b`, bit for bit, without reaching `divss`.
-#[inline]
-pub(crate) fn div(a: f32, b: f32) -> f32 {
-    (opaque(f64::from(a)) / f64::from(b)) as f32
+/// `a * b` in every lane, bit for bit, without reaching `mulps`.
+#[inline(always)]
+pub(crate) fn mul_lanes(a: F32s, b: F32s) -> F32s {
+    zip(opaque_lanes(map(a, f64::from)), b, |a, b| (a * f64::from(b)) as f32)
+}
+
+/// `a / b` in every lane, bit for bit, without reaching `divps`.
+#[inline(always)]
+pub(crate) fn div_lanes(a: F32s, b: F32s) -> F32s {
+    zip(opaque_lanes(map(a, f64::from)), b, |a, b| (a / f64::from(b)) as f32)
+}
+
+/// `x`, unknown to the optimiser: [`opaque`] for four lanes, passed through
+/// one empty `asm!` template as two packed pairs.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn opaque_lanes(x: F64s) -> F64s {
+    use std::arch::x86_64::__m128d;
+    // SAFETY: `[f64; 4]` and `[__m128d; 2]` are both 32 bytes of `f64`s in
+    // lane order with no padding, and every bit pattern is valid for both.
+    let [mut lo, mut hi] = unsafe { std::mem::transmute::<F64s, [__m128d; 2]>(x) };
+    // SAFETY: as in `opaque`: the template is a comment, so no instruction
+    // is emitted, and it touches no memory, stack or flags.
+    unsafe {
+        std::arch::asm!(
+            "/* {0} {1} */",
+            inout(xmm_reg) lo,
+            inout(xmm_reg) hi,
+            options(pure, nomem, nostack, preserves_flags)
+        );
+    }
+    // SAFETY: the same layout argument, back.
+    unsafe { std::mem::transmute::<[__m128d; 2], F64s>([lo, hi]) }
+}
+
+/// `x`, as [`opaque`] is elsewhere.
+#[cfg(not(target_arch = "x86_64"))]
+#[inline(always)]
+fn opaque_lanes(x: F64s) -> F64s {
+    x
 }
 
 /// `x`, unknown to the optimiser: an empty `asm!` template that claims to
@@ -66,8 +109,17 @@ fn opaque(x: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lanes::LANES;
     use crate::tf::{Rgba, TransferFunction};
     use viz_geom::par;
+
+    /// `a / b` through [`div_lanes`], the one division the march makes,
+    /// with `a` and `b` in every lane; the lanes must agree.
+    fn div(a: f32, b: f32) -> f32 {
+        let q = div_lanes([a; LANES], [b; LANES]);
+        assert_eq!(map(q, f32::to_bits), [q[0].to_bits(); LANES], "{a:e} / {b:e}");
+        q[0]
+    }
 
     /// Normal, subnormal and special values every helper is swept against.
     const EDGES: [f32; 11] = [
@@ -211,6 +263,58 @@ mod tests {
             }
         }
         assert!(under * 2 > tiny.len() * tiny.len(), "only {under} underflows");
+    }
+
+    /// Every lane of [`mul_lanes`] and [`div_lanes`] returns the native
+    /// operator's bits, on the subnormal and special edge values.
+    #[test]
+    fn lane_helpers_match_native() {
+        let (factors, divisors) = co_operands();
+        let mut values: Vec<f32> = EDGES.to_vec();
+        values.extend((0..40).map(|i| f32::from_bits(1 + i * 209_715)));
+        for a in values.chunks_exact(LANES) {
+            let a = [a[0], a[1], a[2], a[3]];
+            for &c in &factors {
+                let want = map(a, |a| (a * c).to_bits());
+                assert_eq!(map(mul_lanes(a, [c; LANES]), f32::to_bits), want, "{a:?} * {c:e}");
+            }
+            for &c in &divisors {
+                let want = map(a, |a| (a / c).to_bits());
+                assert_eq!(map(div_lanes(a, [c; LANES]), f32::to_bits), want, "{a:?} / {c:e}");
+            }
+        }
+    }
+
+    /// In an optimised build the lane helpers stay on the `f64` path: had
+    /// the compiler narrowed them to `mulps`/`divps`, the same bits would
+    /// come back, but a subnormal operand would take x86's microcode assist
+    /// and run tens of times slower than a normal one. So this times both
+    /// and bounds the ratio (a CPU without the assist passes either way).
+    /// The two alternate, each pass ~1 ms long, so that load from other
+    /// processes falls on both alike, and each side keeps its fastest pass.
+    /// An unoptimised build narrows nothing, so it runs in release only.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "timing: only an optimised build narrows")]
+    fn lane_helpers_take_no_subnormal_assist() {
+        use std::hint::black_box;
+        use std::time::Instant;
+
+        let pass = |a: F32s| {
+            let start = Instant::now();
+            let mut acc = [0.0f32; LANES];
+            for _ in 0..200_000 {
+                let a = black_box(a);
+                let (p, q) = (mul_lanes(a, [0.7; LANES]), div_lanes(a, [1.3; LANES]));
+                acc = black_box(zip(zip(acc, p, |s, p| s + p), q, |s, q| s + q));
+            }
+            start.elapsed().as_secs_f64()
+        };
+        let (mut subnormal, mut normal) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..11 {
+            subnormal = subnormal.min(pass([1e-40, -3e-41, 7e-39, 2e-45]));
+            normal = normal.min(pass([1.5, -2.0, 0.3, 9.0]));
+        }
+        assert!(subnormal < 4.0 * normal, "subnormal lanes {subnormal:e} s, normal {normal:e} s");
     }
 
     #[test]

@@ -36,6 +36,7 @@ mod bricked;
 mod culling;
 mod exact;
 mod image;
+mod lanes;
 mod metrics;
 mod raycast;
 mod tf;

@@ -7,42 +7,71 @@
 //! blocks the cache holds (missing blocks contribute nothing, exactly like
 //! an out-of-core renderer skipping unloaded bricks).
 //!
-//! Samples along one ray are spatially coherent, so a source may keep
-//! per-ray state: `trace` makes one [`SampleSource::Cursor`] per ray and
-//! hands it to every sample of that ray. The bricked source remembers the
-//! brick the ray is in there and pays for a brick when the ray enters it,
-//! not at every sample (see [`crate::bricked`]). Sample positions do not
-//! depend on the source: `t0 + step/2`, then `t += step`.
+//! A row is marched four rays at a time: the rays of pixels `4k … 4k + 3`
+//! step in lock-step, one lane each ([`crate::lanes`]), until every lane has
+//! left the volume or turned opaque. A lane whose pixel lies past the row's
+//! end, whose ray misses the volume, or whose ray has ended is masked: it
+//! takes no sample and asks the source for nothing. Samples along one ray
+//! are spatially coherent, so a source may keep per-ray state: the packet
+//! carries a [`SampleSource::Cursor`] from one step to the next, one part
+//! per lane. The bricked source remembers the brick each ray is in there
+//! and pays for a brick when the ray enters it, not at every sample (see
+//! [`crate::bricked`]). Sample positions do not depend on the source or on
+//! the other lanes: `t0 + step/2`, then `t += step`.
 //!
 //! # Arithmetic per sample
 //!
+//! Each lane runs exactly the operations a lone ray would, in the same
+//! order, so a pixel's bits do not depend on its neighbours in the packet:
+//! the ray position `o + d·t`, `world_to_voxel`'s division and offset, the
+//! sampler's clamp, truncation, fractions and seven lerps, the transfer
+//! function's quotients and lerp, and compositing all run across the four
+//! lanes as packed operations, with plain separate multiplies and adds (the
+//! compiler contracts none into a fused multiply-add). What stays per lane
+//! is what depends on the lane's own data: the reads of its cell, a brick
+//! change, and the transfer function's segment.
+//!
 //! Compositing's products — `w = a·(1 − α)` and `color += c·w` — go through
-//! the crate's exact multiply (`exact.rs`), as do the transfer
-//! function's divisions and lerp. A subnormal sample (43 % of a benchmark
-//! frame's samples) yields subnormal opacities and weights, and every
-//! native `mulss` on one costs a ~60 ns x86 microcode assist. The helper
+//! the crate's exact multiply (`exact.rs`), as do the transfer function's
+//! divisions and lerp. A subnormal sample (43 % of a benchmark frame's
+//! samples) yields subnormal opacities and weights, and every native
+//! `mulss`/`mulps` on one costs a ~60 ns x86 microcode assist. The helper
 //! computes every product exactly in `f64` and rounds once, with no branch
 //! on its operands, so it returns the native operator's bits and images are
 //! unchanged to the bit. Sums, differences, `max` and the `f64` sampling
 //! arithmetic take no assist and stay native, as does the per-ray blend
 //! over the background.
 
-use crate::exact::mul;
+use crate::exact::mul_lanes;
 use crate::image::Image;
+use crate::lanes::{any, map, select, zip, F32s, F64s, Mask, LANES};
 use crate::tf::{Rgba, TransferFunction};
 use viz_geom::{par, CameraPose, Ray, RayGenerator, Vec3};
 use viz_volume::{BrickLayout, VolumeField};
 
 /// Source of scalar samples in *voxel* coordinates.
 pub trait SampleSource: Sync {
-    /// Per-ray state carried from one sample to the next. The renderer
-    /// starts every ray with `Cursor::default()`; the value of a sample
-    /// never depends on the cursor, only its cost does.
-    type Cursor: Default;
+    /// Per-packet state carried from one step of the four rays to the
+    /// next, one part per lane, which may borrow from the source. The
+    /// renderer starts every packet with `Cursor::default()`; the value of a
+    /// sample never depends on the cursor, only its cost does.
+    type Cursor<'s>: Default
+    where
+        Self: 's;
 
-    /// Trilinear sample at fractional voxel coordinates, `None` when the
-    /// containing block is not resident.
-    fn sample(&self, cursor: &mut Self::Cursor, x: f64, y: f64, z: f64) -> Option<f32>;
+    /// Trilinear samples at four fractional voxel positions, one per lane
+    /// (`x[i], y[i], z[i]`), for the lanes set in `live`. Returns the
+    /// samples and the lanes that have one: a live lane whose containing
+    /// block is not resident has none. A lane outside `live` is not sampled
+    /// and leaves the source and its part of the cursor alone.
+    fn sample_lanes<'s>(
+        &'s self,
+        cursor: &mut Self::Cursor<'s>,
+        x: [f64; 4],
+        y: [f64; 4],
+        z: [f64; 4],
+        live: [bool; 4],
+    ) -> ([f32; 4], [bool; 4]);
 
     /// The brick layout (for bounds and coordinate transforms).
     fn layout(&self) -> &BrickLayout;
@@ -63,10 +92,24 @@ impl<'a> FieldSource<'a> {
 }
 
 impl SampleSource for FieldSource<'_> {
-    type Cursor = ();
+    type Cursor<'s>
+        = ()
+    where
+        Self: 's;
 
-    fn sample(&self, _cursor: &mut (), x: f64, y: f64, z: f64) -> Option<f32> {
-        Some(self.field.sample_trilinear(x, y, z))
+    fn sample_lanes(
+        &self,
+        _cursor: &mut (),
+        x: F64s,
+        y: F64s,
+        z: F64s,
+        live: Mask,
+    ) -> (F32s, Mask) {
+        let mut out = [0.0; LANES];
+        for i in (0..LANES).filter(|&i| live[i]) {
+            out[i] = self.field.sample_trilinear(x[i], y[i], z[i]);
+        }
+        (out, live)
     }
 
     fn layout(&self) -> &BrickLayout {
@@ -142,9 +185,8 @@ pub fn render<S: SampleSource>(
     let pass_t0 = viz_telemetry::start();
     let gen = RayGenerator::new(pose, config.width, config.height);
     let mut img = Image::new(config.width, config.height);
-    let bounds = source.layout().world_bounds();
     par::for_each(img.rows_mut().enumerate(), |(py, row)| {
-        render_row(source, &gen, tf, config, &bounds, py, row)
+        render_row(source, &gen, tf, config, py, row)
     });
     viz_telemetry::span(
         viz_telemetry::EventKind::RenderPass,
@@ -155,83 +197,152 @@ pub fn render<S: SampleSource>(
     img
 }
 
-/// One image row: a pixel depends only on its own ray, so rows can be
-/// rendered in any order, on any thread, to the same bits.
+/// One image row, four pixels at a time: a pixel depends only on its own
+/// ray, so rows can be rendered in any order, on any thread, to the same
+/// bits.
 fn render_row<S: SampleSource>(
     source: &S,
     gen: &RayGenerator,
     tf: &TransferFunction,
     config: &RenderConfig,
-    bounds: &viz_geom::Aabb,
     py: usize,
     row: &mut [[f32; 3]],
 ) {
-    for (px, out) in row.iter_mut().enumerate() {
-        let c = trace(source, &gen.ray(px, py), tf, config, bounds);
-        *out = [c.r, c.g, c.b];
+    let march = March::new(source, tf, config);
+    for (k, out) in row.chunks_mut(LANES).enumerate() {
+        // Lanes past the row's end repeat its last ray and stay masked.
+        let rays = map([0, 1, 2, 3], |i| gen.ray(k * LANES + i.min(out.len() - 1), py));
+        let pixels = march.trace(&rays, out.len());
+        for (out, c) in out.iter_mut().zip(pixels) {
+            *out = [c.r, c.g, c.b];
+        }
     }
 }
 
 /// Monotone pass counter: the telemetry span key for [`render`].
 static RENDER_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
-fn trace<S: SampleSource>(
-    source: &S,
-    ray: &Ray,
-    tf: &TransferFunction,
-    config: &RenderConfig,
-    bounds: &viz_geom::Aabb,
-) -> Rgba {
-    let Some((t0, t1)) = ray.intersect_aabb(bounds) else {
-        return config.background;
-    };
-    let layout = source.layout();
-    let mut cursor = S::Cursor::default();
-    if config.mode == RenderMode::Mip {
-        // Maximum-intensity projection: scan for the largest sample.
-        let mut best: Option<f32> = None;
-        let mut t = t0 + config.step * 0.5;
-        while t < t1 {
-            let p = ray.at(t);
-            let v = layout.world_to_voxel(p);
-            if let Some(s) = source.sample(&mut cursor, v.x, v.y, v.z) {
-                best = Some(best.map_or(s, |b| b.max(s)));
-            }
-            t += config.step;
+/// One frame's ray march: what every packet of the frame shares.
+struct March<'a, S> {
+    source: &'a S,
+    tf: &'a TransferFunction,
+    config: &'a RenderConfig,
+    bounds: viz_geom::Aabb,
+    /// `world_to_voxel(p)` is `p / scale + half`.
+    scale: f64,
+    half: Vec3,
+}
+
+impl<'a, S: SampleSource> March<'a, S> {
+    fn new(source: &'a S, tf: &'a TransferFunction, config: &'a RenderConfig) -> Self {
+        let layout = source.layout();
+        // `world_to_voxel` of the origin is `0 / scale + half`: `half`.
+        let half = layout.world_to_voxel(Vec3::ZERO);
+        March {
+            source,
+            tf,
+            config,
+            bounds: layout.world_bounds(),
+            scale: layout.world_scale(),
+            half,
         }
-        return match best {
-            Some(s) => {
-                let c = tf.sample(s);
+    }
+
+    /// `world_to_voxel(ray.at(t))` along one axis, for the lanes' origins
+    /// `o` and directions `d` and the axis's offset `half`.
+    #[inline(always)]
+    fn voxel(&self, (o, d, half): (F64s, F64s, f64), t: F64s) -> F64s {
+        let p = zip(o, zip(d, t, |d, t| d * t), |o, dt| o + dt);
+        map(p, |p| p / self.scale + half)
+    }
+
+    /// The samples at `t` along the rays of `packet` (origin, direction and
+    /// `world_to_voxel`'s offset, per axis), in the lanes set in `live`:
+    /// `world_to_voxel(ray.at(t))`, lane by lane, then the source.
+    #[inline(always)]
+    fn sample<'s>(
+        &'s self,
+        cursor: &mut S::Cursor<'s>,
+        packet: [(F64s, F64s, f64); 3],
+        t: F64s,
+        live: Mask,
+    ) -> (F32s, Mask) {
+        let [x, y, z] = packet;
+        let (x, y, z) = (self.voxel(x, t), self.voxel(y, t), self.voxel(z, t));
+        self.source.sample_lanes(cursor, x, y, z, live)
+    }
+
+    /// The pixels of the first `n` of four rays, marched in lock-step.
+    #[inline(always)]
+    fn trace(&self, rays: &[Ray; LANES], n: usize) -> [Rgba; LANES] {
+        let config = self.config;
+        let hits =
+            map([0, 1, 2, 3], |i| if i < n { rays[i].intersect_aabb(&self.bounds) } else { None });
+        // A lane that misses never satisfies `t < t1`.
+        let mut t = map(hits, |h| h.map_or(0.0, |(t0, _)| t0 + config.step * 0.5));
+        let t1 = map(hits, |h| h.map_or(f64::NEG_INFINITY, |(_, t1)| t1));
+        let origin = map(*rays, |r| r.origin);
+        let direction = map(*rays, |r| r.direction);
+        let packet = [
+            (map(origin, |o| o.x), map(direction, |d| d.x), self.half.x),
+            (map(origin, |o| o.y), map(direction, |d| d.y), self.half.y),
+            (map(origin, |o| o.z), map(direction, |d| d.z), self.half.z),
+        ];
+        let mut cursor = S::Cursor::default();
+        let hit = map(hits, |h| h.is_some());
+        if config.mode == RenderMode::Mip {
+            // Maximum-intensity projection: scan for the largest sample.
+            let (mut best, mut seen) = ([0.0f32; LANES], [false; LANES]);
+            loop {
+                let live = zip(t, t1, |t, t1| t < t1);
+                if !any(live) {
+                    break;
+                }
+                let (s, got) = self.sample(&mut cursor, packet, t, live);
+                let max = zip(best, s, |b, s| b.max(s));
+                best = select(got, select(seen, max, s), best);
+                seen = zip(seen, got, |a, b| a | b);
+                t = map(t, |t| t + config.step);
+            }
+            let [r, g, b, _] = self.tf.sample_lanes(best);
+            return map([0, 1, 2, 3], |i| {
                 // MIP pixels are opaque where any data was seen.
-                Rgba::new(c.r, c.g, c.b, 1.0)
-            }
-            None => config.background,
-        };
-    }
-    let mut color = [0.0f32; 3];
-    let mut alpha = 0.0f32;
-    // Opacity correction reference: the TF is calibrated for this step.
-    let mut t = t0 + config.step * 0.5;
-    while t < t1 && alpha < EARLY_TERMINATION {
-        let p = ray.at(t);
-        let v = layout.world_to_voxel(p);
-        if let Some(s) = source.sample(&mut cursor, v.x, v.y, v.z) {
-            let c = tf.sample(s);
-            if c.a > 0.0 {
-                // Front-to-back "over" compositing with premultiplied alpha.
-                let w = mul(c.a, 1.0 - alpha);
-                color[0] += mul(c.r, w);
-                color[1] += mul(c.g, w);
-                color[2] += mul(c.b, w);
-                alpha += w;
-            }
+                if seen[i] {
+                    Rgba::new(r[i], g[i], b[i], 1.0)
+                } else {
+                    config.background
+                }
+            });
         }
-        t += config.step;
+        let (mut r, mut g, mut b) = ([0.0f32; LANES], [0.0f32; LANES], [0.0f32; LANES]);
+        let mut alpha = [0.0f32; LANES];
+        loop {
+            let live = zip(zip(t, t1, |t, t1| t < t1), alpha, |l, a| l && a < EARLY_TERMINATION);
+            if !any(live) {
+                break;
+            }
+            let (s, got) = self.sample(&mut cursor, packet, t, live);
+            let [cr, cg, cb, ca] = self.tf.sample_lanes(s);
+            // Front-to-back "over" compositing with premultiplied alpha, in
+            // the lanes whose sample is visible.
+            let on = zip(got, ca, |got, a| got && a > 0.0);
+            let w = mul_lanes(ca, map(alpha, |a| 1.0 - a));
+            let over =
+                |acc: F32s, c: F32s| select(on, zip(acc, mul_lanes(c, w), |a, cw| a + cw), acc);
+            (r, g, b) = (over(r, cr), over(g, cg), over(b, cb));
+            alpha = select(on, zip(alpha, w, |a, w| a + w), alpha);
+            t = map(t, |t| t + config.step);
+        }
+        // Composite over the background.
+        let bg = config.background;
+        map([0, 1, 2, 3], |i| {
+            if !hit[i] {
+                return bg;
+            }
+            let w = bg.a * (1.0 - alpha[i]);
+            Rgba::new(r[i] + bg.r * w, g[i] + bg.g * w, b[i] + bg.b * w, alpha[i] + w)
+        })
     }
-    // Composite over the background.
-    let bg = config.background;
-    let w = bg.a * (1.0 - alpha);
-    Rgba::new(color[0] + bg.r * w, color[1] + bg.g * w, color[2] + bg.b * w, alpha + w)
 }
 
 /// Blocks whose world bounds the rays of a `config.width × config.height`
@@ -269,7 +380,7 @@ pub fn orbit_pose(theta_deg: f64, phi_deg: f64, distance: f64, view_angle: f64) 
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use viz_geom::angle::deg_to_rad;
     use viz_volume::{DatasetKind, DatasetSpec, Dims3};
@@ -309,10 +420,9 @@ mod tests {
         let tf = TransferFunction::heat(field.min_max());
         for cfg in [RenderConfig::preview(48, 33), RenderConfig::preview(48, 33).mip()] {
             let gen = RayGenerator::new(&pose, cfg.width, cfg.height);
-            let bounds = layout.world_bounds();
             let mut sequential = Image::new(cfg.width, cfg.height);
             for (py, row) in sequential.rows_mut().enumerate() {
-                render_row(&src, &gen, &tf, &cfg, &bounds, py, row);
+                render_row(&src, &gen, &tf, &cfg, py, row);
             }
             assert!(sequential.mean_luminance() > 0.0, "fixture renders something");
             assert_eq!(render(&src, &pose, &tf, &cfg), sequential);
@@ -457,8 +567,24 @@ mod tests {
         }
     }
 
-    /// [`trace`] as it was before the exact helpers, kept verbatim (but
-    /// for [`TransferFunction::reference_sample`]) as the reference the ray
+    /// One sample of `source` at `(x, y, z)` in lane `lane` alone, carried
+    /// in that lane of `cursor`; the other lanes are masked.
+    pub(crate) fn sample_one<'s, S: SampleSource>(
+        source: &'s S,
+        cursor: &mut S::Cursor<'s>,
+        lane: usize,
+        x: f64,
+        y: f64,
+        z: f64,
+    ) -> Option<f32> {
+        let live = map([0, 1, 2, 3], |i| i == lane);
+        let (s, got) = source.sample_lanes(cursor, [x; LANES], [y; LANES], [z; LANES], live);
+        got[lane].then_some(s[lane])
+    }
+
+    /// The scalar ray march as it was before the exact helpers and the
+    /// packets, kept verbatim (but for [`TransferFunction::reference_sample`]
+    /// and a source sampled one lane at a time) as the reference the packet
     /// march must match bit for bit.
     fn reference_trace<S: SampleSource>(
         source: &S,
@@ -478,7 +604,7 @@ mod tests {
             while t < t1 {
                 let p = ray.at(t);
                 let v = layout.world_to_voxel(p);
-                if let Some(s) = source.sample(&mut cursor, v.x, v.y, v.z) {
+                if let Some(s) = sample_one(source, &mut cursor, 0, v.x, v.y, v.z) {
                     best = Some(best.map_or(s, |b| b.max(s)));
                 }
                 t += config.step;
@@ -497,7 +623,7 @@ mod tests {
         while t < t1 && alpha < EARLY_TERMINATION {
             let p = ray.at(t);
             let v = layout.world_to_voxel(p);
-            if let Some(s) = source.sample(&mut cursor, v.x, v.y, v.z) {
+            if let Some(s) = sample_one(source, &mut cursor, 0, v.x, v.y, v.z) {
                 let c = tf.reference_sample(s);
                 if c.a > 0.0 {
                     let w = c.a * (1.0 - alpha);
@@ -585,6 +711,31 @@ mod tests {
             }
         });
         assert!(lit * 10 >= frames * 8, "only {lit} of {frames} frames drew anything");
+
+        // Packets at their edges: a row whose last packet is ragged (23 is
+        // not a multiple of 4), a pose whose image straddles the volume's
+        // silhouette, so lanes that miss sit beside lanes that hit, and a
+        // camera inside the volume.
+        let cfg = RenderConfig { step: 0.02, ..RenderConfig::preview(23, 19) };
+        let absent: Vec<BlockId> = layout.block_ids().filter(|id| id.index() % 3 == 1).collect();
+        for (what, pose) in crate::bricked::tests::edge_poses(layout, &cfg) {
+            for absent in [&[][..], &absent[..]] {
+                let lookup =
+                    |id: BlockId| (!absent.contains(&id)).then(|| bricks[id.index()].clone());
+                let src = BrickedSource::new(layout, &lookup);
+                for (name, tf) in crate::tf::tests::tf_family((lo, hi)) {
+                    for cfg in [cfg, cfg.mip()] {
+                        assert_eq!(
+                            render(&src, &pose, &tf, &cfg),
+                            reference_render(&src, &pose, &tf, &cfg),
+                            "{what}, {name}, {} absent, {:?}",
+                            absent.len(),
+                            cfg.mode
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// A NaN-filled brick in a served payload renders as empty space in
@@ -621,59 +772,78 @@ mod tests {
         }
     }
 
-    /// The first `stages` stages of [`trace`]'s compositing march along
-    /// `ray`, for at most `n` samples: 1, the ray and `world_to_voxel`;
-    /// 2, + the sampler; 3, + the transfer function; 4, + compositing.
-    /// Returns the samples taken and a colour every stage's work feeds: at
-    /// stage 4, what `trace` returns over a transparent background.
+    /// The first `stages` stages of the packet march's compositing along
+    /// four rays in lock-step, lane `i` for at most `n[i]` samples: 1, the
+    /// rays and `world_to_voxel`; 2, + the sampler; 3, + the transfer
+    /// function; 4, + compositing. Returns the samples each lane took and a
+    /// colour every stage's work feeds: at stage 4, what `render` draws over
+    /// a transparent background.
     fn march_stages<S: SampleSource>(
         source: &S,
-        ray: &Ray,
+        rays: &[Ray; LANES],
         tf: &TransferFunction,
         step: f64,
         stages: usize,
-        n: usize,
-    ) -> (usize, Rgba) {
+        n: [usize; LANES],
+    ) -> ([usize; LANES], [Rgba; LANES]) {
         let layout = source.layout();
-        let Some((t0, t1)) = ray.intersect_aabb(&layout.world_bounds()) else {
-            return (0, Rgba::TRANSPARENT);
+        let hits = map(*rays, |r| r.intersect_aabb(&layout.world_bounds()));
+        let mut t = map(hits, |h| h.map_or(0.0, |(t0, _)| t0 + step * 0.5));
+        let t1 = map(hits, |h| h.map_or(f64::NEG_INFINITY, |(_, t1)| t1));
+        let (scale, half) = (layout.world_scale(), layout.world_to_voxel(Vec3::ZERO));
+        let axis = |o: fn(&Vec3) -> f64, t: F64s| {
+            map([0, 1, 2, 3], |i| (o(&rays[i].origin) + o(&rays[i].direction) * t[i]) / scale)
         };
         let mut cursor = S::Cursor::default();
-        let (mut taken, mut acc) = (0, 0.0f32);
-        let (mut color, mut alpha) = ([0.0f32; 3], 0.0f32);
-        let mut t = t0 + step * 0.5;
-        while t < t1 && taken < n && alpha < EARLY_TERMINATION {
-            let v = layout.world_to_voxel(ray.at(t));
-            taken += 1;
-            t += step;
+        let (mut taken, mut acc) = ([0usize; LANES], [0.0f32; LANES]);
+        let (mut r, mut g, mut b, mut alpha) =
+            ([0.0f32; LANES], [0.0; LANES], [0.0; LANES], [0.0; LANES]);
+        loop {
+            let live = map([0, 1, 2, 3], |i| {
+                t[i] < t1[i] && taken[i] < n[i] && alpha[i] < EARLY_TERMINATION
+            });
+            if !any(live) {
+                break;
+            }
+            let x = map(axis(|v| v.x, t), |x| x + half.x);
+            let y = map(axis(|v| v.y, t), |y| y + half.y);
+            let z = map(axis(|v| v.z, t), |z| z + half.z);
+            taken = zip(taken, live, |k, l| k + usize::from(l));
+            t = map(t, |t| t + step);
+            let add = |acc: F32s, on: Mask, v: F32s| select(on, zip(acc, v, |a, v| a + v), acc);
             if stages == 1 {
-                acc += (v.x + v.y + v.z) as f32;
+                acc = add(acc, live, map([0, 1, 2, 3], |i| (x[i] + y[i] + z[i]) as f32));
                 continue;
             }
-            let Some(s) = source.sample(&mut cursor, v.x, v.y, v.z) else { continue };
+            let (s, got) = source.sample_lanes(&mut cursor, x, y, z, live);
             if stages == 2 {
-                acc += s;
+                acc = add(acc, got, s);
                 continue;
             }
-            let c = tf.sample(s);
+            let [cr, cg, cb, ca] = tf.sample_lanes(s);
             if stages == 3 {
-                acc += c.a;
-            } else if c.a > 0.0 {
-                let w = mul(c.a, 1.0 - alpha);
-                color[0] += mul(c.r, w);
-                color[1] += mul(c.g, w);
-                color[2] += mul(c.b, w);
-                alpha += w;
+                acc = add(acc, got, ca);
+                continue;
             }
+            let on = zip(got, ca, |got, a| got && a > 0.0);
+            let w = mul_lanes(ca, map(alpha, |a| 1.0 - a));
+            (r, g, b) = (
+                add(r, on, mul_lanes(cr, w)),
+                add(g, on, mul_lanes(cg, w)),
+                add(b, on, mul_lanes(cb, w)),
+            );
+            alpha = add(alpha, on, w);
         }
-        (taken, Rgba::new(color[0], color[1], color[2], alpha + acc))
+        (taken, map([0, 1, 2, 3], |i| Rgba::new(r[i], g[i], b[i], alpha[i] + acc[i])))
     }
 
     /// Where a sample's time goes, on this thread: the rays of 60 orbit
     /// frames of the benchmark scene (32 × 32 pixels, step 0.02, 8° cone),
-    /// marched once per stage of [`march_stages`] over the samples
-    /// [`trace`] takes, printing ns a sample for each (the least of five
-    /// passes). Run it on an idle core:
+    /// in the packets `render` marches, taken through each stage of
+    /// [`march_stages`] over the samples `render` takes, and then through
+    /// `render` itself, printing ns a sample for each (the least of five
+    /// passes). `render` runs its rows on every core the process may use,
+    /// so pin it to one idle core:
     /// `taskset -c 0 cargo test --release -p viz-render --lib sample_cost -- --ignored --nocapture`.
     #[test]
     #[ignore = "timing: run it in release, on an idle core, with --nocapture"]
@@ -686,49 +856,68 @@ mod tests {
         let (field, layout, bricks) = crate::bricked::tests::lifted();
         let tf = TransferFunction::heat(field.min_max());
         let cfg = RenderConfig { step: 0.02, ..RenderConfig::preview(32, 32) };
-        let mut rays = Vec::new();
-        for k in 0..60 {
-            let pose = orbit_pose(70.0, 5.0 * f64::from(k), 2.7, deg_to_rad(8.0));
-            let gen = RayGenerator::new(&pose, cfg.width, cfg.height);
+        let poses: Vec<CameraPose> =
+            (0..60).map(|k| orbit_pose(70.0, 5.0 * f64::from(k), 2.7, deg_to_rad(8.0))).collect();
+        let mut packets = Vec::new();
+        for pose in &poses {
+            let gen = RayGenerator::new(pose, cfg.width, cfg.height);
             for py in 0..cfg.height {
-                rays.extend((0..cfg.width).map(|px| gen.ray(px, py)));
+                for k in 0..cfg.width / LANES {
+                    packets.push(map([0, 1, 2, 3], |i| gen.ray(k * LANES + i, py)));
+                }
             }
         }
         let lookup = |id: BlockId| Some(bricks[id.index()].clone());
         let src = BrickedSource::new(layout, &lookup);
         let bounds = layout.world_bounds();
-        // Stage 4 is `trace` on a transparent background, and gives the
-        // sample counts every stage marches.
-        let counts: Vec<usize> = rays
+        // Stage 4 is what `render` draws on a transparent background, and
+        // gives the sample counts every stage marches.
+        let counts: Vec<[usize; LANES]> = packets
             .iter()
-            .map(|ray| {
-                let (n, c) = march_stages(&src, ray, &tf, cfg.step, 4, usize::MAX);
-                assert_eq!(c, trace(&src, ray, &tf, &cfg, &bounds));
+            .map(|rays| {
+                let (n, c) = march_stages(&src, rays, &tf, cfg.step, 4, [usize::MAX; LANES]);
+                for (ray, c) in rays.iter().zip(c) {
+                    assert_eq!(c, reference_trace(&src, ray, &tf, &cfg, &bounds));
+                }
                 n
             })
             .collect();
-        let samples: usize = counts.iter().sum();
-        println!("{} rays, {samples} samples", rays.len());
+        let samples: usize = counts.iter().flatten().sum();
+        let steps: usize = counts.iter().map(|c| *c.iter().max().unwrap()).sum();
+        println!(
+            "{} rays, {samples} samples, lane use {:.3}",
+            packets.len() * LANES,
+            samples as f64 / (4 * steps) as f64
+        );
+        let best_of_five = |pass: &dyn Fn()| {
+            let time = || {
+                let start = Instant::now();
+                pass();
+                start.elapsed().as_secs_f64()
+            };
+            (0..5).map(|_| time()).fold(f64::INFINITY, f64::min) * 1e9 / samples as f64
+        };
         let mut prev = 0.0;
         for (stages, what) in [
-            (1, "ray + world_to_voxel"),
+            (1, "rays + world_to_voxel"),
             (2, "+ sampler"),
             (3, "+ transfer function"),
             (4, "+ compositing"),
         ] {
-            let best = (0..5)
-                .map(|_| {
-                    let start = Instant::now();
-                    for (ray, &n) in rays.iter().zip(&counts) {
-                        black_box(march_stages(&src, ray, &tf, cfg.step, stages, n));
-                    }
-                    start.elapsed().as_secs_f64()
-                })
-                .fold(f64::INFINITY, f64::min);
-            let ns = best * 1e9 / samples as f64;
+            let ns = best_of_five(&|| {
+                for (rays, &n) in packets.iter().zip(&counts) {
+                    black_box(march_stages(&src, rays, &tf, cfg.step, stages, n));
+                }
+            });
             println!("{what:<22} {ns:6.1} ns a sample ({:+.1})", ns - prev);
             prev = ns;
         }
+        let ns = best_of_five(&|| {
+            for pose in &poses {
+                black_box(render(&src, pose, &tf, &cfg));
+            }
+        });
+        println!("{:<22} {ns:6.1} ns a sample", "render");
     }
 
     fn render_with_step(step: f64) {

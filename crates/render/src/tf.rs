@@ -6,24 +6,28 @@
 //!
 //! # Cost of a sample
 //!
-//! [`TransferFunction::sample`] runs once per ray sample. Its two
+//! The packet ray march samples four values at once through
+//! `sample_lanes`, where a branch would have to go one way for all four:
+//! it counts the segment and picks the end points with selects, and takes
+//! each segment's constants from a table built with the function. Its two
 //! divisions (normalizing the value into the range, then into its segment)
-//! and the four products of [`Rgba::lerp`] go through the crate's exact
-//! helpers (`exact.rs`): a subnormal value — most of the benchmark's
-//! `lifted_rr` voxels — would otherwise cost a ~60 ns x86 microcode assist
-//! per `divss`/`mulss`. The helpers compute in `f64` and round once, with
-//! no branch on the operands, and return the native operator's bits for
-//! every input, so every colour is what plain `f32` arithmetic gives. The
-//! segment is found by a linear scan, not a binary search: with a handful
-//! of control points the search's data-dependent branches mispredict, and
-//! the scan finds the same segment in about half the time. A branch-free
-//! scan and end-point pick (selects instead of the early returns) measured
-//! slower.
+//! and the four products of the lerp go through the crate's exact helpers
+//! (`exact.rs`): a subnormal value — most of the benchmark's `lifted_rr`
+//! voxels — would otherwise cost a ~60 ns x86 microcode assist per
+//! `divss`/`mulss`. The helpers compute in `f64` and round once, with no
+//! branch on the operands, and return the native operator's bits for every
+//! input, so every colour is what plain `f32` arithmetic gives.
+//! The MIP colour of a packet's four pixels takes the lanes too.
+//! [`TransferFunction::sample`] is lane 0 of the same lookup: its callers
+//! (block culling, mean opacity) run at most once per block or value, so
+//! one lookup serves both, and the reference tests check the one the march
+//! runs.
 //!
 //! A NaN value samples as [`Rgba::TRANSPARENT`]: the wire accepts every bit
 //! pattern, and a NaN voxel must not panic the renderer.
 
-use crate::exact::{div, mul};
+use crate::exact::{div_lanes, mul, mul_lanes};
+use crate::lanes::{map, select, zip, F32s, LANES};
 
 /// Linear RGBA color, components in `[0, 1]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,6 +51,12 @@ impl Rgba {
             b: b.clamp(0.0, 1.0),
             a: a.clamp(0.0, 1.0),
         }
+    }
+
+    /// Component `k` of `[r, g, b, a]`.
+    #[inline(always)]
+    fn get(&self, k: usize) -> f32 {
+        [self.r, self.g, self.b, self.a][k]
     }
 
     /// Fully transparent black.
@@ -78,8 +88,34 @@ pub struct ControlPoint {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransferFunction {
     points: Vec<ControlPoint>,
+    /// `segments[i]` spans `points[i]` to `points[i + 1]` (one segment at
+    /// `points[0]` when there is no other point).
+    segments: Vec<Segment>,
     /// Scalar range mapped onto `[0, 1]` before lookup.
     pub range: (f32, f32),
+}
+
+/// The constants of the segment between two control points, computed once:
+/// a value's place in the segment is `t = (x − x₀) / span`, and each colour
+/// component is `base + delta·t`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Segment {
+    x: f32,
+    span: f32,
+    base: [f32; 4],
+    delta: [f32; 4],
+}
+
+impl Segment {
+    fn new(a: &ControlPoint, b: &ControlPoint) -> Self {
+        let (p, q) = (a.color, b.color);
+        Segment {
+            x: a.x,
+            span: (b.x - a.x).max(1e-12),
+            base: [p.r, p.g, p.b, p.a],
+            delta: [q.r - p.r, q.g - p.g, q.b - p.b, q.a - p.a],
+        }
+    }
 }
 
 impl TransferFunction {
@@ -92,7 +128,11 @@ impl TransferFunction {
             assert!(p.x.is_finite(), "control point {i} has a non-finite x: {p:?}");
         }
         points.sort_by(|a, b| a.x.total_cmp(&b.x));
-        TransferFunction { points, range }
+        let segments = match points.len() {
+            1 => vec![Segment::new(&points[0], &points[0])],
+            _ => points.windows(2).map(|w| Segment::new(&w[0], &w[1])).collect(),
+        };
+        TransferFunction { points, segments, range }
     }
 
     /// The control points, sorted by `x`.
@@ -181,25 +221,49 @@ impl TransferFunction {
     /// Look up the color for a raw scalar value; NaN is transparent.
     #[inline]
     pub fn sample(&self, value: f32) -> Rgba {
+        let [r, g, b, a] = self.sample_lanes([value; LANES]);
+        Rgba { r: r[0], g: g[0], b: b[0], a: a[0] }
+    }
+
+    /// The colours of four values, one per lane of the packet march, as
+    /// `[r, g, b, a]`, each component one value per lane, without a branch
+    /// on the values. A NaN value (checked apart for a degenerate range)
+    /// or a value over an infinite range has no place on the ramp and is
+    /// transparent; a value at or beyond an end point takes that point's
+    /// colour; any other value lies in the segment that ends at the first
+    /// point right of it, found by counting the interior points at or left
+    /// of it. The segment's constants come from [`Segment`], and the exact
+    /// quotients and products are done for all four lanes at once.
+    #[inline(always)]
+    pub(crate) fn sample_lanes(&self, value: F32s) -> [F32s; 4] {
         let (lo, hi) = self.range;
-        let x = if hi > lo { div(value - lo, hi - lo).clamp(0.0, 1.0) } else { 0.0 };
-        // A NaN value (checked apart for a degenerate range) or a value over
-        // an infinite range has no place on the ramp.
-        if x.is_nan() || value.is_nan() {
-            return Rgba::TRANSPARENT;
-        }
+        let x = if hi > lo {
+            let q = div_lanes(map(value, |v| v - lo), [hi - lo; LANES]);
+            map(q, |q| q.clamp(0.0, 1.0))
+        } else {
+            [0.0; LANES]
+        };
         let pts = &self.points;
-        if x <= pts[0].x {
-            return pts[0].color;
+        let (first, last) = (pts[0], pts[pts.len() - 1]);
+        let mut seg = [0usize; LANES];
+        for p in pts.get(1..pts.len() - 1).unwrap_or_default() {
+            seg = zip(seg, x, |i, x| i + usize::from(p.x <= x));
         }
-        if x >= pts[pts.len() - 1].x {
-            return pts[pts.len() - 1].color;
-        }
-        // The first point right of `x`: `pts[0].x < x < pts[last].x` here.
-        let i = 1 + pts[1..].iter().take_while(|p| p.x <= x).count();
-        let (a, b) = (&pts[i - 1], &pts[i]);
-        let span = (b.x - a.x).max(1e-12);
-        a.color.lerp(b.color, div(x - a.x, span))
+        let seg = map(seg, |i| self.segments[i]);
+        let t = div_lanes(zip(x, seg, |x, s| x - s.x), map(seg, |s| s.span));
+        let nan = zip(x, value, |x, v| x.is_nan() || v.is_nan());
+        let (below, above) = (map(x, |x| x <= first.x), map(x, |x| x >= last.x));
+        let component = |k: usize| {
+            let ramp =
+                zip(map(seg, |s| s.base[k]), mul_lanes(map(seg, |s| s.delta[k]), t), |b, d| b + d);
+            let ends = select(
+                below,
+                [first.color.get(k); LANES],
+                select(above, [last.color.get(k); LANES], ramp),
+            );
+            select(nan, [0.0; LANES], ends)
+        };
+        [component(0), component(1), component(2), component(3)]
     }
 
     /// Maximum opacity the function assigns to any value in `[lo, hi]`.
@@ -291,7 +355,9 @@ pub(crate) mod tests {
 
     /// Every voxel value of the benchmark scene (every 97th in a debug
     /// build), their negations and the specials sample to the reference's
-    /// bits under every transfer function of the family.
+    /// bits under every transfer function of the family, over the field's
+    /// range and over a degenerate one: through `sample`, and through
+    /// `sample_lanes` four neighbouring values at a time, lane by lane.
     #[test]
     fn sample_equals_the_reference_on_every_voxel_value() {
         let (field, _, _) = crate::bricked::tests::lifted();
@@ -301,11 +367,23 @@ pub(crate) mod tests {
         values.extend([0.0, -0.0, f32::MIN_POSITIVE, 1e-45, f32::INFINITY, f32::NEG_INFINITY]);
         values.sort_by(f32::total_cmp);
         values.dedup_by(|a, b| a.to_bits() == b.to_bits());
-        for (name, tf) in tf_family(field.min_max()) {
+        let bits = |c: Rgba| [c.r, c.g, c.b, c.a].map(f32::to_bits);
+        let (lo, hi) = field.min_max();
+        let tfs = tf_family((lo, hi)).into_iter().chain(tf_family((hi, hi)));
+        for (name, tf) in tfs {
+            let range = tf.range;
             for &v in &values {
                 let (got, want) = (tf.sample(v), tf.reference_sample(v));
-                let bits = |c: Rgba| [c.r, c.g, c.b, c.a].map(f32::to_bits);
-                assert_eq!(bits(got), bits(want), "{name} at {v:e}");
+                assert_eq!(bits(got), bits(want), "{name} over {range:?} at {v:e}");
+            }
+            for four in values.chunks(LANES) {
+                let v = map([0, 1, 2, 3], |i| four[i % four.len()]);
+                let [r, g, b, a] = tf.sample_lanes(v);
+                for i in 0..LANES {
+                    let got = Rgba { r: r[i], g: g[i], b: b[i], a: a[i] };
+                    let want = tf.reference_sample(v[i]);
+                    assert_eq!(bits(got), bits(want), "{name} over {range:?}, lane {i} of {v:?}");
+                }
             }
         }
     }
@@ -325,6 +403,14 @@ pub(crate) mod tests {
         let unbounded = TransferFunction::heat((f32::NEG_INFINITY, f32::INFINITY));
         assert_eq!(unbounded.sample(f32::NAN), Rgba::TRANSPARENT);
         assert_eq!(unbounded.sample(1.0), Rgba::TRANSPARENT);
+        // In the lanes, a NaN lane is transparent beside lanes that are not.
+        let ranges = [(0.0, 2.0), (1.0, 1.0), (f32::NEG_INFINITY, f32::INFINITY)];
+        for (name, tf) in ranges.into_iter().flat_map(tf_family) {
+            let [r, g, b, a] = tf.sample_lanes([1.0, f32::NAN, 2.0, -f32::NAN]);
+            let lane = |i: usize| Rgba { r: r[i], g: g[i], b: b[i], a: a[i] };
+            assert_eq!([lane(1), lane(3)], [Rgba::TRANSPARENT; 2], "{name} over {:?}", tf.range);
+            assert_eq!([lane(0), lane(2)], [tf.sample(1.0), tf.sample(2.0)], "{name}");
+        }
     }
 
     #[test]

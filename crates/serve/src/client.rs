@@ -223,30 +223,6 @@ impl<T: Transport> ServeClient<T> {
         }
     }
 
-    /// Liveness probe: ask the server's liveness and shard-map version.
-    /// `from` travels on the wire and the server ignores it; pass
-    /// [`crate::proto::PING_FROM_CLIENT`].
-    /// Returns the responder's `(node, map_version)`.
-    pub fn ping(&mut self, from: u32, map_version: u64) -> Result<(u32, u64), ClientError> {
-        self.ping_timed(from, map_version).map(|(node, ver, _)| (node, ver))
-    }
-
-    /// [`ServeClient::ping`] that also returns the responder's telemetry
-    /// clock (`now_ns`) — the raw material for an RTT-midpoint clock
-    /// offset estimate.
-    pub fn ping_timed(
-        &mut self,
-        from: u32,
-        map_version: u64,
-    ) -> Result<(u32, u64, u64), ClientError> {
-        self.send(&Request::Ping { from, map_version })?;
-        match self.recv_response()? {
-            Response::Pong { node, map_version, now_ns } => Ok((node, map_version, now_ns)),
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            _ => Err(ClientError::Unexpected("Pong")),
-        }
-    }
-
     /// Close the open session and empty the client tier.
     pub fn close(&mut self) -> Result<(), ClientError> {
         self.send_close()?;

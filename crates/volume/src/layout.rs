@@ -135,9 +135,9 @@ impl BrickLayout {
     }
 
     /// World-space scale: voxels → normalized coordinates where the longest
-    /// edge spans `[-1, 1]`.
+    /// edge spans `[-1, 1]`. [`Self::world_to_voxel`] divides by it.
     #[inline]
-    fn world_scale(&self) -> f64 {
+    pub fn world_scale(&self) -> f64 {
         2.0 / self.volume.max_edge() as f64
     }
 
