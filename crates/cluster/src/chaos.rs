@@ -25,11 +25,10 @@ use viz_volume::{BlockId, BlockKey};
 /// One fault (or repair) the harness can apply to a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaosAction {
-    /// Remove the node from the fabric without reassigning its keys —
-    /// the window between a crash and the control plane noticing.
+    /// Remove the node from the fabric; the router fails its keys over
+    /// along their ring successors.
     Crash(NodeId),
-    /// Rebuild a crashed node over the shared store and push the current
-    /// map everywhere.
+    /// Rebuild a crashed node over the shared store.
     Restart(NodeId),
     /// Refuse inbound frames to the node while it stays alive.
     Isolate(NodeId),
@@ -213,10 +212,8 @@ pub fn run_plan(
             let (family, repair) = ev.action.wire_code();
             instant(Ev::FaultInjected, u64::from(target.0), family << 1 | u64::from(repair));
             match ev.action {
-                ChaosAction::Crash(n) => cluster.partition_node(n),
-                ChaosAction::Restart(n) => {
-                    cluster.restart_node(n);
-                }
+                ChaosAction::Crash(n) => cluster.crash_node(n),
+                ChaosAction::Restart(n) => cluster.restart_node(n),
                 ChaosAction::Isolate(n) => cluster.isolate(n),
                 ChaosAction::Heal(n) => cluster.heal(n),
                 ChaosAction::Slow(n, micros) => {

@@ -7,22 +7,24 @@
 //! is asked from its own engine and storage, and never dials another
 //! node.
 //!
-//! - `shard` — the [`ShardMap`]: consistent-hash ring placement,
-//!   versioned and CRC-framed so nodes and clients detect skew.
+//! - `shard` — the [`ShardMap`]: consistent-hash ring placement, built
+//!   once and never changed. Each key's owner and ring successors are a
+//!   pure function of the node list.
 //! - `peer` — the router's links to nodes: [`PeerLink`], one framed
 //!   VSRV round trip, and [`TcpPeerLink`] over TCP.
 //! - `node` — a [`ClusterNode`] wraps a [`viz_serve::Server`] whose
-//!   engine reads the node's local storage, and answers `MapGet`,
-//!   `Ping` and `TelemetryGet` with its map and identity.
+//!   engine reads the node's local storage, and answers `Ping` and
+//!   `TelemetryGet` with its identity.
 //! - `router` — the client side: answer what the last frame carried
 //!   from the client tier, split the rest of a frame's demand per owner,
-//!   merge replies, and fail over along the ring-successor order the map
-//!   itself defines. Its down marks (failed round trips, heartbeats and
-//!   periodic probes) are the cluster's failure detection, and its
-//!   heartbeats pull a newer shard map the moment a node advertises one.
+//!   merge replies, and fail over along each key's whole ring-successor
+//!   list. The first live node on that list is the owner a map over the
+//!   survivors would name, so failover is the reassignment and no map
+//!   ever changes. Its down marks (failed round trips, heartbeats and
+//!   periodic probes) are the cluster's failure detection.
 //! - `testing` — a deterministic in-process [`TestCluster`]: N nodes
 //!   over one shared store on a virtual clock, synchronous transports,
-//!   crash/restart/join, fabric partitions, slow storage, and corrupted
+//!   crash/restart/drain, fabric partitions, slow storage, and corrupted
 //!   reply frames in one call each.
 //! - [`chaos`] — seeded, replayable fault schedules ([`ChaosPlan`])
 //!   driven through the test cluster by [`chaos::run_plan`], reporting
@@ -72,5 +74,5 @@ pub use node::{ClusterConfig, ClusterNode};
 pub use obs::{read_flight_dump, DumpSection};
 pub use peer::{PeerLink, TcpPeerLink};
 pub use router::{Router, RouterConfig, RouterReply};
-pub use shard::{MapError, NodeId, ShardMap, ShardStrategy};
+pub use shard::{NodeId, ShardMap, ShardStrategy};
 pub use testing::{SyncTransport, TestCluster};

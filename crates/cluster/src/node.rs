@@ -1,20 +1,20 @@
 //! One cluster node: a viz-serve [`Server`] whose engine reads the node's
-//! own `local` storage, plus the shard map it hands out.
+//! own `local` storage, answering `Ping` and `TelemetryGet` with its id.
 //!
 //! Routing is the client's job: the [`crate::Router`] sends each key to
 //! its owner, so a node serves whatever it is asked from its own engine
 //! and never dials another node. Under the shared-storage model a read
 //! on a node that does not own the key is still correct; it only puts
 //! the block in a pool other than its owner's. That is what a failover
-//! batch does while the owner is down.
+//! batch does while the owner is down. The shard map is static and the
+//! router's alone, so a node holds none.
 
 use crate::peer::PeerLink;
 use crate::shard::{NodeId, ShardMap};
 use std::io;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use viz_fetch::{BlockPool, FetchConfig, FetchEngine};
 use viz_serve::{handle_request, Outcome, Request, RequestDispatch, Response, ServeConfig, Server};
-use viz_telemetry::{instant, EventKind as Ev};
 use viz_volume::BlockSource;
 
 /// Cluster-layer tuning for one node. It has no fields: nodes do not
@@ -25,25 +25,23 @@ pub struct ClusterConfig;
 
 /// One sharded serve node (see module docs). Implements
 /// [`RequestDispatch`] so a [`viz_serve::TcpServer::bind_with`] front end
-/// answers the cluster tags (`MapGet`, `Ping`, `TelemetryGet`) with the
-/// node's identity and map.
+/// answers `Ping` and `TelemetryGet` with the node's identity.
 pub struct ClusterNode {
     id: NodeId,
     server: Arc<Server>,
-    map: RwLock<Arc<ShardMap>>,
 }
 
 impl ClusterNode {
-    /// Build a node over `local` storage with the initial `map`; the
-    /// engine and server are built here over `local`.
+    /// Build a node over `local` storage; the engine and server are built
+    /// here over `local`.
     ///
-    /// `_connect` (a dialer to other nodes) and `_cfg` are not used: a
-    /// node dials nobody. Both parameters stay only so existing callers
-    /// keep compiling.
+    /// `_map`, `_connect` (a dialer to other nodes) and `_cfg` are not
+    /// used: the map is the router's, and a node dials nobody. The three
+    /// parameters stay only so existing callers keep compiling.
     pub fn new(
         id: NodeId,
         local: Arc<dyn BlockSource>,
-        map: ShardMap,
+        _map: ShardMap,
         _connect: impl Fn(NodeId) -> io::Result<Box<dyn PeerLink>> + Send + Sync + 'static,
         fetch_cfg: FetchConfig,
         serve_cfg: ServeConfig,
@@ -51,7 +49,7 @@ impl ClusterNode {
     ) -> Arc<ClusterNode> {
         let engine = FetchEngine::spawn(local, Arc::new(BlockPool::new()), fetch_cfg);
         let server = Server::new(Arc::new(engine), serve_cfg);
-        Arc::new(ClusterNode { id, server, map: RwLock::new(Arc::new(map)) })
+        Arc::new(ClusterNode { id, server })
     }
 
     /// This node's id.
@@ -62,25 +60,6 @@ impl ClusterNode {
     /// The wrapped serve layer.
     pub fn server(&self) -> &Arc<Server> {
         &self.server
-    }
-
-    /// The shard map currently in force.
-    pub fn map(&self) -> Arc<ShardMap> {
-        self.map.read().unwrap_or_else(|p| p.into_inner()).clone()
-    }
-
-    /// Install `map` if it is newer than the current one; returns whether
-    /// it was installed. Reassignment control planes push the same map to
-    /// every node; version ordering makes the push idempotent and
-    /// tolerant of reordering.
-    pub fn install_map(&self, map: ShardMap) -> bool {
-        let mut cur = self.map.write().unwrap_or_else(|p| p.into_inner());
-        if map.version() <= cur.version() {
-            return false;
-        }
-        instant(Ev::MapUpdate, u64::from(self.id.0), map.version());
-        *cur = Arc::new(map);
-        true
     }
 
     /// The node id as stamped on telemetry events: `NodeId + 1`, so node
@@ -121,20 +100,16 @@ impl RequestDispatch for ClusterNode {
 impl ClusterNode {
     fn dispatch_inner(&self, server: &Arc<Server>, req: Request) -> Outcome {
         match req {
-            Request::MapGet => {
-                let m = self.map();
-                Outcome::Ready(Response::MapReply { version: m.version(), map_bytes: m.encode() })
-            }
             Request::TelemetryGet => {
                 // The serve layer answers with the client sentinel; the
                 // cluster layer knows which node it is.
                 Outcome::Ready(Response::TelemetryReply(server.wire_telemetry(self.id.0)))
             }
-            // The sender's `from` is ignored: the Pong carries what a
-            // router needs, this node's id and map version.
+            // The sender's `from` and `map_version` are ignored: the Pong
+            // carries this node's id, and `map_version` 0 (maps are static).
             Request::Ping { .. } => Outcome::Ready(Response::Pong {
                 node: self.id.0,
-                map_version: self.map().version(),
+                map_version: 0,
                 now_ns: viz_telemetry::now_ns(),
             }),
             other => handle_request(server, other),

@@ -1,9 +1,9 @@
-//! The client-side router: holds the shard map, answers what the viewer
-//! already holds from its client tier, splits the rest of each frame's
-//! demand across owner nodes in per-node batches, sends the batches
-//! concurrently (one scoped thread per node, joined before the call
-//! returns — this is what makes an N-node cold frame approach 1/N of
-//! the single-node time instead of paying N sequential round trips),
+//! The client-side router: holds the static shard map, answers what the
+//! viewer already holds from its client tier, splits the rest of each
+//! frame's demand across owner nodes in per-node batches, sends the
+//! batches concurrently (one scoped thread per node, joined before the
+//! call returns — this is what makes an N-node cold frame approach 1/N
+//! of the single-node time instead of paying N sequential round trips),
 //! merges the replies back into request order, and fails over when an
 //! owner stops answering.
 //!
@@ -20,14 +20,17 @@
 //! A held key is answered even while its owner is unreachable, so a
 //! failover shows only on keys the last frame did not carry.
 //!
-//! ## Failover without a control plane
+//! ## Failover is reassignment
 //!
-//! [`crate::ShardMap::owners`] lists a key's owner followed by its ring
-//! successors — the exact nodes the key reassigns to if the owner
-//! leaves. The router retries a failed key against those successors, so
-//! routing's fallback order and the control plane's reassignment agree
-//! by construction: when the new map arrives the router is already
-//! talking to the right node, the map refresh just makes it official.
+//! [`crate::ShardMap::owners`] lists a key's owner followed by every
+//! other node in ring-successor order. The router sends a key to the
+//! first node on that list it has not marked down and has not already
+//! tried this frame. The first live node on the list is the owner a map
+//! built over the live nodes would name, so walking the whole ring *is*
+//! the reassignment: the map never changes and no map travels. Nodes
+//! already marked down cost nothing. A key whose list meets more dead
+//! nodes not yet marked down, in a row, than a frame has rounds (three)
+//! times out for that frame; the next frame skips the nodes it marked.
 //!
 //! ## Off-owner batches
 //!
@@ -35,7 +38,7 @@
 //! locality optimization, not a correctness constraint. Every batch is a
 //! plain `Fetch`, and a node serves every key it is sent from its own
 //! engine and storage, so a failover batch sent to a node that does
-//! *not* own its keys (before the survivors reassigned) is read there.
+//! *not* own its keys (its owner is down) is read there.
 //! Nodes never forward: the router is the cluster's one routing layer,
 //! and its down marks (failed round trips, [`Router::heartbeat`], the
 //! periodic probe) are its one failure detector.
@@ -50,26 +53,28 @@ use viz_serve::{BlockReply, ClientTier, Request, Response, TraceCtx};
 use viz_telemetry::{instant, span, EventKind as Ev};
 use viz_volume::BlockKey;
 
+/// The router's liveness probe. Maps are static, so it claims map
+/// version 0, and nodes ignore both fields.
+const PING: Request = Request::Ping { from: PING_FROM_CLIENT, map_version: 0 };
+
 /// Routing rounds per [`Router::fetch`] before unresolved keys give up.
-/// Each round regroups the still-pending keys under the freshest map, so
-/// one round per tolerated failure is enough.
+/// A round marks every node it could not reach down, and the next round
+/// walks each pending key past all of them, so a frame whose first round
+/// asked every dead node resolves in its second.
 const MAX_ROUNDS: u32 = 3;
 
 /// Router tuning.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Candidate nodes considered per key (owner + `candidates - 1` ring
-    /// successors). Raising it tolerates more simultaneous node loss.
-    pub candidates: usize,
     /// While any node is marked down, probe it with a `Ping` every this
     /// many frames (0 disables) — a crashed-then-restarted node resumes
-    /// taking traffic without waiting for a map change.
+    /// taking traffic without any other signal.
     pub probe_every: u32,
 }
 
 impl Default for RouterConfig {
     fn default() -> Self {
-        RouterConfig { candidates: 2, probe_every: 8 }
+        RouterConfig { probe_every: 8 }
     }
 }
 
@@ -106,7 +111,7 @@ impl NodeConn {
 /// session per node; viewers each own a router.
 pub struct Router {
     name: String,
-    map: Arc<ShardMap>,
+    map: ShardMap,
     connect: Arc<Connector>,
     cfg: RouterConfig,
     conns: HashMap<u32, NodeConn>,
@@ -138,11 +143,11 @@ fn mint_trace(name: &str, frame: u64) -> u64 {
 
 impl Router {
     /// A router named `name` (its per-node sessions open as
-    /// `router/<name>`) over an initial `map`; `connect` dials nodes.
+    /// `router/<name>`) over the cluster's `map`; `connect` dials nodes.
     pub fn new(name: &str, map: ShardMap, connect: Arc<Connector>, cfg: RouterConfig) -> Router {
         Router {
             name: name.to_string(),
-            map: Arc::new(map),
+            map,
             connect,
             cfg,
             conns: HashMap::new(),
@@ -150,28 +155,6 @@ impl Router {
             offsets: HashMap::new(),
             tier: ClientTier::default(),
         }
-    }
-
-    /// The map currently routing.
-    pub fn map(&self) -> Arc<ShardMap> {
-        self.map.clone()
-    }
-
-    /// Install `map` if newer; returns whether it replaced the current
-    /// one.
-    pub fn install_map(&mut self, map: ShardMap) -> bool {
-        if map.version() <= self.map.version() {
-            return false;
-        }
-        self.map = Arc::new(map);
-        // A new map is fresh evidence: nodes it still lists get
-        // another chance even if we marked them down.
-        for (id, conn) in &mut self.conns {
-            if conn.down && self.map.contains(NodeId(*id)) {
-                conn.down = false;
-            }
-        }
-        true
     }
 
     /// Nodes currently marked unreachable.
@@ -182,33 +165,10 @@ impl Router {
         v
     }
 
-    /// Ask any live node for its map and install it if newer. Returns
-    /// whether a newer map was installed.
-    pub(crate) fn refresh_map(&mut self) -> bool {
-        for node in self.map.clone().nodes() {
-            if self.conns.get(&node.0).is_some_and(|c| c.down) {
-                continue;
-            }
-            if let Ok(Response::MapReply { version, map_bytes }) =
-                self.round_trip(*node, &Request::MapGet)
-            {
-                if version > self.map.version() {
-                    if let Ok(m) = ShardMap::decode(&map_bytes) {
-                        return self.install_map(m);
-                    }
-                }
-                // Same or older version: the cluster agrees with us.
-                return false;
-            }
-        }
-        false
-    }
-
     /// Probe every map node with a `Ping` heartbeat: an answer re-admits
-    /// a node previously marked down (emitting [`Ev::NodeRecovered`]),
-    /// and a node advertising a newer shard map gets its map pulled and
-    /// installed before any demand fetch pays for the skew. Returns the
-    /// number of nodes that answered.
+    /// a node previously marked down (emitting [`Ev::NodeRecovered`]), and
+    /// a failed round trip marks it down before any demand fetch pays for
+    /// the discovery. Returns the number of nodes that answered.
     pub fn heartbeat(&mut self) -> usize {
         let nodes: Vec<NodeId> = self.map.nodes().to_vec();
         nodes.into_iter().filter(|&n| self.probe(n)).count()
@@ -224,7 +184,6 @@ impl Router {
     /// One `Ping` round trip to `node`, attempted even while it is
     /// marked down — the probe *is* how a down node earns its way back.
     fn probe(&mut self, node: NodeId) -> bool {
-        let my_version = self.map.version();
         let was_down = {
             let conn = self.conn(node);
             let was = conn.down;
@@ -233,24 +192,10 @@ impl Router {
             conn.down = false;
             was
         };
-        let req = Request::Ping { from: PING_FROM_CLIENT, map_version: my_version };
-        match self.round_trip(node, &req) {
-            Ok(Response::Pong { map_version, .. }) => {
+        match self.round_trip(node, &PING) {
+            Ok(Response::Pong { .. }) => {
                 if was_down {
                     instant(Ev::NodeRecovered, u64::from(node.0), 0);
-                }
-                if map_version > my_version {
-                    // The node is ahead of us: pull its map now so the
-                    // next frame routes under the current map.
-                    if let Ok(Response::MapReply { version, map_bytes }) =
-                        self.round_trip(node, &Request::MapGet)
-                    {
-                        if version > self.map.version() {
-                            if let Ok(m) = ShardMap::decode(&map_bytes) {
-                                self.install_map(m);
-                            }
-                        }
-                    }
                 }
                 true
             }
@@ -265,10 +210,8 @@ impl Router {
 
     /// Route one frame: held demand answered from the client tier, the
     /// rest split per owner, prefetch attached to each key's owner batch,
-    /// failed batches retried against ring successors across up to
-    /// three rounds (with a map refresh between
-    /// rounds once anything failed). Unresolved keys report `TimedOut`;
-    /// the call itself only errs when *no* node is reachable at all.
+    /// failed batches retried along each key's ring successors across up
+    /// to three rounds. Unresolved keys report `TimedOut`.
     pub fn fetch(&mut self, demand: Vec<BlockKey>, prefetch: Vec<(BlockKey, f64)>) -> RouterReply {
         self.frames = self.frames.wrapping_add(1);
         // Every frame gets one trace id, stamped on every batch it fans
@@ -368,7 +311,6 @@ impl Router {
             for (nid, conn) in conns {
                 self.conns.insert(nid, conn);
             }
-            let mut any_failed = false;
             for (idxs, pf_n, res) in round_results {
                 match res {
                     Ok((blocks, s, d)) => {
@@ -382,7 +324,7 @@ impl Router {
                                 // final (NotFound won't improve by
                                 // asking another replica of the same
                                 // storage).
-                                Err(code) if is_transient_code(code) => any_failed = true,
+                                Err(code) if is_transient_code(code) => {}
                                 Err(code) => results[i] = Some(Err(code)),
                             }
                         }
@@ -392,15 +334,9 @@ impl Router {
                         // the node down; its keys stay pending for the
                         // next round. Its prefetch is gone — count it
                         // shed.
-                        any_failed = true;
                         shed += pf_n;
                     }
                 }
-            }
-            if any_failed {
-                // Something died or drained mid-frame; a reassigned map
-                // may already exist on the survivors.
-                self.refresh_map();
             }
         }
 
@@ -439,11 +375,11 @@ impl Router {
     }
 
     /// The node this key should try next: the first live, un-attempted
-    /// candidate. Falls back to any live candidate (repeat attempts
-    /// allowed) so transient errors can retry; `None` when every
-    /// candidate is down.
+    /// node on its whole-ring successor list (see module docs). Falls back
+    /// to the first live node (repeat attempts allowed) so transient
+    /// errors can retry; `None` when every node is down.
     fn pick(&self, key: BlockKey, attempted: &[NodeId]) -> Option<NodeId> {
-        let cands = self.map.owners(key, self.cfg.candidates.max(1));
+        let cands = self.map.owners(key, self.map.nodes().len());
         let live: Vec<NodeId> = cands
             .iter()
             .copied()
@@ -481,15 +417,13 @@ impl Router {
     /// scraped drains onto the router's timeline. A node reporting
     /// `now_ns = 0` keeps its previous estimate. Returns nodes synced.
     pub fn sync_clocks(&mut self) -> usize {
-        let my_version = self.map.version();
         let mut synced = 0;
-        for node in self.map.clone().nodes() {
+        for node in self.map.nodes().to_vec() {
             if self.conns.get(&node.0).is_some_and(|c| c.down) {
                 continue;
             }
             let t_send = viz_telemetry::now_ns();
-            let req = Request::Ping { from: PING_FROM_CLIENT, map_version: my_version };
-            if let Ok(Response::Pong { now_ns, .. }) = self.round_trip(*node, &req) {
+            if let Ok(Response::Pong { now_ns, .. }) = self.round_trip(node, &PING) {
                 let t_recv = viz_telemetry::now_ns();
                 if now_ns != 0 {
                     let off = viz_telemetry::collect::offset_from_rtt(t_send, t_recv, now_ns);
@@ -514,13 +448,12 @@ impl Router {
     /// [`cluster_prometheus`](viz_telemetry::collect::cluster_prometheus).
     pub fn scrape(&mut self) -> Vec<viz_telemetry::collect::NodeDrain> {
         let mut drains = Vec::new();
-        for node in self.map.clone().nodes() {
+        for node in self.map.nodes().to_vec() {
             if self.conns.get(&node.0).is_some_and(|c| c.down) {
                 continue;
             }
-            if let Ok(Response::TelemetryReply(w)) = self.round_trip(*node, &Request::TelemetryGet)
-            {
-                let off = self.clock_offset(*node);
+            if let Ok(Response::TelemetryReply(w)) = self.round_trip(node, &Request::TelemetryGet) {
+                let off = self.clock_offset(node);
                 drains.push(crate::obs::drain_from_wire(&w, off));
             }
         }
@@ -604,7 +537,7 @@ fn ensure_session_on(
 }
 
 /// One framed round trip; transport failure drops the link and marks
-/// the node down (the next map refresh can revive it).
+/// the node down (a later probe can revive it).
 fn round_trip_on(
     connect: &Connector,
     node: NodeId,

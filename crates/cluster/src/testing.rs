@@ -141,9 +141,9 @@ impl TestCluster {
         cluster
     }
 
-    /// Build (or rebuild) node `id` over the shared store under the
-    /// current map, reusing its tap if it had one so read accounting
-    /// spans restarts. The node's connector panics: nodes dial nobody.
+    /// Build (or rebuild) node `id` over the shared store, reusing its tap
+    /// if it had one so read accounting spans restarts. The node's
+    /// connector panics: nodes dial nobody.
     fn build_node(&mut self, id: NodeId) {
         let tap = self
             .taps
@@ -180,12 +180,12 @@ impl TestCluster {
         &self.clock
     }
 
-    /// The authoritative (control-plane) map.
+    /// The cluster's static shard map, the one every router holds.
     pub fn map(&self) -> &ShardMap {
         &self.map
     }
 
-    /// A live node, if it has not been failed.
+    /// A live node, if it has not crashed.
     pub fn node(&self, id: NodeId) -> Option<Arc<ClusterNode>> {
         relock(&self.registry.nodes).get(&id.0).cloned()
     }
@@ -199,7 +199,7 @@ impl TestCluster {
     }
 
     /// Storage reads issued *by* `id`'s local source, counting reads
-    /// even after the node failed.
+    /// even after the node crashed.
     pub fn reads(&self, id: NodeId) -> u64 {
         self.taps.get(&id.0).map_or(0, |t| t.reads())
     }
@@ -212,7 +212,7 @@ impl TestCluster {
         })
     }
 
-    /// A router named `name` holding the current map.
+    /// A router named `name` holding the cluster's map.
     pub fn router(&self, name: &str) -> Router {
         self.router_with(name, RouterConfig::default())
     }
@@ -233,20 +233,10 @@ impl TestCluster {
         })
     }
 
-    /// Crash `id`: it vanishes from the registry (in-flight callers see
-    /// `ConnectionRefused`), and the successor map — with `id` removed
-    /// and the version bumped — installs on every survivor. Returns the
-    /// new map version.
-    pub fn fail_node(&mut self, id: NodeId) -> u64 {
-        relock(&self.registry.nodes).remove(&id.0);
-        self.reassign_without(id)
-    }
-
-    /// Crash `id` *without* reassigning: the node vanishes but every
-    /// surviving map still names it — the window between a crash and the
-    /// control plane noticing. Routers asking it fail over to its ring
-    /// successors.
-    pub fn partition_node(&mut self, id: NodeId) {
+    /// Crash `id`: it vanishes from the registry, so callers see
+    /// `ConnectionRefused`. The map still names it; routers asking it
+    /// fail over along its keys' ring successors.
+    pub fn crash_node(&self, id: NodeId) {
         relock(&self.registry.nodes).remove(&id.0);
     }
 
@@ -285,50 +275,18 @@ impl TestCluster {
     }
 
     /// Restart a crashed node: rebuild it over the shared store (same
-    /// tap, so read accounting spans the restart) under the current map
-    /// — re-adding it via [`ShardMap::with`] if a reassignment dropped
-    /// it — and push that map to every live node. Returns the map
-    /// version in force afterwards.
-    pub fn restart_node(&mut self, id: NodeId) -> u64 {
-        if !self.map.contains(id) {
-            self.map = self.map.with(id);
-        }
+    /// tap, so read accounting spans the restart). Routers that marked it
+    /// down re-admit it on their next probe.
+    pub fn restart_node(&mut self, id: NodeId) {
         self.build_node(id);
-        self.push_map();
-        self.map.version()
-    }
-
-    /// Grow the cluster: a brand-new node joins under [`ShardMap::with`]
-    /// (bounded movement — only keys whose ring positions land on the
-    /// newcomer move) and the new map pushes everywhere. Returns the new
-    /// map version.
-    pub fn join_node(&mut self, id: NodeId) -> u64 {
-        self.map = self.map.with(id);
-        self.build_node(id);
-        self.push_map();
-        self.map.version()
-    }
-
-    fn push_map(&self) {
-        let nodes: Vec<Arc<ClusterNode>> = relock(&self.registry.nodes).values().cloned().collect();
-        for node in nodes {
-            node.install_map(self.map.clone());
-        }
     }
 
     /// Gracefully retire `id`: drain its server first (flushing queued
-    /// demand), then remove it and reassign as in
-    /// [`TestCluster::fail_node`].
-    pub fn drain_node(&mut self, id: NodeId) -> u64 {
+    /// demand), then remove it as [`TestCluster::crash_node`] does.
+    pub fn drain_node(&self, id: NodeId) {
         if let Some(node) = self.node(id) {
             node.server().drain();
         }
-        self.fail_node(id)
-    }
-
-    fn reassign_without(&mut self, id: NodeId) -> u64 {
-        self.map = self.map.without(id);
-        self.push_map();
-        self.map.version()
+        self.crash_node(id);
     }
 }

@@ -112,19 +112,22 @@ fn an_error_is_never_held() {
 #[test]
 fn a_timed_out_slot_is_asked_again() {
     let cluster = setup(16);
-    // One candidate per key, so an unreachable owner leaves its keys
-    // unresolved (`TimedOut`); probe every frame so it is re-admitted at
-    // the start of the next one.
-    let cfg = RouterConfig { candidates: 1, probe_every: 1 };
+    // Every node unreachable, so the key walks the whole ring and stays
+    // unresolved (`TimedOut`); probe every frame so a healed node is
+    // re-admitted at the start of the next one.
+    let cfg = RouterConfig { probe_every: 1 };
     let mut router = cluster.router_with("viewer", cfg);
     let owner = NodeId(0);
     let k = owned_by(&cluster, &keys(0..16), owner)[0];
 
-    cluster.isolate(owner);
+    let all = cluster.live_nodes();
+    for &n in &all {
+        cluster.isolate(n);
+    }
     let first = router.fetch(vec![k], vec![]);
     let timed_out = viz_serve::proto::errkind_code(std::io::ErrorKind::TimedOut);
     assert_eq!(first.blocks[0].result.as_ref().err(), Some(&timed_out));
-    assert_eq!(router.down_nodes(), vec![owner]);
+    assert_eq!(router.down_nodes(), all);
 
     cluster.heal(owner);
     let admitted = cluster.node(owner).unwrap().server().metrics().demand_admitted;
@@ -156,7 +159,7 @@ fn an_all_held_frame_still_delivers_its_prefetch() {
 
 #[test]
 fn a_held_key_is_answered_while_its_owner_is_partitioned() {
-    let mut cluster = setup(32);
+    let cluster = setup(32);
     let mut router = cluster.router("viewer");
     let owner = NodeId(1);
     let owned = owned_by(&cluster, &keys(0..32), owner);
@@ -164,7 +167,7 @@ fn a_held_key_is_answered_while_its_owner_is_partitioned() {
     let (warm, cold) = (&owned[..1], &owned[1..]);
     assert!(router.fetch(warm.to_vec(), vec![]).blocks[0].result.is_ok());
 
-    cluster.partition_node(owner);
+    cluster.crash_node(owner);
     let reads_before = reads(&cluster);
     let got = router.fetch(warm.to_vec(), vec![]);
     assert_payloads(&got.blocks, warm);

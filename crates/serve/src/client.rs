@@ -212,17 +212,6 @@ impl<T: Transport> ServeClient<T> {
         }
     }
 
-    /// Fetch the server's shard map (cluster nodes answer; a plain
-    /// server replies `ERR_NO_MAP`). Returns `(version, map_bytes)`.
-    pub fn map_get(&mut self) -> Result<(u64, Vec<u8>), ClientError> {
-        self.send(&Request::MapGet)?;
-        match self.recv_response()? {
-            Response::MapReply { version, map_bytes } => Ok((version, map_bytes)),
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            _ => Err(ClientError::Unexpected("MapReply")),
-        }
-    }
-
     /// Close the open session and empty the client tier.
     pub fn close(&mut self) -> Result<(), ClientError> {
         self.send_close()?;

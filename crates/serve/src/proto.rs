@@ -7,12 +7,13 @@
 //! `b"VSRV"` magic, a `u16` protocol version, and a one-byte message tag,
 //! followed by the tag-specific payload. Requests use tags `0x01..=0x09`,
 //! responses mirror them at `0x81..=0x88`, and `0xFF` is the typed error
-//! reply. Request tag `0x07` is retired (it was a node-to-node forward)
-//! and is never reused: it decodes as [`ProtoError::UnknownTag`]. The
-//! cluster layer rides the same version: `MapGet`/`MapReply` exchange
-//! the opaque CRC-framed shard map, and `Ping`/`Pong` carry a router's
-//! liveness probes with piggybacked map versions, so a router behind
-//! the cluster pulls the newer map.
+//! reply. Retired tags are never reused and decode as
+//! [`ProtoError::UnknownTag`]: request `0x07` (a node-to-node forward),
+//! and request `0x06` with its response `0x86` (a shard-map exchange;
+//! cluster maps are static now). The cluster layer rides the same
+//! version: `Ping`/`Pong` carry a router's liveness probes. Their
+//! `map_version` fields stay on the wire; every sender writes 0 and
+//! every receiver ignores them.
 //!
 //! Corruption never panics: truncation, a flipped CRC byte, an unknown
 //! tag, and version skew each map to a distinct [`ProtoError`] variant,
@@ -98,8 +99,7 @@ const TAG_CLOSE: u8 = 0x02;
 const TAG_FETCH: u8 = 0x03;
 const TAG_ADVANCE: u8 = 0x04;
 const TAG_STATS: u8 = 0x05;
-const TAG_MAP_GET: u8 = 0x06;
-// 0x07 is retired: never reuse it.
+// 0x06 and 0x07 are retired: never reuse them.
 const TAG_PING: u8 = 0x08;
 const TAG_TELEMETRY_GET: u8 = 0x09;
 const TAG_OPEN_ACK: u8 = 0x81;
@@ -107,7 +107,7 @@ const TAG_CLOSE_ACK: u8 = 0x82;
 const TAG_FETCH_REPLY: u8 = 0x83;
 const TAG_ADVANCE_ACK: u8 = 0x84;
 const TAG_STATS_REPLY: u8 = 0x85;
-const TAG_MAP_REPLY: u8 = 0x86;
+// 0x86 is retired: never reuse it.
 const TAG_PONG: u8 = 0x87;
 const TAG_TELEMETRY_REPLY: u8 = 0x88;
 const TAG_ERROR: u8 = 0xFF;
@@ -143,10 +143,8 @@ pub const ERR_UNKNOWN_SESSION: u16 = 3;
 pub(crate) const ERR_TOO_MANY_SESSIONS: u16 = 4;
 /// Wire error code: the server is draining and rejects new work.
 pub const ERR_DRAINING: u16 = 5;
-/// Wire error code: a `MapGet` reached a server with no shard map
-/// installed (a plain single-node server, or a cluster node before its
-/// first map push).
-pub const ERR_NO_MAP: u16 = 6;
+// Wire error code 6 is retired (a shard-map request reached a server
+// with no map): never reuse it.
 
 /// Typed decode failure. Every corruption mode is a value, never a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -264,17 +262,14 @@ pub enum Request {
     },
     /// Snapshot server + engine counters.
     Stats,
-    /// Ask for the serving node's current shard map (cluster layer).
-    MapGet,
-    /// Liveness probe: "are you there, and is your shard map newer than
-    /// this version?" Sessionless, answered with [`Response::Pong`]. A
-    /// router behind the responder pulls the newer map with `MapGet`
-    /// immediately instead of learning about the skew on a failed fetch.
+    /// Liveness probe: "are you there?" Sessionless, answered with
+    /// [`Response::Pong`].
     Ping {
         /// [`PING_FROM_CLIENT`] from every sender this build has. The field
         /// stays on the wire, and receivers ignore it.
         from: u32,
-        /// Sender's current shard-map version (0 = none installed).
+        /// 0 from every sender this build has (shard maps are static). The
+        /// field stays on the wire, and receivers ignore it.
         map_version: u64,
     },
     /// Drain the responding node's telemetry plane — event rings (routed
@@ -293,7 +288,6 @@ impl Request {
             Request::Fetch { .. } => TAG_FETCH,
             Request::Advance { .. } => TAG_ADVANCE,
             Request::Stats => TAG_STATS,
-            Request::MapGet => TAG_MAP_GET,
             Request::Ping { .. } => TAG_PING,
             Request::TelemetryGet => TAG_TELEMETRY_GET,
         }
@@ -404,21 +398,13 @@ pub enum Response {
         /// `(name, value)` pairs.
         counters: Vec<(String, u64)>,
     },
-    /// The serving node's shard map, opaque to the wire layer: the
-    /// cluster crate's own CRC-framed codec lives inside `map_bytes`.
-    MapReply {
-        /// Map version, monotonically increasing across reassignments;
-        /// clients and peers use it to detect skew without decoding.
-        version: u64,
-        /// Encoded shard map (the cluster crate's VMAP frame).
-        map_bytes: Vec<u8>,
-    },
-    /// Heartbeat ack: the responder's identity and shard-map version.
+    /// Heartbeat ack: the responder's identity.
     Pong {
         /// Responder's node id, or [`PING_FROM_CLIENT`] from a plain
         /// single-node server with no cluster identity.
         node: u32,
-        /// Responder's current shard-map version (0 = none installed).
+        /// 0 from every responder this build has (shard maps are static).
+        /// The field stays on the wire, and receivers ignore it.
         map_version: u64,
         /// Responder's telemetry clock at answer time. With the
         /// requester's local send/receive stamps this yields an
@@ -773,9 +759,6 @@ fn request_frame(req: &Request) -> Result<Vec<u8>, String> {
         Request::Stats => {
             b = body_header(TAG_STATS);
         }
-        Request::MapGet => {
-            b = body_header(TAG_MAP_GET);
-        }
         Request::Ping { from, map_version } => {
             b = body_header(TAG_PING);
             put_u32(&mut b, *from);
@@ -832,7 +815,6 @@ pub fn decode_request(buf: &[u8]) -> Result<Request, ProtoError> {
             Request::Advance { session, trace }
         }
         TAG_STATS => Request::Stats,
-        TAG_MAP_GET => Request::MapGet,
         TAG_PING => Request::Ping { from: r.u32()?, map_version: r.u64()? },
         TAG_TELEMETRY_GET => Request::TelemetryGet,
         t => return Err(ProtoError::UnknownTag(t)),
@@ -923,12 +905,6 @@ pub(crate) fn encode_reply_frame(resp: &Response) -> ReplyFrame {
                 b.extend_from_slice(name.as_bytes());
                 put_u64(&mut b, *value);
             }
-        }
-        Response::MapReply { version: map_ver, map_bytes } => {
-            b = body_header(TAG_MAP_REPLY);
-            put_u64(&mut b, *map_ver);
-            put_u32(&mut b, map_bytes.len() as u32);
-            b.extend_from_slice(map_bytes);
         }
         Response::Pong { node, map_version, now_ns } => {
             b = body_header(TAG_PONG);
@@ -1037,13 +1013,6 @@ pub fn decode_response(buf: &[u8]) -> Result<Response, ProtoError> {
             }
             Response::StatsReply { counters }
         }
-        TAG_MAP_REPLY => {
-            let version = r.u64()?;
-            let n = r.u32()?;
-            let n = r.count(n, 1)?;
-            let map_bytes = r.take(n)?.to_vec();
-            Response::MapReply { version, map_bytes }
-        }
         TAG_PONG => Response::Pong { node: r.u32()?, map_version: r.u64()?, now_ns: r.u64()? },
         TAG_TELEMETRY_REPLY => {
             let node = r.u32()?;
@@ -1142,7 +1111,6 @@ mod tests {
             },
             Request::Advance { session: 7, trace: ctx(0x1111, 0) },
             Request::Stats,
-            Request::MapGet,
             Request::Ping { from: 2, map_version: 13 },
             Request::Ping { from: PING_FROM_CLIENT, map_version: 0 },
             Request::TelemetryGet,
@@ -1166,7 +1134,6 @@ mod tests {
             Response::StatsReply {
                 counters: vec![("serve_sessions_opened".into(), 3), ("x".into(), 0)],
             },
-            Response::MapReply { version: 11, map_bytes: vec![0x56, 0x4D, 0x41, 0x50, 0x00] },
             Response::Pong { node: 1, map_version: 11, now_ns: 123_456_789 },
             Response::TelemetryReply(WireTelemetry {
                 node: 2,
@@ -1388,16 +1355,20 @@ mod tests {
 
     #[test]
     fn oversize_response_of_any_kind_becomes_a_typed_error_frame() {
-        let map = Response::MapReply { version: 5, map_bytes: vec![0xAB; MAX_FRAME_BYTES + 1] };
-        let frame = encode_response(&map);
-        assert!(frame.len() < 256, "an error frame, not {} bytes of map", frame.len());
+        // 1,025 counters with the longest name a `u16` length counts: each
+        // is 2 + 65,535 + 8 bytes on the wire, 64.1 MiB in all.
+        let name = "c".repeat(usize::from(u16::MAX));
+        let counters = vec![(name, 7u64); 1025];
+        let frame = encode_response(&Response::StatsReply { counters });
+        assert!(frame.len() < 256, "an error frame, not {} bytes of counters", frame.len());
         assert_eq!(frame, framed(&frame[8..]));
         match decode_response(&frame).unwrap() {
             Response::Error { code, message } => {
                 assert_eq!(code, ERR_PROTO);
                 assert!(message.contains(&MAX_FRAME_BYTES.to_string()), "{message}");
-                // 7 prefix + version + count + the bytes.
-                let body_len = 7 + 8 + 4 + MAX_FRAME_BYTES + 1;
+                // 7 prefix + count + the counters.
+                let body_len = 7 + 4 + 1025 * (2 + usize::from(u16::MAX) + 8);
+                assert!(body_len > MAX_FRAME_BYTES);
                 assert!(message.contains(&body_len.to_string()), "names the size: {message}");
             }
             other => panic!("wanted an Error, got {other:?}"),
@@ -1512,10 +1483,14 @@ mod tests {
         };
         assert_eq!(with(&|b| b[0] = b'X'), ProtoError::BadMagic(*b"XSRV"));
         assert_eq!(with(&|b| b[6] = 0x7E), ProtoError::UnknownTag(0x7E));
-        // Request tag 0x07 is retired, never reused.
-        let mut retired = encode_request(&sample_requests()[2])[8..].to_vec();
-        retired[6] = 0x07;
-        assert_eq!(decode_request(&framed(&retired)).unwrap_err(), ProtoError::UnknownTag(0x07));
+        // Retired tags are never reused: requests 0x06 and 0x07, response
+        // 0x86.
+        for tag in [0x06, 0x07] {
+            let mut retired = encode_request(&sample_requests()[2])[8..].to_vec();
+            retired[6] = tag;
+            assert_eq!(decode_request(&framed(&retired)).unwrap_err(), ProtoError::UnknownTag(tag));
+        }
+        assert_eq!(with(&|b| b[6] = 0x86), ProtoError::UnknownTag(0x86));
         assert_eq!(with(&|b| b.push(0)), ProtoError::Malformed("trailing bytes after payload"));
         // Body layout: 7 prefix, session/shed/downgraded, then the block
         // count at 19, the first block's status at 31 and length at 32.

@@ -946,17 +946,9 @@ fn handle_request_inner(server: &Server, req: Request) -> Outcome {
             Outcome::Ready(resp)
         }
         Request::Stats => Outcome::Ready(Response::StatsReply { counters: server.wire_counters() }),
-        // A plain single-node server has no shard map to hand out; the
-        // cluster layer's dispatcher intercepts this tag before it lands
-        // here.
-        Request::MapGet => Outcome::Ready(Response::Error {
-            code: proto::ERR_NO_MAP,
-            message: "no shard map installed".to_string(),
-        }),
-        // A plain server has no node identity or shard map; it still
-        // answers the probe (liveness is liveness) with the sentinel id
-        // and version 0. The cluster dispatcher intercepts this tag to
-        // fill in its real id and map version.
+        // A plain server has no node identity; it still answers the
+        // probe (liveness is liveness) with the sentinel id. The cluster
+        // dispatcher intercepts this tag to fill in its real id.
         Request::Ping { .. } => Outcome::Ready(Response::Pong {
             node: proto::PING_FROM_CLIENT,
             map_version: 0,
@@ -971,9 +963,9 @@ fn handle_request_inner(server: &Server, req: Request) -> Outcome {
 }
 
 /// Per-node request interceptor: lets a layer above the server (the
-/// cluster node) claim protocol tags the plain server cannot answer —
-/// `MapGet`, and `Ping`/`TelemetryGet` with a node identity — while passing
-/// everything else to [`handle_request`]. One dispatcher is shared by
+/// cluster node) answer `Ping` and `TelemetryGet` with a node identity
+/// the plain server does not have, while passing everything else to
+/// [`handle_request`]. One dispatcher is shared by
 /// every connection of a front end, so implementations hold their own
 /// state behind `Arc`s.
 pub trait RequestDispatch: Send + Sync {

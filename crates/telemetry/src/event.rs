@@ -103,8 +103,8 @@ pub enum EventKind {
     /// Not emitted any more; kept so later kinds keep their codes.
     /// Was: a node-to-node fetch fell back to a local read (instant).
     PeerFallback,
-    /// A node or router installed a newer shard map (instant; `key` =
-    /// node id, `arg` = new map version).
+    /// Not emitted any more; kept so later kinds keep their codes.
+    /// Was: a node installed a newer shard map (instant).
     MapUpdate,
     /// Not emitted any more; kept so later kinds keep their codes.
     /// Was: a node sent a membership heartbeat to a peer (instant).

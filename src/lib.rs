@@ -14,9 +14,9 @@
 //! - [`serve`] — multi-client block/frame server: CRC-framed wire
 //!   protocol, session registry, deficit-round-robin fairness, load
 //!   shedding, cross-session request coalescing.
-//! - [`cluster`] — sharded multi-node serving: consistent-hash shard
-//!   map, nodes that serve from their own storage, and a client-side
-//!   owner router, the one routing layer.
+//! - [`cluster`] — sharded multi-node serving: a static consistent-hash
+//!   shard map, nodes that serve from their own storage, and a
+//!   client-side owner router, the one routing layer.
 //! - [`telemetry`] — zero-dependency tracing: per-thread event rings,
 //!   log-bucketed histograms, Chrome-trace / Prometheus / summary
 //!   exporters.
