@@ -23,6 +23,7 @@ pub enum Lookup {
 /// A bounded cache level. Capacity is counted in entries because the paper
 /// partitions data into uniform-size blocks (§IV: "divided into a set of
 /// uniform-size blocks"), making entry count ∝ bytes.
+#[derive(Debug)]
 pub struct CacheLevel<K> {
     order: KeyOrder<K>,
     kind: PolicyKind,
@@ -96,16 +97,27 @@ impl<K: Copy + Eq + Hash> CacheLevel<K> {
         if self.hit(&key) {
             return Vec::new();
         }
-        let mut evicted = Vec::new();
-        while self.order.len() >= self.capacity {
-            match self.order.pop_victim() {
-                Some(v) => evicted.push(v),
-                None => break, // everything pinned: allow overflow
-            }
-        }
+        // Everything pinned: the insert is honoured past capacity.
+        let evicted = self.evict_to(self.capacity - 1);
         self.order.insert(key);
         if !self.pinned_absent.is_empty() && self.pinned_absent.remove(&key) {
             self.order.pin(&key);
+        }
+        evicted
+    }
+
+    /// Evict unpinned keys, each time the one the policy would replace
+    /// next, until at most `len` are resident or every resident key is
+    /// pinned. Returns the evicted keys in eviction order. This is how a
+    /// level whose pins were released comes back within a bound without
+    /// an insert.
+    pub fn evict_to(&mut self, len: usize) -> Vec<K> {
+        let mut evicted = Vec::new();
+        while self.order.len() > len {
+            match self.order.pop_victim() {
+                Some(v) => evicted.push(v),
+                None => break,
+            }
         }
         evicted
     }
@@ -256,6 +268,31 @@ mod tests {
             // A re-access of the most recent key must hit.
             assert_eq!(c.access(15), Lookup::Hit, "{}", kind.label());
         }
+    }
+
+    #[test]
+    fn evict_to_walks_past_pins_in_lru_order() {
+        let mut c = filled(PolicyKind::Lru, &[1, 2, 3, 4]);
+        c.access(1); // order (LRU→MRU): 2, 3, 4, 1
+        c.pin(3);
+        assert_eq!(c.evict_to(2), vec![2, 4]);
+        assert_eq!(c.order.oldest_first(), vec![3, 1]);
+        assert_eq!(c.evict_to(0), vec![1], "the pinned key stays");
+        assert!(c.evict_to(0).is_empty());
+        assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn evict_to_brings_an_overflowed_level_back_within_a_bound() {
+        let mut c = lru(2);
+        for k in [1, 2, 3] {
+            c.pin(k);
+            c.insert(k);
+        }
+        assert_eq!(c.len(), 3, "every key pinned: overflow");
+        c.unpin_all();
+        assert_eq!(c.evict_to(c.capacity()), vec![1]);
+        assert!(c.evict_to(5).is_empty());
     }
 
     #[test]

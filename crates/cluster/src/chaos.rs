@@ -189,6 +189,17 @@ fn marked(router: &Router, target: NodeId) -> bool {
 /// [`crate::read_flight_dump`]) — the injected fault's cross-node
 /// timeline, reconstructable offline. Requires the telemetry gate on to
 /// observe anything.
+///
+/// # Panics
+///
+/// When `router`'s client tier holds a step's whole demand window: that
+/// frame reaches no node, so a fault it overlaps proves nothing. The
+/// window moves three keys a step over 64, so a tier that holds more
+/// than the last frame (the default) holds every window after a lap;
+/// build the router with
+/// [`with_tier`](Router::with_tier)`(`[`ClientTier::with_capacity`]`(0))`.
+///
+/// [`ClientTier::with_capacity`]: viz_serve::ClientTier::with_capacity
 pub fn run_plan(
     cluster: &mut TestCluster,
     router: &mut Router,
@@ -245,6 +256,10 @@ pub fn run_plan(
             .collect();
         let t0 = cluster.clock().now();
         let reply = router.fetch(demand, Vec::new());
+        assert!(
+            reply.held < DEMAND_PER_STEP,
+            "step {step}: the router's tier held the whole window, so no node saw the frame"
+        );
         report.frame_ticks.push(cluster.clock().now() - t0);
         report.demand_blocks += reply.blocks.len() as u64;
         report.demand_errors += reply.blocks.iter().filter(|b| b.result.is_err()).count() as u64;

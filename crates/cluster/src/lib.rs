@@ -15,8 +15,8 @@
 //! - `node` — a [`ClusterNode`] wraps a [`viz_serve::Server`] whose
 //!   engine reads the node's local storage, and answers `Ping` and
 //!   `TelemetryGet` with its identity.
-//! - `router` — the client side: answer what the last frame carried
-//!   from the client tier, split the rest of a frame's demand per owner,
+//! - `router` — the client side: answer what the viewer's client tier
+//!   holds, split the rest of a frame's demand per owner,
 //!   merge replies, and fail over along each key's whole ring-successor
 //!   list. The first live node on that list is the owner a map over the
 //!   survivors would name, so failover is the reassignment and no map

@@ -9,16 +9,20 @@
 //!
 //! ## The client tier
 //!
-//! A router keeps the `Arc` payloads of its last frame's `Ok` demand
-//! replies in a [`ClientTier`], the hold rule [`viz_serve::ServeClient`]
-//! uses too. A demand key the tier holds fills its slot before the first
-//! routing round, so only the absent keys are grouped into owner batches;
-//! a frame whose demand is all held routes nothing and needs 0 rounds,
-//! and its prefetch still reaches the owners as prefetch-only requests.
-//! After the merge the tier is replaced by this frame's `Ok` payloads;
-//! errors and `TimedOut` slots are never held, so they are asked again.
-//! A held key is answered even while its owner is unreachable, so a
-//! failover shows only on keys the last frame did not carry.
+//! A router keeps the `Ok` demand payloads it merged in a [`ClientTier`],
+//! the viewer's fast memory that [`viz_serve::ServeClient`] uses too: an
+//! LRU tier counted in blocks that pins the frame merged last, so it
+//! holds that frame and, up to its capacity, the blocks of earlier ones.
+//! A demand key the tier holds fills its slot before the first routing
+//! round, so only the absent keys are grouped into owner batches; a frame
+//! whose demand is all held routes no demand and needs 0 rounds. Errors
+//! and `TimedOut` slots are never held, so they are asked again. A held
+//! key is answered even while its owner is unreachable, so a failover
+//! shows only on keys the tier does not hold.
+//!
+//! Prefetch goes out once, with the first fan-out: each owner's entries
+//! ride with its first-round demand batch, or alone as a prefetch-only
+//! request when it has none (every demand key it owns is held, say).
 //!
 //! ## Failover is reassignment
 //!
@@ -28,9 +32,13 @@
 //! tried this frame. The first live node on the list is the owner a map
 //! built over the live nodes would name, so walking the whole ring *is*
 //! the reassignment: the map never changes and no map travels. Nodes
-//! already marked down cost nothing. A key whose list meets more dead
-//! nodes not yet marked down, in a row, than a frame has rounds (three)
-//! times out for that frame; the next frame skips the nodes it marked.
+//! already marked down cost nothing. A frame has three rounds, and a round
+//! marks every node it could not reach. Past the third, a frame goes on
+//! only for keys that have met nothing but dead nodes, one round per node
+//! at most, so such a key reaches the first live node on its list within
+//! the frame however many nodes before it died. A key a live node
+//! answered with a transient error keeps three tries, however large the
+//! map.
 //!
 //! ## Off-owner batches
 //!
@@ -57,11 +65,13 @@ use viz_volume::BlockKey;
 /// version 0, and nodes ignore both fields.
 const PING: Request = Request::Ping { from: PING_FROM_CLIENT, map_version: 0 };
 
-/// Routing rounds per [`Router::fetch`] before unresolved keys give up.
-/// A round marks every node it could not reach down, and the next round
-/// walks each pending key past all of them, so a frame whose first round
-/// asked every dead node resolves in its second.
-const MAX_ROUNDS: u32 = 3;
+/// Routing rounds per [`Router::fetch`] for every unresolved key, transient
+/// retries included. A round marks every node it could not reach down,
+/// and the next round walks each pending key past all of them, so a key
+/// meets at most one dead node a round; a key that has met only dead
+/// nodes goes on past this, up to one round per node, to reach the first
+/// live one.
+const MIN_ROUNDS: u32 = 3;
 
 /// Router tuning.
 #[derive(Debug, Clone)]
@@ -88,7 +98,7 @@ pub struct RouterReply {
     pub shed: u64,
     /// Prefetch entries the nodes admitted at reduced priority.
     pub downgraded: u64,
-    /// Routing rounds the frame needed: 0 when every demand key was
+    /// Demand routing rounds the frame needed: 0 when every demand key was
     /// held, 1 when every owner asked answered, more after a failover.
     pub rounds: u32,
     /// Demand slots answered from the client tier, never sent.
@@ -120,7 +130,7 @@ pub struct Router {
     /// Per-node clock-offset estimates from [`Router::sync_clocks`]
     /// (ns to add to that node's event timestamps).
     offsets: HashMap<u32, i64>,
-    /// The last frame's `Ok` demand payloads (see module docs).
+    /// The viewer's fast memory (see module docs).
     tier: ClientTier,
 }
 
@@ -155,6 +165,12 @@ impl Router {
             offsets: HashMap::new(),
             tier: ClientTier::default(),
         }
+    }
+
+    /// Hold merged blocks in `tier` instead of a default one.
+    pub fn with_tier(mut self, tier: ClientTier) -> Router {
+        self.tier = tier;
+        self
     }
 
     /// Nodes currently marked unreachable.
@@ -209,9 +225,10 @@ impl Router {
     }
 
     /// Route one frame: held demand answered from the client tier, the
-    /// rest split per owner, prefetch attached to each key's owner batch,
-    /// failed batches retried along each key's ring successors across up
-    /// to three rounds. Unresolved keys report `TimedOut`.
+    /// rest split per owner, each owner's prefetch sent with the first
+    /// fan-out, failed batches retried along each key's ring successors
+    /// across three rounds, more for keys walking past dead nodes (see
+    /// module docs). Unresolved keys report `TimedOut`.
     pub fn fetch(&mut self, demand: Vec<BlockKey>, prefetch: Vec<(BlockKey, f64)>) -> RouterReply {
         self.frames = self.frames.wrapping_add(1);
         // Every frame gets one trace id, stamped on every batch it fans
@@ -234,9 +251,9 @@ impl Router {
         let mut attempted: Vec<Vec<NodeId>> = vec![Vec::new(); demand.len()];
         let (mut shed, mut downgraded, mut rounds) = (0u64, 0u64, 0u32);
 
-        // Prefetch rides along exactly once, grouped by primary owner;
-        // entries owned by a down node shed here (speculation is not
-        // worth a failover round trip).
+        // Prefetch rides along exactly once, grouped by primary owner, in
+        // the first fan-out; entries whose owner is down shed (speculation
+        // is not worth a failover round trip).
         let mut prefetch_by_node: HashMap<u32, Vec<(BlockKey, f64)>> = HashMap::new();
         for (key, pri) in prefetch {
             match self.map.owner(key) {
@@ -245,27 +262,40 @@ impl Router {
             }
         }
 
-        while rounds < MAX_ROUNDS {
-            let pending: Vec<usize> = (0..demand.len()).filter(|&i| results[i].is_none()).collect();
-            if pending.is_empty() {
-                break;
-            }
-            rounds += 1;
-            // Group this round's keys by chosen node.
+        let max_rounds = MIN_ROUNDS.max(self.map.nodes().len() as u32);
+        // False once a round finds every node down: no later one can do
+        // better within this frame.
+        let mut reachable = true;
+        loop {
             let mut groups: HashMap<u32, Vec<usize>> = HashMap::new();
-            for &i in &pending {
-                if let Some(node) = self.pick(demand[i], &attempted[i]) {
-                    groups.entry(node.0).or_default().push(i);
+            // Past the third round only keys that every node asked so far
+            // failed to reach go on: a transient error keeps three tries.
+            let pending: Vec<usize> = (0..demand.len())
+                .filter(|&i| results[i].is_none())
+                .filter(|&i| rounds < MIN_ROUNDS || attempted[i].iter().all(|&n| self.is_down(n)))
+                .collect();
+            if reachable && !pending.is_empty() && rounds < max_rounds {
+                rounds += 1;
+                // Group this round's keys by chosen node.
+                for &i in &pending {
+                    if let Some(node) = self.pick(demand[i], &attempted[i]) {
+                        groups.entry(node.0).or_default().push(i);
+                    }
                 }
+                reachable = !groups.is_empty();
+            }
+            // The first fan-out also carries every owner's prefetch: alone
+            // when the owner has no demand batch this round.
+            for &nid in prefetch_by_node.keys() {
+                groups.entry(nid).or_default();
             }
             if groups.is_empty() {
                 break;
             }
             let mut nodes: Vec<u32> = groups.keys().copied().collect();
             nodes.sort();
-            // One batch per node. A node's prefetch rides with the first
-            // batch sent to it, whether or not it owns that batch's
-            // demand keys.
+            // One batch per node; after the first fan-out no prefetch is
+            // left to ride.
             type Batch = (u32, Vec<usize>, Vec<BlockKey>, Vec<(BlockKey, f64)>);
             let batches: Vec<Batch> = nodes
                 .into_iter()
@@ -340,31 +370,13 @@ impl Router {
             }
         }
 
-        // Prefetch whose owner took no demand batch (every demand key
-        // held, say) still gets delivered, as a prefetch-only request;
-        // owners that are down shed it (speculation is not worth a
-        // failover).
-        let mut leftover: Vec<u32> = prefetch_by_node.keys().copied().collect();
-        leftover.sort();
-        for nid in leftover {
-            let entries = prefetch_by_node.remove(&nid).unwrap_or_default();
-            let n = entries.len() as u64;
-            match self.exchange(NodeId(nid), Vec::new(), entries, ctx) {
-                Ok((_, s, d)) => {
-                    shed += u64::from(s);
-                    downgraded += u64::from(d);
-                }
-                Err(_) => shed += n,
-            }
-        }
-
         let timed_out = viz_serve::proto::errkind_code(io::ErrorKind::TimedOut);
         let blocks: Vec<BlockReply> = demand
             .into_iter()
             .zip(results)
             .map(|(key, r)| BlockReply { key, result: r.unwrap_or(Err(timed_out)), crc: None })
             .collect();
-        self.tier.replace(&blocks);
+        self.tier.merge(&blocks);
         // The frame's root span: key = the minted trace id, arg packs
         // demand size (held slots included) and the rounds the frame
         // needed (0 when every demand key was held).
@@ -380,25 +392,13 @@ impl Router {
     /// errors can retry; `None` when every node is down.
     fn pick(&self, key: BlockKey, attempted: &[NodeId]) -> Option<NodeId> {
         let cands = self.map.owners(key, self.map.nodes().len());
-        let live: Vec<NodeId> = cands
-            .iter()
-            .copied()
-            .filter(|n| !self.conns.get(&n.0).is_some_and(|c| c.down))
-            .collect();
+        let live: Vec<NodeId> = cands.iter().copied().filter(|&n| !self.is_down(n)).collect();
         live.iter().copied().find(|n| !attempted.contains(n)).or_else(|| live.first().copied())
     }
 
-    /// One batch round trip to `node` (see [`exchange_on`]).
-    fn exchange(
-        &mut self,
-        node: NodeId,
-        keys: Vec<BlockKey>,
-        prefetch: Vec<(BlockKey, f64)>,
-        trace: TraceCtx,
-    ) -> io::Result<(Vec<BlockReply>, u32, u32)> {
-        let connect = self.connect.clone();
-        let name = self.name.clone();
-        exchange_on(connect.as_ref(), &name, node, self.conn(node), keys, prefetch, trace)
+    /// Whether `node` is marked unreachable.
+    fn is_down(&self, node: NodeId) -> bool {
+        self.conns.get(&node.0).is_some_and(|c| c.down)
     }
 
     fn conn(&mut self, node: NodeId) -> &mut NodeConn {
@@ -419,7 +419,7 @@ impl Router {
     pub fn sync_clocks(&mut self) -> usize {
         let mut synced = 0;
         for node in self.map.nodes().to_vec() {
-            if self.conns.get(&node.0).is_some_and(|c| c.down) {
+            if self.is_down(node) {
                 continue;
             }
             let t_send = viz_telemetry::now_ns();
@@ -449,7 +449,7 @@ impl Router {
     pub fn scrape(&mut self) -> Vec<viz_telemetry::collect::NodeDrain> {
         let mut drains = Vec::new();
         for node in self.map.nodes().to_vec() {
-            if self.conns.get(&node.0).is_some_and(|c| c.down) {
+            if self.is_down(node) {
                 continue;
             }
             if let Ok(Response::TelemetryReply(w)) = self.round_trip(node, &Request::TelemetryGet) {

@@ -9,7 +9,10 @@
 
 use std::sync::Mutex;
 use viz_cluster::chaos::run_plan;
-use viz_cluster::{ChaosAction, ChaosPlan, NodeId, RouterConfig, ShardStrategy, TestCluster};
+use viz_cluster::{
+    ChaosAction, ChaosPlan, NodeId, Router, RouterConfig, ShardStrategy, TestCluster,
+};
+use viz_serve::ClientTier;
 use viz_telemetry::EventKind;
 use viz_volume::{BlockId, BlockKey};
 
@@ -35,6 +38,12 @@ fn owned_by(cluster: &TestCluster, keys: &[BlockKey], node: NodeId) -> Vec<Block
     keys.iter().copied().filter(|&k| cluster.map().owner(k) == Some(node)).collect()
 }
 
+/// `router` with a tier that holds the last frame only, so each step of
+/// [`run_plan`]'s rotating window sends its new keys to the nodes.
+fn last_frame_only(router: Router) -> Router {
+    router.with_tier(ClientTier::with_capacity(0))
+}
+
 /// Split `keys` into its even and odd positions: two disjoint windows,
 /// so a router that fetched one holds none of the other and a frame on
 /// the other reaches the nodes.
@@ -48,7 +57,7 @@ fn seeded_plans_zero_demand_errors_across_seeds() {
     let _guard = TRACE.lock().unwrap_or_else(|p| p.into_inner());
     for seed in [11u64, 17, 23] {
         let mut cluster = TestCluster::new(4, ShardStrategy::Ring);
-        let mut router = cluster.router("chaos");
+        let mut router = last_frame_only(cluster.router("chaos"));
         let plan = ChaosPlan::seeded(seed, 4, 40);
         assert!(!plan.events.is_empty(), "seed {seed}: plan scheduled nothing");
         let faults = plan
@@ -105,9 +114,9 @@ fn seeded_plans_zero_demand_errors_across_seeds() {
 fn seeded_plan_replays_identically() {
     let _guard = TRACE.lock().unwrap_or_else(|p| p.into_inner());
     let mut c1 = TestCluster::new(4, ShardStrategy::Ring);
-    let mut r1 = c1.router("a");
+    let mut r1 = last_frame_only(c1.router("a"));
     let mut c2 = TestCluster::new(4, ShardStrategy::Ring);
-    let mut r2 = c2.router("a");
+    let mut r2 = last_frame_only(c2.router("a"));
     let plan = ChaosPlan::seeded(17, 4, 40);
     let a = run_plan(&mut c1, &mut r1, &plan, None);
     let b = run_plan(&mut c2, &mut r2, &plan, None);
@@ -125,7 +134,9 @@ fn seeded_plan_replays_identically() {
 fn crashed_then_restarted_node_resumes_traffic_via_probe() {
     let mut cluster = TestCluster::new(3, ShardStrategy::Ring);
     let keys = seed(&cluster, 96);
-    let mut router = cluster.router_with("viewer", RouterConfig { probe_every: 4 });
+    // Alternating halves reach the nodes on every frame.
+    let mut router =
+        last_frame_only(cluster.router_with("viewer", RouterConfig { probe_every: 4 }));
     let victim = NodeId(1);
     let owned = owned_by(&cluster, &keys, victim);
     assert!(!owned.is_empty());

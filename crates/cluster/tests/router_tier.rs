@@ -1,10 +1,13 @@
-//! The router's client tier: a `Router` answers the demand keys its last
-//! frame carried from that frame's payloads and routes only the rest to
-//! the owners, merging both back into one reply per demand slot.
+//! The router's client tier: a `Router` answers the demand keys its tier
+//! holds from their payloads and routes only the rest to the owners,
+//! merging both back into one reply per demand slot.
+//!
+//! Most tests build the tier at capacity 0, where it holds the last frame
+//! only; the rest run at the default capacity.
 
 use std::sync::Arc;
-use viz_cluster::{NodeId, RouterConfig, ShardStrategy, TestCluster};
-use viz_serve::BlockReply;
+use viz_cluster::{NodeId, Router, RouterConfig, ShardStrategy, TestCluster};
+use viz_serve::{BlockReply, ClientTier};
 use viz_volume::{BlockId, BlockKey};
 
 fn key(i: u32) -> BlockKey {
@@ -26,6 +29,12 @@ fn setup(n: u32) -> TestCluster {
         cluster.insert(key(i), payload(i));
     }
     cluster
+}
+
+/// A router named `name` on `cluster` whose tier holds the last frame
+/// only.
+fn last_frame_router(cluster: &TestCluster, name: &str) -> Router {
+    cluster.router(name).with_tier(ClientTier::with_capacity(0))
 }
 
 /// Demand keys admitted over every live node.
@@ -54,7 +63,7 @@ fn assert_payloads(blocks: &[BlockReply], want: &[BlockKey]) {
 #[test]
 fn overlapping_windows_route_only_the_absent_keys() {
     let cluster = setup(16);
-    let mut router = cluster.router("viewer");
+    let mut router = last_frame_router(&cluster, "viewer");
     let first = router.fetch(keys(0..8), vec![]);
     assert_payloads(&first.blocks, &keys(0..8));
     assert_eq!((first.held, first.rounds), (0, 1));
@@ -70,7 +79,7 @@ fn overlapping_windows_route_only_the_absent_keys() {
 #[test]
 fn held_payloads_are_the_last_frames_arcs() {
     let cluster = setup(8);
-    let mut router = cluster.router("viewer");
+    let mut router = last_frame_router(&cluster, "viewer");
     let first = router.fetch(keys([1, 2, 3]), vec![]);
     let second = router.fetch(keys([3, 4, 1]), vec![]);
     assert_eq!(second.held, 2);
@@ -83,7 +92,7 @@ fn held_payloads_are_the_last_frames_arcs() {
 #[test]
 fn the_tier_holds_the_last_frame_only() {
     let cluster = setup(8);
-    let mut router = cluster.router("viewer");
+    let mut router = last_frame_router(&cluster, "viewer");
     router.fetch(keys(0..4), vec![]);
     router.fetch(keys(4..8), vec![]);
     // 0..4 left the tier when 4..8 replaced it.
@@ -96,7 +105,7 @@ fn the_tier_holds_the_last_frame_only() {
 #[test]
 fn an_error_is_never_held() {
     let cluster = setup(4);
-    let mut router = cluster.router("viewer");
+    let mut router = last_frame_router(&cluster, "viewer");
     // Key 9 is not in the store: its reply is a final error.
     let first = router.fetch(keys([1, 9]), vec![]);
     assert!(first.blocks[0].result.is_ok());
@@ -116,7 +125,7 @@ fn a_timed_out_slot_is_asked_again() {
     // unresolved (`TimedOut`); probe every frame so a healed node is
     // re-admitted at the start of the next one.
     let cfg = RouterConfig { probe_every: 1 };
-    let mut router = cluster.router_with("viewer", cfg);
+    let mut router = cluster.router_with("viewer", cfg).with_tier(ClientTier::with_capacity(0));
     let owner = NodeId(0);
     let k = owned_by(&cluster, &keys(0..16), owner)[0];
 
@@ -144,7 +153,7 @@ fn a_timed_out_slot_is_asked_again() {
 #[test]
 fn an_all_held_frame_still_delivers_its_prefetch() {
     let cluster = setup(16);
-    let mut router = cluster.router("viewer");
+    let mut router = last_frame_router(&cluster, "viewer");
     router.fetch(keys(0..4), vec![]);
     let (reads_before, admitted_before) = (reads(&cluster), demand_admitted(&cluster));
 
@@ -160,7 +169,7 @@ fn an_all_held_frame_still_delivers_its_prefetch() {
 #[test]
 fn a_held_key_is_answered_while_its_owner_is_partitioned() {
     let cluster = setup(32);
-    let mut router = cluster.router("viewer");
+    let mut router = last_frame_router(&cluster, "viewer");
     let owner = NodeId(1);
     let owned = owned_by(&cluster, &keys(0..32), owner);
     assert!(owned.len() >= 2, "node 1 must own two keys");
@@ -189,11 +198,27 @@ fn a_held_key_is_answered_while_its_owner_is_partitioned() {
 #[test]
 fn each_router_holds_only_its_own_frames() {
     let cluster = setup(8);
-    let mut warm = cluster.router("warm");
+    let mut warm = last_frame_router(&cluster, "warm");
     warm.fetch(keys(0..4), vec![]);
-    let mut fresh = cluster.router("fresh");
+    let mut fresh = last_frame_router(&cluster, "fresh");
     let got = fresh.fetch(keys(0..4), vec![]);
     assert_eq!(got.held, 0);
     assert_eq!(demand_admitted(&cluster), 4 + 4);
     assert_eq!(warm.fetch(keys(0..4), vec![]).held, 4);
+}
+
+// ---- the default capacity -------------------------------------------
+
+#[test]
+fn a_key_from_two_frames_back_is_held() {
+    let cluster = setup(8);
+    let mut router = cluster.router("viewer");
+    router.fetch(keys(0..4), vec![]);
+    router.fetch(keys(4..8), vec![]);
+    assert_eq!(demand_admitted(&cluster), 8);
+
+    let third = router.fetch(keys(0..4), vec![]);
+    assert_payloads(&third.blocks, &keys(0..4));
+    assert_eq!((third.held, third.rounds), (4, 0), "0..4 stayed in the tier under 4..8");
+    assert_eq!(demand_admitted(&cluster), 8, "nothing reached an owner");
 }

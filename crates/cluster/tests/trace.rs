@@ -10,6 +10,7 @@ use viz_cluster::chaos::run_plan;
 use viz_cluster::{
     read_flight_dump, ChaosAction, ChaosEvent, ChaosPlan, NodeId, ShardStrategy, TestCluster,
 };
+use viz_serve::ClientTier;
 use viz_telemetry::{collect, json, EventKind};
 use viz_volume::{BlockId, BlockKey};
 
@@ -203,7 +204,9 @@ fn chaos_faults_trigger_flight_dump_with_zero_demand_errors() {
     });
 
     let mut cluster = TestCluster::new(3, ShardStrategy::Ring);
-    let mut router = cluster.router("chaos");
+    // A tier that holds the last frame only: `run_plan` needs every
+    // step's new keys to reach the nodes.
+    let mut router = cluster.router("chaos").with_tier(ClientTier::with_capacity(0));
     let slow = NodeId(1);
     let crashed = NodeId(2);
     let plan = ChaosPlan {

@@ -1,23 +1,36 @@
 //! A typed client over any [`Transport`]: encodes requests, decodes
 //! replies, tracks the open session, and holds the client tier.
 //!
-//! **The client tier** ([`ClientTier`]) is the `Arc` payloads of the last
-//! frame's `Ok` demand replies — the blocks the viewer is showing now. Its
-//! hold rule is written once here and shared by both viewer-side callers,
-//! this client and the cluster's `Router`: a demand key the tier holds is
-//! answered locally with an `Arc` clone (no copy, no wire, no CRC), only
-//! the absent keys are asked, and once the frame is merged the tier is
-//! replaced by that frame's `Ok` payloads, so it never holds more than one
-//! frame the caller already has. Errors are never held.
+//! **The client tier** ([`ClientTier`]) is the viewer's fast memory, the
+//! top of Algorithm 1's hierarchy (PAPER.md §IV-D): the `Arc` payloads of
+//! the `Ok` demand replies the viewer merged, counted in blocks. Its
+//! order is one `viz_cache::CacheLevel` under LRU whose pins are the
+//! frame merged last: each merge unpins, pins that frame's `Ok` demand,
+//! inserts or touches those keys in slot order, and evicts unpinned keys
+//! least recently used first down to the capacity
+//! ([`ClientTier::DEFAULT_CAPACITY`] blocks unless built with
+//! [`ClientTier::with_capacity`]). So the tier always holds the frame it
+//! just returned and never more than `max(capacity, that frame's Ok
+//! demand)` payloads; at capacity 0 it holds exactly the last frame.
+//!
+//! The hold rule is written once here and shared by both viewer-side
+//! callers, this client and the cluster's `Router`: a demand key the tier
+//! holds is answered locally with an `Arc` clone (no copy, no wire, no
+//! CRC), and only the absent keys are asked. Errors are never held.
+//! Holding a payload past its frame is safe because a [`BlockKey`] names
+//! its timestep and the wire has no write request, so a block's payload
+//! never changes under its key.
 //!
 //! Here a `Fetch` is split at [`ServeClient::send_fetch`]. Prefetch goes
 //! unchanged, so a `Fetch` whose demand is all held is still sent for its
 //! prefetch to ride. Each send queues its plan (per demand slot: the held
 //! payload, or "asked"), and [`ServeClient::recv_fetch`] merges the next
 //! reply into the oldest plan, so pipelined sends and receives stay in
-//! step. The merge fails closed: a reply that does not answer exactly the
-//! asked keys, in order, is [`ClientError::Unexpected`] and leaves the
-//! tier alone. [`ServeClient::close`] empties it.
+//! step. A planned payload is an `Arc` clone, so a merge in between that
+//! evicts its key does not empty the slot. The merge fails closed: a
+//! reply that does not answer exactly the asked keys, in order, is
+//! [`ClientError::Unexpected`] and leaves the tier alone.
+//! [`ServeClient::close`] empties it.
 //!
 //! The blocking calls (`open`, `fetch`, …) suit threaded use against a
 //! [`crate::TcpServer`]. The split `send_*` /
@@ -32,6 +45,7 @@ use crate::transport::Transport;
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::sync::Arc;
+use viz_cache::{CacheLevel, PolicyKind};
 use viz_volume::BlockKey;
 
 /// Client-side failure.
@@ -90,34 +104,81 @@ pub struct FetchOutcome {
     pub held: u32,
 }
 
-/// The client tier (see module docs): the `Ok` payloads of the last
-/// frame a viewer merged, looked up before a frame is asked and replaced
-/// after it is merged.
-#[derive(Debug, Default)]
+/// The client tier (see module docs): the viewer's fast memory, looked
+/// up before a frame is asked and merged with the frame after.
+#[derive(Debug)]
 pub struct ClientTier {
     held: HashMap<BlockKey, Arc<Vec<f32>>>,
+    /// The held keys, least recently used first; the pins are the frame
+    /// merged last.
+    order: CacheLevel<BlockKey>,
+    capacity: usize,
+}
+
+impl Default for ClientTier {
+    fn default() -> Self {
+        ClientTier::with_capacity(ClientTier::DEFAULT_CAPACITY)
+    }
 }
 
 impl ClientTier {
-    /// The payload `key` had in the last merged frame, as an `Arc` clone.
+    /// Blocks a tier holds by default: 1,024 bricks of at most 17,408 B,
+    /// about 17 MiB (DESIGN.md §5m, "viewer fast memory").
+    pub const DEFAULT_CAPACITY: usize = 1024;
+
+    /// An empty tier of `capacity` blocks. Capacity 0 holds the frame
+    /// merged last and nothing else.
+    pub fn with_capacity(capacity: usize) -> Self {
+        // A `CacheLevel` holds at least one key; `merge` evicts down to
+        // the tier's own capacity, 0 included.
+        let order = CacheLevel::new(PolicyKind::Lru, capacity.max(1));
+        ClientTier { held: HashMap::new(), order, capacity }
+    }
+
+    /// The payload `key` has in the tier, as an `Arc` clone. A lookup
+    /// leaves the order alone; the merge touches what the frame used.
     pub fn get(&self, key: BlockKey) -> Option<Arc<Vec<f32>>> {
         self.held.get(&key).cloned()
     }
 
-    /// Replace the tier by `blocks`' `Ok` payloads: the last frame only,
-    /// and never an error.
-    pub fn replace(&mut self, blocks: &[BlockReply]) {
-        self.held.clear();
-        for b in blocks {
-            if let Ok(data) = &b.result {
-                self.held.insert(b.key, data.clone());
-            }
+    /// Merge one frame's replies: pin its `Ok` keys, insert or touch them
+    /// in slot order, then evict unpinned keys, least recently used
+    /// first, down to the capacity. An error is never held.
+    pub fn merge(&mut self, blocks: &[BlockReply]) {
+        let ok: Vec<(BlockKey, &Arc<Vec<f32>>)> =
+            blocks.iter().filter_map(|b| Some((b.key, b.result.as_ref().ok()?))).collect();
+        self.order.unpin_all();
+        // Pin the whole frame before any insert evicts, so no key of it
+        // is a victim.
+        for &(key, _) in &ok {
+            self.order.pin(key);
+        }
+        let mut gone = Vec::new();
+        for &(key, data) in &ok {
+            gone.extend(self.order.insert(key));
+            self.held.insert(key, data.clone());
+        }
+        gone.extend(self.order.evict_to(self.capacity));
+        for key in gone {
+            self.held.remove(&key);
         }
     }
 
     /// Forget every held payload.
     pub fn clear(&mut self) {
-        self.held.clear();
+        *self = ClientTier::with_capacity(self.capacity);
+    }
+
+    /// Payloads held (for tests).
+    #[doc(hidden)]
+    pub fn len(&self) -> usize {
+        self.held.len()
+    }
+
+    /// `true` when nothing is held (for tests).
+    #[doc(hidden)]
+    pub fn is_empty(&self) -> bool {
+        self.held.is_empty()
     }
 }
 
@@ -145,6 +206,18 @@ impl<T: Transport> ServeClient<T> {
             tier: ClientTier::default(),
             plans: VecDeque::new(),
         }
+    }
+
+    /// Hold merged blocks in `tier` instead of a default one.
+    pub fn with_tier(mut self, tier: ClientTier) -> Self {
+        self.tier = tier;
+        self
+    }
+
+    /// The client tier (for tests).
+    #[doc(hidden)]
+    pub fn tier(&self) -> &ClientTier {
+        &self.tier
     }
 
     /// The open session id, once [`ServeClient::open`] succeeded.
@@ -332,7 +405,7 @@ impl<T: Transport> ServeClient<T> {
                 None => replies.next().expect("length checked above"),
             })
             .collect();
-        self.tier.replace(&blocks);
+        self.tier.merge(&blocks);
         Ok(FetchOutcome { blocks, shed, downgraded, held })
     }
 

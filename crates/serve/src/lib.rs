@@ -27,9 +27,10 @@
 //!   through [`TcpServer`]: an accept thread and one thread per
 //!   connection.
 //! - `client` — a typed client over any transport, with split
-//!   send/recv halves for deterministic stepping. It holds its last
-//!   reply's blocks ([`ClientTier`], the hold rule the cluster's router
-//!   shares) and asks the server only for the demand it lacks.
+//!   send/recv halves for deterministic stepping. It keeps the blocks it
+//!   received in the viewer's fast memory ([`ClientTier`]: bounded, LRU,
+//!   pinning the frame just returned; the cluster's router shares it) and
+//!   asks the server only for the demand it lacks.
 //!
 //! Both front ends run one per-connection state machine: decode,
 //! dispatch, park a `Fetch`, reply in request order, and close the

@@ -1,14 +1,20 @@
-//! The client tier: a `ServeClient` answers the demand keys its last reply
-//! carried from that reply's payloads and asks the server only for the
-//! rest, merging both back into one reply per demand slot.
+//! The client tier: a `ServeClient` answers the demand keys its tier holds
+//! from their payloads and asks the server only for the rest, merging both
+//! back into one reply per demand slot.
+//!
+//! Most tests build the tier at capacity 0, where it holds the last frame
+//! only; the tests at the default capacity, and the differential test
+//! against an LRU model that pins the frame, cover what it keeps beyond.
 
-use std::sync::Arc;
+use std::io;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use viz_fetch::{BlockPool, FetchConfig, FetchEngine, InstrumentedSource};
+use viz_geom::rng::{for_cases, SplitMix64};
 use viz_serve::proto::{decode_request, encode_response};
 use viz_serve::{
-    inproc_pair, BlockReply, ClientError, InProcServer, InProcTransport, Request, Response,
-    ServeClient, ServeConfig, Server, Transport,
+    inproc_pair, BlockReply, ClientError, ClientTier, InProcServer, InProcTransport, Request,
+    Response, ServeClient, ServeConfig, Server, Transport,
 };
 use viz_volume::{BlockId, BlockKey, MemBlockStore};
 
@@ -21,11 +27,19 @@ fn payload(i: u32) -> Vec<f32> {
 }
 
 /// A `workers = 0` server over a store holding blocks `0..n`, and one
-/// client with an open session on it.
+/// client with an open session on it whose tier holds the last frame only.
 fn setup(n: u32) -> (Arc<Server>, InProcServer, ServeClient<InProcTransport>) {
+    let (server, mut inproc) = serve(keys(0..n));
+    let client = open(&mut inproc, |t| t, ClientTier::with_capacity(0));
+    (server, inproc, client)
+}
+
+/// A `workers = 0` server over a store holding `stored`, each key's
+/// payload that of its block id.
+fn serve(stored: Vec<BlockKey>) -> (Arc<Server>, InProcServer) {
     let store = MemBlockStore::new();
-    for i in 0..n {
-        store.insert(key(i), payload(i));
+    for k in stored {
+        store.insert(k, payload(k.block.0));
     }
     let src = Arc::new(InstrumentedSource::new(Arc::new(store), Duration::ZERO));
     let engine = FetchEngine::spawn(
@@ -34,12 +48,21 @@ fn setup(n: u32) -> (Arc<Server>, InProcServer, ServeClient<InProcTransport>) {
         FetchConfig { workers: 0, ..FetchConfig::default() },
     );
     let server = Server::new(Arc::new(engine), ServeConfig::default());
-    let mut inproc = InProcServer::new(server.clone());
-    let mut client = ServeClient::new(inproc.connect());
+    (server.clone(), InProcServer::new(server))
+}
+
+/// A client over a new connection, wrapped by `wrap`, holding merged
+/// blocks in `tier`, with an open session.
+fn open<T: Transport>(
+    inproc: &mut InProcServer,
+    wrap: impl FnOnce(InProcTransport) -> T,
+    tier: ClientTier,
+) -> ServeClient<T> {
+    let mut client = ServeClient::new(wrap(inproc.connect())).with_tier(tier);
     client.send_open("viewer").unwrap();
     inproc.tick();
     client.recv_open().unwrap();
-    (server, inproc, client)
+    client
 }
 
 fn keys(ids: impl IntoIterator<Item = u32>) -> Vec<BlockKey> {
@@ -47,9 +70,9 @@ fn keys(ids: impl IntoIterator<Item = u32>) -> Vec<BlockKey> {
 }
 
 /// One stepped round trip.
-fn fetch(
+fn fetch<T: Transport>(
     inproc: &mut InProcServer,
-    c: &mut ServeClient<InProcTransport>,
+    c: &mut ServeClient<T>,
     demand: Vec<BlockKey>,
     prefetch: Vec<(BlockKey, f64)>,
 ) -> viz_serve::FetchOutcome {
@@ -226,4 +249,171 @@ fn a_reply_that_misanswers_the_asked_keys_fails_closed() {
     let got = got.unwrap();
     assert_eq!(got.held, 3);
     assert_payloads(&got.blocks, &keys([2, 6, 0, 1]));
+}
+
+// ---- the default capacity -------------------------------------------
+
+#[test]
+fn a_key_from_two_frames_back_is_held() {
+    let (server, mut inproc) = serve(keys(0..8));
+    let mut c = open(&mut inproc, |t| t, ClientTier::default());
+    fetch(&mut inproc, &mut c, keys(0..4), vec![]);
+    fetch(&mut inproc, &mut c, keys(4..8), vec![]);
+    assert_eq!(server.metrics().demand_served, 8);
+
+    let third = fetch(&mut inproc, &mut c, keys(0..4), vec![]);
+    assert_payloads(&third.blocks, &keys(0..4));
+    assert_eq!(third.held, 4, "0..4 stayed in the tier under 4..8");
+    assert_eq!(server.metrics().demand_served, 8, "nothing reached the server");
+    assert_eq!(c.tier().len(), 8);
+}
+
+#[test]
+fn after_a_timestep_change_the_old_timestep_leaves_least_recently_used_first() {
+    let cap = ClientTier::DEFAULT_CAPACITY as u32;
+    let at = |t: u16, ids: std::ops::Range<u32>| -> Vec<BlockKey> {
+        ids.map(|i| BlockKey::new(0, t, BlockId(i))).collect()
+    };
+    let quarter = cap / 4;
+    let (server, mut inproc) = serve([at(0, 0..cap), at(1, 0..cap)].concat());
+    let mut c = open(&mut inproc, |t| t, ClientTier::default());
+
+    // Timestep 0 fills the tier in four frames, then its first eighth is
+    // used again: least recently used first, the order is 1/8..1 of
+    // timestep 0 and then 0..1/8.
+    for q in 0..4 {
+        fetch(&mut inproc, &mut c, at(0, q * quarter..(q + 1) * quarter), vec![]);
+    }
+    let again = fetch(&mut inproc, &mut c, at(0, 0..quarter / 2), vec![]);
+    assert_eq!(again.held, quarter / 2);
+    assert_eq!(c.tier().len(), cap as usize);
+
+    // Timestep 1's first frame evicts the quarter of timestep 0 used
+    // longest ago, not the quarter that arrived first.
+    let first = fetch(&mut inproc, &mut c, at(1, 0..quarter), vec![]);
+    assert_eq!(first.held, 0);
+    assert_eq!(c.tier().len(), cap as usize);
+    let held = |c: &ServeClient<InProcTransport>, keys: Vec<BlockKey>| {
+        keys.into_iter().filter(|&k| c.tier().get(k).is_some()).count() as u32
+    };
+    assert_eq!(held(&c, at(0, quarter / 2..quarter + quarter / 2)), 0, "used longest ago: gone");
+    assert_eq!(held(&c, at(0, quarter + quarter / 2..cap)), cap - quarter - quarter / 2);
+    assert_eq!(held(&c, at(0, 0..quarter / 2)), quarter / 2, "used again: still held");
+
+    // Each later frame of timestep 1 takes the next least recently used
+    // keys of timestep 0, and the re-used eighth leaves last.
+    for q in 1..4 {
+        fetch(&mut inproc, &mut c, at(1, q * quarter..(q + 1) * quarter), vec![]);
+        let gone = at(0, 0..cap).into_iter().filter(|&k| c.tier().get(k).is_none()).count();
+        assert_eq!(gone as u32, (q + 1) * quarter, "timestep 1 frame {q}");
+        let reused = if q < 3 { quarter / 2 } else { 0 };
+        assert_eq!(held(&c, at(0, 0..quarter / 2)), reused, "timestep 1 frame {q}");
+    }
+    assert_eq!(held(&c, at(0, 0..cap)), 0);
+    assert_eq!(held(&c, at(1, 0..cap)), cap);
+    assert_eq!(server.metrics().demand_served, u64::from(2 * cap), "each key asked once");
+}
+
+// ---- differential test against an LRU model --------------------------
+
+/// A transport that records the demand keys of every `Fetch` it sends.
+struct Recording {
+    inner: InProcTransport,
+    asked: Arc<Mutex<Vec<BlockKey>>>,
+}
+
+impl Transport for Recording {
+    fn send(&mut self, frame: &[u8]) -> io::Result<()> {
+        if let Ok(Request::Fetch { demand, .. }) = decode_request(frame) {
+            self.asked.lock().unwrap().extend(demand);
+        }
+        self.inner.send(frame)
+    }
+
+    fn recv(&mut self) -> io::Result<Vec<u8>> {
+        self.inner.recv()
+    }
+
+    fn try_recv(&mut self) -> io::Result<Option<Vec<u8>>> {
+        self.inner.try_recv()
+    }
+}
+
+/// The tier as a plain LRU list, least recently used first, that pins the
+/// frame merged last.
+struct LruModel {
+    order: Vec<BlockKey>,
+    capacity: usize,
+}
+
+impl LruModel {
+    /// The demand slots a frame must ask for, in slot order.
+    fn misses(&self, demand: &[BlockKey]) -> Vec<BlockKey> {
+        demand.iter().copied().filter(|k| !self.order.contains(k)).collect()
+    }
+
+    /// Touch the frame's `Ok` keys in slot order, then evict keys outside
+    /// the frame, least recently used first, down to the capacity.
+    fn merge(&mut self, frame: &[BlockKey]) {
+        for &k in frame {
+            self.order.retain(|&o| o != k);
+            self.order.push(k);
+        }
+        let mut excess = self.order.len().saturating_sub(self.capacity);
+        self.order.retain(|k| {
+            let evict = excess > 0 && !frame.contains(k);
+            excess -= usize::from(evict);
+            !evict
+        });
+    }
+}
+
+/// Seeded differential test of the tier against [`LruModel`]: random
+/// frames over more keys than the capacity, some larger than it, with an
+/// absent key now and then (an error, never held). On every frame the
+/// client asks for exactly the model's misses, holds no more than
+/// `max(capacity, frame)` payloads, holds the same number as the model,
+/// and holds the whole frame it just returned. Debug builds run every
+/// 16th case; release runs all.
+#[test]
+fn the_tier_matches_an_lru_model_that_pins_the_frame() {
+    const FULL_CASES: usize = 8192;
+    let stride = if cfg!(debug_assertions) { 16 } else { 1 };
+    let (mut over_capacity, mut evicting) = (0usize, 0usize);
+    for_cases(0x71e2, FULL_CASES / stride, |rng: &mut SplitMix64, _| {
+        let capacity = rng.index(0..13);
+        let stored = 3 * capacity as u32 + 4;
+        let (_server, mut inproc) = serve(keys(0..stored));
+        let asked = Arc::new(Mutex::new(Vec::new()));
+        let record = |inner| Recording { inner, asked: asked.clone() };
+        let mut c = open(&mut inproc, record, ClientTier::with_capacity(capacity));
+        let mut m = LruModel { order: Vec::new(), capacity };
+        for frame in 0..rng.index(1..40) {
+            let len = rng.index(0..3 * capacity / 2 + 3);
+            // Key `stored` is absent from the store: its reply is an error.
+            let demand: Vec<BlockKey> =
+                (0..len).map(|_| key(rng.below(u64::from(stored) + 1) as u32)).collect();
+            let want = m.misses(&demand);
+            let got = fetch(&mut inproc, &mut c, demand.clone(), vec![]);
+            let sent = std::mem::take(&mut *asked.lock().unwrap());
+            assert_eq!(sent, want, "frame {frame}: the client asks for the model's misses");
+
+            let ok: Vec<BlockKey> =
+                got.blocks.iter().filter(|b| b.result.is_ok()).map(|b| b.key).collect();
+            let stored_slots = demand.iter().filter(|k| k.block.0 < stored).count();
+            assert_eq!(ok.len(), stored_slots, "frame {frame}: every stored key arrives");
+            m.merge(&ok);
+            let mut distinct = ok.clone();
+            distinct.sort_unstable_by_key(|k| k.block.0);
+            distinct.dedup();
+            let tier = c.tier();
+            assert!(tier.len() <= capacity.max(distinct.len()), "frame {frame}: over its bound");
+            assert_eq!(tier.len(), m.order.len(), "frame {frame}: held count");
+            assert!(ok.iter().all(|&k| tier.get(k).is_some()), "frame {frame}: not fully held");
+            over_capacity += usize::from(tier.len() > capacity);
+            evicting += usize::from(tier.len() == capacity && !want.is_empty());
+        }
+    });
+    assert!(over_capacity > 0, "no frame was larger than the capacity");
+    assert!(evicting > 0, "no frame evicted");
 }

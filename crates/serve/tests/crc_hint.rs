@@ -7,7 +7,7 @@ use std::time::Duration;
 use viz_fetch::{BlockPool, FetchConfig, FetchEngine, InstrumentedSource};
 use viz_serve::proto::{decode_request, decode_response, encode_response, ProtoError};
 use viz_serve::{
-    inproc_pair, BlockReply, ClientError, InProcServer, Request, Response, ServeClient,
+    inproc_pair, BlockReply, ClientError, ClientTier, InProcServer, Request, Response, ServeClient,
     ServeConfig, Server, SessionId, Transport,
 };
 use viz_volume::checksum::crc32_f32s;
@@ -50,8 +50,10 @@ fn resident_blocks_are_served_without_a_checksum_pass() {
     );
     let server = Server::new(Arc::new(engine), ServeConfig::default());
     let mut inproc = InProcServer::new(server);
-    let mut a = ServeClient::new(inproc.connect());
-    let mut b = ServeClient::new(inproc.connect());
+    // Each viewer's tier holds its last frame only, so a window that wraps
+    // round to blocks it saw a lap ago still asks for them.
+    let mut a = ServeClient::new(inproc.connect()).with_tier(ClientTier::with_capacity(0));
+    let mut b = ServeClient::new(inproc.connect()).with_tier(ClientTier::with_capacity(0));
     a.send_open("a").unwrap();
     b.send_open("b").unwrap();
     inproc.tick();

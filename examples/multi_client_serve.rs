@@ -4,8 +4,10 @@
 //! one source read even across clients; fairness interleaves their
 //! demand; prefetch admission sheds under pressure while demand always
 //! flows. Each client predicts from the pose it renders (the paper's
-//! `T_visible` / `T_important` tables), holds its last frame's blocks and
-//! asks the server only for the rest of the next view.
+//! `T_visible` / `T_important` tables), keeps the blocks it received in
+//! its client tier (the viewer's fast memory, 1,024 blocks by default) and
+//! asks the server only for the rest of the next view, so a second lap
+//! over the same poses asks for no demand at all.
 //!
 //! Uses the deterministic in-process transport so the run is exactly
 //! reproducible; swap [`InProcServer`] for [`viz_appaware::serve::TcpServer`]
@@ -21,7 +23,7 @@ use viz_appaware::core::{
 use viz_appaware::fetch::{BlockPool, FetchConfig, FetchEngine, InstrumentedSource};
 use viz_appaware::geom::angle::deg_to_rad;
 use viz_appaware::geom::{CameraPath, ExplorationDomain, Keyframe, KeyframePath, Vec3};
-use viz_appaware::serve::{InProcServer, ServeClient, ServeConfig, Server};
+use viz_appaware::serve::{InProcServer, InProcTransport, ServeClient, ServeConfig, Server};
 use viz_appaware::volume::{BlockKey, BrickLayout, DatasetKind, DatasetSpec, MemBlockStore};
 
 fn main() {
@@ -86,11 +88,59 @@ fn main() {
         println!("opened session s{sid}");
     }
 
-    // Replay the flight: every step each client advances its generation,
-    // then asks for its visible set (demand) plus the blocks its tables
-    // predict around the pose it renders (speculation for the next step).
+    let (served, held) = fly(&mut inproc, &mut clients);
+    let m = server.metrics();
+    let (pool_hits, _) = server.engine().pool().stats();
+    println!("served {served} demand blocks across 3 clients");
+    println!(
+        "{held} of them held by the clients from earlier frames, {} asked of the server",
+        m.demand_served
+    );
+    assert!(held > 0, "consecutive views overlap, so a client holds part of the next one");
+    assert_eq!(held + m.demand_served, served as u64, "each block is held or asked, not both");
+
+    println!(
+        "source reads: {}; demand pool hits: {pool_hits}; cross-client coalescing saved {} \
+         duplicate reads",
+        src.reads(),
+        server.engine().metrics().cross_tag_coalesced
+    );
+    println!(
+        "prefetch: admitted {}, downgraded {}, shed {}, already resident {}",
+        m.prefetch_admitted, m.prefetch_downgraded, m.prefetch_shed, m.prefetch_resident
+    );
+    // Every predicted key has exactly one fate, summed over the sessions.
+    let submitted: u64 = server.sessions().iter().map(|v| v.prefetch_submitted).sum();
+    let fates = m.prefetch_admitted + m.prefetch_downgraded + m.prefetch_shed + m.prefetch_resident;
+    assert_eq!(submitted, fates, "every prefetch key is admitted, downgraded, shed or resident");
+
+    // A second lap over the same poses: this volume's 128 blocks fit in
+    // every viewer's tier, so each demanded block is held and the server
+    // is asked for none.
+    clients.iter_mut().for_each(|(_, flight)| flight.rewind());
+    let (served_again, held_again) = fly(&mut inproc, &mut clients);
+    assert_eq!(held_again, served_again as u64, "the second lap holds every demanded block");
+    assert_eq!(server.metrics().demand_served, m.demand_served, "and asks for no demand");
+    println!("second lap: all {served_again} demand blocks held, none asked of the server");
+
+    let report = server.drain();
+    println!(
+        "drained: {} sessions closed, {} demand flushed, {} prefetch dropped",
+        report.sessions_closed, report.demand_flushed, report.prefetch_dropped
+    );
+}
+
+/// Replay the flight once: every step each client advances its
+/// generation, then asks for its visible set (demand) plus the blocks its
+/// tables predict around the pose it renders (speculation for the next
+/// step). Returns the demand blocks served and how many of them the
+/// clients held.
+fn fly(
+    inproc: &mut InProcServer,
+    clients: &mut [(ServeClient<InProcTransport>, ClientFlight)],
+) -> (usize, u64) {
     let (mut served, mut held) = (0usize, 0u64);
-    for _step in 0..12 {
+    for _step in 0..clients[0].1.len() {
         let mut demanded = Vec::new();
         for (c, flight) in clients.iter_mut() {
             let fr = flight.next_frame().expect("flight step");
@@ -109,34 +159,5 @@ fn main() {
             held += u64::from(got.held);
         }
     }
-
-    let m = server.metrics();
-    let (pool_hits, _) = server.engine().pool().stats();
-    println!("served {served} demand blocks across 3 clients");
-    println!(
-        "{held} of them held by the clients from their previous frame, {} asked of the server",
-        m.demand_served
-    );
-    assert!(held > 0, "consecutive views overlap, so a client holds part of the next one");
-    assert_eq!(held + m.demand_served, served as u64, "each block is held or asked, not both");
-    println!(
-        "source reads: {}; demand pool hits: {pool_hits}; cross-client coalescing saved {} \
-         duplicate reads",
-        src.reads(),
-        server.engine().metrics().cross_tag_coalesced
-    );
-    println!(
-        "prefetch: admitted {}, downgraded {}, shed {}, already resident {}",
-        m.prefetch_admitted, m.prefetch_downgraded, m.prefetch_shed, m.prefetch_resident
-    );
-    // Every predicted key has exactly one fate, summed over the sessions.
-    let submitted: u64 = server.sessions().iter().map(|v| v.prefetch_submitted).sum();
-    let fates = m.prefetch_admitted + m.prefetch_downgraded + m.prefetch_shed + m.prefetch_resident;
-    assert_eq!(submitted, fates, "every prefetch key is admitted, downgraded, shed or resident");
-
-    let report = server.drain();
-    println!(
-        "drained: {} sessions closed, {} demand flushed, {} prefetch dropped",
-        report.sessions_closed, report.demand_flushed, report.prefetch_dropped
-    );
+    (served, held)
 }

@@ -1,6 +1,6 @@
 //! Serving one dataset from four machines: a sharded cluster where every
 //! block has exactly one owner, a client-side router that answers what
-//! its last frame carried itself and sends each other demand straight
+//! its client tier holds itself and sends each other demand straight
 //! to its owner, and nodes that serve whatever they are asked from
 //! their own storage, never forwarding. Then two nodes that neighbour
 //! each other on the ring crash together mid-flight, and the demand keeps
