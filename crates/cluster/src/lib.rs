@@ -13,8 +13,8 @@
 //! - `peer` — the router's links to nodes: [`PeerLink`], one framed
 //!   VSRV round trip, and [`TcpPeerLink`] over TCP.
 //! - `node` — a [`ClusterNode`] wraps a [`viz_serve::Server`] whose
-//!   engine reads the node's local storage, and answers `Ping` and
-//!   `TelemetryGet` with its identity.
+//!   engine reads the node's local storage, and tags every telemetry
+//!   event it emits with the node's id.
 //! - `router` — the client side: answer what the viewer's client tier
 //!   holds, split the rest of a frame's demand per owner,
 //!   merge replies, and fail over along each key's whole ring-successor
@@ -29,9 +29,10 @@
 //! - [`chaos`] — seeded, replayable fault schedules ([`ChaosPlan`])
 //!   driven through the test cluster by [`chaos::run_plan`], reporting
 //!   detection/recovery latency and the zero-demand-errors invariant.
-//! - `obs` — cluster observability glue: `TelemetryGet` replies →
-//!   [`viz_telemetry::collect`] drains (Perfetto merge + Prometheus
-//!   rollup), and the CRC-framed flight-recorder dump file.
+//! - `obs` — cluster observability glue: `TelemetryGet` replies, each
+//!   stamped with the node the router asked → [`viz_telemetry::collect`]
+//!   drains (Perfetto merge + Prometheus rollup), and the CRC-framed
+//!   flight-recorder dump file.
 //!
 //! The deployment model is shared storage (every node can read every
 //! block, as on a parallel file system): ownership concentrates each

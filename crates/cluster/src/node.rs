@@ -1,5 +1,6 @@
 //! One cluster node: a viz-serve [`Server`] whose engine reads the node's
-//! own `local` storage, answering `Ping` and `TelemetryGet` with its id.
+//! own `local` storage, with every telemetry event it emits tagged by the
+//! node's id.
 //!
 //! Routing is the client's job: the [`crate::Router`] sends each key to
 //! its owner, so a node serves whatever it is asked from its own engine
@@ -14,7 +15,7 @@ use crate::shard::{NodeId, ShardMap};
 use std::io;
 use std::sync::Arc;
 use viz_fetch::{BlockPool, FetchConfig, FetchEngine};
-use viz_serve::{handle_request, Outcome, Request, RequestDispatch, Response, ServeConfig, Server};
+use viz_serve::{handle_request, Outcome, Request, RequestDispatch, ServeConfig, Server};
 use viz_volume::BlockSource;
 
 /// Cluster-layer tuning for one node. It has no fields: nodes do not
@@ -25,7 +26,7 @@ pub struct ClusterConfig;
 
 /// One sharded serve node (see module docs). Implements
 /// [`RequestDispatch`] so a [`viz_serve::TcpServer::bind_with`] front end
-/// answers `Ping` and `TelemetryGet` with the node's identity.
+/// tags the events of every request it serves with the node's id.
 pub struct ClusterNode {
     id: NodeId,
     server: Arc<Server>,
@@ -93,26 +94,6 @@ impl RequestDispatch for ClusterNode {
         // Every event emitted while this node serves — dispatch, pump,
         // inline engine steps — carries the node's id, so a merged
         // cluster trace can tell one node's spans from another's.
-        viz_telemetry::with_node(self.node_tag(), || self.dispatch_inner(server, req))
-    }
-}
-
-impl ClusterNode {
-    fn dispatch_inner(&self, server: &Arc<Server>, req: Request) -> Outcome {
-        match req {
-            Request::TelemetryGet => {
-                // The serve layer answers with the client sentinel; the
-                // cluster layer knows which node it is.
-                Outcome::Ready(Response::TelemetryReply(server.wire_telemetry(self.id.0)))
-            }
-            // The sender's `from` and `map_version` are ignored: the Pong
-            // carries this node's id, and `map_version` 0 (maps are static).
-            Request::Ping { .. } => Outcome::Ready(Response::Pong {
-                node: self.id.0,
-                map_version: 0,
-                now_ns: viz_telemetry::now_ns(),
-            }),
-            other => handle_request(server, other),
-        }
+        viz_telemetry::with_node(self.node_tag(), || handle_request(server, req))
     }
 }

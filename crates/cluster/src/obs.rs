@@ -14,6 +14,7 @@
 //! length-prefixed, CRC-framed file [`read_flight_dump`] can
 //! reconstruct.
 
+use crate::shard::NodeId;
 use std::collections::BTreeMap;
 use std::io::{self, Read as _, Write as _};
 use std::path::Path;
@@ -23,20 +24,17 @@ use viz_telemetry::flight::{FlightSnapshot, Trigger, TriggerKind};
 use viz_telemetry::{EventKind, LogHistogram, TraceEvent};
 use viz_volume::crc32;
 
-/// Convert one node's `TelemetryGet` reply into a collector drain,
+/// Convert `node`'s `TelemetryGet` reply into a collector drain,
 /// aligned onto the collector's timeline by `clock_offset_ns` (from an
 /// RTT-midpoint estimate, [`viz_telemetry::collect::offset_from_rtt`]).
-pub(crate) fn drain_from_wire(w: &WireTelemetry, clock_offset_ns: i64) -> NodeDrain {
+pub(crate) fn drain_from_wire(node: NodeId, w: &WireTelemetry, clock_offset_ns: i64) -> NodeDrain {
     let hists = w
         .hists
         .iter()
-        .filter_map(|h| {
-            let kind = *EventKind::ALL.get(h.kind as usize)?;
-            Some((kind, LogHistogram::from_sparse(&h.pairs, h.count, h.sum, h.min, h.max)))
-        })
+        .map(|h| (h.kind, LogHistogram::from_sparse(&h.pairs, h.count, h.sum, h.min, h.max)))
         .collect();
     NodeDrain {
-        node: w.node,
+        node: node.0,
         events: w.events.clone(),
         dropped: w.dropped,
         clock_offset_ns,
@@ -93,7 +91,7 @@ pub(crate) fn sections_from_snapshot(snap: &FlightSnapshot) -> Vec<DumpSection> 
 }
 
 const DUMP_MAGIC: [u8; 4] = *b"VFDR";
-const DUMP_VERSION: u16 = 1;
+const DUMP_VERSION: u16 = 2;
 const EVENT_BYTES: usize = 45;
 const TRIGGER_BYTES: usize = 17;
 /// The smallest section on disk: its `[len][crc]` frame header around
@@ -351,6 +349,25 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Event codes renumber with the dump version, so a dump of another
+    /// version, the retired v1 included, is refused rather than misread.
+    #[test]
+    fn dump_of_another_version_is_refused() {
+        let dir = std::env::temp_dir().join("viz-obs-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("old-version.vfdr");
+        for version in [1, DUMP_VERSION + 1] {
+            let mut header = DUMP_MAGIC.to_vec();
+            header.extend_from_slice(&version.to_le_bytes());
+            header.extend_from_slice(&0u32.to_le_bytes());
+            std::fs::write(&path, frame(&header)).unwrap();
+            let e = read_flight_dump(&path).err().expect("a dump of another version decoded");
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+            assert!(e.to_string().contains("unsupported flight dump version"), "{e}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn snapshot_splits_per_node() {
         let snap = FlightSnapshot {
@@ -377,12 +394,10 @@ mod tests {
     #[test]
     fn wire_drain_conversion_keeps_hists_and_counters() {
         let w = WireTelemetry {
-            node: 3,
-            now_ns: 0,
             dropped: 2,
             events: vec![ev(EventKind::SourceRead, 5, 0xC, 4)],
             hists: vec![viz_serve::HistSnapshot {
-                kind: EventKind::SourceRead as u8,
+                kind: EventKind::SourceRead,
                 pairs: vec![(4, 2)],
                 count: 2,
                 sum: 40,
@@ -391,7 +406,7 @@ mod tests {
             }],
             counters: vec![("serve_demand_keys".to_string(), 11)],
         };
-        let d = drain_from_wire(&w, 1_000);
+        let d = drain_from_wire(NodeId(3), &w, 1_000);
         assert_eq!(d.node, 3);
         assert_eq!(d.clock_offset_ns, 1_000);
         assert_eq!(d.events.len(), 1);

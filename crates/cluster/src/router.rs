@@ -56,14 +56,10 @@ use crate::shard::{NodeId, ShardMap};
 use std::collections::HashMap;
 use std::io;
 use std::sync::Arc;
-use viz_serve::proto::{ERR_DRAINING, ERR_UNKNOWN_SESSION, PING_FROM_CLIENT};
+use viz_serve::proto::{ERR_DRAINING, ERR_UNKNOWN_SESSION};
 use viz_serve::{BlockReply, ClientTier, Request, Response, TraceCtx};
 use viz_telemetry::{instant, span, EventKind as Ev};
 use viz_volume::BlockKey;
-
-/// The router's liveness probe. Maps are static, so it claims map
-/// version 0, and nodes ignore both fields.
-const PING: Request = Request::Ping { from: PING_FROM_CLIENT, map_version: 0 };
 
 /// Routing rounds per [`Router::fetch`] for every unresolved key, transient
 /// retries included. A round marks every node it could not reach down,
@@ -208,7 +204,7 @@ impl Router {
             conn.down = false;
             was
         };
-        match self.round_trip(node, &PING) {
+        match self.round_trip(node, &Request::Ping) {
             Ok(Response::Pong { .. }) => {
                 if was_down {
                     instant(Ev::NodeRecovered, u64::from(node.0), 0);
@@ -423,7 +419,7 @@ impl Router {
                 continue;
             }
             let t_send = viz_telemetry::now_ns();
-            if let Ok(Response::Pong { now_ns, .. }) = self.round_trip(node, &PING) {
+            if let Ok(Response::Pong { now_ns }) = self.round_trip(node, &Request::Ping) {
                 let t_recv = viz_telemetry::now_ns();
                 if now_ns != 0 {
                     let off = viz_telemetry::collect::offset_from_rtt(t_send, t_recv, now_ns);
@@ -454,7 +450,7 @@ impl Router {
             }
             if let Ok(Response::TelemetryReply(w)) = self.round_trip(node, &Request::TelemetryGet) {
                 let off = self.clock_offset(node);
-                drains.push(crate::obs::drain_from_wire(&w, off));
+                drains.push(crate::obs::drain_from_wire(node, &w, off));
             }
         }
         drains

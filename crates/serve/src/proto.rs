@@ -11,9 +11,8 @@
 //! [`ProtoError::UnknownTag`]: request `0x07` (a node-to-node forward),
 //! and request `0x06` with its response `0x86` (a shard-map exchange;
 //! cluster maps are static now). The cluster layer rides the same
-//! version: `Ping`/`Pong` carry a router's liveness probes. Their
-//! `map_version` fields stay on the wire; every sender writes 0 and
-//! every receiver ignores them.
+//! version: `Ping`/`Pong` carry a router's liveness probes and its clock
+//! samples, and nothing else.
 //!
 //! Corruption never panics: truncation, a flipped CRC byte, an unknown
 //! tag, and version skew each map to a distinct [`ProtoError`] variant,
@@ -89,7 +88,7 @@ use viz_volume::{crc32, BlockId, BlockKey};
 /// Frame magic, first four body bytes.
 pub const MAGIC: [u8; 4] = *b"VSRV";
 /// The one protocol version this build speaks.
-pub const PROTO_VERSION: u16 = 2;
+pub const PROTO_VERSION: u16 = 3;
 /// Upper bound on one frame body; larger length prefixes are rejected
 /// before any allocation.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
@@ -264,14 +263,7 @@ pub enum Request {
     Stats,
     /// Liveness probe: "are you there?" Sessionless, answered with
     /// [`Response::Pong`].
-    Ping {
-        /// [`PING_FROM_CLIENT`] from every sender this build has. The field
-        /// stays on the wire, and receivers ignore it.
-        from: u32,
-        /// 0 from every sender this build has (shard maps are static). The
-        /// field stays on the wire, and receivers ignore it.
-        map_version: u64,
-    },
+    Ping,
     /// Drain the responding node's telemetry plane — event rings (routed
     /// through the flight recorder's history on the way), per-span-kind
     /// summary histograms, and wire counters — in one round trip.
@@ -288,7 +280,7 @@ impl Request {
             Request::Fetch { .. } => TAG_FETCH,
             Request::Advance { .. } => TAG_ADVANCE,
             Request::Stats => TAG_STATS,
-            Request::Ping { .. } => TAG_PING,
+            Request::Ping => TAG_PING,
             Request::TelemetryGet => TAG_TELEMETRY_GET,
         }
     }
@@ -303,17 +295,13 @@ impl Request {
     }
 }
 
-/// The `from` value a router or external client puts in a
-/// [`Request::Ping`]: probes liveness without claiming a node id.
-pub const PING_FROM_CLIENT: u32 = u32::MAX;
-
 /// One span kind's latency summary inside a [`Response::TelemetryReply`]:
 /// the sparse wire form of a `viz_telemetry` log2 histogram (only
 /// occupied buckets travel).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistSnapshot {
-    /// Stable [`EventKind`] code (`kind as u8`).
-    pub kind: u8,
+    /// The span kind summarised; on the wire, its code (`kind as u8`).
+    pub kind: EventKind,
     /// `(bucket index, count)` pairs for occupied buckets.
     pub pairs: Vec<(u16, u64)>,
     /// Total samples.
@@ -329,12 +317,6 @@ pub struct HistSnapshot {
 /// Payload of a [`Response::TelemetryReply`]: one node's telemetry drain.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireTelemetry {
-    /// Responder's node id, or [`PING_FROM_CLIENT`] from a plain
-    /// single-node server with no cluster identity.
-    pub node: u32,
-    /// Responder's telemetry clock when the drain was taken, for
-    /// clock-offset alignment at the collector.
-    pub now_ns: u64,
     /// Cumulative ring-overflow drops on the responder.
     pub dropped: u64,
     /// Drained trace events, oldest first.
@@ -398,14 +380,8 @@ pub enum Response {
         /// `(name, value)` pairs.
         counters: Vec<(String, u64)>,
     },
-    /// Heartbeat ack: the responder's identity.
+    /// Heartbeat ack.
     Pong {
-        /// Responder's node id, or [`PING_FROM_CLIENT`] from a plain
-        /// single-node server with no cluster identity.
-        node: u32,
-        /// 0 from every responder this build has (shard maps are static).
-        /// The field stays on the wire, and receivers ignore it.
-        map_version: u64,
         /// Responder's telemetry clock at answer time. With the
         /// requester's local send/receive stamps this yields an
         /// RTT-midpoint clock-offset estimate.
@@ -496,6 +472,15 @@ impl<'a> Reader<'a> {
 
     fn key(&mut self) -> Result<BlockKey, ProtoError> {
         Ok(BlockKey::new(self.u16()?, self.u16()?, BlockId(self.u32()?)))
+    }
+
+    /// An [`EventKind`] code; one this build does not define is refused.
+    fn kind(&mut self) -> Result<EventKind, ProtoError> {
+        let code = self.u8()?;
+        EventKind::ALL
+            .get(code as usize)
+            .copied()
+            .ok_or(ProtoError::Malformed("unknown event kind code"))
     }
 
     /// Validate a declared element count against the bytes actually left,
@@ -759,10 +744,8 @@ fn request_frame(req: &Request) -> Result<Vec<u8>, String> {
         Request::Stats => {
             b = body_header(TAG_STATS);
         }
-        Request::Ping { from, map_version } => {
+        Request::Ping => {
             b = body_header(TAG_PING);
-            put_u32(&mut b, *from);
-            put_u64(&mut b, *map_version);
         }
         Request::TelemetryGet => {
             b = body_header(TAG_TELEMETRY_GET);
@@ -815,7 +798,7 @@ pub fn decode_request(buf: &[u8]) -> Result<Request, ProtoError> {
             Request::Advance { session, trace }
         }
         TAG_STATS => Request::Stats,
-        TAG_PING => Request::Ping { from: r.u32()?, map_version: r.u64()? },
+        TAG_PING => Request::Ping,
         TAG_TELEMETRY_GET => Request::TelemetryGet,
         t => return Err(ProtoError::UnknownTag(t)),
     };
@@ -906,16 +889,12 @@ pub(crate) fn encode_reply_frame(resp: &Response) -> ReplyFrame {
                 put_u64(&mut b, *value);
             }
         }
-        Response::Pong { node, map_version, now_ns } => {
+        Response::Pong { now_ns } => {
             b = body_header(TAG_PONG);
-            put_u32(&mut b, *node);
-            put_u64(&mut b, *map_version);
             put_u64(&mut b, *now_ns);
         }
         Response::TelemetryReply(t) => {
             b = body_header(TAG_TELEMETRY_REPLY);
-            put_u32(&mut b, t.node);
-            put_u64(&mut b, t.now_ns);
             put_u64(&mut b, t.dropped);
             put_u32(&mut b, t.events.len() as u32);
             for e in &t.events {
@@ -930,7 +909,7 @@ pub(crate) fn encode_reply_frame(resp: &Response) -> ReplyFrame {
             }
             put_u32(&mut b, t.hists.len() as u32);
             for h in &t.hists {
-                b.push(h.kind);
+                b.push(h.kind as u8);
                 put_u64(&mut b, h.count);
                 put_u64(&mut b, h.sum);
                 put_u64(&mut b, h.min);
@@ -1013,10 +992,8 @@ pub fn decode_response(buf: &[u8]) -> Result<Response, ProtoError> {
             }
             Response::StatsReply { counters }
         }
-        TAG_PONG => Response::Pong { node: r.u32()?, map_version: r.u64()?, now_ns: r.u64()? },
+        TAG_PONG => Response::Pong { now_ns: r.u64()? },
         TAG_TELEMETRY_REPLY => {
-            let node = r.u32()?;
-            let now_ns = r.u64()?;
             let dropped = r.u64()?;
             let ne = r.u32()?;
             let ne = r.count(ne, 45)?;
@@ -1027,10 +1004,7 @@ pub fn decode_response(buf: &[u8]) -> Result<Response, ProtoError> {
                 let key = r.u64()?;
                 let arg = r.u64()?;
                 let trace = r.u64()?;
-                let code = r.u8()?;
-                let kind = *EventKind::ALL
-                    .get(code as usize)
-                    .ok_or(ProtoError::Malformed("unknown event kind code"))?;
+                let kind = r.kind()?;
                 let tid = r.u16()?;
                 let enode = r.u16()?;
                 events.push(TraceEvent { t_ns, dur_ns, key, arg, trace, kind, tid, node: enode });
@@ -1039,7 +1013,7 @@ pub fn decode_response(buf: &[u8]) -> Result<Response, ProtoError> {
             let nh = r.count(nh, 37)?;
             let mut hists = Vec::with_capacity(nh);
             for _ in 0..nh {
-                let kind = r.u8()?;
+                let kind = r.kind()?;
                 let count = r.u64()?;
                 let sum = r.u64()?;
                 let min = r.u64()?;
@@ -1063,14 +1037,7 @@ pub fn decode_response(buf: &[u8]) -> Result<Response, ProtoError> {
                     .to_string();
                 counters.push((name, r.u64()?));
             }
-            Response::TelemetryReply(WireTelemetry {
-                node,
-                now_ns,
-                dropped,
-                events,
-                hists,
-                counters,
-            })
+            Response::TelemetryReply(WireTelemetry { dropped, events, hists, counters })
         }
         TAG_ERROR => {
             let code = r.u16()?;
@@ -1111,8 +1078,7 @@ mod tests {
             },
             Request::Advance { session: 7, trace: ctx(0x1111, 0) },
             Request::Stats,
-            Request::Ping { from: 2, map_version: 13 },
-            Request::Ping { from: PING_FROM_CLIENT, map_version: 0 },
+            Request::Ping,
             Request::TelemetryGet,
         ]
     }
@@ -1134,10 +1100,8 @@ mod tests {
             Response::StatsReply {
                 counters: vec![("serve_sessions_opened".into(), 3), ("x".into(), 0)],
             },
-            Response::Pong { node: 1, map_version: 11, now_ns: 123_456_789 },
+            Response::Pong { now_ns: 123_456_789 },
             Response::TelemetryReply(WireTelemetry {
-                node: 2,
-                now_ns: 9_000,
                 dropped: 5,
                 events: vec![TraceEvent {
                     t_ns: 100,
@@ -1150,7 +1114,7 @@ mod tests {
                     node: 3,
                 }],
                 hists: vec![HistSnapshot {
-                    kind: EventKind::FetchService as u8,
+                    kind: EventKind::FetchService,
                     pairs: vec![(10, 4), (31, 1)],
                     count: 5,
                     sum: 1_000,
@@ -1181,8 +1145,9 @@ mod tests {
 
     #[test]
     fn version_skew_is_typed() {
-        // Every version but the one spoken is skew, the retired v1 included.
-        for version in [0, 1, PROTO_VERSION + 1] {
+        // Every version but the one spoken is skew, the retired v1 and v2
+        // included.
+        for version in [0, 1, PROTO_VERSION - 1, PROTO_VERSION + 1] {
             let mut body = encode_request(&Request::Stats)[8..].to_vec();
             body[4..6].copy_from_slice(&version.to_le_bytes());
             assert_eq!(
@@ -1193,7 +1158,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_context_rides_v2_frames() {
+    fn trace_context_rides_fetch_and_advance_frames() {
         let fetch = Request::Fetch {
             session: 4,
             generation: 0,
@@ -1235,11 +1200,22 @@ mod tests {
         f
     }
 
+    /// `frame` with its body's version field set to `version` and a fresh
+    /// CRC.
+    fn reversioned(frame: &[u8], version: u16) -> Vec<u8> {
+        let mut body = frame[8..].to_vec();
+        body[4..6].copy_from_slice(&version.to_le_bytes());
+        framed(&body)
+    }
+
     /// Frames printed by the encoders as they stood before the payload fast
-    /// path (commit a1655a2): bulk copies and in-place framing must not move
-    /// a byte, and today's decoders must read what those encoders wrote.
+    /// path (commit a1655a2), when the protocol was v2: bulk copies and
+    /// in-place framing must not move a byte. The v3 frames are the v2 ones
+    /// with the version field raised, so the `Fetch` and `FetchReply`
+    /// layouts are unchanged, and the v2 bytes themselves are version skew.
     #[test]
     fn golden_frames_from_the_previous_encoders() {
+        let skew = ProtoError::VersionSkew { got: 2, supported: PROTO_VERSION };
         let reply = Response::FetchReply {
             session: 3,
             blocks: vec![
@@ -1254,22 +1230,26 @@ mod tests {
             shed: 4,
             downgraded: 2,
         };
-        let golden = unhex(concat!(
+        let golden_v2 = unhex(concat!(
             "5c000000fd99d979565352560200830300000004000000020000000300000001",
             "0002000000000000030000000000803f000020c0000000000100020005000000",
             "0101000100020009000000000500000000008000caf249710000008000005040",
             "0000e040",
         ));
+        assert_eq!(decode_response(&golden_v2).unwrap_err(), skew);
+        let golden = reversioned(&golden_v2, PROTO_VERSION);
         assert_eq!(encode_response(&reply), golden);
         assert_eq!(decode_response(&golden).unwrap(), reply);
 
         let fetch = sample_requests().swap_remove(2);
-        let golden = unhex(concat!(
+        let golden_v2 = unhex(concat!(
             "5b00000070c26bbf565352560200030700000029000000000000000200000001",
             "0002000000000001000200050000000200000001000200090000000000000000",
             "000240010002000a00000000000000000000008967452301efcdab4d00000000",
             "000000",
         ));
+        assert_eq!(decode_request(&golden_v2).unwrap_err(), skew);
+        let golden = reversioned(&golden_v2, PROTO_VERSION);
         assert_eq!(encode_request(&fetch), golden);
         assert_eq!(decode_request(&golden).unwrap(), fetch);
     }
@@ -1507,6 +1487,26 @@ mod tests {
         // One byte short of the last block's error code: the counts hold, the
         // field does not.
         assert_eq!(with(&|b| b.truncate(54)), ProtoError::Truncated { need: 55, got: 54 });
+        // A histogram's kind code is checked as an event's is. Telemetry body
+        // layout: 7 prefix, dropped, event count 0, histogram count, then the
+        // first histogram's kind code at 23.
+        let hist = HistSnapshot {
+            kind: EventKind::SourceRead,
+            pairs: vec![(3, 1)],
+            count: 1,
+            sum: 9,
+            min: 9,
+            max: 9,
+        };
+        let reply =
+            WireTelemetry { dropped: 0, events: vec![], hists: vec![hist], counters: vec![] };
+        let mut body = encode_response(&Response::TelemetryReply(reply))[8..].to_vec();
+        assert_eq!(body[23], EventKind::SourceRead as u8);
+        body[23] = EventKind::ALL.len() as u8;
+        assert_eq!(
+            decode_response(&framed(&body)).unwrap_err(),
+            ProtoError::Malformed("unknown event kind code")
+        );
     }
 
     #[test]

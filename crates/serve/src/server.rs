@@ -644,10 +644,8 @@ impl Server {
 
     /// Answer a `TelemetryGet`: drain this process's rings (routing the
     /// batch through the flight recorder) and package events, per-span
-    /// summary histograms, and wire counters for the collector. `node` is
-    /// the responder's cluster identity ([`proto::PING_FROM_CLIENT`] for
-    /// a plain server).
-    pub fn wire_telemetry(&self, node: u32) -> proto::WireTelemetry {
+    /// summary histograms, and wire counters for the collector.
+    fn wire_telemetry(&self) -> proto::WireTelemetry {
         let tr = viz_telemetry::drain();
         let mut hists = Vec::new();
         for kind in viz_telemetry::EventKind::ALL {
@@ -657,12 +655,10 @@ impl Server {
             let h = tr.histogram(kind);
             let (pairs, count, sum, min, max) = h.sparse();
             if count > 0 {
-                hists.push(proto::HistSnapshot { kind: kind as u8, pairs, count, sum, min, max });
+                hists.push(proto::HistSnapshot { kind, pairs, count, sum, min, max });
             }
         }
         proto::WireTelemetry {
-            node,
-            now_ns: viz_telemetry::now_ns(),
             dropped: viz_telemetry::dropped_total(),
             events: tr.events,
             hists,
@@ -946,26 +942,14 @@ fn handle_request_inner(server: &Server, req: Request) -> Outcome {
             Outcome::Ready(resp)
         }
         Request::Stats => Outcome::Ready(Response::StatsReply { counters: server.wire_counters() }),
-        // A plain server has no node identity; it still answers the
-        // probe (liveness is liveness) with the sentinel id. The cluster
-        // dispatcher intercepts this tag to fill in its real id.
-        Request::Ping { .. } => Outcome::Ready(Response::Pong {
-            node: proto::PING_FROM_CLIENT,
-            map_version: 0,
-            now_ns: viz_telemetry::now_ns(),
-        }),
-        // Scrape this process's telemetry plane. On a cluster node the
-        // dispatcher intercepts the tag to stamp its real node id.
-        Request::TelemetryGet => {
-            Outcome::Ready(Response::TelemetryReply(server.wire_telemetry(proto::PING_FROM_CLIENT)))
-        }
+        Request::Ping => Outcome::Ready(Response::Pong { now_ns: viz_telemetry::now_ns() }),
+        Request::TelemetryGet => Outcome::Ready(Response::TelemetryReply(server.wire_telemetry())),
     }
 }
 
-/// Per-node request interceptor: lets a layer above the server (the
-/// cluster node) answer `Ping` and `TelemetryGet` with a node identity
-/// the plain server does not have, while passing everything else to
-/// [`handle_request`]. One dispatcher is shared by
+/// Per-node request dispatch: lets a layer above the server (the cluster
+/// node) tag every telemetry event emitted while serving a request with
+/// its node id, around [`handle_request`]. One dispatcher is shared by
 /// every connection of a front end, so implementations hold their own
 /// state behind `Arc`s.
 pub trait RequestDispatch: Send + Sync {
@@ -997,7 +981,7 @@ impl RequestDispatch for DefaultDispatch {
 /// through `dispatch` → pump → reply. Malformed frames answer with a
 /// typed `Error` response and the connection stays up; sessions opened on
 /// this connection are closed when it ends. The cluster node's TCP front
-/// end routes every decoded request through its ownership logic this way.
+/// end tags every decoded request's events with its node id this way.
 pub(crate) fn serve_connection_with<T: Transport>(
     server: &Arc<Server>,
     dispatch: &dyn RequestDispatch,
@@ -1045,8 +1029,8 @@ impl TcpServer {
     }
 
     /// [`TcpServer::bind`] with a custom [`RequestDispatch`] shared by
-    /// every accepted connection (how a cluster node exposes its
-    /// ownership routing over TCP).
+    /// every accepted connection (how a cluster node serves over TCP with
+    /// its events tagged by node id).
     pub fn bind_with(
         server: Arc<Server>,
         dispatch: Arc<dyn RequestDispatch>,

@@ -9,6 +9,10 @@
 /// degraded/skipped cause, circuit-breaker state transitions, and the
 /// serve layer's session lifecycle (open/close, admit/shed, cross-client
 /// coalescing).
+///
+/// VFDR flight dumps and `TelemetryReply` frames carry a kind as its code,
+/// `kind as u8`: a kind's code is its position; deleting or moving one
+/// bumps `PROTO_VERSION` and `DUMP_VERSION`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum EventKind {
@@ -97,27 +101,9 @@ pub enum EventKind {
     /// One `viz_serve::InProcServer::tick`, run to quiescence (span;
     /// `key` = tick count, `arg` = `work_units << 32 | open connections`).
     InProcTick,
-    /// Not emitted any more; kept so later kinds keep their codes.
-    /// Was: one node-to-node block fetch round trip (span).
-    PeerFetch,
-    /// Not emitted any more; kept so later kinds keep their codes.
-    /// Was: a node-to-node fetch fell back to a local read (instant).
-    PeerFallback,
-    /// Not emitted any more; kept so later kinds keep their codes.
-    /// Was: a node installed a newer shard map (instant).
-    MapUpdate,
-    /// Not emitted any more; kept so later kinds keep their codes.
-    /// Was: a node sent a membership heartbeat to a peer (instant).
-    HeartbeatSent,
-    /// Not emitted any more; kept so later kinds keep their codes.
-    /// Was: a node's failure detector suspected a peer (instant).
-    SuspectNode,
     /// A node a router had marked down answered a probe and was
     /// re-admitted to routing (instant; `key` = recovered node id).
     NodeRecovered,
-    /// Not emitted any more; kept so later kinds keep their codes.
-    /// Was: a node hedged a slow peer read with a local one (instant).
-    HedgedRead,
     /// One router-side fetch round — mint trace id, answer held keys
     /// from the client tier, fan the rest out to owners, collect replies
     /// (span; `key` = minted trace id, `arg` = `demand_keys << 8 |
@@ -141,7 +127,7 @@ pub enum EventKind {
 }
 
 /// Number of event kinds (array sizing for per-kind aggregation).
-pub(crate) const KIND_COUNT: usize = 44;
+pub(crate) const KIND_COUNT: usize = 38;
 
 impl EventKind {
     /// Every kind, in declaration order.
@@ -178,13 +164,7 @@ impl EventKind {
         EventKind::RequestShed,
         EventKind::CrossClientCoalesce,
         EventKind::InProcTick,
-        EventKind::PeerFetch,
-        EventKind::PeerFallback,
-        EventKind::MapUpdate,
-        EventKind::HeartbeatSent,
-        EventKind::SuspectNode,
         EventKind::NodeRecovered,
-        EventKind::HedgedRead,
         EventKind::RouterFetch,
         EventKind::RpcServe,
         EventKind::TraceJoin,
@@ -227,13 +207,7 @@ impl EventKind {
             EventKind::RequestShed => "request_shed",
             EventKind::CrossClientCoalesce => "cross_client_coalesce",
             EventKind::InProcTick => "inproc_tick",
-            EventKind::PeerFetch => "peer_fetch",
-            EventKind::PeerFallback => "peer_fallback",
-            EventKind::MapUpdate => "map_update",
-            EventKind::HeartbeatSent => "heartbeat_sent",
-            EventKind::SuspectNode => "suspect_node",
             EventKind::NodeRecovered => "node_recovered",
-            EventKind::HedgedRead => "hedged_read",
             EventKind::RouterFetch => "router_fetch",
             EventKind::RpcServe => "rpc_serve",
             EventKind::TraceJoin => "trace_join",
@@ -276,13 +250,7 @@ impl EventKind {
             | EventKind::CrossClientCoalesce
             | EventKind::InProcTick
             | EventKind::RpcServe => "serve",
-            EventKind::PeerFetch
-            | EventKind::PeerFallback
-            | EventKind::MapUpdate
-            | EventKind::HeartbeatSent
-            | EventKind::SuspectNode
-            | EventKind::NodeRecovered
-            | EventKind::HedgedRead
+            EventKind::NodeRecovered
             | EventKind::RouterFetch
             | EventKind::FlightDump
             | EventKind::FaultInjected => "cluster",
@@ -300,7 +268,6 @@ impl EventKind {
                 | EventKind::Frame
                 | EventKind::RenderPass
                 | EventKind::InProcTick
-                | EventKind::PeerFetch
                 | EventKind::RouterFetch
                 | EventKind::RpcServe
         )
@@ -343,7 +310,7 @@ mod tests {
         let mut seen = HashSet::new();
         for (i, k) in EventKind::ALL.into_iter().enumerate() {
             // Dumps and telemetry replies carry `kind as u8`: a kind's
-            // code is its position, and no kind may move.
+            // code is its position in `ALL`.
             assert_eq!(k as usize, i, "{k:?} is out of declaration order");
             let l = k.label();
             assert!(seen.insert(l), "duplicate label {l}");
@@ -353,8 +320,8 @@ mod tests {
             );
         }
         assert_eq!(seen.len(), KIND_COUNT);
-        assert_eq!(EventKind::RouterFetch as u8, 39);
-        assert_eq!(EventKind::FaultInjected as u8, 43);
+        assert_eq!(EventKind::RouterFetch as u8, 33);
+        assert_eq!(EventKind::FaultInjected as u8, 37);
     }
 
     #[test]
@@ -370,7 +337,7 @@ mod tests {
     #[test]
     fn span_kinds_are_exactly_the_duration_carriers() {
         let spans: Vec<_> = EventKind::ALL.iter().filter(|k| k.is_span()).collect();
-        assert_eq!(spans.len(), 10);
+        assert_eq!(spans.len(), 9);
     }
 
     #[test]
