@@ -9,7 +9,8 @@
 //!   replacing by a [`PolicyKind`].
 //! - `order` — the level's replacement order: a slab of two lists (every
 //!   resident key, and the unpinned ones) so that a victim is O(1)
-//!   however many keys are pinned.
+//!   however many keys are pinned. Its [`KeyMap`] (a `HashMap` over the
+//!   multiplicative [`MulHasher`]) is exported for maps beside a level.
 //! - `policy` — [`PolicyKind`]: FIFO or LRU, and their telemetry codes.
 //! - `belady` — offline-optimal (MIN) trace simulation.
 //! - `cost` — per-tier latency/bandwidth cost model.
@@ -45,5 +46,6 @@ pub use belady::{simulate_belady, BeladyResult};
 pub use cache::{CacheLevel, Lookup};
 pub use cost::TierCost;
 pub use hierarchy::{FetchOutcome, Hierarchy};
+pub use order::{KeyMap, MulHasher};
 pub use policy::PolicyKind;
 pub use stats::{AccessClass, HierarchyStats};

@@ -22,7 +22,7 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 /// consecutive ids over the buckets, since the low bits of `x * K` for
 /// odd `K` are a bijection of the low bits of `x`.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct MulHasher(u64);
+pub struct MulHasher(u64);
 
 impl MulHasher {
     #[inline]
@@ -69,8 +69,9 @@ impl Hasher for MulHasher {
     }
 }
 
-/// `HashMap` keyed through [`MulHasher`].
-pub(crate) type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<MulHasher>>;
+/// `HashMap` keyed through [`MulHasher`]: what the cache's own maps use,
+/// and what a caller keyed by block ids can use beside a `CacheLevel`.
+pub type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<MulHasher>>;
 /// `HashSet` keyed through [`MulHasher`].
 pub(crate) type KeySet<K> = HashSet<K, BuildHasherDefault<MulHasher>>;
 

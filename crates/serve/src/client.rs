@@ -23,14 +23,23 @@
 //!
 //! Here a `Fetch` is split at [`ServeClient::send_fetch`]. Prefetch goes
 //! unchanged, so a `Fetch` whose demand is all held is still sent for its
-//! prefetch to ride. Each send queues its plan (per demand slot: the held
-//! payload, or "asked"), and [`ServeClient::recv_fetch`] merges the next
-//! reply into the oldest plan, so pipelined sends and receives stay in
-//! step. A planned payload is an `Arc` clone, so a merge in between that
-//! evicts its key does not empty the slot. The merge fails closed: a
-//! reply that does not answer exactly the asked keys, in order, is
-//! [`ClientError::Unexpected`] and leaves the tier alone.
-//! [`ServeClient::close`] empties it.
+//! prefetch to ride; a frame with nothing to ask and nothing to prefetch
+//! sends nothing (the cluster's `Router` sends a node no empty batch
+//! either). Each call queues its plan (per demand slot: the held payload,
+//! or "asked"; and whether a `Fetch` went out), and
+//! [`ServeClient::recv_fetch`] answers the oldest plan: from the tier
+//! alone if it sent nothing, else by merging the next reply into it, so
+//! pipelined sends and receives stay in step. A planned payload is an
+//! `Arc` clone, so a merge in between that evicts its key does not empty
+//! the slot. The merge fails closed: a reply that does not answer exactly
+//! the asked keys, in order, is [`ClientError::Unexpected`] and leaves the
+//! tier alone. [`ServeClient::close`] empties it.
+//!
+//! The frame generation is the client's own count
+//! ([`ServeClient::advance`] makes no I/O): every `Fetch` carries it, and
+//! the server advances the session when one arrives above its
+//! generation, so a frame that sends nothing tells the server nothing
+//! until the next one that does.
 //!
 //! The blocking calls (`open`, `fetch`, …) suit threaded use against a
 //! [`crate::TcpServer`]. The split `send_*` /
@@ -42,10 +51,10 @@ use crate::proto::{
     decode_response, try_encode_request, BlockReply, ProtoError, Request, Response, TraceCtx,
 };
 use crate::transport::Transport;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io;
 use std::sync::Arc;
-use viz_cache::{CacheLevel, PolicyKind};
+use viz_cache::{CacheLevel, KeyMap, PolicyKind};
 use viz_volume::BlockKey;
 
 /// Client-side failure.
@@ -108,7 +117,7 @@ pub struct FetchOutcome {
 /// up before a frame is asked and merged with the frame after.
 #[derive(Debug)]
 pub struct ClientTier {
-    held: HashMap<BlockKey, Arc<Vec<f32>>>,
+    held: KeyMap<BlockKey, Arc<Vec<f32>>>,
     /// The held keys, least recently used first; the pins are the frame
     /// merged last.
     order: CacheLevel<BlockKey>,
@@ -132,7 +141,7 @@ impl ClientTier {
         // A `CacheLevel` holds at least one key; `merge` evicts down to
         // the tier's own capacity, 0 included.
         let order = CacheLevel::new(PolicyKind::Lru, capacity.max(1));
-        ClientTier { held: HashMap::new(), order, capacity }
+        ClientTier { held: KeyMap::default(), order, capacity }
     }
 
     /// The payload `key` has in the tier, as an `Arc` clone. A lookup
@@ -182,9 +191,14 @@ impl ClientTier {
     }
 }
 
-/// One sent `Fetch`'s demand waiting for its reply: per demand slot, its
-/// key and the tier's payload if it was held.
-type Plan = Vec<(BlockKey, Option<Arc<Vec<f32>>>)>;
+/// One frame's demand waiting for its answer.
+struct Plan {
+    /// Per demand slot, its key and the tier's payload if it was held.
+    slots: Vec<(BlockKey, Option<Arc<Vec<f32>>>)>,
+    /// Whether a `Fetch` went out; a plan that sent nothing is answered
+    /// from the tier alone.
+    sent: bool,
+}
 
 /// A connected client (see module docs).
 pub struct ServeClient<T: Transport> {
@@ -192,6 +206,8 @@ pub struct ServeClient<T: Transport> {
     session: Option<u32>,
     trace: TraceCtx,
     tier: ClientTier,
+    /// The frame generation [`ServeClient::advance`] counts.
+    generation: u64,
     /// Plans of the fetches sent and not yet received, oldest first.
     plans: VecDeque<Plan>,
 }
@@ -204,6 +220,7 @@ impl<T: Transport> ServeClient<T> {
             session: None,
             trace: TraceCtx::NONE,
             tier: ClientTier::default(),
+            generation: 0,
             plans: VecDeque::new(),
         }
     }
@@ -225,8 +242,8 @@ impl<T: Transport> ServeClient<T> {
         self.session
     }
 
-    /// Set the trace context stamped on subsequent `Fetch` / `Advance`
-    /// frames (the Router mints one per client request).
+    /// Set the trace context stamped on subsequent `Fetch` frames (the
+    /// Router mints one per client request).
     /// Returns the previous context.
     pub fn set_trace_ctx(&mut self, trace: TraceCtx) -> TraceCtx {
         std::mem::replace(&mut self.trace, trace)
@@ -244,13 +261,14 @@ impl<T: Transport> ServeClient<T> {
         self.recv_open()
     }
 
-    /// One frame's wants: demand keys plus `(key, priority)` prefetch.
+    /// One frame's wants: demand keys plus `(key, priority)` prefetch,
+    /// under the generation [`ServeClient::advance`] last returned.
     pub fn fetch(
         &mut self,
         demand: Vec<BlockKey>,
         prefetch: Vec<(BlockKey, f64)>,
     ) -> Result<FetchOutcome, ClientError> {
-        self.send_fetch(0, demand, prefetch)?;
+        self.send_fetch(self.generation, demand, prefetch)?;
         self.recv_fetch()
     }
 
@@ -265,14 +283,13 @@ impl<T: Transport> ServeClient<T> {
         self.recv_fetch()
     }
 
-    /// Advance the frame generation; returns the new generation.
+    /// Advance the frame generation; returns the new generation. No I/O:
+    /// the server learns it from the next `Fetch` sent under it, which
+    /// purges the session's queued prefetch from earlier generations.
     pub fn advance(&mut self) -> Result<u64, ClientError> {
-        self.send_advance()?;
-        match self.recv_response()? {
-            Response::AdvanceAck { generation, .. } => Ok(generation),
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            _ => Err(ClientError::Unexpected("AdvanceAck")),
-        }
+        self.sid()?;
+        self.generation += 1;
+        Ok(self.generation)
     }
 
     /// Snapshot the server's counters.
@@ -300,7 +317,8 @@ impl<T: Transport> ServeClient<T> {
 
     /// Put a `Fetch` on the wire without waiting for the reply, which
     /// [`ServeClient::recv_fetch`] reads. Only the demand keys the client
-    /// tier lacks are sent; the prefetch list is sent whole.
+    /// tier lacks are sent; the prefetch list is sent whole. With nothing
+    /// to ask and nothing to prefetch, nothing is sent.
     pub fn send_fetch(
         &mut self,
         generation: u64,
@@ -310,17 +328,14 @@ impl<T: Transport> ServeClient<T> {
         let session = self.sid()?;
         let trace = self.trace;
         let slots: Vec<_> = demand.iter().map(|&k| (k, self.tier.get(k))).collect();
-        let asked = slots.iter().filter(|(_, held)| held.is_none()).map(|&(k, _)| k).collect();
-        self.send(&Request::Fetch { session, generation, demand: asked, prefetch, trace })?;
-        self.plans.push_back(slots);
+        let asked: Vec<BlockKey> =
+            slots.iter().filter(|(_, held)| held.is_none()).map(|&(k, _)| k).collect();
+        let sent = !asked.is_empty() || !prefetch.is_empty();
+        if sent {
+            self.send(&Request::Fetch { session, generation, demand: asked, prefetch, trace })?;
+        }
+        self.plans.push_back(Plan { slots, sent });
         Ok(())
-    }
-
-    /// Put an `Advance` on the wire without waiting for the ack.
-    pub fn send_advance(&mut self) -> Result<(), ClientError> {
-        let session = self.sid()?;
-        let trace = self.trace;
-        self.send(&Request::Advance { session, trace })
     }
 
     /// Put a `Stats` on the wire without waiting for the reply.
@@ -349,7 +364,9 @@ impl<T: Transport> ServeClient<T> {
     pub fn recv_open(&mut self) -> Result<u32, ClientError> {
         match self.recv_response()? {
             Response::OpenAck { session } => {
+                // A new session starts at generation 0 on the server.
                 self.session = Some(session);
+                self.generation = 0;
                 Ok(session)
             }
             Response::Error { code, message } => Err(ClientError::Server { code, message }),
@@ -371,31 +388,40 @@ impl<T: Transport> ServeClient<T> {
         }
     }
 
-    /// Receive a `FetchReply` and merge it into the oldest sent fetch's
-    /// plan: one [`BlockReply`] per demand slot, in request order. A
-    /// reply that does not answer exactly the asked keys, in order, is
-    /// [`ClientError::Unexpected`] and leaves the tier as it was. A reply
-    /// with no plan waiting (its request went out through
-    /// [`ServeClient::send_raw`]) is returned as decoded.
+    /// Answer the oldest plan: one [`BlockReply`] per demand slot, in
+    /// request order. A plan that sent nothing is answered from the tier
+    /// without reading the transport; otherwise the next `FetchReply` is
+    /// received and merged into it. A reply that does not answer exactly
+    /// the asked keys, in order, is [`ClientError::Unexpected`] and leaves
+    /// the tier as it was. A reply with no plan waiting (its request went
+    /// out through [`ServeClient::send_raw`]) is returned as decoded.
     pub fn recv_fetch(&mut self) -> Result<FetchOutcome, ClientError> {
         // A transport error took no reply off the wire, so its plan waits.
-        let frame = self.t.recv()?;
-        let plan = self.plans.pop_front();
-        let (replies, shed, downgraded) = match decode_response(&frame)? {
-            Response::FetchReply { blocks, shed, downgraded, .. } => (blocks, shed, downgraded),
-            Response::Error { code, message } => return Err(ClientError::Server { code, message }),
-            _ => return Err(ClientError::Unexpected("FetchReply")),
+        let frame = match self.plans.front() {
+            Some(plan) if !plan.sent => None,
+            _ => Some(self.t.recv()?),
         };
-        let Some(plan) = plan else {
+        let plan = self.plans.pop_front();
+        let (replies, shed, downgraded) = match frame.as_deref().map(decode_response).transpose()? {
+            None => (Vec::new(), 0, 0),
+            Some(Response::FetchReply { blocks, shed, downgraded, .. }) => {
+                (blocks, shed, downgraded)
+            }
+            Some(Response::Error { code, message }) => {
+                return Err(ClientError::Server { code, message })
+            }
+            Some(_) => return Err(ClientError::Unexpected("FetchReply")),
+        };
+        let Some(Plan { slots, .. }) = plan else {
             return Ok(FetchOutcome { blocks: replies, shed, downgraded, held: 0 });
         };
-        let asked = plan.iter().filter(|(_, held)| held.is_none()).map(|&(k, _)| k);
+        let asked = slots.iter().filter(|(_, held)| held.is_none()).map(|&(k, _)| k);
         if !replies.iter().map(|r| r.key).eq(asked) {
             return Err(ClientError::Unexpected("a FetchReply answering the asked keys in order"));
         }
         let mut replies = replies.into_iter();
         let mut held = 0;
-        let blocks: Vec<BlockReply> = plan
+        let blocks: Vec<BlockReply> = slots
             .into_iter()
             .map(|(key, payload)| match payload {
                 Some(data) => {
@@ -453,5 +479,58 @@ mod tests {
         let mut next = vec![0u8; encode_request(&Request::Stats).len()];
         peer.read_exact(&mut next).unwrap();
         assert_eq!(decode_request(&next).unwrap(), Request::Stats);
+    }
+
+    /// Prints the tier's cost per key of `get` and of `merge` for a
+    /// 333-key frame over 833 held keys: a warm frame of the benchmark's
+    /// 1,014-brick scene. Run it in release on one idle core:
+    /// `taskset -c 0 cargo test --release -p viz-serve --lib tier_cost -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "timing: run it in release, on an idle core, with --nocapture"]
+    fn tier_cost_per_key() {
+        use std::hint::black_box;
+        use std::time::Instant;
+
+        const HELD: u32 = 833;
+        const FRAME: u32 = 333;
+        const FRAMES: u32 = 60;
+        let reply = |id: u32| BlockReply {
+            key: BlockKey::new(0, 3, BlockId(id)),
+            result: Ok(Arc::new(vec![id as f32; 4])),
+            crc: None,
+        };
+        // Frames that slide over the held keys a little each step, as an
+        // orbit's visible sets do.
+        let frames: Vec<Vec<BlockReply>> = (0..FRAMES)
+            .map(|f| (0..FRAME).map(|i| reply((f * 14 + i * 2) % HELD)).collect())
+            .collect();
+        let mut tier = ClientTier::default();
+        tier.merge(&(0..HELD).map(reply).collect::<Vec<_>>());
+        let keys = f64::from(FRAMES * FRAME);
+        let best_of_five = |pass: &mut dyn FnMut()| {
+            let mut time = || {
+                let start = Instant::now();
+                pass();
+                start.elapsed().as_secs_f64()
+            };
+            (0..5).map(|_| time()).fold(f64::INFINITY, f64::min) * 1e9 / keys
+        };
+        let get = best_of_five(&mut || {
+            for frame in &frames {
+                for b in frame {
+                    black_box(tier.get(b.key));
+                }
+            }
+        });
+        let merge = best_of_five(&mut || {
+            for frame in &frames {
+                tier.merge(frame);
+            }
+        });
+        assert_eq!(tier.len(), HELD as usize, "every frame's keys were already held");
+        println!("{FRAME}-key frames over {HELD} held keys");
+        println!("get   {get:7.1} ns/key");
+        println!("merge {merge:7.1} ns/key");
+        println!("frame {:7.2} us", (get + merge) * f64::from(FRAME) / 1e3);
     }
 }

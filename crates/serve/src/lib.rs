@@ -6,8 +6,11 @@
 //! layer that lets N viewers share the machinery without sharing fate:
 //!
 //! - [`proto`] — a length-prefixed, CRC-framed, versioned binary wire
-//!   protocol (Open / Close / Fetch / Advance / Stats request–response
-//!   pairs). Corruption decodes to typed [`proto::ProtoError`]s, never
+//!   protocol (Open / Close / Fetch / Stats request–response pairs, plus
+//!   the cluster's Ping and TelemetryGet). A `Fetch` carries the client's
+//!   frame generation, so it is the one message a frame sends, and a
+//!   frame whose demand the client tier holds and that prefetches
+//!   nothing sends none. Corruption decodes to typed [`proto::ProtoError`]s, never
 //!   panics, mirroring the persist codecs' contract.
 //! - `transport` — frame pipes: an in-process pair for deterministic
 //!   tests, localhost TCP for real connections.

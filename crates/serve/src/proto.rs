@@ -9,8 +9,10 @@
 //! responses mirror them at `0x81..=0x88`, and `0xFF` is the typed error
 //! reply. Retired tags are never reused and decode as
 //! [`ProtoError::UnknownTag`]: request `0x07` (a node-to-node forward),
-//! and request `0x06` with its response `0x86` (a shard-map exchange;
-//! cluster maps are static now). The cluster layer rides the same
+//! request `0x06` with its response `0x86` (a shard-map exchange;
+//! cluster maps are static now), and request `0x04` with its response
+//! `0x84` (a generation bump; a `Fetch` carries its generation, and one
+//! above the session's advances it). The cluster layer rides the same
 //! version: `Ping`/`Pong` carry a router's liveness probes and its clock
 //! samples, and nothing else.
 //!
@@ -88,7 +90,7 @@ use viz_volume::{crc32, BlockId, BlockKey};
 /// Frame magic, first four body bytes.
 pub const MAGIC: [u8; 4] = *b"VSRV";
 /// The one protocol version this build speaks.
-pub const PROTO_VERSION: u16 = 3;
+pub const PROTO_VERSION: u16 = 4;
 /// Upper bound on one frame body; larger length prefixes are rejected
 /// before any allocation.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
@@ -96,7 +98,7 @@ pub const MAX_FRAME_BYTES: usize = 64 << 20;
 const TAG_OPEN: u8 = 0x01;
 const TAG_CLOSE: u8 = 0x02;
 const TAG_FETCH: u8 = 0x03;
-const TAG_ADVANCE: u8 = 0x04;
+// 0x04 is retired: never reuse it.
 const TAG_STATS: u8 = 0x05;
 // 0x06 and 0x07 are retired: never reuse them.
 const TAG_PING: u8 = 0x08;
@@ -104,14 +106,14 @@ const TAG_TELEMETRY_GET: u8 = 0x09;
 const TAG_OPEN_ACK: u8 = 0x81;
 const TAG_CLOSE_ACK: u8 = 0x82;
 const TAG_FETCH_REPLY: u8 = 0x83;
-const TAG_ADVANCE_ACK: u8 = 0x84;
+// 0x84 is retired: never reuse it.
 const TAG_STATS_REPLY: u8 = 0x85;
 // 0x86 is retired: never reuse it.
 const TAG_PONG: u8 = 0x87;
 const TAG_TELEMETRY_REPLY: u8 = 0x88;
 const TAG_ERROR: u8 = 0xFF;
 
-/// Distributed-trace context carried on `Fetch`/`Advance` frames: the 64-bit trace id minted by the originating client/Router
+/// Distributed-trace context carried on `Fetch` frames: the 64-bit trace id minted by the originating client/Router
 /// and the parent span id within that trace. All-zero ([`TraceCtx::NONE`])
 /// means "untraced".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -240,22 +242,15 @@ pub enum Request {
     Fetch {
         /// Requesting session.
         session: u32,
-        /// Client generation the prefetches belong to; older than the
-        /// session's current generation means they are stale and shed.
+        /// Client frame generation. Above the session's, it advances the
+        /// session first: queued prefetch from earlier generations is
+        /// purged. Below it, the prefetches are stale and shed. The
+        /// session's generation never falls.
         generation: u64,
         /// Demand keys (never shed, never downgraded).
         demand: Vec<BlockKey>,
         /// Prefetch keys with `T_important` priorities.
         prefetch: Vec<(BlockKey, f64)>,
-        /// Trace context ([`TraceCtx::NONE`] when untraced).
-        trace: TraceCtx,
-    },
-    /// Advance the session's frame generation (camera stepped): queued
-    /// prefetch from earlier generations is purged. The server predicts
-    /// nothing itself; the next frame's prefetch arrives with its `Fetch`.
-    Advance {
-        /// Session to advance.
-        session: u32,
         /// Trace context ([`TraceCtx::NONE`] when untraced).
         trace: TraceCtx,
     },
@@ -278,7 +273,6 @@ impl Request {
             Request::Open { .. } => TAG_OPEN,
             Request::Close { .. } => TAG_CLOSE,
             Request::Fetch { .. } => TAG_FETCH,
-            Request::Advance { .. } => TAG_ADVANCE,
             Request::Stats => TAG_STATS,
             Request::Ping => TAG_PING,
             Request::TelemetryGet => TAG_TELEMETRY_GET,
@@ -289,7 +283,7 @@ impl Request {
     /// untraced tags).
     pub(crate) fn trace_ctx(&self) -> TraceCtx {
         match self {
-            Request::Fetch { trace, .. } | Request::Advance { trace, .. } => *trace,
+            Request::Fetch { trace, .. } => *trace,
             _ => TraceCtx::NONE,
         }
     }
@@ -367,13 +361,6 @@ pub enum Response {
         shed: u32,
         /// Prefetches admitted at reduced priority.
         downgraded: u32,
-    },
-    /// Generation bumped.
-    AdvanceAck {
-        /// Responding session.
-        session: u32,
-        /// The session's generation after the bump.
-        generation: u64,
     },
     /// Counter snapshot: serve-layer, engine, and pool gauges.
     StatsReply {
@@ -736,11 +723,6 @@ fn request_frame(req: &Request) -> Result<Vec<u8>, String> {
             }
             put_trace(&mut b, *trace);
         }
-        Request::Advance { session, trace } => {
-            b = body_header(TAG_ADVANCE);
-            put_u32(&mut b, *session);
-            put_trace(&mut b, *trace);
-        }
         Request::Stats => {
             b = body_header(TAG_STATS);
         }
@@ -791,11 +773,6 @@ pub fn decode_request(buf: &[u8]) -> Result<Request, ProtoError> {
             }
             let trace = read_trace(&mut r)?;
             Request::Fetch { session, generation, demand, prefetch, trace }
-        }
-        TAG_ADVANCE => {
-            let session = r.u32()?;
-            let trace = read_trace(&mut r)?;
-            Request::Advance { session, trace }
         }
         TAG_STATS => Request::Stats,
         TAG_PING => Request::Ping,
@@ -874,11 +851,6 @@ pub(crate) fn encode_reply_frame(resp: &Response) -> ReplyFrame {
             debug_assert_eq!(f.wire_len() as u64, FRAME_HEADER_BYTES as u64 + body_len);
             let crc = crc32_append(joined, &f.head[mark..]);
             return frame(f, Some(crc)).expect("the size was checked before encoding");
-        }
-        Response::AdvanceAck { session, generation } => {
-            b = body_header(TAG_ADVANCE_ACK);
-            put_u32(&mut b, *session);
-            put_u64(&mut b, *generation);
         }
         Response::StatsReply { counters } => {
             b = body_header(TAG_STATS_REPLY);
@@ -978,7 +950,6 @@ pub fn decode_response(buf: &[u8]) -> Result<Response, ProtoError> {
             }
             Response::FetchReply { session, blocks, shed, downgraded }
         }
-        TAG_ADVANCE_ACK => Response::AdvanceAck { session: r.u32()?, generation: r.u64()? },
         TAG_STATS_REPLY => {
             let n = r.u32()?;
             let n = r.count(n, 10)?;
@@ -1076,7 +1047,6 @@ mod tests {
                 prefetch: vec![(key(9), 2.25), (key(10), 0.0)],
                 trace: ctx(0xABCD_EF01_2345_6789, 77),
             },
-            Request::Advance { session: 7, trace: ctx(0x1111, 0) },
             Request::Stats,
             Request::Ping,
             Request::TelemetryGet,
@@ -1096,7 +1066,6 @@ mod tests {
                 shed: 4,
                 downgraded: 2,
             },
-            Response::AdvanceAck { session: 3, generation: 42 },
             Response::StatsReply {
                 counters: vec![("serve_sessions_opened".into(), 3), ("x".into(), 0)],
             },
@@ -1145,9 +1114,9 @@ mod tests {
 
     #[test]
     fn version_skew_is_typed() {
-        // Every version but the one spoken is skew, the retired v1 and v2
-        // included.
-        for version in [0, 1, PROTO_VERSION - 1, PROTO_VERSION + 1] {
+        // Every version but the one spoken is skew, the retired v1, v2 and
+        // v3 included.
+        for version in [0, 1, 2, PROTO_VERSION - 1, PROTO_VERSION + 1] {
             let mut body = encode_request(&Request::Stats)[8..].to_vec();
             body[4..6].copy_from_slice(&version.to_le_bytes());
             assert_eq!(
@@ -1158,7 +1127,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_context_rides_fetch_and_advance_frames() {
+    fn trace_context_rides_only_fetch_frames() {
         let fetch = Request::Fetch {
             session: 4,
             generation: 0,
@@ -1166,11 +1135,12 @@ mod tests {
             prefetch: vec![(key(2), 0.5)],
             trace: ctx(0xD00D, 42),
         };
-        let advance = Request::Advance { session: 4, trace: ctx(0xD00D, 43) };
-        for req in [fetch, advance] {
-            let got = decode_request(&encode_request(&req)).unwrap();
-            assert_eq!(got.trace_ctx(), req.trace_ctx());
-            assert_eq!(got, req);
+        let got = decode_request(&encode_request(&fetch)).unwrap();
+        assert_eq!(got.trace_ctx(), ctx(0xD00D, 42));
+        assert_eq!(got, fetch);
+        for req in sample_requests() {
+            let carries = matches!(req, Request::Fetch { .. });
+            assert_eq!(req.trace_ctx() != TraceCtx::NONE, carries, "{req:?}");
         }
     }
 
@@ -1210,12 +1180,14 @@ mod tests {
 
     /// Frames printed by the encoders as they stood before the payload fast
     /// path (commit a1655a2), when the protocol was v2: bulk copies and
-    /// in-place framing must not move a byte. The v3 frames are the v2 ones
-    /// with the version field raised, so the `Fetch` and `FetchReply`
-    /// layouts are unchanged, and the v2 bytes themselves are version skew.
+    /// in-place framing must not move a byte. The current frames are the
+    /// v2 ones with the version field raised, so the `Fetch` and
+    /// `FetchReply` layouts are unchanged since v2, and the v2 bytes, and
+    /// the v3 ones derived the same way, are version skew.
     #[test]
     fn golden_frames_from_the_previous_encoders() {
         let skew = ProtoError::VersionSkew { got: 2, supported: PROTO_VERSION };
+        let v3_skew = ProtoError::VersionSkew { got: 3, supported: PROTO_VERSION };
         let reply = Response::FetchReply {
             session: 3,
             blocks: vec![
@@ -1237,6 +1209,7 @@ mod tests {
             "0000e040",
         ));
         assert_eq!(decode_response(&golden_v2).unwrap_err(), skew);
+        assert_eq!(decode_response(&reversioned(&golden_v2, 3)).unwrap_err(), v3_skew);
         let golden = reversioned(&golden_v2, PROTO_VERSION);
         assert_eq!(encode_response(&reply), golden);
         assert_eq!(decode_response(&golden).unwrap(), reply);
@@ -1249,6 +1222,7 @@ mod tests {
             "000000",
         ));
         assert_eq!(decode_request(&golden_v2).unwrap_err(), skew);
+        assert_eq!(decode_request(&reversioned(&golden_v2, 3)).unwrap_err(), v3_skew);
         let golden = reversioned(&golden_v2, PROTO_VERSION);
         assert_eq!(encode_request(&fetch), golden);
         assert_eq!(decode_request(&golden).unwrap(), fetch);
@@ -1463,14 +1437,16 @@ mod tests {
         };
         assert_eq!(with(&|b| b[0] = b'X'), ProtoError::BadMagic(*b"XSRV"));
         assert_eq!(with(&|b| b[6] = 0x7E), ProtoError::UnknownTag(0x7E));
-        // Retired tags are never reused: requests 0x06 and 0x07, response
-        // 0x86.
-        for tag in [0x06, 0x07] {
+        // Retired tags are never reused: requests 0x04, 0x06 and 0x07,
+        // responses 0x84 and 0x86.
+        for tag in [0x04, 0x06, 0x07] {
             let mut retired = encode_request(&sample_requests()[2])[8..].to_vec();
             retired[6] = tag;
             assert_eq!(decode_request(&framed(&retired)).unwrap_err(), ProtoError::UnknownTag(tag));
         }
-        assert_eq!(with(&|b| b[6] = 0x86), ProtoError::UnknownTag(0x86));
+        for tag in [0x84, 0x86] {
+            assert_eq!(with(&|b| b[6] = tag), ProtoError::UnknownTag(tag));
+        }
         assert_eq!(with(&|b| b.push(0)), ProtoError::Malformed("trailing bytes after payload"));
         // Body layout: 7 prefix, session/shed/downgraded, then the block
         // count at 19, the first block's status at 31 and length at 32.

@@ -23,8 +23,8 @@ impl fmt::Display for SessionId {
 /// One registered client.
 pub(crate) struct Session {
     pub name: String,
-    /// Frame generation: prefetch submitted under an older generation is
-    /// stale. Scoped to this session — the engine's global generation is
+    /// Frame generation, the highest any of its `Fetch`es carried:
+    /// prefetch submitted under an older generation is stale. Scoped to this session — the engine's global generation is
     /// untouched by serving (one client stepping must not cancel
     /// another's speculation).
     pub generation: u64,
@@ -91,10 +91,6 @@ impl Registry {
 
     pub(crate) fn get_mut(&mut self, id: SessionId) -> Option<&mut Session> {
         self.sessions.get_mut(&id.0)
-    }
-
-    pub(crate) fn contains(&self, id: SessionId) -> bool {
-        self.sessions.contains_key(&id.0)
     }
 
     pub(crate) fn len(&self) -> usize {

@@ -373,23 +373,12 @@ impl Server {
         true
     }
 
-    /// Bump a session's frame generation: queued prefetch from earlier
-    /// generations is purged. Returns the new generation, or `None` for an
-    /// unknown session.
-    pub fn advance(&self, id: SessionId) -> Option<u64> {
-        let generation = {
-            let mut reg = relock(&self.registry);
-            let s = reg.get_mut(id)?;
-            s.generation += 1;
-            s.generation
-        };
-        relock(&self.sched).purge_prefetch(id.0, generation);
-        Some(generation)
-    }
-
     /// Admit one frame request: demand unconditionally, prefetch through
-    /// the shed ladder. The returned [`Submission`] collects the demand
-    /// outcomes after a [`Server::pump`].
+    /// the shed ladder. A `generation` above the session's advances the
+    /// session first, purging its queued prefetch from earlier
+    /// generations; one below it sheds the prefetch as stale, and the
+    /// session's generation never falls. The returned [`Submission`]
+    /// collects the demand outcomes after a [`Server::pump`].
     pub fn submit(
         &self,
         id: SessionId,
@@ -397,8 +386,17 @@ impl Server {
         demand: Vec<BlockKey>,
         prefetch: Vec<(BlockKey, f64)>,
     ) -> Result<Submission, ServeError> {
-        if !relock(&self.registry).contains(id) {
-            return Err(ServeError::UnknownSession);
+        let advanced = match relock(&self.registry).get_mut(id) {
+            None => return Err(ServeError::UnknownSession),
+            Some(s) => {
+                s.demand_submitted += demand.len() as u64;
+                let advanced = generation > s.generation;
+                s.generation = s.generation.max(generation);
+                advanced
+            }
+        };
+        if advanced {
+            relock(&self.sched).purge_prefetch(id.0, generation);
         }
         self.stats.fetch_requests.inc();
         let (tx, rx) = channel();
@@ -411,9 +409,6 @@ impl Server {
             }
         }
         self.stats.demand_admitted.add(demand_n as u64);
-        if let Some(s) = relock(&self.registry).get_mut(id) {
-            s.demand_submitted += demand_n as u64;
-        }
         let t = self.admit_prefetch(id, generation, prefetch);
         let queued = u64::from(t.admitted + t.downgraded);
         instant(Ev::RequestAdmit, u64::from(id.0), ((demand_n as u64) << 32) | queued);
@@ -928,18 +923,6 @@ fn handle_request_inner(server: &Server, req: Request) -> Outcome {
                     Outcome::Ready(Response::Error { code: e.code(), message: e.to_string() })
                 }
             }
-        }
-        Request::Advance { session, trace: _ } => {
-            let t0 = viz_telemetry::start();
-            let resp = match server.advance(SessionId(session)) {
-                Some(generation) => Response::AdvanceAck { session, generation },
-                None => {
-                    let e = ServeError::UnknownSession;
-                    Response::Error { code: e.code(), message: e.to_string() }
-                }
-            };
-            viz_telemetry::span(Ev::RpcServe, u64::from(session), u64::from(tag), t0);
-            Outcome::Ready(resp)
         }
         Request::Stats => Outcome::Ready(Response::StatsReply { counters: server.wire_counters() }),
         Request::Ping => Outcome::Ready(Response::Pong { now_ns: viz_telemetry::now_ns() }),

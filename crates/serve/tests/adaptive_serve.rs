@@ -125,10 +125,11 @@ fn per_reason_shed_counters_reach_the_wire() {
     assert!(held.collect_ready(&server)[0].result.is_ok(), "demand flows through a drain");
     assert_sheds(&server, "serve_shed_draining", 2);
 
-    // Stale generation: the session advanced past the frame's generation.
+    // Stale generation: a Fetch at generation 1 advanced the session past
+    // the frame's generation.
     let server = det_server(ServeConfig::default(), 8);
     let id = server.open_session("v").unwrap();
-    assert_eq!(server.advance(id), Some(1));
+    assert_eq!(server.submit(id, 1, vec![], vec![]).unwrap().shed(), 0);
     assert_eq!(server.submit(id, 0, vec![], prefetch(1..3)).unwrap().shed(), 2);
     assert_sheds(&server, "serve_shed_stale_gen", 2);
 
@@ -249,7 +250,10 @@ fn every_predicted_key_has_exactly_one_fate() {
         for _ in 0..12 {
             let c = rng.index(0..ids.len());
             if rng.below(4) == 0 {
-                server.advance(ids[c]).unwrap();
+                // An empty Fetch at the next generation advances the session.
+                let next =
+                    server.sessions().iter().find(|v| v.id == ids[c]).unwrap().generation + 1;
+                server.submit(ids[c], next, vec![], vec![]).unwrap();
             }
             let (n, q) = submit_checked(&server, rng, ids[c], KEYS);
             submitted[c] += n;

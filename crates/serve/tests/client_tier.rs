@@ -189,6 +189,42 @@ fn an_all_held_frame_still_sends_its_prefetch() {
 }
 
 #[test]
+fn an_all_held_frame_with_no_prefetch_sends_nothing() {
+    let (server, mut inproc, mut c) = setup(16);
+    fetch(&mut inproc, &mut c, keys(0..4), vec![]);
+    let before = server.metrics();
+
+    c.send_fetch(0, keys([3, 0, 2]), vec![]).unwrap();
+    assert_eq!(inproc.tick(), 0, "no frame reached the server end");
+    let got = c.recv_fetch().unwrap();
+    assert_payloads(&got.blocks, &keys([3, 0, 2]));
+    assert_eq!(got.held, 3);
+    assert_eq!(server.metrics().fetch_requests, before.fetch_requests, "no Fetch was sent");
+
+    // Split halves: a local plan, a sent one, a local one, all made
+    // against the tier `3, 0, 2`. The second local plan's key 3 leaves
+    // the tier when the first merges, and its slot still holds the
+    // payload.
+    let frames = [keys([0, 2]), keys([2, 5, 6]), keys([3])];
+    for demand in &frames {
+        c.send_fetch(0, demand.clone(), vec![]).unwrap();
+    }
+    inproc.tick();
+    let held: Vec<u32> = frames
+        .iter()
+        .map(|want| {
+            let got = c.recv_fetch().unwrap();
+            assert_payloads(&got.blocks, want);
+            got.held
+        })
+        .collect();
+    assert_eq!(held, [2, 1, 1], "the outcomes come back in send order");
+    let after = server.metrics();
+    assert_eq!(after.fetch_requests, before.fetch_requests + 1, "only the middle frame was sent");
+    assert_eq!(after.demand_served, before.demand_served + 2);
+}
+
+#[test]
 fn close_empties_the_tier() {
     let (server, mut inproc, mut c) = setup(8);
     fetch(&mut inproc, &mut c, keys(0..4), vec![]);

@@ -92,8 +92,8 @@ fn unknown_tag_is_rejected() {
 #[test]
 fn version_skew_answers_err_version_and_keeps_the_connection() {
     // A client from before or after this build greets today's server; the
-    // retired v1 and v2 are skew like any other version.
-    for version in [0, 1, PROTO_VERSION - 1, PROTO_VERSION + 1] {
+    // retired v1, v2 and v3 are skew like any other version.
+    for version in [0, 1, 2, PROTO_VERSION - 1, PROTO_VERSION + 1] {
         let (mut s, mut c) = serve();
         let mut body = encode_request(&Request::Open { name: "skewed".into() })[8..].to_vec();
         body[4..6].copy_from_slice(&version.to_le_bytes());

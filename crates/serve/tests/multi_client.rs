@@ -147,21 +147,14 @@ fn phase_rotated_viewers_read_each_distinct_key_once_at_every_n() {
             client.recv_open().unwrap();
         }
 
-        // Lockstep frames: every viewer advances, then every viewer's
-        // fetch is decoded before the engine runs, so overlapping wants
-        // meet in the engine's queue.
+        // Lockstep frames: every viewer advances and sends its fetch, and
+        // every fetch is decoded before the engine runs, so overlapping
+        // wants meet in the engine's queue.
         let mut wanted = HashSet::new();
         let mut demand_errors = 0;
         for _ in 0..poses.len() {
-            for (client, _) in &mut viewers {
-                client.send_advance().unwrap();
-            }
-            inproc.tick();
             for (client, flight) in &mut viewers {
-                let generation = match client.recv_response().unwrap() {
-                    Response::AdvanceAck { generation, .. } => generation,
-                    other => panic!("wanted AdvanceAck, got {other:?}"),
-                };
+                let generation = client.advance().unwrap();
                 let fr = flight.next_frame().unwrap();
                 wanted.extend(fr.demand.iter().copied());
                 wanted.extend(fr.prefetch.iter().map(|(k, _)| *k));
@@ -444,11 +437,13 @@ fn advance_purges_stale_prefetch_and_sheds_stale_generations() {
     let (server, src) = det_server(ServeConfig::default(), 64);
     let sid = server.open_session("stepper").unwrap();
 
-    // Queue speculation under generation 0, then advance before pumping:
-    // the queued entries must never reach the source.
+    // Queue speculation under generation 0, then advance before pumping
+    // with a Fetch at generation 1: the queued entries must never reach
+    // the source.
     let sub = server.submit(sid, 0, vec![], vec![(key(1), 1.0), (key(2), 1.0)]).unwrap();
     assert_eq!(sub.shed(), 0);
-    assert_eq!(server.advance(sid), Some(1));
+    server.submit(sid, 1, vec![], vec![]).unwrap();
+    assert_eq!(server.sessions()[0].generation, 1);
     server.pump();
     server.engine().run_until_idle();
     assert_eq!(src.reads(), 0, "purged prefetch never touched the source");
@@ -463,6 +458,30 @@ fn advance_purges_stale_prefetch_and_sheds_stale_generations() {
     server.engine().run_until_idle();
     assert!(server.engine().pool().contains(key(4)));
     assert!(!server.engine().pool().contains(key(3)));
+}
+
+#[test]
+fn a_fetch_below_the_session_generation_does_not_lower_it() {
+    let (server, src) = det_server(ServeConfig::default(), 64);
+    let sid = server.open_session("stepper").unwrap();
+    let generation = || server.sessions()[0].generation;
+
+    server.submit(sid, 3, vec![], vec![]).unwrap();
+    assert_eq!(generation(), 3);
+    // A straggler from generation 1 sheds its prefetch, keeps its demand,
+    // and leaves the session at 3.
+    let stale = server.submit(sid, 1, vec![key(5)], vec![(key(6), 1.0)]).unwrap();
+    assert_eq!(stale.shed(), 1);
+    assert_eq!(generation(), 3, "the session's generation never falls");
+    // So a Fetch at the current generation still admits.
+    let fresh = server.submit(sid, 3, vec![], vec![(key(7), 1.0)]).unwrap();
+    assert_eq!(fresh.shed(), 0);
+    server.pump();
+    server.engine().run_until_idle();
+    assert!(stale.collect_ready(&server)[0].result.is_ok(), "stale demand still delivers");
+    assert!(server.engine().pool().contains(key(7)));
+    assert!(!server.engine().pool().contains(key(6)));
+    assert_eq!(src.reads(), 2);
 }
 
 #[test]

@@ -130,10 +130,11 @@ fn main() {
     );
 }
 
-/// Replay the flight once: every step each client advances its
-/// generation, then asks for its visible set (demand) plus the blocks its
-/// tables predict around the pose it renders (speculation for the next
-/// step). Returns the demand blocks served and how many of them the
+/// Replay the flight once: every step each client asks, under the
+/// flight's next generation, for its visible set (demand) plus the blocks
+/// its tables predict around the pose it renders (speculation for the
+/// next step). The `Fetch` carries the generation, and one above the
+/// session's advances it. Returns the demand blocks served and how many of them the
 /// clients held.
 fn fly(
     inproc: &mut InProcServer,
@@ -145,12 +146,10 @@ fn fly(
         for (c, flight) in clients.iter_mut() {
             let fr = flight.next_frame().expect("flight step");
             demanded.push(fr.demand.clone());
-            c.send_advance().unwrap();
             c.send_fetch(fr.generation, fr.demand, fr.prefetch).unwrap();
         }
         inproc.tick();
         for ((c, _), want) in clients.iter_mut().zip(demanded) {
-            c.recv_response().unwrap(); // AdvanceAck
             let got = c.recv_fetch().unwrap();
             let keys: Vec<BlockKey> = got.blocks.iter().map(|b| b.key).collect();
             assert_eq!(keys, want, "every demanded block arrives, in request order");
