@@ -188,7 +188,7 @@ mod tests {
             for &k in &trace {
                 if lru.access(k) == Lookup::Miss {
                     lru_misses += 1;
-                    lru.insert(k);
+                    lru.insert(k, |_| {});
                 }
             }
             assert!(opt.misses <= lru_misses, "cap {cap}: OPT {} > LRU {lru_misses}", opt.misses);

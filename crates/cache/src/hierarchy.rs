@@ -132,13 +132,13 @@ impl<K: Copy + Eq + Hash> Hierarchy<K> {
     /// and its policy (`arg` = `tier << 8 | policy code`).
     fn install(&mut self, i: usize, key: K) {
         let tier = &mut self.tiers[i];
-        let evicted = tier.insert(key);
-        if viz_telemetry::enabled() {
-            let arg = ((i as u64) << 8) | u64::from(tier.kind().code());
-            for ek in &evicted {
-                viz_telemetry::instant(Ev::CacheEvict, tel_key(ek), arg);
+        let traced = viz_telemetry::enabled();
+        let arg = ((i as u64) << 8) | u64::from(tier.kind().code());
+        tier.insert(key, |ek| {
+            if traced {
+                viz_telemetry::instant(Ev::CacheEvict, tel_key(&ek), arg);
             }
-        }
+        });
     }
 
     /// Pin `key` in the fastest tier (Algorithm 1's protection of blocks
@@ -317,5 +317,63 @@ mod tests {
         assert!(dram_evicts >= 4, "got {dram_evicts} DRAM evictions");
         assert!(ssd_evicts >= 2, "got {ssd_evicts} SSD evictions");
         assert!(trace.count(Ev::CacheMiss) >= 6);
+    }
+
+    /// Prints ns per [`Hierarchy::fetch`] for FIFO, LRU and the app-aware
+    /// pattern (pin the frame, fetch it, unpin) over a seeded walk of
+    /// 1,014 keys at ratio 0.5: frames of 236 consecutive keys (the
+    /// blocks a benchmark frame renders, on average) whose start steps up
+    /// to 60 keys either way. Run it in release on one idle core:
+    /// `taskset -c 0 cargo test --release -p viz-cache --lib fetch_cost -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "timing: run it in release, on an idle core, with --nocapture"]
+    fn fetch_cost_per_key() {
+        use std::hint::black_box;
+        use std::time::Instant;
+
+        const KEYS: u32 = 1014;
+        const FRAME: u32 = 236;
+        const FRAMES: usize = 2000;
+        let mut rng = viz_geom::rng::SplitMix64::new(20170529);
+        let mut start = 0u32;
+        let frames: Vec<Vec<u32>> = (0..FRAMES)
+            .map(|_| {
+                start = (start + KEYS - 60 + rng.below(121) as u32) % KEYS;
+                (0..FRAME).map(|i| (start + i) % KEYS).collect()
+            })
+            .collect();
+        let fetches = (FRAMES * FRAME as usize) as f64;
+        let best_of_five = |policy: PolicyKind, pins: bool| {
+            let time = || {
+                let costs = [TierCost::dram(), TierCost::ssd(), TierCost::hdd()];
+                let mut h = Hierarchy::two_level(KEYS as usize, 0.5, policy, 16 << 10, costs);
+                let start = Instant::now();
+                for frame in &frames {
+                    if pins {
+                        frame.iter().for_each(|&k| h.pin_fastest(k));
+                    }
+                    for &k in frame {
+                        black_box(h.fetch(k, AccessClass::Demand));
+                    }
+                    if pins {
+                        h.unpin_fastest();
+                    }
+                }
+                let elapsed = start.elapsed().as_secs_f64();
+                (elapsed, h.stats().demand_fast_misses)
+            };
+            let runs: Vec<(f64, u64)> = (0..5).map(|_| time()).collect();
+            let best = runs.iter().map(|r| r.0).fold(f64::INFINITY, f64::min);
+            (best * 1e9 / fetches, runs[0].1)
+        };
+        println!("{FRAMES} frames of {FRAME} keys over {KEYS} keys, ratio 0.5");
+        for (label, policy, pins) in [
+            ("FIFO", PolicyKind::Fifo, false),
+            ("LRU", PolicyKind::Lru, false),
+            ("app-aware", PolicyKind::Lru, true),
+        ] {
+            let (ns, misses) = best_of_five(policy, pins);
+            println!("{label:9} {ns:6.1} ns/fetch  ({misses} fast-tier misses)");
+        }
     }
 }

@@ -6,7 +6,10 @@
 //! paper's evaluation.
 //!
 //! - `cache` — [`CacheLevel`]: one bounded cache level with pin support,
-//!   replacing by a [`PolicyKind`].
+//!   replacing by a [`PolicyKind`]. Its hot path allocates nothing: an
+//!   insert hands each victim to a caller's closure, and
+//!   [`CacheLevel::insert_pinned`] refreshes or inserts a key and pins it
+//!   with one lookup.
 //! - `order` — the level's replacement order: a slab of two lists (every
 //!   resident key, and the unpinned ones) so that a victim is O(1)
 //!   however many keys are pinned. Its [`KeyMap`] (a `HashMap` over the

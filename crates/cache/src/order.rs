@@ -13,6 +13,7 @@
 //! ([`KeyOrder::touch`]); under FIFO it never does, so the order is
 //! arrival order.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
@@ -172,11 +173,11 @@ impl<K: Copy + Eq + Hash> KeyOrder<K> {
         self.free.push(i);
     }
 
-    /// Add an absent key, unpinned, at the head.
-    pub(crate) fn insert(&mut self, key: K) {
-        debug_assert!(!self.index.contains_key(&key), "duplicate insert");
-        let node = Node { key, links: [UNLINKED; 2], pinned: false };
-        let i = match self.free.pop() {
+    /// Put a new, unlinked node for `key` in a free slot (the last one
+    /// freed, else a new one) and return the slot.
+    fn place(&mut self, key: K, pinned: bool) -> usize {
+        let node = Node { key, links: [UNLINKED; 2], pinned };
+        match self.free.pop() {
             Some(i) => {
                 self.nodes[i] = node;
                 i
@@ -185,10 +186,48 @@ impl<K: Copy + Eq + Hash> KeyOrder<K> {
                 self.nodes.push(node);
                 self.nodes.len() - 1
             }
-        };
+        }
+    }
+
+    /// Add an absent key, unpinned, at the head.
+    pub(crate) fn insert(&mut self, key: K) {
+        debug_assert!(!self.index.contains_key(&key), "duplicate insert");
+        let i = self.place(key, false);
         self.link_after(ORDER, NIL, i);
         self.link_after(UNPINNED, NIL, i);
         self.index.insert(key, i);
+    }
+
+    /// Pin `key` with one index probe. A resident key moves to the head
+    /// of the order list when `refresh` is set (what [`Self::touch`]
+    /// does) and is pinned; an absent key is added at the head, pinned.
+    /// Returns whether the key was absent.
+    pub(crate) fn insert_pinned(&mut self, key: K, refresh: bool) -> bool {
+        // The slot `place` will fill, should the key be absent.
+        let slot = self.free.last().copied().unwrap_or(self.nodes.len());
+        match self.index.entry(key) {
+            Entry::Vacant(e) => {
+                e.insert(slot);
+                let i = self.place(key, true);
+                debug_assert_eq!(i, slot);
+                self.link_after(ORDER, NIL, i);
+                self.pinned += 1;
+                true
+            }
+            Entry::Occupied(e) => {
+                let i = *e.get();
+                if refresh {
+                    self.unlink(ORDER, i);
+                    self.link_after(ORDER, NIL, i);
+                }
+                if !self.nodes[i].pinned {
+                    self.nodes[i].pinned = true;
+                    self.unlink(UNPINNED, i);
+                    self.pinned += 1;
+                }
+                false
+            }
+        }
     }
 
     /// Move a resident key to the head of each list it is on. Returns
@@ -325,6 +364,26 @@ mod tests {
         assert_eq!(o.pop_victim(), Some(2));
         assert_eq!(o.len(), 0);
         assert_eq!(o.slots(), 4);
+    }
+
+    #[test]
+    fn insert_pinned_keeps_both_lists_consistent() {
+        let mut o = KeyOrder::new();
+        for k in 1..=4u32 {
+            o.insert(k);
+        }
+        o.remove(&2); // a free slot for the next new key
+        assert!(!o.insert_pinned(1, true), "resident: refreshed and pinned");
+        assert!(!o.insert_pinned(3, false), "resident: pinned in place");
+        assert!(o.insert_pinned(5, true), "absent: added at the head, pinned");
+        assert_eq!(o.slots(), 4, "the freed slot was reused");
+        assert_eq!(o.oldest_first(), vec![3, 4, 1, 5]);
+        assert_eq!(unpinned_oldest_first(&o), vec![4]);
+        assert_eq!(o.pinned_len(), 3);
+        assert_eq!(o.pop_victim(), Some(4));
+        assert_eq!(o.pop_victim(), None);
+        o.unpin_all();
+        assert_eq!(unpinned_oldest_first(&o), vec![3, 1, 5]);
     }
 
     #[test]

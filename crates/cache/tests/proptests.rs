@@ -28,7 +28,7 @@ fn cache_level_respects_capacity() {
             let mut c: CacheLevel<u32> = CacheLevel::new(kind, cap);
             for &k in &keys {
                 if c.access(k) == Lookup::Miss {
-                    c.insert(k);
+                    c.insert(k, |_| {});
                 }
                 assert!(c.len() <= cap, "{} over capacity", kind.label());
                 assert!(c.contains(&k), "{} dropped fresh insert", kind.label());
@@ -50,7 +50,7 @@ fn belady_is_a_lower_bound() {
             for &k in &trace {
                 if c.access(k) == Lookup::Miss {
                     misses += 1;
-                    c.insert(k);
+                    c.insert(k, |_| {});
                 }
             }
             assert!(opt.misses <= misses, "MIN {} > {} {}", opt.misses, kind.label(), misses);
@@ -141,14 +141,31 @@ impl WalkModel {
         if self.touch(key) {
             return Vec::new();
         }
+        // Every resident key pinned: overflow.
+        let evicted = self.evict_to(self.capacity - 1);
+        self.order.push(key);
+        evicted
+    }
+
+    /// Refresh or insert `key`, and pin it; never evicts.
+    fn insert_pinned(&mut self, key: u32) -> bool {
+        let absent = !self.touch(key);
+        if absent {
+            self.order.push(key);
+        }
+        self.pinned.insert(key);
+        absent
+    }
+
+    /// Walk past pins from the oldest end, evicting, down to `len`.
+    fn evict_to(&mut self, len: usize) -> Vec<u32> {
         let mut evicted = Vec::new();
-        while self.order.len() >= self.capacity {
+        while self.order.len() > len {
             match self.order.iter().position(|k| !self.pinned.contains(k)) {
                 Some(at) => evicted.push(self.order.remove(at)),
-                None => break, // every resident key pinned: overflow
+                None => break,
             }
         }
-        self.order.push(key);
         evicted
     }
 
@@ -158,10 +175,31 @@ impl WalkModel {
     }
 }
 
+/// Run `op` with an eviction sink that checks each key it is handed
+/// against the model's victims `want`, in order, as it arrives, and then
+/// that none was left out.
+fn victims(
+    want: Vec<u32>,
+    label: &str,
+    step: usize,
+    what: &str,
+    op: impl FnOnce(&mut dyn FnMut(u32)),
+) {
+    let mut want = want.into_iter();
+    let mut n = 0;
+    op(&mut |k| {
+        assert_eq!(Some(k), want.next(), "{label} step {step}: {what} victim {n}");
+        n += 1;
+    });
+    assert_eq!(want.next(), None, "{label} step {step}: {what} evicted only {n}");
+}
+
 /// Seeded differential test of the pin-aware policies against
 /// [`WalkModel`]: random insert, access, pin of a resident key, pin of an
-/// absent key, `unpin_all` and remove, at capacities 1-8, must evict the
-/// same keys in the same order and leave the same contents and pins.
+/// absent key, `insert_pinned`, `evict_to`, `unpin_all` and remove, at
+/// capacities 1-8, must evict the same keys in the same order (each
+/// checked as the level's sink receives it) and leave the same contents
+/// and pins.
 /// Pins routinely outnumber the capacity, so the overflow path (every
 /// resident key pinned, the insert honoured past capacity) is exercised
 /// and counted. Debug builds run every 16th case; release runs all.
@@ -181,12 +219,11 @@ fn pinned_cache_level_matches_the_walk_model() {
             let label = kind.label();
             for step in 0..steps {
                 let key = rng.below(u64::from(key_space)) as u32;
-                match rng.below(10) {
-                    0..=2 => assert_eq!(
-                        c.insert(key),
-                        m.insert(key),
-                        "{label} step {step}: insert {key}"
-                    ),
+                match rng.below(12) {
+                    0..=2 => {
+                        let want = m.insert(key);
+                        victims(want, label, step, "insert", |sink| c.insert(key, sink));
+                    }
                     3 | 4 => {
                         let hit = c.access(key) == Lookup::Hit;
                         assert_eq!(hit, m.touch(key), "{label} step {step}: access {key}");
@@ -213,6 +250,16 @@ fn pinned_cache_level_matches_the_walk_model() {
                     8 => {
                         c.unpin_all();
                         m.pinned.clear();
+                    }
+                    9 => assert_eq!(
+                        c.insert_pinned(key),
+                        m.insert_pinned(key),
+                        "{label} step {step}: insert_pinned {key}"
+                    ),
+                    10 => {
+                        let len = rng.index(0..capacity + 1);
+                        let want = m.evict_to(len);
+                        victims(want, label, step, "evict_to", |sink| c.evict_to(len, sink));
                     }
                     _ => {
                         c.remove(&key);

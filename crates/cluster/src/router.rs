@@ -23,6 +23,9 @@
 //! Prefetch goes out once, with the first fan-out: each owner's entries
 //! ride with its first-round demand batch, or alone as a prefetch-only
 //! request when it has none (every demand key it owns is held, say).
+//! Predicted keys the tier holds are dropped first
+//! ([`ClientTier::drop_held`]), as `ServeClient` drops them: a block in
+//! the viewer's fast memory is not prefetched.
 //!
 //! ## Failover is reassignment
 //!
@@ -225,7 +228,11 @@ impl Router {
     /// fan-out, failed batches retried along each key's ring successors
     /// across three rounds, more for keys walking past dead nodes (see
     /// module docs). Unresolved keys report `TimedOut`.
-    pub fn fetch(&mut self, demand: Vec<BlockKey>, prefetch: Vec<(BlockKey, f64)>) -> RouterReply {
+    pub fn fetch(
+        &mut self,
+        demand: Vec<BlockKey>,
+        mut prefetch: Vec<(BlockKey, f64)>,
+    ) -> RouterReply {
         self.frames = self.frames.wrapping_add(1);
         // Every frame gets one trace id, stamped on every batch it fans
         // out — the root of the cross-node span tree.
@@ -249,7 +256,8 @@ impl Router {
 
         // Prefetch rides along exactly once, grouped by primary owner, in
         // the first fan-out; entries whose owner is down shed (speculation
-        // is not worth a failover round trip).
+        // is not worth a failover round trip). Held keys are not asked.
+        self.tier.drop_held(&mut prefetch);
         let mut prefetch_by_node: HashMap<u32, Vec<(BlockKey, f64)>> = HashMap::new();
         for (key, pri) in prefetch {
             match self.map.owner(key) {

@@ -167,6 +167,23 @@ fn an_all_held_frame_still_delivers_its_prefetch() {
 }
 
 #[test]
+fn a_frame_that_prefetches_only_held_keys_reaches_no_node() {
+    let cluster = setup(16);
+    let mut router = last_frame_router(&cluster, "viewer");
+    router.fetch(keys(0..4), vec![]);
+    let requests = |c: &TestCluster| -> u64 {
+        let live = c.live_nodes().into_iter();
+        live.map(|n| c.node(n).unwrap().server().metrics().fetch_requests).sum()
+    };
+    let before = requests(&cluster);
+
+    let got = router.fetch(keys([3, 0]), vec![(key(1), 0.9), (key(2), 0.5)]);
+    assert_payloads(&got.blocks, &keys([3, 0]));
+    assert_eq!((got.held, got.rounds, got.shed), (2, 0, 0));
+    assert_eq!(requests(&cluster), before, "no node was sent a frame");
+}
+
+#[test]
 fn a_held_key_is_answered_while_its_owner_is_partitioned() {
     let cluster = setup(32);
     let mut router = last_frame_router(&cluster, "viewer");

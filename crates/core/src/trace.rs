@@ -143,7 +143,7 @@ mod tests {
             for &k in &trace {
                 if c.access(k) == Lookup::Miss {
                     misses += 1;
-                    c.insert(k);
+                    c.insert(k, |_| {});
                 }
             }
             assert_eq!(p.lru_misses(cap), misses, "capacity {cap}");

@@ -5,9 +5,10 @@
 //! top of Algorithm 1's hierarchy (PAPER.md §IV-D): the `Arc` payloads of
 //! the `Ok` demand replies the viewer merged, counted in blocks. Its
 //! order is one `viz_cache::CacheLevel` under LRU whose pins are the
-//! frame merged last: each merge unpins, pins that frame's `Ok` demand,
-//! inserts or touches those keys in slot order, and evicts unpinned keys
-//! least recently used first down to the capacity
+//! frame merged last: each merge unpins, pins that frame's `Ok` demand in
+//! slot order with one lookup a key (touching a held key, inserting and
+//! storing a new one), and evicts unpinned keys least recently used first,
+//! once, down to the capacity
 //! ([`ClientTier::DEFAULT_CAPACITY`] blocks unless built with
 //! [`ClientTier::with_capacity`]). So the tier always holds the frame it
 //! just returned and never more than `max(capacity, that frame's Ok
@@ -16,17 +17,18 @@
 //! The hold rule is written once here and shared by both viewer-side
 //! callers, this client and the cluster's `Router`: a demand key the tier
 //! holds is answered locally with an `Arc` clone (no copy, no wire, no
-//! CRC), and only the absent keys are asked. Errors are never held.
+//! CRC), and only the absent keys are asked; a held key is not
+//! prefetched either ([`ClientTier::drop_held`]). Errors are never held.
 //! Holding a payload past its frame is safe because a [`BlockKey`] names
 //! its timestep and the wire has no write request, so a block's payload
 //! never changes under its key.
 //!
-//! Here a `Fetch` is split at [`ServeClient::send_fetch`]. Prefetch goes
-//! unchanged, so a `Fetch` whose demand is all held is still sent for its
-//! prefetch to ride; a frame with nothing to ask and nothing to prefetch
-//! sends nothing (the cluster's `Router` sends a node no empty batch
-//! either). Each call queues its plan (per demand slot: the held payload,
-//! or "asked"; and whether a `Fetch` went out), and
+//! Here a `Fetch` is split at [`ServeClient::send_fetch`]. A `Fetch` whose
+//! demand is all held is still sent for its unheld prefetch to ride; a
+//! frame with nothing to ask and nothing unheld to prefetch sends nothing
+//! (the cluster's `Router` sends a node no empty batch either). Each call
+//! queues its plan (per demand slot: the held payload, or "asked"; and
+//! whether a `Fetch` went out), and
 //! [`ServeClient::recv_fetch`] answers the oldest plan: from the tier
 //! alone if it sent nothing, else by merging the next reply into it, so
 //! pipelined sends and receives stay in step. A planned payload is an
@@ -150,27 +152,30 @@ impl ClientTier {
         self.held.get(&key).cloned()
     }
 
-    /// Merge one frame's replies: pin its `Ok` keys, insert or touch them
-    /// in slot order, then evict unpinned keys, least recently used
-    /// first, down to the capacity. An error is never held.
+    /// Drop the keys the tier holds from a frame's prefetch list: a held
+    /// block is already in the viewer's fast memory, so it is not asked
+    /// for ahead of time either (Algorithm 1's "unless in fast memory").
+    pub fn drop_held(&self, prefetch: &mut Vec<(BlockKey, f64)>) {
+        prefetch.retain(|(key, _)| !self.held.contains_key(key));
+    }
+
+    /// Merge one frame's replies: unpin the last frame, pin each `Ok` key
+    /// in slot order (touching a held key, inserting a new one: one
+    /// lookup each), then evict unpinned keys, least recently used first,
+    /// down to the capacity. An error is never held. A held key keeps its
+    /// payload: a block's payload never changes under its key.
     pub fn merge(&mut self, blocks: &[BlockReply]) {
-        let ok: Vec<(BlockKey, &Arc<Vec<f32>>)> =
-            blocks.iter().filter_map(|b| Some((b.key, b.result.as_ref().ok()?))).collect();
         self.order.unpin_all();
-        // Pin the whole frame before any insert evicts, so no key of it
-        // is a victim.
-        for &(key, _) in &ok {
-            self.order.pin(key);
+        for b in blocks {
+            if let Ok(data) = &b.result {
+                if self.order.insert_pinned(b.key) {
+                    self.held.insert(b.key, data.clone());
+                }
+            }
         }
-        let mut gone = Vec::new();
-        for &(key, data) in &ok {
-            gone.extend(self.order.insert(key));
-            self.held.insert(key, data.clone());
-        }
-        gone.extend(self.order.evict_to(self.capacity));
-        for key in gone {
+        self.order.evict_to(self.capacity, |key| {
             self.held.remove(&key);
-        }
+        });
     }
 
     /// Forget every held payload.
@@ -316,17 +321,18 @@ impl<T: Transport> ServeClient<T> {
     }
 
     /// Put a `Fetch` on the wire without waiting for the reply, which
-    /// [`ServeClient::recv_fetch`] reads. Only the demand keys the client
-    /// tier lacks are sent; the prefetch list is sent whole. With nothing
-    /// to ask and nothing to prefetch, nothing is sent.
+    /// [`ServeClient::recv_fetch`] reads. Only the demand and prefetch
+    /// keys the client tier lacks are sent. With nothing to ask and
+    /// nothing to prefetch, nothing is sent.
     pub fn send_fetch(
         &mut self,
         generation: u64,
         demand: Vec<BlockKey>,
-        prefetch: Vec<(BlockKey, f64)>,
+        mut prefetch: Vec<(BlockKey, f64)>,
     ) -> Result<(), ClientError> {
         let session = self.sid()?;
         let trace = self.trace;
+        self.tier.drop_held(&mut prefetch);
         let slots: Vec<_> = demand.iter().map(|&k| (k, self.tier.get(k))).collect();
         let asked: Vec<BlockKey> =
             slots.iter().filter(|(_, held)| held.is_none()).map(|&(k, _)| k).collect();

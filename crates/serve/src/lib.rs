@@ -32,8 +32,9 @@
 //! - `client` — a typed client over any transport, with split
 //!   send/recv halves for deterministic stepping. It keeps the blocks it
 //!   received in the viewer's fast memory ([`ClientTier`]: bounded, LRU,
-//!   pinning the frame just returned; the cluster's router shares it) and
-//!   asks the server only for the demand it lacks.
+//!   pinning the frame just returned, one lookup a key; the cluster's
+//!   router shares it) and asks the server only for the demand and
+//!   prefetch it lacks.
 //!
 //! Both front ends run one per-connection state machine: decode,
 //! dispatch, park a `Fetch`, reply in request order, and close the

@@ -225,6 +225,26 @@ fn an_all_held_frame_with_no_prefetch_sends_nothing() {
 }
 
 #[test]
+fn a_frame_that_prefetches_only_held_keys_sends_nothing() {
+    let (server, mut inproc, mut c) = setup(16);
+    fetch(&mut inproc, &mut c, keys(0..4), vec![]);
+    let before = server.metrics();
+
+    c.send_fetch(0, keys([3, 0]), vec![(key(1), 0.9), (key(2), 0.5)]).unwrap();
+    assert_eq!(inproc.tick(), 0, "no frame reached the server end");
+    let got = c.recv_fetch().unwrap();
+    assert_payloads(&got.blocks, &keys([3, 0]));
+    assert_eq!(server.metrics().fetch_requests, before.fetch_requests, "no Fetch was sent");
+
+    // A held key leaves the prefetch list; the rest still rides.
+    let got = fetch(&mut inproc, &mut c, keys([3]), vec![(key(0), 0.9), (key(12), 0.5)]);
+    assert_eq!(got.held, 1);
+    let after = server.metrics();
+    assert_eq!(after.fetch_requests, before.fetch_requests + 1);
+    assert_eq!(after.prefetch_admitted, before.prefetch_admitted + 1, "only key 12 was asked");
+}
+
+#[test]
 fn close_empties_the_tier() {
     let (server, mut inproc, mut c) = setup(8);
     fetch(&mut inproc, &mut c, keys(0..4), vec![]);
