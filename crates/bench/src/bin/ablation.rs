@@ -85,28 +85,6 @@ fn main() {
         eprintln!("ablation: dead reckoning done");
     }
 
-    // Alternative importance measure: mean gradient magnitude instead of
-    // entropy (the classic boundary-emphasis importance).
-    {
-        use viz_core::ImportanceTable;
-        use viz_volume::block_mean_gradient;
-        let field = env.spec.materialize(0, 0.0);
-        let grad = ImportanceTable::from_entropies(block_mean_gradient(&field, &env.layout), 64);
-        let sigma_g = grad.sigma_for_fraction(0.5);
-        let s = Strategy::AppAware(viz_core::AppAwareConfig::paper(sigma_g));
-        let r = run_session_precomputed(&cfg, &env.layout, &s, &path, &vis, Some((&tv, &grad)));
-        t.push(
-            "OPT (gradient importance)",
-            vec![
-                ("miss rate".to_string(), r.miss_rate),
-                ("io (s)".to_string(), r.io_s),
-                ("prefetch (s)".to_string(), r.prefetch_s),
-                ("total (s)".to_string(), r.total_s),
-            ],
-        );
-        eprintln!("ablation: gradient importance done");
-    }
-
     // Offline optimum on the same trace (replacement-only lower bound for
     // the DRAM tier; no prefetching, so it bounds the *reactive* policies).
     let trace = demand_trace(&env.layout, &path);

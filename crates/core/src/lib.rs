@@ -68,7 +68,6 @@
 
 pub mod degraded;
 mod flight;
-mod histable;
 mod importance;
 pub mod persist;
 mod prediction;
@@ -80,7 +79,6 @@ mod trace;
 
 pub use degraded::{fetch_frame, FrameFetchReport};
 pub use flight::{ClientFlight, FrameRequest};
-pub use histable::BlockHistogramTable;
 pub use importance::{ImportanceEntry, ImportanceTable};
 pub use persist::{load_tables, save_tables};
 pub use radius::RadiusModel;

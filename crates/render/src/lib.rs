@@ -33,19 +33,15 @@
 
 mod analytics;
 mod bricked;
-mod culling;
 mod exact;
 mod image;
 mod lanes;
-mod metrics;
 mod raycast;
 mod tf;
 
 pub use analytics::{query_count, region_histogram, CorrelationAccumulator};
 pub use bricked::{BlockLookup, BrickCursor, BrickedSource, CountingLookup};
-pub use culling::{block_stats_for, contributing_working_set};
 pub use image::Image;
-pub use metrics::{downsample, psnr};
 pub use raycast::{
     frame_working_set, orbit_pose, render, FieldSource, RenderConfig, RenderMode, SampleSource,
 };

@@ -18,10 +18,8 @@
 //! branch on the operands, and return the native operator's bits for every
 //! input, so every colour is what plain `f32` arithmetic gives.
 //! The MIP colour of a packet's four pixels takes the lanes too.
-//! [`TransferFunction::sample`] is lane 0 of the same lookup: its callers
-//! (block culling, mean opacity) run at most once per block or value, so
-//! one lookup serves both, and the reference tests check the one the march
-//! runs.
+//! [`TransferFunction::sample`] is lane 0 of the same lookup, so one lookup
+//! serves both, and the reference tests check the one the march runs.
 //!
 //! A NaN value samples as [`Rgba::TRANSPARENT`]: the wire accepts every bit
 //! pattern, and a NaN voxel must not panic the renderer.
@@ -265,36 +263,6 @@ impl TransferFunction {
         };
         [component(0), component(1), component(2), component(3)]
     }
-
-    /// Maximum opacity the function assigns to any value in `[lo, hi]`.
-    ///
-    /// Piecewise linearity means the maximum is attained at an interval
-    /// endpoint or at a control point inside the interval — O(points), no
-    /// sampling. Drives opacity-based block culling: a block whose
-    /// value range maps to zero opacity cannot contribute to the image.
-    pub fn max_opacity_in(&self, lo: f32, hi: f32) -> f32 {
-        let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
-        let mut best = self.sample(lo).a.max(self.sample(hi).a);
-        let (rlo, rhi) = self.range;
-        let span = (rhi - rlo).max(f32::MIN_POSITIVE);
-        for p in &self.points {
-            let value = rlo + p.x * span;
-            if value >= lo && value <= hi {
-                best = best.max(p.color.a);
-            }
-        }
-        best
-    }
-
-    /// Mean opacity this transfer function assigns to a set of samples —
-    /// used by query-driven importance to re-weight blocks when the user
-    /// retunes visibility (a data-dependent operation).
-    pub fn mean_opacity(&self, values: &[f32]) -> f64 {
-        if values.is_empty() {
-            return 0.0;
-        }
-        values.iter().map(|&v| self.sample(v).a as f64).sum::<f64>() / values.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -395,8 +363,6 @@ pub(crate) mod tests {
             for v in nans {
                 assert_eq!(tf.sample(v), Rgba::TRANSPARENT, "{name}");
             }
-            assert_eq!(tf.mean_opacity(&[f32::NAN, f32::NAN]), 0.0, "{name}");
-            assert_eq!(tf.mean_opacity(&[f32::NAN, 2.0]), f64::from(tf.sample(2.0).a) / 2.0);
         }
         // A degenerate or infinite range does not make NaN visible either.
         assert_eq!(TransferFunction::heat((1.0, 1.0)).sample(f32::NAN), Rgba::TRANSPARENT);
@@ -479,16 +445,6 @@ pub(crate) mod tests {
             assert!(a >= prev - 1e-6, "opacity dipped at {i}");
             prev = a;
         }
-    }
-
-    #[test]
-    fn mean_opacity_reflects_visibility() {
-        let tf = TransferFunction::iso_peak(0.8, 0.1, Rgba::new(1.0, 1.0, 1.0, 1.0), (0.0, 1.0));
-        let visible = vec![0.8f32; 100];
-        let hidden = vec![0.1f32; 100];
-        assert!(tf.mean_opacity(&visible) > 0.9);
-        assert_eq!(tf.mean_opacity(&hidden), 0.0);
-        assert_eq!(tf.mean_opacity(&[]), 0.0);
     }
 
     #[test]

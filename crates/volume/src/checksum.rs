@@ -11,7 +11,7 @@
 //! What is checksummed: the payload of a `VBLK` block frame (once at
 //! write, once on every cold read), the whole body of a `VSRV` wire frame
 //! (verified by the receiver on every frame), and the bodies of the
-//! `TVIS`/`TIMP`/`THBT` tables, the shard map and `VFDR` dumps.
+//! `TVIS`/`TIMP` tables and `VFDR` dumps.
 //! All of them call the one [`crc32`] below.
 //!
 //! A `VSRV` *sender* does not make that pass over a block it has served

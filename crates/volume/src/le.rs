@@ -1,9 +1,9 @@
 //! Little-endian field I/O for the framed binary codecs (`VBLK` here;
-//! `TVIS`, `TIMP` and `THBT` in `viz-core`): append a field to a
+//! `TVIS` and `TIMP` in `viz-core`): append a field to a
 //! `Vec<u8>`, split one off the front of a `&[u8]`. Voxel payloads — the
 //! only fields that run to megabytes — go through the bulk pair
-//! [`put_f32s`] / [`get_f32s`], shared by `VBLK` frames, the raw block
-//! codec and the `VSRV` wire. On a little-endian target the `VSRV` reply
+//! [`put_f32s`] / [`get_f32s`], shared by `VBLK` frames and the `VSRV`
+//! wire. On a little-endian target the `VSRV` reply
 //! segments and [`get_f32s`] go through a byte view of the `f32` slice
 //! ([`f32_bytes`] / `f32_bytes_mut`), the crate's only `unsafe` besides
 //! the CRC folding kernel; a big-endian target converts one value at a

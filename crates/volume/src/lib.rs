@@ -11,7 +11,8 @@
 //! - `noise` — seeded value noise / fBm used by the generators.
 //! - `datasets` — the four Table I datasets as procedural stand-ins.
 //! - `stats` — histograms and block entropy.
-//! - [`store`] — framed on-disk and in-memory block stores.
+//! - [`store`] — the on-disk block store (one raw, CRC-framed `VBLK` v3
+//!   file per block) and an in-memory store.
 //! - [`le`] — little-endian field I/O shared by the framed binary codecs.
 //!
 //! # Example
@@ -36,26 +37,20 @@
 
 mod bvh;
 pub mod checksum;
-mod codec;
 mod datasets;
 mod dims;
 mod field;
-mod gradient;
 mod layout;
 pub mod le;
-pub mod lod;
 mod noise;
 mod stats;
 pub mod store;
 
 pub use bvh::BlockBvh;
 pub use checksum::crc32;
-pub use codec::Codec;
 pub use datasets::{DatasetKind, DatasetSpec};
 pub use dims::Dims3;
 pub use field::{ScalarFunction, VolumeField};
-pub use gradient::block_mean_gradient;
 pub use layout::{BlockId, BrickLayout};
-pub use lod::{LodLevel, LodPyramid};
 pub use stats::{BlockStats, Histogram};
 pub use store::{BlockKey, BlockSource, DiskBlockStore, MemBlockStore};

@@ -11,7 +11,7 @@
 use crate::dims::Dims3;
 use crate::field::VolumeField;
 use crate::layout::{BlockId, BrickLayout};
-use crate::le::{get, put, put_f32s};
+use crate::le::{get, get_f32s, put, put_f32s};
 use std::collections::HashMap;
 use std::fs;
 use std::io::{self, Read, Write};
@@ -53,12 +53,8 @@ pub trait BlockSource: Send + Sync {
 
 const MAGIC: &[u8; 4] = b"VBLK";
 const VERSION_CRC: u16 = 3;
-const VERSION_CODEC_CRC: u16 = 4;
 /// Bytes before the payload of a v3 frame: magic, version, dims, CRC.
 const RAW_HEADER: usize = 4 + 2 + 12 + 4;
-/// Bytes before the payload of a v4 frame: magic, version, codec tag,
-/// dims, payload length, CRC.
-const CODEC_HEADER: usize = 4 + 2 + 1 + 12 + 4 + 4;
 
 /// Serialize one block payload with its self-describing frame (v3: raw +
 /// CRC-32 of the payload, so bit-rot surfaces as `InvalidData` at decode
@@ -79,32 +75,13 @@ pub fn encode_block(dims: Dims3, data: &[f32]) -> Vec<u8> {
     buf
 }
 
-/// Serialize with an explicit codec (v4 frame: codec tag + length-prefixed
-/// compressed payload + CRC-32 of the compressed bytes). [`decode_block`]
-/// reads both v3 and v4 frames.
-pub fn encode_block_with(codec: crate::codec::Codec, dims: Dims3, data: &[f32]) -> Vec<u8> {
-    assert_eq!(dims.count(), data.len(), "dims/payload mismatch");
-    let payload = codec.compress(data);
-    let mut buf = Vec::with_capacity(CODEC_HEADER + payload.len());
-    buf.extend_from_slice(MAGIC);
-    put::<u16>(&mut buf, VERSION_CODEC_CRC);
-    put::<u8>(&mut buf, codec.tag());
-    put::<u32>(&mut buf, dims.nx as u32);
-    put::<u32>(&mut buf, dims.ny as u32);
-    put::<u32>(&mut buf, dims.nz as u32);
-    put::<u32>(&mut buf, payload.len() as u32);
-    put::<u32>(&mut buf, crate::checksum::crc32(&payload));
-    buf.extend_from_slice(&payload);
-    buf
-}
-
-/// Parse a frame produced by [`encode_block`] or [`encode_block_with`].
+/// Parse a frame produced by [`encode_block`].
 ///
 /// The dims sit outside the CRC, so they are untrusted: a voxel count that
 /// overflows, or that the payload cannot hold, is `InvalidData` before
-/// anything is allocated for it.
+/// anything is allocated for it. Only v3 frames are read; any other
+/// version is `unsupported block version`.
 pub fn decode_block(buf: &[u8]) -> io::Result<(Dims3, Vec<f32>)> {
-    use crate::codec::Codec;
     let err = |m: String| io::Error::new(io::ErrorKind::InvalidData, m);
     if buf.len() < 6 {
         return Err(err("block frame too short".into()));
@@ -113,40 +90,30 @@ pub fn decode_block(buf: &[u8]) -> io::Result<(Dims3, Vec<f32>)> {
     if magic != MAGIC {
         return Err(err("bad magic".into()));
     }
-    let version = get::<u16>(&mut rest);
-    let header = match version {
-        VERSION_CRC => RAW_HEADER,
-        VERSION_CODEC_CRC => CODEC_HEADER,
-        _ => return Err(err("unsupported block version".into())),
-    };
-    if buf.len() < header {
+    if get::<u16>(&mut rest) != VERSION_CRC {
+        return Err(err("unsupported block version".into()));
+    }
+    if buf.len() < RAW_HEADER {
         return Err(err("block frame too short".into()));
     }
-    let codec = match version {
-        VERSION_CODEC_CRC => {
-            Codec::from_tag(get::<u8>(&mut rest)).ok_or_else(|| err("unknown codec tag".into()))?
-        }
-        _ => Codec::Raw,
-    };
     let dims = Dims3::new(
         get::<u32>(&mut rest) as usize,
         get::<u32>(&mut rest) as usize,
         get::<u32>(&mut rest) as usize,
     );
     let count = dims.checked_count().ok_or_else(|| err(format!("block dims {dims} overflow")))?;
-    let len = (version == VERSION_CODEC_CRC).then(|| get::<u32>(&mut rest) as usize);
     let want = get::<u32>(&mut rest);
-    if len.is_some_and(|len| len != rest.len()) {
-        return Err(err("compressed payload length mismatch".into()));
-    }
     let got = crate::checksum::crc32(rest);
     if got != want {
         return Err(err(format!(
             "block payload checksum mismatch (stored {want:#010x}, computed {got:#010x})"
         )));
     }
-    let data = codec.decompress(rest, count).map_err(err)?;
-    Ok((dims, data))
+    let len = rest.len();
+    if len % 4 != 0 || len / 4 != count {
+        return Err(err(format!("payload of {len} bytes does not hold {count} voxels")));
+    }
+    Ok((dims, get_f32s(rest)))
 }
 
 /// File-per-block store rooted at a directory.
@@ -155,30 +122,21 @@ pub fn decode_block(buf: &[u8]) -> io::Result<(Dims3, Vec<f32>)> {
 #[derive(Debug)]
 pub struct DiskBlockStore {
     root: PathBuf,
-    codec: crate::codec::Codec,
 }
 
 impl DiskBlockStore {
-    /// Open (creating the directory if needed), writing raw frames.
+    /// Open (creating the directory if needed).
     pub fn open(root: impl Into<PathBuf>) -> io::Result<Self> {
-        Self::with_codec(root, crate::codec::Codec::Raw)
-    }
-
-    /// Open with a write codec (reads auto-detect per frame).
-    pub(crate) fn with_codec(
-        root: impl Into<PathBuf>,
-        codec: crate::codec::Codec,
-    ) -> io::Result<Self> {
         let root = root.into();
         fs::create_dir_all(&root)?;
-        Ok(DiskBlockStore { root, codec })
+        Ok(DiskBlockStore { root })
     }
 
     fn path_of(&self, key: BlockKey) -> PathBuf {
         self.root.join(format!("v{}_t{}_b{}.vblk", key.var, key.time, key.block.0))
     }
 
-    /// Write one block using the store's codec.
+    /// Write one block as a v3 frame.
     ///
     /// The frame is staged in a uniquely named `.tmp` sibling, fsynced,
     /// then atomically renamed over the final path: a crash mid-write can
@@ -191,10 +149,7 @@ impl DiskBlockStore {
     /// loss could silently roll a key back to its previous frame.
     pub(crate) fn write_block(&self, key: BlockKey, dims: Dims3, data: &[f32]) -> io::Result<()> {
         static WRITE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let bytes = match self.codec {
-            crate::codec::Codec::Raw => encode_block(dims, data),
-            c => encode_block_with(c, dims, data),
-        };
+        let bytes = encode_block(dims, data);
         let path = self.path_of(key);
         let seq = WRITE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let tmp = path.with_extension(format!("{}.{}.tmp", std::process::id(), seq));
@@ -242,13 +197,9 @@ impl BlockSource for DiskBlockStore {
 
     fn block_bytes(&self, key: BlockKey) -> io::Result<usize> {
         // On-disk payload size (what a fetch actually moves): the file
-        // minus the header of the frame version this store writes.
+        // minus the v3 header, the one frame version there is.
         let meta = fs::metadata(self.path_of(key))?;
-        let header = match self.codec {
-            crate::codec::Codec::Raw => RAW_HEADER,
-            _ => CODEC_HEADER,
-        };
-        Ok((meta.len() as usize).saturating_sub(header))
+        Ok((meta.len() as usize).saturating_sub(RAW_HEADER))
     }
 }
 
@@ -524,46 +475,6 @@ mod tests {
     }
 
     #[test]
-    fn compressed_store_roundtrips_and_shrinks() {
-        use crate::codec::Codec;
-        let dir = tmpdir("codec");
-        let raw = DiskBlockStore::open(dir.join("raw")).unwrap();
-        let rle = DiskBlockStore::with_codec(dir.join("rle"), Codec::PlaneRle).unwrap();
-        let dims = Dims3::cube(16);
-        let ambient = vec![0.0f32; dims.count()];
-        let key = BlockKey::scalar(BlockId(0));
-        raw.write_block(key, dims, &ambient).unwrap();
-        rle.write_block(key, dims, &ambient).unwrap();
-        assert_eq!(rle.read_block(key).unwrap(), ambient);
-        assert!(
-            rle.block_bytes(key).unwrap() * 20 < raw.block_bytes(key).unwrap(),
-            "ambient block should shrink >20x"
-        );
-        // `block_bytes` is exactly the payload, for both frame versions.
-        assert_eq!(rle.block_bytes(key).unwrap(), Codec::PlaneRle.compress(&ambient).len());
-        assert_eq!(raw.block_bytes(key).unwrap(), 4 * ambient.len());
-        let varied: Vec<f32> = (0..dims.count()).map(|i| (i as f32 * 0.37).sin()).collect();
-        rle.write_block(key, dims, &varied).unwrap();
-        assert_eq!(rle.block_bytes(key).unwrap(), Codec::PlaneRle.compress(&varied).len());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn v2_frame_roundtrip_via_encode_decode() {
-        use crate::codec::Codec;
-        let dims = Dims3::new(5, 3, 2);
-        let data: Vec<f32> = (0..30).map(|i| (i % 4) as f32).collect();
-        let buf = encode_block_with(Codec::PlaneRle, dims, &data);
-        let (d2, v2) = decode_block(&buf).unwrap();
-        assert_eq!(d2, dims);
-        assert_eq!(v2, data);
-        // Corrupt the codec tag.
-        let mut bad = buf.clone();
-        bad[6] = 99;
-        assert!(decode_block(&bad).is_err());
-    }
-
-    #[test]
     fn bit_rot_in_raw_frame_surfaces_as_invalid_data() {
         let dims = Dims3::new(4, 2, 1);
         let data: Vec<f32> = (0..8).map(|i| i as f32).collect();
@@ -574,21 +485,6 @@ mod tests {
         let mut rotted = buf.clone();
         let last = rotted.len() - 1;
         rotted[last] ^= 0x40;
-        let err = decode_block(&rotted).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("checksum"), "got: {err}");
-    }
-
-    #[test]
-    fn bit_rot_in_codec_frame_surfaces_as_invalid_data() {
-        use crate::codec::Codec;
-        let dims = Dims3::cube(8);
-        let data = vec![1.0f32; dims.count()];
-        let buf = encode_block_with(Codec::PlaneRle, dims, &data);
-        assert!(decode_block(&buf).is_ok());
-        let mut rotted = buf.clone();
-        let last = rotted.len() - 1;
-        rotted[last] ^= 0x01;
         let err = decode_block(&rotted).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("checksum"), "got: {err}");
@@ -605,22 +501,34 @@ mod tests {
         assert!(err.to_string().contains("overflow"), "got: {err}");
     }
 
-    /// A tiny codec frame whose dims claim 2^34 voxels must be refused
-    /// before anything is sized from the claim: a 16 GiB allocation
-    /// failure aborts the process, which no supervisor can catch.
+    /// Dims the payload cannot hold must be refused before anything is
+    /// sized from the claim: a v3 frame holds exactly `len / 4` voxels.
     #[test]
     fn dims_the_payload_cannot_hold_are_invalid_data() {
-        use crate::codec::Codec;
-        let mut buf = encode_block_with(Codec::PlaneRle, Dims3::new(1, 1, 1), &[0.0]);
-        for (i, n) in [1u32 << 20, 1 << 10, 1 << 4].into_iter().enumerate() {
-            buf[7 + 4 * i..11 + 4 * i].copy_from_slice(&n.to_le_bytes());
-        }
-        let err = decode_block(&buf).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        // The raw codec holds exactly `len / 4` voxels.
         let mut raw = encode_block(Dims3::new(2, 1, 1), &[1.0, 2.0]);
         raw[6..10].copy_from_slice(&(1u32 << 30).to_le_bytes());
         assert_eq!(decode_block(&raw).unwrap_err().kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// A v4 frame (the retired codec layout: a codec tag, dims, payload
+    /// length and CRC) is refused by its version before anything is read
+    /// or sized from its dims, here a claim of 2^34 voxels: a 64 GiB
+    /// allocation failure aborts the process, which no supervisor can catch.
+    #[test]
+    fn v4_frame_is_refused_before_its_dims_are_read() {
+        let payload = [0u8; 8];
+        let mut buf = MAGIC.to_vec();
+        put::<u16>(&mut buf, 4);
+        put::<u8>(&mut buf, 1);
+        for n in [1u32 << 20, 1 << 10, 1 << 4] {
+            put::<u32>(&mut buf, n);
+        }
+        put::<u32>(&mut buf, payload.len() as u32);
+        put::<u32>(&mut buf, crate::checksum::crc32(&payload));
+        buf.extend_from_slice(&payload);
+        let err = decode_block(&buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("unsupported block version"), "got: {err}");
     }
 
     #[test]

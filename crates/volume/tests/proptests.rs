@@ -2,8 +2,7 @@
 //! property; a failure names the seed and case that replay it.
 
 use viz_geom::rng::{for_cases, SplitMix64};
-use viz_volume::store::{decode_block, encode_block, encode_block_with};
-use viz_volume::Codec;
+use viz_volume::store::{decode_block, encode_block};
 use viz_volume::{BlockStats, BrickLayout, Dims3, Histogram, VolumeField};
 
 const CASES: usize = 256;
@@ -146,10 +145,10 @@ fn truncated_frames_never_decode() {
     });
 }
 
-/// Both codecs roundtrip arbitrary bit patterns exactly (including
-/// NaN payloads and infinities), through the full frame path.
+/// Raw frames roundtrip arbitrary bit patterns exactly (including NaN
+/// payloads and infinities), through the full frame path.
 #[test]
-fn codec_frames_roundtrip_bitexact() {
+fn raw_frames_roundtrip_bitexact() {
     for_cases(0x760b, CASES, |rng, _| {
         let dims = dims_strategy(rng, 5);
         let seed = rng.index(0..5000) as u64;
@@ -161,29 +160,12 @@ fn codec_frames_roundtrip_bitexact() {
                 )
             })
             .collect();
-        for codec in [Codec::Raw, Codec::PlaneRle] {
-            let frame = encode_block_with(codec, dims, &data);
-            let (d2, v2) = decode_block(&frame).unwrap();
-            assert_eq!(d2, dims);
-            assert_eq!(v2.len(), data.len());
-            for (a, b) in data.iter().zip(&v2) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
+        let (d2, v2) = decode_block(&encode_block(dims, &data)).unwrap();
+        assert_eq!(d2, dims);
+        assert_eq!(v2.len(), data.len());
+        for (a, b) in data.iter().zip(&v2) {
+            assert_eq!(a.to_bits(), b.to_bits());
         }
-    });
-}
-
-/// PlaneRle never expands beyond the 2x-per-plane RLE worst case.
-#[test]
-fn codec_expansion_is_bounded() {
-    for_cases(0x760c, CASES, |rng, _| {
-        let dims = dims_strategy(rng, 5);
-        let seed = rng.index(0..1000) as u64;
-        let n = dims.count();
-        let data: Vec<f32> =
-            (0..n).map(|i| ((seed.wrapping_add(i as u64 * 7919)) % 97) as f32 * 0.173).collect();
-        let encoded = Codec::PlaneRle.compress(&data).len();
-        assert!(encoded <= n * 8 + 16, "expanded to {encoded} for {n} voxels");
     });
 }
 

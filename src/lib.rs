@@ -10,7 +10,7 @@
 //!   pool, priority scheduling, request coalescing, cancellation.
 //! - [`core`] — the paper's contribution: `T_visible`, `T_important`,
 //!   the radius model, and the Algorithm 1 session engine.
-//! - [`render`] — CPU ray caster and data-dependent analytics.
+//! - [`render`] — CPU ray caster and the per-view region analytics.
 //! - [`serve`] — multi-client block/frame server: CRC-framed wire
 //!   protocol, session registry, deficit-round-robin fairness, load
 //!   shedding, cross-session request coalescing.

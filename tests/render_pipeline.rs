@@ -180,38 +180,3 @@ fn region_histogram_over_visible_blocks_matches_direct() {
     let expect: u64 = blocks.iter().map(|b| b.len() as u64).sum();
     assert_eq!(h.total, expect);
 }
-
-#[test]
-fn lod_levels_degrade_image_quality_monotonically() {
-    use viz_appaware::render::{psnr, FieldSource};
-    use viz_appaware::volume::lod::{LodLevel, LodPyramid};
-
-    let spec = DatasetSpec::new(DatasetKind::Ball3d, 16, 9);
-    let field = spec.materialize(0, 0.0);
-    let range = field.min_max();
-    let dims = field.dims;
-    let pyramid = LodPyramid::build(field, 3);
-    let p = pose(2.5);
-    let tf = TransferFunction::heat(range);
-    let rc = RenderConfig::preview(64, 64);
-
-    // Render each level upsampled back onto the full-resolution layout by
-    // sampling the coarse field through a scaled layout.
-    let mut images = Vec::new();
-    for l in 0..pyramid.num_levels() {
-        let level = pyramid.level(LodLevel(l as u8));
-        let layout = BrickLayout::with_target_blocks(level.dims, 64.max(level.dims.count() / 512));
-        let src = FieldSource::new(level, &layout);
-        images.push(render(&src, &p, &tf, &rc));
-    }
-    let _ = dims;
-
-    // PSNR against level 0 must be non-increasing with level.
-    let mut prev = f64::INFINITY;
-    for (l, img) in images.iter().enumerate().skip(1) {
-        let q = psnr(&images[0], img);
-        assert!(q <= prev + 1e-9, "level {l} PSNR {q} should not beat level {}", l - 1);
-        assert!(q.is_finite(), "coarse level should differ from native");
-        prev = q;
-    }
-}
