@@ -5,9 +5,9 @@
 //! render)`, §V-D); this crate turns that accounting rule into an actual
 //! multi-worker engine over the [`viz_volume::BlockSource`] trait:
 //!
-//! - [`BlockPool`] — a sharded resident set (N lock shards by key hash) so
-//!   renderer reads and worker inserts do not serialize on one `RwLock`,
-//!   with payload-byte accounting for capacity enforcement.
+//! - [`BlockPool`] — the resident set, bounded by construction: at most
+//!   its capacity in blocks, replaced least recently used first under one
+//!   lock, as the viewer's client tier is.
 //! - [`FetchEngine`] — a configurable worker pool draining a binary heap of
 //!   requests. **Demand** fetches (the renderer is blocked on them) always
 //!   outrank **prefetches**; prefetches order by `T_important` entropy.

@@ -19,7 +19,8 @@
 //! what fast memory lacks, so it costs no quota and never reaches the
 //! lanes or the engine. Every other prefetch entry walks, in order:
 //! draining → stale generation → per-client entry quota → breaker open
-//! → global queue depth → pool pressure.
+//! → global queue depth. (The pool needs no rung: it is bounded by its
+//! own capacity, [`viz_fetch::BlockPool::with_capacity`].)
 //! First failure sheds the entry with a typed [`ShedReason`]; between
 //! the downgrade and shed watermarks entries are admitted at a quarter of
 //! their priority instead. **Demand is never shed** — a blocked renderer
@@ -65,8 +66,6 @@ pub struct ServeConfig {
     pub shed_queue_depth: usize,
     /// Admit prefetch at a quarter priority from this backlog up.
     pub downgrade_queue_depth: usize,
-    /// Shed new prefetch when the shared pool holds this many bytes.
-    pub shed_resident_bytes: usize,
     /// Bound each frame's demand wait, counted from the frame's admission:
     /// keys unresolved by then reply `TimedOut`, however many the frame
     /// asked for. `None` waits for the engine's own timeout/retry
@@ -83,7 +82,6 @@ impl Default for ServeConfig {
             engine_queue_target: 1024,
             shed_queue_depth: 4096,
             downgrade_queue_depth: 2048,
-            shed_resident_bytes: 1 << 30,
             demand_deadline: None,
             max_sessions: 1024,
         }
@@ -105,14 +103,13 @@ pub enum ShedReason {
     /// Combined scheduler + engine prefetch backlog crossed the shed
     /// watermark.
     QueueDepth,
-    /// The shared pool crossed its resident-byte watermark.
-    PoolPressure,
 }
 
 impl ShedReason {
     /// Stable code, used as the `RequestShed` telemetry arg that
-    /// flight-recorder dumps decode. Code 4 (the retired per-client byte
-    /// quota) is never reused.
+    /// flight-recorder dumps decode. Codes 4 (the retired per-client byte
+    /// quota) and 7 (the retired pool-pressure rung: the pool is bounded
+    /// by its own capacity) are never reused.
     pub fn code(self) -> u16 {
         match self {
             ShedReason::Draining => 1,
@@ -120,7 +117,6 @@ impl ShedReason {
             ShedReason::ClientQuota => 3,
             ShedReason::BreakerOpen => 5,
             ShedReason::QueueDepth => 6,
-            ShedReason::PoolPressure => 7,
         }
     }
 }
@@ -187,7 +183,6 @@ struct ServeStats {
     shed_entry_quota: Counter,
     shed_breaker: Counter,
     shed_queue_depth: Counter,
-    shed_pool_pressure: Counter,
 }
 
 impl ServeStats {
@@ -211,7 +206,6 @@ impl ServeStats {
             shed_entry_quota: Counter::new("serve_shed_entry_quota"),
             shed_breaker: Counter::new("serve_shed_breaker"),
             shed_queue_depth: Counter::new("serve_shed_queue_depth"),
-            shed_pool_pressure: Counter::new("serve_shed_pool_pressure"),
         }
     }
 
@@ -222,7 +216,6 @@ impl ServeStats {
             ShedReason::ClientQuota => &self.shed_entry_quota,
             ShedReason::BreakerOpen => &self.shed_breaker,
             ShedReason::QueueDepth => &self.shed_queue_depth,
-            ShedReason::PoolPressure => &self.shed_pool_pressure,
         }
     }
 
@@ -246,7 +239,6 @@ impl ServeStats {
             &self.shed_entry_quota,
             &self.shed_breaker,
             &self.shed_queue_depth,
-            &self.shed_pool_pressure,
         ]
         .iter()
         .map(|c| (c.name(), c.get()))
@@ -440,10 +432,11 @@ impl Server {
         let submitted = prefetch.len();
         // Algorithm 1 fetches only what fast memory lacks: a resident key
         // is counted and dropped here, before any quota, lane or engine
-        // sees it. (`Residency` will touch the key at this point — a
-        // predicted block is not stale.) The engine's own pool check in
-        // `prefetch_locked` stays, for keys that land between this split
-        // and the pump.
+        // sees it. The split asks `contains`, which leaves the pool's LRU
+        // order alone: a prediction is not a use, and only a demand read
+        // (`get`) marks a block recently used. The engine's own pool check
+        // in `prefetch_locked` stays, for keys that land between this
+        // split and the pump.
         let pool = self.engine.pool();
         prefetch.retain(|&(key, _)| !pool.contains(key));
         t.resident = (submitted - prefetch.len()) as u32;
@@ -460,7 +453,6 @@ impl Server {
         // single huge request cannot blow through the watermark unseen.
         let (_, engine_pf) = self.engine.queue_depths();
         let breaker_open = self.engine.breaker_state() == BreakerState::Open;
-        let pool_bytes = pool.bytes_resident();
         let draining = self.is_draining();
         let cfg = &self.cfg;
 
@@ -478,8 +470,6 @@ impl Server {
                 Err(ShedReason::BreakerOpen)
             } else if backlog >= cfg.shed_queue_depth {
                 Err(ShedReason::QueueDepth)
-            } else if pool_bytes >= cfg.shed_resident_bytes {
-                Err(ShedReason::PoolPressure)
             } else if backlog >= cfg.downgrade_queue_depth {
                 Ok(pri * 0.25)
             } else {
@@ -1092,7 +1082,7 @@ mod tests {
 
     /// The `RequestShed` telemetry arg is a wire-stable code: flight-recorder
     /// dumps decode it, so no variant may change its number, and the
-    /// retired byte quota's 4 stays unused.
+    /// retired byte quota's 4 and pool-pressure rung's 7 stay unused.
     #[test]
     fn shed_reason_codes_are_stable() {
         let codes = [
@@ -1101,7 +1091,6 @@ mod tests {
             (ShedReason::ClientQuota, 3),
             (ShedReason::BreakerOpen, 5),
             (ShedReason::QueueDepth, 6),
-            (ShedReason::PoolPressure, 7),
         ];
         for (reason, code) in codes {
             assert_eq!(reason.code(), code, "{reason:?}");

@@ -40,13 +40,12 @@ fn counter(stats: &[(String, u64)], name: &str) -> u64 {
 }
 
 /// One counter per [`viz_serve::ShedReason`], in ladder order.
-const SHED_COUNTERS: [&str; 6] = [
+const SHED_COUNTERS: [&str; 5] = [
     "serve_shed_draining",
     "serve_shed_stale_gen",
     "serve_shed_entry_quota",
     "serve_shed_breaker",
     "serve_shed_queue_depth",
-    "serve_shed_pool_pressure",
 ];
 
 /// `server` shed exactly `n` prefetch entries, every one attributed to
@@ -161,17 +160,6 @@ fn per_reason_shed_counters_reach_the_wire() {
     let id = server.open_session("v").unwrap();
     assert_eq!(server.submit(id, 0, vec![], prefetch(10..15)).unwrap().shed(), 3);
     assert_sheds(&server, "serve_shed_queue_depth", 3);
-
-    // Pool pressure: one resident demand block crosses the watermark.
-    let server = det_server(ServeConfig { shed_resident_bytes: 1, ..ServeConfig::default() }, 8);
-    let id = server.open_session("v").unwrap();
-    let sub = server.submit(id, 0, vec![key(0)], vec![]).unwrap();
-    server.pump();
-    server.engine().run_until_idle();
-    assert!(sub.collect_ready(&server)[0].result.is_ok());
-    assert!(server.engine().pool().bytes_resident() > 0);
-    assert_eq!(server.submit(id, 0, vec![], prefetch(1..3)).unwrap().shed(), 2);
-    assert_sheds(&server, "serve_shed_pool_pressure", 2);
 }
 
 /// Submit one random prediction for `id` (now and then under a stale
@@ -230,7 +218,6 @@ fn every_predicted_key_has_exactly_one_fate() {
             engine_queue_target: rng.index(0..8),
             shed_queue_depth: rng.index(0..32),
             downgrade_queue_depth: rng.index(0..32),
-            shed_resident_bytes: if rng.below(4) == 0 { rng.index(0..4096) } else { usize::MAX },
             ..ServeConfig::default()
         };
         // Key `KEYS` is never predicted, so it is never resident: a demand

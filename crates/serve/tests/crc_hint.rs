@@ -37,7 +37,9 @@ fn stats(inproc: &mut InProcServer, c: &mut ServeClient<impl Transport>) -> Vec<
 fn resident_blocks_are_served_without_a_checksum_pass() {
     const BLOCKS: u32 = 32;
     let store = MemBlockStore::new();
-    let pool = Arc::new(BlockPool::new());
+    // Exactly the timestep fits: the last check below evicts by inserting
+    // one block more.
+    let pool = Arc::new(BlockPool::with_capacity(BLOCKS as usize));
     for i in 0..BLOCKS {
         store.insert(key(i), vec![i as f32; 64]);
         pool.insert(key(i), vec![i as f32; 64]);
@@ -91,11 +93,18 @@ fn resident_blocks_are_served_without_a_checksum_pass() {
     // counter says so, and the client still gets the right bytes. A tick
     // has no such gap, so the request is driven by hand through the same
     // server: admit, pump, run the engine, evict, then collect and encode.
+    // The full pool evicts key 5 once every other resident key is used
+    // after it and one block more is inserted.
     let server = inproc.server().clone();
     let sub = server.submit(SessionId(sa), 0, vec![key(5), key(6)], vec![]).unwrap();
     server.pump();
     server.engine().run_until_idle();
-    pool.remove(key(5));
+    for i in (0..BLOCKS).filter(|&i| i != 5) {
+        assert!(pool.get(key(i)).is_some());
+    }
+    pool.insert(key(BLOCKS), vec![0.0; 64]);
+    assert!(!pool.contains(key(5)) && pool.contains(key(6)));
+    assert_eq!(pool.len(), BLOCKS as usize);
     let blocks = sub.collect_ready(&server);
     let frame =
         encode_response(&Response::FetchReply { session: sa, blocks, shed: 0, downgraded: 0 });
@@ -122,14 +131,16 @@ fn wrong_hint_fails_closed_at_the_client() {
     client.recv_open().unwrap();
 
     let payload = Arc::new(vec![0.25f32, -8.0, 3.5, 1e-9, 42.0]);
-    let reply = |crc| Response::FetchReply {
+    let reply = |k, crc| Response::FetchReply {
         session: 1,
-        blocks: vec![BlockReply { key: key(0), result: Ok(payload.clone()), crc }],
+        blocks: vec![BlockReply { key: k, result: Ok(payload.clone()), crc }],
         shed: 0,
         downgraded: 0,
     };
-    let mut serve_one = |frame: Vec<u8>| {
-        client.send_fetch(0, vec![key(0)], vec![]).unwrap();
+    // Each fetch asks for a key the client tier does not hold yet: a held
+    // key is answered locally and nothing reaches the server end.
+    let mut serve_one = |k, frame: Vec<u8>| {
+        client.send_fetch(0, vec![k], vec![]).unwrap();
         let req = decode_request(&server_end.recv().unwrap()).unwrap();
         assert!(matches!(req, Request::Fetch { .. }));
         server_end.send(&frame).unwrap();
@@ -137,18 +148,18 @@ fn wrong_hint_fails_closed_at_the_client() {
     };
 
     // The true hint and no hint are the same frame, and it is accepted.
-    let good = encode_response(&reply(Some(crc32_f32s(&payload))));
-    assert_eq!(good, encode_response(&reply(None)));
-    let got = serve_one(good).unwrap();
+    let good = encode_response(&reply(key(0), Some(crc32_f32s(&payload))));
+    assert_eq!(good, encode_response(&reply(key(0), None)));
+    let got = serve_one(key(0), good).unwrap();
     assert_eq!(got.blocks[0].result.as_ref().unwrap(), &payload);
 
     let stale = Some(crc32_f32s(&[0.25f32, -8.0, 3.5, 1e-9, 43.0]));
     if cfg!(debug_assertions) {
         // Debug builds cross-check every joined CRC against a full pass.
-        let caught = std::panic::catch_unwind(|| encode_response(&reply(stale)));
+        let caught = std::panic::catch_unwind(|| encode_response(&reply(key(1), stale)));
         assert!(caught.is_err(), "the encoder's cross-check must trip");
     } else {
-        match serve_one(encode_response(&reply(stale))) {
+        match serve_one(key(1), encode_response(&reply(key(1), stale))) {
             Err(ClientError::Proto(ProtoError::BadCrc { .. })) => {}
             other => panic!("wanted BadCrc and no payload, got {other:?}"),
         }

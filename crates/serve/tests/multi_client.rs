@@ -324,7 +324,6 @@ fn demand_is_never_shed_while_prefetch_downgrades_then_sheds() {
         engine_queue_target: 0,
         shed_queue_depth: 0,
         downgrade_queue_depth: 0,
-        shed_resident_bytes: 0,
         ..ServeConfig::default()
     };
     let (server, _src) = det_server(cfg, 64);
@@ -413,23 +412,6 @@ fn per_client_quotas_bound_a_greedy_session() {
     let views = server.sessions();
     assert_eq!(views[0].prefetch_shed, 6);
     assert_eq!(views[1].prefetch_shed, 0);
-}
-
-#[test]
-fn pool_pressure_sheds_new_prefetch() {
-    let cfg = ServeConfig { shed_resident_bytes: 1, ..ServeConfig::default() };
-    let (server, _src) = det_server(cfg, 8);
-    let sid = server.open_session("v").unwrap();
-    server.engine().pool().insert(key(0), vec![0.0; 16]);
-
-    let sub = server.submit(sid, 0, vec![], vec![(key(1), 1.0)]).unwrap();
-    assert_eq!(sub.shed(), 1, "resident bytes over the watermark shed speculation");
-
-    // Demand still flows under pool pressure.
-    let sub = server.submit(sid, 0, vec![key(2)], vec![]).unwrap();
-    server.pump();
-    server.engine().run_until_idle();
-    assert!(sub.collect_ready(&server)[0].result.is_ok());
 }
 
 #[test]

@@ -1,13 +1,14 @@
 //! Out-of-core exploration of the combustion dataset with *real* data
 //! movement: blocks live in an on-disk store, the `viz-fetch` engine pulls
-//! predicted blocks into a sharded resident pool with a 4-worker pool
-//! (Algorithm 1's overlap, as actual threads) while the CPU ray caster
-//! renders, and frames are written as PPM images.
+//! predicted blocks into a resident pool bounded at half the dataset
+//! with a 4-worker pool (Algorithm 1's overlap, as actual threads) while
+//! the CPU ray caster renders, and frames are written as PPM images.
 //!
 //! Demonstrates the full engine surface: entropy-priority prefetch,
 //! demand reads that jump the queue and coalesce with in-flight
 //! prefetches, generation bumps that cancel stale predictions when the
-//! camera moves on, and a byte-cap eviction sweep over the pool.
+//! camera moves on, and the pool's own least-recently-used eviction at
+//! its block cap.
 //!
 //! The disk store is wrapped in a seeded [`FaultInjectingSource`] storm
 //! (10% transient errors, 5% latency spikes), so the run also exercises
@@ -18,7 +19,6 @@
 //!
 //! Run with: `cargo run --release --example combustion_exploration`
 
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 use viz_appaware::core::{
@@ -66,11 +66,14 @@ fn main() -> std::io::Result<()> {
     );
     let sigma = importance.sigma_for_fraction(0.5);
 
-    // The fetch engine: sharded pool, 4 workers draining a priority queue,
-    // reading through a seeded fault storm so the retry/deadline machinery
-    // is visibly in play (a healthy run would look identical, just quieter).
+    // The fetch engine: a pool of at most half the dataset's blocks, which
+    // evicts the least recently used past that, and 4 workers draining a
+    // priority queue, reading through a seeded fault storm so the
+    // retry/deadline machinery is visibly in play (a healthy run would
+    // look identical, just quieter).
     let faulty = Arc::new(FaultInjectingSource::new(store.clone(), FaultConfig::storm(7)));
-    let pool = Arc::new(BlockPool::new());
+    let cap = layout.num_blocks() / 2;
+    let pool = Arc::new(BlockPool::with_capacity(cap));
     let engine = FetchEngine::spawn(
         faulty.clone(),
         pool.clone(),
@@ -82,20 +85,15 @@ fn main() -> std::io::Result<()> {
         },
     );
 
-    // Keep at most half the dataset resident; evict coldest-entropy blocks
-    // outside the current working set when the pool grows past the cap.
-    let byte_cap = layout.nominal_block_bytes() * layout.num_blocks() / 2;
-
     // Pre-load the important blocks (Algorithm 1 line 7), hottest first.
     for b in importance.above_threshold(sigma).take(layout.num_blocks() / 4) {
         engine.prefetch(BlockKey::scalar(b), importance.entropy(b));
     }
     engine.sync();
     println!(
-        "pre-loaded {} important blocks ({:.1} MiB resident, cap {:.1} MiB)",
+        "pre-loaded {} important blocks ({:.1} MiB resident, cap {cap} blocks)",
         pool.len(),
         pool.bytes_resident() as f64 / (1024.0 * 1024.0),
-        byte_cap as f64 / (1024.0 * 1024.0),
     );
 
     // Fly the camera, rendering frames while prefetching the next view.
@@ -104,7 +102,6 @@ fn main() -> std::io::Result<()> {
     let tf = TransferFunction::heat(field.min_max());
     let rc = RenderConfig::preview(192, 192);
     let mut demand_loads = 0usize;
-    let mut evicted = 0usize;
     let mut degraded_frames = 0usize;
 
     for (i, pose) in path.iter().enumerate() {
@@ -118,31 +115,17 @@ fn main() -> std::io::Result<()> {
         // prefetch and coalesce with in-flight reads; blocks that miss the
         // deadline (or exhaust their retries) are reported back and the
         // frame renders without them — their reads stay in flight and land
-        // for a later frame.
-        let working: HashSet<BlockKey> =
-            frame_working_set(pose, &layout, &rc).into_iter().map(BlockKey::scalar).collect();
-        let missing: Vec<BlockKey> =
-            working.iter().copied().filter(|&k| !pool.contains(k)).collect();
+        // for a later frame. Looking the resident ones up with `get` marks
+        // them recently used, so the prefetch that lands while this frame
+        // renders evicts older blocks first.
+        let missing: Vec<BlockKey> = frame_working_set(pose, &layout, &rc)
+            .into_iter()
+            .map(BlockKey::scalar)
+            .filter(|&k| pool.get(k).is_none())
+            .collect();
         let frame = fetch_frame(&engine, &missing, FRAME_BUDGET);
         demand_loads += frame.loaded;
         degraded_frames += usize::from(frame.degraded);
-
-        // Enforce the residency cap: drop the lowest-entropy blocks that the
-        // current frame does not need.
-        if pool.bytes_resident() > byte_cap {
-            let mut victims: Vec<BlockKey> =
-                pool.keys().into_iter().filter(|k| !working.contains(k)).collect();
-            victims.sort_by(|a, b| {
-                importance.entropy(a.block).total_cmp(&importance.entropy(b.block))
-            });
-            for key in victims {
-                if pool.bytes_resident() <= byte_cap {
-                    break;
-                }
-                pool.remove(key);
-                evicted += 1;
-            }
-        }
 
         // Kick off prefetch for the predicted *next* view, ordered by
         // entropy, then render this frame while the workers drain the queue.
@@ -197,10 +180,7 @@ fn main() -> std::io::Result<()> {
         m.breaker_state,
         m.breaker_opens,
     );
-    println!(
-        "render-path demand loads: {demand_loads}; evicted {evicted} blocks at the {:.1} MiB cap",
-        byte_cap as f64 / (1024.0 * 1024.0)
-    );
+    println!("render-path demand loads: {demand_loads}; pool capped at {cap} blocks");
     println!("pool lookups: {hits} hits / {misses} misses");
     println!("frames written to {}", out_dir.display());
     Ok(())

@@ -6,7 +6,7 @@
 //! - [`geom`] — vector math, cameras, frusta, camera paths.
 //! - [`volume`] — bricked volumes, synthetic datasets, entropy.
 //! - [`cache`] — replacement policies and the tiered-hierarchy simulator.
-//! - [`fetch`] — the concurrent block-fetch engine: sharded resident
+//! - [`fetch`] — the concurrent block-fetch engine: bounded LRU resident
 //!   pool, priority scheduling, request coalescing, cancellation.
 //! - [`core`] — the paper's contribution: `T_visible`, `T_important`,
 //!   the radius model, and the Algorithm 1 session engine.
