@@ -24,8 +24,9 @@ pub struct FrameRequest {
     /// Step index within the flight (before any rotation is applied).
     pub step: usize,
     /// The flight's generation after this frame: monotone, bumped once per
-    /// [`ClientFlight::next_frame`], mirroring the engine's camera-step
-    /// cancellation counter but scoped to one client.
+    /// [`ClientFlight::next_frame`]. It is the frame generation a served
+    /// viewer's `Fetch` carries: the server purges the session's queued
+    /// prefetch from earlier generations when a higher one arrives.
     pub generation: u64,
     /// Blocks the frame renders from — fetched at demand priority.
     pub demand: Vec<BlockKey>,

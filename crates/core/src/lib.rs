@@ -13,13 +13,14 @@
 //! - `sampling` — camera lattice, `T_visible` build, O(1) nearest lookup.
 //! - `session` — Algorithm 1 and the FIFO/LRU baselines over the
 //!   simulated hierarchy; per-step and aggregate metrics.
-//! - [`degraded`] — per-frame I/O budgets over the real fetch engine:
-//!   frames whose demand reads miss their deadline render with resident
-//!   blocks only instead of stalling.
 //! - `flight` — per-client camera flights: one viewer's pose sequence +
 //!   table handles, turned into per-frame demand/prefetch requests for the
 //!   serve layer's session registry.
 //! - `report` — figure/table emission helpers for the bench harness.
+//!
+//! The crate moves no real data and does not depend on `viz-fetch`:
+//! viewers fetch through `viz_serve`, whose per-frame demand deadline is
+//! what degrades a frame whose reads run late.
 //!
 //! # Example — the paper's pipeline end to end
 //!
@@ -66,7 +67,6 @@
 
 #![warn(missing_docs)]
 
-pub mod degraded;
 mod flight;
 mod importance;
 pub mod persist;
@@ -77,7 +77,6 @@ mod sampling;
 mod session;
 mod trace;
 
-pub use degraded::{fetch_frame, FrameFetchReport};
 pub use flight::{ClientFlight, FrameRequest};
 pub use importance::{ImportanceEntry, ImportanceTable};
 pub use persist::{load_tables, save_tables};

@@ -26,8 +26,9 @@
 //!   for the in-flight waiters and the worker re-enters its loop, and all
 //!   engine locks are poison-tolerant so one bad block can never wedge
 //!   the engine;
-//! - waiters can bound their stall with [`FetchEngine::get_deadline`] /
-//!   [`Ticket::wait_timeout`] and render degraded instead of blocking.
+//! - waiters can bound their stall with [`Ticket::wait_until`] and
+//!   render degraded instead of blocking (the serve layer's per-frame
+//!   demand deadline does).
 
 use crate::iopool::IoPool;
 use crate::pool::{BlockPool, PoolEntry};
@@ -304,7 +305,6 @@ struct Counters {
     errors: Counter,
     retries: Counter,
     timeouts: Counter,
-    deadline_misses: Counter,
     worker_panics: Counter,
     late_arrivals: Counter,
     breaker_rejected_admission: Counter,
@@ -332,7 +332,6 @@ impl Default for Counters {
             errors: Counter::new("errors"),
             retries: Counter::new("retries"),
             timeouts: Counter::new("timeouts"),
-            deadline_misses: Counter::new("deadline_misses"),
             worker_panics: Counter::new("worker_panics"),
             late_arrivals: Counter::new("late_arrivals"),
             breaker_rejected_admission: Counter::new("breaker_rejected_admission"),
@@ -362,7 +361,6 @@ impl Counters {
             &self.errors,
             &self.retries,
             &self.timeouts,
-            &self.deadline_misses,
             &self.worker_panics,
             &self.late_arrivals,
             &self.breaker_rejected_admission,
@@ -431,8 +429,6 @@ pub struct FetchMetrics {
     pub retries: u64,
     /// Source reads abandoned at [`FetchConfig::source_timeout`].
     pub timeouts: u64,
-    /// [`FetchEngine::get_deadline`] calls that expired unresolved.
-    pub deadline_misses: u64,
     /// Worker panics caught and converted to waiter errors.
     pub worker_panics: u64,
     /// Abandoned reads whose payload later landed in the pool anyway.
@@ -557,13 +553,13 @@ impl FetchEngine {
         s.m.prefetch_requests.inc();
         if s.pool.contains(key) {
             s.m.coalesced.inc();
-            viz_telemetry::instant(Ev::FetchCoalesce, key_salt(key), 0);
+            viz_telemetry::instant(Ev::FetchCoalesce, key.salt(), 0);
             return true;
         }
         let mut st = lock_state(s);
         if st.shutdown {
             s.m.dropped.inc();
-            viz_telemetry::instant(Ev::FetchDrop, key_salt(key), 1);
+            viz_telemetry::instant(Ev::FetchDrop, key.salt(), 1);
             return false;
         }
         let gen = s.generation.load(Ordering::Relaxed);
@@ -594,7 +590,7 @@ impl FetchEngine {
             s.m.prefetch_requests.inc();
             if st.shutdown {
                 s.m.dropped.inc();
-                viz_telemetry::instant(Ev::FetchDrop, key_salt(key), 1);
+                viz_telemetry::instant(Ev::FetchDrop, key.salt(), 1);
                 continue;
             }
             let (acc, enq) = prefetch_locked(s, &mut st, key, priority, tag, gen);
@@ -625,7 +621,7 @@ impl FetchEngine {
         s.m.demand_requests.inc();
         if let Some(p) = s.pool.get(key) {
             s.m.coalesced.inc();
-            viz_telemetry::instant(Ev::FetchCoalesce, key_salt(key), 0);
+            viz_telemetry::instant(Ev::FetchCoalesce, key.salt(), 0);
             return Ticket(TicketInner::Ready(Ok(p)));
         }
         let mut st = lock_state(s);
@@ -633,7 +629,7 @@ impl FetchEngine {
         // holding it, so a miss above may have landed just before we got in.
         if let Some(p) = s.pool.get(key) {
             s.m.coalesced.inc();
-            viz_telemetry::instant(Ev::FetchCoalesce, key_salt(key), 0);
+            viz_telemetry::instant(Ev::FetchCoalesce, key.salt(), 0);
             return Ticket(TicketInner::Ready(Ok(p)));
         }
         if st.shutdown {
@@ -642,7 +638,7 @@ impl FetchEngine {
         let (tx, rx) = channel();
         if let Some(inf) = st.inflight.get_mut(&key) {
             s.m.coalesced.inc();
-            viz_telemetry::instant(Ev::FetchCoalesce, key_salt(key), 1);
+            viz_telemetry::instant(Ev::FetchCoalesce, key.salt(), 1);
             let owner = inf.tag;
             let owner_trace = inf.trace;
             inf.waiters.push(tx);
@@ -652,7 +648,7 @@ impl FetchEngine {
         }
         if st.pending.contains_key(&key) {
             s.m.coalesced.inc();
-            viz_telemetry::instant(Ev::FetchCoalesce, key_salt(key), 2);
+            viz_telemetry::instant(Ev::FetchCoalesce, key.salt(), 2);
             st.seq += 1;
             st.stamp += 1;
             let (seq, stamp) = (st.seq, st.stamp);
@@ -673,7 +669,7 @@ impl FetchEngine {
                 st.pending_prefetch -= 1;
                 st.heap.push(HeapEntry { demand: true, pri, seq, stamp, key });
                 drop(st);
-                viz_telemetry::instant(Ev::FetchAdmitDemand, key_salt(key), 1);
+                viz_telemetry::instant(Ev::FetchAdmitDemand, key.salt(), 1);
                 s.work.notify_one();
             }
             return Ticket(TicketInner::Waiting(rx));
@@ -699,7 +695,7 @@ impl FetchEngine {
         );
         st.heap.push(HeapEntry { demand: true, pri: 0.0, seq, stamp, key });
         drop(st);
-        viz_telemetry::instant(Ev::FetchAdmitDemand, key_salt(key), 0);
+        viz_telemetry::instant(Ev::FetchAdmitDemand, key.salt(), 0);
         s.work.notify_one();
         Ticket(TicketInner::Waiting(rx))
     }
@@ -711,48 +707,16 @@ impl FetchEngine {
         self.request(key).wait()
     }
 
-    /// Demand fetch with a per-request deadline. On expiry returns a
-    /// [`io::ErrorKind::TimedOut`]-kinded error and counts a
-    /// [`FetchMetrics::deadline_misses`]; the read itself stays in flight,
-    /// so the payload lands in the pool for the next frame (degraded
-    /// rendering now, recovery later). Not meaningful in deterministic
-    /// mode, where nothing services requests while the caller blocks.
-    pub fn get_deadline(&self, key: BlockKey, deadline: Duration) -> FetchResult {
-        match self.request(key).wait_timeout(deadline) {
-            Ok(r) => r,
-            Err(_ticket) => {
-                self.shared.m.deadline_misses.inc();
-                viz_telemetry::instant(Ev::DeadlineMiss, key_salt(key), deadline.as_nanos() as u64);
-                Err(FetchError {
-                    kind: io::ErrorKind::TimedOut,
-                    message: format!("demand read of {key:?} missed {deadline:?} deadline"),
-                })
-            }
-        }
-    }
-
-    /// Demand fetch bounded by an absolute deadline: [`Self::get_deadline`]
-    /// with the budget arithmetic done once on the caller's clock (see
-    /// [`Ticket::wait_until`]). An already-passed deadline still admits
-    /// the request — the read stays in flight for a later frame — and
-    /// returns [`io::ErrorKind::TimedOut`] immediately.
-    pub fn get_until(&self, key: BlockKey, deadline: Instant) -> FetchResult {
-        match self.request(key).wait_until(deadline) {
-            Ok(r) => r,
-            Err(_ticket) => {
-                self.shared.m.deadline_misses.inc();
-                viz_telemetry::instant(Ev::DeadlineMiss, key_salt(key), 0);
-                Err(FetchError {
-                    kind: io::ErrorKind::TimedOut,
-                    message: format!("demand read of {key:?} missed its frame deadline"),
-                })
-            }
-        }
-    }
-
     /// Advance the cancellation generation (call once per camera step).
     /// Prefetches queued under earlier generations and not re-requested
     /// since are dropped at dequeue. Returns the new generation.
+    ///
+    /// No program calls this: viewers go through `viz_serve`, whose
+    /// sessions purge stale prefetch before it reaches the engine. It
+    /// stays because it is the only path to `EventKind::FetchCancel` and
+    /// [`FetchMetrics::cancelled`]: deleting that kind renumbers the
+    /// telemetry codes (a wire and flight-dump version bump), and the
+    /// benchmark reads the counter, so all three go together.
     pub fn bump_generation(&self) -> u64 {
         self.shared.generation.fetch_add(1, Ordering::Relaxed) + 1
     }
@@ -865,7 +829,6 @@ impl FetchEngine {
             errors: s.m.errors.get(),
             retries: s.m.retries.get(),
             timeouts: s.m.timeouts.get(),
-            deadline_misses: s.m.deadline_misses.get(),
             worker_panics: s.m.worker_panics.get(),
             late_arrivals: s.m.late_arrivals.get(),
             io_threads_spawned: s.io.spawned() as u64,
@@ -950,19 +913,19 @@ fn prefetch_locked(
 ) -> (bool, bool) {
     if s.pool.contains(key) {
         s.m.coalesced.inc();
-        viz_telemetry::instant(Ev::FetchCoalesce, key_salt(key), 0);
+        viz_telemetry::instant(Ev::FetchCoalesce, key.salt(), 0);
         return (true, false);
     }
     if let Some(inf) = st.inflight.get(&key) {
         s.m.coalesced.inc();
-        viz_telemetry::instant(Ev::FetchCoalesce, key_salt(key), 1);
+        viz_telemetry::instant(Ev::FetchCoalesce, key.salt(), 1);
         note_cross_tag(s, key, inf.tag, tag);
         note_trace_join(key, inf.trace);
         return (true, false);
     }
     if st.pending.contains_key(&key) {
         s.m.coalesced.inc();
-        viz_telemetry::instant(Ev::FetchCoalesce, key_salt(key), 2);
+        viz_telemetry::instant(Ev::FetchCoalesce, key.salt(), 2);
         st.seq += 1;
         st.stamp += 1;
         let (seq, stamp) = (st.seq, st.stamp);
@@ -984,12 +947,12 @@ fn prefetch_locked(
     // failure run. Demand reads still pass (they carry the probe).
     if !s.breaker.admit_prefetch() {
         s.m.breaker_rejected_admission.inc();
-        viz_telemetry::instant(Ev::BreakerReject, key_salt(key), 0);
+        viz_telemetry::instant(Ev::BreakerReject, key.salt(), 0);
         return (false, false);
     }
     if st.pending_prefetch >= s.cfg.queue_cap {
         s.m.dropped.inc();
-        viz_telemetry::instant(Ev::FetchDrop, key_salt(key), 0);
+        viz_telemetry::instant(Ev::FetchDrop, key.salt(), 0);
         return (false, false);
     }
     st.seq += 1;
@@ -1012,7 +975,7 @@ fn prefetch_locked(
     );
     st.pending_prefetch += 1;
     st.heap.push(HeapEntry { demand: false, pri: priority, seq, stamp, key });
-    viz_telemetry::instant(Ev::FetchAdmitPrefetch, key_salt(key), priority.to_bits());
+    viz_telemetry::instant(Ev::FetchAdmitPrefetch, key.salt(), priority.to_bits());
     (true, true)
 }
 
@@ -1033,7 +996,7 @@ fn try_dequeue(s: &Shared, st: &mut MutexGuard<'_, State>) -> Option<Job> {
                 // The camera moved on; this prediction is void. The source
                 // is never touched. Demand fetches never take this branch.
                 s.m.cancelled.inc();
-                viz_telemetry::instant(Ev::FetchCancel, key_salt(e.key), p.gen);
+                viz_telemetry::instant(Ev::FetchCancel, e.key.salt(), p.gen);
                 notify_if_idle(s, st);
                 continue;
             }
@@ -1041,14 +1004,14 @@ fn try_dequeue(s: &Shared, st: &mut MutexGuard<'_, State>) -> Option<Job> {
                 // Queued before the breaker opened: fail fast rather than
                 // burn a read on a source presumed down.
                 s.m.breaker_rejected_dequeue.inc();
-                viz_telemetry::instant(Ev::BreakerReject, key_salt(e.key), 1);
+                viz_telemetry::instant(Ev::BreakerReject, e.key.salt(), 1);
                 notify_if_idle(s, st);
                 continue;
             }
         } else {
             s.breaker.on_demand_dispatch();
         }
-        viz_telemetry::span(Ev::QueueWait, key_salt(e.key), u64::from(p.demand), p.enq);
+        viz_telemetry::span(Ev::QueueWait, e.key.salt(), u64::from(p.demand), p.enq);
         st.inflight.insert(e.key, Inflight { tag: p.tag, trace: p.trace, waiters: p.waiters });
         return Some(Job { key: e.key, demand: p.demand, trace: p.trace, node: p.node });
     }
@@ -1073,7 +1036,7 @@ fn note_trace_join(key: BlockKey, owner_trace: u64) {
     }
     let joining = viz_telemetry::current_trace();
     if joining != 0 && owner_trace != 0 && joining != owner_trace {
-        viz_telemetry::instant(Ev::TraceJoin, key_salt(key), owner_trace);
+        viz_telemetry::instant(Ev::TraceJoin, key.salt(), owner_trace);
     }
 }
 
@@ -1084,15 +1047,10 @@ fn note_cross_tag(s: &Shared, key: BlockKey, owner: u32, incoming: u32) {
         s.m.cross_tag_coalesced.inc();
         viz_telemetry::instant(
             Ev::CrossClientCoalesce,
-            key_salt(key),
+            key.salt(),
             (u64::from(owner) << 32) | u64::from(incoming),
         );
     }
-}
-
-/// Stable per-key salt decorrelating backoff jitter between hot keys.
-fn key_salt(key: BlockKey) -> u64 {
-    (u64::from(key.var) << 48) ^ (u64::from(key.time) << 32) ^ u64::from(key.block.0)
 }
 
 /// One source read attempt, honoring `cfg.source_timeout`. With a timeout
@@ -1126,7 +1084,7 @@ fn read_source(s: &Arc<Shared>, key: BlockKey) -> Result<Vec<f32>, FetchError> {
                 let _st = lock_state(&io_shared);
                 io_shared.pool.insert_entry(key, entry);
                 io_shared.m.late_arrivals.inc();
-                viz_telemetry::instant(Ev::LateArrival, key_salt(key), 0);
+                viz_telemetry::instant(Ev::LateArrival, key.salt(), 0);
             }
         }
     }));
@@ -1144,7 +1102,7 @@ fn read_source(s: &Arc<Shared>, key: BlockKey) -> Result<Vec<f32>, FetchError> {
             }
             drop(rx); // further sends fail; the io thread self-handles
             s.m.timeouts.inc();
-            viz_telemetry::instant(Ev::SourceTimeout, key_salt(key), limit.as_nanos() as u64);
+            viz_telemetry::instant(Ev::SourceTimeout, key.salt(), limit.as_nanos() as u64);
             Err(FetchError {
                 kind: io::ErrorKind::TimedOut,
                 message: format!("source read of {key:?} exceeded {limit:?}; abandoned"),
@@ -1177,7 +1135,7 @@ fn service(s: &Arc<Shared>, job: Job) {
 
 /// Read one key, retrying transient failures per `cfg.retry`.
 fn read_retrying(s: &Arc<Shared>, key: BlockKey) -> Result<Vec<f32>, FetchError> {
-    let salt = key_salt(key);
+    let salt = key.salt();
     let mut attempt = 0;
     loop {
         let ta = viz_telemetry::start();
@@ -1213,7 +1171,7 @@ fn read_retrying(s: &Arc<Shared>, key: BlockKey) -> Result<Vec<f32>, FetchError>
 /// Publish one finished read: pool insert + waiter fan-out + terminal
 /// counters, all under the state lock (see [`service`]).
 fn publish_one(s: &Arc<Shared>, job: &Job, res: Result<Vec<f32>, FetchError>, t0: Instant) {
-    let salt = key_salt(job.key);
+    let salt = job.key.salt();
     let dt_ns = t0.elapsed().as_nanos() as u64;
     // The payload's checksum is a pass over its bytes: take it before the lock.
     let res = res.map(|data| PoolEntry::new(Arc::new(data)));
@@ -1276,7 +1234,7 @@ fn fail_job_after_panic(s: &Arc<Shared>, key: BlockKey, p: &(dyn Any + Send)) {
     let mut st = lock_state(s);
     let waiters = st.inflight.remove(&key).map(|i| i.waiters).unwrap_or_default();
     s.m.errors.inc();
-    viz_telemetry::instant(Ev::WorkerPanic, key_salt(key), 0);
+    viz_telemetry::instant(Ev::WorkerPanic, key.salt(), 0);
     s.breaker.on_failure(s.cfg.breaker.failure_threshold);
     for w in waiters {
         let _ = w.send(Err(e.clone()));
@@ -1584,38 +1542,6 @@ mod tests {
             "storm leaked past the io_threads cap: {}",
             m.io_threads_spawned
         );
-    }
-
-    #[test]
-    fn get_deadline_times_out_and_counts_a_miss() {
-        let pool = Arc::new(BlockPool::new());
-        // Deterministic: nothing will service the read within the deadline.
-        let eng = FetchEngine::deterministic(store_with(1), pool);
-        let err = eng.get_deadline(key(0), Duration::from_millis(5)).unwrap_err();
-        assert_eq!(err.kind, io::ErrorKind::TimedOut);
-        assert_eq!(eng.metrics().deadline_misses, 1);
-        // The abandoned read is still queued; servicing it lands the block.
-        assert_eq!(eng.run_until_idle(), 1);
-        assert!(eng.pool().contains(key(0)));
-    }
-
-    #[test]
-    fn wait_until_and_get_until_honor_absolute_deadlines() {
-        let pool = Arc::new(BlockPool::new());
-        let eng = FetchEngine::deterministic(store_with(2), pool);
-        let t = eng.request(key(0));
-        let past = Instant::now();
-        let t = t.wait_until(past).unwrap_err(); // already expired
-        let err = eng.get_until(key(1), past).unwrap_err();
-        assert_eq!(err.kind, io::ErrorKind::TimedOut);
-        assert_eq!(eng.metrics().deadline_misses, 1);
-        eng.run_until_idle();
-        let got = t
-            .wait_until(Instant::now() + Duration::from_millis(100))
-            .expect("resolved after stepping")
-            .unwrap();
-        assert_eq!(got.as_slice(), &[0.0f32; 8]);
-        assert!(eng.pool().contains(key(1)), "missed read still landed");
     }
 
     #[test]

@@ -16,10 +16,11 @@
 //! - **Request coalescing** — concurrent requests for one [`BlockKey`]
 //!   attach to a single in-flight read and all receive the shared `Arc`
 //!   payload; a key is never read twice concurrently.
-//! - **Generation-based cancellation** — each camera step bumps a
+//! - **Generation-based cancellation** — a camera step may bump a
 //!   generation; queued prefetches from stale generations are dropped at
 //!   dequeue without ever touching the source. Demand fetches are never
-//!   cancelled.
+//!   cancelled. Served viewers do not bump it: a `viz_serve` session
+//!   purges its own stale prefetch before the engine sees it.
 //! - **Deterministic mode** — `workers = 0` runs the scheduler inline via
 //!   [`FetchEngine::run_one`], and [`VirtualClockSource`] injects per-tier
 //!   latency on a logical clock, so scheduling order, coalescing and
@@ -28,8 +29,9 @@
 //!   exponential backoff + jitter ([`RetryPolicy`]); permanent ones fail
 //!   fast. A [`CircuitBreaker`] sheds prefetch load off a failing source
 //!   and recovers via demand-read probes. Hung reads are abandoned at
-//!   [`FetchConfig::source_timeout`] without losing the worker; waiters
-//!   can bound their stall via [`FetchEngine::get_deadline`]. Workers are
+//!   [`FetchConfig::source_timeout`] without losing the worker; a waiter
+//!   bounds its stall with [`Ticket::wait_until`], which is how
+//!   `viz_serve` cuts a frame off at its demand deadline. Workers are
 //!   supervised (panics become [`FetchError`]s, locks are
 //!   poison-tolerant), and [`FaultInjectingSource`] injects seeded
 //!   deterministic fault storms to prove all of it in tests and benches.

@@ -1,5 +1,5 @@
 //! Fault-path integration tests: seeded fault injection driving retry,
-//! fail-fast classification, circuit-breaker transitions, deadlines,
+//! fail-fast classification, circuit-breaker transitions,
 //! source timeouts, worker supervision, and shutdown under load.
 //!
 //! Most tests use the deterministic engine (`workers = 0`) so every
@@ -216,32 +216,6 @@ fn queued_prefetches_fail_fast_when_breaker_opens_behind_them() {
         assert!(!pool.contains(key(i)));
     }
     eng.shutdown();
-}
-
-#[test]
-fn deadline_miss_degrades_now_and_recovers_later() {
-    let source = Arc::new(FaultInjectingSource::healthy(store_with(2)));
-    source.script_delay(key(0), Duration::from_millis(60));
-    let pool = Arc::new(BlockPool::new());
-    let eng = FetchEngine::spawn(
-        source.clone() as Arc<dyn BlockSource>,
-        pool.clone(),
-        FetchConfig { workers: 1, ..FetchConfig::default() },
-    );
-
-    // The frame gives the read 5 ms; the read takes 60 ms.
-    let err = eng.get_deadline(key(0), Duration::from_millis(5)).expect_err("must miss");
-    assert_eq!(err.kind, io::ErrorKind::TimedOut);
-    assert_eq!(eng.metrics().deadline_misses, 1);
-
-    // The abandoned wait did not abandon the read: it lands, and the next
-    // frame gets the block instantly without a second source read.
-    eng.sync();
-    assert!(pool.contains(key(0)));
-    assert_eq!(source.reads(), 1);
-    assert!(eng.get_deadline(key(0), Duration::from_millis(5)).is_ok());
-    let m = eng.shutdown();
-    assert_eq!(m.deadline_misses, 1);
 }
 
 #[test]

@@ -401,7 +401,13 @@ impl<T: Transport> ServeClient<T> {
     /// the asked keys, in order, is [`ClientError::Unexpected`] and leaves
     /// the tier as it was. A reply with no plan waiting (its request went
     /// out through [`ServeClient::send_raw`]) is returned as decoded.
+    ///
+    /// Each answered plan is one viewer frame: with telemetry on, it
+    /// closes a `Frame` span (`key` = the client's generation, `arg` =
+    /// `missing << 8 | degraded`, where `missing` counts the demand slots
+    /// answered with an error, a cut-off deadline's `TimedOut` included).
     pub fn recv_fetch(&mut self) -> Result<FetchOutcome, ClientError> {
+        let ft = viz_telemetry::start();
         // A transport error took no reply off the wire, so its plan waits.
         let frame = match self.plans.front() {
             Some(plan) if !plan.sent => None,
@@ -438,6 +444,15 @@ impl<T: Transport> ServeClient<T> {
             })
             .collect();
         self.tier.merge(&blocks);
+        if ft.is_some() {
+            let missing = blocks.iter().filter(|b| b.result.is_err()).count() as u64;
+            viz_telemetry::span(
+                viz_telemetry::EventKind::Frame,
+                self.generation,
+                (missing << 8) | u64::from(missing > 0),
+                ft,
+            );
+        }
         Ok(FetchOutcome { blocks, shed, downgraded, held })
     }
 

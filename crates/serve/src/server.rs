@@ -169,6 +169,8 @@ struct ServeStats {
     prefetch_resident: Counter,
     demand_served: Counter,
     demand_errors: Counter,
+    /// Demand keys a frame's [`ServeConfig::demand_deadline`] cut off.
+    deadline_misses: Counter,
     bytes_served: Counter,
     /// Served payloads whose CRC came with them from the pool.
     crc_cached: Counter,
@@ -198,6 +200,7 @@ impl ServeStats {
             prefetch_resident: Counter::new("serve_prefetch_resident"),
             demand_served: Counter::new("serve_demand_served"),
             demand_errors: Counter::new("serve_demand_errors"),
+            deadline_misses: Counter::new("serve_deadline_misses"),
             bytes_served: Counter::new("serve_bytes_served"),
             crc_cached: Counter::new("serve_crc_cached"),
             crc_computed: Counter::new("serve_crc_computed"),
@@ -231,6 +234,7 @@ impl ServeStats {
             &self.prefetch_resident,
             &self.demand_served,
             &self.demand_errors,
+            &self.deadline_misses,
             &self.bytes_served,
             &self.crc_cached,
             &self.crc_computed,
@@ -271,6 +275,11 @@ pub struct ServeMetrics {
     pub demand_served: u64,
     /// Demand replies delivered with an error code.
     pub demand_errors: u64,
+    /// Of `demand_errors`, keys a frame's
+    /// [`ServeConfig::demand_deadline`] cut off: each replied `TimedOut`
+    /// while its read stayed in flight, and each emitted one
+    /// `DeadlineMiss` event.
+    pub deadline_misses: u64,
     /// Payload bytes delivered to clients.
     pub bytes_served: u64,
 }
@@ -601,6 +610,7 @@ impl Server {
             prefetch_resident: s.prefetch_resident.get(),
             demand_served: s.demand_served.get(),
             demand_errors: s.demand_errors.get(),
+            deadline_misses: s.deadline_misses.get(),
             bytes_served: s.bytes_served.get(),
         }
     }
@@ -649,6 +659,14 @@ impl Server {
             hists,
             counters: self.wire_counters(),
         }
+    }
+
+    /// Count one demand key a frame's deadline cut off and emit its
+    /// `DeadlineMiss` (`key` = the block key's salt, `arg` = session id):
+    /// the event the flight recorder's `DeadlineBurst` trigger counts.
+    fn deadline_miss(&self, id: SessionId, key: BlockKey) {
+        self.stats.deadline_misses.inc();
+        instant(Ev::DeadlineMiss, key.salt(), u64::from(id.0));
     }
 
     fn record_served(&self, id: SessionId, served: u64, errors: u64, bytes: u64, crc_cached: u64) {
@@ -749,20 +767,25 @@ impl Submission {
     /// Block until every demand key has an outcome (the engine's workers
     /// resolve the tickets), or until [`ServeConfig::demand_deadline`]
     /// past admission, whichever is first: every ticket waits against the
-    /// frame's one deadline. Requires a [`Server::pump`] to have issued the
-    /// entries; a [`TcpServer`] connection thread does this.
+    /// frame's one deadline, and each key it cuts off counts as a
+    /// [`ServeMetrics::deadline_misses`]. Requires a [`Server::pump`] to
+    /// have issued the entries; a [`TcpServer`] connection thread does this.
     pub fn collect(mut self, server: &Server) -> Vec<BlockReply> {
         let deadline = server.cfg.demand_deadline.map(|d| self.t0 + d);
-        let resolve = |ticket: Ticket| match deadline {
+        let session = self.session;
+        let resolve = |key: BlockKey, ticket: Ticket| match deadline {
             Some(at) => match ticket.wait_until(at) {
                 Ok(r) => r.map_err(|e| errkind_code(e.kind)),
-                Err(_still_pending) => Err(errkind_code(io::ErrorKind::TimedOut)),
+                Err(_still_pending) => {
+                    server.deadline_miss(session, key);
+                    Err(errkind_code(io::ErrorKind::TimedOut))
+                }
             },
             None => ticket.wait().map_err(|e| errkind_code(e.kind)),
         };
         // Tickets an earlier poll drained but could not resolve.
         for (key, ticket) in std::mem::take(&mut self.waiting) {
-            let outcome = resolve(ticket);
+            let outcome = resolve(key, ticket);
             self.got.insert(key, outcome);
         }
         while self.received < self.demand_keys.len() {
@@ -770,7 +793,7 @@ impl Submission {
             // us; the remaining keys resolve as Interrupted below.
             let Ok((key, ticket)) = self.rx.recv() else { break };
             self.received += 1;
-            let outcome = resolve(ticket);
+            let outcome = resolve(key, ticket);
             self.got.insert(key, outcome);
         }
         self.finish(server, io::ErrorKind::Interrupted)
@@ -784,13 +807,15 @@ impl Submission {
     }
 
     /// Non-blocking collection: whatever is resolved now, every other key
-    /// reporting `missing`.
+    /// reporting `missing`; `TimedOut` means the frame's deadline cut them
+    /// off.
     fn collect_polled(mut self, server: &Server, missing: io::ErrorKind) -> Vec<BlockReply> {
         self.poll_ready();
         self.finish(server, missing)
     }
 
     fn finish(self, server: &Server, missing: io::ErrorKind) -> Vec<BlockReply> {
+        let cut_off = missing == io::ErrorKind::TimedOut;
         let missing = errkind_code(missing);
         let got = self.got;
         let pool = server.engine.pool();
@@ -799,7 +824,12 @@ impl Submission {
             .demand_keys
             .iter()
             .map(|&key| {
-                let result = got.get(&key).cloned().unwrap_or(Err(missing));
+                let result = got.get(&key).cloned().unwrap_or_else(|| {
+                    if cut_off {
+                        server.deadline_miss(self.session, key);
+                    }
+                    Err(missing)
+                });
                 let mut crc = None;
                 match &result {
                     Ok(data) => {
@@ -858,7 +888,8 @@ impl PendingFetch {
     /// reporting `missing`: `Interrupted` once [`PendingFetch::poll`] said
     /// the reply is complete or a deterministic engine ran to idle,
     /// `TimedOut` at a missed per-frame demand deadline (those reads stay
-    /// in flight and land in the pool for a later frame).
+    /// in flight and land in the pool for a later frame; each key counts
+    /// as a [`ServeMetrics::deadline_misses`]).
     pub fn resolve(self, server: &Server, missing: io::ErrorKind) -> Response {
         self.reply(|sub| sub.collect_polled(server, missing))
     }

@@ -164,6 +164,7 @@ fn demand_deadline_fires_on_the_virtual_clock() {
         }
         other => panic!("expected FetchReply, got {other:?}"),
     }
+    assert_eq!(server.metrics().deadline_misses, 1, "the deadline cut off key 0 alone");
     match recv(&mut pipe) {
         Response::StatsReply { .. } => {}
         other => panic!("expected the queued StatsReply next, got {other:?}"),

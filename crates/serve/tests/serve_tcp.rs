@@ -162,6 +162,7 @@ fn demand_deadline_bounds_a_frame_of_slow_keys() {
         waited < Duration::from_millis(200),
         "deadline reply took {waited:?}; the deadline is per frame, not per key"
     );
+    assert_eq!(tcp.server().metrics().deadline_misses, u64::from(KEYS));
     // The reads were abandoned, not cancelled: once they land, every block
     // is resident and the retry is all pool hits.
     let pool = tcp.server().engine().pool().clone();

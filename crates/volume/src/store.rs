@@ -39,6 +39,13 @@ impl BlockKey {
     pub fn scalar(block: BlockId) -> Self {
         BlockKey { var: 0, time: 0, block }
     }
+
+    /// The key folded into one `u64`: the subject key of every telemetry
+    /// event about a block, and the salt that decorrelates retry jitter
+    /// between keys.
+    pub fn salt(self) -> u64 {
+        (u64::from(self.var) << 48) ^ (u64::from(self.time) << 32) ^ u64::from(self.block.0)
+    }
 }
 
 /// Source of block payloads. Implementations must be safe to call from

@@ -1,42 +1,45 @@
 //! Out-of-core exploration of the combustion dataset with *real* data
-//! movement: blocks live in an on-disk store, the `viz-fetch` engine pulls
-//! predicted blocks into a resident pool bounded at half the dataset
-//! with a 4-worker pool (Algorithm 1's overlap, as actual threads) while
-//! the CPU ray caster renders, and frames are written as PPM images.
-//!
-//! Demonstrates the full engine surface: entropy-priority prefetch,
-//! demand reads that jump the queue and coalesce with in-flight
-//! prefetches, generation bumps that cancel stale predictions when the
-//! camera moves on, and the pool's own least-recently-used eviction at
-//! its block cap.
+//! movement: blocks live in an on-disk store, and the viewer is a served
+//! one — a `viz-serve` [`Server`] over a 4-worker `viz-fetch` engine and a
+//! resident pool bounded at half the dataset, behind a localhost TCP
+//! listener, with one [`ServeClient`] session whose client tier (the
+//! viewer's fast memory) is bounded at half the dataset too. Each frame is
+//! one fetch: its working set as demand, the predicted next view's
+//! important blocks as prefetch, which the server loads while the CPU ray
+//! caster renders (Algorithm 1's overlap, as actual threads). Frames are
+//! written as PPM images.
 //!
 //! The disk store is wrapped in a seeded [`FaultInjectingSource`] storm
 //! (10% transient errors, 5% latency spikes), so the run also exercises
 //! the fault path end to end: retries absorb the injected errors, each
-//! frame's demand reads run under a deadline via [`fetch_frame`], and a
-//! frame whose reads miss the budget renders *degraded* — resident blocks
-//! only — instead of stalling, recovering on a later frame.
+//! frame's demand is cut off at the server's per-frame deadline
+//! ([`ServeConfig::demand_deadline`]), and a frame missing blocks renders
+//! *degraded* — with the blocks that arrived — instead of stalling. Each
+//! degraded frame names its cause: blocks past the deadline (their reads
+//! stay in flight and land for a later frame) or blocks whose reads
+//! failed.
 //!
 //! Run with: `cargo run --release --example combustion_exploration`
 
 use std::sync::Arc;
 use std::time::Duration;
-use viz_appaware::core::{
-    fetch_frame, ImportanceTable, RadiusModel, RadiusRule, SamplingConfig, VisibleTable,
-};
+use viz_appaware::core::{ImportanceTable, RadiusModel, RadiusRule, SamplingConfig, VisibleTable};
 use viz_appaware::fetch::{BlockPool, FaultConfig, FaultInjectingSource, FetchConfig, FetchEngine};
 use viz_appaware::geom::angle::deg_to_rad;
 use viz_appaware::geom::{CameraPath, ExplorationDomain, SphericalPath, Vec3};
 use viz_appaware::render::{
     frame_working_set, render, BrickedSource, CountingLookup, RenderConfig, TransferFunction,
 };
-use viz_appaware::volume::{BlockKey, BrickLayout, DatasetKind, DatasetSpec, DiskBlockStore};
+use viz_appaware::serve::{ClientTier, ServeClient, ServeConfig, Server, TcpServer, TcpTransport};
+use viz_appaware::volume::{
+    BlockId, BlockKey, BrickLayout, DatasetKind, DatasetSpec, DiskBlockStore,
+};
 
 /// Per-frame wall-clock budget for demand reads; past it the frame
-/// renders with whatever is resident.
+/// renders with whatever arrived.
 const FRAME_BUDGET: Duration = Duration::from_millis(100);
 
-fn main() -> std::io::Result<()> {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let out_dir = std::env::temp_dir().join("viz_combustion_example");
     std::fs::create_dir_all(&out_dir)?;
 
@@ -66,17 +69,16 @@ fn main() -> std::io::Result<()> {
     );
     let sigma = importance.sigma_for_fraction(0.5);
 
-    // The fetch engine: a pool of at most half the dataset's blocks, which
+    // The server: a pool of at most half the dataset's blocks, which
     // evicts the least recently used past that, and 4 workers draining a
     // priority queue, reading through a seeded fault storm so the
     // retry/deadline machinery is visibly in play (a healthy run would
     // look identical, just quieter).
     let faulty = Arc::new(FaultInjectingSource::new(store.clone(), FaultConfig::storm(7)));
     let cap = layout.num_blocks() / 2;
-    let pool = Arc::new(BlockPool::with_capacity(cap));
     let engine = FetchEngine::spawn(
         faulty.clone(),
-        pool.clone(),
+        Arc::new(BlockPool::with_capacity(cap)),
         FetchConfig {
             workers: 4,
             queue_cap: 1024,
@@ -84,73 +86,87 @@ fn main() -> std::io::Result<()> {
             ..FetchConfig::default()
         },
     );
+    let cfg = ServeConfig { demand_deadline: Some(FRAME_BUDGET), ..ServeConfig::default() };
+    let quota = cfg.per_client_queue;
+    let server = Server::new(Arc::new(engine), cfg);
+    let pool = server.engine().pool().clone();
+    let front = TcpServer::bind(server.clone(), "127.0.0.1:0")?;
+    let link = TcpTransport::connect(&front.local_addr().to_string())?;
+    let mut viewer = ServeClient::new(link).with_tier(ClientTier::with_capacity(cap));
+    viewer.open("combustion")?;
 
-    // Pre-load the important blocks (Algorithm 1 line 7), hottest first.
-    for b in importance.above_threshold(sigma).take(layout.num_blocks() / 4) {
-        engine.prefetch(BlockKey::scalar(b), importance.entropy(b));
+    // Pre-load the important blocks (Algorithm 1 line 7), hottest first, as
+    // prefetch-only fetches, each within the session's prefetch quota so
+    // none is shed.
+    let preload: Vec<(BlockKey, f64)> = importance
+        .above_threshold(sigma)
+        .take(layout.num_blocks() / 4)
+        .map(|b| (BlockKey::scalar(b), importance.entropy(b)))
+        .collect();
+    for batch in preload.chunks(quota) {
+        viewer.fetch(Vec::new(), batch.to_vec())?;
     }
-    engine.sync();
+    server.engine().sync();
     println!(
         "pre-loaded {} important blocks ({:.1} MiB resident, cap {cap} blocks)",
         pool.len(),
         pool.bytes_resident() as f64 / (1024.0 * 1024.0),
     );
 
-    // Fly the camera, rendering frames while prefetching the next view.
+    // Fly the camera, rendering frames while the server prefetches the
+    // next view.
     let domain = ExplorationDomain::new(Vec3::ZERO, 2.0, 3.2);
     let path = SphericalPath::new(domain, 2.4, 12.0, view_angle).generate(12);
     let tf = TransferFunction::heat(field.min_max());
     let rc = RenderConfig::preview(192, 192);
-    let mut demand_loads = 0usize;
     let mut degraded_frames = 0usize;
 
     for (i, pose) in path.iter().enumerate() {
-        // The camera has moved: predictions queued for the previous view are
-        // stale. Bump the generation so unstarted ones are cancelled at
-        // dequeue instead of wasting disk bandwidth.
-        engine.bump_generation();
-
-        // Demand-load whatever the frame needs that prefetch didn't cover,
-        // under the frame budget. Demand requests outrank every queued
-        // prefetch and coalesce with in-flight reads; blocks that miss the
-        // deadline (or exhaust their retries) are reported back and the
-        // frame renders without them — their reads stay in flight and land
-        // for a later frame. Looking the resident ones up with `get` marks
-        // them recently used, so the prefetch that lands while this frame
-        // renders evicts older blocks first.
-        let missing: Vec<BlockKey> = frame_working_set(pose, &layout, &rc)
-            .into_iter()
-            .map(BlockKey::scalar)
-            .filter(|&k| pool.get(k).is_none())
+        // Demand what the frame needs; the client answers the blocks its
+        // tier holds and asks the server for the rest, which waits at most
+        // FRAME_BUDGET for them. Prefetch the predicted next view, ordered
+        // by entropy.
+        let demand: Vec<BlockKey> =
+            frame_working_set(pose, &layout, &rc).into_iter().map(BlockKey::scalar).collect();
+        let prefetch: Vec<(BlockKey, f64)> = t_visible
+            .predict(pose)
+            .iter()
+            .map(|&b| (BlockKey::scalar(b), importance.entropy(b)))
+            .filter(|&(_, e)| e > sigma)
             .collect();
-        let frame = fetch_frame(&engine, &missing, FRAME_BUDGET);
-        demand_loads += frame.loaded;
-        degraded_frames += usize::from(frame.degraded);
+        let cut_off_before = server.metrics().deadline_misses;
+        viewer.advance()?;
+        let reply = viewer.fetch(demand, prefetch)?;
+        let late = (server.metrics().deadline_misses - cut_off_before) as usize;
 
-        // Kick off prefetch for the predicted *next* view, ordered by
-        // entropy, then render this frame while the workers drain the queue.
-        for &b in t_visible.predict(pose) {
-            let e = importance.entropy(b);
-            if e > sigma {
-                engine.prefetch(BlockKey::scalar(b), e);
+        // Render from the reply's payloads: a block that did not arrive is
+        // a hole in this frame, not a stall.
+        let mut bricks = vec![None; layout.num_blocks()];
+        let mut missing = 0usize;
+        for b in reply.blocks {
+            match b.result {
+                Ok(data) => bricks[b.key.block.index()] = Some(data),
+                Err(_) => missing += 1,
             }
         }
-        let lookup =
-            CountingLookup::new(|id: viz_appaware::volume::BlockId| pool.get(BlockKey::scalar(id)));
+        let lookup = CountingLookup::new(|id: BlockId| bricks[id.index()].clone());
         let src = BrickedSource::new(&layout, &lookup);
         let img = render(&src, pose, &tf, &rc);
         let frame_path = out_dir.join(format!("frame_{i:02}.ppm"));
         img.save_ppm(&frame_path)?;
         let (_, render_misses) = lookup.counts();
+        degraded_frames += usize::from(missing > 0);
         println!(
-            "frame {i:02}: mean luminance {:.4}, pool = {} blocks / {:.1} MiB{} -> {}",
+            "frame {i:02}: mean luminance {:.4}, {} held by the viewer, pool = {} blocks / {:.1} MiB{} -> {}",
             img.mean_luminance(),
+            reply.held,
             pool.len(),
             pool.bytes_resident() as f64 / (1024.0 * 1024.0),
-            if frame.degraded {
+            if missing > 0 {
                 format!(
-                    " [DEGRADED: {} blocks late, {render_misses} bricks absent at render]",
-                    frame.missed.len()
+                    " [DEGRADED: {late} blocks past the deadline, {} failed, \
+                     {render_misses} bricks absent at render]",
+                    missing.saturating_sub(late)
                 )
             } else {
                 String::new()
@@ -159,12 +175,18 @@ fn main() -> std::io::Result<()> {
         );
     }
 
-    let m = engine.shutdown();
+    viewer.close()?;
+    front.shutdown();
+    let s = server.metrics();
+    let m = server.engine().metrics();
     let (hits, misses) = pool.stats();
     println!(
-        "\nengine: {} blocks loaded ({} on demand), {} coalesced, \
-         {} stale prefetches cancelled, {} dropped, {} errors",
-        m.completed, m.demand_completed, m.coalesced, m.cancelled, m.dropped, m.errors
+        "\nengine: {} blocks loaded ({} on demand), {} coalesced, {} dropped, {} errors",
+        m.completed, m.demand_completed, m.coalesced, m.dropped, m.errors
+    );
+    println!(
+        "server: {} demand keys asked, {} prefetch admitted, {} resident, {} shed",
+        s.demand_admitted, s.prefetch_admitted, s.prefetch_resident, s.prefetch_shed
     );
     println!(
         "faults: {} injected errors / {} spikes over {} reads; {} retries, \
@@ -175,13 +197,12 @@ fn main() -> std::io::Result<()> {
         faulty.reads(),
         m.retries,
         m.timeouts,
-        m.deadline_misses,
+        s.deadline_misses,
         m.late_arrivals,
         m.breaker_state,
         m.breaker_opens,
     );
-    println!("render-path demand loads: {demand_loads}; pool capped at {cap} blocks");
-    println!("pool lookups: {hits} hits / {misses} misses");
+    println!("pool lookups: {hits} hits / {misses} misses; pool capped at {cap} blocks");
     println!("frames written to {}", out_dir.display());
     Ok(())
 }

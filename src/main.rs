@@ -11,7 +11,8 @@
 //!                                           # replay a camera path on the
 //!                                           # simulated hierarchy
 //! viz-appaware render --prep /tmp/prep --frames 8 --out /tmp/frames
-//!                                           # ray-cast frames from the disk store
+//!                                           # ray-cast frames served from the
+//!                                           # disk store
 //! ```
 
 use std::collections::HashMap;
@@ -30,8 +31,9 @@ use viz_appaware::geom::{CameraPath, ExplorationDomain, RandomWalkPath, Spherica
 use viz_appaware::render::{
     frame_working_set, render, BrickedSource, RenderConfig, TransferFunction,
 };
+use viz_appaware::serve::{ClientError, ServeClient, ServeConfig, Server, TcpServer, TcpTransport};
 use viz_appaware::volume::{
-    BlockKey, BlockSource, BrickLayout, DatasetKind, DatasetSpec, DiskBlockStore,
+    BlockId, BlockKey, BlockSource, BrickLayout, DatasetKind, DatasetSpec, DiskBlockStore,
 };
 
 const VIEW_ANGLE_DEG: f64 = 15.0;
@@ -50,7 +52,7 @@ fn usage() -> &'static str {
               [--path spherical|random] [--deg X] [--steps N] [--ratio R]\n\
               replay an exploration on the simulated DRAM/SSD/HDD hierarchy\n\
        render --prep DIR [--frames N] [--size PX] --out DIR\n\
-              ray-cast frames through the out-of-core pipeline (PPM output)\n\
+              ray-cast frames through the served out-of-core pipeline (PPM output)\n\
        analyze --prep DIR [--deg X] [--steps N]\n\
               reuse-distance profile + importance summary of an exploration\n"
 }
@@ -325,16 +327,33 @@ fn cmd_render(flags: HashMap<String, String>) -> Result<(), String> {
     let out = PathBuf::from(out);
     std::fs::create_dir_all(&out).map_err(|e| e.to_string())?;
 
-    let pool = Arc::new(BlockPool::new());
+    // The viewer is a served one: a `Server` over the engine behind a
+    // localhost listener, and one client session.
     let engine = FetchEngine::spawn(
-        store.clone(),
-        pool.clone(),
+        store,
+        Arc::new(BlockPool::new()),
         FetchConfig { workers: 4, queue_cap: 1024, ..FetchConfig::default() },
     );
-    for b in ti.above_threshold(manifest.sigma).take(layout.num_blocks() / 4) {
-        engine.prefetch(BlockKey::scalar(b), ti.entropy(b));
+    let cfg = ServeConfig::default();
+    let quota = cfg.per_client_queue;
+    let server = Server::new(Arc::new(engine), cfg);
+    let front = TcpServer::bind(server.clone(), "127.0.0.1:0").map_err(|e| e.to_string())?;
+    let link = TcpTransport::connect(&front.local_addr().to_string()).map_err(|e| e.to_string())?;
+    let mut viewer = ServeClient::new(link);
+    let err = |e: ClientError| e.to_string();
+    viewer.open("render").map_err(err)?;
+
+    // Pre-load the important blocks (Algorithm 1 line 7) as prefetch-only
+    // fetches, each within the session's prefetch quota so none is shed.
+    let preload: Vec<(BlockKey, f64)> = ti
+        .above_threshold(manifest.sigma)
+        .take(layout.num_blocks() / 4)
+        .map(|b| (BlockKey::scalar(b), ti.entropy(b)))
+        .collect();
+    for batch in preload.chunks(quota) {
+        viewer.fetch(Vec::new(), batch.to_vec()).map_err(err)?;
     }
-    engine.sync();
+    server.engine().sync();
 
     let view_angle = deg_to_rad(VIEW_ANGLE_DEG);
     let domain = ExplorationDomain::new(Vec3::ZERO, D_MIN, D_MAX);
@@ -343,34 +362,37 @@ fn cmd_render(flags: HashMap<String, String>) -> Result<(), String> {
     let rc = RenderConfig::preview(size, size);
 
     for (i, pose) in poses.iter().enumerate() {
-        // The camera moved: cancel unstarted prefetches queued for the
-        // previous frame's prediction before issuing this frame's work.
-        engine.bump_generation();
-        for b in frame_working_set(pose, &layout, &rc) {
-            let key = BlockKey::scalar(b);
-            if !pool.contains(key) {
-                // Demand read: outranks queued prefetches and coalesces
-                // with an in-flight read of the same block.
-                engine.get(key).map_err(|e| e.message)?;
-            }
+        // One fetch a frame: its working set as demand, and the predicted
+        // next view's important blocks as prefetch, which the server loads
+        // while this frame renders.
+        let demand: Vec<BlockKey> =
+            frame_working_set(pose, &layout, &rc).into_iter().map(BlockKey::scalar).collect();
+        let prefetch: Vec<(BlockKey, f64)> = tv
+            .predict(pose)
+            .iter()
+            .map(|&b| (BlockKey::scalar(b), ti.entropy(b)))
+            .filter(|&(_, e)| e > manifest.sigma)
+            .collect();
+        viewer.advance().map_err(err)?;
+        let reply = viewer.fetch(demand, prefetch).map_err(err)?;
+        let mut bricks = vec![None; layout.num_blocks()];
+        for b in reply.blocks {
+            let data = b.result.map_err(|code| format!("block {:?}: error code {code}", b.key))?;
+            bricks[b.key.block.index()] = Some(data);
         }
-        for &b in tv.predict(pose) {
-            let e = ti.entropy(b);
-            if e > manifest.sigma {
-                engine.prefetch(BlockKey::scalar(b), e);
-            }
-        }
-        let lookup = |id: viz_appaware::volume::BlockId| pool.get(BlockKey::scalar(id));
+        let lookup = |id: BlockId| bricks[id.index()].clone();
         let src = BrickedSource::new(&layout, &lookup);
         let img = render(&src, pose, &tf, &rc);
         let path = out.join(format!("frame_{i:03}.ppm"));
         img.save_ppm(&path).map_err(|e| e.to_string())?;
         println!("wrote {}", path.display());
     }
-    let m = engine.shutdown();
+    viewer.close().map_err(err)?;
+    front.shutdown();
+    let m = server.engine().metrics();
     println!(
-        "done ({} blocks fetched: {} prefetch / {} demand; {} coalesced, {} cancelled)",
-        m.completed, m.prefetch_completed, m.demand_completed, m.coalesced, m.cancelled
+        "done ({} blocks fetched: {} prefetch / {} demand; {} coalesced)",
+        m.completed, m.prefetch_completed, m.demand_completed, m.coalesced
     );
     Ok(())
 }

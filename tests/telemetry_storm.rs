@@ -4,15 +4,16 @@
 //!
 //! The telemetry gate and rings are process-global, so this is its own
 //! test binary with one test: no other test can record into its window.
-//! The engine runs inline (`workers = 0`) and latency spikes are off, so
-//! every read, fault and eviction happens in the same order on every run
-//! and the counts below are exact.
+//! The viewer is a served one on the in-process front end, over an
+//! engine that runs inline (`workers = 0`), and latency spikes are off,
+//! so every read, fault and eviction happens in the same order on every
+//! run and the counts below are exact.
 
 use std::sync::Arc;
 use std::time::Duration;
 use viz_appaware::cache::{AccessClass, Hierarchy, PolicyKind, TierCost};
-use viz_appaware::core::degraded::fetch_frame;
 use viz_appaware::fetch::{BlockPool, FaultConfig, FaultInjectingSource, FetchConfig, FetchEngine};
+use viz_appaware::serve::{InProcServer, ServeClient, ServeConfig, Server};
 use viz_appaware::telemetry::{self, json, EventKind, Trace};
 use viz_appaware::volume::{BlockId, BlockKey, MemBlockStore};
 
@@ -30,12 +31,16 @@ struct Run {
     source_reads: u64,
     retries: u64,
     missed: usize,
+    /// `Fetch` requests the server admitted.
+    fetches: u64,
 }
 
 /// A 100-step camera path under a seeded fault storm, traced: each step
-/// demands a window of blocks through [`fetch_frame`], prefetches the
-/// next window, and walks a simulated DRAM/SSD hierarchy so the trace
-/// also carries the cache side of the lifecycle.
+/// is one served frame that demands a window of blocks and prefetches
+/// the next window, and walks a simulated DRAM/SSD hierarchy so the trace
+/// also carries the cache side of the lifecycle. Then the camera holds
+/// still for one frame more, which predicts nothing: the viewer's tier
+/// answers it alone.
 fn storm_trace_run() -> Run {
     let store = MemBlockStore::new();
     for i in 0..BLOCKS {
@@ -50,6 +55,12 @@ fn storm_trace_run() -> Run {
         Arc::new(BlockPool::new()),
         FetchConfig::deterministic(),
     );
+    let server = Server::new(Arc::new(engine), ServeConfig::default());
+    let mut inproc = InProcServer::new(server.clone());
+    let mut viewer = ServeClient::new(inproc.connect());
+    viewer.send_open("storm").unwrap();
+    inproc.tick();
+    viewer.recv_open().unwrap();
     let costs = [TierCost::dram(), TierCost::ssd(), TierCost::hdd()];
     let mut hier: Hierarchy<BlockId> =
         Hierarchy::two_level(BLOCKS, 0.3, PolicyKind::Lru, 4096, costs);
@@ -57,28 +68,35 @@ fn storm_trace_run() -> Run {
     telemetry::reset();
     telemetry::set_enabled(true);
     let mut missed = 0;
-    for f in 0..STEPS {
-        engine.bump_generation();
-        let demand: Vec<BlockKey> = (f..f + WINDOW).map(key).collect();
-        // Admit the frame's demand and the next window's prefetch, then
-        // step the inline engine to idle. The frame below waits on
-        // nothing: a block the storm kept out is a miss, re-requested by
-        // the frame and read on the next step.
-        for &k in &demand {
-            let _ = engine.request(k);
-        }
-        for i in f + WINDOW..f + 2 * WINDOW {
-            engine.prefetch(key(i), (BLOCKS - i) as f64);
-        }
-        engine.run_until_idle();
-        missed += fetch_frame(&engine, &demand, Duration::ZERO).missed.len();
-        for i in f..f + WINDOW {
+    for f in 0..=STEPS {
+        let at = f.min(STEPS - 1);
+        let demand: Vec<BlockKey> = (at..at + WINDOW).map(key).collect();
+        let prefetch: Vec<(BlockKey, f64)> = if f < STEPS {
+            (at + WINDOW..at + 2 * WINDOW).map(|i| (key(i), (BLOCKS - i) as f64)).collect()
+        } else {
+            Vec::new()
+        };
+        // One tick serves the frame: its demand, then its prefetch, step
+        // the inline engine to idle. A block the storm kept out past its
+        // retries is a miss.
+        let generation = viewer.advance().unwrap();
+        viewer.send_fetch(generation, demand, prefetch).unwrap();
+        inproc.tick();
+        let frame = viewer.recv_fetch().unwrap();
+        missed += frame.blocks.iter().filter(|b| b.result.is_err()).count();
+        for i in at..at + WINDOW {
             hier.fetch(BlockId(i as u32), AccessClass::Demand);
         }
     }
-    let m = engine.shutdown();
     telemetry::set_enabled(false);
-    Run { trace: telemetry::drain(), source_reads: source.reads(), retries: m.retries, missed }
+    let m = server.engine().metrics();
+    Run {
+        trace: telemetry::drain(),
+        source_reads: source.reads(),
+        retries: m.retries,
+        missed,
+        fetches: server.metrics().fetch_requests,
+    }
 }
 
 #[test]
@@ -93,7 +111,8 @@ fn storm_run_traces_reads_retries_evictions_and_frames() {
     let retries = trace.count(EventKind::FetchRetry);
     assert_eq!(reads as u64, run.source_reads);
     assert_eq!(retries as u64, run.retries);
-    assert_eq!(trace.count(EventKind::Frame), STEPS, "one frame span per step");
+    assert_eq!(run.fetches, STEPS as u64, "the held frame sent nothing");
+    assert_eq!(trace.count(EventKind::Frame), STEPS + 1, "one frame span per step, held included");
 
     // The seeded storm, pinned: a change to the engine's read, retry or
     // admission order, or to the hierarchy's eviction order, moves these.
